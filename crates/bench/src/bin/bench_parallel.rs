@@ -47,7 +47,8 @@ struct ConfigReport {
     /// `None` until the memo-cache has seen traffic (was the string
     /// `"NaN"` in schema v1 reports).
     cache_hit_rate: Option<f64>,
-    /// Bisection iterations spent inside the circuit solver.
+    /// Newton iterations (node-current evaluations) spent inside the
+    /// circuit solver.
     newton_iters: u64,
     /// Operating-point curve solves (LU factorisations).
     factorisations: u64,

@@ -517,10 +517,13 @@ fn rollup(name: &str, values: &[f64]) -> Option<MetricRollup> {
     })
 }
 
+/// A named scalar read off a worker's metrics document.
+type Scalar = (&'static str, fn(&Metrics) -> f64);
+
 /// The federated rollup set: a few serve scalars an operator compares
 /// across workers at a glance.
 fn rollups_over(views: &[WorkerMetricsView]) -> Vec<MetricRollup> {
-    let scalars: [(&str, fn(&Metrics) -> f64); 6] = [
+    let scalars: [Scalar; 6] = [
         ("queue_depth", |m| m.queue_depth as f64),
         ("in_flight", |m| m.in_flight as f64),
         ("submitted", |m| m.submitted as f64),

@@ -20,17 +20,19 @@ pub use ecripse_spice::EvalError;
 
 /// Cumulative inner-solver effort behind a bench's verdicts.
 ///
-/// For the SRAM benches the 1-D bisection steps of the VTC solver play
-/// the role of Newton iterations and each solved transfer-curve point is
-/// one factorisation-equivalent; synthetic benches report zeros. Totals
-/// are monotone — consumers read before/after deltas.
+/// For the SRAM benches each node-current evaluation of the safeguarded
+/// Newton VTC solve is one Newton iteration and each solved
+/// transfer-curve point is one factorisation-equivalent; synthetic
+/// benches report zeros. Totals are monotone — consumers read
+/// before/after deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveEffort {
-    /// Inner-solver iterations (bisection steps for the SRAM benches).
+    /// Inner-solver Newton iterations (VTC node-current evaluations for
+    /// the SRAM benches).
     pub newton_iters: u64,
     /// Solver invocations (butterfly curve points for the SRAM benches).
     pub factorisations: u64,
-    /// Evaluations that ran inside a warm-start seeded bracket.
+    /// Curve-point solves started from a warm-start seed.
     pub warm_start_seeds: u64,
 }
 
@@ -232,7 +234,7 @@ impl Testbench for SramReadBench {
     fn solve_effort(&self) -> SolveEffort {
         let e = self.inner.effort();
         SolveEffort {
-            newton_iters: e.bisect_iters,
+            newton_iters: e.newton_iters,
             factorisations: e.curve_solves,
             warm_start_seeds: e.seeded_curves,
         }
@@ -319,7 +321,7 @@ impl Testbench for SramWriteBench {
     fn solve_effort(&self) -> SolveEffort {
         let e = self.inner.effort();
         SolveEffort {
-            newton_iters: e.bisect_iters,
+            newton_iters: e.newton_iters,
             factorisations: e.curve_solves,
             warm_start_seeds: e.seeded_curves,
         }

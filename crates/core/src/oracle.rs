@@ -79,7 +79,7 @@ pub struct OracleStats {
     /// driver-filled, like `newton_iters`).
     #[serde(default)]
     pub factorisations: u64,
-    /// Evaluations that ran inside a warm-start seeded bracket
+    /// Curve-point solves started from a warm-start seed
     /// (driver-filled, like `newton_iters`).
     #[serde(default)]
     pub warm_start_seeds: u64,

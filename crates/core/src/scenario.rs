@@ -344,7 +344,7 @@ impl Testbench for SramScenarioBench {
     fn solve_effort(&self) -> SolveEffort {
         let e = self.inner.effort();
         SolveEffort {
-            newton_iters: e.bisect_iters,
+            newton_iters: e.newton_iters,
             factorisations: e.curve_solves,
             warm_start_seeds: e.seeded_curves,
         }

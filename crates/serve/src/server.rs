@@ -1559,7 +1559,7 @@ fn render_prometheus_document<B>(shared: &Shared<B>, m: &Metrics) -> String {
         ),
         (
             "newton_iters_total",
-            "Bisection/Newton iterations spent in the circuit solver",
+            "Newton iterations (node-current evaluations) spent in the circuit solver",
             m.oracle.newton_iters,
         ),
         (

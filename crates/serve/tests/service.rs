@@ -636,8 +636,12 @@ fn deadlines_expire_queued_and_running_jobs() {
     gate.store(true, Ordering::SeqCst);
     client.wait(running.id, WAIT).expect("first job completes");
     gate.store(false, Ordering::SeqCst);
+    // A fresh seed: resubmitting the finished job's request would answer
+    // every verdict from the shared verdict store without reaching the
+    // gate, so the job would complete inside its budget.
+    let held_request = SubmitRequest::new(tiny_config(12), JobSpec::rdf_only(1.0));
     let held = client
-        .submit(&request.clone().with_deadline_ms(150))
+        .submit(&held_request.with_deadline_ms(150))
         .expect("short-deadline job");
     wait_until_running(&client, held.id);
     std::thread::sleep(Duration::from_millis(250));

@@ -11,7 +11,7 @@
 //! smaller lobe (see [`crate::snm`]).
 
 use crate::error::EvalError;
-use crate::sram::{BiasCondition, Sram6T, VtcSolve};
+use crate::sram::{BiasCondition, Sram6T};
 use serde::{Deserialize, Serialize};
 
 /// Work spent sampling one butterfly, for effort accounting.
@@ -19,23 +19,19 @@ use serde::{Deserialize, Serialize};
 pub struct SampleEffort {
     /// Transfer-curve points solved (two per grid point).
     pub solves: u64,
-    /// Total bisection steps across all solves — the 1-D analogue of
-    /// Newton iterations.
-    pub bisect_iters: u64,
-    /// Solves that converged inside a seed-derived bracket.
+    /// Total Newton iterations (node-current evaluations) across all
+    /// solves.
+    pub newton_iters: u64,
+    /// Solves started from a seed-predicted point.
     pub seeded_points: u64,
-    /// Solves where the seed bracket missed and the full-width sweep ran
-    /// instead.
-    pub fallback_points: u64,
 }
 
 impl SampleEffort {
     /// Accumulates another effort record into this one.
     pub fn add(&mut self, other: &SampleEffort) {
         self.solves += other.solves;
-        self.bisect_iters += other.bisect_iters;
+        self.newton_iters += other.newton_iters;
         self.seeded_points += other.seeded_points;
-        self.fallback_points += other.fallback_points;
     }
 }
 
@@ -83,19 +79,20 @@ impl Butterfly {
         bias: &BiasCondition,
         points: usize,
     ) -> Result<Self, EvalError> {
-        Self::try_sample_seeded(cell, bias, points, 1e-7, None, 0.0).map(|(b, _)| b)
+        Self::try_sample_seeded(cell, bias, points, 1e-7, None).map(|(b, _)| b)
     }
 
     /// The full-control sampler behind [`Self::try_sample`]: an explicit
-    /// bisection `resolution`, an optional `seed` butterfly from a nearby
+    /// solver `resolution`, an optional `seed` butterfly from a nearby
     /// operating point, and effort counters.
     ///
-    /// When a seed is given, each solve first tries the bracket
-    /// `seed(vin) ± band`; the bracket is validated and, if it does not
-    /// contain the root (the neighbour was too far away), the solve falls
-    /// back to the ordinary monotone-hint sweep, so the result is correct
-    /// for any seed. With `resolution = 1e-7` and no seed this is
-    /// bit-identical to [`Self::try_sample`].
+    /// Each point's solve starts from the seed's interpolated value when
+    /// a seed is given and that value lies inside the solve's bracket,
+    /// and from the previous point's root otherwise. The
+    /// start point only changes how fast the solve converges, never which
+    /// root it finds, so the result is correct for any seed. With
+    /// `resolution = 1e-7` and no seed this is bit-identical to
+    /// [`Self::try_sample`].
     ///
     /// # Panics
     ///
@@ -111,7 +108,6 @@ impl Butterfly {
         points: usize,
         resolution: f64,
         seed: Option<&Butterfly>,
-        band: f64,
     ) -> Result<(Self, SampleEffort), EvalError> {
         assert!(points >= 2, "need at least two grid points, got {points}");
         let vdd = cell.vdd();
@@ -120,54 +116,41 @@ impl Butterfly {
                 context: "supply voltage",
             });
         }
-        let seed = seed.filter(|s| s.len() >= 2 && band > 0.0);
+        let seed = seed.filter(|s| s.len() >= 2);
         let mut effort = SampleEffort::default();
         let mut grid = Vec::with_capacity(points);
         let mut curve_a = Vec::with_capacity(points);
         let mut curve_b = Vec::with_capacity(points);
-        // The VTCs are monotone decreasing, so each solve's result bounds
-        // the next one from above — warm-start the bisection bracket.
-        let mut hint_a = vdd + 0.2;
-        let mut hint_b = vdd + 0.2;
         for i in 0..points {
             let vin = vdd * i as f64 / (points - 1) as f64;
             grid.push(vin);
-            let solve_a = Self::seeded_solve(
-                cell,
-                bias,
-                vin,
-                resolution,
-                seed,
-                band,
-                hint_a,
-                true,
-                &mut effort,
-            );
-            let solve_b = Self::seeded_solve(
-                cell,
-                bias,
-                vin,
-                resolution,
-                seed,
-                band,
-                hint_b,
+            let mut solve = |right: bool, hint: Option<f64>, guess: Option<f64>| {
+                let v = cell.solve_vtc(right, bias, vin, hint, guess, resolution);
+                effort.solves += 1;
+                effort.newton_iters += u64::from(v.iters);
+                effort.seeded_points += u64::from(v.seeded);
+                v.v
+            };
+            // The VTCs are monotone decreasing, so each curve's previous
+            // root bounds its next one from above.
+            let a = solve(true, curve_a.last().copied(), seed.map(|s| s.interp_a(vin)));
+            let b = solve(
                 false,
-                &mut effort,
+                curve_b.last().copied(),
+                seed.map(|s| s.interp_b(vin)),
             );
-            hint_a = solve_a.v;
-            hint_b = solve_b.v;
-            if !hint_a.is_finite() {
+            if !a.is_finite() {
                 return Err(EvalError::NonFinite {
                     context: "butterfly curve A",
                 });
             }
-            if !hint_b.is_finite() {
+            if !b.is_finite() {
                 return Err(EvalError::NonFinite {
                     context: "butterfly curve B",
                 });
             }
-            curve_a.push(hint_a);
-            curve_b.push(hint_b);
+            curve_a.push(a);
+            curve_b.push(b);
         }
         Ok((
             Self {
@@ -177,62 +160,6 @@ impl Butterfly {
             },
             effort,
         ))
-    }
-
-    /// One curve-point solve: seed-derived bracket first, monotone-hint
-    /// sweep as the fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn seeded_solve(
-        cell: &Sram6T,
-        bias: &BiasCondition,
-        vin: f64,
-        resolution: f64,
-        seed: Option<&Butterfly>,
-        band: f64,
-        hint: f64,
-        right: bool,
-        effort: &mut SampleEffort,
-    ) -> VtcSolve {
-        effort.solves += 1;
-        if let Some(s) = seed {
-            let predicted = if right {
-                s.interp_a(vin)
-            } else {
-                s.interp_b(vin)
-            };
-            if predicted.is_finite() {
-                let solved = if right {
-                    cell.vtc_right_bracketed(
-                        bias,
-                        vin,
-                        predicted - band,
-                        predicted + band,
-                        resolution,
-                    )
-                } else {
-                    cell.vtc_left_bracketed(
-                        bias,
-                        vin,
-                        predicted - band,
-                        predicted + band,
-                        resolution,
-                    )
-                };
-                if let Some(v) = solved {
-                    effort.seeded_points += 1;
-                    effort.bisect_iters += v.iters as u64;
-                    return v;
-                }
-            }
-            effort.fallback_points += 1;
-        }
-        let v = if right {
-            cell.vtc_right_effort(bias, vin, Some(hint), resolution)
-        } else {
-            cell.vtc_left_effort(bias, vin, Some(hint), resolution)
-        };
-        effort.bisect_iters += v.iters as u64;
-        v
     }
 
     /// Linear interpolation of curve A (`f_R`) at an arbitrary input,
@@ -333,53 +260,54 @@ mod tests {
     }
 
     #[test]
-    fn seeded_sampling_cuts_bisection_work() {
+    fn seeded_sampling_costs_no_more_work() {
         let cell = Sram6T::paper_cell();
         let bias = cell.read_bias();
         let (seed, cold) =
-            Butterfly::try_sample_seeded(&cell, &bias, 31, 1e-7, None, 0.0).expect("cold");
+            Butterfly::try_sample_seeded(&cell, &bias, 31, 1e-7, None).expect("cold");
         // A tiny perturbation of the same cell: the seed curves are
-        // excellent brackets.
+        // excellent start points.
         let near = cell.with_delta_vth(&[0.002, -0.001, 0.0, 0.001, 0.0, -0.002]);
-        let (_, unseeded) =
-            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, None, 0.0).expect("unseeded");
+        let (plain, unseeded) =
+            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, None).expect("unseeded");
         let (warm_b, warm) =
-            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, Some(&seed), 0.05)
-                .expect("seeded");
-        assert!(warm.seeded_points > 0, "seed brackets should engage");
+            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, Some(&seed)).expect("seeded");
+        assert!(warm.seeded_points > 0, "seed start points should engage");
         assert!(
-            warm.bisect_iters < unseeded.bisect_iters,
-            "seeded {} vs unseeded {} bisection steps",
-            warm.bisect_iters,
-            unseeded.bisect_iters
+            warm.newton_iters <= unseeded.newton_iters,
+            "seeded {} vs unseeded {} Newton iterations",
+            warm.newton_iters,
+            unseeded.newton_iters
         );
         assert_eq!(cold.seeded_points, 0);
-        // And the curves agree with the unseeded solve to the bisection
+        // And the curves agree with the unseeded solve to the solver
         // resolution.
-        let (plain, _) =
-            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, None, 0.0).expect("plain");
-        for (a, b) in warm_b.curve_a.iter().zip(&plain.curve_a) {
+        let seeded_points = warm_b.curve_a.iter().chain(&warm_b.curve_b);
+        for (a, b) in seeded_points.zip(plain.curve_a.iter().chain(&plain.curve_b)) {
             assert!((a - b).abs() < 2e-7, "seeded {a} vs plain {b}");
         }
     }
 
     #[test]
-    fn far_seed_falls_back_to_full_sweep() {
+    fn nonsense_seed_still_gives_the_correct_curve() {
         let cell = Sram6T::paper_cell();
         let bias = cell.read_bias();
-        // A nonsense seed: constant mid-rail curves bracket almost no
-        // roots, so nearly every point must fall back — and the result
-        // must still be correct.
+        // A nonsense seed: constant mid-rail curves are far from most
+        // roots, yet only the start points change — the result must
+        // still be correct.
         let bogus = Butterfly {
             grid: vec![0.0, cell.vdd()],
             curve_a: vec![0.35, 0.35],
             curve_b: vec![0.35, 0.35],
         };
-        let (b, eff) = Butterfly::try_sample_seeded(&cell, &bias, 21, 1e-7, Some(&bogus), 0.01)
-            .expect("fallback path");
-        assert!(eff.fallback_points > 0);
+        let (b, eff) = Butterfly::try_sample_seeded(&cell, &bias, 21, 1e-7, Some(&bogus))
+            .expect("seeded path");
+        assert!(eff.seeded_points > 0);
         let plain = Butterfly::try_sample(&cell, &bias, 21).expect("plain");
         for (a, p) in b.curve_a.iter().zip(&plain.curve_a) {
+            assert!((a - p).abs() < 2e-7);
+        }
+        for (a, p) in b.curve_b.iter().zip(&plain.curve_b) {
             assert!((a - p).abs() < 2e-7);
         }
     }

@@ -17,8 +17,9 @@
 //!   and a damped Newton solver with g-min stepping: a miniature SPICE DC
 //!   engine used for operating points and solver cross-checks.
 //! * [`sram`] — the 6T cell: device set, bias conditions, and fast 1-D
-//!   bisection solves for the read voltage-transfer curves (exploiting
-//!   that node current is monotone in node voltage for this topology).
+//!   safeguarded-Newton solves for the read voltage-transfer curves
+//!   (exploiting that node current is monotone in node voltage for this
+//!   topology).
 //! * [`butterfly`] / [`snm`] — butterfly curve construction and the
 //!   Seevinck maximum-embedded-square static noise margin, extended with a
 //!   signed (negative) margin for read-unstable cells so that bisection

@@ -2,7 +2,7 @@
 //!
 //! The EKV interpolation function covers weak, moderate and strong
 //! inversion with one C¹-continuous expression, which keeps Newton
-//! iterations and the bisection solves of [`crate::sram`] robust:
+//! iterations and the 1-D transfer-curve solves of [`crate::sram`] robust:
 //!
 //! ```text
 //! I_D = I_S · [F((V_P − V_S)/V_t) − F((V_P − V_D)/V_t)] · (1 + λ·|V_DS|)
@@ -490,7 +490,7 @@ mod proptests {
         }
 
         /// Raising the drain never reduces the current out of the node
-        /// (passivity — the property the VTC bisection relies on).
+        /// (passivity — the property the VTC solve relies on).
         #[test]
         fn prop_monotone_in_drain(
             vg in 0.0f64..0.8,

@@ -63,8 +63,9 @@ impl RotatedCurve {
             }
             let uu = (x - y) * inv_sqrt2;
             let vv = (x + y) * inv_sqrt2;
-            // Transfer curves are monotone, but bisection noise can create
-            // ~1e-12 reversals; drop non-advancing points.
+            // Transfer curves are monotone, but solver error (within the
+            // resolution) can create tiny reversals; drop non-advancing
+            // points.
             if let Some(&last) = u.last() {
                 if uu <= last {
                     continue;

@@ -14,13 +14,15 @@
 //! node storing 0 is pulled upward through its access transistor — the
 //! disturbance that makes read the critical stability condition.
 //!
-//! The cell's voltage-transfer curves are solved with a guarded 1-D
-//! bisection: with one storage node forced, the net current into the other
-//! node is **strictly decreasing** in its voltage (every attached device
-//! is passive in that sense), so the solve is unconditionally convergent —
-//! no Newton heuristics in the innermost Monte Carlo loop. The general
-//! MNA solver in [`crate::solver`] is used in tests to cross-check these
-//! fast solves.
+//! The cell's voltage-transfer curves are solved with a safeguarded 1-D
+//! Newton method: with one storage node forced, the net current into the
+//! other node is **strictly decreasing** in its voltage (every attached
+//! device is passive in that sense), so a sign change brackets exactly one
+//! root. Newton steps use the analytic conductances of the device model
+//! and converge in a few evaluations; any step that leaves the bracket or
+//! stalls is replaced by a bisection step, so the solve is
+//! unconditionally convergent. The general MNA solver in
+//! [`crate::solver`] is used in tests to cross-check these fast solves.
 
 use crate::model::Mosfet;
 use crate::ptm::{paper_geometry, DeviceRole, VDD_NOMINAL};
@@ -112,17 +114,18 @@ pub struct BiasCondition {
     pub blb: f64,
 }
 
-/// One transfer-curve solve: the root voltage plus the bisection steps
-/// it cost — the workspace's "Newton iteration" unit for effort
-/// accounting (each bisection step plays the role of one solver
-/// iteration of the inner 1-D solve).
+/// One transfer-curve solve: the root voltage plus the Newton
+/// iterations it cost — the workspace's unit for effort accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VtcSolve {
     /// The solved output voltage \[V\].
     pub v: f64,
-    /// Function evaluations spent (bisection steps plus any bracket
-    /// validation probes).
+    /// Node-current evaluations spent, each one Newton iteration (a
+    /// value and its derivative), whether it fed a Newton or a
+    /// safeguarding bisection step.
     pub iters: u32,
+    /// Whether the caller's guess started the solve.
+    pub seeded: bool,
 }
 
 /// A 6T SRAM cell.
@@ -252,143 +255,114 @@ impl Sram6T {
         cell
     }
 
-    /// Net current into the node `QB` of the right half-cell when the
-    /// opposite node is at `v_gate` and `QB` is at `v_out`.
-    fn right_node_current(&self, bias: &BiasCondition, v_gate: f64, v_out: f64) -> f64 {
-        let load = self.device(CellDevice::LoadR);
-        let driver = self.device(CellDevice::DriverR);
-        let access = self.device(CellDevice::AccessR);
-        // PMOS load: drain = QB, source = VDD. `id` is current into the
-        // drain; a pull-up sources current into the node, so the node
+    /// Net current into the output node of one half-cell, and its
+    /// derivative with respect to the output voltage: node `QB` (gate
+    /// driven by `Q`) when `right`, node `Q` (gate driven by `QB`)
+    /// otherwise. The derivative reuses the conductances every `eval`
+    /// already computes.
+    fn node_current(
+        &self,
+        right: bool,
+        bias: &BiasCondition,
+        v_gate: f64,
+        v_out: f64,
+    ) -> (f64, f64) {
+        let half = |left: CellDevice| self.device(if right { left.mirrored() } else { left });
+        let bit_line = if right { bias.blb } else { bias.bl };
+        // PMOS load: drain = output, source = VDD. `id` is current into
+        // the drain; a pull-up sources current into the node, so the node
         // receives −id.
-        let i_load = -load.eval(v_gate, v_out, self.vdd, self.vdd).id;
-        // NMOS driver: drain = QB, source = GND. Current into the drain
-        // leaves the node.
-        let i_driver = driver.eval(v_gate, v_out, 0.0, self.vdd).id;
-        // Access NMOS: drain at BLB, source at QB; the device forwards its
-        // drain current into the node.
-        let i_access = access.eval(bias.wl, bias.blb, v_out, self.vdd).id;
-        i_load + i_access - i_driver
-    }
-
-    /// Same for the left half-cell (node `Q`, gate driven by `QB`).
-    fn left_node_current(&self, bias: &BiasCondition, v_gate: f64, v_out: f64) -> f64 {
-        let load = self.device(CellDevice::LoadL);
-        let driver = self.device(CellDevice::DriverL);
-        let access = self.device(CellDevice::AccessL);
-        let i_load = -load.eval(v_gate, v_out, self.vdd, self.vdd).id;
-        let i_driver = driver.eval(v_gate, v_out, 0.0, self.vdd).id;
-        let i_access = access.eval(bias.wl, bias.bl, v_out, self.vdd).id;
-        i_load + i_access - i_driver
+        let load = half(CellDevice::LoadL).eval(v_gate, v_out, self.vdd, self.vdd);
+        // NMOS driver: drain = output, source = GND. Current into the
+        // drain leaves the node.
+        let driver = half(CellDevice::DriverL).eval(v_gate, v_out, 0.0, self.vdd);
+        // Access NMOS: drain at the bit line, source at the output; the
+        // device forwards its drain current into the node.
+        let access = half(CellDevice::AccessL).eval(bias.wl, bit_line, v_out, self.vdd);
+        (
+            -load.id + access.id - driver.id,
+            -load.gds + access.gs - driver.gds,
+        )
     }
 
     /// Solves the right half-cell transfer curve `V_QB = f_R(V_Q)` at one
-    /// input point via guarded bisection.
+    /// input point, to 0.1 µV.
     pub fn vtc_right(&self, bias: &BiasCondition, v_q: f64) -> f64 {
-        self.bisect(|v| self.right_node_current(bias, v_q, v), None)
+        self.vtc_right_effort(bias, v_q, None, None, 1e-7).v
     }
 
     /// Solves the left half-cell transfer curve `V_Q = f_L(V_QB)` at one
-    /// input point.
+    /// input point, to 0.1 µV.
     pub fn vtc_left(&self, bias: &BiasCondition, v_qb: f64) -> f64 {
-        self.bisect(|v| self.left_node_current(bias, v_qb, v), None)
+        self.vtc_left_effort(bias, v_qb, None, None, 1e-7).v
     }
 
-    /// Like [`Self::vtc_right`], but warm-started: the VTC is monotone
-    /// decreasing in its input, so when sweeping the input upward the
-    /// previous output is a valid *upper* bracket for the next solve,
-    /// shrinking the bisection interval.
-    pub fn vtc_right_warm(&self, bias: &BiasCondition, v_q: f64, upper_hint: f64) -> f64 {
-        self.bisect(|v| self.right_node_current(bias, v_q, v), Some(upper_hint))
-    }
-
-    /// Warm-started variant of [`Self::vtc_left`]; see
-    /// [`Self::vtc_right_warm`].
-    pub fn vtc_left_warm(&self, bias: &BiasCondition, v_qb: f64, upper_hint: f64) -> f64 {
-        self.bisect(|v| self.left_node_current(bias, v_qb, v), Some(upper_hint))
-    }
-
-    /// Effort-counting variant of [`Self::vtc_right_warm`] with an
-    /// explicit resolution target. With `resolution = 1e-7` the returned
-    /// voltage is bit-identical to the legacy warm solve.
+    /// Effort-counting solve of the right transfer curve to an explicit
+    /// `resolution` \[V\].
+    ///
+    /// The VTC is monotone decreasing in its input, so when sweeping the
+    /// input upward the previous output `upper_hint` bounds the next root
+    /// from above; it narrows the bracket and is the default start point.
+    /// A `guess` inside the bracket (e.g. a neighbouring cell's curve at
+    /// the same input) starts the solve instead. Neither changes which
+    /// root is found — only how fast.
     pub fn vtc_right_effort(
         &self,
         bias: &BiasCondition,
         v_q: f64,
         upper_hint: Option<f64>,
+        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
-        let (lo, hi) = self.hint_bracket(upper_hint, resolution);
-        let (v, iters) = self.bisect_res(
-            |v| self.right_node_current(bias, v_q, v),
-            lo,
-            hi,
-            resolution,
-        );
-        VtcSolve { v, iters }
+        self.solve_vtc(true, bias, v_q, upper_hint, guess, resolution)
     }
 
-    /// Effort-counting variant of [`Self::vtc_left_warm`]; see
-    /// [`Self::vtc_right_effort`].
+    /// Left-curve variant of [`Self::vtc_right_effort`].
     pub fn vtc_left_effort(
         &self,
         bias: &BiasCondition,
         v_qb: f64,
         upper_hint: Option<f64>,
+        guess: Option<f64>,
+        resolution: f64,
+    ) -> VtcSolve {
+        self.solve_vtc(false, bias, v_qb, upper_hint, guess, resolution)
+    }
+
+    /// The one VTC solve behind every public entry point: a safeguarded
+    /// Newton solve inside the monotone-hint bracket, started from the
+    /// guess, else the hint, else the bracket midpoint.
+    pub(crate) fn solve_vtc(
+        &self,
+        right: bool,
+        bias: &BiasCondition,
+        vin: f64,
+        upper_hint: Option<f64>,
+        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
         let (lo, hi) = self.hint_bracket(upper_hint, resolution);
-        let (v, iters) = self.bisect_res(
-            |v| self.left_node_current(bias, v_qb, v),
+        let inside = |v: &f64| lo < *v && *v < hi;
+        let seeded = guess.as_ref().is_some_and(inside);
+        let start = guess
+            .filter(inside)
+            .or(upper_hint.filter(inside))
+            .unwrap_or(0.5 * (lo + hi));
+        let (v, iters) = safeguarded_newton(
+            |v| self.node_current(right, bias, vin, v),
             lo,
             hi,
+            start,
             resolution,
         );
-        VtcSolve { v, iters }
+        VtcSolve { v, iters, seeded }
     }
 
-    /// Solves the right transfer curve inside a caller-supplied bracket
-    /// (e.g. interpolated from a neighbouring cell's solved curve). The
-    /// bracket is clipped to the extended rails and *validated* with two
-    /// probe evaluations; `None` means the guess does not bracket the
-    /// root and the caller must fall back to a full-width solve.
-    pub fn vtc_right_bracketed(
-        &self,
-        bias: &BiasCondition,
-        v_q: f64,
-        lo: f64,
-        hi: f64,
-        resolution: f64,
-    ) -> Option<VtcSolve> {
-        self.bisect_bracketed(
-            |v| self.right_node_current(bias, v_q, v),
-            lo,
-            hi,
-            resolution,
-        )
-    }
-
-    /// Left-curve variant of [`Self::vtc_right_bracketed`].
-    pub fn vtc_left_bracketed(
-        &self,
-        bias: &BiasCondition,
-        v_qb: f64,
-        lo: f64,
-        hi: f64,
-        resolution: f64,
-    ) -> Option<VtcSolve> {
-        self.bisect_bracketed(
-            |v| self.left_node_current(bias, v_qb, v),
-            lo,
-            hi,
-            resolution,
-        )
-    }
-
-    /// The legacy bracket from an optional monotone upper hint. The
-    /// guard band scales with the resolution target (ten steps' worth,
-    /// floored at the legacy 1 µV) so coarser solves still produce hints
-    /// that safely bound the next root.
+    /// The bracket from an optional monotone upper hint. The bracket
+    /// extends slightly beyond the rails; the guard band above the hint
+    /// scales with the resolution target (ten steps' worth, floored at
+    /// 1 µV) so coarser solves still produce hints that safely bound the
+    /// next root.
     fn hint_bracket(&self, upper_hint: Option<f64>, resolution: f64) -> (f64, f64) {
         let guard = (10.0 * resolution).max(1e-6);
         let hi = match upper_hint {
@@ -397,68 +371,46 @@ impl Sram6T {
         };
         (-0.2, hi)
     }
+}
 
-    fn bisect_bracketed(
-        &self,
-        f: impl Fn(f64) -> f64,
-        lo: f64,
-        hi: f64,
-        resolution: f64,
-    ) -> Option<VtcSolve> {
-        let lo = lo.max(-0.2);
-        let hi = hi.min(self.vdd + 0.2);
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-            return None;
+/// Safeguarded Newton ("rtsafe") on a strictly decreasing function with
+/// `f(lo) > 0 > f(hi)`; `f` returns the value and its derivative. Every
+/// evaluation's sign tightens the bracket. A Newton step is taken only
+/// when the slope is negative, the iterate stays inside the open bracket
+/// and the step at least halves the step before last; otherwise the
+/// solve bisects, so it never does much worse than bisection. It stops
+/// when the bracket is within `resolution` or a Newton step is within
+/// half of it, and returns the root and the number of evaluations.
+fn safeguarded_newton(
+    f: impl Fn(f64) -> (f64, f64),
+    mut lo: f64,
+    mut hi: f64,
+    start: f64,
+    resolution: f64,
+) -> (f64, u32) {
+    let mut x = start;
+    let mut evals = 0u32;
+    let (mut step, mut step_before) = (hi - lo, hi - lo);
+    while hi - lo > resolution {
+        let (i, di) = f(x);
+        evals += 1;
+        if i > 0.0 {
+            lo = x;
+        } else {
+            hi = x;
         }
-        // Two probe evaluations confirm the root is inside.
-        if f(lo) <= 0.0 || f(hi) >= 0.0 {
-            return None;
+        let newton = x - i / di;
+        let newton_ok =
+            di < 0.0 && lo < newton && newton < hi && (newton - x).abs() <= 0.5 * step_before;
+        let next = if newton_ok { newton } else { 0.5 * (lo + hi) };
+        step_before = step;
+        step = (next - x).abs();
+        if newton_ok && step <= 0.5 * resolution {
+            return (newton, evals);
         }
-        let (v, iters) = self.bisect_res(f, lo, hi, resolution);
-        Some(VtcSolve {
-            v,
-            iters: iters + 2,
-        })
+        x = next;
     }
-
-    /// Bisection on a strictly decreasing current function, to 0.1 µV
-    /// resolution (three orders of magnitude below any noise-margin
-    /// feature of interest). The bracket extends slightly beyond the rails;
-    /// `upper_hint` (if given) must be a known upper bound on the root —
-    /// it is widened by a small guard band to absorb rounding.
-    fn bisect(&self, f: impl Fn(f64) -> f64, upper_hint: Option<f64>) -> f64 {
-        let (lo, hi) = self.hint_bracket(upper_hint, 1e-7);
-        self.bisect_res(f, lo, hi, 1e-7).0
-    }
-
-    /// Bisection core with an explicit resolution target; returns the
-    /// root and the number of function evaluations spent. A fixed
-    /// resolution target rather than a fixed iteration count means
-    /// warm-started (narrow) brackets converge in fewer steps.
-    fn bisect_res(
-        &self,
-        f: impl Fn(f64) -> f64,
-        mut lo: f64,
-        mut hi: f64,
-        resolution: f64,
-    ) -> (f64, u32) {
-        debug_assert!(f(lo) > 0.0, "current should be positive at the low rail");
-        debug_assert!(
-            f(hi) < 0.0,
-            "current should be negative above the upper bracket"
-        );
-        let mut iters = 0u32;
-        while hi - lo > resolution {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            iters += 1;
-        }
-        (0.5 * (lo + hi), iters)
-    }
+    (0.5 * (lo + hi), evals)
 }
 
 #[cfg(test)]
@@ -560,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn bisection_matches_full_newton_solve() {
+    fn vtc_solve_matches_full_mna_solve() {
         // Cross-check the fast 1-D solve against the MNA engine on the
         // same half-cell.
         let cell = Sram6T::paper_cell();
@@ -621,62 +573,67 @@ mod tests {
             let op = Solver::new().solve_dc(&nl, Some(&init)).expect("half-cell");
             assert!(
                 (op.node_voltages[out] - fast).abs() < 1e-6,
-                "vin={vin}: bisection {fast} vs newton {}",
+                "vin={vin}: 1-D solve {fast} vs MNA {}",
                 op.node_voltages[out]
             );
         }
     }
 
     #[test]
-    fn effort_solve_is_bit_identical_to_legacy_warm_solve() {
+    fn effort_solve_is_bit_identical_to_vtc_right() {
         let cell = Sram6T::paper_cell().with_delta_vth(&[0.01, -0.02, 0.0, 0.03, -0.01, 0.02]);
         let bias = cell.read_bias();
-        let mut hint = cell.vdd() + 0.2;
         for i in 0..=10 {
             let vin = cell.vdd() * i as f64 / 10.0;
-            let legacy = cell.vtc_right_warm(&bias, vin, hint);
-            let effort = cell.vtc_right_effort(&bias, vin, Some(hint), 1e-7);
-            assert_eq!(legacy, effort.v, "divergence at vin={vin}");
+            let effort = cell.vtc_right_effort(&bias, vin, None, None, 1e-7);
+            assert_eq!(
+                cell.vtc_right(&bias, vin),
+                effort.v,
+                "divergence at vin={vin}"
+            );
             assert!(effort.iters > 0);
-            hint = legacy;
+            assert!(!effort.seeded);
+            let left = cell.vtc_left_effort(&bias, vin, None, None, 1e-7);
+            assert_eq!(cell.vtc_left(&bias, vin), left.v, "divergence at vin={vin}");
         }
     }
 
     #[test]
-    fn bracketed_solve_converges_faster_inside_a_tight_band() {
+    fn good_guess_costs_fewer_evaluations_than_a_cold_solve() {
         let cell = Sram6T::paper_cell();
         let bias = cell.read_bias();
         let vin = 0.3;
-        let full = cell.vtc_right_effort(&bias, vin, None, 1e-7);
-        let tight = cell
-            .vtc_right_bracketed(&bias, vin, full.v - 0.02, full.v + 0.02, 1e-7)
-            .expect("true root is inside the band");
-        assert!((tight.v - full.v).abs() < 1e-6);
-        assert!(
-            tight.iters < full.iters,
-            "tight bracket {} should beat full sweep {}",
-            tight.iters,
-            full.iters
-        );
+        let cold = cell.vtc_right_effort(&bias, vin, None, None, 1e-7);
+        for offset in [-0.02, 0.02] {
+            let warm = cell.vtc_right_effort(&bias, vin, None, Some(cold.v + offset), 1e-7);
+            assert!(warm.seeded);
+            assert!((warm.v - cold.v).abs() < 2e-7);
+            assert!(
+                warm.iters < cold.iters,
+                "guess {offset:+} took {} evaluations, cold solve {}",
+                warm.iters,
+                cold.iters
+            );
+        }
     }
 
     #[test]
-    fn bracketed_solve_rejects_a_bad_band() {
+    fn nonsense_guesses_still_find_the_root() {
         let cell = Sram6T::paper_cell();
         let bias = cell.read_bias();
         let root = cell.vtc_right(&bias, 0.3);
-        // Band entirely below the root: f > 0 at both ends.
-        assert!(cell
-            .vtc_right_bracketed(&bias, 0.3, root - 0.1, root - 0.05, 1e-7)
-            .is_none());
-        // Degenerate band.
-        assert!(cell
-            .vtc_right_bracketed(&bias, 0.3, 0.5, 0.4, 1e-7)
-            .is_none());
-        // Left-curve variant agrees on validity checking.
-        assert!(cell
-            .vtc_left_bracketed(&bias, 0.3, root - 0.05, root + 0.05, 1e-7)
-            .is_some());
+        // Outside the bracket (or not a number): the guess is ignored.
+        for guess in [-5.0, cell.vdd() + 1.0, f64::NAN] {
+            let solve = cell.vtc_right_effort(&bias, 0.3, None, Some(guess), 1e-7);
+            assert!(!solve.seeded, "guess {guess} should not start the solve");
+            assert_eq!(solve.v, root);
+        }
+        // Inside the bracket but far from the root: used, still correct.
+        for guess in [-0.19, 0.0, cell.vdd() + 0.19] {
+            let solve = cell.vtc_left_effort(&bias, 0.3, None, Some(guess), 1e-7);
+            assert!(solve.seeded);
+            assert!((solve.v - root).abs() < 2e-7, "guess {guess}: {}", solve.v);
+        }
     }
 
     #[test]
@@ -689,5 +646,80 @@ mod tests {
     #[should_panic(expected = "expected 6 threshold shifts")]
     fn rejects_wrong_shift_count() {
         let _ = Sram6T::paper_cell().with_delta_vth(&[0.0; 5]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::ptm::A_VTH_EFFECTIVE;
+    use proptest::prelude::*;
+
+    /// Plain bisection on a strictly decreasing function: the reference
+    /// the Newton solve is checked against. Returns the root and the
+    /// number of evaluations.
+    fn bisect(f: impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, resolution: f64) -> (f64, u32) {
+        let mut evals = 0;
+        while hi - lo > resolution {
+            let mid = 0.5 * (lo + hi);
+            if f(mid) > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            evals += 1;
+        }
+        (0.5 * (lo + hi), evals)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// For any cell within ±6σ, any bias, input, start point and
+        /// either production resolution, the Newton root lies within
+        /// `resolution` of the true root and costs at most twice the
+        /// evaluations bisection needs on the same bracket.
+        #[test]
+        fn newton_solve_matches_bisection_within_resolution_and_budget(
+            z in collection::vec(-6.0f64..6.0, 6),
+            bias_kind in 0usize..3,
+            vin_frac in 0.0f64..=1.0,
+            fine in proptest::bool::ANY,
+            right in proptest::bool::ANY,
+            hint_gap in 0.0f64..0.2,
+            use_hint in proptest::bool::ANY,
+            guess in -0.3f64..1.0,
+            use_guess in proptest::bool::ANY,
+        ) {
+            let dv: Vec<f64> = CellDevice::ALL
+                .iter()
+                .zip(&z)
+                .map(|(d, z)| z * paper_geometry(d.role()).pelgrom_sigma(A_VTH_EFFECTIVE))
+                .collect();
+            let cell = Sram6T::paper_cell().with_delta_vth(&dv);
+            let bias = [cell.read_bias(), cell.hold_bias(), cell.write0_bias()][bias_kind];
+            let vin = vin_frac * cell.vdd();
+            let resolution = if fine { 1e-7 } else { 3e-4 };
+            let current = |v: f64| cell.node_current(right, &bias, vin, v).0;
+            let (full_lo, full_hi) = cell.hint_bracket(None, resolution);
+            let (root, _) = bisect(current, full_lo, full_hi, 1e-12);
+            // A monotone hint is an upper bound on the root, as the
+            // previous grid point's root is in a butterfly sweep.
+            let hint = use_hint.then_some(root + hint_gap);
+            let solve =
+                cell.solve_vtc(right, &bias, vin, hint, use_guess.then_some(guess), resolution);
+            prop_assert!(
+                (solve.v - root).abs() <= resolution,
+                "root {} vs reference {root} at resolution {resolution}",
+                solve.v
+            );
+            let (lo, hi) = cell.hint_bracket(hint, resolution);
+            let (_, bisect_evals) = bisect(current, lo, hi, resolution);
+            prop_assert!(
+                solve.iters <= 2 * bisect_evals,
+                "{} Newton evaluations vs {bisect_evals} bisection steps",
+                solve.iters
+            );
+        }
     }
 }

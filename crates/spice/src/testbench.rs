@@ -41,14 +41,17 @@ pub struct AdaptiveConfig {
     pub enabled: bool,
     /// Grid points of the coarse screening butterfly.
     pub coarse_points: usize,
-    /// Bisection resolution of the coarse pass \[V\].
+    /// Transfer-curve solver resolution of the coarse pass \[V\].
     pub coarse_resolution: f64,
     /// Coarse margins closer to zero than this escalate to the exact
     /// full-resolution evaluation \[V\]. Must comfortably exceed the
     /// worst coarse-vs-fine margin drift (see the calibration test).
     pub margin_threshold: f64,
-    /// Half-width of the seed-derived bisection bracket \[V\] when a
-    /// neighbouring operating point is available.
+    /// Seed gate \[V\]: when positive, a neighbouring operating point's
+    /// curves supply the start points of the coarse pass's transfer-curve
+    /// solves; zero disables seeding. The Newton solve needs no seed
+    /// bracket, so only the sign is read; the field stays a width so
+    /// existing configurations keep parsing.
     pub seed_band: f64,
 }
 
@@ -98,7 +101,7 @@ impl Default for BenchConfig {
 /// deltas whose totals are schedule-independent, never as synchronisation.
 #[derive(Debug, Default)]
 pub struct SolveCounters {
-    bisect_iters: AtomicU64,
+    newton_iters: AtomicU64,
     curve_solves: AtomicU64,
     seeded_curves: AtomicU64,
     coarse_accepts: AtomicU64,
@@ -107,8 +110,8 @@ pub struct SolveCounters {
 
 impl SolveCounters {
     fn record(&self, effort: &SampleEffort) {
-        self.bisect_iters
-            .fetch_add(effort.bisect_iters, Ordering::Relaxed);
+        self.newton_iters
+            .fetch_add(effort.newton_iters, Ordering::Relaxed);
         self.curve_solves
             .fetch_add(effort.solves, Ordering::Relaxed);
         self.seeded_curves
@@ -125,7 +128,7 @@ impl SolveCounters {
 
     fn snapshot(&self) -> EffortSnapshot {
         EffortSnapshot {
-            bisect_iters: self.bisect_iters.load(Ordering::Relaxed),
+            newton_iters: self.newton_iters.load(Ordering::Relaxed),
             curve_solves: self.curve_solves.load(Ordering::Relaxed),
             seeded_curves: self.seeded_curves.load(Ordering::Relaxed),
             coarse_accepts: self.coarse_accepts.load(Ordering::Relaxed),
@@ -137,11 +140,12 @@ impl SolveCounters {
 /// A point-in-time copy of [`SolveCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EffortSnapshot {
-    /// Total bisection steps — the 1-D solver's "Newton iterations".
-    pub bisect_iters: u64,
+    /// Total Newton iterations (node-current evaluations) of the 1-D
+    /// transfer-curve solver.
+    pub newton_iters: u64,
     /// Transfer-curve points solved — one per inner solver invocation.
     pub curve_solves: u64,
-    /// Curve points solved inside a neighbour-seeded bracket.
+    /// Curve points whose solve started from a neighbour seed.
     pub seeded_curves: u64,
     /// Indicator evaluations decided by the coarse pass alone.
     pub coarse_accepts: u64,
@@ -308,7 +312,7 @@ impl ReadStabilityBench {
         kind: MarginKind,
     ) -> Result<f64, EvalError> {
         let (butterfly, effort) =
-            Butterfly::try_sample_seeded(cell, bias, grid_points, 1e-7, None, 0.0)?;
+            Butterfly::try_sample_seeded(cell, bias, grid_points, 1e-7, None)?;
         self.counters.record(&effort);
         let margin = kind.extract(&try_read_noise_margin(&butterfly)?);
         if !margin.is_finite() {
@@ -380,8 +384,7 @@ impl ReadStabilityBench {
                 &bias,
                 adaptive.coarse_points,
                 adaptive.coarse_resolution,
-                seed,
-                adaptive.seed_band,
+                seed.filter(|_| adaptive.seed_band > 0.0),
             );
             if let Ok((coarse_bfly, effort)) = coarse {
                 self.counters.record(&effort);
@@ -409,7 +412,7 @@ impl ReadStabilityBench {
 
     /// Whitened read-failure indicator with neighbour seeding: an
     /// optional previously computed [`Butterfly`] from a nearby operating
-    /// point narrows the coarse pass's bisection brackets, and the coarse
+    /// point starts the coarse pass's transfer-curve solves, and the coarse
     /// butterfly computed here is handed back for caching. Verdicts are
     /// identical to [`Self::try_fails_whitened`]: decisive coarse
     /// margins share the exact path's sign by construction, and
@@ -1113,7 +1116,7 @@ mod tests {
             effort.curve_solves > 0,
             "clone's work invisible: {effort:?}"
         );
-        assert!(effort.bisect_iters > effort.curve_solves);
+        assert!(effort.newton_iters > effort.curve_solves);
     }
 
     #[test]
