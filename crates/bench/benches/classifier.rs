@@ -60,6 +60,22 @@ fn bench_classifier(c: &mut Criterion) {
         )
     });
 
+    // The same update on a bank of about 10k rows, the size an RTN
+    // estimate's bank reaches: at 210 degree-4 features the bank is
+    // about 17 MB, so this retrain streams from memory instead of L2.
+    let (bx, by) = sphere_data(10_000, 6, 6.0, 3);
+    let big = SvmClassifier::fit(&SvmConfig::default(), &bx, &by).expect("two classes");
+    group.bench_function("incremental_64_bank_10k", |b| {
+        b.iter_batched(
+            || big.clone(),
+            |mut c| {
+                c.add_labelled(&nx, &ny);
+                black_box(c)
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+
     group.finish();
 }
 

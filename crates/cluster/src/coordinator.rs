@@ -5,9 +5,9 @@
 //!
 //! The coordinator accepts the *exact* job protocol a single server
 //! speaks — `POST /v1/jobs` with a
-//! [`SubmitRequest`](ecripse_serve::protocol::SubmitRequest), the same
+//! [`SubmitRequest`], the same
 //! status/report/cancel routes, the same error bodies. A client (or
-//! the retrying [`Client`](ecripse_serve::Client)) cannot tell the two
+//! the retrying [`Client`]) cannot tell the two
 //! apart; pointing an existing deployment at a coordinator is a config
 //! change, not a code change.
 //!
@@ -21,13 +21,13 @@
 //! *global grid indices*. The worker seeds every point by global index
 //! — exactly the seed a single-process full-grid run would use — so
 //! the merged report is bit-identical to the unsharded run (see
-//! [`merge_sweep_shards`](ecripse_core::sweep::merge_sweep_shards)).
+//! [`merge_sweep_shards`]).
 //! Estimates have nothing to split and are forwarded whole to one
 //! ring-chosen worker.
 //!
 //! # Failover
 //!
-//! Workers heartbeat (see [`crate::join`]); the reaper marks a silent
+//! Workers heartbeat (see [`mod@crate::join`]); the reaper marks a silent
 //! worker dead after [`ClusterConfig::heartbeat_timeout`]. A dead
 //! worker's unfinished shards are re-dispatched to survivors under
 //! their *original* idempotency keys (`cluster/job-{id}/shard-{s}`),

@@ -13,7 +13,7 @@
 //! * [`protocol`] — the cluster-management wire types (register,
 //!   heartbeat, worker listing, coordinator metrics); *job* traffic is
 //!   exactly [`ecripse_serve::protocol`];
-//! * [`join`] — the worker-side register-and-heartbeat loop behind
+//! * [`join`](mod@join) — the worker-side register-and-heartbeat loop behind
 //!   `ecripse-cli serve --join ADDR`;
 //! * [`coordinator`] — the front door: accepts ordinary
 //!   [`SubmitRequest`](ecripse_serve::protocol::SubmitRequest)s, shards

@@ -2,7 +2,7 @@
 //! is still breathing.
 //!
 //! Workers are plain `ecripse-serve` processes that dial in (see
-//! [`crate::join`]): they `POST /v1/cluster/register` once and then
+//! [`mod@crate::join`]): they `POST /v1/cluster/register` once and then
 //! heartbeat at the interval the coordinator hands back. The registry
 //! is the single source of truth for liveness — a worker whose last
 //! heartbeat is older than the configured timeout is marked dead by

@@ -140,7 +140,9 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
         }
         // Blockade: confident "pass" predictions are waved through;
         // everything else is simulated.
-        let blocked = !classifier.predict(&z) && !classifier.is_uncertain(&z);
+        let (fails, margin) = classifier.predict_with_margin(&z);
+        let uncertain = margin.abs() < classifier.config().uncertain_band;
+        let blocked = !fails && !uncertain;
         if blocked {
             continue;
         }

@@ -20,7 +20,24 @@ use crate::bench::Testbench;
 use ecripse_svm::classifier::{SvmClassifier, SvmConfig, TrainError};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Fewest queries one rayon task predicts; a prediction is a few
+/// microseconds, so smaller tasks cost more to schedule than they save.
+const PREDICT_MIN_LEN: usize = 256;
+
+/// `(class, geometric margin)` of every sample, predicted in parallel and
+/// returned in input order. Prediction is pure, so the result does not
+/// depend on the thread count.
+fn predict_all<'z>(
+    clf: &SvmClassifier,
+    zs: impl IndexedParallelIterator<Item = &'z Vec<f64>>,
+) -> Vec<(bool, f64)> {
+    zs.with_min_len(PREDICT_MIN_LEN)
+        .map(|z| clf.predict_with_margin(z))
+        .collect()
+}
 
 /// Oracle configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -307,8 +324,8 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         self.maybe_retrain(true);
         match &self.classifier {
             Some(clf) => {
-                for &i in rest_idx {
-                    let (y, margin) = clf.predict_with_margin(&zs[i]);
+                let predicted = predict_all(clf, rest_idx.par_iter().map(|&i| &zs[i]));
+                for (&i, (y, margin)) in rest_idx.iter().zip(predicted) {
                     out[i] = y;
                     self.stats.classified += 1;
                     self.margins.record(margin);
@@ -362,16 +379,17 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
     ///
     /// Compared to an element-wise loop this defers any mid-batch
     /// retraining to the batch boundary; verdicts stay exact inside the
-    /// uncertainty band (those are all simulated), and the routing is a
-    /// serial pass so results do not depend on the thread count.
+    /// uncertainty band (those are all simulated). Predictions run in
+    /// parallel, but the routing is a serial pass in input order, so
+    /// results do not depend on the thread count.
     pub fn evaluate_batch_accurate(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
         let mut out = vec![false; zs.len()];
         let mut sim_idx: Vec<usize> = Vec::new();
         let had_classifier = match &self.classifier {
             Some(clf) => {
                 let band = clf.config().uncertain_band;
-                for (i, z) in zs.iter().enumerate() {
-                    let (y, margin) = clf.predict_with_margin(z);
+                let predicted = predict_all(clf, zs.par_iter());
+                for (i, (y, margin)) in predicted.into_iter().enumerate() {
                     if margin.abs() < band {
                         sim_idx.push(i);
                     } else {
@@ -550,6 +568,45 @@ mod tests {
         assert_eq!(counter.simulations(), sims_before + 1);
         assert_eq!(oracle.stats().uncertain_simulated, 1);
         assert_eq!(oracle.stats().classified, 800 - 256 + 2);
+    }
+
+    #[test]
+    fn batch_routing_is_identical_at_one_and_four_threads() {
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool");
+            pool.install(|| {
+                let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.3], 3.0));
+                let cfg = OracleConfig {
+                    retrain_threshold: 64,
+                    ..OracleConfig::default()
+                };
+                let mut oracle = ClassifierOracle::new(&counter, cfg);
+                let mut rng = StdRng::seed_from_u64(31);
+                let mut verdicts = Vec::new();
+                for round in 0..3 {
+                    let rough = batch_around_boundary(2000, 40 + round);
+                    verdicts.push(oracle.evaluate_batch_rough(&mut rng, &rough));
+                    let accurate = batch_around_boundary(3000, 50 + round);
+                    verdicts.push(oracle.evaluate_batch_accurate(&accurate));
+                }
+                (verdicts, *oracle.stats(), *oracle.margin_stats())
+            })
+        };
+        let (verdicts_1, stats_1, margins_1) = run(1);
+        let (verdicts_4, stats_4, margins_4) = run(4);
+        assert!(stats_1.classified > 0 && stats_1.uncertain_simulated > 0);
+        assert!(stats_1.retrains > 3, "accurate batches must retrain");
+        assert_eq!(verdicts_1, verdicts_4);
+        assert_eq!(stats_1, stats_4);
+        assert_eq!(margins_1.classified, margins_4.classified);
+        assert_eq!(margins_1.abs_sum.to_bits(), margins_4.abs_sum.to_bits());
+        assert_eq!(
+            margins_1.min_abs.map(f64::to_bits),
+            margins_4.min_abs.map(f64::to_bits)
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * **Stage 2** (importance sampling): samples whose geometric margin
 //!   falls inside the uncertainty band are *not* trusted; the caller
 //!   simulates them and feeds the labels back through
-//!   [`SvmClassifier::add_labelled`], which continues the Pegasos
-//!   schedule (paper Sec. III-B, step 5).
+//!   [`SvmClassifier::add_labelled`], which warm-starts dual coordinate
+//!   descent from the current model (paper Sec. III-B, step 5).
 
+use crate::bank::RowBank;
 use crate::features::PolynomialFeatures;
 use crate::linear::{LinearSvm, SvmOptions};
 use crate::scale::StandardScaler;
@@ -85,12 +86,14 @@ pub struct SvmClassifier {
     features: PolynomialFeatures,
     scaler: StandardScaler,
     svm: LinearSvm,
+    /// `‖w‖` of `svm`, refreshed after every (re)train, so a query costs
+    /// one dot product.
+    w_norm: f64,
     rng: StdRng,
     /// All labelled data seen so far (features pre-transformed and
     /// scaled); dual coordinate descent warm-starts over this bank when
     /// new labels arrive, so old knowledge is never lost.
-    bank_x: Vec<Vec<f64>>,
-    bank_y: Vec<bool>,
+    bank: RowBank,
 }
 
 impl SvmClassifier {
@@ -113,20 +116,23 @@ impl SvmClassifier {
             return Err(TrainError::SingleClass);
         }
         let features = PolynomialFeatures::new(xs[0].len(), config.degree);
-        let raw: Vec<Vec<f64>> = xs.iter().map(|x| features.transform(x)).collect();
+        let mut raw: Vec<Vec<f64>> = xs.iter().map(|x| features.transform(x)).collect();
         let scaler = StandardScaler::fit(&raw);
-        let bank_x: Vec<Vec<f64>> = raw.iter().map(|r| scaler.transform(r)).collect();
-        let bank_y = ys.to_vec();
+        let mut bank = RowBank::new(features.n_features());
+        for (r, y) in raw.iter_mut().zip(ys) {
+            scaler.transform_in_place(r);
+            bank.push(r, *y);
+        }
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let svm = LinearSvm::train(&mut rng, &bank_x, &bank_y, &config.svm);
+        let svm = LinearSvm::train(&mut rng, &bank, &config.svm);
         Ok(Self {
             config: *config,
             features,
             scaler,
+            w_norm: svm.weight_norm(),
             svm,
             rng,
-            bank_x,
-            bank_y,
+            bank,
         })
     }
 
@@ -137,7 +143,7 @@ impl SvmClassifier {
 
     /// Number of labelled samples the classifier has absorbed.
     pub fn n_training_samples(&self) -> usize {
-        self.bank_x.len()
+        self.bank.len()
     }
 
     /// Transforms a raw sample into the scaled feature space.
@@ -149,21 +155,27 @@ impl SvmClassifier {
 
     /// Predicted class for a raw sample (`true` = failure).
     pub fn predict(&self, x: &[f64]) -> bool {
-        self.svm.predict(&self.featurise(x))
+        self.predict_with_margin(x).0
     }
 
     /// Geometric margin of a raw sample (signed distance to the decision
     /// surface in scaled feature space).
     pub fn margin(&self, x: &[f64]) -> f64 {
-        self.svm.geometric_margin(&self.featurise(x))
+        self.predict_with_margin(x).1
     }
 
-    /// Predicted class and geometric margin in a single featurisation
-    /// pass — callers that need both (e.g. the oracle's margin
-    /// telemetry) avoid computing the polynomial features twice.
+    /// Predicted class and geometric margin from one featurisation and
+    /// one decision value; bit-identical to
+    /// [`LinearSvm::predict`] and [`LinearSvm::geometric_margin`] on the
+    /// scaled features.
     pub fn predict_with_margin(&self, x: &[f64]) -> (bool, f64) {
-        let f = self.featurise(x);
-        (self.svm.predict(&f), self.svm.geometric_margin(&f))
+        let dv = self.svm.decision_value(&self.featurise(x));
+        let margin = if self.w_norm < 1e-300 {
+            0.0
+        } else {
+            dv / self.w_norm
+        };
+        (dv >= 0.0, margin)
     }
 
     /// Whether a sample falls inside the uncertainty band and should be
@@ -176,7 +188,7 @@ impl SvmClassifier {
     /// labels will be ignored — callers can skip simulating for training
     /// purposes once this returns `true`).
     pub fn is_bank_full(&self) -> bool {
-        self.bank_x.len() >= self.config.max_bank
+        self.bank.len() >= self.config.max_bank
     }
 
     /// Adds freshly simulated labels and continues training (rehearsing
@@ -191,18 +203,18 @@ impl SvmClassifier {
         if xs.is_empty() || self.is_bank_full() {
             return;
         }
-        let room = self.config.max_bank - self.bank_x.len();
+        let room = self.config.max_bank - self.bank.len();
         let take = room.min(xs.len());
-        let (xs, ys) = (&xs[..take], &ys[..take]);
-        for (x, y) in xs.iter().zip(ys) {
-            self.bank_x.push(self.featurise(x));
-            self.bank_y.push(*y);
+        for (x, y) in xs[..take].iter().zip(ys) {
+            let f = self.featurise(x);
+            self.bank.push(&f, *y);
         }
         // Warm-started dual coordinate descent over the enlarged bank:
         // existing dual variables are kept, new samples enter at α = 0,
         // so this is much cheaper than retraining from scratch.
         self.svm
-            .continue_training(&mut self.rng, &self.bank_x, &self.bank_y, &self.config.svm);
+            .continue_training(&mut self.rng, &self.bank, &self.config.svm);
+        self.w_norm = self.svm.weight_norm();
     }
 }
 
@@ -316,6 +328,50 @@ mod tests {
             "incremental update should not collapse accuracy: {before} → {after}"
         );
         assert!(clf.n_training_samples() == 280);
+    }
+
+    /// Every query path must equal the uncached decision value and
+    /// geometric margin of the current model, bit for bit.
+    fn assert_queries_match_uncached(clf: &SvmClassifier, probes: &[Vec<f64>]) {
+        for x in probes {
+            let f = clf.featurise(x);
+            let dv = clf.svm.decision_value(&f);
+            let gm = clf.svm.geometric_margin(&f);
+            let (y, m) = clf.predict_with_margin(x);
+            assert_eq!(y, dv >= 0.0);
+            assert_eq!(y, clf.svm.predict(&f));
+            assert_eq!(m.to_bits(), gm.to_bits());
+            assert_eq!(clf.predict(x), y);
+            assert_eq!(clf.margin(x).to_bits(), gm.to_bits());
+            assert_eq!(clf.is_uncertain(x), gm.abs() < clf.config.uncertain_band);
+        }
+    }
+
+    #[test]
+    fn cached_norm_answers_match_the_uncached_model_through_retrains() {
+        let (xs, ys) = sphere_data(300, 3, 1.8, 8);
+        let (probes, _) = sphere_data(200, 3, 1.8, 9);
+        let cfg = SvmConfig {
+            degree: 3,
+            max_bank: 700,
+            ..SvmConfig::default()
+        };
+        let mut clf = SvmClassifier::fit(&cfg, &xs, &ys).expect("two classes");
+        assert_queries_match_uncached(&clf, &probes);
+        for round in 0..4u64 {
+            // 150 labels a round: the third round is cut at the 700-row
+            // cap and the fourth is ignored.
+            let (nx, ny) = sphere_data(150, 3, 1.8, 10 + round);
+            clf.add_labelled(&nx, &ny);
+            assert_queries_match_uncached(&clf, &probes);
+        }
+        assert!(clf.is_bank_full());
+        assert_eq!(clf.n_training_samples(), 700);
+        // Labels past the cap change nothing.
+        let (nx, ny) = sphere_data(50, 3, 1.8, 20);
+        clf.add_labelled(&nx, &ny);
+        assert_eq!(clf.n_training_samples(), 700);
+        assert_queries_match_uncached(&clf, &probes);
     }
 
     #[test]

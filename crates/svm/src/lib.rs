@@ -10,7 +10,10 @@
 //! * [`scale`] — feature standardisation fitted on the first training
 //!   batch (polynomial features of ±4σ inputs span orders of magnitude,
 //!   which stochastic subgradient descent does not enjoy);
-//! * [`linear`] — a Pegasos-style linear SVM with hinge loss;
+//! * [`linear`] — a linear hinge-loss SVM trained by warm-started dual
+//!   coordinate descent;
+//! * [`bank`] — [`bank::RowBank`], the append-only, block-chunked store
+//!   of labelled feature rows the SVM trains on;
 //! * [`classifier`] — [`classifier::SvmClassifier`], the assembled
 //!   pipeline with incremental retraining and the margin-based
 //!   uncertainty band that routes borderline samples back to the
@@ -41,12 +44,14 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod bank;
 pub mod classifier;
 pub mod features;
 pub mod linear;
 pub mod metrics;
 pub mod scale;
 
+pub use bank::RowBank;
 pub use classifier::{SvmClassifier, SvmConfig};
 pub use features::PolynomialFeatures;
 pub use linear::LinearSvm;
