@@ -348,6 +348,17 @@ fn main() -> ExitCode {
             c.name
         );
     }
+    // The retry layer hands the warm cache whole batches, so its seed
+    // choice, and with it the solver work, does not depend on the
+    // schedule either.
+    assert_eq!(
+        configs[2].newton_iters, configs[1].newton_iters,
+        "Newton evaluations must be thread-invariant (all_cores_warm vs serial_warm)"
+    );
+    assert_eq!(
+        configs[2].warm_start_seeds, configs[1].warm_start_seeds,
+        "warm-start seeds must be thread-invariant (all_cores_warm vs serial_warm)"
+    );
     assert!(
         configs[1].warm_exact_hits + configs[1].warm_seeded > 0,
         "the warm cache must actually engage on this workload"

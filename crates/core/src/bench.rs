@@ -112,10 +112,20 @@ pub trait Testbench: Sync {
         self.try_fails(z)
     }
 
-    /// Fallible batch evaluation, in input order (same determinism
-    /// contract as [`fails_batch`](Testbench::fails_batch)).
+    /// Fallible batch evaluation at attempt 0 of the retry ladder, in
+    /// input order (same determinism contract as
+    /// [`fails_batch`](Testbench::fails_batch)).
+    ///
+    /// The retry layer sends every first attempt through here. The
+    /// default is an order-preserving parallel map of
+    /// [`try_fails_attempt`](Testbench::try_fails_attempt) at attempt 0,
+    /// so a bench that implements only the ladder entry point batches the
+    /// same evaluation it climbs from, and one that implements only
+    /// [`fails`](Testbench::fails) still evaluates across the pool.
     fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        zs.iter().map(|z| self.try_fails(z)).collect()
+        zs.par_iter()
+            .map(|z| self.try_fails_attempt(z, 0))
+            .collect()
     }
 
     /// Cumulative inner-solver effort behind this bench's verdicts so

@@ -888,6 +888,45 @@ mod tests {
     }
 
     #[test]
+    fn retry_ladder_hands_the_warm_cache_whole_batches() {
+        use crate::retry::{RetryBench, RetryPolicy};
+        let truth = LinearBench::new(vec![1.0, -1.0], 1.0);
+        let first: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i as f64 * 0.7).sin() * 3.0, (i as f64 * 1.3).cos() * 3.0])
+            .collect();
+        let second: Vec<Vec<f64>> = first.iter().map(|z| vec![z[0] + 0.05, z[1]]).collect();
+        // The warm cache's seed choice depends on what its store holds
+        // when a point is evaluated. Through the retry layer it must see
+        // the same two batches a direct caller hands it, on any pool.
+        let run = |threads: usize, through_retry: bool| {
+            let bench = SeedySynthetic::new(truth.clone());
+            let warm = WarmBench::new(&bench, WarmCacheConfig::default());
+            let retrying = RetryBench::new(&warm, RetryPolicy::default());
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let verdicts: Vec<Vec<bool>> = [&first, &second]
+                .iter()
+                .map(|zs| {
+                    pool.install(|| {
+                        if through_retry {
+                            retrying.fails_batch(zs)
+                        } else {
+                            warm.fails_batch(zs)
+                        }
+                    })
+                })
+                .collect();
+            (verdicts, warm.stats(), bench.evals.load(Ordering::Relaxed))
+        };
+        let direct = run(1, false);
+        assert_eq!(run(1, true), direct);
+        assert_eq!(run(4, true), direct);
+        assert!(direct.1.seeded > 0, "neighbour tier never engaged");
+    }
+
+    #[test]
     fn warm_disabled_is_transparent() {
         let bench = SeedySynthetic::new(LinearBench::new(vec![1.0], 0.0));
         let warm = WarmBench::new(

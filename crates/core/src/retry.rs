@@ -109,35 +109,34 @@ impl<B: Testbench> RetryBench<B> {
     }
 
     fn climb(&self, z: &[f64]) -> Result<bool, EvalError> {
-        let attempts = self.policy.attempts();
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            match self.inner.try_fails_attempt(z, attempt) {
-                Ok(verdict) => {
-                    if attempt > 0 {
-                        self.retries.fetch_add(attempt as u64, Ordering::Relaxed);
-                    }
-                    return Ok(verdict);
-                }
-                Err(e) => {
-                    // Retrying a malformed input is futile: the ladder
-                    // only helps with numerically marginal evaluations.
-                    if matches!(e, EvalError::DimensionMismatch { .. }) {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
+        self.climb_from(z, self.inner.try_fails_attempt(z, 0))
+    }
+
+    /// Climbs the ladder from attempt 1, given the outcome of attempt 0.
+    /// Every extra attempt counts as one retry.
+    fn climb_from(&self, z: &[f64], first: Result<bool, EvalError>) -> Result<bool, EvalError> {
+        let mut outcome = first;
+        for attempt in 1..self.policy.attempts() {
+            match outcome {
+                // Retrying a malformed input is futile: the ladder only
+                // helps with numerically marginal evaluations.
+                Ok(_) | Err(EvalError::DimensionMismatch { .. }) => return outcome,
+                Err(_) => {
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    outcome = self.inner.try_fails_attempt(z, attempt);
                 }
             }
         }
-        self.retries
-            .fetch_add((attempts - 1) as u64, Ordering::Relaxed);
-        // `attempts >= 1`, so at least one error was recorded.
-        match last_err {
-            Some(e) => Err(e),
-            None => Err(EvalError::NonFinite {
-                context: "retry ladder",
-            }),
-        }
+        outcome
+    }
+
+    /// The verdict of a climbed sample; an exhausted ladder is
+    /// quarantined with the conservative verdict `false`.
+    fn verdict_or_quarantine(&self, outcome: Result<bool, EvalError>) -> bool {
+        outcome.unwrap_or_else(|_| {
+            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            false
+        })
     }
 }
 
@@ -147,19 +146,14 @@ impl<B: Testbench> Testbench for RetryBench<B> {
     }
 
     fn fails(&self, z: &[f64]) -> bool {
-        match self.climb(z) {
-            Ok(verdict) => verdict,
-            Err(_) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        self.verdict_or_quarantine(self.climb(z))
     }
 
     fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        // The counters commute, so a parallel map stays deterministic in
-        // both verdicts (order-preserving collect) and totals.
-        zs.par_iter().map(|z| self.fails(z)).collect()
+        self.try_fails_batch(zs)
+            .into_iter()
+            .map(|outcome| self.verdict_or_quarantine(outcome))
+            .collect()
     }
 
     fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
@@ -167,7 +161,24 @@ impl<B: Testbench> Testbench for RetryBench<B> {
     }
 
     fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        zs.par_iter().map(|z| self.climb(z)).collect()
+        // Attempt 0 goes to the inner bench as one batch, so a caching
+        // layer below sees the whole batch and routes it
+        // deterministically. Only the failures climb, each independently;
+        // the counters commute, so the parallel climb keeps totals and
+        // verdicts (order-preserving collect) independent of the
+        // schedule.
+        let mut outcomes = self.inner.try_fails_batch(zs);
+        let failed: Vec<usize> = (0..outcomes.len())
+            .filter(|&i| outcomes[i].is_err())
+            .collect();
+        let climbed: Vec<Result<bool, EvalError>> = failed
+            .par_iter()
+            .map(|&i| self.climb_from(&zs[i], outcomes[i].clone()))
+            .collect();
+        for (i, outcome) in failed.into_iter().zip(climbed) {
+            outcomes[i] = outcome;
+        }
+        outcomes
     }
 
     fn solve_effort(&self) -> crate::bench::SolveEffort {

@@ -486,7 +486,11 @@ impl<B: Testbench> Testbench for SharedBench<B> {
         if !self.enabled || zs.is_empty() {
             return self.inner.try_fails_batch(zs);
         }
-        let keys: Vec<CacheKey> = zs.iter().map(|z| self.key(MODE_TRY, z)).collect();
+        // A batch is the retry ladder's attempt 0 (see
+        // `Testbench::try_fails_batch`), so its verdicts share the
+        // attempt-0 namespace with `try_fails_attempt(z, 0)`.
+        let mode = Self::attempt_mode(0);
+        let keys: Vec<CacheKey> = zs.iter().map(|z| self.key(mode, z)).collect();
         let mut first_seen: HashMap<&CacheKey, usize> = HashMap::new();
         let mut eval_points: Vec<Vec<f64>> = Vec::new();
         let mut routes: Vec<Result<bool, usize>> = Vec::with_capacity(zs.len());

@@ -204,7 +204,7 @@ impl Butterfly {
 
     /// Curve B as `(V_Q, V_QB)` points: `(curve_b[i], grid[i])` — note the
     /// axis swap, since curve B maps `V_QB` to `V_Q`.
-    pub fn points_b(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+    pub fn points_b(&self) -> impl DoubleEndedIterator<Item = (f64, f64)> + '_ {
         self.curve_b.iter().copied().zip(self.grid.iter().copied())
     }
 }

@@ -13,6 +13,17 @@
 //! mirroring voltages about the bulk. The model is symmetric in
 //! drain/source (swapping `V_D` and `V_S` flips the current's sign), so
 //! pass transistors work without terminal bookkeeping.
+//!
+//! `F'(u) = ln(1 + e^{u/2})·σ(u/2)` shares its softplus with `F`, and the
+//! softplus and the logistic `σ` are both functions of one exponential
+//! `e^{−|u/2|}`. So a device evaluation costs one `exp` and one `ln_1p`
+//! per EKV argument, four library calls in all, instead of recomputing
+//! the softplus for `F` and `F'` separately. For `0 ≤ u/2 ≤ 30` the
+//! softplus is formed as `u/2 + ln(1 + e^{−u/2})`, which differs from the
+//! direct `ln(1 + e^{u/2})` in the last bits only (below 10⁻¹⁵
+//! relative); everywhere else the result is bit-identical to the direct
+//! formulas. Verdicts read only the sign of a noise margin, and every
+//! transfer-curve root moves by far less than the solver resolution.
 
 use serde::{Deserialize, Serialize};
 
@@ -123,7 +134,34 @@ pub struct DrainCurrent {
     pub gs: f64,
 }
 
-/// Numerically safe `ln(1 + e^x)`.
+/// The EKV interpolation `F(u) = ln²(1 + e^{u/2})` and its derivative
+/// `F'(u) = ln(1 + e^{u/2}) · σ(u/2)`, sharing one exponential.
+///
+/// With `x = u/2`, the softplus `ln(1 + e^x)` and the logistic `σ(x)` are
+/// both functions of `e^{−|x|}`, so one `exp` and one `ln_1p` serve both:
+///
+/// * `x < 0`: `e = e^x`, softplus `ln_1p(e)` (`e` itself below −30,
+///   within 5·10⁻¹⁴ relative) and `σ = e/(1 + e)`;
+/// * `0 ≤ x ≤ 30`: `e = e^{−x}`, softplus `x + ln_1p(e)` and
+///   `σ = 1/(1 + e)`;
+/// * `x > 30` (or NaN): softplus `x`, `σ = 1/(1 + e^{−x})`.
+fn ekv_pair(u: f64) -> (f64, f64) {
+    let x = 0.5 * u;
+    let (softplus, sigma) = if x < 0.0 {
+        let e = x.exp();
+        let l = if x < -30.0 { e } else { e.ln_1p() };
+        (l, e / (1.0 + e))
+    } else {
+        let e = (-x).exp();
+        let l = if x <= 30.0 { x + e.ln_1p() } else { x };
+        (l, 1.0 / (1.0 + e))
+    };
+    (softplus * softplus, softplus * sigma)
+}
+
+/// Reference softplus `ln(1 + e^x)`, one exponential per call: the
+/// oracle [`ekv_pair`] is tested against.
+#[cfg(test)]
 fn softplus(x: f64) -> f64 {
     if x > 30.0 {
         x
@@ -134,7 +172,8 @@ fn softplus(x: f64) -> f64 {
     }
 }
 
-/// Numerically safe logistic `1/(1 + e^{−x})`.
+/// Reference logistic `1/(1 + e^{−x})`.
+#[cfg(test)]
 fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -144,13 +183,15 @@ fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// EKV interpolation `F(u) = ln²(1 + e^{u/2})`.
+/// Reference EKV interpolation `F(u) = ln²(1 + e^{u/2})`.
+#[cfg(test)]
 fn ekv_f(u: f64) -> f64 {
     let l = softplus(0.5 * u);
     l * l
 }
 
-/// Derivative `F'(u) = ln(1 + e^{u/2}) · σ(u/2)`.
+/// Reference derivative `F'(u) = ln(1 + e^{u/2}) · σ(u/2)`.
+#[cfg(test)]
 fn ekv_fp(u: f64) -> f64 {
     softplus(0.5 * u) * sigmoid(0.5 * u)
 }
@@ -230,10 +271,8 @@ impl Mosfet {
 
         let uf = (vp - vs) / vt;
         let ur = (vp - vd) / vt;
-        let ff = ekv_f(uf);
-        let fr = ekv_f(ur);
-        let fpf = ekv_fp(uf);
-        let fpr = ekv_fp(ur);
+        let (ff, fpf) = ekv_pair(uf);
+        let (fr, fpr) = ekv_pair(ur);
 
         let clm = 1.0 + p.lambda * vds.abs();
         let dclm_dvd = p.lambda * sgn;
@@ -253,8 +292,9 @@ impl Mosfet {
     }
 }
 
-/// A smooth sign function (exact away from 0; 0 at 0) so that the CLM term
-/// does not inject a derivative discontinuity exactly at V_DS = 0.
+/// The plain sign of `x`, with `sign(0) = 0`: the derivative the CLM and
+/// DIBL terms take for `|V_DS|`. It is not smooth — `|V_DS|` has a kink
+/// at 0 — but at `V_DS = 0` it picks the average of the one-sided slopes.
 fn sign_smooth(x: f64) -> f64 {
     if x > 0.0 {
         1.0
@@ -417,6 +457,41 @@ mod tests {
         assert_eq!(ekv_f(-2000.0), 0.0);
         assert!(ekv_fp(2000.0).is_finite());
         assert_eq!(ekv_fp(-2000.0), 0.0);
+        let (f, fp) = ekv_pair(2000.0);
+        assert!(f.is_finite() && fp.is_finite());
+        assert_eq!(ekv_pair(-2000.0), (0.0, 0.0));
+    }
+
+    #[test]
+    fn ekv_pair_matches_the_reference_at_the_branch_edges() {
+        // Bit-identical: the x < 0 branch, both x > 30 tails, the
+        // infinities and ±0 (where e^{−x} = e^{x} = 1).
+        for u in [
+            -0.0,
+            0.0,
+            -60.0,
+            -60.000_000_000_001,
+            -59.999_999_999_999,
+            60.000_000_000_001,
+            -2000.0,
+            2000.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::MIN_POSITIVE,
+        ] {
+            let (f, fp) = ekv_pair(u);
+            assert_eq!(f.to_bits(), ekv_f(u).to_bits(), "F({u})");
+            assert_eq!(fp.to_bits(), ekv_fp(u).to_bits(), "F'({u})");
+        }
+        // x = 30 is the last point of the rewritten branch.
+        for u in [60.0, 59.999_999_999_999, f64::MIN_POSITIVE, 1e-300] {
+            let (f, fp) = ekv_pair(u);
+            assert!((f - ekv_f(u)).abs() <= 1e-15 * ekv_f(u), "F({u})");
+            assert!((fp - ekv_fp(u)).abs() <= 1e-15 * ekv_fp(u), "F'({u})");
+        }
+        let (f, fp) = ekv_pair(f64::NAN);
+        assert!(f.is_nan() && fp.is_nan());
+        assert!(ekv_f(f64::NAN).is_nan() && ekv_fp(f64::NAN).is_nan());
     }
 
     #[test]
@@ -513,6 +588,72 @@ mod proptests {
             let base = nmos().eval(vg, vd, 0.0, 0.7).id;
             let weak = nmos().with_delta_vth(shift).eval(vg, vd, 0.0, 0.7).id;
             prop_assert!(weak <= base + 1e-18);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The shared-exponential kernel equals the one-call-per-term
+        /// reference bit for bit where it computes the same expressions
+        /// (`u < 0`, `|u/2| > 30`) and within 1e-15 relative elsewhere.
+        #[test]
+        fn prop_ekv_pair_matches_reference(
+            span in 0usize..3,
+            t in -1.0f64..1.0,
+        ) {
+            // Wide, branch-edge (±60) and near-zero spans.
+            let u = t * [200.0, 61.0, 1.0][span];
+            let (f, fp) = ekv_pair(u);
+            let (rf, rfp) = (ekv_f(u), ekv_fp(u));
+            if u < 0.0 || (0.5 * u).abs() > 30.0 {
+                prop_assert_eq!(f.to_bits(), rf.to_bits());
+                prop_assert_eq!(fp.to_bits(), rfp.to_bits());
+            } else {
+                prop_assert!((f - rf).abs() <= 1e-15 * rf, "F({}) = {} vs {}", u, f, rf);
+                prop_assert!((fp - rfp).abs() <= 1e-15 * rfp, "F'({}) = {} vs {}", u, fp, rfp);
+            }
+        }
+
+        /// The analytic conductances match central differences of the
+        /// drain current for every paper device (both polarities) across
+        /// the bias box and ±6σ threshold shifts. Points within 10 µV of
+        /// `V_DS = 0` are skipped: `|V_DS|` has a kink there.
+        #[test]
+        fn prop_derivatives_match_central_differences(
+            role in 0usize..3,
+            shift in -6.0f64..6.0,
+            vg in 0.0f64..0.8,
+            vd in 0.0f64..0.8,
+            vs in 0.0f64..0.8,
+        ) {
+            use crate::ptm::{paper_geometry, DeviceRole, A_VTH_EFFECTIVE};
+            if (vd - vs).abs() <= 1e-5 {
+                return Ok(());
+            }
+            let role = [DeviceRole::Driver, DeviceRole::Access, DeviceRole::Load][role];
+            let geometry = paper_geometry(role);
+            let dev = geometry
+                .build()
+                .with_delta_vth(shift * geometry.pelgrom_sigma(A_VTH_EFFECTIVE));
+            let vdd = 0.7;
+            let h = 1e-7;
+            let id = |g: f64, d: f64, s: f64| dev.eval(g, d, s, vdd).id;
+            let base = dev.eval(vg, vd, vs, vdd);
+            let dg = (id(vg + h, vd, vs) - id(vg - h, vd, vs)) / (2.0 * h);
+            let dd = (id(vg, vd + h, vs) - id(vg, vd - h, vs)) / (2.0 * h);
+            let ds = (id(vg, vd, vs + h) - id(vg, vd, vs - h)) / (2.0 * h);
+            // Central differences carry O(h²) truncation and O(ε·I/h)
+            // rounding error, both tiny against the device's largest
+            // conductance.
+            let scale = base.gm.abs().max(base.gds.abs()).max(base.gs.abs());
+            for (name, analytic, fd) in [("gm", base.gm, dg), ("gds", base.gds, dd), ("gs", base.gs, ds)] {
+                prop_assert!(
+                    (analytic - fd).abs() <= 1e-6 * scale + 1e-13,
+                    "{} analytic {} vs fd {} ({:?}, shift {}σ, bias {} {} {})",
+                    name, analytic, fd, role, shift, vg, vd, vs
+                );
+            }
         }
     }
 }
