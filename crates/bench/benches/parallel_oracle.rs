@@ -6,8 +6,9 @@
 //! bench isolates the per-layer costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecripse_core::bench::{SramReadBench, Testbench};
+use ecripse_core::bench::Testbench;
 use ecripse_core::cache::{MemoBench, MemoCacheConfig};
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use std::hint::black_box;
 
 /// A deterministic spread of whitened 6-D points near the ±3–4 σ shell,
@@ -23,7 +24,7 @@ fn points(n: usize) -> Vec<Vec<f64>> {
 }
 
 fn bench_batch_eval(c: &mut Criterion) {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let zs = points(256);
     let mut group = c.benchmark_group("batch_eval");
     group.sample_size(10);
@@ -55,7 +56,7 @@ fn bench_batch_eval(c: &mut Criterion) {
 }
 
 fn bench_memo_cache(c: &mut Criterion) {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let zs = points(256);
     let mut group = c.benchmark_group("memo_cache");
     group.sample_size(10);

@@ -4,7 +4,7 @@
 //! prediction (see the `classifier` bench for the other side).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecripse_spice::testbench::{BenchConfig, ReadStabilityBench};
+use ecripse_spice::testbench::{BenchConfig, ReadStabilityBench, Scenario};
 use std::hint::black_box;
 
 fn bench_rnm(c: &mut Criterion) {
@@ -13,14 +13,14 @@ fn bench_rnm(c: &mut Criterion) {
 
     let bench = ReadStabilityBench::paper_cell();
     group.bench_function("nominal_cell", |b| {
-        b.iter(|| black_box(bench.read_noise_margin(black_box(&[0.0; 6]))))
+        b.iter(|| black_box(bench.margin(Scenario::ReadSnm, black_box(&[0.0; 6]))))
     });
 
     // A failure-boundary sample: the kind of point the estimators
     // actually evaluate.
     let boundary = [0.0, -0.05, 0.0, 0.05, 0.01, -0.01];
     group.bench_function("boundary_cell", |b| {
-        b.iter(|| black_box(bench.read_noise_margin(black_box(&boundary))))
+        b.iter(|| black_box(bench.margin(Scenario::ReadSnm, black_box(&boundary))))
     });
 
     // Grid-resolution scaling: accuracy/cost ablation for DESIGN.md.
@@ -30,7 +30,7 @@ fn bench_rnm(c: &mut Criterion) {
             ..BenchConfig::default()
         });
         group.bench_with_input(BenchmarkId::new("grid_points", points), &points, |b, _| {
-            b.iter(|| black_box(bench.read_noise_margin(black_box(&boundary))))
+            b.iter(|| black_box(bench.margin(Scenario::ReadSnm, black_box(&boundary))))
         });
     }
 

@@ -10,9 +10,9 @@
 //! publication numbers. Results go to stdout and `results/ablation.json`.
 
 use ecripse_bench::{paper_config, write_json};
-use ecripse_core::bench::{SramReadBench, SramWriteBench};
 use ecripse_core::ecripse::Ecripse;
 use ecripse_core::rtn_source::SramRtn;
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_rtn::model::RtnCellModel;
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,7 @@ fn row(name: &str, p_fail: f64, rel_err: f64, simulations: u64, rows: &mut Vec<R
 fn main() {
     let quick = ecripse_bench::quick_mode();
     let n_is = if quick { 3_000 } else { 20_000 };
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let mut rows = Vec::new();
 
     println!("=== Ablations (RDF-only budget {n_is} IS samples) ===\n");
@@ -166,7 +166,7 @@ fn main() {
     );
 
     // 5. write-failure extension.
-    let wbench = SramWriteBench::paper_cell();
+    let wbench = SramScenarioBench::paper_cell(Scenario::WriteMargin);
     let mut cfg = paper_config(n_is, 1);
     // The write boundary sits farther out; widen the search radius.
     cfg.initial.r_max = 14.0;

@@ -21,7 +21,7 @@
 //! different machines are not compared blindly.
 
 use ecripse_bench::{fmt_count, paper_config, quick_mode};
-use ecripse_core::bench::{SramReadBench, Testbench};
+use ecripse_core::bench::Testbench;
 use ecripse_core::cache::{MemoCacheConfig, WarmBench, WarmCacheConfig};
 use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
@@ -75,7 +75,7 @@ struct Report {
     configs: Vec<ConfigReport>,
     /// Wall-clock ratio of the fixed-resolution cold path over the
     /// warm-started serial stack (adaptive + neighbour cache).
-    speedup_batch_solver: f64,
+    speedup_warm_vs_fixed: f64,
     /// Wall-clock ratio of all-cores over serial, both warm-started.
     speedup_parallel_vs_serial: f64,
     /// Wall-clock ratio of the cold service run over resubmission
@@ -144,10 +144,10 @@ fn run_bench<B: Testbench>(
 
 /// The fixed-resolution reference bench: adaptive policy disabled, every
 /// butterfly solved on the full grid at the legacy tolerance.
-fn fixed_bench() -> SramReadBench {
+fn fixed_bench() -> SramScenarioBench {
     let mut config = BenchConfig::default();
     config.adaptive.enabled = false;
-    SramReadBench::with_config(config)
+    SramScenarioBench::with_config(Scenario::ReadSnm, config)
 }
 
 /// The `--check PATH` argument, if present.
@@ -232,7 +232,10 @@ fn main() -> ExitCode {
     //    the two-tier neighbour cache, serial and all-cores. The cache
     //    layers *below* the pipeline's counters, so the simulation
     //    counts must not move.
-    let warm = WarmBench::new(SramReadBench::paper_cell(), WarmCacheConfig::default());
+    let warm = WarmBench::new(
+        SramScenarioBench::paper_cell(Scenario::ReadSnm),
+        WarmCacheConfig::default(),
+    );
     let serial_warm = {
         let stats = {
             let report = run_bench("serial_warm", cfg, 1, true, &warm, (0, 0));
@@ -266,7 +269,12 @@ fn main() -> ExitCode {
         cfg,
         0,
         true,
-        SharedBench::new(SramReadBench::paper_cell(), tag, Arc::clone(&store), true),
+        SharedBench::new(
+            SramScenarioBench::paper_cell(Scenario::ReadSnm),
+            tag,
+            Arc::clone(&store),
+            true,
+        ),
         (0, 0),
     );
     let snapshot = std::env::temp_dir().join(format!(
@@ -287,7 +295,7 @@ fn main() -> ExitCode {
             0,
             true,
             SharedBench::new(
-                SramReadBench::paper_cell(),
+                SramScenarioBench::paper_cell(Scenario::ReadSnm),
                 tag,
                 Arc::clone(&restored),
                 true,
@@ -372,22 +380,22 @@ fn main() -> ExitCode {
         "hold-snm estimates a different indicator and must not echo the read-snm number"
     );
 
-    let speedup_batch_solver = configs[0].seconds / configs[1].seconds;
+    let speedup_warm_vs_fixed = configs[0].seconds / configs[1].seconds;
     let speedup_parallel = configs[1].seconds / configs[2].seconds;
     let speedup_warm_serve = configs[3].seconds / configs[4].seconds;
     println!(
-        "\nwarm vs fixed (serial): {speedup_batch_solver:.2}x   all-cores vs serial: \
+        "\nwarm vs fixed (serial): {speedup_warm_vs_fixed:.2}x   all-cores vs serial: \
          {speedup_parallel:.2}x   store-warmed resubmission: {speedup_warm_serve:.2}x"
     );
 
     let report = Report {
         workload: format!(
-            "fig6/headline RDF-only estimate, paper_config({n_is}, 1), SramReadBench::paper_cell()"
+            "fig6/headline RDF-only estimate, paper_config({n_is}, 1), SramScenarioBench::paper_cell(Scenario::ReadSnm)"
         ),
         cores,
         quick,
         configs,
-        speedup_batch_solver,
+        speedup_warm_vs_fixed,
         speedup_parallel_vs_serial: speedup_parallel,
         speedup_warm_serve,
         note: format!(

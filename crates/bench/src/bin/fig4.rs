@@ -10,13 +10,14 @@
 //! near the origin (Fig. 4(c)).
 
 use ecripse_bench::{paper_config, write_csv};
-use ecripse_core::bench::{SramReadBench, Testbench};
+use ecripse_core::bench::Testbench;
 use ecripse_core::ecripse::Ecripse;
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use std::fmt::Write as _;
 
 /// The cell restricted to driver-only variability (2-D slice).
 struct DriverSlice {
-    inner: SramReadBench,
+    inner: SramScenarioBench,
 }
 
 impl Testbench for DriverSlice {
@@ -39,7 +40,7 @@ fn main() {
     cfg.iterations = if quick { 5 } else { 10 };
 
     let bench = DriverSlice {
-        inner: SramReadBench::paper_cell(),
+        inner: SramScenarioBench::paper_cell(Scenario::ReadSnm),
     };
     let run = Ecripse::new(cfg, bench);
     let res = run.estimate().expect("2-D slice estimation");

@@ -14,8 +14,8 @@
 
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
 use ecripse_core::baseline::sis::SequentialImportanceSampling;
-use ecripse_core::bench::SramReadBench;
 use ecripse_core::ecripse::Ecripse;
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::trace::ConvergenceTrace;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -71,7 +71,7 @@ fn main() {
         fmt_count(n_conv as u64),
         target * 100.0
     );
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 
     // Proposed.
     let mut cfg = paper_config(n_prop, 1);

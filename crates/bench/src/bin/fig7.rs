@@ -10,10 +10,10 @@
 
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
 use ecripse_core::baseline::naive::{naive_monte_carlo, NaiveConfig};
-use ecripse_core::bench::SramReadBench;
 use ecripse_core::ecripse::Ecripse;
 use ecripse_core::observe::RunRecorder;
 use ecripse_core::rtn_source::SramRtn;
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::trace::ConvergenceTrace;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -60,7 +60,7 @@ fn main() {
     };
     const VDD: f64 = 0.5;
     println!("=== Fig. 7: proposed vs naive Monte Carlo with RTN (V_DD = {VDD} V) ===\n");
-    let bench = SramReadBench::at_vdd(VDD);
+    let bench = SramScenarioBench::at_vdd(Scenario::ReadSnm, VDD);
     let sigmas = bench.sigmas();
 
     // --- Panel (a): α = 0.3 ---

@@ -7,7 +7,7 @@
 //! RDF-only reference plus one `RunReport` per α point).
 
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
-use ecripse_core::bench::SramReadBench;
+use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::sweep::{DutySweep, SweepResult};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -38,7 +38,7 @@ fn main() {
     println!("=== Fig. 8: failure probability vs duty ratio (V_DD nominal) ===\n");
 
     let cfg = paper_config(n_is, 20);
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let sweep = DutySweep::paper_grid(cfg, bench);
 
     let t = Instant::now();

@@ -10,8 +10,6 @@
 //! [`SimCounter`] wraps any bench and counts invocations — the
 //! "number of transistor-level simulations" axis of Figs. 6 and 7.
 
-use ecripse_spice::butterfly::Butterfly;
-use ecripse_spice::testbench::ReadStabilityBench;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,17 +18,19 @@ pub use ecripse_spice::EvalError;
 
 /// Cumulative inner-solver effort behind a bench's verdicts.
 ///
-/// For the SRAM benches each node-current evaluation of the safeguarded
-/// Newton VTC solve is one Newton iteration and each solved
-/// transfer-curve point is one factorisation-equivalent; synthetic
-/// benches report zeros. Totals are monotone — consumers read
-/// before/after deltas.
+/// The SRAM bench solves each butterfly transfer-curve point with a 1-D
+/// safeguarded Newton iteration and factorises no matrix, so two field
+/// names overstate what they count there: `newton_iters` counts Newton
+/// evaluations (node-current evaluations) and `factorisations` counts
+/// transfer-curve point solves. Synthetic benches report zeros. Totals
+/// are monotone — consumers read before/after deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveEffort {
-    /// Inner-solver Newton iterations (VTC node-current evaluations for
-    /// the SRAM benches).
+    /// Newton evaluations of the inner solver (node-current evaluations
+    /// of the transfer-curve solves for the SRAM bench).
     pub newton_iters: u64,
-    /// Solver invocations (butterfly curve points for the SRAM benches).
+    /// Inner-solver invocations (transfer-curve point solves for the
+    /// SRAM bench).
     pub factorisations: u64,
     /// Curve-point solves started from a warm-start seed.
     pub warm_start_seeds: u64,
@@ -98,9 +98,10 @@ pub trait Testbench: Sync {
     /// Fallible indicator at a given rung of the retry ladder.
     ///
     /// `attempt` 0 is the normal evaluation; higher attempts may spend
-    /// more effort (the SRAM benches re-sample the butterfly curves on
-    /// a progressively finer grid, on top of the g-min / source-stepping
-    /// ladder inside the DC solver). Benches with a single evaluation
+    /// more effort (the SRAM bench re-samples the butterfly curves on a
+    /// progressively finer grid; see
+    /// [`ReadStabilityBench::try_fails_whitened`](ecripse_spice::testbench::ReadStabilityBench::try_fails_whitened)).
+    /// Benches with a single evaluation
     /// strategy ignore `attempt` — retrying them is then pointless but
     /// harmless.
     ///
@@ -158,196 +159,6 @@ pub trait SeedableBench: Testbench {
         z: &[f64],
         seed: Option<&Self::Seed>,
     ) -> Result<(bool, Option<Self::Seed>), EvalError>;
-}
-
-/// Highest grid-escalation exponent the SRAM benches will use: attempt
-/// `k` evaluates on `grid_points << min(k, 2)` butterfly points (4× max).
-const MAX_GRID_ESCALATION: usize = 2;
-
-/// The paper's testbench: the 6T cell read-stability check, whitened by
-/// the per-device Pelgrom sigmas.
-#[derive(Debug, Clone)]
-pub struct SramReadBench {
-    inner: ReadStabilityBench,
-}
-
-impl SramReadBench {
-    /// Table I cell at the nominal supply.
-    pub fn paper_cell() -> Self {
-        Self {
-            inner: ReadStabilityBench::paper_cell(),
-        }
-    }
-
-    /// Table I cell at a custom supply (Fig. 7 drops it to 0.5 V).
-    pub fn at_vdd(vdd: f64) -> Self {
-        Self {
-            inner: ReadStabilityBench::at_vdd(vdd),
-        }
-    }
-
-    /// Full circuit-bench configuration control (grid, supply, adaptive
-    /// resolution policy).
-    ///
-    /// # Panics
-    ///
-    /// See [`ReadStabilityBench::with_config`].
-    pub fn with_config(config: ecripse_spice::testbench::BenchConfig) -> Self {
-        Self {
-            inner: ReadStabilityBench::with_config(config),
-        }
-    }
-
-    /// The per-device sigmas that define the whitening \[V\].
-    pub fn sigmas(&self) -> [f64; 6] {
-        self.inner.pelgrom_sigmas()
-    }
-
-    /// Access to the underlying circuit bench.
-    pub fn circuit(&self) -> &ReadStabilityBench {
-        &self.inner
-    }
-}
-
-impl Testbench for SramReadBench {
-    fn dim(&self) -> usize {
-        6
-    }
-
-    fn fails(&self, z: &[f64]) -> bool {
-        self.inner.fails_whitened(z)
-    }
-
-    fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        // Each sample is an independent Newton solve — ideal for an
-        // order-preserving parallel map.
-        zs.par_iter()
-            .map(|z| self.inner.fails_whitened(z))
-            .collect()
-    }
-
-    fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.inner.try_fails_whitened(z)
-    }
-
-    fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        let grid = self.inner.config().grid_points << attempt.min(MAX_GRID_ESCALATION);
-        self.inner.try_fails_whitened_at(z, grid)
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        zs.par_iter()
-            .map(|z| self.inner.try_fails_whitened(z))
-            .collect()
-    }
-
-    fn solve_effort(&self) -> SolveEffort {
-        let e = self.inner.effort();
-        SolveEffort {
-            newton_iters: e.newton_iters,
-            factorisations: e.curve_solves,
-            warm_start_seeds: e.seeded_curves,
-        }
-    }
-}
-
-impl SeedableBench for SramReadBench {
-    type Seed = Butterfly;
-
-    fn try_fails_seeded(
-        &self,
-        z: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.inner.try_fails_whitened_seeded(z, seed)
-    }
-}
-
-/// Write-failure testbench — the extension analysis beyond the paper's
-/// read-only scope: the cell fails when a word-line write cannot destroy
-/// the stored state (see
-/// [`ReadStabilityBench::write_margin`](ecripse_spice::testbench::ReadStabilityBench::write_margin)).
-#[derive(Debug, Clone)]
-pub struct SramWriteBench {
-    inner: ReadStabilityBench,
-}
-
-impl SramWriteBench {
-    /// Table I cell at the nominal supply.
-    pub fn paper_cell() -> Self {
-        Self {
-            inner: ReadStabilityBench::paper_cell(),
-        }
-    }
-
-    /// Table I cell at a custom supply.
-    pub fn at_vdd(vdd: f64) -> Self {
-        Self {
-            inner: ReadStabilityBench::at_vdd(vdd),
-        }
-    }
-
-    /// The per-device sigmas that define the whitening \[V\].
-    pub fn sigmas(&self) -> [f64; 6] {
-        self.inner.pelgrom_sigmas()
-    }
-
-    /// Access to the underlying circuit bench.
-    pub fn circuit(&self) -> &ReadStabilityBench {
-        &self.inner
-    }
-}
-
-impl Testbench for SramWriteBench {
-    fn dim(&self) -> usize {
-        6
-    }
-
-    fn fails(&self, z: &[f64]) -> bool {
-        self.inner.write_fails_whitened(z)
-    }
-
-    fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        zs.par_iter()
-            .map(|z| self.inner.write_fails_whitened(z))
-            .collect()
-    }
-
-    fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.inner.try_write_fails_whitened(z)
-    }
-
-    fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        let grid = self.inner.config().grid_points << attempt.min(MAX_GRID_ESCALATION);
-        self.inner.try_write_fails_whitened_at(z, grid)
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        zs.par_iter()
-            .map(|z| self.inner.try_write_fails_whitened(z))
-            .collect()
-    }
-
-    fn solve_effort(&self) -> SolveEffort {
-        let e = self.inner.effort();
-        SolveEffort {
-            newton_iters: e.newton_iters,
-            factorisations: e.curve_solves,
-            warm_start_seeds: e.seeded_curves,
-        }
-    }
-}
-
-impl SeedableBench for SramWriteBench {
-    type Seed = Butterfly;
-
-    fn try_fails_seeded(
-        &self,
-        z: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.inner.try_write_fails_whitened_seeded(z, seed)
-    }
 }
 
 /// A linear synthetic indicator `I(z) = [w·z > b]` whose exact failure
@@ -552,6 +363,7 @@ impl<B: SeedableBench> SeedableBench for &B {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, SramScenarioBench};
 
     #[test]
     fn linear_bench_probability_is_gaussian_tail() {
@@ -605,7 +417,7 @@ mod tests {
 
     #[test]
     fn sram_bench_dim_and_nominal_pass() {
-        let b = SramReadBench::paper_cell();
+        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         assert_eq!(b.dim(), 6);
         assert!(!b.fails(&[0.0; 6]));
         assert!(b.sigmas().iter().all(|s| *s > 0.0));
@@ -622,7 +434,7 @@ mod tests {
 
     #[test]
     fn batch_matches_elementwise_on_the_sram_bench() {
-        let b = SramReadBench::paper_cell();
+        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         let zs: Vec<Vec<f64>> = (0..17)
             .map(|i| {
                 (0..6)
@@ -657,7 +469,7 @@ mod tests {
 
     #[test]
     fn sram_try_fails_surfaces_typed_errors() {
-        let b = SramReadBench::paper_cell();
+        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         assert!(matches!(
             b.try_fails(&[0.0; 5]),
             Err(EvalError::DimensionMismatch {
@@ -672,7 +484,7 @@ mod tests {
 
     #[test]
     fn sram_retry_attempts_agree_on_healthy_samples() {
-        let b = SramReadBench::paper_cell();
+        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         let z = [1.0, -2.0, 0.5, 0.0, -0.5, 1.5];
         let base = b.try_fails_attempt(&z, 0).expect("attempt 0");
         for attempt in 1..4 {
@@ -689,7 +501,7 @@ mod tests {
 
     #[test]
     fn sram_solve_effort_grows_and_forwards_through_wrappers() {
-        let c = SimCounter::new(SramReadBench::paper_cell());
+        let c = SimCounter::new(SramScenarioBench::paper_cell(Scenario::ReadSnm));
         let before = c.solve_effort();
         let _ = c.fails(&[0.5, -0.5, 0.0, 0.0, 0.0, 0.0]);
         let delta = c.solve_effort().delta(&before);
@@ -702,7 +514,7 @@ mod tests {
 
     #[test]
     fn seeded_evaluation_matches_plain_evaluation() {
-        let b = SramReadBench::paper_cell();
+        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         let z0 = [0.4, -0.4, 0.0, 0.4, 0.0, 0.0];
         let (v0, seed) = b.try_fails_seeded(&z0, None).expect("cold eval");
         assert_eq!(Ok(v0), b.try_fails(&z0));

@@ -221,7 +221,8 @@ mod tests {
     #[test]
     fn sram_boundary_search_succeeds() {
         // The real cell: boundary at ~3.8σ, well inside r_max = 8.
-        let bench = crate::bench::SramReadBench::paper_cell();
+        let bench =
+            crate::scenario::SramScenarioBench::paper_cell(crate::scenario::Scenario::ReadSnm);
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = InitialSearchConfig {
             count: 8,

@@ -50,11 +50,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use ecripse_core::bench::SramReadBench;
+//! use ecripse_core::scenario::{Scenario, SramScenarioBench};
 //! use ecripse_core::ecripse::{Ecripse, EcripseConfig};
 //!
 //! // RDF-only failure probability of the paper's cell.
-//! let bench = SramReadBench::paper_cell();
+//! let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 //! let run = Ecripse::new(EcripseConfig::default(), bench);
 //! let result = run.estimate()?;
 //! println!(
@@ -87,9 +87,7 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
-pub use bench::{
-    EvalError, SeedableBench, SimCounter, SolveEffort, SramReadBench, SramWriteBench, Testbench,
-};
+pub use bench::{EvalError, SeedableBench, SimCounter, SolveEffort, Testbench};
 pub use cache::{MemoBench, MemoCacheConfig, WarmBench, WarmCacheConfig, WarmCacheStats};
 pub use ecripse::{Ecripse, EcripseConfig, EcripseResult};
 pub use observe::{

@@ -36,10 +36,10 @@
 //! # Example
 //!
 //! ```no_run
-//! use ecripse_core::bench::SramReadBench;
+//! use ecripse_core::scenario::{Scenario, SramScenarioBench};
 //! use ecripse_core::ecripse::{Ecripse, EcripseConfig};
 //!
-//! let bench = SramReadBench::paper_cell();
+//! let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 //! let run = Ecripse::new(EcripseConfig::default(), bench);
 //! let (result, report) = run.estimate_report()?;
 //! println!("P_fail = {:.3e}", result.p_fail);

@@ -87,13 +87,15 @@ pub struct OracleStats {
     /// Samples that exhausted the retry ladder and received the
     /// conservative non-failing verdict (driver-filled, like `retries`).
     pub quarantined: u64,
-    /// Inner-solver iterations behind this run's simulations
-    /// (driver-filled from the bench's
+    /// Newton evaluations behind this run's simulations — on the SRAM
+    /// path, node-current evaluations of the transfer-curve solves, not
+    /// matrix iterations (driver-filled from the bench's
     /// [`SolveEffort`](crate::bench::SolveEffort) delta).
     #[serde(default)]
     pub newton_iters: u64,
-    /// Inner-solver invocations (factorisation-equivalents;
-    /// driver-filled, like `newton_iters`).
+    /// Solver invocations — on the SRAM path, transfer-curve point
+    /// solves; no matrix is factorised despite the name (driver-filled,
+    /// like `newton_iters`).
     #[serde(default)]
     pub factorisations: u64,
     /// Curve-point solves started from a warm-start seed

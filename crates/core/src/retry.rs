@@ -6,9 +6,8 @@
 //! such samples either panicked the whole run or were silently
 //! mislabelled. [`RetryBench`] wraps any [`Testbench`] and, for each
 //! failing sample, climbs the bench's retry ladder
-//! ([`Testbench::try_fails_attempt`] — for the SRAM benches that means
-//! progressively finer butterfly grids on top of the g-min and
-//! source-stepping ladders inside the Newton solver). Samples that
+//! ([`Testbench::try_fails_attempt`] — for the SRAM bench that means
+//! progressively finer butterfly grids). Samples that
 //! exhaust the ladder are *quarantined*: they receive the conservative
 //! verdict `false` (not a failure — so they can never inflate the
 //! failure-probability estimate) and are counted, so every run report

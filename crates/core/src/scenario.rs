@@ -23,169 +23,19 @@
 //! Every scenario carries a **version**; id and version feed the
 //! verdict-cache fingerprints ([`Scenario::tag_salt`],
 //! [`registry_digest`]) so cached verdicts never migrate between
-//! indicators or across a semantic change to one. The full authoring
-//! contract — determinism, thread invariance, cache keying — is
-//! documented in `SCENARIOS.md` at the repository root.
+//! indicators or across a semantic change to one. The enum itself lives
+//! next to the circuit bench in `ecripse_spice::testbench`, where each
+//! scenario is one row of the indicator table, and is re-exported here.
+//! The full authoring contract — determinism, thread invariance, cache
+//! keying — is documented in `SCENARIOS.md` at the repository root.
 
 use crate::bench::{EvalError, SeedableBench, SolveEffort, Testbench};
 use crate::sweep::SweepBench;
 use ecripse_spice::butterfly::Butterfly;
 use ecripse_spice::testbench::{BenchConfig, ReadStabilityBench};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// A registered SRAM workload (indicator function) selectable per run.
-///
-/// Serialises as its stable kebab-case [`id`](Scenario::id) (the
-/// vendored serde derive has no `rename_all`, so the impls are manual);
-/// the default is the paper's [`Scenario::ReadSnm`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Scenario {
-    /// The paper's indicator: read-SNM failure under read bias.
-    #[default]
-    ReadSnm,
-    /// Retention failure of the unaccessed cell (word line low).
-    HoldSnm,
-    /// Write failure: the word-line write cannot destroy the old state.
-    WriteMargin,
-    /// Power-up PUF bit error: mismatch overcomes the design skew and
-    /// flips the preferred power-up state.
-    PowerupPuf,
-}
-
-impl Scenario {
-    /// Every registered scenario, in registry order.
-    pub const ALL: [Scenario; 4] = [
-        Scenario::ReadSnm,
-        Scenario::HoldSnm,
-        Scenario::WriteMargin,
-        Scenario::PowerupPuf,
-    ];
-
-    /// Stable kebab-case identifier (matches the serialised form, the
-    /// CLI `--scenario` flag and the wire-protocol field).
-    pub fn id(self) -> &'static str {
-        match self {
-            Scenario::ReadSnm => "read-snm",
-            Scenario::HoldSnm => "hold-snm",
-            Scenario::WriteMargin => "write-margin",
-            Scenario::PowerupPuf => "powerup-puf",
-        }
-    }
-
-    /// Indicator version. Bump when a scenario's *semantics* change
-    /// (bias, margin extraction, skew constants) so fingerprinted caches
-    /// discard verdicts computed under the old meaning.
-    pub fn version(self) -> u32 {
-        match self {
-            Scenario::ReadSnm => 1,
-            Scenario::HoldSnm => 1,
-            Scenario::WriteMargin => 1,
-            Scenario::PowerupPuf => 1,
-        }
-    }
-
-    /// One-line human description.
-    pub fn summary(self) -> &'static str {
-        match self {
-            Scenario::ReadSnm => "read-SNM failure under read bias (the paper's indicator)",
-            Scenario::HoldSnm => "retention failure of the unaccessed cell",
-            Scenario::WriteMargin => "write failure: the old state survives a word-line write",
-            Scenario::PowerupPuf => "power-up PUF bit error against the design skew",
-        }
-    }
-
-    /// Parses a scenario id.
-    pub fn from_id(id: &str) -> Option<Self> {
-        Scenario::ALL.into_iter().find(|s| s.id() == id)
-    }
-
-    /// Outer boundary-search radius (in sigma units) that reliably
-    /// brackets this scenario's failure shell at the paper's nominal
-    /// supply. The default `InitialSearchConfig::r_max` of 8 suits the
-    /// read indicator (first failures near 5.5 sigma along the worst
-    /// direction); retention failures only appear near 15 sigma and
-    /// write failures near 7, so their runs need a wider bracket. The
-    /// CLI applies this automatically (`max` with the configured
-    /// radius); library callers should do the same when they build an
-    /// [`EcripseConfig`](crate::ecripse::EcripseConfig) by hand.
-    pub fn recommended_r_max(self) -> f64 {
-        match self {
-            Scenario::ReadSnm => 8.0,
-            Scenario::HoldSnm => 18.0,
-            Scenario::WriteMargin => 10.0,
-            Scenario::PowerupPuf => 8.0,
-        }
-    }
-
-    /// A 64-bit salt derived from id and version, folded into
-    /// operating-point cache tags so verdicts from different scenarios
-    /// (or different versions of one) can never collide.
-    pub fn tag_salt(self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.id().as_bytes());
-        h = fnv1a(h, &self.version().to_le_bytes());
-        h
-    }
-}
-
-impl std::fmt::Display for Scenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-impl std::str::FromStr for Scenario {
-    type Err = UnknownScenario;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Scenario::from_id(s).ok_or_else(|| UnknownScenario { id: s.to_owned() })
-    }
-}
-
-/// Error for an id that names no registered scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownScenario {
-    /// The unrecognised id.
-    pub id: String,
-}
-
-impl std::fmt::Display for UnknownScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown scenario {:?} (registered: ", self.id)?;
-        for (i, s) in Scenario::ALL.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(s.id())?;
-        }
-        f.write_str(")")
-    }
-}
-
-impl std::error::Error for UnknownScenario {}
-
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::String(self.id().to_owned())
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(value: &serde::json::Value) -> Option<Self> {
-        Scenario::from_id(value.as_str()?)
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+pub use ecripse_spice::testbench::{registry_digest, Scenario, UnknownScenario};
 
 /// Registry metadata of one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,26 +67,9 @@ pub fn registry() -> Vec<ScenarioInfo> {
         .collect()
 }
 
-/// A hex digest over every registered (id, version) pair — the
-/// coarse-grained registry fingerprint scoped into persisted verdict
-/// snapshots: any registry change (new scenario, version bump) retires
-/// every snapshot written under the old registry.
-pub fn registry_digest() -> String {
-    let mut h = FNV_OFFSET;
-    for s in Scenario::ALL {
-        h = fnv1a(h, s.id().as_bytes());
-        h = fnv1a(h, &s.version().to_le_bytes());
-    }
-    format!("{h:016x}")
-}
-
 /// The scenario-dispatching SRAM testbench: one circuit bench, four
-/// indicators.
-///
-/// For [`Scenario::ReadSnm`] every evaluation routes through exactly the
-/// code paths of [`crate::bench::SramReadBench`], so verdicts — and the
-/// whole estimation pipeline above them — are bit-identical to the
-/// historical read bench.
+/// indicators. Every evaluation is one call of
+/// [`ReadStabilityBench::try_fails_whitened`] with this bench's scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SramScenarioBench {
     inner: ReadStabilityBench,
@@ -246,13 +79,10 @@ pub struct SramScenarioBench {
 impl SramScenarioBench {
     /// Table I cell at the nominal supply.
     pub fn paper_cell(scenario: Scenario) -> Self {
-        Self {
-            inner: ReadStabilityBench::paper_cell(),
-            scenario,
-        }
+        Self::with_config(scenario, BenchConfig::default())
     }
 
-    /// Table I cell at a custom supply.
+    /// Table I cell at a custom supply (Fig. 7 drops it to 0.5 V).
     pub fn at_vdd(scenario: Scenario, vdd: f64) -> Self {
         Self {
             inner: ReadStabilityBench::at_vdd(vdd),
@@ -287,28 +117,7 @@ impl SramScenarioBench {
     pub fn circuit(&self) -> &ReadStabilityBench {
         &self.inner
     }
-
-    fn dispatch_try(&self, z: &[f64]) -> Result<bool, EvalError> {
-        match self.scenario {
-            Scenario::ReadSnm => self.inner.try_fails_whitened(z),
-            Scenario::HoldSnm => self.inner.try_hold_fails_whitened(z),
-            Scenario::WriteMargin => self.inner.try_write_fails_whitened(z),
-            Scenario::PowerupPuf => self.inner.try_powerup_fails_whitened(z),
-        }
-    }
-
-    fn dispatch_plain(&self, z: &[f64]) -> bool {
-        match self.scenario {
-            Scenario::ReadSnm => self.inner.fails_whitened(z),
-            Scenario::HoldSnm => self.inner.hold_fails_whitened(z),
-            Scenario::WriteMargin => self.inner.write_fails_whitened(z),
-            Scenario::PowerupPuf => self.inner.powerup_fails_whitened(z),
-        }
-    }
 }
-
-/// Highest grid-escalation exponent (mirrors the read/write benches).
-const MAX_GRID_ESCALATION: usize = 2;
 
 impl Testbench for SramScenarioBench {
     fn dim(&self) -> usize {
@@ -316,29 +125,25 @@ impl Testbench for SramScenarioBench {
     }
 
     fn fails(&self, z: &[f64]) -> bool {
-        self.dispatch_plain(z)
+        self.try_fails(z)
+            .unwrap_or_else(|e| panic!("{} evaluation failed: {e}", self.scenario))
     }
 
     fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        zs.par_iter().map(|z| self.dispatch_plain(z)).collect()
+        // Each sample is an independent circuit evaluation — ideal for an
+        // order-preserving parallel map.
+        zs.par_iter().map(|z| self.fails(z)).collect()
     }
 
     fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.dispatch_try(z)
+        self.try_fails_attempt(z, 0)
     }
 
     fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        let grid = self.inner.config().grid_points << attempt.min(MAX_GRID_ESCALATION);
-        match self.scenario {
-            Scenario::ReadSnm => self.inner.try_fails_whitened_at(z, grid),
-            Scenario::HoldSnm => self.inner.try_hold_fails_whitened_at(z, grid),
-            Scenario::WriteMargin => self.inner.try_write_fails_whitened_at(z, grid),
-            Scenario::PowerupPuf => self.inner.try_powerup_fails_whitened_at(z, grid),
-        }
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        zs.par_iter().map(|z| self.dispatch_try(z)).collect()
+        Ok(self
+            .inner
+            .try_fails_whitened(self.scenario, z, attempt, None)?
+            .0)
     }
 
     fn solve_effort(&self) -> SolveEffort {
@@ -359,12 +164,7 @@ impl SeedableBench for SramScenarioBench {
         z: &[f64],
         seed: Option<&Butterfly>,
     ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        match self.scenario {
-            Scenario::ReadSnm => self.inner.try_fails_whitened_seeded(z, seed),
-            Scenario::HoldSnm => self.inner.try_hold_fails_whitened_seeded(z, seed),
-            Scenario::WriteMargin => self.inner.try_write_fails_whitened_seeded(z, seed),
-            Scenario::PowerupPuf => self.inner.try_powerup_fails_whitened_seeded(z, seed),
-        }
+        self.inner.try_fails_whitened(self.scenario, z, 0, seed)
     }
 }
 
@@ -377,7 +177,6 @@ impl SweepBench for SramScenarioBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::SramReadBench;
 
     #[test]
     fn ids_round_trip_and_default_is_read_snm() {
@@ -418,20 +217,228 @@ mod tests {
         assert_eq!(registry_digest().len(), 16);
     }
 
+    /// Eight fixed whitened points: nominal, bulk draws, and points near
+    /// each scenario's failure shell (where the adaptive pass escalates).
+    const GOLDEN_POINTS: [[f64; 6]; 8] = [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.2, -1.8, 0.4, 0.9, -0.6, 1.1],
+        [2.70, -2.70, -2.70, 2.70, 0.0, 0.0],
+        [2.71, -2.71, -2.71, 2.71, 0.0, 0.0],
+        [-5.08, 0.0, 0.0, 0.0, 5.08, 0.0],
+        [0.0, 0.57, 0.0, -0.57, 0.0, 0.0],
+        [7.39, -7.39, -7.39, 7.39, 0.0, 0.0],
+        [-2.5, 0.7, 1.9, -0.3, 2.2, -1.4],
+    ];
+
+    /// The neighbour whose returned butterfly seeds a point's seeded case.
+    fn golden_neighbour(z: &[f64; 6]) -> [f64; 6] {
+        let mut n = *z;
+        n[0] += 0.05;
+        n[1] -= 0.05;
+        n[3] += 0.05;
+        n
+    }
+
+    /// One case of the routing table: the unseeded case goes through the
+    /// retry-ladder entry point, the seeded one through the bench's single
+    /// indicator entry point.
+    fn golden_route(
+        bench: &SramScenarioBench,
+        z: &[f64],
+        attempt: usize,
+        seed: Option<&Butterfly>,
+    ) -> Result<bool, EvalError> {
+        match seed {
+            None => bench.try_fails_attempt(z, attempt),
+            Some(_) => Ok(bench
+                .circuit()
+                .try_fails_whitened(bench.scenario(), z, attempt, seed)?
+                .0),
+        }
+    }
+
+    /// Pinned outcome of one case: verdict and the deltas of
+    /// (newton_iters, curve_solves, seeded_curves, coarse_accepts,
+    /// escalations) it adds to the bench's effort ledger.
+    type GoldenCase = (bool, [u64; 5]);
+
+    /// Per scenario (registry order), per point, per attempt 0..=3: the
+    /// unseeded case, then the case seeded from the neighbour's butterfly.
+    /// Row `(scenario * 8 + point) * 4 + attempt`.
+    const GOLDEN: [(GoldenCase, GoldenCase); 128] = [
+        ((false, [168, 62, 0, 1, 0]), (false, [107, 62, 62, 1, 0])),
+        ((false, [752, 244, 0, 0, 0]), (false, [752, 244, 0, 0, 0])),
+        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
+        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
+        ((false, [173, 62, 0, 1, 0]), (false, [109, 62, 62, 1, 0])),
+        ((false, [759, 244, 0, 0, 0]), (false, [759, 244, 0, 0, 0])),
+        ((false, [1426, 488, 0, 0, 0]), (false, [1426, 488, 0, 0, 0])),
+        ((false, [1426, 488, 0, 0, 0]), (false, [1426, 488, 0, 0, 0])),
+        ((false, [587, 184, 0, 0, 1]), (false, [526, 184, 62, 0, 1])),
+        ((false, [753, 244, 0, 0, 0]), (false, [753, 244, 0, 0, 0])),
+        ((false, [1407, 488, 0, 0, 0]), (false, [1407, 488, 0, 0, 0])),
+        ((false, [1407, 488, 0, 0, 0]), (false, [1407, 488, 0, 0, 0])),
+        ((true, [587, 184, 0, 0, 1]), (true, [526, 184, 62, 0, 1])),
+        ((true, [753, 244, 0, 0, 0]), (true, [753, 244, 0, 0, 0])),
+        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
+        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
+        ((false, [159, 62, 0, 1, 0]), (false, [105, 62, 62, 1, 0])),
+        ((false, [739, 244, 0, 0, 0]), (false, [739, 244, 0, 0, 0])),
+        ((false, [1394, 488, 0, 0, 0]), (false, [1394, 488, 0, 0, 0])),
+        ((false, [1394, 488, 0, 0, 0]), (false, [1394, 488, 0, 0, 0])),
+        ((false, [169, 62, 0, 1, 0]), (false, [107, 62, 62, 1, 0])),
+        ((false, [751, 244, 0, 0, 0]), (false, [751, 244, 0, 0, 0])),
+        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
+        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
+        ((true, [151, 62, 0, 1, 0]), (true, [105, 62, 62, 1, 0])),
+        ((true, [708, 244, 0, 0, 0]), (true, [708, 244, 0, 0, 0])),
+        ((true, [1323, 488, 0, 0, 0]), (true, [1323, 488, 0, 0, 0])),
+        ((true, [1323, 488, 0, 0, 0]), (true, [1323, 488, 0, 0, 0])),
+        ((false, [165, 62, 0, 1, 0]), (false, [106, 62, 62, 1, 0])),
+        ((false, [750, 244, 0, 0, 0]), (false, [750, 244, 0, 0, 0])),
+        ((false, [1411, 488, 0, 0, 0]), (false, [1411, 488, 0, 0, 0])),
+        ((false, [1411, 488, 0, 0, 0]), (false, [1411, 488, 0, 0, 0])),
+        ((false, [138, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
+        ((false, [1272, 488, 0, 0, 0]), (false, [1272, 488, 0, 0, 0])),
+        ((false, [1272, 488, 0, 0, 0]), (false, [1272, 488, 0, 0, 0])),
+        ((false, [140, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [671, 244, 0, 0, 0]), (false, [671, 244, 0, 0, 0])),
+        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
+        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
+        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
+        ((false, [673, 244, 0, 0, 0]), (false, [673, 244, 0, 0, 0])),
+        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
+        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
+        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
+        ((false, [673, 244, 0, 0, 0]), (false, [673, 244, 0, 0, 0])),
+        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
+        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
+        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
+        ((false, [679, 244, 0, 0, 0]), (false, [679, 244, 0, 0, 0])),
+        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
+        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
+        ((false, [139, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
+        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
+        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
+        ((true, [449, 184, 0, 0, 1]), (true, [411, 184, 62, 0, 1])),
+        ((true, [605, 244, 0, 0, 0]), (true, [605, 244, 0, 0, 0])),
+        ((false, [1127, 488, 0, 0, 0]), (false, [1127, 488, 0, 0, 0])),
+        ((false, [1127, 488, 0, 0, 0]), (false, [1127, 488, 0, 0, 0])),
+        ((false, [137, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
+        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
+        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
+        ((false, [152, 62, 0, 1, 0]), (false, [102, 62, 62, 1, 0])),
+        ((false, [704, 244, 0, 0, 0]), (false, [704, 244, 0, 0, 0])),
+        ((false, [1351, 488, 0, 0, 0]), (false, [1351, 488, 0, 0, 0])),
+        ((false, [1351, 488, 0, 0, 0]), (false, [1351, 488, 0, 0, 0])),
+        ((false, [150, 62, 0, 1, 0]), (false, [100, 62, 62, 1, 0])),
+        ((false, [698, 244, 0, 0, 0]), (false, [698, 244, 0, 0, 0])),
+        ((false, [1335, 488, 0, 0, 0]), (false, [1335, 488, 0, 0, 0])),
+        ((false, [1335, 488, 0, 0, 0]), (false, [1335, 488, 0, 0, 0])),
+        ((false, [142, 62, 0, 1, 0]), (false, [96, 62, 62, 1, 0])),
+        ((false, [678, 244, 0, 0, 0]), (false, [678, 244, 0, 0, 0])),
+        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
+        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
+        ((false, [142, 62, 0, 1, 0]), (false, [96, 62, 62, 1, 0])),
+        ((false, [678, 244, 0, 0, 0]), (false, [678, 244, 0, 0, 0])),
+        ((false, [1280, 488, 0, 0, 0]), (false, [1280, 488, 0, 0, 0])),
+        ((false, [1280, 488, 0, 0, 0]), (false, [1280, 488, 0, 0, 0])),
+        ((true, [571, 184, 0, 0, 1]), (true, [514, 184, 62, 0, 1])),
+        ((true, [743, 244, 0, 0, 0]), (true, [743, 244, 0, 0, 0])),
+        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
+        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
+        ((false, [153, 62, 0, 1, 0]), (false, [103, 62, 62, 1, 0])),
+        ((false, [704, 244, 0, 0, 0]), (false, [704, 244, 0, 0, 0])),
+        ((false, [1354, 488, 0, 0, 0]), (false, [1354, 488, 0, 0, 0])),
+        ((false, [1354, 488, 0, 0, 0]), (false, [1354, 488, 0, 0, 0])),
+        ((false, [119, 62, 0, 1, 0]), (false, [84, 62, 62, 1, 0])),
+        ((false, [587, 244, 0, 0, 0]), (false, [587, 244, 0, 0, 0])),
+        ((false, [1093, 488, 0, 0, 0]), (false, [1093, 488, 0, 0, 0])),
+        ((false, [1093, 488, 0, 0, 0]), (false, [1093, 488, 0, 0, 0])),
+        ((false, [163, 62, 0, 1, 0]), (false, [106, 62, 62, 1, 0])),
+        ((false, [726, 244, 0, 0, 0]), (false, [726, 244, 0, 0, 0])),
+        ((false, [1391, 488, 0, 0, 0]), (false, [1391, 488, 0, 0, 0])),
+        ((false, [1391, 488, 0, 0, 0]), (false, [1391, 488, 0, 0, 0])),
+        ((false, [139, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [675, 244, 0, 0, 0]), (false, [675, 244, 0, 0, 0])),
+        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
+        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
+        ((false, [140, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
+        ((false, [674, 244, 0, 0, 0]), (false, [674, 244, 0, 0, 0])),
+        ((false, [1276, 488, 0, 0, 0]), (false, [1276, 488, 0, 0, 0])),
+        ((false, [1276, 488, 0, 0, 0]), (false, [1276, 488, 0, 0, 0])),
+        ((false, [139, 62, 0, 1, 0]), (false, [90, 62, 62, 1, 0])),
+        ((false, [676, 244, 0, 0, 0]), (false, [676, 244, 0, 0, 0])),
+        ((false, [1271, 488, 0, 0, 0]), (false, [1271, 488, 0, 0, 0])),
+        ((false, [1271, 488, 0, 0, 0]), (false, [1271, 488, 0, 0, 0])),
+        ((false, [139, 62, 0, 1, 0]), (false, [90, 62, 62, 1, 0])),
+        ((false, [676, 244, 0, 0, 0]), (false, [676, 244, 0, 0, 0])),
+        ((false, [1270, 488, 0, 0, 0]), (false, [1270, 488, 0, 0, 0])),
+        ((false, [1270, 488, 0, 0, 0]), (false, [1270, 488, 0, 0, 0])),
+        ((true, [142, 62, 0, 1, 0]), (true, [90, 62, 62, 1, 0])),
+        ((true, [683, 244, 0, 0, 0]), (true, [683, 244, 0, 0, 0])),
+        ((true, [1286, 488, 0, 0, 0]), (true, [1286, 488, 0, 0, 0])),
+        ((true, [1286, 488, 0, 0, 0]), (true, [1286, 488, 0, 0, 0])),
+        ((true, [496, 184, 0, 0, 1]), (true, [445, 184, 62, 0, 1])),
+        ((true, [672, 244, 0, 0, 0]), (true, [672, 244, 0, 0, 0])),
+        ((true, [1278, 488, 0, 0, 0]), (true, [1278, 488, 0, 0, 0])),
+        ((true, [1278, 488, 0, 0, 0]), (true, [1278, 488, 0, 0, 0])),
+        ((false, [123, 62, 0, 1, 0]), (false, [86, 62, 62, 1, 0])),
+        ((false, [601, 244, 0, 0, 0]), (false, [601, 244, 0, 0, 0])),
+        ((false, [1118, 488, 0, 0, 0]), (false, [1118, 488, 0, 0, 0])),
+        ((false, [1118, 488, 0, 0, 0]), (false, [1118, 488, 0, 0, 0])),
+        ((true, [139, 62, 0, 1, 0]), (true, [88, 62, 62, 1, 0])),
+        ((true, [675, 244, 0, 0, 0]), (true, [675, 244, 0, 0, 0])),
+        ((true, [1277, 488, 0, 0, 0]), (true, [1277, 488, 0, 0, 0])),
+        ((true, [1277, 488, 0, 0, 0]), (true, [1277, 488, 0, 0, 0])),
+    ];
+
     #[test]
-    fn read_scenario_matches_the_historical_read_bench() {
-        let scenario = SramScenarioBench::paper_cell(Scenario::ReadSnm);
-        let read = SramReadBench::paper_cell();
-        let zs: Vec<Vec<f64>> = (0..9)
-            .map(|i| {
-                (0..6)
-                    .map(|d| ((i * 6 + d) as f64 * 0.61).sin() * 4.0)
-                    .collect()
-            })
-            .collect();
-        assert_eq!(scenario.fails_batch(&zs), read.fails_batch(&zs));
-        for z in &zs {
-            assert_eq!(scenario.try_fails(z), read.try_fails(z));
+    fn scenario_routing_matches_the_golden_table() {
+        for (si, s) in Scenario::ALL.into_iter().enumerate() {
+            let bench = SramScenarioBench::paper_cell(s);
+            for (pi, z) in GOLDEN_POINTS.iter().enumerate() {
+                let (_, seed) = bench
+                    .try_fails_seeded(&golden_neighbour(z), None)
+                    .expect("neighbour evaluates");
+                let seed = seed.expect("the adaptive pass returns its butterfly");
+                for attempt in 0..4 {
+                    let mut got = [(false, [0u64; 5]); 2];
+                    for (ci, case_seed) in [None, Some(&seed)].into_iter().enumerate() {
+                        let before = bench.circuit().effort();
+                        let solve_before = bench.solve_effort();
+                        let verdict =
+                            golden_route(&bench, z, attempt, case_seed).expect("case evaluates");
+                        let after = bench.circuit().effort();
+                        let solve = bench.solve_effort().delta(&solve_before);
+                        let delta = [
+                            after.newton_iters - before.newton_iters,
+                            after.curve_solves - before.curve_solves,
+                            after.seeded_curves - before.seeded_curves,
+                            after.coarse_accepts - before.coarse_accepts,
+                            after.escalations - before.escalations,
+                        ];
+                        assert_eq!(
+                            [
+                                solve.newton_iters,
+                                solve.factorisations,
+                                solve.warm_start_seeds
+                            ],
+                            [delta[0], delta[1], delta[2]],
+                            "solve_effort disagrees with the circuit ledger"
+                        );
+                        got[ci] = (verdict, delta);
+                    }
+                    assert_eq!(
+                        (got[0], got[1]),
+                        GOLDEN[(si * 8 + pi) * 4 + attempt],
+                        "{s} point {pi} attempt {attempt}"
+                    );
+                }
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! [`SweepOptions::keep_going`] a point that fails estimation no longer
 //! aborts the sweep — the failure is reported per point instead.
 
-use crate::bench::{LinearBench, SramReadBench, Testbench};
+use crate::bench::{LinearBench, Testbench};
 use crate::ecripse::{run_in_pool, Ecripse, EcripseConfig, EstimateError};
 use crate::initial::InitialParticles;
 use crate::observe::{
@@ -24,6 +24,7 @@ use crate::observe::{
     StageTiming,
 };
 use crate::rtn_source::SramRtn;
+use crate::scenario::SramScenarioBench;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -130,12 +131,6 @@ pub trait SweepBench: Testbench + Clone + Send + Sync {
     fn at_alpha(&self, alpha: f64) -> Self {
         let _ = alpha;
         self.clone()
-    }
-}
-
-impl SweepBench for SramReadBench {
-    fn sigmas(&self) -> [f64; 6] {
-        SramReadBench::sigmas(self)
     }
 }
 
@@ -391,7 +386,7 @@ impl ResumableSweep {
 /// The sweep driver, generic over the bench so fault-injection wrappers
 /// and synthetic vehicles can be swept exactly like the paper cell.
 #[derive(Debug, Clone)]
-pub struct DutySweep<B: SweepBench = SramReadBench> {
+pub struct DutySweep<B: SweepBench = SramScenarioBench> {
     config: EcripseConfig,
     bench: B,
     alphas: Vec<f64>,
@@ -1094,10 +1089,14 @@ pub fn merge_sweep_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn paper_grid_has_eleven_points() {
-        let s = DutySweep::paper_grid(EcripseConfig::default(), SramReadBench::paper_cell());
+        let s = DutySweep::paper_grid(
+            EcripseConfig::default(),
+            SramScenarioBench::paper_cell(Scenario::ReadSnm),
+        );
         assert_eq!(s.alphas().len(), 11);
         assert_eq!(s.alphas()[0], 0.0);
         assert_eq!(s.alphas()[10], 1.0);
@@ -1108,7 +1107,7 @@ mod tests {
     fn rejects_out_of_range_alpha() {
         let _ = DutySweep::new(
             EcripseConfig::default(),
-            SramReadBench::paper_cell(),
+            SramScenarioBench::paper_cell(Scenario::ReadSnm),
             vec![0.5, 1.5],
         );
     }
@@ -1118,7 +1117,7 @@ mod tests {
     fn rejects_empty_sweep() {
         let _ = DutySweep::new(
             EcripseConfig::default(),
-            SramReadBench::paper_cell(),
+            SramScenarioBench::paper_cell(Scenario::ReadSnm),
             vec![],
         );
     }

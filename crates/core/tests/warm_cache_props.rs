@@ -5,14 +5,14 @@
 //! by the exact tier.
 
 use ecripse_core::bench::Testbench;
-use ecripse_core::{SramReadBench, WarmBench, WarmCacheConfig};
+use ecripse_core::{Scenario, SramScenarioBench, WarmBench, WarmCacheConfig};
 use ecripse_spice::testbench::BenchConfig;
 use proptest::prelude::*;
 
-fn fixed_bench() -> SramReadBench {
+fn fixed_bench() -> SramScenarioBench {
     let mut config = BenchConfig::default();
     config.adaptive.enabled = false;
-    SramReadBench::with_config(config)
+    SramScenarioBench::with_config(Scenario::ReadSnm, config)
 }
 
 proptest! {
@@ -28,7 +28,7 @@ proptest! {
         delta in proptest::collection::vec(-0.3..0.3_f64, 6..7),
         scale in 0.5..1.6_f64,
     ) {
-        let inner = SramReadBench::paper_cell();
+        let inner = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         let warm = WarmBench::new(&inner, WarmCacheConfig::default());
         let fixed = fixed_bench();
         let first: Vec<f64> = base.iter().map(|b| b * scale).collect();
@@ -52,7 +52,7 @@ proptest! {
     fn warm_batches_match_fixed_elementwise(
         points in proptest::collection::vec(proptest::collection::vec(-4.0..4.0_f64, 6..7), 2..6),
     ) {
-        let inner = SramReadBench::paper_cell();
+        let inner = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         let warm = WarmBench::new(&inner, WarmCacheConfig::default());
         let fixed = fixed_bench();
         let zs: Vec<Vec<f64>> = points;

@@ -26,23 +26,29 @@
 //!   root-finding over the variability space is well posed.
 //! * [`testbench`] — [`testbench::ReadStabilityBench`], the "transistor-
 //!   level simulation" the rest of the workspace counts and accelerates:
-//!   per-device ΔVth in, a cell margin (and pass/fail) out. Four
-//!   indicators share the machinery: read stability (the paper's),
-//!   hold/retention stability, write margin, and the power-up preference
-//!   of a skew-designed PUF bit.
+//!   per-device ΔVth in, a signed cell margin (and pass/fail) out. A
+//!   [`testbench::Scenario`] selects one of four indicators that share
+//!   the machinery, each one row of the bench's indicator table: read
+//!   stability (the paper's), hold/retention stability, write margin,
+//!   and the power-up preference of a skew-designed PUF bit.
 //!
 //! # Example
 //!
 //! ```
-//! use ecripse_spice::testbench::ReadStabilityBench;
+//! use ecripse_spice::testbench::{ReadStabilityBench, Scenario};
 //!
 //! let bench = ReadStabilityBench::paper_cell();
 //! // Nominal cell: healthy read margin.
-//! let nominal = bench.read_noise_margin(&[0.0; 6]);
+//! let nominal = bench.margin(Scenario::ReadSnm, &[0.0; 6]);
 //! assert!(nominal > 0.0);
-//! // A heavily imbalanced cell fails the read.
-//! let skewed = bench.read_noise_margin(&[0.25, -0.25, -0.25, 0.25, 0.0, 0.0]);
+//! // A heavily imbalanced cell loses margin.
+//! let skewed = bench.margin(Scenario::ReadSnm, &[0.25, -0.25, -0.25, 0.25, 0.0, 0.0]);
 //! assert!(skewed < nominal);
+//! // The indicator I(x) over whitened coordinates: attempt 0, no seed.
+//! let (fails, _) = bench
+//!     .try_fails_whitened(Scenario::ReadSnm, &[0.0; 6], 0, None)
+//!     .expect("the nominal cell evaluates");
+//! assert!(!fails);
 //! ```
 
 #![deny(missing_docs)]
@@ -64,4 +70,4 @@ pub use model::{Mosfet, MosfetKind, MosfetParams};
 pub use ptm::{paper_geometry, ptm16_hp_nmos, ptm16_hp_pmos, DeviceGeometry, DeviceRole};
 pub use snm::{read_noise_margin, try_read_noise_margin, SnmReport};
 pub use sram::Sram6T;
-pub use testbench::ReadStabilityBench;
+pub use testbench::{ReadStabilityBench, Scenario};

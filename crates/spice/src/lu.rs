@@ -57,22 +57,6 @@ impl DenseMatrix {
         self.data.fill(0.0);
     }
 
-    /// Row-major data slice (length `dim() * dim()`).
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Copies another matrix's contents into this one without
-    /// reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn copy_from(&mut self, other: &DenseMatrix) {
-        assert_eq!(self.n, other.n, "copy_from dimension mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics
@@ -118,58 +102,8 @@ impl LuFactors {
     /// in magnitude is encountered.
     pub fn factor(a: DenseMatrix) -> Result<Self, SingularMatrixError> {
         let n = a.n;
-        let mut out = Self {
-            n,
-            lu: a.data,
-            perm: (0..n).collect(),
-        };
-        out.factor_in_place()?;
-        Ok(out)
-    }
-
-    /// Creates an *unfactored* placeholder of dimension `n`, holding the
-    /// identity. Useful as a reusable scratch slot for
-    /// [`Self::refactor`].
-    pub fn placeholder(n: usize) -> Self {
-        let mut lu = vec![0.0; n * n];
-        for i in 0..n {
-            lu[i * n + i] = 1.0;
-        }
-        Self {
-            n,
-            lu,
-            perm: (0..n).collect(),
-        }
-    }
-
-    /// Re-factorises `a` into this object, reusing the existing `lu` and
-    /// `perm` allocations — the allocation-free path for solvers that
-    /// factorise once per Newton iteration.
-    ///
-    /// On error the factors are left in an unspecified state and must be
-    /// refilled by a successful `refactor` before the next `solve`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.dim()` does not match this factorisation's dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] under the same conditions as
-    /// [`Self::factor`].
-    pub fn refactor(&mut self, a: &DenseMatrix) -> Result<(), SingularMatrixError> {
-        assert_eq!(a.n, self.n, "refactor dimension mismatch");
-        self.lu.copy_from_slice(&a.data);
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.factor_in_place()
-    }
-
-    fn factor_in_place(&mut self) -> Result<(), SingularMatrixError> {
-        let n = self.n;
-        let lu = &mut self.lu;
-        let perm = &mut self.perm;
+        let mut lu = a.data;
+        let mut perm: Vec<usize> = (0..n).collect();
         for col in 0..n {
             // Partial pivot.
             let mut pivot_row = col;
@@ -199,7 +133,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(())
+        Ok(Self { n, lu, perm })
     }
 
     /// Solves `A·x = b`.
@@ -208,26 +142,10 @@ impl LuFactors {
     ///
     /// Panics if `b.len()` does not match the matrix dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x);
-        x
-    }
-
-    /// Solves `A·x = b` into a caller-provided buffer — the
-    /// allocation-free path for hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or `x.len()` does not match the matrix
-    /// dimension.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
-        assert_eq!(x.len(), self.n, "solution dimension mismatch");
         let n = self.n;
         // Apply permutation.
-        for (xi, &p) in x.iter_mut().zip(&self.perm) {
-            *xi = b[p];
-        }
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
         // Forward substitution with unit-diagonal L.
         for i in 1..n {
             for k in 0..i {
@@ -241,6 +159,7 @@ impl LuFactors {
             }
             x[i] /= self.lu[i * n + i];
         }
+        x
     }
 }
 
@@ -290,45 +209,6 @@ mod tests {
     fn singular_matrix_is_reported() {
         let a = DenseMatrix::from_rows(2, vec![1.0, 2.0, 2.0, 4.0]);
         assert_eq!(solve_dense(a, &[1.0, 2.0]), Err(SingularMatrixError));
-    }
-
-    #[test]
-    fn refactor_reuses_buffers_and_matches_factor() {
-        let a = DenseMatrix::from_rows(2, vec![2.0, 1.0, 1.0, 3.0]);
-        let b = DenseMatrix::from_rows(2, vec![0.0, 1.0, 1.0, 0.0]);
-        let fresh = LuFactors::factor(b.clone()).expect("regular");
-        let mut reused = LuFactors::factor(a).expect("regular");
-        reused.refactor(&b).expect("regular");
-        assert_eq!(fresh.solve(&[2.0, 3.0]), reused.solve(&[2.0, 3.0]));
-    }
-
-    #[test]
-    fn refactor_reports_singularity_like_factor() {
-        let singular = DenseMatrix::from_rows(2, vec![1.0, 2.0, 2.0, 4.0]);
-        let mut f = LuFactors::factor(DenseMatrix::from_rows(2, vec![1.0, 0.0, 0.0, 1.0])).unwrap();
-        assert_eq!(f.refactor(&singular), Err(SingularMatrixError));
-    }
-
-    #[test]
-    fn placeholder_solves_as_identity_after_refactor() {
-        let mut f = LuFactors::placeholder(3);
-        let mut a = DenseMatrix::zeros(3);
-        for i in 0..3 {
-            a.set(i, i, 2.0);
-        }
-        f.refactor(&a).expect("regular");
-        let mut x = vec![0.0; 3];
-        f.solve_into(&[2.0, 4.0, 6.0], &mut x);
-        assert_eq!(x, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn solve_into_matches_solve() {
-        let a = DenseMatrix::from_rows(2, vec![2.0, 1.0, 1.0, 3.0]);
-        let f = LuFactors::factor(a).expect("regular");
-        let mut x = vec![0.0; 2];
-        f.solve_into(&[3.0, 5.0], &mut x);
-        assert_eq!(x, f.solve(&[3.0, 5.0]));
     }
 
     #[test]

@@ -17,124 +17,6 @@
 
 use crate::lu::{DenseMatrix, LuFactors};
 use crate::netlist::Netlist;
-use serde::{Deserialize, Serialize};
-
-/// Work counters accumulated by the DC solver.
-///
-/// Every Newton step and every LU factorisation is counted; the gap
-/// between the two is the amortisation win of chord iterations that
-/// reuse an earlier sample's factors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SolveStats {
-    /// Damped Newton steps taken (all stepping phases).
-    pub newton_iterations: u64,
-    /// Fresh LU factorisations performed.
-    pub factorisations: u64,
-    /// Newton steps that reused a previous sample's LU factors.
-    pub jacobian_reuses: u64,
-    /// Batch samples seeded from the previous sample's solution.
-    pub warm_starts: u64,
-}
-
-impl SolveStats {
-    /// Accumulates another counter set into this one.
-    pub fn add(&mut self, other: &SolveStats) {
-        self.newton_iterations += other.newton_iterations;
-        self.factorisations += other.factorisations;
-        self.jacobian_reuses += other.jacobian_reuses;
-        self.warm_starts += other.warm_starts;
-    }
-}
-
-/// Reusable scratch state for repeated DC solves: the Jacobian, residual
-/// and step buffers plus the LU factor slot are allocated once and
-/// recycled, so the Newton loop performs no per-iteration allocation.
-#[derive(Debug, Clone)]
-pub struct SolverScratch {
-    jac: DenseMatrix,
-    prev_jac: DenseMatrix,
-    residual: Vec<f64>,
-    neg: Vec<f64>,
-    delta: Vec<f64>,
-    lu: LuFactors,
-    lu_valid: bool,
-    /// Work counters, accumulated across every solve through this
-    /// scratch. Callers reset by replacing with `Default::default()`.
-    pub stats: SolveStats,
-}
-
-impl SolverScratch {
-    /// Creates scratch buffers for systems of dimension `n`.
-    pub fn new(n: usize) -> Self {
-        Self {
-            jac: DenseMatrix::zeros(n),
-            prev_jac: DenseMatrix::zeros(n),
-            residual: vec![0.0; n],
-            neg: vec![0.0; n],
-            delta: vec![0.0; n],
-            lu: LuFactors::placeholder(n),
-            lu_valid: false,
-            stats: SolveStats::default(),
-        }
-    }
-
-    /// Buffer dimension.
-    pub fn dim(&self) -> usize {
-        self.residual.len()
-    }
-}
-
-/// Chord-iteration policy for batch solves (internal).
-#[derive(Debug, Clone, Copy)]
-struct ChordPolicy {
-    /// Newton steps allowed to reuse the previous LU factors.
-    budget: usize,
-    /// Maximum relative Jacobian drift for reuse to engage at all.
-    drift_threshold: f64,
-}
-
-/// Knobs of [`Solver::solve_dc_batch`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchOptions {
-    /// Seed each sample's Newton iteration from the previous sample's
-    /// converged state instead of the caller-supplied initial state.
-    pub warm_start: bool,
-    /// Reuse the previous sample's LU factors as a chord-Newton
-    /// preconditioner while the Jacobian drift stays below
-    /// `drift_threshold` and the residual keeps contracting.
-    pub reuse_lu: bool,
-    /// Maximum relative (max-norm) Jacobian drift between consecutive
-    /// samples for LU reuse to engage.
-    pub drift_threshold: f64,
-    /// Maximum chord steps before a fresh factorisation is forced.
-    pub chord_budget: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        Self {
-            warm_start: true,
-            reuse_lu: true,
-            drift_threshold: 0.05,
-            chord_budget: 8,
-        }
-    }
-}
-
-/// Result of a batch solve: per-sample outcomes plus one contiguous
-/// structure-of-arrays state block.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Per-sample operating points, in input order.
-    pub ops: Vec<Result<OperatingPoint, SolveError>>,
-    /// Converged raw states, sample-major: sample `i` occupies
-    /// `states[i*system_size .. (i+1)*system_size]` (zeros on failure).
-    pub states: Vec<f64>,
-    /// Unknowns per sample.
-    pub system_size: usize,
-    /// Work counters summed over the whole batch.
-    pub stats: SolveStats,
-}
 
 /// Convergence and stepping knobs for the DC solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,28 +116,6 @@ impl Solver {
         netlist: &Netlist,
         initial_voltages: Option<&[f64]>,
     ) -> Result<OperatingPoint, SolveError> {
-        let mut ws = SolverScratch::new(netlist.system_size());
-        self.solve_dc_with(netlist, initial_voltages, &mut ws)
-    }
-
-    /// Like [`Self::solve_dc`], but reusing caller-owned scratch buffers
-    /// so repeated solves allocate nothing per call; work counters
-    /// accumulate in `ws.stats`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ws.dim() != netlist.system_size()` or on an
-    /// `initial_voltages` length mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] if no convergence strategy succeeds.
-    pub fn solve_dc_with(
-        &self,
-        netlist: &Netlist,
-        initial_voltages: Option<&[f64]>,
-        ws: &mut SolverScratch,
-    ) -> Result<OperatingPoint, SolveError> {
         let n = netlist.system_size();
         let nodes = netlist.node_count();
         let mut seed = vec![0.0; n];
@@ -264,94 +124,8 @@ impl Solver {
             seed[..nodes - 1].copy_from_slice(&init[1..]);
         }
         let mut state = vec![0.0; n];
-        let iterations = self.ladder(netlist, &seed, &mut state, ws, None)?;
+        let iterations = self.ladder(netlist, &seed, &mut state)?;
         Ok(self.finish(netlist, &state, iterations))
-    }
-
-    /// Solves a family of same-topology netlists (e.g. one cell under
-    /// many ΔVth perturbations) with one scratch pool and a shared
-    /// stepping schedule. Per-sample state lives in one contiguous
-    /// structure-of-arrays block; consecutive samples optionally warm
-    /// start from the previous solution and reuse its LU factors as a
-    /// chord-Newton preconditioner while the Jacobian drift stays below
-    /// `opts.drift_threshold`.
-    ///
-    /// Failures are per-sample: a diverging sample falls back to the
-    /// usual g-min / source-stepping ladder (cold-started, so results do
-    /// not depend on its neighbours' convergence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlists disagree on `system_size`/`node_count`, or
-    /// on an `initial_voltages` length mismatch.
-    pub fn solve_dc_batch(
-        &self,
-        netlists: &[Netlist],
-        initial_voltages: Option<&[f64]>,
-        opts: &BatchOptions,
-    ) -> BatchResult {
-        let Some(first) = netlists.first() else {
-            return BatchResult {
-                ops: Vec::new(),
-                states: Vec::new(),
-                system_size: 0,
-                stats: SolveStats::default(),
-            };
-        };
-        let n = first.system_size();
-        let nodes = first.node_count();
-        for nl in netlists {
-            assert_eq!(nl.system_size(), n, "batch netlists must share topology");
-            assert_eq!(nl.node_count(), nodes, "batch netlists must share topology");
-        }
-        let mut cold_seed = vec![0.0; n];
-        if let Some(init) = initial_voltages {
-            assert_eq!(init.len(), nodes, "initial voltage vector length mismatch");
-            cold_seed[..nodes - 1].copy_from_slice(&init[1..]);
-        }
-
-        let mut ws = SolverScratch::new(n);
-        let mut states = vec![0.0; n * netlists.len()];
-        let mut ops = Vec::with_capacity(netlists.len());
-        let mut seed_buf = cold_seed.clone();
-        let mut prev_ok = false;
-        for (i, nl) in netlists.iter().enumerate() {
-            if opts.warm_start && prev_ok {
-                seed_buf.copy_from_slice(&states[(i - 1) * n..i * n]);
-                ws.stats.warm_starts += 1;
-            } else {
-                seed_buf.copy_from_slice(&cold_seed);
-            }
-            let chord = if opts.reuse_lu && prev_ok {
-                Some(ChordPolicy {
-                    budget: opts.chord_budget,
-                    drift_threshold: opts.drift_threshold,
-                })
-            } else {
-                None
-            };
-            let out = &mut states[i * n..(i + 1) * n];
-            match self.ladder(nl, &seed_buf, out, &mut ws, chord) {
-                Ok(iters) => {
-                    ops.push(Ok(self.finish(nl, out, iters)));
-                    // Remember the converged-point Jacobian so the next
-                    // sample can gauge drift before reusing the factors.
-                    ws.prev_jac.copy_from(&ws.jac);
-                    prev_ok = true;
-                }
-                Err(e) => {
-                    ops.push(Err(e));
-                    out.fill(0.0);
-                    prev_ok = false;
-                }
-            }
-        }
-        BatchResult {
-            ops,
-            states,
-            system_size: n,
-            stats: ws.stats,
-        }
     }
 
     /// The full convergence ladder (plain Newton → g-min stepping →
@@ -361,22 +135,13 @@ impl Solver {
         netlist: &Netlist,
         seed: &[f64],
         out: &mut [f64],
-        ws: &mut SolverScratch,
-        chord: Option<ChordPolicy>,
     ) -> Result<usize, SolveError> {
-        let mut iterations = 0usize;
-
-        // Phase 1: plain Newton (the only phase where chord reuse makes
-        // sense — the fallback ladders re-shape the system).
+        // Phase 1: plain Newton.
         out.copy_from_slice(seed);
-        match self.newton(netlist, out, self.options.gmin, 1.0, ws, chord) {
-            Ok(iters) => {
-                iterations += iters;
-                return Ok(iterations);
-            }
-            Err(SolveError::SingularJacobian) => {}
-            Err(SolveError::NoConvergence { .. }) => {}
+        if let Ok(iters) = self.newton(netlist, out, self.options.gmin, 1.0) {
+            return Ok(iters);
         }
+        let mut iterations = 0usize;
 
         // Phase 2: g-min stepping from 1e-2 S down to the target.
         out.copy_from_slice(seed);
@@ -386,7 +151,7 @@ impl Solver {
         let ratio = (self.options.gmin / start_g).powf(1.0 / steps as f64);
         let mut g = start_g;
         for _ in 0..=steps {
-            match self.newton(netlist, out, g.max(self.options.gmin), 1.0, ws, None) {
+            match self.newton(netlist, out, g.max(self.options.gmin), 1.0) {
                 Ok(iters) => iterations += iters,
                 Err(_) => {
                     ok = false;
@@ -397,7 +162,7 @@ impl Solver {
         }
         if ok {
             // Final polish at the target g-min.
-            if let Ok(iters) = self.newton(netlist, out, self.options.gmin, 1.0, ws, None) {
+            if let Ok(iters) = self.newton(netlist, out, self.options.gmin, 1.0) {
                 iterations += iters;
                 return Ok(iterations);
             }
@@ -409,7 +174,7 @@ impl Solver {
         let mut best_residual = f64::INFINITY;
         for k in 1..=steps {
             let scale = k as f64 / steps as f64;
-            match self.newton(netlist, out, self.options.gmin, scale, ws, None) {
+            match self.newton(netlist, out, self.options.gmin, scale) {
                 Ok(iters) => iterations += iters,
                 Err(SolveError::NoConvergence { best_residual: r }) => {
                     best_residual = best_residual.min(r);
@@ -421,63 +186,29 @@ impl Solver {
         Ok(iterations)
     }
 
-    /// Runs damped Newton at fixed `gmin`/`src_scale` in caller scratch;
-    /// on success the state holds the solution and the iteration count is
-    /// returned. With a `chord` policy the first steps reuse the factors
-    /// left in the scratch from the previous sample, provided the
-    /// Jacobian drift is below the policy threshold and each chord step
-    /// keeps contracting the residual.
+    /// Runs damped Newton at fixed `gmin`/`src_scale`; on success the
+    /// state holds the solution and the iteration count is returned.
     fn newton(
         &self,
         netlist: &Netlist,
         state: &mut [f64],
         gmin: f64,
         src_scale: f64,
-        ws: &mut SolverScratch,
-        chord: Option<ChordPolicy>,
     ) -> Result<usize, SolveError> {
-        let SolverScratch {
-            jac,
-            prev_jac,
-            residual,
-            neg,
-            delta,
-            lu,
-            lu_valid,
-            stats,
-        } = ws;
-        let mut budget = 0usize;
+        let mut jac = DenseMatrix::zeros(state.len());
+        let mut residual = vec![0.0; state.len()];
         let mut best = f64::INFINITY;
-        let mut prev_norm = f64::INFINITY;
         for iter in 0..self.options.max_iterations {
-            netlist.assemble(state, gmin, src_scale, jac, residual);
+            netlist.assemble(state, gmin, src_scale, &mut jac, &mut residual);
             let norm = residual.iter().fold(0.0_f64, |acc, r| acc.max(r.abs()));
             best = best.min(norm);
             if norm < self.options.tolerance {
                 return Ok(iter);
             }
-            if iter == 0 {
-                if let Some(policy) = chord {
-                    if *lu_valid && relative_drift(jac, prev_jac) <= policy.drift_threshold {
-                        budget = policy.budget;
-                    }
-                }
-            }
-            // Chord step: keep the old factors while they still shrink
-            // the residual; refactor the moment progress stalls.
-            if iter < budget && *lu_valid && norm < prev_norm {
-                stats.jacobian_reuses += 1;
-            } else {
-                *lu_valid = false;
-                lu.refactor(jac).map_err(|_| SolveError::SingularJacobian)?;
-                *lu_valid = true;
-                stats.factorisations += 1;
-            }
-            stats.newton_iterations += 1;
-            for (nj, r) in neg.iter_mut().zip(residual.iter()) {
-                *nj = -r;
-            }
-            lu.solve_into(neg, delta);
+            let neg: Vec<f64> = residual.iter().map(|r| -r).collect();
+            let delta = LuFactors::factor(jac.clone())
+                .map_err(|_| SolveError::SingularJacobian)?
+                .solve(&neg);
             // Damping: clamp the largest voltage move.
             let max_move = delta.iter().fold(0.0_f64, |acc, d| acc.max(d.abs()));
             let scale = if max_move > self.options.max_step {
@@ -488,7 +219,6 @@ impl Solver {
             for (s, d) in state.iter_mut().zip(delta.iter()) {
                 *s += scale * d;
             }
-            prev_norm = norm;
         }
         Err(SolveError::NoConvergence {
             best_residual: best,
@@ -506,20 +236,6 @@ impl Solver {
             iterations,
         }
     }
-}
-
-/// Relative max-norm drift between two same-dimension matrices.
-fn relative_drift(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
-    let scale = b
-        .data()
-        .iter()
-        .fold(0.0_f64, |acc, v| acc.max(v.abs()))
-        .max(1e-300);
-    a.data()
-        .iter()
-        .zip(b.data())
-        .fold(0.0_f64, |acc, (x, y)| acc.max((x - y).abs()))
-        / scale
 }
 
 #[cfg(test)]
@@ -690,166 +406,6 @@ mod tests {
             q0 < 0.05 && qb0 > VDD_NOMINAL - 0.05,
             "state 0: q={q0} qb={qb0}"
         );
-    }
-
-    /// Cross-coupled inverter latch with a ΔVth skew on the right
-    /// driver — the batch-solver test family.
-    fn skewed_latch(delta_vth: f64) -> (Netlist, Vec<f64>) {
-        let mut nl = Netlist::new(VDD_NOMINAL);
-        let vdd = nl.add_node();
-        let q = nl.add_node();
-        let qb = nl.add_node();
-        nl.add(Element::VSource {
-            plus: vdd,
-            minus: 0,
-            volts: VDD_NOMINAL,
-        });
-        for (out, input, skew) in [(q, qb, 0.0), (qb, q, delta_vth)] {
-            nl.add(Element::Mosfet {
-                d: out,
-                g: input,
-                s: vdd,
-                device: paper_geometry(DeviceRole::Load).build(),
-            });
-            nl.add(Element::Mosfet {
-                d: out,
-                g: input,
-                s: 0,
-                device: paper_geometry(DeviceRole::Driver)
-                    .build()
-                    .with_delta_vth(skew),
-            });
-        }
-        let mut init = vec![0.0; nl.node_count()];
-        init[vdd] = VDD_NOMINAL;
-        init[q] = VDD_NOMINAL;
-        (nl, init)
-    }
-
-    #[test]
-    fn batch_matches_individual_solves() {
-        let family: Vec<(Netlist, Vec<f64>)> = (0..12)
-            .map(|k| skewed_latch(-0.06 + 0.01 * k as f64))
-            .collect();
-        let netlists: Vec<Netlist> = family.iter().map(|(nl, _)| nl.clone()).collect();
-        let init = family[0].1.clone();
-        let solver = Solver::new();
-        let batch = solver.solve_dc_batch(&netlists, Some(&init), &BatchOptions::default());
-        assert_eq!(batch.ops.len(), netlists.len());
-        for (nl, op) in netlists.iter().zip(&batch.ops) {
-            let single = solver.solve_dc(nl, Some(&init)).expect("latch solves");
-            let warm = op.as_ref().expect("batch sample solves");
-            for (a, b) in warm.node_voltages.iter().zip(&single.node_voltages) {
-                // Warm starts walk a different iteration path but land on
-                // the same operating point to within the residual
-                // tolerance.
-                assert!((a - b).abs() < 1e-8, "batch {a} vs single {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_soa_states_match_operating_points() {
-        let netlists: Vec<Netlist> = (0..4).map(|k| skewed_latch(0.01 * k as f64).0).collect();
-        let init = skewed_latch(0.0).1;
-        let batch = Solver::new().solve_dc_batch(&netlists, Some(&init), &BatchOptions::default());
-        let n = batch.system_size;
-        assert_eq!(batch.states.len(), n * netlists.len());
-        for (i, op) in batch.ops.iter().enumerate() {
-            let op = op.as_ref().expect("solves");
-            let state = &batch.states[i * n..(i + 1) * n];
-            let nodes = op.node_voltages.len();
-            assert_eq!(&state[..nodes - 1], &op.node_voltages[1..]);
-            assert_eq!(&state[nodes - 1..], op.branch_currents.as_slice());
-        }
-    }
-
-    /// VDD → R → diode-connected NMOS with a ΔVth shift: nonlinear,
-    /// single-solution, and genuinely iterative from a zero start.
-    fn skewed_diode(delta_vth: f64) -> Netlist {
-        let mut nl = Netlist::new(VDD_NOMINAL);
-        let vdd = nl.add_node();
-        let d = nl.add_node();
-        nl.add(Element::VSource {
-            plus: vdd,
-            minus: 0,
-            volts: VDD_NOMINAL,
-        });
-        nl.add(Element::Resistor {
-            a: vdd,
-            b: d,
-            ohms: 50e3,
-        });
-        nl.add(Element::Mosfet {
-            d,
-            g: d,
-            s: 0,
-            device: Mosfet::new(ptm16_hp_nmos(), 60e-9, 16e-9).with_delta_vth(delta_vth),
-        });
-        nl
-    }
-
-    #[test]
-    fn warm_start_and_lu_reuse_cut_work() {
-        let netlists: Vec<Netlist> = (0..24).map(|k| skewed_diode(0.002 * k as f64)).collect();
-        let solver = Solver::new();
-        let cold = solver.solve_dc_batch(
-            &netlists,
-            None,
-            &BatchOptions {
-                warm_start: false,
-                reuse_lu: false,
-                ..BatchOptions::default()
-            },
-        );
-        let warm = solver.solve_dc_batch(&netlists, None, &BatchOptions::default());
-        assert_eq!(warm.stats.warm_starts, netlists.len() as u64 - 1);
-        assert!(
-            warm.stats.newton_iterations < cold.stats.newton_iterations,
-            "warm {} vs cold {} iterations",
-            warm.stats.newton_iterations,
-            cold.stats.newton_iterations
-        );
-        assert!(
-            warm.stats.factorisations < cold.stats.factorisations,
-            "warm {} vs cold {} factorisations",
-            warm.stats.factorisations,
-            cold.stats.factorisations
-        );
-        assert!(warm.stats.jacobian_reuses > 0, "chord steps should engage");
-        // Both paths agree on the physics.
-        for (a, b) in warm.ops.iter().zip(&cold.ops) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            for (x, y) in a.node_voltages.iter().zip(&b.node_voltages) {
-                assert!((x - y).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_cold_solves() {
-        let (nl, init) = skewed_latch(0.03);
-        let solver = Solver::new();
-        let mut ws = SolverScratch::new(nl.system_size());
-        let a = solver
-            .solve_dc_with(&nl, Some(&init), &mut ws)
-            .expect("latch");
-        let b = solver
-            .solve_dc_with(&nl, Some(&init), &mut ws)
-            .expect("latch");
-        let cold = solver.solve_dc(&nl, Some(&init)).expect("latch");
-        assert_eq!(a, cold);
-        assert_eq!(b, cold);
-        assert!(ws.stats.newton_iterations > 0);
-        assert_eq!(ws.stats.factorisations, ws.stats.newton_iterations);
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let batch = Solver::new().solve_dc_batch(&[], None, &BatchOptions::default());
-        assert!(batch.ops.is_empty());
-        assert!(batch.states.is_empty());
-        assert_eq!(batch.stats, SolveStats::default());
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //!
 //! [`ReadStabilityBench`] maps a 6-component threshold-shift vector (one
 //! ΔVth per cell device, canonical order of
-//! [`crate::sram::CellDevice`]) to a cell margin. The historical — and
-//! default — margin is the read noise margin: a sample *fails* when it
-//! is negative, the indicator function `I(x)` of the paper (Sec. IV-A).
-//! The same machinery exposes three sibling indicators over the same
-//! variability space: hold (retention) stability, write margin, and the
-//! power-up preference margin of a skew-designed PUF bit.
+//! [`crate::sram::CellDevice`]) to a signed cell margin, negative when
+//! the cell fails: the indicator function `I(x)` of the paper (Sec.
+//! IV-A). A [`Scenario`] picks which margin: the paper's read noise
+//! margin, or one of three siblings over the same variability space —
+//! hold (retention) stability, write margin, and the power-up preference
+//! margin of a skew-designed PUF bit. Each scenario is one row of a
+//! table (bias, margin extraction, design skew); the bench has one
+//! indicator entry point, [`ReadStabilityBench::try_fails_whitened`],
+//! and one margin entry point, [`ReadStabilityBench::try_margin`].
 //!
 //! Everything upstream (particle filters, classifiers, estimators) counts
 //! invocations of this bench; it is deliberately the only expensive
@@ -138,10 +141,13 @@ impl SolveCounters {
 }
 
 /// A point-in-time copy of [`SolveCounters`].
+///
+/// Upstream, `ecripse_core`'s `SolveEffort` reports `newton_iters`
+/// under the same name and `curve_solves` as `factorisations`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EffortSnapshot {
-    /// Total Newton iterations (node-current evaluations) of the 1-D
-    /// transfer-curve solver.
+    /// Newton evaluations (node-current evaluations) of the 1-D
+    /// safeguarded-Newton transfer-curve solves.
     pub newton_iters: u64,
     /// Transfer-curve points solved — one per inner solver invocation.
     pub curve_solves: u64,
@@ -153,14 +159,214 @@ pub struct EffortSnapshot {
     pub escalations: u64,
 }
 
-/// Which scalar a butterfly's Seevinck report is collapsed to.
+/// A registered SRAM workload (indicator function) selectable per run.
+///
+/// Serialises as its stable kebab-case [`id`](Scenario::id) (the
+/// vendored serde derive has no `rename_all`, so the impls are manual);
+/// the default is the paper's [`Scenario::ReadSnm`]. Each scenario is one
+/// row of [`ReadStabilityBench`]'s indicator table: a bias, a margin
+/// extraction and a fixed design skew.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Scenario {
+    /// The paper's indicator: read-SNM failure under read bias.
+    #[default]
+    ReadSnm,
+    /// Retention failure of the unaccessed cell (word line low).
+    HoldSnm,
+    /// Write failure: the word-line write cannot destroy the old state.
+    WriteMargin,
+    /// Power-up PUF bit error: mismatch overcomes the design skew and
+    /// flips the preferred power-up state.
+    PowerupPuf,
+}
+
+impl Scenario {
+    /// Every registered scenario, in registry order.
+    pub const ALL: [Scenario; 4] = [
+        Scenario::ReadSnm,
+        Scenario::HoldSnm,
+        Scenario::WriteMargin,
+        Scenario::PowerupPuf,
+    ];
+
+    /// Stable kebab-case identifier (matches the serialised form, the
+    /// CLI `--scenario` flag and the wire-protocol field).
+    pub fn id(self) -> &'static str {
+        match self {
+            Scenario::ReadSnm => "read-snm",
+            Scenario::HoldSnm => "hold-snm",
+            Scenario::WriteMargin => "write-margin",
+            Scenario::PowerupPuf => "powerup-puf",
+        }
+    }
+
+    /// Indicator version. Bump when a scenario's *semantics* change
+    /// (bias, margin extraction, skew constants) so fingerprinted caches
+    /// discard verdicts computed under the old meaning.
+    pub fn version(self) -> u32 {
+        match self {
+            Scenario::ReadSnm => 1,
+            Scenario::HoldSnm => 1,
+            Scenario::WriteMargin => 1,
+            Scenario::PowerupPuf => 1,
+        }
+    }
+
+    /// One-line human description.
+    pub fn summary(self) -> &'static str {
+        match self {
+            Scenario::ReadSnm => "read-SNM failure under read bias (the paper's indicator)",
+            Scenario::HoldSnm => "retention failure of the unaccessed cell",
+            Scenario::WriteMargin => "write failure: the old state survives a word-line write",
+            Scenario::PowerupPuf => "power-up PUF bit error against the design skew",
+        }
+    }
+
+    /// Parses a scenario id.
+    pub fn from_id(id: &str) -> Option<Self> {
+        Scenario::ALL.into_iter().find(|s| s.id() == id)
+    }
+
+    /// Outer boundary-search radius (in sigma units) that reliably
+    /// brackets this scenario's failure shell at the paper's nominal
+    /// supply. The default `InitialSearchConfig::r_max` of 8 suits the
+    /// read indicator (first failures near 5.5 sigma along the worst
+    /// direction); retention failures only appear near 15 sigma and
+    /// write failures near 7, so their runs need a wider bracket. The
+    /// CLI applies this automatically (`max` with the configured
+    /// radius); library callers should do the same when they build an
+    /// `EcripseConfig` by hand.
+    pub fn recommended_r_max(self) -> f64 {
+        match self {
+            Scenario::ReadSnm => 8.0,
+            Scenario::HoldSnm => 18.0,
+            Scenario::WriteMargin => 10.0,
+            Scenario::PowerupPuf => 8.0,
+        }
+    }
+
+    /// A 64-bit salt derived from id and version, folded into
+    /// operating-point cache tags so verdicts from different scenarios
+    /// (or different versions of one) can never collide.
+    pub fn tag_salt(self) -> u64 {
+        let mut h = fnv1a(FNV_OFFSET, self.id().as_bytes());
+        h = fnv1a(h, &self.version().to_le_bytes());
+        h
+    }
+
+    /// The scenario's row of the indicator table.
+    fn indicator(self) -> Indicator {
+        const NO_SKEW: [f64; DIM] = [0.0; DIM];
+        let (bias, margin, skew): (fn(&Sram6T) -> BiasCondition, _, _) = match self {
+            Scenario::ReadSnm => (Sram6T::read_bias, MarginKind::Worst, NO_SKEW),
+            Scenario::HoldSnm => (Sram6T::hold_bias, MarginKind::Worst, NO_SKEW),
+            Scenario::WriteMargin => (Sram6T::write0_bias, MarginKind::NegatedWorst, NO_SKEW),
+            Scenario::PowerupPuf => (Sram6T::hold_bias, MarginKind::Preference, POWERUP_SKEW),
+        };
+        Indicator { bias, margin, skew }
+    }
+}
+
+impl std::fmt::Display for Scenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.id())
+    }
+}
+
+impl std::str::FromStr for Scenario {
+    type Err = UnknownScenario;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Scenario::from_id(s).ok_or_else(|| UnknownScenario { id: s.to_owned() })
+    }
+}
+
+/// Error for an id that names no registered scenario.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownScenario {
+    /// The unrecognised id.
+    pub id: String,
+}
+
+impl std::fmt::Display for UnknownScenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown scenario {:?} (registered: ", self.id)?;
+        for (i, s) in Scenario::ALL.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            f.write_str(s.id())?;
+        }
+        f.write_str(")")
+    }
+}
+
+impl std::error::Error for UnknownScenario {}
+
+impl Serialize for Scenario {
+    fn to_value(&self) -> serde::json::Value {
+        serde::json::Value::String(self.id().to_owned())
+    }
+}
+
+impl Deserialize for Scenario {
+    fn from_value(value: &serde::json::Value) -> Option<Self> {
+        Scenario::from_id(value.as_str()?)
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// A hex digest over every registered (id, version) pair — the
+/// coarse-grained registry fingerprint scoped into persisted verdict
+/// snapshots: any registry change (new scenario, version bump) retires
+/// every snapshot written under the old registry.
+pub fn registry_digest() -> String {
+    let mut h = FNV_OFFSET;
+    for s in Scenario::ALL {
+        h = fnv1a(h, s.id().as_bytes());
+        h = fnv1a(h, &s.version().to_le_bytes());
+    }
+    format!("{h:016x}")
+}
+
+/// The fixed design skew \[V\] of the power-up PUF cell: the left driver
+/// (NL) is strengthened by 40 mV of threshold magnitude, so a
+/// mismatch-free cell powers up into `Q = 0` with a comfortable
+/// preference margin. A PUF *bit error* is a mismatch draw strong enough
+/// to overcome the skew and flip the preferred state.
+const POWERUP_SKEW: [f64; DIM] = {
+    let mut s = [0.0; DIM];
+    s[CellDevice::DriverL as usize] = -0.04;
+    s
+};
+
+/// Highest grid-escalation exponent of the retry ladder: attempt `k > 0`
+/// evaluates on `grid_points << min(k, 2)` butterfly points (4× max).
+const MAX_GRID_ESCALATION: usize = 2;
+
+/// Which signed scalar a butterfly's Seevinck report is collapsed to;
+/// negative always means the cell fails.
 ///
 /// `Worst` is the classical noise margin (smaller lobe, signed);
-/// `Preference` is the *lobe asymmetry* `snm_low − snm_high`, the
-/// quantity that decides which state a skewed cell prefers on power-up.
+/// `NegatedWorst` is the write margin — under write bias a healthy cell
+/// is monostable, so a surviving eye (positive Seevinck margin) is the
+/// failure; `Preference` is the *lobe asymmetry* `snm_low − snm_high`,
+/// the quantity that decides which state a skewed cell prefers on
+/// power-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MarginKind {
     Worst,
+    NegatedWorst,
     Preference,
 }
 
@@ -168,6 +374,7 @@ impl MarginKind {
     fn extract(self, report: &SnmReport) -> f64 {
         match self {
             MarginKind::Worst => report.rnm,
+            MarginKind::NegatedWorst => -report.rnm,
             MarginKind::Preference => report.snm_low - report.snm_high,
         }
     }
@@ -177,13 +384,23 @@ impl MarginKind {
     /// up to twice the per-lobe drift — the band doubles accordingly.
     fn decisive_threshold(self, base: f64) -> f64 {
         match self {
-            MarginKind::Worst => base,
+            MarginKind::Worst | MarginKind::NegatedWorst => base,
             MarginKind::Preference => 2.0 * base,
         }
     }
 }
 
-/// The read-stability testbench.
+/// One row of the indicator table (see [`Scenario::indicator`]).
+struct Indicator {
+    /// The bias the cell is evaluated under.
+    bias: fn(&Sram6T) -> BiasCondition,
+    /// How the butterfly's report becomes a signed margin.
+    margin: MarginKind,
+    /// Fixed per-device skew \[V\] added to the sample's physical shifts.
+    skew: [f64; DIM],
+}
+
+/// The SRAM cell testbench: one circuit, one indicator per [`Scenario`].
 #[derive(Debug, Clone)]
 pub struct ReadStabilityBench {
     cell: Sram6T,
@@ -283,28 +500,22 @@ impl ReadStabilityBench {
         Ok(())
     }
 
-    /// Shared fallible margin extraction under an arbitrary bias, at an
-    /// arbitrary butterfly resolution. The grid override is the
-    /// escalation knob of the bench-level retry ladder: a marginal
-    /// operating point that defeats the default resolution often yields
-    /// to a finer sweep (on top of the g-min / source-stepping ladder
-    /// the DC solver already runs internally).
-    fn try_margin_at(
-        &self,
-        delta_vth: &[f64],
-        bias_of: impl Fn(&Sram6T) -> BiasCondition,
-        grid_points: usize,
-    ) -> Result<f64, EvalError> {
-        Self::check_input(delta_vth, "threshold shifts")?;
-        let cell = self.cell.with_delta_vth(delta_vth);
-        let bias = bias_of(&cell);
-        self.margin_kind_of(&cell, &bias, grid_points, MarginKind::Worst)
+    /// The skewed cell of one sample under one indicator row, with its
+    /// bias.
+    fn cell_under(&self, row: &Indicator, delta_vth: &[f64]) -> (Sram6T, BiasCondition) {
+        let mut dv = [0.0; DIM];
+        for i in 0..DIM {
+            dv[i] = delta_vth[i] + row.skew[i];
+        }
+        let cell = self.cell.with_delta_vth(&dv);
+        let bias = (row.bias)(&cell);
+        (cell, bias)
     }
 
-    /// Exact full-resolution margin of a concrete skewed cell under a
-    /// concrete bias — bit-identical to the historical fixed path, but
-    /// routed through the counted sampler so effort ledgers stay honest.
-    fn margin_kind_of(
+    /// Exact margin of a concrete skewed cell under a concrete bias at an
+    /// explicit butterfly resolution, routed through the counted sampler
+    /// so effort ledgers stay honest.
+    fn margin_of(
         &self,
         cell: &Sram6T,
         bias: &BiasCondition,
@@ -323,488 +534,101 @@ impl ReadStabilityBench {
         Ok(margin)
     }
 
-    /// Coarse-first, optionally neighbour-seeded indicator evaluation.
-    ///
-    /// The verdict contract: for every input on which both paths succeed,
-    /// the returned boolean equals the fixed-resolution path's verdict —
-    /// decisive coarse margins (beyond `margin_threshold`, chosen far
-    /// above the coarse-vs-fine margin drift) share the exact sign, and
-    /// indecisive ones re-evaluate through [`Self::margin_of`], which is
-    /// bit-identical to the non-adaptive evaluation.
-    fn indicator_seeded(
-        &self,
-        x: &[f64],
-        bias_of: impl Fn(&Sram6T) -> BiasCondition,
-        fails_when_positive: bool,
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.indicator_kind_seeded(
-            x,
-            bias_of,
-            MarginKind::Worst,
-            fails_when_positive,
-            None,
-            seed,
-        )
-    }
-
-    /// The fully general indicator: any bias, any margin kind, and an
-    /// optional fixed per-device skew \[V\] added on top of the sample's
-    /// physical threshold shifts (the PUF design skew). `skew: None`
-    /// leaves the physical vector bit-identical to the historical path.
-    fn indicator_kind_seeded(
-        &self,
-        x: &[f64],
-        bias_of: impl Fn(&Sram6T) -> BiasCondition,
-        kind: MarginKind,
-        fails_when_positive: bool,
-        skew: Option<&[f64; DIM]>,
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        Self::check_input(x, "whitened sample")?;
-        let mut dv = self.to_physical(x);
-        if let Some(s) = skew {
-            for i in 0..DIM {
-                dv[i] += s[i];
-            }
-        }
-        let cell = self.cell.with_delta_vth(&dv);
-        let bias = bias_of(&cell);
-        let verdict = |margin: f64| {
-            if fails_when_positive {
-                margin > 0.0
-            } else {
-                margin < 0.0
-            }
-        };
-        let adaptive = self.config.adaptive;
-        if adaptive.enabled {
-            let coarse = Butterfly::try_sample_seeded(
-                &cell,
-                &bias,
-                adaptive.coarse_points,
-                adaptive.coarse_resolution,
-                seed.filter(|_| adaptive.seed_band > 0.0),
-            );
-            if let Ok((coarse_bfly, effort)) = coarse {
-                self.counters.record(&effort);
-                if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
-                    let margin = kind.extract(&report);
-                    if margin.is_finite()
-                        && margin.abs() >= kind.decisive_threshold(adaptive.margin_threshold)
-                    {
-                        self.counters.note_accept();
-                        return Ok((verdict(margin), Some(coarse_bfly)));
-                    }
-                }
-                // Indecisive coarse margin: the exact path decides, but
-                // the coarse curves still seed neighbouring samples.
-                self.counters.note_escalation();
-                let margin = self.margin_kind_of(&cell, &bias, self.config.grid_points, kind)?;
-                return Ok((verdict(margin), Some(coarse_bfly)));
-            }
-            // The coarse pass failed outright; decide exactly, seedless.
-            self.counters.note_escalation();
-        }
-        let margin = self.margin_kind_of(&cell, &bias, self.config.grid_points, kind)?;
-        Ok((verdict(margin), None))
-    }
-
-    /// Whitened read-failure indicator with neighbour seeding: an
-    /// optional previously computed [`Butterfly`] from a nearby operating
-    /// point starts the coarse pass's transfer-curve solves, and the coarse
-    /// butterfly computed here is handed back for caching. Verdicts are
-    /// identical to [`Self::try_fails_whitened`]: decisive coarse
-    /// margins share the exact path's sign by construction, and
-    /// indecisive ones escalate to the bit-identical fixed-resolution
-    /// evaluation, which is never seeded.
+    /// Signed margin \[V\] of `scenario` for the cell with the given
+    /// per-device threshold shifts (volts, canonical order; the
+    /// scenario's design skew is added on top). Negative means the
+    /// cell fails: read and hold return the Seevinck noise margin, write
+    /// returns it negated (a surviving eye is a failed write), and
+    /// power-up returns the lobe asymmetry `snm_low − snm_high` of the
+    /// skewed PUF cell. Margins always use the full-resolution grid and
+    /// ignore the adaptive policy.
     ///
     /// # Errors
     ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_fails_whitened_seeded(
-        &self,
-        x: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.indicator_seeded(x, Sram6T::read_bias, false, seed)
+    /// See [`EvalError`].
+    pub fn try_margin(&self, scenario: Scenario, delta_vth: &[f64]) -> Result<f64, EvalError> {
+        Self::check_input(delta_vth, "threshold shifts")?;
+        let row = scenario.indicator();
+        let (cell, bias) = self.cell_under(&row, delta_vth);
+        self.margin_of(&cell, &bias, self.config.grid_points, row.margin)
     }
 
-    /// Whitened write-failure indicator with neighbour seeding (see
-    /// [`Self::try_fails_whitened_seeded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_write_fails_whitened_seeded(
-        &self,
-        x: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.indicator_seeded(x, Sram6T::write0_bias, true, seed)
-    }
-
-    /// Read noise margin \[V\] of the cell with the given per-device
-    /// threshold shifts (volts, canonical order). Negative = read failure.
+    /// Panicking [`Self::try_margin`].
     ///
     /// # Panics
     ///
     /// Panics on any [`EvalError`] (wrong dimension, non-finite input or
-    /// operating point); see [`Self::try_read_noise_margin`] for the
-    /// fallible variant.
-    pub fn read_noise_margin(&self, delta_vth: &[f64]) -> f64 {
-        match self.try_read_noise_margin(delta_vth) {
+    /// operating point).
+    pub fn margin(&self, scenario: Scenario, delta_vth: &[f64]) -> f64 {
+        match self.try_margin(scenario, delta_vth) {
             Ok(m) => m,
-            Err(e) => panic!("read-margin evaluation failed: {e}"),
+            Err(e) => panic!("{scenario} margin evaluation failed: {e}"),
         }
     }
 
-    /// Fallible read noise margin: returns a typed [`EvalError`] instead
-    /// of panicking on bad inputs or garbage operating points.
+    /// The indicator `I(x)` of `scenario` over whitened coordinates: the
+    /// standard-normal vector `x` is scaled by the Pelgrom sigmas, and
+    /// the verdict is `true` when the scenario's margin is negative.
     ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn try_read_noise_margin(&self, delta_vth: &[f64]) -> Result<f64, EvalError> {
-        self.try_margin_at(delta_vth, Sram6T::read_bias, self.config.grid_points)
-    }
-
-    /// The paper's indicator function: `true` when the cell fails the
-    /// read-stability specification (negative margin).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see [`Self::try_fails`].
-    pub fn fails(&self, delta_vth: &[f64]) -> bool {
-        self.read_noise_margin(delta_vth) < 0.0
-    }
-
-    /// Fallible indicator over physical threshold shifts.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn try_fails(&self, delta_vth: &[f64]) -> Result<bool, EvalError> {
-        Ok(self.try_read_noise_margin(delta_vth)? < 0.0)
-    }
-
-    /// Convenience for whitened coordinates: scales a standard-normal
-    /// vector by the Pelgrom sigmas before evaluating. This is the
-    /// indicator `I(x)` over the *whitened* variability space used by all
-    /// estimators.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`] (wrong dimension, non-finite input);
-    /// see [`Self::try_fails_whitened`] for the typed-error variant.
-    pub fn fails_whitened(&self, x: &[f64]) -> bool {
-        match self.try_fails_whitened(x) {
-            Ok(v) => v,
-            Err(e) => panic!("read-stability evaluation failed: {e}"),
-        }
-    }
-
-    /// Fallible whitened read-failure indicator.
+    /// `attempt` is the rung of the retry ladder. Attempt 0 is the normal
+    /// evaluation: with the adaptive policy enabled, a coarse butterfly
+    /// (its transfer-curve solves optionally started from a neighbour's
+    /// `seed`) decides samples whose margin is decisive, and indecisive
+    /// ones escalate to the bit-identical full-resolution evaluation,
+    /// which is never seeded; the coarse butterfly comes back for reuse
+    /// as a seed. Attempt `k > 0` is the full-resolution evaluation on
+    /// `grid_points << min(k, 2)` butterfly points, unseeded and returning
+    /// no butterfly. For every input on which both paths succeed, the
+    /// verdict equals the fixed-resolution verdict.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::DimensionMismatch`] when `x.len() != 6`,
     /// [`EvalError::NonFinite`] for NaN/infinite samples or operating
     /// points.
-    pub fn try_fails_whitened(&self, x: &[f64]) -> Result<bool, EvalError> {
-        self.try_fails_whitened_at(x, self.config.grid_points)
-    }
-
-    /// Whitened read-failure indicator at an explicit butterfly
-    /// resolution — the entry point retry ladders escalate through.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_fails_whitened_at(&self, x: &[f64], grid_points: usize) -> Result<bool, EvalError> {
-        if self.config.adaptive.enabled && grid_points == self.config.grid_points {
-            return self
-                .indicator_seeded(x, Sram6T::read_bias, false, None)
-                .map(|(fails, _)| fails);
-        }
-        Self::check_input(x, "whitened sample")?;
-        Ok(self.try_margin_at(&self.to_physical(x), Sram6T::read_bias, grid_points)? < 0.0)
-    }
-
-    /// Hold (retention) noise margin \[V\]: word line low, so the access
-    /// devices are off and the margin is set by the cross-coupled
-    /// inverters alone. Always exceeds the read margin.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see [`Self::try_hold_noise_margin`].
-    pub fn hold_noise_margin(&self, delta_vth: &[f64]) -> f64 {
-        match self.try_hold_noise_margin(delta_vth) {
-            Ok(m) => m,
-            Err(e) => panic!("hold-margin evaluation failed: {e}"),
-        }
-    }
-
-    /// Fallible hold noise margin.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn try_hold_noise_margin(&self, delta_vth: &[f64]) -> Result<f64, EvalError> {
-        self.try_margin_at(delta_vth, Sram6T::hold_bias, self.config.grid_points)
-    }
-
-    /// Hold-failure indicator in whitened coordinates: `true` when the
-    /// unaccessed cell cannot retain its state (negative hold margin).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see [`Self::try_hold_fails_whitened`].
-    pub fn hold_fails_whitened(&self, x: &[f64]) -> bool {
-        match self.try_hold_fails_whitened(x) {
-            Ok(v) => v,
-            Err(e) => panic!("hold-stability evaluation failed: {e}"),
-        }
-    }
-
-    /// Fallible whitened hold-failure indicator.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_hold_fails_whitened(&self, x: &[f64]) -> Result<bool, EvalError> {
-        self.try_hold_fails_whitened_at(x, self.config.grid_points)
-    }
-
-    /// Whitened hold-failure indicator at an explicit butterfly
-    /// resolution (the retry-ladder entry point).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_hold_fails_whitened_at(
+    pub fn try_fails_whitened(
         &self,
+        scenario: Scenario,
         x: &[f64],
-        grid_points: usize,
-    ) -> Result<bool, EvalError> {
-        if self.config.adaptive.enabled && grid_points == self.config.grid_points {
-            return self
-                .indicator_seeded(x, Sram6T::hold_bias, false, None)
-                .map(|(fails, _)| fails);
-        }
-        Self::check_input(x, "whitened sample")?;
-        Ok(self.try_margin_at(&self.to_physical(x), Sram6T::hold_bias, grid_points)? < 0.0)
-    }
-
-    /// Whitened hold-failure indicator with neighbour seeding (see
-    /// [`Self::try_fails_whitened_seeded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_hold_fails_whitened_seeded(
-        &self,
-        x: &[f64],
+        attempt: usize,
         seed: Option<&Butterfly>,
     ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.indicator_seeded(x, Sram6T::hold_bias, false, seed)
-    }
-
-    /// Write margin \[V\] for writing a "0" into node `Q` — an extension
-    /// beyond the paper's read-only analysis.
-    ///
-    /// Under write bias (left bit line low, word line high) a *healthy*
-    /// cell is monostable: the old state must be destroyed. The margin is
-    /// therefore the *negated* Seevinck margin of the write-bias
-    /// butterfly: positive when the residual eye has collapsed (write
-    /// succeeds), negative when an eye remains (the cell can retain its
-    /// old state — write failure).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see [`Self::try_write_margin`].
-    pub fn write_margin(&self, delta_vth: &[f64]) -> f64 {
-        match self.try_write_margin(delta_vth) {
-            Ok(m) => m,
-            Err(e) => panic!("write-margin evaluation failed: {e}"),
-        }
-    }
-
-    /// Fallible write margin (see [`Self::write_margin`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn try_write_margin(&self, delta_vth: &[f64]) -> Result<f64, EvalError> {
-        Ok(-self.try_margin_at(delta_vth, Sram6T::write0_bias, self.config.grid_points)?)
-    }
-
-    /// Write-failure indicator in whitened coordinates (see
-    /// [`Self::write_margin`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see
-    /// [`Self::try_write_fails_whitened`].
-    pub fn write_fails_whitened(&self, x: &[f64]) -> bool {
-        match self.try_write_fails_whitened(x) {
-            Ok(v) => v,
-            Err(e) => panic!("write-stability evaluation failed: {e}"),
-        }
-    }
-
-    /// Fallible whitened write-failure indicator.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_write_fails_whitened(&self, x: &[f64]) -> Result<bool, EvalError> {
-        self.try_write_fails_whitened_at(x, self.config.grid_points)
-    }
-
-    /// Whitened write-failure indicator at an explicit butterfly
-    /// resolution (the retry-ladder entry point).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_write_fails_whitened_at(
-        &self,
-        x: &[f64],
-        grid_points: usize,
-    ) -> Result<bool, EvalError> {
-        if self.config.adaptive.enabled && grid_points == self.config.grid_points {
-            return self
-                .indicator_seeded(x, Sram6T::write0_bias, true, None)
-                .map(|(fails, _)| fails);
-        }
         Self::check_input(x, "whitened sample")?;
-        Ok(self.try_margin_at(&self.to_physical(x), Sram6T::write0_bias, grid_points)? > 0.0)
-    }
-
-    /// The fixed design skew \[V\] of the power-up PUF cell: the left
-    /// driver (NL) is strengthened by this much threshold magnitude, so a
-    /// mismatch-free cell powers up into `Q = 0` with a comfortable
-    /// preference margin. A PUF *bit error* is a mismatch draw strong
-    /// enough to overcome the skew and flip the preferred state.
-    const POWERUP_SKEW_VTH: f64 = 0.04;
-
-    /// Per-device physical skew vector of the PUF cell.
-    fn powerup_skew() -> [f64; DIM] {
-        let mut s = [0.0; DIM];
-        s[CellDevice::DriverL as usize] = -Self::POWERUP_SKEW_VTH;
-        s
-    }
-
-    /// Power-up preference margin \[V\] of the skewed PUF cell with the
-    /// given *additional* per-device threshold shifts: the lobe asymmetry
-    /// `snm_low − snm_high` of the hold-bias butterfly. Positive means
-    /// the cell still prefers the designed `Q = 0` state; negative means
-    /// mismatch flipped the bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see [`Self::try_powerup_margin`].
-    pub fn powerup_margin(&self, delta_vth: &[f64]) -> f64 {
-        match self.try_powerup_margin(delta_vth) {
-            Ok(m) => m,
-            Err(e) => panic!("power-up evaluation failed: {e}"),
+        let row = scenario.indicator();
+        let (cell, bias) = self.cell_under(&row, &self.to_physical(x));
+        let adaptive = self.config.adaptive;
+        if attempt > 0 || !adaptive.enabled {
+            let grid = self.config.grid_points << attempt.min(MAX_GRID_ESCALATION);
+            return Ok((self.margin_of(&cell, &bias, grid, row.margin)? < 0.0, None));
         }
-    }
-
-    /// Fallible power-up preference margin (see [`Self::powerup_margin`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn try_powerup_margin(&self, delta_vth: &[f64]) -> Result<f64, EvalError> {
-        Self::check_input(delta_vth, "threshold shifts")?;
-        let skew = Self::powerup_skew();
-        let mut dv = [0.0; DIM];
-        for i in 0..DIM {
-            dv[i] = delta_vth[i] + skew[i];
-        }
-        let cell = self.cell.with_delta_vth(&dv);
-        let bias = cell.hold_bias();
-        self.margin_kind_of(
+        let coarse = Butterfly::try_sample_seeded(
             &cell,
             &bias,
-            self.config.grid_points,
-            MarginKind::Preference,
-        )
-    }
-
-    /// Power-up bit-error indicator in whitened coordinates: `true` when
-    /// the mismatch draw flips the skew-designed preferred state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EvalError`]; see
-    /// [`Self::try_powerup_fails_whitened`].
-    pub fn powerup_fails_whitened(&self, x: &[f64]) -> bool {
-        match self.try_powerup_fails_whitened(x) {
-            Ok(v) => v,
-            Err(e) => panic!("power-up evaluation failed: {e}"),
+            adaptive.coarse_points,
+            adaptive.coarse_resolution,
+            seed.filter(|_| adaptive.seed_band > 0.0),
+        );
+        let Ok((coarse_bfly, effort)) = coarse else {
+            // The coarse pass failed outright; decide exactly, seedless.
+            self.counters.note_escalation();
+            let margin = self.margin_of(&cell, &bias, self.config.grid_points, row.margin)?;
+            return Ok((margin < 0.0, None));
+        };
+        self.counters.record(&effort);
+        if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
+            let margin = row.margin.extract(&report);
+            if margin.is_finite()
+                && margin.abs() >= row.margin.decisive_threshold(adaptive.margin_threshold)
+            {
+                self.counters.note_accept();
+                return Ok((margin < 0.0, Some(coarse_bfly)));
+            }
         }
-    }
-
-    /// Fallible whitened power-up bit-error indicator.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_powerup_fails_whitened(&self, x: &[f64]) -> Result<bool, EvalError> {
-        self.try_powerup_fails_whitened_at(x, self.config.grid_points)
-    }
-
-    /// Whitened power-up bit-error indicator at an explicit butterfly
-    /// resolution (the retry-ladder entry point).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_powerup_fails_whitened_at(
-        &self,
-        x: &[f64],
-        grid_points: usize,
-    ) -> Result<bool, EvalError> {
-        if self.config.adaptive.enabled && grid_points == self.config.grid_points {
-            return self
-                .try_powerup_fails_whitened_seeded(x, None)
-                .map(|(fails, _)| fails);
-        }
-        Self::check_input(x, "whitened sample")?;
-        let sigmas = self.pelgrom_sigmas();
-        let skew = Self::powerup_skew();
-        let mut dv = [0.0; DIM];
-        for i in 0..DIM {
-            dv[i] = x[i] * sigmas[i] + skew[i];
-        }
-        let cell = self.cell.with_delta_vth(&dv);
-        let bias = cell.hold_bias();
-        Ok(self.margin_kind_of(&cell, &bias, grid_points, MarginKind::Preference)? < 0.0)
-    }
-
-    /// Whitened power-up bit-error indicator with neighbour seeding (see
-    /// [`Self::try_fails_whitened_seeded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_fails_whitened`].
-    pub fn try_powerup_fails_whitened_seeded(
-        &self,
-        x: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        let skew = Self::powerup_skew();
-        self.indicator_kind_seeded(
-            x,
-            Sram6T::hold_bias,
-            MarginKind::Preference,
-            false,
-            Some(&skew),
-            seed,
-        )
+        // Indecisive coarse margin: the exact path decides, but the
+        // coarse curves still seed neighbouring samples.
+        self.counters.note_escalation();
+        let margin = self.margin_of(&cell, &bias, self.config.grid_points, row.margin)?;
+        Ok((margin < 0.0, Some(coarse_bfly)))
     }
 
     /// Scales a whitened vector back to physical threshold shifts \[V\].
@@ -821,12 +645,28 @@ impl ReadStabilityBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Scenario::{HoldSnm, PowerupPuf, ReadSnm, WriteMargin};
+
+    /// Attempt-0 verdict of `scenario` at whitened `x`, seedless.
+    fn try_fails(
+        bench: &ReadStabilityBench,
+        scenario: Scenario,
+        x: &[f64],
+    ) -> Result<bool, EvalError> {
+        bench
+            .try_fails_whitened(scenario, x, 0, None)
+            .map(|(fails, _)| fails)
+    }
+
+    fn fails(bench: &ReadStabilityBench, scenario: Scenario, x: &[f64]) -> bool {
+        try_fails(bench, scenario, x).expect("sample evaluates")
+    }
 
     #[test]
     fn nominal_cell_passes() {
         let bench = ReadStabilityBench::paper_cell();
-        assert!(!bench.fails(&[0.0; 6]));
-        assert!(bench.read_noise_margin(&[0.0; 6]) > 0.0);
+        assert!(bench.margin(ReadSnm, &[0.0; 6]) > 0.0);
+        assert!(!fails(&bench, ReadSnm, &[0.0; 6]));
     }
 
     #[test]
@@ -834,7 +674,7 @@ mod tests {
         let bench = ReadStabilityBench::paper_cell();
         // Massive driver imbalance: the read disturb flips the cell.
         let dv = [0.0, -0.3, 0.0, 0.3, 0.0, 0.0];
-        assert!(bench.fails(&dv));
+        assert!(bench.margin(ReadSnm, &dv) < 0.0);
     }
 
     #[test]
@@ -843,7 +683,7 @@ mod tests {
         let sig = bench.pelgrom_sigmas();
         let x = [1.0, -2.0, 0.5, 3.0, -1.0, 0.0];
         let dv: Vec<f64> = x.iter().zip(&sig).map(|(xi, s)| xi * s).collect();
-        assert_eq!(bench.fails_whitened(&x), bench.fails(&dv));
+        assert_eq!(fails(&bench, ReadSnm, &x), bench.margin(ReadSnm, &dv) < 0.0);
     }
 
     #[test]
@@ -868,11 +708,11 @@ mod tests {
         let dir = [1.0, -1.0, -1.0, 1.0, 0.0, 0.0].map(|v: f64| v / 2.0); // unit-norm
         let mut lo = 0.0_f64;
         let mut hi = 20.0_f64;
-        assert!(!bench.fails_whitened(&dir.map(|d| d * lo)));
-        assert!(bench.fails_whitened(&dir.map(|d| d * hi)));
+        assert!(!fails(&bench, ReadSnm, &dir.map(|d| d * lo)));
+        assert!(fails(&bench, ReadSnm, &dir.map(|d| d * hi)));
         for _ in 0..30 {
             let mid = 0.5 * (lo + hi);
-            if bench.fails_whitened(&dir.map(|d| d * mid)) {
+            if fails(&bench, ReadSnm, &dir.map(|d| d * mid)) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -895,7 +735,7 @@ mod tests {
             let mut hi = 20.0_f64;
             for _ in 0..30 {
                 let mid = 0.5 * (lo + hi);
-                if bench.fails_whitened(&dir.map(|d| d * mid)) {
+                if fails(bench, ReadSnm, &dir.map(|d| d * mid)) {
                     hi = mid;
                 } else {
                     lo = mid;
@@ -913,14 +753,14 @@ mod tests {
     fn rejects_wrong_dimension_with_typed_error() {
         let bench = ReadStabilityBench::paper_cell();
         assert_eq!(
-            bench.try_fails_whitened(&[0.0; 5]),
+            try_fails(&bench, ReadSnm, &[0.0; 5]),
             Err(EvalError::DimensionMismatch {
                 expected: 6,
                 got: 5
             })
         );
         assert_eq!(
-            bench.try_write_fails_whitened(&[0.0; 7]),
+            try_fails(&bench, WriteMargin, &[0.0; 7]),
             Err(EvalError::DimensionMismatch {
                 expected: 6,
                 got: 7
@@ -934,14 +774,14 @@ mod tests {
         let mut x = [0.0; 6];
         x[3] = f64::NAN;
         assert_eq!(
-            bench.try_fails_whitened(&x),
+            try_fails(&bench, ReadSnm, &x),
             Err(EvalError::NonFinite {
                 context: "whitened sample"
             })
         );
         x[3] = f64::INFINITY;
         assert_eq!(
-            bench.try_read_noise_margin(&x),
+            bench.try_margin(ReadSnm, &x),
             Err(EvalError::NonFinite {
                 context: "threshold shifts"
             })
@@ -952,16 +792,22 @@ mod tests {
     fn try_variants_match_panicking_variants_on_healthy_samples() {
         let bench = ReadStabilityBench::paper_cell();
         let x = [0.4, -0.7, 0.1, 0.0, -0.2, 0.5];
-        assert_eq!(bench.try_fails_whitened(&x), Ok(bench.fails_whitened(&x)));
+        assert_eq!(
+            try_fails(&bench, ReadSnm, &x),
+            Ok(fails(&bench, ReadSnm, &x))
+        );
         let dv = [0.0, -0.02, 0.0, 0.02, 0.0, 0.0];
         assert_eq!(
-            bench.try_read_noise_margin(&dv),
-            Ok(bench.read_noise_margin(&dv))
+            bench.try_margin(ReadSnm, &dv),
+            Ok(bench.margin(ReadSnm, &dv))
         );
-        assert_eq!(bench.try_write_margin(&dv), Ok(bench.write_margin(&dv)));
         assert_eq!(
-            bench.try_hold_noise_margin(&dv),
-            Ok(bench.hold_noise_margin(&dv))
+            bench.try_margin(WriteMargin, &dv),
+            Ok(bench.margin(WriteMargin, &dv))
+        );
+        assert_eq!(
+            bench.try_margin(HoldSnm, &dv),
+            Ok(bench.margin(HoldSnm, &dv))
         );
     }
 
@@ -971,23 +817,28 @@ mod tests {
         // a comfortably passing sample must not flip with the grid.
         let bench = ReadStabilityBench::paper_cell();
         let x = [0.1, -0.1, 0.0, 0.0, 0.0, 0.0];
-        let coarse = bench.try_fails_whitened_at(&x, 31).expect("coarse grid");
-        let fine = bench.try_fails_whitened_at(&x, 121).expect("fine grid");
-        assert_eq!(coarse, fine);
+        let base = fails(&bench, ReadSnm, &x);
+        for attempt in 1..4 {
+            let (fine, seed) = bench
+                .try_fails_whitened(ReadSnm, &x, attempt, None)
+                .expect("finer grid");
+            assert_eq!(fine, base, "attempt {attempt}");
+            assert!(seed.is_none(), "the fixed path returns no butterfly");
+        }
     }
 
     #[test]
     fn hold_margin_exceeds_read_margin() {
         let bench = ReadStabilityBench::paper_cell();
         let dv = [0.0, -0.02, 0.0, 0.02, 0.0, 0.0];
-        assert!(bench.hold_noise_margin(&dv) > bench.read_noise_margin(&dv));
+        assert!(bench.margin(HoldSnm, &dv) > bench.margin(ReadSnm, &dv));
     }
 
     #[test]
     fn nominal_cell_is_writeable() {
         let bench = ReadStabilityBench::paper_cell();
         assert!(
-            bench.write_margin(&[0.0; 6]) > 0.0,
+            bench.margin(WriteMargin, &[0.0; 6]) > 0.0,
             "a healthy cell must accept a write"
         );
     }
@@ -1002,7 +853,7 @@ mod tests {
         for k in 0..5 {
             let s = 0.08 * k as f64;
             let dv = [-s, 0.0, 0.0, 0.0, s, 0.0];
-            let wm = bench.write_margin(&dv);
+            let wm = bench.margin(WriteMargin, &dv);
             assert!(
                 wm < prev + 1e-9,
                 "write margin should fall with write-hostile skew: step {k} gives {wm}"
@@ -1055,8 +906,8 @@ mod tests {
         }
         for x in &samples {
             assert_eq!(
-                adaptive.try_fails_whitened(x),
-                fixed.try_fails_whitened(x),
+                try_fails(&adaptive, ReadSnm, x),
+                try_fails(&fixed, ReadSnm, x),
                 "adaptive verdict drifted at {x:?}"
             );
         }
@@ -1074,13 +925,16 @@ mod tests {
         let fixed = fixed_bench();
         let dv = [0.0, -0.02, 0.0, 0.02, 0.0, 0.0];
         assert_eq!(
-            adaptive.read_noise_margin(&dv).to_bits(),
-            fixed.read_noise_margin(&dv).to_bits()
+            adaptive.margin(ReadSnm, &dv).to_bits(),
+            fixed.margin(ReadSnm, &dv).to_bits()
         );
-        assert_eq!(adaptive.try_write_margin(&dv), fixed.try_write_margin(&dv));
         assert_eq!(
-            adaptive.try_hold_noise_margin(&dv),
-            fixed.try_hold_noise_margin(&dv)
+            adaptive.try_margin(WriteMargin, &dv),
+            fixed.try_margin(WriteMargin, &dv)
+        );
+        assert_eq!(
+            adaptive.try_margin(HoldSnm, &dv),
+            fixed.try_margin(HoldSnm, &dv)
         );
     }
 
@@ -1089,28 +943,28 @@ mod tests {
         let bench = ReadStabilityBench::paper_cell();
         let x0 = [0.5, -0.5, 0.0, 0.5, 0.0, 0.0];
         let (v0, seed) = bench
-            .try_fails_whitened_seeded(&x0, None)
+            .try_fails_whitened(ReadSnm, &x0, 0, None)
             .expect("first eval");
         let seed = seed.expect("adaptive evaluation must hand back a seed");
         let x1 = [0.55, -0.45, 0.0, 0.5, 0.05, 0.0];
         let before = bench.effort();
         let (v1, _) = bench
-            .try_fails_whitened_seeded(&x1, Some(&seed))
+            .try_fails_whitened(ReadSnm, &x1, 0, Some(&seed))
             .expect("seeded eval");
         let after = bench.effort();
         assert!(after.seeded_curves > before.seeded_curves, "seed unused");
         let (v1_cold, _) = bench
-            .try_fails_whitened_seeded(&x1, None)
+            .try_fails_whitened(ReadSnm, &x1, 0, None)
             .expect("cold eval");
         assert_eq!(v1, v1_cold, "a neighbour seed changed a verdict");
-        assert_eq!(v0, fixed_bench().fails_whitened(&x0));
+        assert_eq!(v0, fails(&fixed_bench(), ReadSnm, &x0));
     }
 
     #[test]
     fn clones_share_one_effort_ledger() {
         let bench = ReadStabilityBench::paper_cell();
         let clone = bench.clone();
-        clone.fails_whitened(&[0.2, -0.2, 0.0, 0.0, 0.0, 0.0]);
+        fails(&clone, ReadSnm, &[0.2, -0.2, 0.0, 0.0, 0.0, 0.0]);
         let effort = bench.effort();
         assert!(
             effort.curve_solves > 0,
@@ -1122,12 +976,12 @@ mod tests {
     #[test]
     fn nominal_puf_cell_prefers_the_designed_state() {
         let bench = ReadStabilityBench::paper_cell();
-        let margin = bench.powerup_margin(&[0.0; 6]);
+        let margin = bench.margin(PowerupPuf, &[0.0; 6]);
         assert!(
             margin > 0.0,
             "skewed PUF cell must power up deterministically, margin = {margin}"
         );
-        assert!(!bench.powerup_fails_whitened(&[0.0; 6]));
+        assert!(!fails(&bench, PowerupPuf, &[0.0; 6]));
     }
 
     #[test]
@@ -1139,19 +993,19 @@ mod tests {
         dv[CellDevice::DriverR as usize] = -0.12;
         dv[CellDevice::DriverL as usize] = 0.12;
         assert!(
-            bench.powerup_margin(&dv) < 0.0,
+            bench.margin(PowerupPuf, &dv) < 0.0,
             "strong counter-skew must flip the bit"
         );
         let sigmas = bench.pelgrom_sigmas();
         let x: Vec<f64> = dv.iter().zip(&sigmas).map(|(d, s)| d / s).collect();
-        assert!(bench.powerup_fails_whitened(&x));
+        assert!(fails(&bench, PowerupPuf, &x));
     }
 
     #[test]
     fn hold_failures_need_more_mismatch_than_read_failures() {
         let bench = ReadStabilityBench::paper_cell();
         let read_killer = [0.0, -0.15, 0.0, 0.15, 0.0, 0.0];
-        assert!(bench.fails(&read_killer));
+        assert!(bench.margin(ReadSnm, &read_killer) < 0.0);
         let sigmas = bench.pelgrom_sigmas();
         let x: Vec<f64> = read_killer
             .iter()
@@ -1159,12 +1013,12 @@ mod tests {
             .map(|(d, s)| d / s)
             .collect();
         assert!(
-            !bench.hold_fails_whitened(&x),
+            !fails(&bench, HoldSnm, &x),
             "a marginal read failure should still hold its state"
         );
         // Push much harder and retention breaks too.
         let x2: Vec<f64> = x.iter().map(|v| 3.0 * v).collect();
-        assert!(bench.hold_fails_whitened(&x2));
+        assert!(fails(&bench, HoldSnm, &x2));
     }
 
     #[test]
@@ -1192,13 +1046,13 @@ mod tests {
         }
         for x in &samples {
             assert_eq!(
-                adaptive.try_hold_fails_whitened(x),
-                fixed.try_hold_fails_whitened(x),
+                try_fails(&adaptive, HoldSnm, x),
+                try_fails(&fixed, HoldSnm, x),
                 "adaptive hold verdict drifted at {x:?}"
             );
             assert_eq!(
-                adaptive.try_powerup_fails_whitened(x),
-                fixed.try_powerup_fails_whitened(x),
+                try_fails(&adaptive, PowerupPuf, x),
+                try_fails(&fixed, PowerupPuf, x),
                 "adaptive power-up verdict drifted at {x:?}"
             );
         }
@@ -1214,8 +1068,8 @@ mod tests {
         assert_eq!(nominal.cell(), explicit.cell());
         let dv = [0.0, -0.02, 0.0, 0.02, 0.0, 0.0];
         assert_eq!(
-            nominal.read_noise_margin(&dv).to_bits(),
-            explicit.read_noise_margin(&dv).to_bits()
+            nominal.margin(ReadSnm, &dv).to_bits(),
+            explicit.margin(ReadSnm, &dv).to_bits()
         );
     }
 
@@ -1226,8 +1080,8 @@ mod tests {
             temperature_delta_c: 100.0,
             ..BenchConfig::default()
         });
-        let cold_m = cold.read_noise_margin(&[0.0; 6]);
-        let hot_m = hot.read_noise_margin(&[0.0; 6]);
+        let cold_m = cold.margin(ReadSnm, &[0.0; 6]);
+        let hot_m = hot.margin(ReadSnm, &[0.0; 6]);
         assert!(
             hot_m < cold_m,
             "heating should shrink the margin: {hot_m} vs {cold_m}"
@@ -1255,9 +1109,9 @@ mod tests {
         // the write margin and vice versa.
         let bench = ReadStabilityBench::paper_cell();
         let read_dir = [0.0, -0.15, 0.0, 0.15, 0.0, 0.0];
-        assert!(bench.fails(&read_dir));
+        assert!(bench.margin(ReadSnm, &read_dir) < 0.0);
         assert!(
-            bench.write_margin(&read_dir) > 0.0,
+            bench.margin(WriteMargin, &read_dir) > 0.0,
             "read-failing skew should still write"
         );
     }

@@ -13,7 +13,7 @@ fn main() -> Result<(), EstimateError> {
     config.importance.n_samples = 2_000;
     config.importance.m_rtn = 20;
 
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     // A coarse five-point sweep; `fig8` in the bench crate runs the
     // paper's full eleven-point grid.
     let sweep = DutySweep::new(config, bench, vec![0.0, 0.25, 0.5, 0.75, 1.0]);

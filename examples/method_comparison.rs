@@ -13,7 +13,7 @@
 use ecripse::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let bench = SramReadBench::at_vdd(0.5);
+    let bench = SramScenarioBench::at_vdd(Scenario::ReadSnm, 0.5);
     println!("cell: paper geometry at V_DD = 0.5 V (RDF only)\n");
     println!(
         "{:<26} {:>12} {:>12} {:>12}",

@@ -9,7 +9,7 @@ use ecripse::prelude::*;
 
 fn main() -> Result<(), EstimateError> {
     // The paper's Table I cell (PTM-16nm-like, V_DD = 0.7 V).
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 
     // Trim the default budgets so the example finishes quickly; see
     // EXPERIMENTS.md for publication-grade settings.

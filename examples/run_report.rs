@@ -13,7 +13,7 @@
 use ecripse::prelude::*;
 
 fn main() -> Result<(), EstimateError> {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let mut config = EcripseConfig::default();
     config.importance.n_samples = 3_000;
 

@@ -9,7 +9,6 @@
 //! cargo run --release --example write_analysis
 //! ```
 
-use ecripse::core::bench::SramWriteBench;
 use ecripse::prelude::*;
 
 fn main() -> Result<(), EstimateError> {
@@ -26,8 +25,8 @@ fn main() -> Result<(), EstimateError> {
         println!(
             "{:>10.0} {:>14.1} {:>14.1}",
             s * 1e3,
-            circuit.write_margin(&dv) * 1e3,
-            circuit.read_noise_margin(&dv) * 1e3,
+            circuit.margin(Scenario::WriteMargin, &dv) * 1e3,
+            circuit.margin(Scenario::ReadSnm, &dv) * 1e3,
         );
     }
 
@@ -36,7 +35,7 @@ fn main() -> Result<(), EstimateError> {
     config.importance.n_samples = 50_000;
     // The write boundary sits much farther out than the read boundary.
     config.initial.r_max = 14.0;
-    let bench = SramWriteBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::WriteMargin);
     let result = Ecripse::new(config, bench).estimate_to_tolerance(0.15)?;
     println!(
         "  P(write failure) = {:.3e} ± {:.2e}  ({} simulations, {} IS samples)",

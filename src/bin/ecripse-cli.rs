@@ -544,10 +544,10 @@ fn run() -> Result<(), String> {
             }
             let bench = ReadStabilityBench::at_vdd(vdd);
             let cell = bench.cell().with_delta_vth(&dvth);
-            let read = bench.read_noise_margin(&dvth);
-            let hold = bench.hold_noise_margin(&dvth);
-            let write = bench.write_margin(&dvth);
-            let powerup = bench.powerup_margin(&dvth);
+            let read = bench.margin(Scenario::ReadSnm, &dvth);
+            let hold = bench.margin(Scenario::HoldSnm, &dvth);
+            let write = bench.margin(Scenario::WriteMargin, &dvth);
+            let powerup = bench.margin(Scenario::PowerupPuf, &dvth);
             let b = Butterfly::sample(&cell, &cell.read_bias(), 121);
             let lobes = read_noise_margin(&b);
             println!("device order: PL, NL, PR, NR, AL, AR   V_DD = {vdd} V");
@@ -578,7 +578,7 @@ fn run() -> Result<(), String> {
             );
         }
         "naive" => {
-            let bench = SramReadBench::at_vdd(vdd);
+            let bench = SramScenarioBench::at_vdd(Scenario::ReadSnm, vdd);
             let samples: usize = args.get("samples", 100_000)?;
             let seed: u64 = args.get("seed", 0xa1fe)?;
             let cfg = NaiveConfig {

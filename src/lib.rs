@@ -37,12 +37,12 @@
 //! use ecripse::prelude::*;
 //!
 //! // Failure probability of the paper's cell, process variation only.
-//! let bench = SramReadBench::paper_cell();
+//! let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 //! let result = Ecripse::new(EcripseConfig::default(), bench).estimate()?;
 //! println!("P_fail = {:.3e} ± {:.2e}", result.p_fail, result.ci95_half_width);
 //!
 //! // Now with RTN at duty ratio α = 0.3.
-//! let bench = SramReadBench::paper_cell();
+//! let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 //! let rtn = SramRtn::paper_model(0.3, bench.sigmas());
 //! let result = Ecripse::with_rtn(EcripseConfig::default(), bench, rtn).estimate()?;
 //! println!("with RTN: {:.3e}", result.p_fail);
@@ -71,7 +71,7 @@ pub mod prelude {
         gibbs_is, mean_shift_is, naive_monte_carlo, statistical_blockade, BlockadeConfig,
         GibbsConfig, MeanShiftConfig, NaiveConfig, SequentialImportanceSampling,
     };
-    pub use ecripse_core::bench::{SimCounter, SramReadBench, Testbench};
+    pub use ecripse_core::bench::{SimCounter, Testbench};
     pub use ecripse_core::cache::{MemoBench, MemoCacheConfig};
     pub use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult, EstimateError};
     pub use ecripse_core::observe::{
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn facade_reexports_resolve() {
         use crate::prelude::*;
-        let bench = SramReadBench::paper_cell();
+        let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         assert_eq!(ecripse_core::bench::Testbench::dim(&bench), 6);
         let _ = EcripseConfig::default();
         let _ = NaiveConfig::default();

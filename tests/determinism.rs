@@ -78,7 +78,7 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn batched_sram_bench_is_thread_invariant() {
     use ecripse_core::bench::Testbench;
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let zs: Vec<Vec<f64>> = (0..40)
         .map(|i| {
             (0..6)

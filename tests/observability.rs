@@ -302,7 +302,11 @@ fn sweep_reports_cover_every_point() {
         seed: 3,
         ..EcripseConfig::default()
     };
-    let sweep = DutySweep::new(cfg, SramReadBench::paper_cell(), vec![0.2, 0.8]);
+    let sweep = DutySweep::new(
+        cfg,
+        SramScenarioBench::paper_cell(Scenario::ReadSnm),
+        vec![0.2, 0.8],
+    );
     let (result, reports) = sweep.run_with_reports().expect("sweep");
 
     assert_eq!(reports.points.len(), result.points.len());

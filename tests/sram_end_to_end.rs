@@ -27,7 +27,7 @@ fn tiny_config() -> EcripseConfig {
 
 #[test]
 fn sram_rdf_only_is_in_the_papers_regime() {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let mut cfg = tiny_config();
     cfg.importance.m_rtn = 1;
     cfg.m_rtn_stage1 = 1;
@@ -44,7 +44,7 @@ fn sram_rdf_only_is_in_the_papers_regime() {
 
 #[test]
 fn rtn_worsens_the_worst_case_duty() {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let mut cfg = tiny_config();
     cfg.importance.m_rtn = 1;
     cfg.m_rtn_stage1 = 1;
@@ -68,7 +68,7 @@ fn rtn_worsens_the_worst_case_duty() {
 
 #[test]
 fn whitened_and_physical_indicators_agree_through_the_stack() {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let circuit = bench.circuit();
     let sig = bench.sigmas();
     for z in [
@@ -77,7 +77,10 @@ fn whitened_and_physical_indicators_agree_through_the_stack() {
         [-3.0, 4.0, 1.0, -2.0, 2.0, 0.0],
     ] {
         let dv: Vec<f64> = z.iter().zip(&sig).map(|(zi, s)| zi * s).collect();
-        assert_eq!(bench.fails(&z), circuit.fails(&dv));
+        assert_eq!(
+            bench.fails(&z),
+            circuit.margin(Scenario::ReadSnm, &dv) < 0.0
+        );
     }
 }
 
@@ -86,10 +89,10 @@ fn low_supply_raises_failure_probability() {
     let mut cfg = tiny_config();
     cfg.importance.m_rtn = 1;
     cfg.m_rtn_stage1 = 1;
-    let hi = Ecripse::new(cfg, SramReadBench::paper_cell())
+    let hi = Ecripse::new(cfg, SramScenarioBench::paper_cell(Scenario::ReadSnm))
         .estimate()
         .expect("nominal run");
-    let lo = Ecripse::new(cfg, SramReadBench::at_vdd(0.5))
+    let lo = Ecripse::new(cfg, SramScenarioBench::at_vdd(Scenario::ReadSnm, 0.5))
         .estimate()
         .expect("low-vdd run");
     assert!(

@@ -28,7 +28,7 @@ fn tiny_config(seed: u64) -> EcripseConfig {
 fn duty_sweep_shares_initialisation_and_reports_consistent_totals() {
     let sweep = DutySweep::new(
         tiny_config(3),
-        SramReadBench::paper_cell(),
+        SramScenarioBench::paper_cell(Scenario::ReadSnm),
         vec![0.0, 0.5, 1.0],
     );
     let result = sweep.run().expect("sweep");
@@ -46,7 +46,7 @@ fn duty_sweep_shares_initialisation_and_reports_consistent_totals() {
 
 #[test]
 fn shared_initial_particles_reproduce_across_calls() {
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let run = Ecripse::new(tiny_config(9), bench);
     let init = run.find_initial_particles().expect("boundary");
     let a = run.estimate_with_initial(&init).expect("first");
@@ -59,7 +59,7 @@ fn shared_initial_particles_reproduce_across_calls() {
 fn foreign_initial_particles_still_work_if_in_failure_region() {
     // A caller may supply hand-made seeds (e.g. from a previous session);
     // as long as they fail, the flow must accept them.
-    let bench = SramReadBench::paper_cell();
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     use ecripse_core::bench::Testbench;
     // A known failing direction: driver imbalance at 6σ.
     let seed = vec![0.0, -4.4, 0.0, 4.4, 0.0, 0.0];
