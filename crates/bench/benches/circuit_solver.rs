@@ -36,7 +36,7 @@ fn bench_solver(c: &mut Criterion) {
 
     // The coarse pass every simulation pays: 31 points at 0.3 mV.
     let coarse = |cell: &Sram6T| {
-        Butterfly::try_sample_seeded(cell, &bias, 31, 3e-4, None)
+        Butterfly::try_sample_counted(cell, &bias, 31, 3e-4)
             .expect("paper cell")
             .0
     };

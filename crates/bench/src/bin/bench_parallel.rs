@@ -1,9 +1,8 @@
 //! Records `BENCH_parallel.json`: wall-clock of the fig6/headline
 //! RDF-only workload under the batched + parallel pipeline, comparing
-//! the fixed-resolution cold path against the warm-started stack
-//! (adaptive butterfly resolution + two-tier neighbour cache) and a
-//! resident service resubmission served from the persistent verdict
-//! store.
+//! the fixed-resolution path against the adaptive coarse-first butterfly
+//! policy, serially and on all cores, and a resident service
+//! resubmission served from the persistent verdict store.
 //!
 //! ```text
 //! cargo run --release -p ecripse-bench --bin bench_parallel \
@@ -13,16 +12,16 @@
 //! Every configuration runs the same seed and must produce the same
 //! `P_fail` and simulation count (the determinism contract); the binary
 //! asserts this before writing the report. With `--check PATH` the run
-//! instead compares its estimates and simulation counts against the
-//! reference report at `PATH` (the committed `BENCH_parallel.json`) and
-//! exits non-zero on any drift — the CI smoke job runs this in `--quick`
-//! mode. The JSON lands in the repository root (next to the figure
+//! instead compares its estimates, simulation counts, Newton evaluations
+//! and curve solves against the reference report at `PATH` (the
+//! committed `BENCH_parallel.json`) and exits non-zero on any drift —
+//! the CI smoke job runs this in `--quick` mode. The JSON lands in the repository root (next to the figure
 //! outputs' `results/`), with the core count recorded so numbers from
 //! different machines are not compared blindly.
 
 use ecripse_bench::{fmt_count, paper_config, quick_mode};
 use ecripse_core::bench::Testbench;
-use ecripse_core::cache::{MemoCacheConfig, WarmBench, WarmCacheConfig};
+use ecripse_core::cache::MemoCacheConfig;
 use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::telemetry::{MetricsRegistry, TelemetryObserver};
@@ -50,14 +49,12 @@ struct ConfigReport {
     /// Newton iterations (node-current evaluations) spent inside the
     /// circuit solver.
     newton_iters: u64,
-    /// Operating-point curve solves (LU factorisations).
+    /// Transfer-curve point solves of the butterflies; no matrix is
+    /// factorised despite the name.
     factorisations: u64,
-    /// Butterfly evaluations warm-started from a neighbour seed.
-    warm_start_seeds: u64,
-    /// Warm-cache exact-tier hits (0 for configs without the cache).
-    warm_exact_hits: u64,
-    /// Warm-cache neighbour-tier seeds offered.
-    warm_seeded: u64,
+    /// Verdicts served from the restored persistent store (`warm_serve`
+    /// only; 0 elsewhere).
+    store_hits: u64,
     /// Raw simulator batches observed by the telemetry bridge.
     sim_batches: u64,
     /// Simulator-batch latency percentiles in seconds (0 when no
@@ -73,10 +70,10 @@ struct Report {
     cores: usize,
     quick: bool,
     configs: Vec<ConfigReport>,
-    /// Wall-clock ratio of the fixed-resolution cold path over the
-    /// warm-started serial stack (adaptive + neighbour cache).
-    speedup_warm_vs_fixed: f64,
-    /// Wall-clock ratio of all-cores over serial, both warm-started.
+    /// Wall-clock ratio of the fixed-resolution path over the serial
+    /// adaptive coarse-first path.
+    speedup_adaptive_vs_fixed: f64,
+    /// Wall-clock ratio of serial over all-cores, both adaptive.
     speedup_parallel_vs_serial: f64,
     /// Wall-clock ratio of the cold service run over resubmission
     /// against the snapshot-restored persistent verdict store.
@@ -85,14 +82,13 @@ struct Report {
 }
 
 /// One measured configuration: wall-clock, estimate, and the full
-/// counter set (memo-cache, solver effort, warm-cache tiers).
+/// counter set (memo-cache, solver effort).
 fn run_bench<B: Testbench>(
     name: &str,
     mut cfg: EcripseConfig,
     threads: usize,
     adaptive: bool,
     bench: B,
-    warm: (u64, u64),
 ) -> ConfigReport {
     cfg.threads = threads;
     cfg.cache = MemoCacheConfig::default();
@@ -112,12 +108,11 @@ fn run_bench<B: Testbench>(
     let (p50, p90, p99) = batches.percentiles().unwrap_or((0.0, 0.0, 0.0));
     let stats = &res.oracle_stats;
     println!(
-        "{name:<18} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   warm seeds {}   exact hits {}",
+        "{name:<18} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   curve solves {}",
         res.p_fail,
         fmt_count(res.simulations),
         fmt_count(stats.newton_iters),
-        fmt_count(stats.warm_start_seeds),
-        fmt_count(warm.0),
+        fmt_count(stats.factorisations),
     );
     let memo_total = stats.cache_hits + stats.cache_misses;
     ConfigReport {
@@ -132,9 +127,7 @@ fn run_bench<B: Testbench>(
         cache_hit_rate: (memo_total > 0).then(|| stats.cache_hits as f64 / memo_total as f64),
         newton_iters: stats.newton_iters,
         factorisations: stats.factorisations,
-        warm_start_seeds: stats.warm_start_seeds,
-        warm_exact_hits: warm.0,
-        warm_seeded: warm.1,
+        store_hits: 0,
         sim_batches: batches.count(),
         sim_batch_p50_s: p50,
         sim_batch_p90_s: p90,
@@ -145,8 +138,10 @@ fn run_bench<B: Testbench>(
 /// The fixed-resolution reference bench: adaptive policy disabled, every
 /// butterfly solved on the full grid at the legacy tolerance.
 fn fixed_bench() -> SramScenarioBench {
-    let mut config = BenchConfig::default();
-    config.adaptive.enabled = false;
+    let config = BenchConfig {
+        adaptive: false,
+        ..BenchConfig::default()
+    };
     SramScenarioBench::with_config(Scenario::ReadSnm, config)
 }
 
@@ -167,8 +162,9 @@ fn a_next(args: &mut std::env::Args) -> String {
 }
 
 /// Compares the fresh measurement against the committed reference:
-/// estimates and simulation counts must match bit-exactly per config
-/// (wall-clock and latency fields are machine-dependent and ignored).
+/// estimates, simulation counts and the solver work counters must match
+/// exactly per config (wall-clock and latency fields are
+/// machine-dependent and ignored).
 fn check_against(reference_path: &str, fresh: &Report) -> Result<(), String> {
     let text = std::fs::read_to_string(reference_path)
         .map_err(|e| format!("cannot read reference {reference_path}: {e}"))?;
@@ -193,11 +189,30 @@ fn check_against(reference_path: &str, fresh: &Report) -> Result<(), String> {
                 fresh_config.name, fresh_config.p_fail, ref_config.p_fail
             ));
         }
-        if fresh_config.simulations != ref_config.simulations {
-            drift.push(format!(
-                "{}: {} simulations != reference {}",
-                fresh_config.name, fresh_config.simulations, ref_config.simulations
-            ));
+        let counts = [
+            (
+                "simulations",
+                fresh_config.simulations,
+                ref_config.simulations,
+            ),
+            (
+                "newton_iters",
+                fresh_config.newton_iters,
+                ref_config.newton_iters,
+            ),
+            (
+                "factorisations",
+                fresh_config.factorisations,
+                ref_config.factorisations,
+            ),
+        ];
+        for (field, fresh_count, ref_count) in counts {
+            if fresh_count != ref_count {
+                drift.push(format!(
+                    "{}: {fresh_count} {field} != reference {ref_count}",
+                    fresh_config.name
+                ));
+            }
         }
     }
     if reference.quick != fresh.quick {
@@ -224,40 +239,26 @@ fn main() -> ExitCode {
         cores
     );
 
-    // 1. The cold reference: fixed-resolution butterflies, no caches
-    //    beyond the per-run memo-cache every config shares.
-    let serial_fixed = run_bench("serial_fixed", cfg, 1, false, fixed_bench(), (0, 0));
+    // 1. The fixed-resolution reference: every butterfly solved on the
+    //    full grid, no caches beyond the per-run memo-cache every config
+    //    shares.
+    let serial_fixed = run_bench("serial_fixed", cfg, 1, false, fixed_bench());
 
-    // 2/3. The warm-started stack: adaptive coarse-first resolution plus
-    //    the two-tier neighbour cache, serial and all-cores. The cache
-    //    layers *below* the pipeline's counters, so the simulation
-    //    counts must not move.
-    let warm = WarmBench::new(
+    // 2/3. The adaptive coarse-first policy, serial and all-cores.
+    let serial_adaptive = run_bench(
+        "serial_adaptive",
+        cfg,
+        1,
+        true,
         SramScenarioBench::paper_cell(Scenario::ReadSnm),
-        WarmCacheConfig::default(),
     );
-    let serial_warm = {
-        let stats = {
-            let report = run_bench("serial_warm", cfg, 1, true, &warm, (0, 0));
-            let stats = warm.stats();
-            ConfigReport {
-                warm_exact_hits: stats.exact_hits,
-                warm_seeded: stats.seeded,
-                ..report
-            }
-        };
-        warm.clear();
-        stats
-    };
-    let all_cores_warm = {
-        let report = run_bench("all_cores_warm", cfg, 0, true, &warm, (0, 0));
-        let stats = warm.stats();
-        ConfigReport {
-            warm_exact_hits: stats.exact_hits,
-            warm_seeded: stats.seeded,
-            ..report
-        }
-    };
+    let all_cores_adaptive = run_bench(
+        "all_cores_adaptive",
+        cfg,
+        0,
+        true,
+        SramScenarioBench::paper_cell(Scenario::ReadSnm),
+    );
 
     // 4. The resident-service path: a cold run populates the shared
     //    verdict cache, the snapshot round-trips through the persistent
@@ -275,7 +276,6 @@ fn main() -> ExitCode {
             Arc::clone(&store),
             true,
         ),
-        (0, 0),
     );
     let snapshot = std::env::temp_dir().join(format!(
         "ecripse-bench-verdicts-{}.json",
@@ -300,11 +300,9 @@ fn main() -> ExitCode {
                 Arc::clone(&restored),
                 true,
             ),
-            (0, 0),
         );
         ConfigReport {
-            warm_exact_hits: restored.hits(),
-            warm_seeded: 0,
+            store_hits: restored.hits(),
             ..report
         }
     };
@@ -326,21 +324,20 @@ fn main() -> ExitCode {
             0,
             true,
             SramScenarioBench::paper_cell(Scenario::HoldSnm),
-            (0, 0),
         )
     };
 
     let configs = vec![
         serial_fixed,
-        serial_warm,
-        all_cores_warm,
+        serial_adaptive,
+        all_cores_adaptive,
         cold_serve,
         warm_serve,
         hold_snm,
     ];
 
     // The determinism contract: thread count, the adaptive resolution
-    // policy, and every cache tier must not change the estimate or the
+    // policy, and the verdict store must not change the estimate or the
     // simulation count. The hold-snm scenario (last config) estimates a
     // different indicator and is exempt.
     for c in &configs[1..5] {
@@ -356,23 +353,18 @@ fn main() -> ExitCode {
             c.name
         );
     }
-    // The retry layer hands the warm cache whole batches, so its seed
-    // choice, and with it the solver work, does not depend on the
-    // schedule either.
+    // Each evaluation's solver work depends only on its sample, so the
+    // totals do not depend on the schedule either.
     assert_eq!(
         configs[2].newton_iters, configs[1].newton_iters,
-        "Newton evaluations must be thread-invariant (all_cores_warm vs serial_warm)"
+        "Newton evaluations must be thread-invariant (all_cores_adaptive vs serial_adaptive)"
     );
     assert_eq!(
-        configs[2].warm_start_seeds, configs[1].warm_start_seeds,
-        "warm-start seeds must be thread-invariant (all_cores_warm vs serial_warm)"
+        configs[2].factorisations, configs[1].factorisations,
+        "curve solves must be thread-invariant (all_cores_adaptive vs serial_adaptive)"
     );
     assert!(
-        configs[1].warm_exact_hits + configs[1].warm_seeded > 0,
-        "the warm cache must actually engage on this workload"
-    );
-    assert!(
-        configs[4].warm_exact_hits > 0,
+        configs[4].store_hits > 0,
         "the restored store must serve the resubmission"
     );
     assert!(
@@ -380,11 +372,11 @@ fn main() -> ExitCode {
         "hold-snm estimates a different indicator and must not echo the read-snm number"
     );
 
-    let speedup_warm_vs_fixed = configs[0].seconds / configs[1].seconds;
+    let speedup_adaptive_vs_fixed = configs[0].seconds / configs[1].seconds;
     let speedup_parallel = configs[1].seconds / configs[2].seconds;
     let speedup_warm_serve = configs[3].seconds / configs[4].seconds;
     println!(
-        "\nwarm vs fixed (serial): {speedup_warm_vs_fixed:.2}x   all-cores vs serial: \
+        "\nadaptive vs fixed (serial): {speedup_adaptive_vs_fixed:.2}x   all-cores vs serial: \
          {speedup_parallel:.2}x   store-warmed resubmission: {speedup_warm_serve:.2}x"
     );
 
@@ -395,16 +387,19 @@ fn main() -> ExitCode {
         cores,
         quick,
         configs,
-        speedup_warm_vs_fixed,
+        speedup_adaptive_vs_fixed,
         speedup_parallel_vs_serial: speedup_parallel,
         speedup_warm_serve,
         note: format!(
             "Measured on a {cores}-core machine. The parallel-vs-serial ratio is \
              bounded by the core count; on a single core it measures pure batching \
-             overhead. serial_fixed disables the adaptive butterfly policy and all \
-             warm-start caches; warm_serve resubmits against a verdict cache \
-             restored from the persistent snapshot. P_fail and simulation counts \
-             are asserted bit-identical across all read-snm configurations; \
+             overhead. serial_fixed disables the adaptive coarse-first butterfly \
+             policy; serial_adaptive and all_cores_adaptive run it on a bare bench; \
+             warm_serve resubmits against a verdict cache restored from the \
+             persistent snapshot. P_fail and simulation counts are asserted \
+             bit-identical across all read-snm configurations, and Newton \
+             evaluations and curve solves across serial_adaptive and \
+             all_cores_adaptive; --check pins all four counts per configuration. \
              hold_snm_scenario runs the hold-retention indicator through the same \
              pipeline and is pinned by --check but exempt from cross-config \
              invariance."

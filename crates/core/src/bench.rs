@@ -32,8 +32,6 @@ pub struct SolveEffort {
     /// Inner-solver invocations (transfer-curve point solves for the
     /// SRAM bench).
     pub factorisations: u64,
-    /// Curve-point solves started from a warm-start seed.
-    pub warm_start_seeds: u64,
 }
 
 impl SolveEffort {
@@ -42,9 +40,6 @@ impl SolveEffort {
         SolveEffort {
             newton_iters: self.newton_iters.saturating_sub(earlier.newton_iters),
             factorisations: self.factorisations.saturating_sub(earlier.factorisations),
-            warm_start_seeds: self
-                .warm_start_seeds
-                .saturating_sub(earlier.warm_start_seeds),
         }
     }
 
@@ -52,7 +47,6 @@ impl SolveEffort {
     pub fn add(&mut self, other: &SolveEffort) {
         self.newton_iters += other.newton_iters;
         self.factorisations += other.factorisations;
-        self.warm_start_seeds += other.warm_start_seeds;
     }
 }
 
@@ -135,30 +129,6 @@ pub trait Testbench: Sync {
     fn solve_effort(&self) -> SolveEffort {
         SolveEffort::default()
     }
-}
-
-/// A bench whose evaluations can be warm-started from the by-product of
-/// a *nearby* earlier evaluation.
-///
-/// `try_fails_seeded` must return the same verdict as
-/// [`Testbench::try_fails`] for every seed — seeds accelerate, never
-/// decide. The returned seed (if any) is the reusable by-product of this
-/// evaluation, suitable for caching keyed by operating point.
-pub trait SeedableBench: Testbench {
-    /// The reusable evaluation by-product (butterfly curves for the SRAM
-    /// benches).
-    type Seed: Clone + Send + Sync;
-
-    /// Evaluates `z`, optionally warm-started by a neighbour's seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    fn try_fails_seeded(
-        &self,
-        z: &[f64],
-        seed: Option<&Self::Seed>,
-    ) -> Result<(bool, Option<Self::Seed>), EvalError>;
 }
 
 /// A linear synthetic indicator `I(z) = [w·z > b]` whose exact failure
@@ -348,18 +318,6 @@ impl<T: Testbench + ?Sized> Testbench for &T {
     }
 }
 
-impl<B: SeedableBench> SeedableBench for &B {
-    type Seed = B::Seed;
-
-    fn try_fails_seeded(
-        &self,
-        z: &[f64],
-        seed: Option<&Self::Seed>,
-    ) -> Result<(bool, Option<Self::Seed>), EvalError> {
-        (**self).try_fails_seeded(z, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,17 +468,6 @@ mod tests {
             "curve solves uncounted: {delta:?}"
         );
         assert!(delta.newton_iters > delta.factorisations);
-    }
-
-    #[test]
-    fn seeded_evaluation_matches_plain_evaluation() {
-        let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
-        let z0 = [0.4, -0.4, 0.0, 0.4, 0.0, 0.0];
-        let (v0, seed) = b.try_fails_seeded(&z0, None).expect("cold eval");
-        assert_eq!(Ok(v0), b.try_fails(&z0));
-        let z1 = [0.45, -0.35, 0.0, 0.4, 0.0, 0.0];
-        let (v1, _) = b.try_fails_seeded(&z1, seed.as_ref()).expect("seeded eval");
-        assert_eq!(Ok(v1), b.try_fails(&z1));
     }
 
     #[test]

@@ -581,7 +581,6 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         let effort = self.bench.solve_effort().delta(&effort_start);
         oracle_stats.newton_iters = effort.newton_iters;
         oracle_stats.factorisations = effort.factorisations;
-        oracle_stats.warm_start_seeds = effort.warm_start_seeds;
 
         observer.run_finished(&RunSummary {
             p_fail: is.p_fail,

@@ -87,8 +87,8 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
-pub use bench::{EvalError, SeedableBench, SimCounter, SolveEffort, Testbench};
-pub use cache::{MemoBench, MemoCacheConfig, WarmBench, WarmCacheConfig, WarmCacheStats};
+pub use bench::{EvalError, SimCounter, SolveEffort, Testbench};
+pub use cache::{MemoBench, MemoCacheConfig};
 pub use ecripse::{Ecripse, EcripseConfig, EcripseResult};
 pub use observe::{
     MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,

@@ -98,8 +98,8 @@ pub struct OracleStats {
     /// like `newton_iters`).
     #[serde(default)]
     pub factorisations: u64,
-    /// Curve-point solves started from a warm-start seed
-    /// (driver-filled, like `newton_iters`).
+    /// Always 0: no evaluation path seeds its curve solves any more. Kept
+    /// so reports and wire documents that carry the field still parse.
     #[serde(default)]
     pub warm_start_seeds: u64,
 }

@@ -306,6 +306,67 @@ mod tests {
         assert!(r1 > 0, "every third sample needed one retry");
     }
 
+    /// Records every batch its `try_fails_batch` receives.
+    #[derive(Default)]
+    struct BatchRecorder {
+        batches: parking_lot::Mutex<Vec<Vec<Vec<f64>>>>,
+    }
+
+    impl Testbench for BatchRecorder {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn fails(&self, z: &[f64]) -> bool {
+            z[0] + z[1] > 1.0
+        }
+
+        fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
+            if z[0] < 0.0 && attempt == 0 {
+                return Err(EvalError::NonFinite {
+                    context: "recorder",
+                });
+            }
+            Ok(self.fails(z))
+        }
+
+        fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
+            self.batches.lock().push(zs.to_vec());
+            zs.par_iter()
+                .map(|z| self.try_fails_attempt(z, 0))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn attempt_zero_reaches_the_inner_bench_as_the_whole_batch() {
+        // A caching layer below the ladder routes a batch by what its
+        // store holds when the batch arrives, so attempt 0 must reach it
+        // as the caller's whole slice on any pool; only failures climb.
+        let first: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i as f64 * 0.7).sin() * 3.0, (i as f64 * 1.3).cos() * 3.0])
+            .collect();
+        let second: Vec<Vec<f64>> = first.iter().map(|z| vec![z[0] + 0.05, z[1]]).collect();
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            let r = RetryBench::new(BatchRecorder::default(), RetryPolicy::default());
+            let verdicts: Vec<Vec<bool>> = [&first, &second]
+                .iter()
+                .map(|zs| pool.install(|| r.fails_batch(zs)))
+                .collect();
+            let batches = r.inner().batches.lock().clone();
+            (verdicts, batches, r.retries(), r.quarantined())
+        };
+        let serial = run(1);
+        assert_eq!(serial.1, vec![first.clone(), second.clone()]);
+        assert!(serial.2 > 0, "some samples must climb the ladder");
+        assert_eq!(serial.3, 0);
+        assert_eq!(run(4), serial);
+    }
+
     #[test]
     fn zero_attempts_policy_still_evaluates_once() {
         let r = RetryBench::new(Flaky::new(0), RetryPolicy { max_attempts: 0 });

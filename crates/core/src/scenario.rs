@@ -3,12 +3,12 @@
 //! The paper only ever estimates one indicator — read-SNM failure at the
 //! nominal operating point — but nothing upstream of the testbench cares
 //! *which* margin the circuit bench extracts: the particle-filter
-//! ensemble, the SVM oracle, the memo/warm caches and the serve layer
+//! ensemble, the SVM oracle, the verdict caches and the serve layer
 //! all consume an opaque [`Testbench`]. A [`Scenario`] names one
 //! concrete indicator over the shared 6-D variability space, and
 //! [`SramScenarioBench`] instantiates it on the common
 //! [`ReadStabilityBench`] solver machinery, so every scenario inherits
-//! batching, retry ladders, warm seeding, telemetry and the adaptive
+//! batching, retry ladders, telemetry and the adaptive
 //! butterfly-resolution policy unchanged.
 //!
 //! Registered scenarios:
@@ -29,9 +29,8 @@
 //! The full authoring contract — determinism, thread invariance, cache
 //! keying — is documented in `SCENARIOS.md` at the repository root.
 
-use crate::bench::{EvalError, SeedableBench, SolveEffort, Testbench};
+use crate::bench::{EvalError, SolveEffort, Testbench};
 use crate::sweep::SweepBench;
-use ecripse_spice::butterfly::Butterfly;
 use ecripse_spice::testbench::{BenchConfig, ReadStabilityBench};
 use rayon::prelude::*;
 
@@ -140,10 +139,7 @@ impl Testbench for SramScenarioBench {
     }
 
     fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        Ok(self
-            .inner
-            .try_fails_whitened(self.scenario, z, attempt, None)?
-            .0)
+        self.inner.try_fails_whitened(self.scenario, z, attempt)
     }
 
     fn solve_effort(&self) -> SolveEffort {
@@ -151,20 +147,7 @@ impl Testbench for SramScenarioBench {
         SolveEffort {
             newton_iters: e.newton_iters,
             factorisations: e.curve_solves,
-            warm_start_seeds: e.seeded_curves,
         }
-    }
-}
-
-impl SeedableBench for SramScenarioBench {
-    type Seed = Butterfly;
-
-    fn try_fails_seeded(
-        &self,
-        z: &[f64],
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
-        self.inner.try_fails_whitened(self.scenario, z, 0, seed)
     }
 }
 
@@ -230,170 +213,142 @@ mod tests {
         [-2.5, 0.7, 1.9, -0.3, 2.2, -1.4],
     ];
 
-    /// The neighbour whose returned butterfly seeds a point's seeded case.
-    fn golden_neighbour(z: &[f64; 6]) -> [f64; 6] {
-        let mut n = *z;
-        n[0] += 0.05;
-        n[1] -= 0.05;
-        n[3] += 0.05;
-        n
-    }
-
-    /// One case of the routing table: the unseeded case goes through the
-    /// retry-ladder entry point, the seeded one through the bench's single
-    /// indicator entry point.
-    fn golden_route(
-        bench: &SramScenarioBench,
-        z: &[f64],
-        attempt: usize,
-        seed: Option<&Butterfly>,
-    ) -> Result<bool, EvalError> {
-        match seed {
-            None => bench.try_fails_attempt(z, attempt),
-            Some(_) => Ok(bench
-                .circuit()
-                .try_fails_whitened(bench.scenario(), z, attempt, seed)?
-                .0),
-        }
-    }
-
     /// Pinned outcome of one case: verdict and the deltas of
-    /// (newton_iters, curve_solves, seeded_curves, coarse_accepts,
-    /// escalations) it adds to the bench's effort ledger.
-    type GoldenCase = (bool, [u64; 5]);
+    /// (newton_iters, curve_solves, coarse_accepts, escalations) it adds
+    /// to the bench's effort ledger.
+    type GoldenCase = (bool, [u64; 4]);
 
-    /// Per scenario (registry order), per point, per attempt 0..=3: the
-    /// unseeded case, then the case seeded from the neighbour's butterfly.
+    /// Per scenario (registry order), per point, per attempt 0..=3.
     /// Row `(scenario * 8 + point) * 4 + attempt`.
-    const GOLDEN: [(GoldenCase, GoldenCase); 128] = [
-        ((false, [168, 62, 0, 1, 0]), (false, [107, 62, 62, 1, 0])),
-        ((false, [752, 244, 0, 0, 0]), (false, [752, 244, 0, 0, 0])),
-        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
-        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
-        ((false, [173, 62, 0, 1, 0]), (false, [109, 62, 62, 1, 0])),
-        ((false, [759, 244, 0, 0, 0]), (false, [759, 244, 0, 0, 0])),
-        ((false, [1426, 488, 0, 0, 0]), (false, [1426, 488, 0, 0, 0])),
-        ((false, [1426, 488, 0, 0, 0]), (false, [1426, 488, 0, 0, 0])),
-        ((false, [587, 184, 0, 0, 1]), (false, [526, 184, 62, 0, 1])),
-        ((false, [753, 244, 0, 0, 0]), (false, [753, 244, 0, 0, 0])),
-        ((false, [1407, 488, 0, 0, 0]), (false, [1407, 488, 0, 0, 0])),
-        ((false, [1407, 488, 0, 0, 0]), (false, [1407, 488, 0, 0, 0])),
-        ((true, [587, 184, 0, 0, 1]), (true, [526, 184, 62, 0, 1])),
-        ((true, [753, 244, 0, 0, 0]), (true, [753, 244, 0, 0, 0])),
-        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
-        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
-        ((false, [159, 62, 0, 1, 0]), (false, [105, 62, 62, 1, 0])),
-        ((false, [739, 244, 0, 0, 0]), (false, [739, 244, 0, 0, 0])),
-        ((false, [1394, 488, 0, 0, 0]), (false, [1394, 488, 0, 0, 0])),
-        ((false, [1394, 488, 0, 0, 0]), (false, [1394, 488, 0, 0, 0])),
-        ((false, [169, 62, 0, 1, 0]), (false, [107, 62, 62, 1, 0])),
-        ((false, [751, 244, 0, 0, 0]), (false, [751, 244, 0, 0, 0])),
-        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
-        ((false, [1414, 488, 0, 0, 0]), (false, [1414, 488, 0, 0, 0])),
-        ((true, [151, 62, 0, 1, 0]), (true, [105, 62, 62, 1, 0])),
-        ((true, [708, 244, 0, 0, 0]), (true, [708, 244, 0, 0, 0])),
-        ((true, [1323, 488, 0, 0, 0]), (true, [1323, 488, 0, 0, 0])),
-        ((true, [1323, 488, 0, 0, 0]), (true, [1323, 488, 0, 0, 0])),
-        ((false, [165, 62, 0, 1, 0]), (false, [106, 62, 62, 1, 0])),
-        ((false, [750, 244, 0, 0, 0]), (false, [750, 244, 0, 0, 0])),
-        ((false, [1411, 488, 0, 0, 0]), (false, [1411, 488, 0, 0, 0])),
-        ((false, [1411, 488, 0, 0, 0]), (false, [1411, 488, 0, 0, 0])),
-        ((false, [138, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
-        ((false, [1272, 488, 0, 0, 0]), (false, [1272, 488, 0, 0, 0])),
-        ((false, [1272, 488, 0, 0, 0]), (false, [1272, 488, 0, 0, 0])),
-        ((false, [140, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [671, 244, 0, 0, 0]), (false, [671, 244, 0, 0, 0])),
-        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
-        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
-        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
-        ((false, [673, 244, 0, 0, 0]), (false, [673, 244, 0, 0, 0])),
-        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
-        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
-        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
-        ((false, [673, 244, 0, 0, 0]), (false, [673, 244, 0, 0, 0])),
-        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
-        ((false, [1268, 488, 0, 0, 0]), (false, [1268, 488, 0, 0, 0])),
-        ((false, [140, 62, 0, 1, 0]), (false, [89, 62, 62, 1, 0])),
-        ((false, [679, 244, 0, 0, 0]), (false, [679, 244, 0, 0, 0])),
-        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
-        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
-        ((false, [139, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
-        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
-        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
-        ((true, [449, 184, 0, 0, 1]), (true, [411, 184, 62, 0, 1])),
-        ((true, [605, 244, 0, 0, 0]), (true, [605, 244, 0, 0, 0])),
-        ((false, [1127, 488, 0, 0, 0]), (false, [1127, 488, 0, 0, 0])),
-        ((false, [1127, 488, 0, 0, 0]), (false, [1127, 488, 0, 0, 0])),
-        ((false, [137, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [672, 244, 0, 0, 0]), (false, [672, 244, 0, 0, 0])),
-        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
-        ((false, [1273, 488, 0, 0, 0]), (false, [1273, 488, 0, 0, 0])),
-        ((false, [152, 62, 0, 1, 0]), (false, [102, 62, 62, 1, 0])),
-        ((false, [704, 244, 0, 0, 0]), (false, [704, 244, 0, 0, 0])),
-        ((false, [1351, 488, 0, 0, 0]), (false, [1351, 488, 0, 0, 0])),
-        ((false, [1351, 488, 0, 0, 0]), (false, [1351, 488, 0, 0, 0])),
-        ((false, [150, 62, 0, 1, 0]), (false, [100, 62, 62, 1, 0])),
-        ((false, [698, 244, 0, 0, 0]), (false, [698, 244, 0, 0, 0])),
-        ((false, [1335, 488, 0, 0, 0]), (false, [1335, 488, 0, 0, 0])),
-        ((false, [1335, 488, 0, 0, 0]), (false, [1335, 488, 0, 0, 0])),
-        ((false, [142, 62, 0, 1, 0]), (false, [96, 62, 62, 1, 0])),
-        ((false, [678, 244, 0, 0, 0]), (false, [678, 244, 0, 0, 0])),
-        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
-        ((false, [1281, 488, 0, 0, 0]), (false, [1281, 488, 0, 0, 0])),
-        ((false, [142, 62, 0, 1, 0]), (false, [96, 62, 62, 1, 0])),
-        ((false, [678, 244, 0, 0, 0]), (false, [678, 244, 0, 0, 0])),
-        ((false, [1280, 488, 0, 0, 0]), (false, [1280, 488, 0, 0, 0])),
-        ((false, [1280, 488, 0, 0, 0]), (false, [1280, 488, 0, 0, 0])),
-        ((true, [571, 184, 0, 0, 1]), (true, [514, 184, 62, 0, 1])),
-        ((true, [743, 244, 0, 0, 0]), (true, [743, 244, 0, 0, 0])),
-        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
-        ((true, [1407, 488, 0, 0, 0]), (true, [1407, 488, 0, 0, 0])),
-        ((false, [153, 62, 0, 1, 0]), (false, [103, 62, 62, 1, 0])),
-        ((false, [704, 244, 0, 0, 0]), (false, [704, 244, 0, 0, 0])),
-        ((false, [1354, 488, 0, 0, 0]), (false, [1354, 488, 0, 0, 0])),
-        ((false, [1354, 488, 0, 0, 0]), (false, [1354, 488, 0, 0, 0])),
-        ((false, [119, 62, 0, 1, 0]), (false, [84, 62, 62, 1, 0])),
-        ((false, [587, 244, 0, 0, 0]), (false, [587, 244, 0, 0, 0])),
-        ((false, [1093, 488, 0, 0, 0]), (false, [1093, 488, 0, 0, 0])),
-        ((false, [1093, 488, 0, 0, 0]), (false, [1093, 488, 0, 0, 0])),
-        ((false, [163, 62, 0, 1, 0]), (false, [106, 62, 62, 1, 0])),
-        ((false, [726, 244, 0, 0, 0]), (false, [726, 244, 0, 0, 0])),
-        ((false, [1391, 488, 0, 0, 0]), (false, [1391, 488, 0, 0, 0])),
-        ((false, [1391, 488, 0, 0, 0]), (false, [1391, 488, 0, 0, 0])),
-        ((false, [139, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [675, 244, 0, 0, 0]), (false, [675, 244, 0, 0, 0])),
-        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
-        ((false, [1275, 488, 0, 0, 0]), (false, [1275, 488, 0, 0, 0])),
-        ((false, [140, 62, 0, 1, 0]), (false, [88, 62, 62, 1, 0])),
-        ((false, [674, 244, 0, 0, 0]), (false, [674, 244, 0, 0, 0])),
-        ((false, [1276, 488, 0, 0, 0]), (false, [1276, 488, 0, 0, 0])),
-        ((false, [1276, 488, 0, 0, 0]), (false, [1276, 488, 0, 0, 0])),
-        ((false, [139, 62, 0, 1, 0]), (false, [90, 62, 62, 1, 0])),
-        ((false, [676, 244, 0, 0, 0]), (false, [676, 244, 0, 0, 0])),
-        ((false, [1271, 488, 0, 0, 0]), (false, [1271, 488, 0, 0, 0])),
-        ((false, [1271, 488, 0, 0, 0]), (false, [1271, 488, 0, 0, 0])),
-        ((false, [139, 62, 0, 1, 0]), (false, [90, 62, 62, 1, 0])),
-        ((false, [676, 244, 0, 0, 0]), (false, [676, 244, 0, 0, 0])),
-        ((false, [1270, 488, 0, 0, 0]), (false, [1270, 488, 0, 0, 0])),
-        ((false, [1270, 488, 0, 0, 0]), (false, [1270, 488, 0, 0, 0])),
-        ((true, [142, 62, 0, 1, 0]), (true, [90, 62, 62, 1, 0])),
-        ((true, [683, 244, 0, 0, 0]), (true, [683, 244, 0, 0, 0])),
-        ((true, [1286, 488, 0, 0, 0]), (true, [1286, 488, 0, 0, 0])),
-        ((true, [1286, 488, 0, 0, 0]), (true, [1286, 488, 0, 0, 0])),
-        ((true, [496, 184, 0, 0, 1]), (true, [445, 184, 62, 0, 1])),
-        ((true, [672, 244, 0, 0, 0]), (true, [672, 244, 0, 0, 0])),
-        ((true, [1278, 488, 0, 0, 0]), (true, [1278, 488, 0, 0, 0])),
-        ((true, [1278, 488, 0, 0, 0]), (true, [1278, 488, 0, 0, 0])),
-        ((false, [123, 62, 0, 1, 0]), (false, [86, 62, 62, 1, 0])),
-        ((false, [601, 244, 0, 0, 0]), (false, [601, 244, 0, 0, 0])),
-        ((false, [1118, 488, 0, 0, 0]), (false, [1118, 488, 0, 0, 0])),
-        ((false, [1118, 488, 0, 0, 0]), (false, [1118, 488, 0, 0, 0])),
-        ((true, [139, 62, 0, 1, 0]), (true, [88, 62, 62, 1, 0])),
-        ((true, [675, 244, 0, 0, 0]), (true, [675, 244, 0, 0, 0])),
-        ((true, [1277, 488, 0, 0, 0]), (true, [1277, 488, 0, 0, 0])),
-        ((true, [1277, 488, 0, 0, 0]), (true, [1277, 488, 0, 0, 0])),
+    const GOLDEN: [GoldenCase; 128] = [
+        (false, [168, 62, 1, 0]),
+        (false, [752, 244, 0, 0]),
+        (false, [1414, 488, 0, 0]),
+        (false, [1414, 488, 0, 0]),
+        (false, [173, 62, 1, 0]),
+        (false, [759, 244, 0, 0]),
+        (false, [1426, 488, 0, 0]),
+        (false, [1426, 488, 0, 0]),
+        (false, [587, 184, 0, 1]),
+        (false, [753, 244, 0, 0]),
+        (false, [1407, 488, 0, 0]),
+        (false, [1407, 488, 0, 0]),
+        (true, [587, 184, 0, 1]),
+        (true, [753, 244, 0, 0]),
+        (true, [1407, 488, 0, 0]),
+        (true, [1407, 488, 0, 0]),
+        (false, [159, 62, 1, 0]),
+        (false, [739, 244, 0, 0]),
+        (false, [1394, 488, 0, 0]),
+        (false, [1394, 488, 0, 0]),
+        (false, [169, 62, 1, 0]),
+        (false, [751, 244, 0, 0]),
+        (false, [1414, 488, 0, 0]),
+        (false, [1414, 488, 0, 0]),
+        (true, [151, 62, 1, 0]),
+        (true, [708, 244, 0, 0]),
+        (true, [1323, 488, 0, 0]),
+        (true, [1323, 488, 0, 0]),
+        (false, [165, 62, 1, 0]),
+        (false, [750, 244, 0, 0]),
+        (false, [1411, 488, 0, 0]),
+        (false, [1411, 488, 0, 0]),
+        (false, [138, 62, 1, 0]),
+        (false, [672, 244, 0, 0]),
+        (false, [1272, 488, 0, 0]),
+        (false, [1272, 488, 0, 0]),
+        (false, [140, 62, 1, 0]),
+        (false, [671, 244, 0, 0]),
+        (false, [1273, 488, 0, 0]),
+        (false, [1273, 488, 0, 0]),
+        (false, [140, 62, 1, 0]),
+        (false, [673, 244, 0, 0]),
+        (false, [1268, 488, 0, 0]),
+        (false, [1268, 488, 0, 0]),
+        (false, [140, 62, 1, 0]),
+        (false, [673, 244, 0, 0]),
+        (false, [1268, 488, 0, 0]),
+        (false, [1268, 488, 0, 0]),
+        (false, [140, 62, 1, 0]),
+        (false, [679, 244, 0, 0]),
+        (false, [1281, 488, 0, 0]),
+        (false, [1281, 488, 0, 0]),
+        (false, [139, 62, 1, 0]),
+        (false, [672, 244, 0, 0]),
+        (false, [1275, 488, 0, 0]),
+        (false, [1275, 488, 0, 0]),
+        (true, [449, 184, 0, 1]),
+        (true, [605, 244, 0, 0]),
+        (false, [1127, 488, 0, 0]),
+        (false, [1127, 488, 0, 0]),
+        (false, [137, 62, 1, 0]),
+        (false, [672, 244, 0, 0]),
+        (false, [1273, 488, 0, 0]),
+        (false, [1273, 488, 0, 0]),
+        (false, [152, 62, 1, 0]),
+        (false, [704, 244, 0, 0]),
+        (false, [1351, 488, 0, 0]),
+        (false, [1351, 488, 0, 0]),
+        (false, [150, 62, 1, 0]),
+        (false, [698, 244, 0, 0]),
+        (false, [1335, 488, 0, 0]),
+        (false, [1335, 488, 0, 0]),
+        (false, [142, 62, 1, 0]),
+        (false, [678, 244, 0, 0]),
+        (false, [1281, 488, 0, 0]),
+        (false, [1281, 488, 0, 0]),
+        (false, [142, 62, 1, 0]),
+        (false, [678, 244, 0, 0]),
+        (false, [1280, 488, 0, 0]),
+        (false, [1280, 488, 0, 0]),
+        (true, [571, 184, 0, 1]),
+        (true, [743, 244, 0, 0]),
+        (true, [1407, 488, 0, 0]),
+        (true, [1407, 488, 0, 0]),
+        (false, [153, 62, 1, 0]),
+        (false, [704, 244, 0, 0]),
+        (false, [1354, 488, 0, 0]),
+        (false, [1354, 488, 0, 0]),
+        (false, [119, 62, 1, 0]),
+        (false, [587, 244, 0, 0]),
+        (false, [1093, 488, 0, 0]),
+        (false, [1093, 488, 0, 0]),
+        (false, [163, 62, 1, 0]),
+        (false, [726, 244, 0, 0]),
+        (false, [1391, 488, 0, 0]),
+        (false, [1391, 488, 0, 0]),
+        (false, [139, 62, 1, 0]),
+        (false, [675, 244, 0, 0]),
+        (false, [1275, 488, 0, 0]),
+        (false, [1275, 488, 0, 0]),
+        (false, [140, 62, 1, 0]),
+        (false, [674, 244, 0, 0]),
+        (false, [1276, 488, 0, 0]),
+        (false, [1276, 488, 0, 0]),
+        (false, [139, 62, 1, 0]),
+        (false, [676, 244, 0, 0]),
+        (false, [1271, 488, 0, 0]),
+        (false, [1271, 488, 0, 0]),
+        (false, [139, 62, 1, 0]),
+        (false, [676, 244, 0, 0]),
+        (false, [1270, 488, 0, 0]),
+        (false, [1270, 488, 0, 0]),
+        (true, [142, 62, 1, 0]),
+        (true, [683, 244, 0, 0]),
+        (true, [1286, 488, 0, 0]),
+        (true, [1286, 488, 0, 0]),
+        (true, [496, 184, 0, 1]),
+        (true, [672, 244, 0, 0]),
+        (true, [1278, 488, 0, 0]),
+        (true, [1278, 488, 0, 0]),
+        (false, [123, 62, 1, 0]),
+        (false, [601, 244, 0, 0]),
+        (false, [1118, 488, 0, 0]),
+        (false, [1118, 488, 0, 0]),
+        (true, [139, 62, 1, 0]),
+        (true, [675, 244, 0, 0]),
+        (true, [1277, 488, 0, 0]),
+        (true, [1277, 488, 0, 0]),
     ];
 
     #[test]
@@ -401,39 +356,25 @@ mod tests {
         for (si, s) in Scenario::ALL.into_iter().enumerate() {
             let bench = SramScenarioBench::paper_cell(s);
             for (pi, z) in GOLDEN_POINTS.iter().enumerate() {
-                let (_, seed) = bench
-                    .try_fails_seeded(&golden_neighbour(z), None)
-                    .expect("neighbour evaluates");
-                let seed = seed.expect("the adaptive pass returns its butterfly");
                 for attempt in 0..4 {
-                    let mut got = [(false, [0u64; 5]); 2];
-                    for (ci, case_seed) in [None, Some(&seed)].into_iter().enumerate() {
-                        let before = bench.circuit().effort();
-                        let solve_before = bench.solve_effort();
-                        let verdict =
-                            golden_route(&bench, z, attempt, case_seed).expect("case evaluates");
-                        let after = bench.circuit().effort();
-                        let solve = bench.solve_effort().delta(&solve_before);
-                        let delta = [
-                            after.newton_iters - before.newton_iters,
-                            after.curve_solves - before.curve_solves,
-                            after.seeded_curves - before.seeded_curves,
-                            after.coarse_accepts - before.coarse_accepts,
-                            after.escalations - before.escalations,
-                        ];
-                        assert_eq!(
-                            [
-                                solve.newton_iters,
-                                solve.factorisations,
-                                solve.warm_start_seeds
-                            ],
-                            [delta[0], delta[1], delta[2]],
-                            "solve_effort disagrees with the circuit ledger"
-                        );
-                        got[ci] = (verdict, delta);
-                    }
+                    let before = bench.circuit().effort();
+                    let solve_before = bench.solve_effort();
+                    let verdict = bench.try_fails_attempt(z, attempt).expect("case evaluates");
+                    let after = bench.circuit().effort();
+                    let solve = bench.solve_effort().delta(&solve_before);
+                    let delta = [
+                        after.newton_iters - before.newton_iters,
+                        after.curve_solves - before.curve_solves,
+                        after.coarse_accepts - before.coarse_accepts,
+                        after.escalations - before.escalations,
+                    ];
                     assert_eq!(
-                        (got[0], got[1]),
+                        [solve.newton_iters, solve.factorisations],
+                        [delta[0], delta[1]],
+                        "solve_effort disagrees with the circuit ledger"
+                    );
+                    assert_eq!(
+                        (verdict, delta),
                         GOLDEN[(si * 8 + pi) * 4 + attempt],
                         "{s} point {pi} attempt {attempt}"
                     );
@@ -460,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_retry_ladder_and_seeding_preserve_verdicts() {
+    fn scenario_retry_ladder_preserves_verdicts() {
         for s in Scenario::ALL {
             let bench = SramScenarioBench::paper_cell(s);
             let z = [1.2, -1.8, 0.4, 0.9, -0.6, 1.1];
@@ -472,11 +413,6 @@ mod tests {
                     "{s} verdict flipped at attempt {attempt}"
                 );
             }
-            let (cold, seed) = bench.try_fails_seeded(&z, None).expect("cold eval");
-            assert_eq!(cold, base);
-            let z2 = [1.25, -1.75, 0.4, 0.9, -0.6, 1.1];
-            let (warm, _) = bench.try_fails_seeded(&z2, seed.as_ref()).expect("warm");
-            assert_eq!(Ok(warm), bench.try_fails(&z2), "{s} seeded verdict drifted");
         }
     }
 

@@ -897,11 +897,11 @@ fn deadline_monitor<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
 /// Sweep *shards* opt out of the cache: the merge asserts every shard's
 /// shared rdf-only reference bit-equal, and while the cache never
 /// changes a verdict, a warm hit skips the circuit solver — so the
-/// solver-effort counters (Newton iterations, factorisations,
-/// warm-started curves) in the shard's report would depend on what the
-/// worker computed before. Shards therefore always evaluate cold, and
-/// the merged document stays bit-identical to a single-process run no
-/// matter how shards were placed or replayed.
+/// solver-effort counters (Newton iterations, curve solves) in the
+/// shard's report would depend on what the worker computed before.
+/// Shards therefore always evaluate cold, and the merged document stays
+/// bit-identical to a single-process run no matter how shards were
+/// placed or replayed.
 fn job_bench<B: SweepBench>(
     shared: &Shared<B>,
     scenario: Scenario,
@@ -1564,12 +1564,12 @@ fn render_prometheus_document<B>(shared: &Shared<B>, m: &Metrics) -> String {
         ),
         (
             "factorisations_total",
-            "Operating-point curve solves (LU factorisations)",
+            "Transfer-curve point solves in the circuit solver (no matrix is factorised)",
             m.oracle.factorisations,
         ),
         (
             "warm_start_seeds_total",
-            "Butterfly evaluations warm-started from a neighbour seed",
+            "Always 0: no evaluation seeds its curve solves; kept for compatibility",
             m.oracle.warm_start_seeds,
         ),
     ];

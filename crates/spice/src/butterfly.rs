@@ -22,8 +22,6 @@ pub struct SampleEffort {
     /// Total Newton iterations (node-current evaluations) across all
     /// solves.
     pub newton_iters: u64,
-    /// Solves started from a seed-predicted point.
-    pub seeded_points: u64,
 }
 
 impl SampleEffort {
@@ -31,7 +29,6 @@ impl SampleEffort {
     pub fn add(&mut self, other: &SampleEffort) {
         self.solves += other.solves;
         self.newton_iters += other.newton_iters;
-        self.seeded_points += other.seeded_points;
     }
 }
 
@@ -79,20 +76,15 @@ impl Butterfly {
         bias: &BiasCondition,
         points: usize,
     ) -> Result<Self, EvalError> {
-        Self::try_sample_seeded(cell, bias, points, 1e-7, None).map(|(b, _)| b)
+        Self::try_sample_counted(cell, bias, points, 1e-7).map(|(b, _)| b)
     }
 
-    /// The full-control sampler behind [`Self::try_sample`]: an explicit
-    /// solver `resolution`, an optional `seed` butterfly from a nearby
-    /// operating point, and effort counters.
+    /// The counted sampler behind [`Self::try_sample`]: an explicit
+    /// solver `resolution` and the effort the solves cost.
     ///
-    /// Each point's solve starts from the seed's interpolated value when
-    /// a seed is given and that value lies inside the solve's bracket,
-    /// and from the previous point's root otherwise. The
-    /// start point only changes how fast the solve converges, never which
-    /// root it finds, so the result is correct for any seed. With
-    /// `resolution = 1e-7` and no seed this is bit-identical to
-    /// [`Self::try_sample`].
+    /// Each point's solve starts from the previous point's root, which
+    /// bounds the next root from above. With `resolution = 1e-7` this is
+    /// bit-identical to [`Self::try_sample`].
     ///
     /// # Panics
     ///
@@ -102,12 +94,11 @@ impl Butterfly {
     ///
     /// Returns [`EvalError::NonFinite`] when the supply or either
     /// transfer curve contains a NaN or infinity.
-    pub fn try_sample_seeded(
+    pub fn try_sample_counted(
         cell: &Sram6T,
         bias: &BiasCondition,
         points: usize,
         resolution: f64,
-        seed: Option<&Butterfly>,
     ) -> Result<(Self, SampleEffort), EvalError> {
         assert!(points >= 2, "need at least two grid points, got {points}");
         let vdd = cell.vdd();
@@ -116,7 +107,6 @@ impl Butterfly {
                 context: "supply voltage",
             });
         }
-        let seed = seed.filter(|s| s.len() >= 2);
         let mut effort = SampleEffort::default();
         let mut grid = Vec::with_capacity(points);
         let mut curve_a = Vec::with_capacity(points);
@@ -124,21 +114,16 @@ impl Butterfly {
         for i in 0..points {
             let vin = vdd * i as f64 / (points - 1) as f64;
             grid.push(vin);
-            let mut solve = |right: bool, hint: Option<f64>, guess: Option<f64>| {
-                let v = cell.solve_vtc(right, bias, vin, hint, guess, resolution);
+            let mut solve = |right: bool, hint: Option<f64>| {
+                let v = cell.solve_vtc(right, bias, vin, hint, resolution);
                 effort.solves += 1;
                 effort.newton_iters += u64::from(v.iters);
-                effort.seeded_points += u64::from(v.seeded);
                 v.v
             };
             // The VTCs are monotone decreasing, so each curve's previous
             // root bounds its next one from above.
-            let a = solve(true, curve_a.last().copied(), seed.map(|s| s.interp_a(vin)));
-            let b = solve(
-                false,
-                curve_b.last().copied(),
-                seed.map(|s| s.interp_b(vin)),
-            );
+            let a = solve(true, curve_a.last().copied());
+            let b = solve(false, curve_b.last().copied());
             if !a.is_finite() {
                 return Err(EvalError::NonFinite {
                     context: "butterfly curve A",
@@ -160,30 +145,6 @@ impl Butterfly {
             },
             effort,
         ))
-    }
-
-    /// Linear interpolation of curve A (`f_R`) at an arbitrary input,
-    /// clamped to the sampled range.
-    pub fn interp_a(&self, vin: f64) -> f64 {
-        Self::interp(&self.grid, &self.curve_a, vin)
-    }
-
-    /// Linear interpolation of curve B (`f_L`) at an arbitrary input,
-    /// clamped to the sampled range.
-    pub fn interp_b(&self, vin: f64) -> f64 {
-        Self::interp(&self.grid, &self.curve_b, vin)
-    }
-
-    fn interp(grid: &[f64], curve: &[f64], vin: f64) -> f64 {
-        match grid.binary_search_by(|g| g.total_cmp(&vin)) {
-            Ok(i) => curve[i],
-            Err(0) => curve[0],
-            Err(i) if i >= grid.len() => curve[grid.len() - 1],
-            Err(i) => {
-                let t = (vin - grid[i - 1]) / (grid[i] - grid[i - 1]);
-                curve[i - 1] + t * (curve[i] - curve[i - 1])
-            }
-        }
     }
 
     /// Number of grid points.
@@ -257,74 +218,5 @@ mod tests {
         let a = Butterfly::sample(&cell, &cell.read_bias(), 31);
         let b = Butterfly::try_sample(&cell, &cell.read_bias(), 31).expect("healthy cell");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seeded_sampling_costs_no_more_work() {
-        let cell = Sram6T::paper_cell();
-        let bias = cell.read_bias();
-        let (seed, cold) =
-            Butterfly::try_sample_seeded(&cell, &bias, 31, 1e-7, None).expect("cold");
-        // A tiny perturbation of the same cell: the seed curves are
-        // excellent start points.
-        let near = cell.with_delta_vth(&[0.002, -0.001, 0.0, 0.001, 0.0, -0.002]);
-        let (plain, unseeded) =
-            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, None).expect("unseeded");
-        let (warm_b, warm) =
-            Butterfly::try_sample_seeded(&near, &bias, 31, 1e-7, Some(&seed)).expect("seeded");
-        assert!(warm.seeded_points > 0, "seed start points should engage");
-        assert!(
-            warm.newton_iters <= unseeded.newton_iters,
-            "seeded {} vs unseeded {} Newton iterations",
-            warm.newton_iters,
-            unseeded.newton_iters
-        );
-        assert_eq!(cold.seeded_points, 0);
-        // And the curves agree with the unseeded solve to the solver
-        // resolution.
-        let seeded_points = warm_b.curve_a.iter().chain(&warm_b.curve_b);
-        for (a, b) in seeded_points.zip(plain.curve_a.iter().chain(&plain.curve_b)) {
-            assert!((a - b).abs() < 2e-7, "seeded {a} vs plain {b}");
-        }
-    }
-
-    #[test]
-    fn nonsense_seed_still_gives_the_correct_curve() {
-        let cell = Sram6T::paper_cell();
-        let bias = cell.read_bias();
-        // A nonsense seed: constant mid-rail curves are far from most
-        // roots, yet only the start points change — the result must
-        // still be correct.
-        let bogus = Butterfly {
-            grid: vec![0.0, cell.vdd()],
-            curve_a: vec![0.35, 0.35],
-            curve_b: vec![0.35, 0.35],
-        };
-        let (b, eff) = Butterfly::try_sample_seeded(&cell, &bias, 21, 1e-7, Some(&bogus))
-            .expect("seeded path");
-        assert!(eff.seeded_points > 0);
-        let plain = Butterfly::try_sample(&cell, &bias, 21).expect("plain");
-        for (a, p) in b.curve_a.iter().zip(&plain.curve_a) {
-            assert!((a - p).abs() < 2e-7);
-        }
-        for (a, p) in b.curve_b.iter().zip(&plain.curve_b) {
-            assert!((a - p).abs() < 2e-7);
-        }
-    }
-
-    #[test]
-    fn interpolation_clamps_and_matches_grid_points() {
-        let cell = Sram6T::paper_cell();
-        let b = Butterfly::sample(&cell, &cell.read_bias(), 21);
-        for (i, &g) in b.grid.iter().enumerate() {
-            assert_eq!(b.interp_a(g), b.curve_a[i]);
-            assert_eq!(b.interp_b(g), b.curve_b[i]);
-        }
-        assert_eq!(b.interp_a(-1.0), b.curve_a[0]);
-        assert_eq!(b.interp_a(b.grid[20] + 1.0), b.curve_a[20]);
-        // Midpoints interpolate between neighbours.
-        let mid = 0.5 * (b.grid[3] + b.grid[4]);
-        let want = 0.5 * (b.curve_a[3] + b.curve_a[4]);
-        assert!((b.interp_a(mid) - want).abs() < 1e-12);
     }
 }

@@ -44,9 +44,9 @@
 //! // A heavily imbalanced cell loses margin.
 //! let skewed = bench.margin(Scenario::ReadSnm, &[0.25, -0.25, -0.25, 0.25, 0.0, 0.0]);
 //! assert!(skewed < nominal);
-//! // The indicator I(x) over whitened coordinates: attempt 0, no seed.
-//! let (fails, _) = bench
-//!     .try_fails_whitened(Scenario::ReadSnm, &[0.0; 6], 0, None)
+//! // The indicator I(x) over whitened coordinates, attempt 0.
+//! let fails = bench
+//!     .try_fails_whitened(Scenario::ReadSnm, &[0.0; 6], 0)
 //!     .expect("the nominal cell evaluates");
 //! assert!(!fails);
 //! ```

@@ -30,16 +30,6 @@ pub struct SnmReport {
     pub rnm: f64,
 }
 
-impl SnmReport {
-    /// Whether the margin's *sign* is trustworthy at a coarser sampling
-    /// resolution: finite and at least `threshold` volts away from zero.
-    /// Adaptive evaluation accepts a coarse verdict only when this holds
-    /// with a threshold well above the coarse-vs-fine margin drift.
-    pub fn decisive(&self, threshold: f64) -> bool {
-        self.rnm.is_finite() && self.rnm.abs() >= threshold
-    }
-}
-
 /// A polyline resampled as a single-valued function of the rotated
 /// coordinate `u`.
 struct RotatedCurve {
@@ -578,7 +568,7 @@ mod proptests {
             cell.hold_bias()
         };
         let (points, resolution) = if fine { (61, 1e-7) } else { (31, 3e-4) };
-        Butterfly::try_sample_seeded(&cell, &bias, points, resolution, None)
+        Butterfly::try_sample_counted(&cell, &bias, points, resolution)
             .expect("paper cell within ±6σ samples cleanly")
             .0
     }

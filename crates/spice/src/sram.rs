@@ -124,8 +124,6 @@ pub struct VtcSolve {
     /// value and its derivative), whether it fed a Newton or a
     /// safeguarding bisection step.
     pub iters: u32,
-    /// Whether the caller's guess started the solve.
-    pub seeded: bool,
 }
 
 /// A 6T SRAM cell.
@@ -288,13 +286,13 @@ impl Sram6T {
     /// Solves the right half-cell transfer curve `V_QB = f_R(V_Q)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_right(&self, bias: &BiasCondition, v_q: f64) -> f64 {
-        self.vtc_right_effort(bias, v_q, None, None, 1e-7).v
+        self.vtc_right_effort(bias, v_q, None, 1e-7).v
     }
 
     /// Solves the left half-cell transfer curve `V_Q = f_L(V_QB)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_left(&self, bias: &BiasCondition, v_qb: f64) -> f64 {
-        self.vtc_left_effort(bias, v_qb, None, None, 1e-7).v
+        self.vtc_left_effort(bias, v_qb, None, 1e-7).v
     }
 
     /// Effort-counting solve of the right transfer curve to an explicit
@@ -302,19 +300,16 @@ impl Sram6T {
     ///
     /// The VTC is monotone decreasing in its input, so when sweeping the
     /// input upward the previous output `upper_hint` bounds the next root
-    /// from above; it narrows the bracket and is the default start point.
-    /// A `guess` inside the bracket (e.g. a neighbouring cell's curve at
-    /// the same input) starts the solve instead. Neither changes which
-    /// root is found — only how fast.
+    /// from above; it narrows the bracket and is the start point. It
+    /// does not change which root is found — only how fast.
     pub fn vtc_right_effort(
         &self,
         bias: &BiasCondition,
         v_q: f64,
         upper_hint: Option<f64>,
-        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
-        self.solve_vtc(true, bias, v_q, upper_hint, guess, resolution)
+        self.solve_vtc(true, bias, v_q, upper_hint, resolution)
     }
 
     /// Left-curve variant of [`Self::vtc_right_effort`].
@@ -323,30 +318,25 @@ impl Sram6T {
         bias: &BiasCondition,
         v_qb: f64,
         upper_hint: Option<f64>,
-        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
-        self.solve_vtc(false, bias, v_qb, upper_hint, guess, resolution)
+        self.solve_vtc(false, bias, v_qb, upper_hint, resolution)
     }
 
     /// The one VTC solve behind every public entry point: a safeguarded
     /// Newton solve inside the monotone-hint bracket, started from the
-    /// guess, else the hint, else the bracket midpoint.
+    /// hint, else the bracket midpoint.
     pub(crate) fn solve_vtc(
         &self,
         right: bool,
         bias: &BiasCondition,
         vin: f64,
         upper_hint: Option<f64>,
-        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
         let (lo, hi) = self.hint_bracket(upper_hint, resolution);
-        let inside = |v: &f64| lo < *v && *v < hi;
-        let seeded = guess.as_ref().is_some_and(inside);
-        let start = guess
-            .filter(inside)
-            .or(upper_hint.filter(inside))
+        let start = upper_hint
+            .filter(|v| lo < *v && *v < hi)
             .unwrap_or(0.5 * (lo + hi));
         let (v, iters) = safeguarded_newton(
             |v| self.node_current(right, bias, vin, v),
@@ -355,7 +345,7 @@ impl Sram6T {
             start,
             resolution,
         );
-        VtcSolve { v, iters, seeded }
+        VtcSolve { v, iters }
     }
 
     /// The bracket from an optional monotone upper hint. The bracket
@@ -585,54 +575,15 @@ mod tests {
         let bias = cell.read_bias();
         for i in 0..=10 {
             let vin = cell.vdd() * i as f64 / 10.0;
-            let effort = cell.vtc_right_effort(&bias, vin, None, None, 1e-7);
+            let effort = cell.vtc_right_effort(&bias, vin, None, 1e-7);
             assert_eq!(
                 cell.vtc_right(&bias, vin),
                 effort.v,
                 "divergence at vin={vin}"
             );
             assert!(effort.iters > 0);
-            assert!(!effort.seeded);
-            let left = cell.vtc_left_effort(&bias, vin, None, None, 1e-7);
+            let left = cell.vtc_left_effort(&bias, vin, None, 1e-7);
             assert_eq!(cell.vtc_left(&bias, vin), left.v, "divergence at vin={vin}");
-        }
-    }
-
-    #[test]
-    fn good_guess_costs_fewer_evaluations_than_a_cold_solve() {
-        let cell = Sram6T::paper_cell();
-        let bias = cell.read_bias();
-        let vin = 0.3;
-        let cold = cell.vtc_right_effort(&bias, vin, None, None, 1e-7);
-        for offset in [-0.02, 0.02] {
-            let warm = cell.vtc_right_effort(&bias, vin, None, Some(cold.v + offset), 1e-7);
-            assert!(warm.seeded);
-            assert!((warm.v - cold.v).abs() < 2e-7);
-            assert!(
-                warm.iters < cold.iters,
-                "guess {offset:+} took {} evaluations, cold solve {}",
-                warm.iters,
-                cold.iters
-            );
-        }
-    }
-
-    #[test]
-    fn nonsense_guesses_still_find_the_root() {
-        let cell = Sram6T::paper_cell();
-        let bias = cell.read_bias();
-        let root = cell.vtc_right(&bias, 0.3);
-        // Outside the bracket (or not a number): the guess is ignored.
-        for guess in [-5.0, cell.vdd() + 1.0, f64::NAN] {
-            let solve = cell.vtc_right_effort(&bias, 0.3, None, Some(guess), 1e-7);
-            assert!(!solve.seeded, "guess {guess} should not start the solve");
-            assert_eq!(solve.v, root);
-        }
-        // Inside the bracket but far from the root: used, still correct.
-        for guess in [-0.19, 0.0, cell.vdd() + 0.19] {
-            let solve = cell.vtc_left_effort(&bias, 0.3, None, Some(guess), 1e-7);
-            assert!(solve.seeded);
-            assert!((solve.v - root).abs() < 2e-7, "guess {guess}: {}", solve.v);
         }
     }
 
@@ -688,8 +639,6 @@ mod proptests {
             right in proptest::bool::ANY,
             hint_gap in 0.0f64..0.2,
             use_hint in proptest::bool::ANY,
-            guess in -0.3f64..1.0,
-            use_guess in proptest::bool::ANY,
         ) {
             let dv: Vec<f64> = CellDevice::ALL
                 .iter()
@@ -706,8 +655,7 @@ mod proptests {
             // A monotone hint is an upper bound on the root, as the
             // previous grid point's root is in a butterfly sweep.
             let hint = use_hint.then_some(root + hint_gap);
-            let solve =
-                cell.solve_vtc(right, &bias, vin, hint, use_guess.then_some(guess), resolution);
+            let solve = cell.solve_vtc(right, &bias, vin, hint, resolution);
             prop_assert!(
                 (solve.v - root).abs() <= resolution,
                 "root {} vs reference {root} at resolution {resolution}",

@@ -30,46 +30,6 @@ use std::sync::Arc;
 /// Number of variability dimensions (one per cell transistor).
 pub const DIM: usize = 6;
 
-/// Adaptive butterfly-resolution policy for the *indicator* paths.
-///
-/// Far from the failure boundary only the margin's sign matters, so a
-/// coarse, low-resolution butterfly decides most samples; whenever the
-/// coarse margin lands inside `margin_threshold` of zero the bench
-/// escalates to the exact fixed-resolution evaluation (bit-identical to
-/// the non-adaptive path), preserving every verdict that could possibly
-/// be grid-sensitive. Margin-returning APIs never use this policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveConfig {
-    /// Master switch for coarse-first indicator evaluation.
-    pub enabled: bool,
-    /// Grid points of the coarse screening butterfly.
-    pub coarse_points: usize,
-    /// Transfer-curve solver resolution of the coarse pass \[V\].
-    pub coarse_resolution: f64,
-    /// Coarse margins closer to zero than this escalate to the exact
-    /// full-resolution evaluation \[V\]. Must comfortably exceed the
-    /// worst coarse-vs-fine margin drift (see the calibration test).
-    pub margin_threshold: f64,
-    /// Seed gate \[V\]: when positive, a neighbouring operating point's
-    /// curves supply the start points of the coarse pass's transfer-curve
-    /// solves; zero disables seeding. The Newton solve needs no seed
-    /// bracket, so only the sign is read; the field stays a width so
-    /// existing configurations keep parsing.
-    pub seed_band: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            coarse_points: 31,
-            coarse_resolution: 3e-4,
-            margin_threshold: 0.003,
-            seed_band: 0.02,
-        }
-    }
-}
-
 /// Configuration of the read-stability bench.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BenchConfig {
@@ -82,9 +42,15 @@ pub struct BenchConfig {
     /// to the historical nominal-temperature bench.
     #[serde(default)]
     pub temperature_delta_c: f64,
-    /// Coarse-first indicator evaluation policy.
-    #[serde(default)]
-    pub adaptive: AdaptiveConfig,
+    /// Coarse-first indicator evaluation. Far from the failure boundary
+    /// only the margin's sign matters, so a coarse butterfly (31 points
+    /// solved to 0.3 mV) decides most samples; a coarse margin within
+    /// 3 mV of zero escalates to the exact fixed-resolution evaluation,
+    /// so every verdict equals the non-adaptive one. Margin-returning
+    /// APIs never use this pass. Deliberately without
+    /// `#[serde(default)]`: a missing field would parse as `false` and
+    /// silently turn the pass off.
+    pub adaptive: bool,
 }
 
 impl Default for BenchConfig {
@@ -93,7 +59,7 @@ impl Default for BenchConfig {
             vdd: crate::ptm::VDD_NOMINAL,
             grid_points: 61,
             temperature_delta_c: 0.0,
-            adaptive: AdaptiveConfig::default(),
+            adaptive: true,
         }
     }
 }
@@ -106,7 +72,6 @@ impl Default for BenchConfig {
 pub struct SolveCounters {
     newton_iters: AtomicU64,
     curve_solves: AtomicU64,
-    seeded_curves: AtomicU64,
     coarse_accepts: AtomicU64,
     escalations: AtomicU64,
 }
@@ -117,8 +82,6 @@ impl SolveCounters {
             .fetch_add(effort.newton_iters, Ordering::Relaxed);
         self.curve_solves
             .fetch_add(effort.solves, Ordering::Relaxed);
-        self.seeded_curves
-            .fetch_add(effort.seeded_points, Ordering::Relaxed);
     }
 
     fn note_accept(&self) {
@@ -133,7 +96,6 @@ impl SolveCounters {
         EffortSnapshot {
             newton_iters: self.newton_iters.load(Ordering::Relaxed),
             curve_solves: self.curve_solves.load(Ordering::Relaxed),
-            seeded_curves: self.seeded_curves.load(Ordering::Relaxed),
             coarse_accepts: self.coarse_accepts.load(Ordering::Relaxed),
             escalations: self.escalations.load(Ordering::Relaxed),
         }
@@ -151,8 +113,6 @@ pub struct EffortSnapshot {
     pub newton_iters: u64,
     /// Transfer-curve points solved — one per inner solver invocation.
     pub curve_solves: u64,
-    /// Curve points whose solve started from a neighbour seed.
-    pub seeded_curves: u64,
     /// Indicator evaluations decided by the coarse pass alone.
     pub coarse_accepts: u64,
     /// Indicator evaluations escalated to the exact full-resolution pass.
@@ -354,6 +314,17 @@ const POWERUP_SKEW: [f64; DIM] = {
 /// evaluates on `grid_points << min(k, 2)` butterfly points (4× max).
 const MAX_GRID_ESCALATION: usize = 2;
 
+/// Grid points of the adaptive pass's coarse screening butterfly.
+const COARSE_POINTS: usize = 31;
+
+/// Transfer-curve solver resolution of the adaptive coarse pass \[V\].
+const COARSE_RESOLUTION: f64 = 3e-4;
+
+/// Coarse margins closer to zero than this escalate to the exact
+/// full-resolution evaluation \[V\]. It must comfortably exceed the worst
+/// coarse-vs-fine margin drift (see the calibration tests).
+const MARGIN_THRESHOLD: f64 = 0.003;
+
 /// Which signed scalar a butterfly's Seevinck report is collapsed to;
 /// negative always means the cell fails.
 ///
@@ -441,14 +412,6 @@ impl ReadStabilityBench {
                 && (-150.0..=200.0).contains(&config.temperature_delta_c),
             "temperature delta outside [-150, 200] K"
         );
-        if config.adaptive.enabled {
-            assert!(config.adaptive.coarse_points >= 2, "coarse grid too coarse");
-            assert!(
-                config.adaptive.coarse_resolution > 0.0 && config.adaptive.margin_threshold > 0.0,
-                "adaptive knobs must be positive"
-            );
-            assert!(config.adaptive.seed_band >= 0.0, "negative seed band");
-        }
         Self {
             cell: Sram6T::paper_cell_at(config.vdd)
                 .with_temperature_delta(config.temperature_delta_c),
@@ -522,8 +485,7 @@ impl ReadStabilityBench {
         grid_points: usize,
         kind: MarginKind,
     ) -> Result<f64, EvalError> {
-        let (butterfly, effort) =
-            Butterfly::try_sample_seeded(cell, bias, grid_points, 1e-7, None)?;
+        let (butterfly, effort) = Butterfly::try_sample_counted(cell, bias, grid_points, 1e-7)?;
         self.counters.record(&effort);
         let margin = kind.extract(&try_read_noise_margin(&butterfly)?);
         if !margin.is_finite() {
@@ -571,15 +533,13 @@ impl ReadStabilityBench {
     /// the verdict is `true` when the scenario's margin is negative.
     ///
     /// `attempt` is the rung of the retry ladder. Attempt 0 is the normal
-    /// evaluation: with the adaptive policy enabled, a coarse butterfly
-    /// (its transfer-curve solves optionally started from a neighbour's
-    /// `seed`) decides samples whose margin is decisive, and indecisive
-    /// ones escalate to the bit-identical full-resolution evaluation,
-    /// which is never seeded; the coarse butterfly comes back for reuse
-    /// as a seed. Attempt `k > 0` is the full-resolution evaluation on
-    /// `grid_points << min(k, 2)` butterfly points, unseeded and returning
-    /// no butterfly. For every input on which both paths succeed, the
-    /// verdict equals the fixed-resolution verdict.
+    /// evaluation: with [`BenchConfig::adaptive`] on, a coarse butterfly
+    /// decides samples whose margin is decisive, and indecisive ones
+    /// escalate to the bit-identical full-resolution evaluation. Attempt
+    /// `k > 0` is the full-resolution evaluation on
+    /// `grid_points << min(k, 2)` butterfly points. For every input on
+    /// which both paths succeed, the verdict equals the fixed-resolution
+    /// verdict.
     ///
     /// # Errors
     ///
@@ -591,44 +551,30 @@ impl ReadStabilityBench {
         scenario: Scenario,
         x: &[f64],
         attempt: usize,
-        seed: Option<&Butterfly>,
-    ) -> Result<(bool, Option<Butterfly>), EvalError> {
+    ) -> Result<bool, EvalError> {
         Self::check_input(x, "whitened sample")?;
         let row = scenario.indicator();
         let (cell, bias) = self.cell_under(&row, &self.to_physical(x));
-        let adaptive = self.config.adaptive;
-        if attempt > 0 || !adaptive.enabled {
+        if attempt > 0 || !self.config.adaptive {
             let grid = self.config.grid_points << attempt.min(MAX_GRID_ESCALATION);
-            return Ok((self.margin_of(&cell, &bias, grid, row.margin)? < 0.0, None));
+            return Ok(self.margin_of(&cell, &bias, grid, row.margin)? < 0.0);
         }
-        let coarse = Butterfly::try_sample_seeded(
-            &cell,
-            &bias,
-            adaptive.coarse_points,
-            adaptive.coarse_resolution,
-            seed.filter(|_| adaptive.seed_band > 0.0),
-        );
-        let Ok((coarse_bfly, effort)) = coarse else {
-            // The coarse pass failed outright; decide exactly, seedless.
-            self.counters.note_escalation();
-            let margin = self.margin_of(&cell, &bias, self.config.grid_points, row.margin)?;
-            return Ok((margin < 0.0, None));
-        };
-        self.counters.record(&effort);
-        if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
-            let margin = row.margin.extract(&report);
-            if margin.is_finite()
-                && margin.abs() >= row.margin.decisive_threshold(adaptive.margin_threshold)
-            {
-                self.counters.note_accept();
-                return Ok((margin < 0.0, Some(coarse_bfly)));
+        let coarse = Butterfly::try_sample_counted(&cell, &bias, COARSE_POINTS, COARSE_RESOLUTION);
+        if let Ok((coarse_bfly, effort)) = coarse {
+            self.counters.record(&effort);
+            if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
+                let margin = row.margin.extract(&report);
+                if margin.is_finite()
+                    && margin.abs() >= row.margin.decisive_threshold(MARGIN_THRESHOLD)
+                {
+                    self.counters.note_accept();
+                    return Ok(margin < 0.0);
+                }
             }
         }
-        // Indecisive coarse margin: the exact path decides, but the
-        // coarse curves still seed neighbouring samples.
+        // The coarse pass failed or was indecisive: decide exactly.
         self.counters.note_escalation();
-        let margin = self.margin_of(&cell, &bias, self.config.grid_points, row.margin)?;
-        Ok((margin < 0.0, Some(coarse_bfly)))
+        Ok(self.margin_of(&cell, &bias, self.config.grid_points, row.margin)? < 0.0)
     }
 
     /// Scales a whitened vector back to physical threshold shifts \[V\].
@@ -647,15 +593,13 @@ mod tests {
     use super::*;
     use Scenario::{HoldSnm, PowerupPuf, ReadSnm, WriteMargin};
 
-    /// Attempt-0 verdict of `scenario` at whitened `x`, seedless.
+    /// Attempt-0 verdict of `scenario` at whitened `x`.
     fn try_fails(
         bench: &ReadStabilityBench,
         scenario: Scenario,
         x: &[f64],
     ) -> Result<bool, EvalError> {
-        bench
-            .try_fails_whitened(scenario, x, 0, None)
-            .map(|(fails, _)| fails)
+        bench.try_fails_whitened(scenario, x, 0)
     }
 
     fn fails(bench: &ReadStabilityBench, scenario: Scenario, x: &[f64]) -> bool {
@@ -819,11 +763,10 @@ mod tests {
         let x = [0.1, -0.1, 0.0, 0.0, 0.0, 0.0];
         let base = fails(&bench, ReadSnm, &x);
         for attempt in 1..4 {
-            let (fine, seed) = bench
-                .try_fails_whitened(ReadSnm, &x, attempt, None)
+            let fine = bench
+                .try_fails_whitened(ReadSnm, &x, attempt)
                 .expect("finer grid");
             assert_eq!(fine, base, "attempt {attempt}");
-            assert!(seed.is_none(), "the fixed path returns no butterfly");
         }
     }
 
@@ -867,9 +810,10 @@ mod tests {
     }
 
     fn fixed_bench() -> ReadStabilityBench {
-        let mut config = BenchConfig::default();
-        config.adaptive.enabled = false;
-        ReadStabilityBench::with_config(config)
+        ReadStabilityBench::with_config(BenchConfig {
+            adaptive: false,
+            ..BenchConfig::default()
+        })
     }
 
     /// Deterministic pseudo-random stream in (-1, 1).
@@ -936,28 +880,6 @@ mod tests {
             adaptive.try_margin(HoldSnm, &dv),
             fixed.try_margin(HoldSnm, &dv)
         );
-    }
-
-    #[test]
-    fn neighbour_seed_reuses_curves_and_preserves_verdicts() {
-        let bench = ReadStabilityBench::paper_cell();
-        let x0 = [0.5, -0.5, 0.0, 0.5, 0.0, 0.0];
-        let (v0, seed) = bench
-            .try_fails_whitened(ReadSnm, &x0, 0, None)
-            .expect("first eval");
-        let seed = seed.expect("adaptive evaluation must hand back a seed");
-        let x1 = [0.55, -0.45, 0.0, 0.5, 0.05, 0.0];
-        let before = bench.effort();
-        let (v1, _) = bench
-            .try_fails_whitened(ReadSnm, &x1, 0, Some(&seed))
-            .expect("seeded eval");
-        let after = bench.effort();
-        assert!(after.seeded_curves > before.seeded_curves, "seed unused");
-        let (v1_cold, _) = bench
-            .try_fails_whitened(ReadSnm, &x1, 0, None)
-            .expect("cold eval");
-        assert_eq!(v1, v1_cold, "a neighbour seed changed a verdict");
-        assert_eq!(v0, fails(&fixed_bench(), ReadSnm, &x0));
     }
 
     #[test]
@@ -1089,6 +1011,25 @@ mod tests {
         assert!(
             hot_m > 0.0,
             "the nominal cell must survive 100 K of heating"
+        );
+    }
+
+    #[test]
+    fn bench_config_without_the_adaptive_switch_does_not_parse() {
+        use serde::json::Value;
+        let value = BenchConfig::default().to_value();
+        assert_eq!(
+            BenchConfig::from_value(&value),
+            Some(BenchConfig::default())
+        );
+        let Value::Object(fields) = value else {
+            panic!("a config serialises as an object");
+        };
+        let without = fields.into_iter().filter(|(k, _)| k != "adaptive");
+        assert_eq!(
+            BenchConfig::from_value(&Value::Object(without.collect())),
+            None,
+            "a missing switch must not silently turn the coarse pass off"
         );
     }
 
