@@ -2,7 +2,9 @@
 //! RDF-only workload under the batched + parallel pipeline, comparing
 //! the fixed-resolution path against the adaptive coarse-first butterfly
 //! policy, serially and on all cores, and a resident service
-//! resubmission served from the persistent verdict store.
+//! resubmission served from the persistent verdict store; plus the
+//! RTN-aware CLI `estimate` defaults at seed 1 on one thread and on all
+//! cores — the scaling row.
 //!
 //! ```text
 //! cargo run --release -p ecripse-bench --bin bench_parallel \
@@ -23,6 +25,7 @@ use ecripse_bench::{fmt_count, paper_config, quick_mode};
 use ecripse_core::bench::Testbench;
 use ecripse_core::cache::MemoCacheConfig;
 use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult};
+use ecripse_core::rtn_source::{NoRtn, RtnSource, SramRtn};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::telemetry::{MetricsRegistry, TelemetryObserver};
 use ecripse_serve::shared::{tag_for, SharedBench, VerdictCache};
@@ -78,17 +81,48 @@ struct Report {
     /// Wall-clock ratio of the cold service run over resubmission
     /// against the snapshot-restored persistent verdict store.
     speedup_warm_serve: f64,
+    /// Wall-clock ratio of `estimate_rtn_serial` over
+    /// `estimate_rtn_all_cores`: what the machine's `cores` buy one
+    /// RTN-aware estimate.
+    speedup_all_cores: f64,
     note: String,
+}
+
+/// One measured RDF-only configuration (see [`run_bench_with`]).
+fn run_bench<B: Testbench>(
+    name: &str,
+    cfg: EcripseConfig,
+    threads: usize,
+    adaptive: bool,
+    bench: B,
+) -> ConfigReport {
+    let rtn = NoRtn::new(bench.dim());
+    run_bench_with(name, cfg, threads, adaptive, bench, rtn)
+}
+
+/// The CLI `estimate` defaults at seed 1: read-snm at 0.7 V, α = 0.5.
+fn estimate_rtn(name: &str, threads: usize) -> ConfigReport {
+    let scenario = Scenario::ReadSnm;
+    let bench = SramScenarioBench::at_vdd(scenario, 0.7);
+    let rtn = SramRtn::paper_model(0.5, bench.sigmas());
+    let mut cfg = EcripseConfig {
+        scenario,
+        seed: 1,
+        ..EcripseConfig::default()
+    };
+    cfg.initial.r_max = cfg.initial.r_max.max(scenario.recommended_r_max());
+    run_bench_with(name, cfg, threads, true, bench, rtn)
 }
 
 /// One measured configuration: wall-clock, estimate, and the full
 /// counter set (memo-cache, solver effort).
-fn run_bench<B: Testbench>(
+fn run_bench_with<B: Testbench, S: RtnSource>(
     name: &str,
     mut cfg: EcripseConfig,
     threads: usize,
     adaptive: bool,
     bench: B,
+    rtn: S,
 ) -> ConfigReport {
     cfg.threads = threads;
     cfg.cache = MemoCacheConfig::default();
@@ -97,7 +131,7 @@ fn run_bench<B: Testbench>(
     let registry = MetricsRegistry::new();
     let bridge = TelemetryObserver::new(&registry);
     let t = Instant::now();
-    let res: EcripseResult = Ecripse::new(cfg, bench)
+    let res: EcripseResult = Ecripse::with_rtn(cfg, bench, rtn)
         .estimate_observed(&bridge)
         .expect("estimate");
     let seconds = t.elapsed().as_secs_f64();
@@ -108,7 +142,7 @@ fn run_bench<B: Testbench>(
     let (p50, p90, p99) = batches.percentiles().unwrap_or((0.0, 0.0, 0.0));
     let stats = &res.oracle_stats;
     println!(
-        "{name:<18} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   curve solves {}",
+        "{name:<22} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   curve solves {}",
         res.p_fail,
         fmt_count(res.simulations),
         fmt_count(stats.newton_iters),
@@ -327,6 +361,11 @@ fn main() -> ExitCode {
         )
     };
 
+    // 6/7. The scaling row: one RTN-aware estimate on one thread and on
+    //      all cores.
+    let estimate_rtn_serial = estimate_rtn("estimate_rtn_serial", 1);
+    let estimate_rtn_all_cores = estimate_rtn("estimate_rtn_all_cores", 0);
+
     let configs = vec![
         serial_fixed,
         serial_adaptive,
@@ -334,6 +373,8 @@ fn main() -> ExitCode {
         cold_serve,
         warm_serve,
         hold_snm,
+        estimate_rtn_serial,
+        estimate_rtn_all_cores,
     ];
 
     // The determinism contract: thread count, the adaptive resolution
@@ -363,6 +404,26 @@ fn main() -> ExitCode {
         configs[2].factorisations, configs[1].factorisations,
         "curve solves must be thread-invariant (all_cores_adaptive vs serial_adaptive)"
     );
+    let (serial, all_cores) = (&configs[6], &configs[7]);
+    assert_eq!(
+        all_cores.p_fail.to_bits(),
+        serial.p_fail.to_bits(),
+        "P_fail must be thread-invariant (estimate_rtn_all_cores vs estimate_rtn_serial)"
+    );
+    for (field, a, b) in [
+        ("simulations", all_cores.simulations, serial.simulations),
+        ("newton_iters", all_cores.newton_iters, serial.newton_iters),
+        (
+            "factorisations",
+            all_cores.factorisations,
+            serial.factorisations,
+        ),
+    ] {
+        assert_eq!(
+            a, b,
+            "{field} must be thread-invariant (estimate_rtn_all_cores vs estimate_rtn_serial)"
+        );
+    }
     assert!(
         configs[4].store_hits > 0,
         "the restored store must serve the resubmission"
@@ -375,9 +436,11 @@ fn main() -> ExitCode {
     let speedup_adaptive_vs_fixed = configs[0].seconds / configs[1].seconds;
     let speedup_parallel = configs[1].seconds / configs[2].seconds;
     let speedup_warm_serve = configs[3].seconds / configs[4].seconds;
+    let speedup_all_cores = configs[6].seconds / configs[7].seconds;
     println!(
         "\nadaptive vs fixed (serial): {speedup_adaptive_vs_fixed:.2}x   all-cores vs serial: \
-         {speedup_parallel:.2}x   store-warmed resubmission: {speedup_warm_serve:.2}x"
+         {speedup_parallel:.2}x   store-warmed resubmission: {speedup_warm_serve:.2}x   \
+         RTN estimate on {cores} cores vs one: {speedup_all_cores:.2}x"
     );
 
     let report = Report {
@@ -390,6 +453,7 @@ fn main() -> ExitCode {
         speedup_adaptive_vs_fixed,
         speedup_parallel_vs_serial: speedup_parallel,
         speedup_warm_serve,
+        speedup_all_cores,
         note: format!(
             "Measured on a {cores}-core machine. The parallel-vs-serial ratio is \
              bounded by the core count; on a single core it measures pure batching \
@@ -402,7 +466,10 @@ fn main() -> ExitCode {
              all_cores_adaptive; --check pins all four counts per configuration. \
              hold_snm_scenario runs the hold-retention indicator through the same \
              pipeline and is pinned by --check but exempt from cross-config \
-             invariance."
+             invariance. estimate_rtn_serial and estimate_rtn_all_cores run the \
+             RTN-aware CLI estimate defaults at seed 1 (quick mode does not shrink \
+             them); their P_fail, simulations, Newton evaluations and curve solves \
+             are asserted equal, and speedup_all_cores is their wall-clock ratio."
         ),
     };
 

@@ -14,6 +14,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pub use ecripse_spice::testbench::EffortSnapshot;
 pub use ecripse_spice::EvalError;
 
 /// Cumulative inner-solver effort behind a bench's verdicts.
@@ -128,6 +129,27 @@ pub trait Testbench: Sync {
     /// default; wrappers forward to the wrapped bench.
     fn solve_effort(&self) -> SolveEffort {
         SolveEffort::default()
+    }
+
+    /// Attempt 0 of the ladder evaluated on a private effort ledger: the
+    /// outcome plus a receipt of the effort it took, with this bench's
+    /// own ledger ([`solve_effort`](Testbench::solve_effort)) untouched
+    /// until the receipt is passed to [`book`](Testbench::book).
+    ///
+    /// This is how work is done ahead of need without moving any counter
+    /// (see [`crate::prefetch`]). The default `None` means the bench
+    /// cannot evaluate detached, and nothing is done ahead for it.
+    fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
+        let _ = z;
+        None
+    }
+
+    /// Adds a receipt from
+    /// [`evaluate_detached`](Testbench::evaluate_detached) to this bench's
+    /// effort ledger, once its outcome is used. The default does nothing,
+    /// matching the default `evaluate_detached`.
+    fn book(&self, receipt: &EffortSnapshot) {
+        let _ = receipt;
     }
 }
 
@@ -315,6 +337,14 @@ impl<T: Testbench + ?Sized> Testbench for &T {
 
     fn solve_effort(&self) -> SolveEffort {
         (**self).solve_effort()
+    }
+
+    fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
+        (**self).evaluate_detached(z)
+    }
+
+    fn book(&self, receipt: &EffortSnapshot) {
+        (**self).book(receipt)
     }
 }
 

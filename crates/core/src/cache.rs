@@ -114,6 +114,12 @@ impl<B: Testbench> MemoBench<B> {
         self.len() == 0
     }
 
+    /// Whether a query at `z` would be answered from the cache. Counts
+    /// nothing: hits and misses stay what the served queries made them.
+    pub fn contains(&self, z: &[f64]) -> bool {
+        self.config.enabled && self.lookup(&self.quantise(z)).is_some()
+    }
+
     /// Drops all cached verdicts and zeroes the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
@@ -271,6 +277,25 @@ mod tests {
         let _ = cache.fails(&[3.0 + 1e-9]);
         assert_eq!(cache.hits(), 1, "sub-quantum perturbation shares the entry");
         assert_eq!(counter.simulations(), 1);
+    }
+
+    #[test]
+    fn contains_sees_cached_keys_without_counting() {
+        let counter = SimCounter::new(LinearBench::new(vec![1.0], 2.0));
+        let cfg = MemoCacheConfig {
+            quantum: 1e-6,
+            ..MemoCacheConfig::default()
+        };
+        let cache = MemoBench::new(&counter, cfg);
+        assert!(!cache.contains(&[3.0]));
+        let _ = cache.fails(&[3.0]);
+        assert!(cache.contains(&[3.0]));
+        assert!(cache.contains(&[3.0 + 1e-9]), "same quantised key");
+        assert!(!cache.contains(&[4.0]));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let off = MemoBench::new(&counter, disabled());
+        let _ = off.fails(&[3.0]);
+        assert!(!off.contains(&[3.0]), "a disabled cache holds nothing");
     }
 
     #[test]

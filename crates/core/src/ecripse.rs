@@ -14,10 +14,10 @@
 //! [`SimCounter`]; results carry the totals and optional convergence
 //! traces so the Fig. 6/7 regenerators can plot estimate-vs-cost curves.
 
-use crate::bench::{EvalError, SimCounter, Testbench};
+use crate::bench::{EffortSnapshot, EvalError, SimCounter, Testbench};
 use crate::cache::{MemoBench, MemoCacheConfig};
 use crate::ensemble::{EnsembleConfig, FilterEnsemble};
-use crate::importance::{importance_stage_observed, ImportanceConfig};
+use crate::importance::{importance_stage_impl, ImportanceConfig};
 use crate::initial::{
     find_boundary_particles, BoundaryNotFoundError, InitialParticles, InitialSearchConfig,
 };
@@ -26,6 +26,7 @@ use crate::observe::{
     RunSummary, SimBatchStats, Stage, StageTiming,
 };
 use crate::oracle::{ClassifierOracle, OracleConfig, OracleStats};
+use crate::prefetch::PrefetchBench;
 use crate::retry::{RetryBench, RetryPolicy};
 use crate::rtn_source::{NoRtn, RtnSource};
 use crate::scenario::Scenario;
@@ -228,7 +229,8 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
 
     /// Step (1) with raw simulator-batch latencies reported into
     /// `observer` (the boundary-search events themselves are emitted by
-    /// the estimation entry points, which know the stage framing).
+    /// the estimation entry points, which know the stage framing). Runs
+    /// in the configured thread pool, like every later stage.
     pub(crate) fn find_initial_particles_observed(
         &self,
         observer: &dyn Observer,
@@ -239,7 +241,9 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         };
         let counter = SimCounter::new(&timed);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x1717);
-        let init = find_boundary_particles(&counter, &mut rng, &self.config.initial)?;
+        let init = run_in_pool(self.config.threads, || {
+            find_boundary_particles(&counter, &mut rng, &self.config.initial)
+        })?;
         Ok(init)
     }
 
@@ -444,16 +448,19 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
     ) -> Result<EcripseResult, EstimateError> {
         // Bench layering, innermost first: raw bench → batch timer
         // (wall-clock only; feeds latency histograms, never reports) →
-        // simulation counter (every retry attempt is a real simulation
-        // and is counted) → retry ladder with quarantine → memo-cache
-        // (so a quarantined verdict is paid for once per unique sample)
-        // → oracle.
+        // prefetch table (stage-2 evaluations done ahead while the
+        // classifier retrains; see `crate::prefetch`) → simulation
+        // counter (every retry attempt is a real simulation and is
+        // counted) → retry ladder with quarantine → memo-cache (so a
+        // quarantined verdict is paid for once per unique sample) →
+        // oracle.
         let timed = TimingBench {
             inner: &self.bench,
             observer,
         };
         let effort_start = self.bench.solve_effort();
-        let counter = SimCounter::new(&timed);
+        let prefetch = PrefetchBench::new(&timed);
+        let counter = SimCounter::new(&prefetch);
         let retrying = RetryBench::new(&counter, self.config.retry);
         let cached = MemoBench::new(&retrying, self.config.cache);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -534,32 +541,18 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         let alternative = ensemble.as_mixture(self.config.sigma_kernel);
         let init_sims = init.simulations;
         let sim_count = || init_sims + counter.simulations();
-        let (is, is_interrupted) = match stop {
-            None => (
-                importance_stage_observed(
-                    &mut oracle,
-                    &self.rtn,
-                    &alternative,
-                    &self.config.importance,
-                    &mut rng,
-                    &sim_count,
-                    stop_at_relative_error,
-                    observer,
-                ),
-                false,
-            ),
-            Some(stop) => crate::importance::importance_stage_interruptible_observed(
-                &mut oracle,
-                &self.rtn,
-                &alternative,
-                &self.config.importance,
-                &mut rng,
-                &sim_count,
-                stop_at_relative_error,
-                stop,
-                observer,
-            ),
-        };
+        let (is, is_interrupted) = importance_stage_impl(
+            &mut oracle,
+            &self.rtn,
+            &alternative,
+            &self.config.importance,
+            &mut rng,
+            &sim_count,
+            stop_at_relative_error,
+            stop,
+            observer,
+            Some(&(&prefetch, &cached)),
+        );
         observer.stage_finished(
             Stage::ImportanceSampling,
             &StageTiming {
@@ -626,8 +619,10 @@ fn combined_stats(
 
 /// Times every raw simulator batch and reports it to the observer as a
 /// [`SimBatchStats`] event. Sits directly on top of the raw bench —
-/// *below* the counting/retry/cache layers — so it sees exactly the
-/// batches that reach the simulator (cache hits never arrive here).
+/// *below* the counting/retry/cache/prefetch layers — so it sees exactly
+/// the batches that reach the simulator on the critical path (cache
+/// hits and prefetch-table answers never arrive here, and detached
+/// evaluations pass through untimed).
 ///
 /// Strictly observation-only: verdicts pass through untouched and the
 /// only payload is wall-clock time, so the determinism contract holds
@@ -676,6 +671,14 @@ impl<B: Testbench> Testbench for TimingBench<'_, B> {
 
     fn solve_effort(&self) -> crate::bench::SolveEffort {
         self.inner.solve_effort()
+    }
+
+    fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
+        self.inner.evaluate_detached(z)
+    }
+
+    fn book(&self, receipt: &EffortSnapshot) {
+        self.inner.book(receipt);
     }
 }
 

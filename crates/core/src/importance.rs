@@ -11,8 +11,9 @@
 //! densities involved underflow ordinary arithmetic.
 
 use crate::bench::Testbench;
-use crate::observe::{ChunkStats, NullObserver, Observer};
+use crate::observe::{ChunkStats, NullObserver, Observer, PrefetchStats};
 use crate::oracle::ClassifierOracle;
+use crate::prefetch::Lookahead;
 use crate::rtn_source::RtnSource;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use ecripse_stats::estimate::WeightedIsEstimator;
@@ -20,6 +21,8 @@ use ecripse_stats::mvn::{DiagGaussian, GaussianMixture};
 use ecripse_stats::sample::NormalSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Stage-2 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -128,74 +131,6 @@ where
     S: RtnSource,
     R: Rng + ?Sized,
 {
-    importance_stage_until(oracle, rtn, alternative, config, rng, sim_count, None)
-}
-
-/// Like [`importance_stage`], with an optional early-stopping rule: when
-/// `stop_at_relative_error` is set, sampling stops as soon as the
-/// estimator's relative error falls at or below the target (checked
-/// every 256 samples, after a warm-up of 1024), or when `n_samples` is
-/// exhausted, whichever comes first.
-///
-/// # Panics
-///
-/// Panics if `config.n_samples` is zero, the target is not positive, or
-/// dimensions disagree.
-pub fn importance_stage_until<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
-    rtn: &S,
-    alternative: &GaussianMixture,
-    config: &ImportanceConfig,
-    rng: &mut R,
-    sim_count: &dyn Fn() -> u64,
-    stop_at_relative_error: Option<f64>,
-) -> ImportanceResult
-where
-    B: Testbench,
-    S: RtnSource,
-    R: Rng + ?Sized,
-{
-    importance_stage_observed(
-        oracle,
-        rtn,
-        alternative,
-        config,
-        rng,
-        sim_count,
-        stop_at_relative_error,
-        &NullObserver,
-    )
-}
-
-/// Like [`importance_stage_until`], reporting one
-/// [`ChunkStats`] into `observer` per processed sample batch — the
-/// stage-2 convergence feed of the observability layer
-/// ([`crate::observe`]).
-///
-/// The batch/check cadence, RNG consumption order and estimator content
-/// are identical to the un-observed entry points: observation never
-/// changes the numbers.
-///
-/// # Panics
-///
-/// Panics if `config.n_samples` is zero, the target is not positive, or
-/// dimensions disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn importance_stage_observed<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
-    rtn: &S,
-    alternative: &GaussianMixture,
-    config: &ImportanceConfig,
-    rng: &mut R,
-    sim_count: &dyn Fn() -> u64,
-    stop_at_relative_error: Option<f64>,
-    observer: &dyn Observer,
-) -> ImportanceResult
-where
-    B: Testbench,
-    S: RtnSource,
-    R: Rng + ?Sized,
-{
     let (result, _interrupted) = importance_stage_impl(
         oracle,
         rtn,
@@ -203,28 +138,86 @@ where
         config,
         rng,
         sim_count,
-        stop_at_relative_error,
         None,
-        observer,
+        None,
+        &NullObserver,
+        None,
     );
     result
 }
 
-/// Like [`importance_stage_observed`], additionally honouring a
-/// cooperative stop flag checked at every batch boundary (the service's
-/// cancellation/deadline path). Returns the partial result plus whether
-/// the flag cut the stage short: a flag raised after the budget was
-/// already exhausted is a no-op and the stage completes normally.
+/// One drawn chunk: each importance sample's likelihood ratio, and the
+/// points the oracle answers for it (`m` RTN-shifted copies per sample,
+/// or the sample itself without RTN).
+struct Chunk {
+    weights: Vec<f64>,
+    points: Vec<Vec<f64>>,
+}
+
+/// Draws `n` importance samples serially from the master stream, in the
+/// per-sample order of a serial loop (sample, then its RTN shifts, then
+/// the next sample).
+#[allow(clippy::too_many_arguments)]
+fn draw_chunk<S, R>(
+    n: usize,
+    alternative: &GaussianMixture,
+    rdf: &DiagGaussian,
+    rtn: &S,
+    m: usize,
+    rng: &mut R,
+    normals: &mut NormalSampler,
+) -> Chunk
+where
+    S: RtnSource,
+    R: Rng + ?Sized,
+{
+    let mut weights = Vec::with_capacity(n);
+    let mut points = Vec::with_capacity(n * m.max(1));
+    for _ in 0..n {
+        let x = alternative.sample(rng, normals);
+        let log_ratio = rdf.log_pdf(&x) - alternative.log_pdf(&x);
+        weights.push(log_ratio.exp());
+        if rtn.is_null() {
+            points.push(x);
+        } else {
+            for _ in 0..m {
+                let shift = rtn.sample_whitened(rng);
+                points.push(x.iter().zip(&shift).map(|(xi, si)| xi + si).collect());
+            }
+        }
+    }
+    Chunk { weights, points }
+}
+
+/// The stage-2 loop behind [`importance_stage`] and every
+/// [`Ecripse`](crate::ecripse::Ecripse) estimate.
 ///
-/// Stop checks never consume randomness, so a run whose flag stays
-/// unset is bit-identical to the un-interruptible entry points.
+/// When `stop_at_relative_error` is set, sampling stops as soon as the
+/// estimator's relative error falls at or below the target (checked
+/// every 256 samples, after a warm-up of 1024), or when `n_samples` is
+/// exhausted, whichever comes first. A raised `stop` flag (the
+/// service's cancellation/deadline path) is checked before each chunk
+/// is drawn; the returned flag says whether it cut the stage short, and
+/// a flag raised after the budget was exhausted is a no-op. One
+/// [`ChunkStats`] per chunk goes to `observer`. Neither the checks nor
+/// the observer consume randomness or change a number.
+///
+/// Each chunk is routed with
+/// [`ClassifierOracle::evaluate_batch_accurate_deferred`]; the next
+/// chunk is drawn right after the early-stopping check (nothing in
+/// between consumes the master stream), and then the retrain the routed
+/// chunk owes runs. With a `lookahead`, a pool of more than one thread
+/// and a retrain owed, the retrain runs on a scoped thread while this
+/// one draws the next chunk and simulates ahead the points the
+/// pre-retrain classifier finds uncertain ([`crate::prefetch`]); the
+/// results are the same bits either way.
 ///
 /// # Panics
 ///
 /// Panics if `config.n_samples` is zero, the target is not positive, or
 /// dimensions disagree.
 #[allow(clippy::too_many_arguments)]
-pub fn importance_stage_interruptible_observed<B, S, R>(
+pub(crate) fn importance_stage_impl<B, S, R>(
     oracle: &mut ClassifierOracle<'_, B>,
     rtn: &S,
     alternative: &GaussianMixture,
@@ -232,38 +225,9 @@ pub fn importance_stage_interruptible_observed<B, S, R>(
     rng: &mut R,
     sim_count: &dyn Fn() -> u64,
     stop_at_relative_error: Option<f64>,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: Option<&AtomicBool>,
     observer: &dyn Observer,
-) -> (ImportanceResult, bool)
-where
-    B: Testbench,
-    S: RtnSource,
-    R: Rng + ?Sized,
-{
-    importance_stage_impl(
-        oracle,
-        rtn,
-        alternative,
-        config,
-        rng,
-        sim_count,
-        stop_at_relative_error,
-        Some(stop),
-        observer,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn importance_stage_impl<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
-    rtn: &S,
-    alternative: &GaussianMixture,
-    config: &ImportanceConfig,
-    rng: &mut R,
-    sim_count: &dyn Fn() -> u64,
-    stop_at_relative_error: Option<f64>,
-    stop: Option<&std::sync::atomic::AtomicBool>,
-    observer: &dyn Observer,
+    lookahead: Option<&dyn Lookahead>,
 ) -> (ImportanceResult, bool)
 where
     B: Testbench,
@@ -289,40 +253,37 @@ where
     if !rtn.is_null() {
         assert!(m > 0, "need at least one RTN draw");
     }
+    let prefetching = lookahead.filter(|_| rayon::current_num_threads() > 1);
 
     let mut drawn = 0usize;
     let mut interrupted = false;
-    while drawn < config.n_samples {
-        // Cooperative cancellation, checked only at batch boundaries so
-        // every already-simulated sample lands in the estimator and the
-        // RNG stream is never cut mid-sample.
-        if stop.is_some_and(|s| s.load(std::sync::atomic::Ordering::SeqCst)) {
+    // Cooperative cancellation, checked only before a chunk is drawn, so
+    // every already-simulated sample lands in the estimator and the RNG
+    // stream is never cut mid-sample.
+    let mut next_chunk = |drawn: usize| {
+        if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
             interrupted = true;
-            break;
+            return None;
         }
-        let batch = BATCH.min(config.n_samples - drawn);
+        let n = BATCH.min(config.n_samples - drawn);
+        Some(draw_chunk(n, alternative, &rdf, rtn, m, rng, &mut normals))
+    };
+    let mut chunk = next_chunk(drawn);
+    // The work done ahead of `chunk`: points evaluated and walk time.
+    let mut ahead: Option<(u64, f64)> = None;
+    while let Some(Chunk { weights, points }) = chunk.take() {
+        let batch = weights.len();
         let sims_at_chunk_start = sim_count();
-        // Serial draws from the master stream: the batched flow consumes
-        // the RNG in exactly the per-sample order of a serial loop
-        // (sample, then its RTN shifts, then the next sample).
-        let mut weights = Vec::with_capacity(batch);
-        let mut points = Vec::with_capacity(batch * m.max(1));
-        for _ in 0..batch {
-            let x = alternative.sample(rng, &mut normals);
-            let log_ratio = rdf.log_pdf(&x) - alternative.log_pdf(&x);
-            weights.push(log_ratio.exp());
-            if rtn.is_null() {
-                points.push(x);
-            } else {
-                for _ in 0..m {
-                    let shift = rtn.sample_whitened(rng);
-                    points.push(x.iter().zip(&shift).map(|(xi, si)| xi + si).collect());
-                }
-            }
-        }
         // One accurate-policy batch answers the whole chunk (parallel
         // simulation for the uncertain subset).
-        let verdicts = oracle.evaluate_batch_accurate(&points);
+        let verdicts = oracle.evaluate_batch_accurate_deferred(&points);
+        if let (Some((evaluated, wall_seconds)), Some(lookahead)) = (ahead.take(), prefetching) {
+            observer.prefetch_finished(&PrefetchStats {
+                evaluated,
+                consumed: lookahead.end_round(),
+                wall_seconds,
+            });
+        }
 
         for (j, &weight) in weights.iter().enumerate() {
             let p_inner = if rtn.is_null() {
@@ -363,12 +324,46 @@ where
         // The early-stopping rule fires only at multiples of CHECK_EVERY
         // past the warm-up; batches are CHECK_EVERY samples long, so
         // checking once per batch is exactly the per-sample rule.
+        let mut converged = false;
         if let Some(target) = stop_at_relative_error {
             if n >= WARMUP && n.is_multiple_of(CHECK_EVERY) {
                 let est = estimator.estimate();
-                if est > 0.0 && estimator.ci95_half_width() / est <= target {
-                    break;
-                }
+                converged = est > 0.0 && estimator.ci95_half_width() / est <= target;
+            }
+        }
+        if converged || drawn >= config.n_samples {
+            // No next chunk, but the owed step still runs, so the
+            // retrain count does not depend on where the stage ended.
+            oracle.finish_accurate_batch();
+            break;
+        }
+        let snapshot = prefetching
+            .filter(|_| oracle.owes_retrain())
+            .and_then(|lookahead| Some((lookahead, oracle.decision()?.clone())));
+        match snapshot {
+            Some((lookahead, decision)) => {
+                let done = AtomicBool::new(false);
+                std::thread::scope(|scope| {
+                    let oracle = &mut *oracle;
+                    let done = &done;
+                    let retrain = scope.spawn(move || {
+                        oracle.finish_accurate_batch();
+                        done.store(true, Ordering::Release);
+                    });
+                    chunk = next_chunk(drawn);
+                    if let Some(next) = &chunk {
+                        let start = Instant::now();
+                        let evaluated = lookahead.prefetch(&next.points, &decision, done);
+                        ahead = Some((evaluated, start.elapsed().as_secs_f64()));
+                    }
+                    if let Err(panic) = retrain.join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                });
+            }
+            None => {
+                chunk = next_chunk(drawn);
+                oracle.finish_accurate_batch();
             }
         }
     }

@@ -80,6 +80,7 @@ pub mod initial;
 pub mod observe;
 pub mod oracle;
 pub mod particle;
+pub mod prefetch;
 pub mod retry;
 pub mod rtn_source;
 pub mod scenario;

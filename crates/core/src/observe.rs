@@ -250,12 +250,35 @@ impl ChunkStats {
 /// thread-count-dependent order, and they carry wall-clock time — so
 /// they are never folded into a [`RunReport`]. They exist to feed
 /// latency histograms (see [`crate::telemetry::TelemetryObserver`]).
+///
+/// Only batches on the critical path are timed: evaluations simulated
+/// ahead of need ([`crate::prefetch`]) run outside any batch and are
+/// reported through [`PrefetchStats`] instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimBatchStats {
     /// Samples evaluated by the batch.
     pub batch: u64,
     /// Wall-clock seconds the batch took (a **timing quantity**:
     /// excluded from the determinism contract).
+    pub wall_seconds: f64,
+}
+
+/// Work done ahead of one stage-2 chunk while the classifier retrained
+/// (see [`crate::prefetch`]), delivered to
+/// [`Observer::prefetch_finished`] once the chunk has been routed.
+///
+/// Timing-class, like [`SimBatchStats`]: how far the walk got depends on
+/// how long the retrain took, so these counts vary run to run and with
+/// the thread count (a one-thread pool never prefetches). They are never
+/// folded into a [`RunReport`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrefetchStats {
+    /// Points simulated ahead.
+    pub evaluated: u64,
+    /// Of those, the ones the routed chunk consumed; each stands for a
+    /// simulation no critical-path batch ran.
+    pub consumed: u64,
+    /// Wall-clock seconds of the walk (a **timing quantity**).
     pub wall_seconds: f64,
 }
 
@@ -307,6 +330,11 @@ pub trait Observer: Sync {
     /// order (see [`SimBatchStats`]); implementations that fold events
     /// into deterministic reports must ignore it.
     fn sim_batch_finished(&self, _stats: &SimBatchStats) {}
+    /// A stage-2 chunk consumed the work done ahead of it. Timing-class,
+    /// like [`sim_batch_finished`](Observer::sim_batch_finished) (see
+    /// [`PrefetchStats`]); implementations that fold events into
+    /// deterministic reports must ignore it.
+    fn prefetch_finished(&self, _stats: &PrefetchStats) {}
     /// The run completed with these final figures.
     fn run_finished(&self, _summary: &RunSummary) {}
 }
@@ -393,6 +421,12 @@ impl Observer for MultiObserver<'_> {
     fn sim_batch_finished(&self, stats: &SimBatchStats) {
         for o in &self.observers {
             o.sim_batch_finished(stats);
+        }
+    }
+
+    fn prefetch_finished(&self, stats: &PrefetchStats) {
+        for o in &self.observers {
+            o.prefetch_finished(stats);
         }
     }
 

@@ -17,7 +17,7 @@
 //! which is exactly the "conventional" baseline of Fig. 6.
 
 use crate::bench::Testbench;
-use ecripse_svm::classifier::{SvmClassifier, SvmConfig, TrainError};
+use ecripse_svm::classifier::{Decision, SvmClassifier, SvmConfig, TrainError};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
@@ -177,8 +177,21 @@ pub struct ClassifierOracle<'a, B: Testbench> {
     /// Uncertain-sample labels awaiting the next retraining round.
     pending_x: Vec<Vec<f64>>,
     pending_y: Vec<bool>,
+    /// The step an accurate batch deferred (see
+    /// [`ClassifierOracle::evaluate_batch_accurate_deferred`]).
+    owed: Option<Owed>,
     stats: OracleStats,
     margins: MarginStats,
+}
+
+/// What [`ClassifierOracle::finish_accurate_batch`] still has to run
+/// for the last accurate batch that simulated anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// Fold the pending labels in once the threshold is reached.
+    Retrain,
+    /// Try to train the first classifier from the pre-training bank.
+    InitialTraining,
 }
 
 impl<'a, B: Testbench> ClassifierOracle<'a, B> {
@@ -192,6 +205,7 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
             pretrain_y: Vec::new(),
             pending_x: Vec::new(),
             pending_y: Vec::new(),
+            owed: None,
             stats: OracleStats::default(),
             margins: MarginStats::default(),
         }
@@ -210,6 +224,21 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
     /// Whether a classifier has been successfully trained.
     pub fn has_classifier(&self) -> bool {
         self.classifier.is_some()
+    }
+
+    /// The current classifier's decision function, if one is trained;
+    /// clone it for a snapshot that survives the next retrain.
+    pub fn decision(&self) -> Option<&Decision> {
+        self.classifier.as_ref().map(SvmClassifier::decision)
+    }
+
+    /// Whether [`Self::finish_accurate_batch`] will retrain the
+    /// classifier (as opposed to doing nothing, or attempting the first
+    /// training).
+    pub fn owes_retrain(&self) -> bool {
+        self.owed == Some(Owed::Retrain)
+            && !self.pending_x.is_empty()
+            && self.pending_x.len() >= self.config.retrain_threshold
     }
 
     /// Simulates a sample, recording it for (future) training.
@@ -309,6 +338,7 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         rng: &mut R,
         zs: &[Vec<f64>],
     ) -> Vec<bool> {
+        self.finish_accurate_batch();
         if self.config.svm.is_none() {
             return self.simulate_batch_and_record(zs);
         }
@@ -349,6 +379,7 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
     /// Stage-2 policy: classify confidently-classified samples, simulate
     /// uncertain ones and learn from them.
     pub fn evaluate_accurate(&mut self, z: &[f64]) -> bool {
+        self.finish_accurate_batch();
         let routed = self
             .classifier
             .as_ref()
@@ -384,10 +415,26 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
     /// uncertainty band (those are all simulated). Predictions run in
     /// parallel, but the routing is a serial pass in input order, so
     /// results do not depend on the thread count.
+    ///
+    /// This is [`Self::evaluate_batch_accurate_deferred`] followed by
+    /// [`Self::finish_accurate_batch`].
     pub fn evaluate_batch_accurate(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
+        let out = self.evaluate_batch_accurate_deferred(zs);
+        self.finish_accurate_batch();
+        out
+    }
+
+    /// [`Self::evaluate_batch_accurate`] up to, not including, the
+    /// retrain (or first training) its labels call for: the caller runs
+    /// that with [`Self::finish_accurate_batch`], and may do other work
+    /// in between — the stage-2 sampler draws and simulates the next
+    /// chunk ahead while the retrain runs. Every other entry point
+    /// finishes an owed step first, so nothing is ever skipped.
+    pub fn evaluate_batch_accurate_deferred(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
+        self.finish_accurate_batch();
         let mut out = vec![false; zs.len()];
         let mut sim_idx: Vec<usize> = Vec::new();
-        let had_classifier = match &self.classifier {
+        let owed = match &self.classifier {
             Some(clf) => {
                 let band = clf.config().uncertain_band;
                 let predicted = predict_all(clf, zs.par_iter());
@@ -401,11 +448,11 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
                     }
                 }
                 self.stats.uncertain_simulated += sim_idx.len() as u64;
-                true
+                Owed::Retrain
             }
             None => {
                 sim_idx.extend(0..zs.len());
-                false
+                Owed::InitialTraining
             }
         };
         if sim_idx.is_empty() {
@@ -416,12 +463,19 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         for (&i, y) in sim_idx.iter().zip(&ys) {
             out[i] = *y;
         }
-        if had_classifier {
-            self.maybe_retrain(false);
-        } else {
-            self.try_initial_training();
-        }
+        self.owed = Some(owed);
         out
+    }
+
+    /// Runs the step the last deferred accurate batch owes, if any: the
+    /// threshold-gated retrain, or the first training attempt when that
+    /// batch had no classifier to route with.
+    pub fn finish_accurate_batch(&mut self) {
+        match self.owed.take() {
+            Some(Owed::Retrain) => self.maybe_retrain(false),
+            Some(Owed::InitialTraining) => self.try_initial_training(),
+            None => {}
+        }
     }
 }
 
@@ -570,6 +624,42 @@ mod tests {
         assert_eq!(counter.simulations(), sims_before + 1);
         assert_eq!(oracle.stats().uncertain_simulated, 1);
         assert_eq!(oracle.stats().classified, 800 - 256 + 2);
+    }
+
+    #[test]
+    fn deferred_batches_owe_their_retrain_until_finished() {
+        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let cfg = OracleConfig {
+            retrain_threshold: 1,
+            ..OracleConfig::default()
+        };
+        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut rng = StdRng::seed_from_u64(9);
+        let _ = oracle.evaluate_batch_rough(&mut rng, &batch_around_boundary(800, 10));
+        let retrains = oracle.stats().retrains;
+        let probe = vec![3.1, 0.2];
+        let before = oracle.decision().expect("trained").clone();
+
+        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![3.0, 0.0], vec![10.0, 0.0]]);
+        assert!(oracle.owes_retrain());
+        assert_eq!(oracle.stats().retrains, retrains, "deferred, not run");
+        oracle.finish_accurate_batch();
+        assert!(!oracle.owes_retrain());
+        assert_eq!(oracle.stats().retrains, retrains + 1);
+        let after = oracle.decision().expect("trained");
+        assert_ne!(
+            before.predict_with_margin(&probe).1.to_bits(),
+            after.predict_with_margin(&probe).1.to_bits(),
+            "the snapshot keeps the pre-retrain model"
+        );
+
+        // A batch that simulates nothing owes nothing, and any entry
+        // point runs an owed step before its own work.
+        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![10.0, 0.0]]);
+        assert!(!oracle.owes_retrain());
+        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![3.0, 0.0]]);
+        let _ = oracle.evaluate_accurate(&[10.0, 0.0]);
+        assert_eq!(oracle.stats().retrains, retrains + 2);
     }
 
     #[test]

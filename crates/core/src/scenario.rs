@@ -29,7 +29,7 @@
 //! The full authoring contract — determinism, thread invariance, cache
 //! keying — is documented in `SCENARIOS.md` at the repository root.
 
-use crate::bench::{EvalError, SolveEffort, Testbench};
+use crate::bench::{EffortSnapshot, EvalError, SolveEffort, Testbench};
 use crate::sweep::SweepBench;
 use ecripse_spice::testbench::{BenchConfig, ReadStabilityBench};
 use rayon::prelude::*;
@@ -148,6 +148,14 @@ impl Testbench for SramScenarioBench {
             newton_iters: e.newton_iters,
             factorisations: e.curve_solves,
         }
+    }
+
+    fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
+        Some(self.inner.try_fails_whitened_detached(self.scenario, z, 0))
+    }
+
+    fn book(&self, receipt: &EffortSnapshot) {
+        self.inner.book(receipt);
     }
 }
 

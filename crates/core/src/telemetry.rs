@@ -52,8 +52,8 @@
 //! ```
 
 use crate::observe::{
-    BoundaryStats, ChunkStats, IterationStats, Observer, RunSummary, SimBatchStats, Stage,
-    StageTiming,
+    BoundaryStats, ChunkStats, IterationStats, Observer, PrefetchStats, RunSummary, SimBatchStats,
+    Stage, StageTiming,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::json::Value;
@@ -1158,7 +1158,9 @@ impl Drop for SpanGuard {
 /// | `ecripse_runs_finished_total` | counter | `run_finished` |
 /// | `ecripse_filter_iterations_total` | counter | `iteration_finished` |
 /// | `ecripse_stage2_chunks_total` | counter | `chunk_finished` |
-/// | `ecripse_simulations_total` | counter | `sim_batch_finished` |
+/// | `ecripse_simulations_total` | counter | `sim_batch_finished`, plus `prefetch_finished` consumed |
+/// | `ecripse_prefetch_evaluated_total` | counter | `prefetch_finished` |
+/// | `ecripse_prefetch_consumed_total` | counter | `prefetch_finished` |
 /// | `ecripse_cache_hits_total` | counter | `iteration_finished` |
 /// | `ecripse_cache_misses_total` | counter | `iteration_finished` |
 /// | `ecripse_classified_total` | counter | `iteration_finished` |
@@ -1176,6 +1178,8 @@ pub struct TelemetryObserver {
     iterations: Counter,
     chunks: Counter,
     simulations: Counter,
+    prefetch_evaluated: Counter,
+    prefetch_consumed: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
     classified: Counter,
@@ -1223,6 +1227,14 @@ impl TelemetryObserver {
             simulations: registry.counter(
                 &format!("{prefix}_simulations_total"),
                 "Transistor-level simulations evaluated.",
+            ),
+            prefetch_evaluated: registry.counter(
+                &format!("{prefix}_prefetch_evaluated_total"),
+                "Stage-2 simulations run ahead of need while the classifier retrained.",
+            ),
+            prefetch_consumed: registry.counter(
+                &format!("{prefix}_prefetch_consumed_total"),
+                "Simulations run ahead of need that a routed chunk consumed.",
             ),
             cache_hits: registry.counter(
                 &format!("{prefix}_cache_hits_total"),
@@ -1344,6 +1356,14 @@ impl Observer for TelemetryObserver {
     fn sim_batch_finished(&self, stats: &SimBatchStats) {
         self.simulations.add(stats.batch);
         self.sim_batch_seconds.record(stats.wall_seconds);
+    }
+
+    fn prefetch_finished(&self, stats: &PrefetchStats) {
+        self.prefetch_evaluated.add(stats.evaluated);
+        self.prefetch_consumed.add(stats.consumed);
+        // A consumed evaluation is a counted simulation that no timed
+        // batch carried.
+        self.simulations.add(stats.consumed);
     }
 
     fn run_finished(&self, summary: &RunSummary) {
@@ -1520,6 +1540,11 @@ mod tests {
             batch: 32,
             wall_seconds: 0.004,
         });
+        bridge.prefetch_finished(&PrefetchStats {
+            evaluated: 5,
+            consumed: 3,
+            wall_seconds: 0.002,
+        });
         bridge.stage_finished(
             Stage::ParticleFilter,
             &StageTiming {
@@ -1539,7 +1564,9 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("ecripse_runs_started_total 1"));
         assert!(text.contains("ecripse_runs_finished_total 1"));
-        assert!(text.contains("ecripse_simulations_total 32"));
+        assert!(text.contains("ecripse_simulations_total 35"));
+        assert!(text.contains("ecripse_prefetch_evaluated_total 5"));
+        assert!(text.contains("ecripse_prefetch_consumed_total 3"));
         assert!(text.contains("ecripse_sim_batch_seconds_count 1"));
         assert!(text.contains("ecripse_stage_seconds_count 1"));
         assert!(text.contains("ecripse_last_estimate 0.000125"));

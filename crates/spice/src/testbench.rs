@@ -100,6 +100,17 @@ impl SolveCounters {
             escalations: self.escalations.load(Ordering::Relaxed),
         }
     }
+
+    fn book(&self, receipt: &EffortSnapshot) {
+        self.newton_iters
+            .fetch_add(receipt.newton_iters, Ordering::Relaxed);
+        self.curve_solves
+            .fetch_add(receipt.curve_solves, Ordering::Relaxed);
+        self.coarse_accepts
+            .fetch_add(receipt.coarse_accepts, Ordering::Relaxed);
+        self.escalations
+            .fetch_add(receipt.escalations, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time copy of [`SolveCounters`].
@@ -480,13 +491,14 @@ impl ReadStabilityBench {
     /// so effort ledgers stay honest.
     fn margin_of(
         &self,
+        ledger: &SolveCounters,
         cell: &Sram6T,
         bias: &BiasCondition,
         grid_points: usize,
         kind: MarginKind,
     ) -> Result<f64, EvalError> {
         let (butterfly, effort) = Butterfly::try_sample_counted(cell, bias, grid_points, 1e-7)?;
-        self.counters.record(&effort);
+        ledger.record(&effort);
         let margin = kind.extract(&try_read_noise_margin(&butterfly)?);
         if !margin.is_finite() {
             return Err(EvalError::NonFinite {
@@ -512,7 +524,13 @@ impl ReadStabilityBench {
         Self::check_input(delta_vth, "threshold shifts")?;
         let row = scenario.indicator();
         let (cell, bias) = self.cell_under(&row, delta_vth);
-        self.margin_of(&cell, &bias, self.config.grid_points, row.margin)
+        self.margin_of(
+            &self.counters,
+            &cell,
+            &bias,
+            self.config.grid_points,
+            row.margin,
+        )
     }
 
     /// Panicking [`Self::try_margin`].
@@ -552,29 +570,66 @@ impl ReadStabilityBench {
         x: &[f64],
         attempt: usize,
     ) -> Result<bool, EvalError> {
+        self.fails_on(&self.counters, scenario, x, attempt)
+    }
+
+    /// [`Self::try_fails_whitened`] on a private ledger: the shared one
+    /// is untouched, and the returned receipt holds exactly the effort
+    /// the evaluation would have added to it. Pass the receipt to
+    /// [`Self::book`] if and when the verdict is used, so work done ahead
+    /// of need is accounted as if it had been done on demand.
+    ///
+    /// # Errors
+    ///
+    /// The outcome carries the errors of [`Self::try_fails_whitened`].
+    pub fn try_fails_whitened_detached(
+        &self,
+        scenario: Scenario,
+        x: &[f64],
+        attempt: usize,
+    ) -> (Result<bool, EvalError>, EffortSnapshot) {
+        let ledger = SolveCounters::default();
+        let outcome = self.fails_on(&ledger, scenario, x, attempt);
+        (outcome, ledger.snapshot())
+    }
+
+    /// Adds a receipt from [`Self::try_fails_whitened_detached`] to the
+    /// shared ledger: all four counters.
+    pub fn book(&self, receipt: &EffortSnapshot) {
+        self.counters.book(receipt);
+    }
+
+    fn fails_on(
+        &self,
+        ledger: &SolveCounters,
+        scenario: Scenario,
+        x: &[f64],
+        attempt: usize,
+    ) -> Result<bool, EvalError> {
         Self::check_input(x, "whitened sample")?;
         let row = scenario.indicator();
         let (cell, bias) = self.cell_under(&row, &self.to_physical(x));
         if attempt > 0 || !self.config.adaptive {
             let grid = self.config.grid_points << attempt.min(MAX_GRID_ESCALATION);
-            return Ok(self.margin_of(&cell, &bias, grid, row.margin)? < 0.0);
+            return Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin)? < 0.0);
         }
         let coarse = Butterfly::try_sample_counted(&cell, &bias, COARSE_POINTS, COARSE_RESOLUTION);
         if let Ok((coarse_bfly, effort)) = coarse {
-            self.counters.record(&effort);
+            ledger.record(&effort);
             if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
                 let margin = row.margin.extract(&report);
                 if margin.is_finite()
                     && margin.abs() >= row.margin.decisive_threshold(MARGIN_THRESHOLD)
                 {
-                    self.counters.note_accept();
+                    ledger.note_accept();
                     return Ok(margin < 0.0);
                 }
             }
         }
         // The coarse pass failed or was indecisive: decide exactly.
-        self.counters.note_escalation();
-        Ok(self.margin_of(&cell, &bias, self.config.grid_points, row.margin)? < 0.0)
+        ledger.note_escalation();
+        let grid = self.config.grid_points;
+        Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin)? < 0.0)
     }
 
     /// Scales a whitened vector back to physical threshold shifts \[V\].
@@ -893,6 +948,34 @@ mod tests {
             "clone's work invisible: {effort:?}"
         );
         assert!(effort.newton_iters > effort.curve_solves);
+    }
+
+    #[test]
+    fn detached_evaluations_book_exactly_their_on_demand_effort() {
+        let on_demand = ReadStabilityBench::paper_cell();
+        let detached = ReadStabilityBench::paper_cell();
+        let xs = [
+            [0.2, -0.2, 0.0, 0.0, 0.0, 0.0],
+            [3.0, -3.0, 1.0, -1.0, 0.5, 0.0],
+            [f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ];
+        for (i, x) in xs.iter().enumerate() {
+            for attempt in 0..2 {
+                let want = on_demand.try_fails_whitened(ReadSnm, x, attempt);
+                let untouched = detached.effort();
+                let (got, receipt) = detached.try_fails_whitened_detached(ReadSnm, x, attempt);
+                assert_eq!(got, want, "sample {i} attempt {attempt}");
+                assert_eq!(
+                    detached.effort(),
+                    untouched,
+                    "a detached evaluation must not touch the shared ledger"
+                );
+                assert!(receipt.newton_iters > 0 || got.is_err(), "{receipt:?}");
+                detached.book(&receipt);
+                assert_eq!(detached.effort(), on_demand.effort());
+            }
+        }
+        assert!(on_demand.effort().coarse_accepts + on_demand.effort().escalations > 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::bank::RowBank;
 use crate::features::PolynomialFeatures;
-use crate::linear::{LinearSvm, SvmOptions};
+use crate::linear::{decision_value, LinearSvm, SvmOptions};
 use crate::scale::StandardScaler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,16 +79,83 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
+/// A classifier's decision function, frozen: the polynomial features,
+/// the scaler, `w`, `b`, `‖w‖` and the uncertainty band — no label bank
+/// and no dual variables.
+///
+/// [`SvmClassifier::predict_with_margin`] answers through the
+/// classifier's own `Decision`, so a clone taken with
+/// [`SvmClassifier::decision`] answers bit for bit like the classifier
+/// did at that moment, and keeps doing so while the classifier
+/// retrains.
+#[derive(Debug, Clone)]
+pub struct Decision {
+    features: PolynomialFeatures,
+    scaler: StandardScaler,
+    w: Vec<f64>,
+    b: f64,
+    /// `‖w‖`, kept with `w` so a query costs one dot product.
+    w_norm: f64,
+    band: f64,
+}
+
+impl Decision {
+    fn new(
+        features: PolynomialFeatures,
+        scaler: StandardScaler,
+        svm: &LinearSvm,
+        band: f64,
+    ) -> Self {
+        Self {
+            features,
+            scaler,
+            w: svm.weights().to_vec(),
+            b: svm.bias(),
+            w_norm: svm.weight_norm(),
+            band,
+        }
+    }
+
+    /// Takes the retrained model's `w`, `b` and `‖w‖`.
+    fn refresh(&mut self, svm: &LinearSvm) {
+        self.w.clone_from_slice(svm.weights());
+        self.b = svm.bias();
+        self.w_norm = svm.weight_norm();
+    }
+
+    /// Transforms a raw sample into the scaled feature space.
+    fn featurise(&self, x: &[f64]) -> Vec<f64> {
+        let mut f = self.features.transform(x);
+        self.scaler.transform_in_place(&mut f);
+        f
+    }
+
+    /// Predicted class (`true` = failure) and geometric margin of a raw
+    /// sample, from one featurisation and one decision value.
+    pub fn predict_with_margin(&self, x: &[f64]) -> (bool, f64) {
+        let dv = decision_value(&self.w, self.b, &self.featurise(x));
+        let margin = if self.w_norm < 1e-300 {
+            0.0
+        } else {
+            dv / self.w_norm
+        };
+        (dv >= 0.0, margin)
+    }
+
+    /// Whether a raw sample falls inside the uncertainty band
+    /// ([`SvmConfig::uncertain_band`]).
+    pub fn is_uncertain(&self, x: &[f64]) -> bool {
+        self.predict_with_margin(x).1.abs() < self.band
+    }
+}
+
 /// The trained pipeline.
 #[derive(Debug, Clone)]
 pub struct SvmClassifier {
     config: SvmConfig,
-    features: PolynomialFeatures,
-    scaler: StandardScaler,
+    /// The decision function of `svm`, refreshed after every (re)train.
+    decision: Decision,
     svm: LinearSvm,
-    /// `‖w‖` of `svm`, refreshed after every (re)train, so a query costs
-    /// one dot product.
-    w_norm: f64,
     rng: StdRng,
     /// All labelled data seen so far (features pre-transformed and
     /// scaled); dual coordinate descent warm-starts over this bank when
@@ -127,9 +194,7 @@ impl SvmClassifier {
         let svm = LinearSvm::train(&mut rng, &bank, &config.svm);
         Ok(Self {
             config: *config,
-            features,
-            scaler,
-            w_norm: svm.weight_norm(),
+            decision: Decision::new(features, scaler, &svm, config.uncertain_band),
             svm,
             rng,
             bank,
@@ -146,11 +211,15 @@ impl SvmClassifier {
         self.bank.len()
     }
 
+    /// The current decision function; clone it for a snapshot that
+    /// outlives the next retrain.
+    pub fn decision(&self) -> &Decision {
+        &self.decision
+    }
+
     /// Transforms a raw sample into the scaled feature space.
     fn featurise(&self, x: &[f64]) -> Vec<f64> {
-        let mut f = self.features.transform(x);
-        self.scaler.transform_in_place(&mut f);
-        f
+        self.decision.featurise(x)
     }
 
     /// Predicted class for a raw sample (`true` = failure).
@@ -165,17 +234,11 @@ impl SvmClassifier {
     }
 
     /// Predicted class and geometric margin from one featurisation and
-    /// one decision value; bit-identical to
-    /// [`LinearSvm::predict`] and [`LinearSvm::geometric_margin`] on the
-    /// scaled features.
+    /// one decision value ([`Decision::predict_with_margin`]);
+    /// bit-identical to [`LinearSvm::predict`] and
+    /// [`LinearSvm::geometric_margin`] on the scaled features.
     pub fn predict_with_margin(&self, x: &[f64]) -> (bool, f64) {
-        let dv = self.svm.decision_value(&self.featurise(x));
-        let margin = if self.w_norm < 1e-300 {
-            0.0
-        } else {
-            dv / self.w_norm
-        };
-        (dv >= 0.0, margin)
+        self.decision.predict_with_margin(x)
     }
 
     /// Whether a sample falls inside the uncertainty band and should be
@@ -214,7 +277,7 @@ impl SvmClassifier {
         // so this is much cheaper than retraining from scratch.
         self.svm
             .continue_training(&mut self.rng, &self.bank, &self.config.svm);
-        self.w_norm = self.svm.weight_norm();
+        self.decision.refresh(&self.svm);
     }
 }
 
@@ -372,6 +435,41 @@ mod tests {
         clf.add_labelled(&nx, &ny);
         assert_eq!(clf.n_training_samples(), 700);
         assert_queries_match_uncached(&clf, &probes);
+    }
+
+    #[test]
+    fn frozen_decisions_answer_like_the_classifier_they_were_taken_from() {
+        let (xs, ys) = sphere_data(300, 3, 1.8, 30);
+        let (probes, _) = sphere_data(200, 3, 1.8, 31);
+        let cfg = SvmConfig {
+            degree: 3,
+            ..SvmConfig::default()
+        };
+        let mut clf = SvmClassifier::fit(&cfg, &xs, &ys).expect("two classes");
+        let answers = |f: &dyn Fn(&[f64]) -> (bool, f64)| -> Vec<(bool, u64)> {
+            probes
+                .iter()
+                .map(|x| {
+                    let (y, m) = f(x);
+                    (y, m.to_bits())
+                })
+                .collect()
+        };
+        let before = clf.decision().clone();
+        let live_before = answers(&|x| clf.predict_with_margin(x));
+        assert_eq!(answers(&|x| before.predict_with_margin(x)), live_before);
+
+        let (nx, ny) = sphere_data(150, 3, 1.8, 32);
+        clf.add_labelled(&nx, &ny);
+        let live_after = answers(&|x| clf.predict_with_margin(x));
+        assert_ne!(live_after, live_before, "the retrain must move the model");
+        let after = clf.decision().clone();
+        assert_eq!(answers(&|x| after.predict_with_margin(x)), live_after);
+        // The snapshot taken before the retrain still answers as before.
+        assert_eq!(answers(&|x| before.predict_with_margin(x)), live_before);
+        for x in &probes {
+            assert_eq!(after.is_uncertain(x), clf.is_uncertain(x));
+        }
     }
 
     #[test]

@@ -205,13 +205,7 @@ impl LinearSvm {
     ///
     /// Panics if the dimension does not match.
     pub fn decision_value(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.weights.len(), "feature dimension mismatch");
-        self.weights
-            .iter()
-            .zip(x)
-            .map(|(w, xi)| w * xi)
-            .sum::<f64>()
-            + self.bias
+        decision_value(&self.weights, self.bias, x)
     }
 
     /// Predicted class: `true` = positive (failure).
@@ -250,6 +244,18 @@ impl LinearSvm {
             self.decision_value(x) / norm
         }
     }
+}
+
+/// `w·x + b`, the one decision-value formula of the crate (shared with
+/// [`crate::classifier::Decision`], so a frozen snapshot answers bit for
+/// bit like the model it was taken from).
+///
+/// # Panics
+///
+/// Panics if the dimensions differ.
+pub(crate) fn decision_value(w: &[f64], b: f64, x: &[f64]) -> f64 {
+    assert_eq!(x.len(), w.len(), "feature dimension mismatch");
+    w.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>() + b
 }
 
 /// `w·x` for up to [`LANES`] rows of `bank`, one independent
