@@ -14,21 +14,22 @@
 //! Every configuration runs the same seed and must produce the same
 //! `P_fail` and simulation count (the determinism contract); the binary
 //! asserts this before writing the report. With `--check PATH` the run
-//! instead compares its estimates, simulation counts, Newton evaluations
-//! and curve solves against the reference report at `PATH` (the
-//! committed `BENCH_parallel.json`) and exits non-zero on any drift —
-//! the CI smoke job runs this in `--quick` mode. The JSON lands in the repository root (next to the figure
+//! instead compares its estimates, simulation counts, Newton evaluations,
+//! curve solves and memo/store hit and miss counts against the reference
+//! report at `PATH` (the committed `BENCH_parallel.json`) and exits
+//! non-zero on any drift — the CI smoke job runs this in `--quick` mode.
+//! The JSON lands in the repository root (next to the figure
 //! outputs' `results/`), with the core count recorded so numbers from
 //! different machines are not compared blindly.
 
 use ecripse_bench::{fmt_count, paper_config, quick_mode};
 use ecripse_core::bench::Testbench;
-use ecripse_core::cache::MemoCacheConfig;
+use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
 use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult};
 use ecripse_core::rtn_source::{NoRtn, RtnSource, SramRtn};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::telemetry::{MetricsRegistry, TelemetryObserver};
-use ecripse_serve::shared::{tag_for, SharedBench, VerdictCache};
+use ecripse_serve::shared::{load_snapshot, save_snapshot};
 use ecripse_spice::testbench::BenchConfig;
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
@@ -239,6 +240,13 @@ fn check_against(reference_path: &str, fresh: &Report) -> Result<(), String> {
                 fresh_config.factorisations,
                 ref_config.factorisations,
             ),
+            ("cache_hits", fresh_config.cache_hits, ref_config.cache_hits),
+            (
+                "cache_misses",
+                fresh_config.cache_misses,
+                ref_config.cache_misses,
+            ),
+            ("store_hits", fresh_config.store_hits, ref_config.store_hits),
         ];
         for (field, fresh_count, ref_count) in counts {
             if fresh_count != ref_count {
@@ -297,14 +305,14 @@ fn main() -> ExitCode {
     // 4. The resident-service path: a cold run populates the shared
     //    verdict cache, the snapshot round-trips through the persistent
     //    store, and the resubmission is served from the restored cache.
-    let store = Arc::new(VerdictCache::new(MemoCacheConfig::default()));
+    let store = Arc::new(VerdictStore::new(MemoCacheConfig::default()));
     let tag = tag_for(&[0x6669_6736]);
     let cold_serve = run_bench(
         "cold_serve",
         cfg,
         0,
         true,
-        SharedBench::new(
+        MemoBench::shared(
             SramScenarioBench::paper_cell(Scenario::ReadSnm),
             tag,
             Arc::clone(&store),
@@ -315,11 +323,9 @@ fn main() -> ExitCode {
         "ecripse-bench-verdicts-{}.json",
         std::process::id()
     ));
-    let saved = store.save_snapshot(&snapshot).expect("save verdict store");
-    let restored = Arc::new(VerdictCache::new(MemoCacheConfig::default()));
-    let loaded = restored
-        .load_snapshot(&snapshot)
-        .expect("load verdict store");
+    let saved = save_snapshot(&store, "", &snapshot).expect("save verdict store");
+    let restored = Arc::new(VerdictStore::new(MemoCacheConfig::default()));
+    let loaded = load_snapshot(&restored, "", &snapshot).expect("load verdict store");
     assert_eq!(saved, loaded, "the snapshot must round-trip losslessly");
     let _ = std::fs::remove_file(&snapshot);
     let warm_serve = {
@@ -328,7 +334,7 @@ fn main() -> ExitCode {
             cfg,
             0,
             true,
-            SharedBench::new(
+            MemoBench::shared(
                 SramScenarioBench::paper_cell(Scenario::ReadSnm),
                 tag,
                 Arc::clone(&restored),
@@ -459,11 +465,12 @@ fn main() -> ExitCode {
              bounded by the core count; on a single core it measures pure batching \
              overhead. serial_fixed disables the adaptive coarse-first butterfly \
              policy; serial_adaptive and all_cores_adaptive run it on a bare bench; \
-             warm_serve resubmits against a verdict cache restored from the \
+             warm_serve resubmits against a verdict store restored from the \
              persistent snapshot. P_fail and simulation counts are asserted \
              bit-identical across all read-snm configurations, and Newton \
              evaluations and curve solves across serial_adaptive and \
-             all_cores_adaptive; --check pins all four counts per configuration. \
+             all_cores_adaptive; --check pins P_fail and the simulation, Newton, \
+             curve-solve, memo hit/miss and store-hit counts per configuration. \
              hold_snm_scenario runs the hold-retention indicator through the same \
              pipeline and is pinned by --check but exempt from cross-config \
              invariance. estimate_rtn_serial and estimate_rtn_all_cores run the \

@@ -490,8 +490,8 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             }
             let before = combined_stats(
                 oracle.stats(),
-                cached.hits(),
-                cached.misses(),
+                cached.store().hits(),
+                cached.store().misses(),
                 retrying.retries(),
                 retrying.quarantined(),
             );
@@ -506,8 +506,8 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             };
             let after = combined_stats(
                 oracle.stats(),
-                cached.hits(),
-                cached.misses(),
+                cached.store().hits(),
+                cached.store().misses(),
                 retrying.retries(),
                 retrying.quarantined(),
             );
@@ -567,8 +567,8 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         }
 
         let mut oracle_stats = *oracle.stats();
-        oracle_stats.cache_hits = cached.hits();
-        oracle_stats.cache_misses = cached.misses();
+        oracle_stats.cache_hits = cached.store().hits();
+        oracle_stats.cache_misses = cached.store().misses();
         oracle_stats.retries = retrying.retries();
         oracle_stats.quarantined = retrying.quarantined();
         let effort = self.bench.solve_effort().delta(&effort_start);

@@ -89,7 +89,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use bench::{EvalError, SimCounter, SolveEffort, Testbench};
-pub use cache::{MemoBench, MemoCacheConfig};
+pub use cache::{MemoBench, MemoCacheConfig, VerdictStore};
 pub use ecripse::{Ecripse, EcripseConfig, EcripseResult};
 pub use observe::{
     MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,

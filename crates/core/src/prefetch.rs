@@ -216,7 +216,7 @@ impl<B: Testbench, M: Testbench> Lookahead for (&PrefetchBench<B>, &MemoBench<M>
 mod tests {
     use super::*;
     use crate::bench::SimCounter;
-    use crate::cache::MemoCacheConfig;
+    use crate::cache::{MemoCacheConfig, VerdictStore};
     use crate::retry::{RetryBench, RetryPolicy};
     use ecripse_svm::classifier::{SvmClassifier, SvmConfig};
     use proptest::prelude::*;
@@ -353,10 +353,31 @@ mod tests {
             counter.simulations(),
             retrying.retries(),
             retrying.quarantined(),
-            memo.hits(),
-            memo.misses(),
+            memo.store().hits(),
+            memo.store().misses(),
         );
         (observed, consumed)
+    }
+
+    #[test]
+    fn a_shared_store_is_never_prefetched_past() {
+        // A verdict evaluated detached below the store would bypass it:
+        // never stored, never answered from it. So the store wrapper
+        // keeps the no-detached default and prefetch finds nothing to do.
+        let raw = Receipts::default();
+        let z = [1.0, 2.0];
+        assert!(raw.evaluate_detached(&z).is_some());
+        let store = std::sync::Arc::new(VerdictStore::new(MemoCacheConfig::default()));
+        let shared = MemoBench::shared(&raw, 7, store, true);
+        assert!(shared.evaluate_detached(&z).is_none());
+        let prefetch = PrefetchBench::new(&shared);
+        let memo = MemoBench::new(&prefetch, MemoCacheConfig::default());
+        let done = AtomicBool::new(false);
+        let ahead = grid(&[(1, 1), (2, 3), (5, 5)]);
+        assert_eq!(
+            prefetch.prefetch(&ahead, &everything_uncertain(), &memo, &done),
+            0
+        );
     }
 
     proptest! {

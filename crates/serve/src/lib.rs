@@ -13,9 +13,11 @@
 //!   [`RunReport`](ecripse_core::observe::RunReport), [`Metrics`], …);
 //! * [`http`] — a deliberately minimal hand-rolled HTTP/1.1 layer over
 //!   `std::net` (the build is hermetic: no third-party server stack);
-//! * [`shared`] — the process-wide verdict cache every worker shares,
-//!   layered *under* the per-run pipeline so served runs stay
-//!   bit-identical to direct library calls;
+//! * [`shared`] — snapshot I/O for the process-wide verdict store every
+//!   worker shares (a core
+//!   [`VerdictStore`](ecripse_core::cache::VerdictStore), layered
+//!   *under* the per-run pipeline so served runs stay bit-identical to
+//!   direct library calls), so a restarted process starts warm;
 //! * [`journal`] — the checksummed, fsync'd write-ahead job journal
 //!   that makes accepted jobs survive a `kill -9`;
 //! * [`server`] — the bounded job queue, fixed worker pool,
@@ -68,4 +70,4 @@ pub use protocol::{
     JobStatus, JobTrace, Metrics, Readiness, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server, ShutdownSummary};
-pub use shared::{SharedBench, SnapshotError, VerdictCache, CACHE_SNAPSHOT_VERSION};
+pub use shared::{SnapshotError, CACHE_SNAPSHOT_VERSION};

@@ -58,8 +58,8 @@ use crate::protocol::{
     JobStatus, JobTrace, Metrics, Readiness, ScenarioJobCount, SubmitRequest, SweepOutcome,
     PROTOCOL_VERSION,
 };
-use crate::shared::{tag_for, SharedBench, VerdictCache};
-use ecripse_core::cache::MemoCacheConfig;
+use crate::shared::{load_snapshot, save_snapshot};
+use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
 use ecripse_core::ecripse::{Ecripse, EcripseConfig, EstimateError};
 use ecripse_core::observe::{
     ChunkStats, MultiObserver, Observer, RunRecorder, RunSummary, SimBatchStats, Stage,
@@ -357,7 +357,7 @@ fn lock_state<B>(shared: &Shared<B>) -> std::sync::MutexGuard<'_, QueueState> {
 struct Shared<B> {
     config: ServeConfig,
     factory: Box<dyn Fn(Scenario, f64) -> B + Send + Sync>,
-    cache: Arc<VerdictCache>,
+    cache: Arc<VerdictStore>,
     /// Completed jobs per scenario, indexed by [`Scenario::ALL`]
     /// position (feeds the `scenario_jobs` metric and its labelled
     /// Prometheus series).
@@ -441,12 +441,12 @@ impl<B: SweepBench + 'static> Server<B> {
         // digest: a store written under a different registry (different
         // scenarios or versions) is rejected at load time instead of
         // silently misapplying verdicts across indicators.
-        let cache = Arc::new(VerdictCache::with_scope(config.cache, &registry_digest()));
+        let cache = Arc::new(VerdictStore::new(config.cache));
         let cache_loaded = match &config.cache_store {
             // A missing store is the normal first boot; any other load
             // failure is worth a line on stderr, but never fatal — the
             // service just starts cold.
-            Some(path) if path.exists() => match cache.load_snapshot(path) {
+            Some(path) if path.exists() => match load_snapshot(&cache, &registry_digest(), path) {
                 Ok(count) => count as u64,
                 Err(error) => {
                     eprintln!(
@@ -627,8 +627,8 @@ impl<B: SweepBench + 'static> Server<B> {
         self.addr
     }
 
-    /// The process-wide verdict cache.
-    pub fn cache(&self) -> &Arc<VerdictCache> {
+    /// The process-wide verdict store.
+    pub fn cache(&self) -> &Arc<VerdictStore> {
         &self.shared.cache
     }
 
@@ -703,7 +703,7 @@ impl<B: SweepBench + 'static> Server<B> {
         // Workers are quiet: persist the warm verdicts so the next
         // process starts where this one left off.
         if let Some(path) = &self.shared.config.cache_store {
-            if let Err(error) = self.shared.cache.save_snapshot(path) {
+            if let Err(error) = save_snapshot(&self.shared.cache, &registry_digest(), path) {
                 eprintln!(
                     "ecripse-serve: could not save verdict store {}: {error}",
                     path.display()
@@ -906,9 +906,9 @@ fn job_bench<B: SweepBench>(
     shared: &Shared<B>,
     scenario: Scenario,
     spec: &JobSpec,
-) -> SharedBench<B> {
+) -> MemoBench<B> {
     let enabled = shared.config.cache.enabled && spec.alpha_indices.is_none();
-    SharedBench::new(
+    MemoBench::shared(
         (shared.factory)(scenario, spec.vdd),
         tag_for(&[scenario.tag_salt(), spec.vdd.to_bits()]),
         Arc::clone(&shared.cache),

@@ -72,7 +72,7 @@ pub mod prelude {
         GibbsConfig, MeanShiftConfig, NaiveConfig, SequentialImportanceSampling,
     };
     pub use ecripse_core::bench::{SimCounter, Testbench};
-    pub use ecripse_core::cache::{MemoBench, MemoCacheConfig};
+    pub use ecripse_core::cache::{MemoBench, MemoCacheConfig, VerdictStore};
     pub use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult, EstimateError};
     pub use ecripse_core::observe::{
         MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,
@@ -107,5 +107,6 @@ mod tests {
         assert_eq!(ecripse_core::bench::Testbench::dim(&bench), 6);
         let _ = EcripseConfig::default();
         let _ = NaiveConfig::default();
+        assert!(VerdictStore::new(MemoCacheConfig::default()).is_empty());
     }
 }
