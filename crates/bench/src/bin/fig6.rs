@@ -15,6 +15,7 @@
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
 use ecripse_core::baseline::sis::SequentialImportanceSampling;
 use ecripse_core::ecripse::Ecripse;
+use ecripse_core::observe::RunRecorder;
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use ecripse_core::trace::ConvergenceTrace;
 use serde::{Deserialize, Serialize};
@@ -77,9 +78,11 @@ fn main() {
     let mut cfg = paper_config(n_prop, 1);
     cfg.importance.trace_every = (n_prop / 200).max(1);
     let t = Instant::now();
-    let (proposed, proposed_report) = Ecripse::new(cfg, bench.clone())
-        .estimate_report()
+    let recorder = RunRecorder::new();
+    let proposed = Ecripse::new(cfg, bench.clone())
+        .estimate_observed(&recorder)
         .expect("proposed run");
+    let proposed_report = recorder.into_report();
     let wall_proposed = t.elapsed().as_secs_f64();
     write_json("fig6_proposed_report.json", &proposed_report);
     println!(

@@ -10,7 +10,7 @@
 
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
 use ecripse_core::baseline::naive::{naive_monte_carlo, NaiveConfig};
-use ecripse_core::ecripse::Ecripse;
+use ecripse_core::ecripse::{Ecripse, RunOptions};
 use ecripse_core::observe::RunRecorder;
 use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
@@ -92,7 +92,11 @@ fn main() {
     let recorder03 = RunRecorder::new();
     let t = Instant::now();
     let proposed03 = run03
-        .estimate_with_initial_observed(&init, &recorder03)
+        .estimate_with(&RunOptions {
+            observer: &recorder03,
+            initial: Some(&init),
+            ..RunOptions::default()
+        })
         .expect("proposed α=0.3");
     println!(
         "proposed (α=0.3): P_fail = {:.3e} (rel {:.3}) with {} sims [{:.0} s]",
@@ -115,7 +119,11 @@ fn main() {
     let recorder05 = RunRecorder::new();
     let t = Instant::now();
     let proposed05 = run05
-        .estimate_with_initial_observed(&shared, &recorder05)
+        .estimate_with(&RunOptions {
+            observer: &recorder05,
+            initial: Some(&shared),
+            ..RunOptions::default()
+        })
         .expect("proposed α=0.5");
     println!(
         "proposed (α=0.5): P_fail = {:.3e} (rel {:.3}) with {} sims (shared init) [{:.0} s]",

@@ -8,7 +8,7 @@
 
 use ecripse_bench::{fmt_count, paper_config, report_row, write_csv, write_json};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
-use ecripse_core::sweep::{DutySweep, SweepResult};
+use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepOptions, SweepResult};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -42,7 +42,10 @@ fn main() {
     let sweep = DutySweep::paper_grid(cfg, bench);
 
     let t = Instant::now();
-    let (result, reports) = sweep.run_with_reports().expect("duty sweep");
+    let (result, reports) = sweep
+        .run_with(&SweepOptions::default())
+        .and_then(ResumableSweep::into_parts)
+        .expect("duty sweep");
     let wall = t.elapsed().as_secs_f64();
 
     println!("{:<8} {:>12} {:>12} {:>10}", "α", "P_fail", "±CI95", "sims");

@@ -140,14 +140,14 @@ fn keep_going_sweep_isolates_a_poisoned_point() {
 
     // Default (fail-fast) semantics: the poisoned point aborts the sweep.
     let err = sweep
-        .run_resumable(&SweepOptions::default())
+        .run_with(&SweepOptions::default())
         .expect_err("poisoned point must fail the strict sweep");
     assert!(matches!(err, SweepError::Point { index: 1, .. }));
 
     // --keep-going: the failure stays confined to its point, and the
     // surviving points are bit-identical to the fault-free sweep.
     let run = sweep
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             keep_going: true,
             ..SweepOptions::default()
         })

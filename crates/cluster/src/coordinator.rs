@@ -45,13 +45,14 @@ use crate::registry::WorkerRegistry;
 use crate::ring::HashRing;
 use ecripse_core::sweep::{merge_sweep_shards, SweepShard};
 use ecripse_core::telemetry::{escape_label_value, fmt_hex_id, SpanRecord, TraceContext};
-use ecripse_serve::http::{self, Request, Response};
+use ecripse_serve::http::{
+    self, error_response, json_body, parse_body, with_job_id, Request, Response,
+};
 use ecripse_serve::protocol::{
     ApiError, Health, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics,
     Readiness, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,
 };
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -307,14 +308,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = http::write_response(&mut stream, &response);
 }
 
-fn json_body<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string())
-}
-
-fn error_response(status: u16, code: &str, message: impl Into<String>) -> Response {
-    Response::json(status, json_body(&ApiError::new(code, message)))
-}
-
 fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     let path = request.path.trim_end_matches('/');
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -343,26 +336,8 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     }
 }
 
-fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
-    match raw.parse::<u64>() {
-        Ok(id) => f(id),
-        Err(_) => error_response(
-            400,
-            "bad_request",
-            format!("job id must be numeric: {raw:?}"),
-        ),
-    }
-}
-
-fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| error_response(400, "bad_request", "body is not utf-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| error_response(400, "bad_request", format!("invalid body: {e}")))
-}
-
 fn register(shared: &Arc<Shared>, body: &[u8]) -> Response {
-    let request: RegisterRequest = match parse_body(body) {
+    let request: RegisterRequest = match parse_body(body, "body") {
         Ok(request) => request,
         Err(response) => return response,
     };
@@ -399,7 +374,7 @@ fn register(shared: &Arc<Shared>, body: &[u8]) -> Response {
 }
 
 fn heartbeat(shared: &Arc<Shared>, body: &[u8]) -> Response {
-    let request: HeartbeatRequest = match parse_body(body) {
+    let request: HeartbeatRequest = match parse_body(body, "body") {
         Ok(request) => request,
         Err(response) => return response,
     };
@@ -837,7 +812,7 @@ fn cancel(shared: &Arc<Shared>, id: u64) -> Response {
 }
 
 fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
-    let mut request: SubmitRequest = match parse_body(&http_request.body) {
+    let mut request: SubmitRequest = match parse_body(&http_request.body, "body") {
         Ok(request) => request,
         Err(response) => return response,
     };

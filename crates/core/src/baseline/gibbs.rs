@@ -15,6 +15,7 @@
 //! several independent chains are run from distinct boundary points.
 
 use crate::bench::{SimCounter, Testbench};
+use crate::ecripse::RunOptions;
 use crate::importance::{importance_stage, ImportanceConfig, ImportanceResult};
 use crate::initial::{find_boundary_particles, BoundaryNotFoundError, InitialSearchConfig};
 use crate::oracle::{ClassifierOracle, OracleConfig};
@@ -141,13 +142,15 @@ pub fn gibbs_is<B: Testbench, S: RtnSource>(
         ..OracleConfig::default()
     };
     let mut oracle = ClassifierOracle::new(&counter, oracle_cfg);
-    let importance = importance_stage(
+    let (importance, _) = importance_stage(
         &mut oracle,
         rtn,
         &mixture,
         &config.importance,
         &mut rng,
         &|| counter.simulations(),
+        &RunOptions::default(),
+        None,
     );
 
     Ok(GibbsResult {

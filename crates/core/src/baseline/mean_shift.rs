@@ -8,6 +8,7 @@
 //! moves to particle-based alternative distributions.
 
 use crate::bench::{SimCounter, Testbench};
+use crate::ecripse::RunOptions;
 use crate::importance::{importance_stage, ImportanceConfig, ImportanceResult};
 use crate::initial::{find_boundary_particles, BoundaryNotFoundError, InitialSearchConfig};
 use crate::oracle::{ClassifierOracle, OracleConfig};
@@ -98,13 +99,15 @@ pub fn mean_shift_is<B: Testbench, S: RtnSource>(
         ..OracleConfig::default()
     };
     let mut oracle = ClassifierOracle::new(&counter, oracle_cfg);
-    let importance = importance_stage(
+    let (importance, _) = importance_stage(
         &mut oracle,
         rtn,
         &alternative,
         &config.importance,
         &mut rng,
         &|| counter.simulations(),
+        &RunOptions::default(),
+        None,
     );
 
     Ok(MeanShiftResult {

@@ -13,7 +13,6 @@
 
 use crate::bench::Testbench;
 use crate::ecripse::{Ecripse, EcripseConfig, EcripseResult, EstimateError};
-use crate::initial::InitialParticles;
 use crate::rtn_source::{NoRtn, RtnSource};
 
 /// Sequential importance sampling — ECRIPSE's machinery with the
@@ -59,27 +58,6 @@ impl<B: Testbench, S: RtnSource> SequentialImportanceSampling<B, S> {
     /// See [`EstimateError`].
     pub fn estimate(&self) -> Result<EcripseResult, EstimateError> {
         self.inner.estimate()
-    }
-
-    /// Runs from a shared initial particle set.
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    pub fn estimate_with_initial(
-        &self,
-        init: &InitialParticles,
-    ) -> Result<EcripseResult, EstimateError> {
-        self.inner.estimate_with_initial(init)
-    }
-
-    /// Step (1) only, for sharing.
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    pub fn find_initial_particles(&self) -> Result<InitialParticles, EstimateError> {
-        self.inner.find_initial_particles()
     }
 }
 

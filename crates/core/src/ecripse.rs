@@ -17,13 +17,13 @@
 use crate::bench::{EffortSnapshot, EvalError, SimCounter, Testbench};
 use crate::cache::{MemoBench, MemoCacheConfig};
 use crate::ensemble::{EnsembleConfig, FilterEnsemble};
-use crate::importance::{importance_stage_impl, ImportanceConfig};
+use crate::importance::{importance_stage, ImportanceConfig};
 use crate::initial::{
     find_boundary_particles, BoundaryNotFoundError, InitialParticles, InitialSearchConfig,
 };
 use crate::observe::{
-    BoundaryStats, IterationStats, NullObserver, Observer, OracleDelta, RunRecorder, RunReport,
-    RunSummary, SimBatchStats, Stage, StageTiming,
+    BoundaryStats, IterationStats, NullObserver, Observer, OracleDelta, RunSummary, SimBatchStats,
+    Stage, StageTiming,
 };
 use crate::oracle::{ClassifierOracle, OracleConfig, OracleStats};
 use crate::prefetch::PrefetchBench;
@@ -35,6 +35,7 @@ use ecripse_stats::mvn::DiagGaussian;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Full configuration of an ECRIPSE run.
@@ -175,6 +176,48 @@ impl From<BoundaryNotFoundError> for EstimateError {
     }
 }
 
+/// How one [`Ecripse::estimate_with`] call runs. `Default` is a plain
+/// [`Ecripse::estimate`]: no observer, no stop flag, the full stage-2
+/// budget and a fresh boundary search.
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Receives every pipeline event (see [`crate::observe`]).
+    pub observer: &'a dyn Observer,
+    /// Cooperative stop flag: raise it from another thread (a cancel
+    /// endpoint, a deadline watchdog, a Ctrl-C handler) and the run
+    /// returns [`EstimateError::Interrupted`] at the next check point —
+    /// before the run starts, between particle-filter iterations and at
+    /// stage-2 batch boundaries — so in-flight simulation batches always
+    /// finish cleanly.
+    pub stop: Option<&'a AtomicBool>,
+    /// Keep drawing stage-2 samples only until the 95 % relative error
+    /// reaches this target, or until `config.importance.n_samples` is
+    /// exhausted, whichever comes first. Check the result's
+    /// [`relative_error`](EcripseResult::relative_error) to see whether
+    /// the target was met within the budget.
+    pub target_relative_error: Option<f64>,
+    /// A pre-computed initial particle set (step 1, from
+    /// [`Ecripse::find_initial_particles`]) to start from instead of
+    /// searching the boundary. Its simulation cost is included in the
+    /// result, matching the paper's accounting for the *first* bias
+    /// condition; sweep drivers amortise it by passing the same set to
+    /// every point and counting its cost once. The report's `boundary`
+    /// entry stays empty: the search ran (and was observed) wherever the
+    /// set was produced.
+    pub initial: Option<&'a InitialParticles>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        Self {
+            observer: &NullObserver,
+            stop: None,
+            target_relative_error: None,
+            initial: None,
+        }
+    }
+}
+
 /// An ECRIPSE estimator bound to a testbench and an RTN source.
 #[derive(Debug, Clone)]
 pub struct Ecripse<B, S = NoRtn> {
@@ -217,7 +260,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
     }
 
     /// Runs step (1) only — producing an initial particle set that can be
-    /// shared across bias conditions via [`Self::estimate_with_initial`].
+    /// shared across bias conditions via [`RunOptions::initial`].
     ///
     /// # Errors
     ///
@@ -229,8 +272,9 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
 
     /// Step (1) with raw simulator-batch latencies reported into
     /// `observer` (the boundary-search events themselves are emitted by
-    /// the estimation entry points, which know the stage framing). Runs
-    /// in the configured thread pool, like every later stage.
+    /// [`estimate_with`](Self::estimate_with), which knows the stage
+    /// framing). Runs in the configured thread pool, like every later
+    /// stage.
     pub(crate) fn find_initial_particles_observed(
         &self,
         observer: &dyn Observer,
@@ -253,13 +297,11 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
     ///
     /// See [`EstimateError`].
     pub fn estimate(&self) -> Result<EcripseResult, EstimateError> {
-        self.estimate_observed(&NullObserver)
+        self.estimate_with(&RunOptions::default())
     }
 
     /// Like [`estimate`](Self::estimate), reporting every pipeline event
-    /// into `observer` (see [`crate::observe`]). Observation never
-    /// changes the numbers: the un-observed entry points are this one
-    /// with a [`NullObserver`].
+    /// into `observer` (see [`crate::observe`]).
     ///
     /// # Errors
     ///
@@ -268,65 +310,46 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         &self,
         observer: &dyn Observer,
     ) -> Result<EcripseResult, EstimateError> {
-        observer.run_started(self.config.seed, self.config.threads);
-        observer.scenario_selected(self.config.scenario);
-        let init = self.boundary_stage(observer)?;
-        self.run_stages(&init, None, None, observer)
+        self.estimate_with(&RunOptions {
+            observer,
+            ..RunOptions::default()
+        })
     }
 
-    /// Like [`estimate`](Self::estimate), honouring a cooperative stop
-    /// flag: raise it from another thread (a cancel endpoint, a deadline
-    /// watchdog, a Ctrl-C handler) and the run returns
-    /// [`EstimateError::Interrupted`] at the next check point — between
-    /// particle-filter iterations and at stage-2 batch boundaries — so
-    /// in-flight simulation batches always finish cleanly.
-    ///
-    /// The checks never consume randomness: a run whose flag stays unset
-    /// is bit-identical to [`estimate`](Self::estimate).
+    /// The one estimation entry point: steps (1)–(5), or (2)–(5) from
+    /// [`RunOptions::initial`], as `options` direct. Observation, the
+    /// stop checks and the early-stopping target never consume
+    /// randomness, so a run whose options only add an observer or an
+    /// unset stop flag is bit-identical to [`estimate`](Self::estimate).
     ///
     /// # Errors
     ///
     /// See [`EstimateError`]; [`EstimateError::Interrupted`] when the
-    /// flag cut the run short.
-    pub fn estimate_interruptible(
-        &self,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> Result<EcripseResult, EstimateError> {
-        self.estimate_interruptible_observed(stop, &NullObserver)
-    }
-
-    /// Like [`estimate_interruptible`](Self::estimate_interruptible),
-    /// reporting every pipeline event into `observer`.
+    /// stop flag cut the run short.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`estimate_interruptible`](Self::estimate_interruptible).
-    pub fn estimate_interruptible_observed(
-        &self,
-        stop: &std::sync::atomic::AtomicBool,
-        observer: &dyn Observer,
-    ) -> Result<EcripseResult, EstimateError> {
+    /// Panics if [`RunOptions::target_relative_error`] is set and not
+    /// positive.
+    pub fn estimate_with(&self, options: &RunOptions<'_>) -> Result<EcripseResult, EstimateError> {
+        if let Some(target) = options.target_relative_error {
+            assert!(target > 0.0, "relative-error target must be positive");
+        }
+        let observer = options.observer;
         observer.run_started(self.config.seed, self.config.threads);
         observer.scenario_selected(self.config.scenario);
-        if stop.load(std::sync::atomic::Ordering::SeqCst) {
+        if options.stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
             return Err(EstimateError::Interrupted);
         }
-        let init = self.boundary_stage(observer)?;
-        self.run_stages(&init, None, Some(stop), observer)
-    }
-
-    /// Full estimation that also collects the structured [`RunReport`] —
-    /// the one-call convenience over
-    /// [`estimate_observed`](Self::estimate_observed) with a
-    /// [`RunRecorder`].
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    pub fn estimate_report(&self) -> Result<(EcripseResult, RunReport), EstimateError> {
-        let recorder = RunRecorder::new();
-        let result = self.estimate_observed(&recorder)?;
-        Ok((result, recorder.into_report()))
+        let searched;
+        let init = match options.initial {
+            Some(init) => init,
+            None => {
+                searched = self.boundary_stage(observer)?;
+                &searched
+            }
+        };
+        run_in_pool(self.config.threads, || self.run_stages(init, options))
     }
 
     /// Step (1) with boundary-search events reported into `observer`.
@@ -348,104 +371,15 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         Ok(init)
     }
 
-    /// Full estimation that keeps drawing stage-2 samples until the 95 %
-    /// relative error reaches `target` — or until
-    /// `config.importance.n_samples` is exhausted, whichever comes
-    /// first. Check the returned result's
-    /// [`relative_error`](EcripseResult::relative_error) to see whether
-    /// the target was met within the budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not positive.
-    pub fn estimate_to_tolerance(&self, target: f64) -> Result<EcripseResult, EstimateError> {
-        self.estimate_to_tolerance_observed(target, &NullObserver)
-    }
-
-    /// Like [`estimate_to_tolerance`](Self::estimate_to_tolerance),
-    /// reporting every pipeline event into `observer`.
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not positive.
-    pub fn estimate_to_tolerance_observed(
-        &self,
-        target: f64,
-        observer: &dyn Observer,
-    ) -> Result<EcripseResult, EstimateError> {
-        assert!(target > 0.0, "relative-error target must be positive");
-        observer.run_started(self.config.seed, self.config.threads);
-        observer.scenario_selected(self.config.scenario);
-        let init = self.boundary_stage(observer)?;
-        self.run_stages(&init, Some(target), None, observer)
-    }
-
-    /// Steps (2)–(5) from a pre-computed initial particle set. The
-    /// initial set's simulation cost is included in the result, matching
-    /// the paper's accounting for the *first* bias condition; sweep
-    /// drivers amortise it by passing the same set to every point and
-    /// counting its cost once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::Degenerate`] if the whole ensemble loses
-    /// weight and never recovers.
-    pub fn estimate_with_initial(
-        &self,
-        init: &InitialParticles,
-    ) -> Result<EcripseResult, EstimateError> {
-        self.estimate_with_initial_observed(init, &NullObserver)
-    }
-
-    /// Like [`estimate_with_initial`](Self::estimate_with_initial),
-    /// reporting every pipeline event into `observer`. The report's
-    /// `boundary` entry stays empty: the search ran (and was observed)
-    /// wherever the shared initial set was produced.
-    ///
-    /// # Errors
-    ///
-    /// See [`EstimateError`].
-    pub fn estimate_with_initial_observed(
-        &self,
-        init: &InitialParticles,
-        observer: &dyn Observer,
-    ) -> Result<EcripseResult, EstimateError> {
-        observer.run_started(self.config.seed, self.config.threads);
-        observer.scenario_selected(self.config.scenario);
-        self.run_stages(init, None, None, observer)
-    }
-
-    /// Shared implementation of the staged flow with an optional stage-2
-    /// early-stopping target and an optional cooperative stop flag.
-    /// Installs the configured thread pool so every batched simulation
-    /// below honours `config.threads`.
+    /// Steps (2)–(5) from `init`. Runs inside the configured thread pool
+    /// (installed by the caller), so every batched simulation below
+    /// honours `config.threads`.
     fn run_stages(
         &self,
         init: &InitialParticles,
-        stop_at_relative_error: Option<f64>,
-        stop: Option<&std::sync::atomic::AtomicBool>,
-        observer: &dyn Observer,
+        options: &RunOptions<'_>,
     ) -> Result<EcripseResult, EstimateError> {
-        run_in_pool(self.config.threads, || {
-            self.run_stages_in_pool(init, stop_at_relative_error, stop, observer)
-        })
-    }
-
-    fn run_stages_in_pool(
-        &self,
-        init: &InitialParticles,
-        stop_at_relative_error: Option<f64>,
-        stop: Option<&std::sync::atomic::AtomicBool>,
-        observer: &dyn Observer,
-    ) -> Result<EcripseResult, EstimateError> {
+        let observer = options.observer;
         // Bench layering, innermost first: raw bench → batch timer
         // (wall-clock only; feeds latency histograms, never reports) →
         // prefetch table (stage-2 evaluations done ahead while the
@@ -485,7 +419,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             // iterations: an in-flight predict/measure/resample step
             // always finishes, so the check never perturbs the RNG
             // stream of an uninterrupted run.
-            if stop.is_some_and(|s| s.load(std::sync::atomic::Ordering::SeqCst)) {
+            if options.stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
                 return Err(EstimateError::Interrupted);
             }
             let before = combined_stats(
@@ -541,16 +475,14 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         let alternative = ensemble.as_mixture(self.config.sigma_kernel);
         let init_sims = init.simulations;
         let sim_count = || init_sims + counter.simulations();
-        let (is, is_interrupted) = importance_stage_impl(
+        let (is, is_interrupted) = importance_stage(
             &mut oracle,
             &self.rtn,
             &alternative,
             &self.config.importance,
             &mut rng,
             &sim_count,
-            stop_at_relative_error,
-            stop,
-            observer,
+            options,
             Some(&(&prefetch, &cached)),
         );
         observer.stage_finished(
@@ -885,8 +817,12 @@ mod tests {
         let exact = bench.exact_p_fail();
         let run = Ecripse::new(fast_config(), bench);
         let init = run.find_initial_particles().expect("boundary");
-        let r1 = run.estimate_with_initial(&init).expect("first reuse");
-        let r2 = run.estimate_with_initial(&init).expect("second reuse");
+        let options = RunOptions {
+            initial: Some(&init),
+            ..RunOptions::default()
+        };
+        let r1 = run.estimate_with(&options).expect("first reuse");
+        let r2 = run.estimate_with(&options).expect("second reuse");
         assert_eq!(r1.p_fail, r2.p_fail, "same seed, same init, same result");
         assert!(((r1.p_fail - exact) / exact).abs() < 0.15);
     }
@@ -920,11 +856,19 @@ mod tolerance_tests {
         }
     }
 
+    fn to_tolerance(run: &Ecripse<LinearBench>, target: f64) -> EcripseResult {
+        run.estimate_with(&RunOptions {
+            target_relative_error: Some(target),
+            ..RunOptions::default()
+        })
+        .expect("run")
+    }
+
     #[test]
     fn stops_when_target_is_met() {
         let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
         let run = Ecripse::new(cfg(200_000), bench);
-        let res = run.estimate_to_tolerance(0.10).expect("run");
+        let res = to_tolerance(&run, 0.10);
         assert!(
             res.relative_error() <= 0.10,
             "target missed: {}",
@@ -942,7 +886,7 @@ mod tolerance_tests {
     fn budget_cap_is_respected_when_target_unreachable() {
         let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
         let run = Ecripse::new(cfg(2_000), bench);
-        let res = run.estimate_to_tolerance(1e-4).expect("run");
+        let res = to_tolerance(&run, 1e-4);
         assert_eq!(res.is_samples, 2_000, "cap must bound the run");
         assert!(res.relative_error() > 1e-4);
     }
@@ -951,8 +895,8 @@ mod tolerance_tests {
     fn tighter_targets_cost_more_samples() {
         let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
         let run = Ecripse::new(cfg(400_000), bench);
-        let loose = run.estimate_to_tolerance(0.2).expect("loose");
-        let tight = run.estimate_to_tolerance(0.05).expect("tight");
+        let loose = to_tolerance(&run, 0.2);
+        let tight = to_tolerance(&run, 0.05);
         assert!(tight.is_samples > loose.is_samples);
     }
 
@@ -960,6 +904,6 @@ mod tolerance_tests {
     #[should_panic(expected = "relative-error target must be positive")]
     fn rejects_nonpositive_target() {
         let bench = LinearBench::new(vec![1.0], 3.0);
-        let _ = Ecripse::new(cfg(100), bench).estimate_to_tolerance(0.0);
+        let _ = to_tolerance(&Ecripse::new(cfg(100), bench), 0.0);
     }
 }

@@ -11,7 +11,8 @@
 //! densities involved underflow ordinary arithmetic.
 
 use crate::bench::Testbench;
-use crate::observe::{ChunkStats, NullObserver, Observer, PrefetchStats};
+use crate::ecripse::RunOptions;
+use crate::observe::{ChunkStats, PrefetchStats};
 use crate::oracle::ClassifierOracle;
 use crate::prefetch::Lookahead;
 use crate::rtn_source::RtnSource;
@@ -109,43 +110,6 @@ where
     fails as f64 / m as f64
 }
 
-/// Runs the stage-2 importance sampling.
-///
-/// `sim_count` reports the current transistor-level simulation count (for
-/// trace points); pass the enclosing [`crate::bench::SimCounter`]'s
-/// getter.
-///
-/// # Panics
-///
-/// Panics if `config.n_samples` is zero or dimensions disagree.
-pub fn importance_stage<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
-    rtn: &S,
-    alternative: &GaussianMixture,
-    config: &ImportanceConfig,
-    rng: &mut R,
-    sim_count: &dyn Fn() -> u64,
-) -> ImportanceResult
-where
-    B: Testbench,
-    S: RtnSource,
-    R: Rng + ?Sized,
-{
-    let (result, _interrupted) = importance_stage_impl(
-        oracle,
-        rtn,
-        alternative,
-        config,
-        rng,
-        sim_count,
-        None,
-        None,
-        &NullObserver,
-        None,
-    );
-    result
-}
-
 /// One drawn chunk: each importance sample's likelihood ratio, and the
 /// points the oracle answers for it (`m` RTN-shifted copies per sample,
 /// or the sample itself without RTN).
@@ -189,18 +153,24 @@ where
     Chunk { weights, points }
 }
 
-/// The stage-2 loop behind [`importance_stage`] and every
-/// [`Ecripse`](crate::ecripse::Ecripse) estimate.
+/// Runs the stage-2 importance sampling — the loop behind every
+/// [`Ecripse`](crate::ecripse::Ecripse) estimate and the baselines that
+/// sample a fixed alternative.
 ///
-/// When `stop_at_relative_error` is set, sampling stops as soon as the
-/// estimator's relative error falls at or below the target (checked
-/// every 256 samples, after a warm-up of 1024), or when `n_samples` is
-/// exhausted, whichever comes first. A raised `stop` flag (the
-/// service's cancellation/deadline path) is checked before each chunk
-/// is drawn; the returned flag says whether it cut the stage short, and
-/// a flag raised after the budget was exhausted is a no-op. One
-/// [`ChunkStats`] per chunk goes to `observer`. Neither the checks nor
-/// the observer consume randomness or change a number.
+/// `sim_count` reports the current transistor-level simulation count (for
+/// trace points); pass the enclosing [`crate::bench::SimCounter`]'s
+/// getter. Of `options`, the stage reads the observer, the stop flag and
+/// the target ([`RunOptions::initial`] is step 1's business).
+///
+/// With [`RunOptions::target_relative_error`] set, sampling stops as soon
+/// as the estimator's relative error falls at or below the target
+/// (checked every 256 samples, after a warm-up of 1024), or when
+/// `n_samples` is exhausted, whichever comes first. A raised
+/// [`RunOptions::stop`] flag is checked before each chunk is drawn; the
+/// returned flag says whether it cut the stage short, and a flag raised
+/// after the budget was exhausted is a no-op. One [`ChunkStats`] per
+/// chunk goes to the observer. Neither the checks nor the observer
+/// consume randomness or change a number.
 ///
 /// Each chunk is routed with
 /// [`ClassifierOracle::evaluate_batch_accurate_deferred`]; the next
@@ -217,16 +187,14 @@ where
 /// Panics if `config.n_samples` is zero, the target is not positive, or
 /// dimensions disagree.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn importance_stage_impl<B, S, R>(
+pub fn importance_stage<B, S, R>(
     oracle: &mut ClassifierOracle<'_, B>,
     rtn: &S,
     alternative: &GaussianMixture,
     config: &ImportanceConfig,
     rng: &mut R,
     sim_count: &dyn Fn() -> u64,
-    stop_at_relative_error: Option<f64>,
-    stop: Option<&AtomicBool>,
-    observer: &dyn Observer,
+    options: &RunOptions<'_>,
     lookahead: Option<&dyn Lookahead>,
 ) -> (ImportanceResult, bool)
 where
@@ -235,7 +203,13 @@ where
     R: Rng + ?Sized,
 {
     assert!(config.n_samples > 0, "need at least one importance sample");
-    if let Some(t) = stop_at_relative_error {
+    let RunOptions {
+        observer,
+        stop,
+        target_relative_error,
+        ..
+    } = *options;
+    if let Some(t) = target_relative_error {
         assert!(t > 0.0, "relative-error target must be positive");
     }
     const CHECK_EVERY: u64 = 256;
@@ -325,7 +299,7 @@ where
         // past the warm-up; batches are CHECK_EVERY samples long, so
         // checking once per batch is exactly the per-sample rule.
         let mut converged = false;
-        if let Some(target) = stop_at_relative_error {
+        if let Some(target) = target_relative_error {
             if n >= WARMUP && n.is_multiple_of(CHECK_EVERY) {
                 let est = estimator.estimate();
                 converged = est > 0.0 && estimator.ci95_half_width() / est <= target;
@@ -412,7 +386,7 @@ mod tests {
             0.7,
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let res = importance_stage(
+        let (res, _) = importance_stage(
             &mut oracle,
             &NoRtn::new(2),
             &alt,
@@ -423,6 +397,8 @@ mod tests {
             },
             &mut rng,
             &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
         );
         assert!(
             ((res.p_fail - exact) / exact).abs() < 0.1,
@@ -454,7 +430,7 @@ mod tests {
             0.7,
         );
         let mut rng = StdRng::seed_from_u64(2);
-        let res = importance_stage(
+        let (res, _) = importance_stage(
             &mut oracle,
             &NoRtn::new(2),
             &alt,
@@ -465,6 +441,8 @@ mod tests {
             },
             &mut rng,
             &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
         );
         assert!(
             ((res.p_fail - exact) / exact).abs() < 0.1,
@@ -488,7 +466,7 @@ mod tests {
         let mut oracle = ClassifierOracle::new(&counter, cfg);
         let alt = GaussianMixture::from_particles(&[vec![3.0, 0.0], vec![3.3, 0.3]], 0.6);
         let mut rng = StdRng::seed_from_u64(3);
-        let res = importance_stage(
+        let (res, _) = importance_stage(
             &mut oracle,
             &NoRtn::new(2),
             &alt,
@@ -499,6 +477,8 @@ mod tests {
             },
             &mut rng,
             &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
         );
         assert!(
             ((res.p_fail - 0.5 * exact) / (0.5 * exact)).abs() < 0.15,
@@ -542,7 +522,7 @@ mod tests {
         let mut oracle = ClassifierOracle::new(&counter, cfg);
         let alt = GaussianMixture::from_particles(&[vec![2.0]], 0.5);
         let mut rng = StdRng::seed_from_u64(5);
-        let res = importance_stage(
+        let (res, _) = importance_stage(
             &mut oracle,
             &NoRtn::new(1),
             &alt,
@@ -553,6 +533,8 @@ mod tests {
             },
             &mut rng,
             &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
         );
         assert_eq!(res.trace.len(), 10);
         let pts = res.trace.points();

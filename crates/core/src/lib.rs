@@ -90,7 +90,7 @@ pub mod trace;
 
 pub use bench::{EvalError, SimCounter, SolveEffort, Testbench};
 pub use cache::{MemoBench, MemoCacheConfig, VerdictStore};
-pub use ecripse::{Ecripse, EcripseConfig, EcripseResult};
+pub use ecripse::{Ecripse, EcripseConfig, EcripseResult, RunOptions};
 pub use observe::{
     MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,
 };

@@ -38,10 +38,13 @@
 //! ```no_run
 //! use ecripse_core::scenario::{Scenario, SramScenarioBench};
 //! use ecripse_core::ecripse::{Ecripse, EcripseConfig};
+//! use ecripse_core::observe::RunRecorder;
 //!
 //! let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
 //! let run = Ecripse::new(EcripseConfig::default(), bench);
-//! let (result, report) = run.estimate_report()?;
+//! let recorder = RunRecorder::new();
+//! let result = run.estimate_observed(&recorder)?;
+//! let report = recorder.into_report();
 //! println!("P_fail = {:.3e}", result.p_fail);
 //! for stage in &report.stages {
 //!     println!(
@@ -453,7 +456,7 @@ pub struct StageReport {
 ///
 /// Produced by [`RunRecorder`]; emitted as JSON by `ecripse-cli
 /// --report <path>`, the duty-sweep driver
-/// ([`DutySweep::run_with_reports`](crate::sweep::DutySweep::run_with_reports))
+/// ([`DutySweep::run_with`](crate::sweep::DutySweep::run_with))
 /// and the experiment binaries. The full field-by-field schema is
 /// documented in `DESIGN.md` § "Observability layer".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

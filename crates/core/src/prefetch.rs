@@ -195,7 +195,7 @@ impl<B: Testbench> Testbench for PrefetchBench<B> {
 /// [`PrefetchBench`] paired with the memo-cache above it (whose held
 /// points never reach the simulator), so the loop stays generic over the
 /// bench stack only through its oracle.
-pub(crate) trait Lookahead {
+pub trait Lookahead {
     /// See [`PrefetchBench::prefetch`].
     fn prefetch(&self, points: &[Vec<f64>], decision: &Decision, done: &AtomicBool) -> u64;
     /// See [`PrefetchBench::end_round`].

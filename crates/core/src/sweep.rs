@@ -7,7 +7,7 @@
 //! bias point — the failure boundary's *location* barely moves with `α`,
 //! only the weighting on top of it does.
 //!
-//! Long sweeps are *resumable*: [`DutySweep::run_resumable`] writes a
+//! Long sweeps are *resumable*: [`DutySweep::run_with`] writes a
 //! versioned JSON checkpoint after the shared initialisation, after the
 //! RDF-only reference and after every completed point, and a later
 //! invocation with [`SweepOptions::resume`] reloads whatever is already
@@ -17,7 +17,7 @@
 //! aborts the sweep — the failure is reported per point instead.
 
 use crate::bench::{LinearBench, Testbench};
-use crate::ecripse::{run_in_pool, Ecripse, EcripseConfig, EstimateError};
+use crate::ecripse::{run_in_pool, Ecripse, EcripseConfig, EstimateError, RunOptions};
 use crate::initial::InitialParticles;
 use crate::observe::{
     BoundaryStats, MultiObserver, NullObserver, Observer, RunRecorder, RunReport, Stage,
@@ -29,6 +29,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// One sweep point's outcome.
@@ -104,7 +105,7 @@ impl SweepResult {
 }
 
 /// Structured run reports of an observed sweep, one per pipeline run
-/// (see [`DutySweep::run_with_reports`]).
+/// (see [`ResumableSweep::into_parts`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReports {
     /// Report of the RDF-only reference run. Its `boundary` entry also
@@ -242,10 +243,10 @@ pub enum SweepError {
     },
     /// The checkpoint file could not be used or written.
     Checkpoint(CheckpointError),
-    /// A cooperative stop was requested
-    /// ([`DutySweep::run_resumable_interruptible`]): in-flight points
-    /// were drained into the checkpoint and the remaining points were
-    /// skipped. Resume with [`SweepOptions::resume`] to continue.
+    /// A cooperative stop was requested ([`SweepOptions::stop`]):
+    /// in-flight points were drained into the checkpoint and the
+    /// remaining points were skipped. Resume with
+    /// [`SweepOptions::resume`] to continue.
     Interrupted {
         /// Points completed so far (this run and earlier checkpointed
         /// runs combined).
@@ -293,9 +294,11 @@ impl From<CheckpointError> for SweepError {
     }
 }
 
-/// Fault-tolerance options of [`DutySweep::run_resumable`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepOptions {
+/// How one [`DutySweep::run_with`] call runs. `Default` is a plain
+/// [`DutySweep::run`]: no checkpoint, fail-fast, no observer, no stop
+/// flag.
+#[derive(Clone)]
+pub struct SweepOptions<'a> {
     /// Checkpoint file updated after the initialisation, the RDF-only
     /// reference and every completed point (written atomically via a
     /// `.tmp` sibling). `None` disables checkpointing.
@@ -307,9 +310,34 @@ pub struct SweepOptions {
     /// Keep estimating the remaining points when one fails; failures are
     /// reported per point in the [`ResumableSweep`].
     pub keep_going: bool,
+    /// Receives every pipeline event of every point, on top of the
+    /// internal per-point recorders that collect the checkpoint reports.
+    pub observer: &'a dyn Observer,
+    /// Cooperative stop flag (set it from a Ctrl-C handler or a service
+    /// shutdown path), checked before each not-yet-completed point:
+    /// points already in flight are *drained* — they finish and are
+    /// written to the checkpoint — while pending points are skipped.
+    /// When anything was skipped the run returns
+    /// [`SweepError::Interrupted`] after one final checkpoint flush, so
+    /// a later resume continues bit-identically from where the stop
+    /// landed. A stop request that arrives after every point finished is
+    /// a no-op and the sweep completes normally.
+    pub stop: Option<&'a AtomicBool>,
 }
 
-/// Outcome of one sweep point under [`DutySweep::run_resumable`].
+impl Default for SweepOptions<'_> {
+    fn default() -> Self {
+        Self {
+            checkpoint: None,
+            resume: false,
+            keep_going: false,
+            observer: &NullObserver,
+            stop: None,
+        }
+    }
+}
+
+/// Outcome of one sweep point under [`DutySweep::run_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointOutcome {
     /// Index in sweep order.
@@ -358,12 +386,16 @@ impl ResumableSweep {
     ///
     /// # Errors
     ///
-    /// The first failed point's [`EstimateError`].
-    pub fn into_parts(self) -> Result<(SweepResult, SweepReports), EstimateError> {
+    /// The first failed point's [`SweepError::Point`].
+    pub fn into_parts(self) -> Result<(SweepResult, SweepReports), SweepError> {
         let mut points = Vec::with_capacity(self.outcomes.len());
         let mut reports = Vec::with_capacity(self.outcomes.len());
         for outcome in self.outcomes {
-            let point = outcome.result?;
+            let point = outcome.result.map_err(|source| SweepError::Point {
+                index: outcome.index,
+                alpha: outcome.alpha,
+                source,
+            })?;
             points.push(point);
             reports.push(outcome.report.unwrap_or_default());
         }
@@ -458,155 +490,44 @@ impl<B: SweepBench> DutySweep<B> {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EstimateError`] encountered.
-    pub fn run(&self) -> Result<SweepResult, EstimateError> {
-        self.run_with_reports().map(|(result, _)| result)
+    /// [`SweepError::Init`] or the first failed point's
+    /// [`SweepError::Point`].
+    pub fn run(&self) -> Result<SweepResult, SweepError> {
+        let (result, _) = self.run_with(&SweepOptions::default())?.into_parts()?;
+        Ok(result)
     }
 
-    /// Like [`run`](DutySweep::run), also returning a structured
-    /// [`RunReport`] for the RDF-only reference and for every duty-ratio
-    /// point (see [`crate::observe`]). The per-point reports are
-    /// collected independently, so they stay bit-identical across thread
-    /// counts apart from their wall-clock timing fields.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EstimateError`] encountered.
-    pub fn run_with_reports(&self) -> Result<(SweepResult, SweepReports), EstimateError> {
-        match self.run_resumable(&SweepOptions::default()) {
-            Ok(run) => run.into_parts(),
-            Err(SweepError::Init(e)) | Err(SweepError::Point { source: e, .. }) => Err(e),
-            // No checkpoint path and no stop flag are configured above,
-            // so neither checkpoint errors nor interrupts can occur on
-            // this path.
-            Err(SweepError::Checkpoint(e)) => {
-                panic!("checkpoint error without a checkpoint configured: {e}")
-            }
-            Err(e @ SweepError::Interrupted { .. }) => {
-                panic!("interrupt without a stop flag configured: {e}")
-            }
-        }
-    }
-
-    /// The fault-tolerant sweep entry point: checkpointing, resume and
-    /// per-point failure isolation, governed by `options`.
+    /// The one sweep entry point: checkpointing, resume, per-point
+    /// failure isolation, observation and cooperative stopping, as
+    /// `options` direct. [`ResumableSweep::into_parts`] turns the outcome
+    /// into the [`SweepResult`] plus one structured [`RunReport`] for the
+    /// RDF-only reference and for every duty-ratio point; the per-point
+    /// reports are collected independently, so they stay bit-identical
+    /// across thread counts apart from their wall-clock timing fields.
     ///
     /// Per-point RNG seeds are split from the base seed by point index,
     /// so the estimates are independent of which points were loaded from
     /// a checkpoint: an interrupted-and-resumed sweep produces exactly
     /// the [`SweepResult`] of an uninterrupted one.
     ///
+    /// Sweep points run in parallel, so [`SweepOptions::observer`]
+    /// receives events from **several concurrent runs interleaved** (each
+    /// point emits its own `run_started`…`run_finished` sequence).
+    /// Observers that aggregate across runs — progress trackers,
+    /// telemetry bridges — must accumulate rather than overwrite. Points
+    /// loaded from a checkpoint emit no events (their work happened in an
+    /// earlier process).
+    ///
     /// # Errors
     ///
     /// [`SweepError::Checkpoint`] when the checkpoint cannot be read
     /// (resume) or written; [`SweepError::Init`] when the shared
     /// initialisation or RDF-only reference fails; [`SweepError::Point`]
-    /// when a point fails and [`SweepOptions::keep_going`] is off.
-    pub fn run_resumable(&self, options: &SweepOptions) -> Result<ResumableSweep, SweepError> {
-        self.run_resumable_inner(options, None, &NullObserver)
-    }
-
-    /// Like [`run_resumable`](DutySweep::run_resumable), additionally
-    /// reporting every pipeline event into `observer` — on top of the
-    /// internal per-point recorders, which keep collecting the
-    /// checkpoint reports exactly as before.
-    ///
-    /// Sweep points run in parallel, so `observer` receives events from
-    /// **several concurrent runs interleaved** (each point emits its own
-    /// `run_started`…`run_finished` sequence). Observers that aggregate
-    /// across runs — progress trackers, telemetry bridges — must
-    /// accumulate rather than overwrite. Points loaded from a
-    /// checkpoint emit no events (their work happened in an earlier
-    /// process).
-    ///
-    /// # Errors
-    ///
-    /// See [`run_resumable`](DutySweep::run_resumable).
-    pub fn run_resumable_observed(
-        &self,
-        options: &SweepOptions,
-        observer: &dyn Observer,
-    ) -> Result<ResumableSweep, SweepError> {
-        self.run_resumable_inner(options, None, observer)
-    }
-
-    /// Like [`run_resumable`](DutySweep::run_resumable), but honouring a
-    /// cooperative stop flag (set it from a Ctrl-C handler or a service
-    /// shutdown path). The flag is checked before each not-yet-completed
-    /// point: points already in flight are *drained* — they finish and
-    /// are written to the checkpoint — while pending points are skipped.
-    /// When anything was skipped the call returns
-    /// [`SweepError::Interrupted`] after one final checkpoint flush, so
-    /// a later resume run continues bit-identically from where the stop
-    /// landed. A stop request that arrives after every point finished is
-    /// a no-op and the sweep completes normally.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run_resumable`](DutySweep::run_resumable) can
-    /// return, plus [`SweepError::Interrupted`] when the stop flag cut
-    /// the sweep short.
-    pub fn run_resumable_interruptible(
-        &self,
-        options: &SweepOptions,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> Result<ResumableSweep, SweepError> {
-        self.run_resumable_inner(options, Some(stop), &NullObserver)
-    }
-
-    /// Like
-    /// [`run_resumable_interruptible`](DutySweep::run_resumable_interruptible),
-    /// additionally reporting every pipeline event into `observer` (with
-    /// the same concurrent-interleaving caveat as
-    /// [`run_resumable_observed`](DutySweep::run_resumable_observed)).
-    ///
-    /// # Errors
-    ///
-    /// See [`run_resumable_interruptible`](DutySweep::run_resumable_interruptible).
-    pub fn run_resumable_interruptible_observed(
-        &self,
-        options: &SweepOptions,
-        stop: &std::sync::atomic::AtomicBool,
-        observer: &dyn Observer,
-    ) -> Result<ResumableSweep, SweepError> {
-        self.run_resumable_inner(options, Some(stop), observer)
-    }
-
-    /// Primes `path` with an empty checkpoint describing this sweep
-    /// without running any estimation, so a later
-    /// [`SweepOptions::resume`] run can pick the sweep up from scratch.
-    /// An existing checkpoint that already belongs to this sweep is left
-    /// untouched (partial progress is preserved); a missing file, a
-    /// corrupt file or a foreign sweep's checkpoint is replaced by a
-    /// fresh one.
-    ///
-    /// Returns `true` when a fresh checkpoint was written and `false`
-    /// when a compatible one already existed.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Checkpoint`] when the sweep identity cannot be
-    /// fingerprinted or the file cannot be written.
-    pub fn ensure_checkpoint(&self, path: &Path) -> Result<bool, SweepError> {
-        let fingerprint = self.fingerprint()?;
-        if path.exists() {
-            if let Ok(existing) = load_checkpoint(path) {
-                if self.validate_checkpoint(&existing, &fingerprint).is_ok() {
-                    return Ok(false);
-                }
-            }
-        }
-        save_checkpoint(Some(path), &self.fresh_checkpoint(fingerprint))?;
-        Ok(true)
-    }
-
-    fn run_resumable_inner(
-        &self,
-        options: &SweepOptions,
-        stop: Option<&std::sync::atomic::AtomicBool>,
-        observer: &dyn Observer,
-    ) -> Result<ResumableSweep, SweepError> {
-        use std::sync::atomic::Ordering;
+    /// when a point fails and [`SweepOptions::keep_going`] is off;
+    /// [`SweepError::Interrupted`] when [`SweepOptions::stop`] cut the
+    /// sweep short.
+    pub fn run_with(&self, options: &SweepOptions<'_>) -> Result<ResumableSweep, SweepError> {
+        let observer = options.observer;
         let fingerprint = self.fingerprint()?;
         let mut checkpoint = match (&options.checkpoint, options.resume) {
             (Some(path), true) if path.exists() => {
@@ -662,7 +583,11 @@ impl<B: SweepBench> DutySweep<B> {
                 fanout.push(&rdf_recorder);
                 fanout.push(observer);
                 let res = rdf_run
-                    .estimate_with_initial_observed(&amortised, &fanout)
+                    .estimate_with(&RunOptions {
+                        observer: &fanout,
+                        initial: Some(&amortised),
+                        ..RunOptions::default()
+                    })
                     .map_err(SweepError::Init)?;
                 CheckpointReference {
                     p_fail: res.p_fail,
@@ -700,7 +625,7 @@ impl<B: SweepBench> DutySweep<B> {
                             from_checkpoint: true,
                         });
                     }
-                    if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                    if options.stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
                         return None;
                     }
                     let mut config = self.config;
@@ -717,7 +642,13 @@ impl<B: SweepBench> DutySweep<B> {
                     let mut fanout = MultiObserver::new();
                     fanout.push(&recorder);
                     fanout.push(observer);
-                    let result = run.estimate_with_initial_observed(amortised, &fanout);
+                    // No stop flag: a point that started drains to
+                    // completion.
+                    let result = run.estimate_with(&RunOptions {
+                        observer: &fanout,
+                        initial: Some(amortised),
+                        ..RunOptions::default()
+                    });
                     match result {
                         Ok(res) => {
                             let point = SweepPoint {
@@ -810,6 +741,34 @@ impl<B: SweepBench> DutySweep<B> {
             rdf_only_report: rdf_only.report,
             points_from_checkpoint,
         })
+    }
+
+    /// Primes `path` with an empty checkpoint describing this sweep
+    /// without running any estimation, so a later
+    /// [`SweepOptions::resume`] run can pick the sweep up from scratch.
+    /// An existing checkpoint that already belongs to this sweep is left
+    /// untouched (partial progress is preserved); a missing file, a
+    /// corrupt file or a foreign sweep's checkpoint is replaced by a
+    /// fresh one.
+    ///
+    /// Returns `true` when a fresh checkpoint was written and `false`
+    /// when a compatible one already existed.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Checkpoint`] when the sweep identity cannot be
+    /// fingerprinted or the file cannot be written.
+    pub fn ensure_checkpoint(&self, path: &Path) -> Result<bool, SweepError> {
+        let fingerprint = self.fingerprint()?;
+        if path.exists() {
+            if let Ok(existing) = load_checkpoint(path) {
+                if self.validate_checkpoint(&existing, &fingerprint).is_ok() {
+                    return Ok(false);
+                }
+            }
+        }
+        save_checkpoint(Some(path), &self.fresh_checkpoint(fingerprint))?;
+        Ok(true)
     }
 
     fn fresh_checkpoint(&self, fingerprint: String) -> SweepCheckpoint {
@@ -1259,7 +1218,8 @@ mod tests {
         let bench = LinearBench::new(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3.5);
         let (result, reports) = DutySweep::new(config, bench, alphas)
             .with_point_indices(indices.clone())
-            .run_with_reports()
+            .run_with(&SweepOptions::default())
+            .and_then(ResumableSweep::into_parts)
             .expect("shard runs");
         SweepShard {
             indices,
@@ -1274,7 +1234,10 @@ mod tests {
     #[test]
     fn merged_shards_are_bit_identical_to_the_full_grid() {
         let full = test_sweep(11);
-        let (want_result, mut want_reports) = full.run_with_reports().expect("full grid runs");
+        let (want_result, mut want_reports) = full
+            .run_with(&SweepOptions::default())
+            .and_then(ResumableSweep::into_parts)
+            .expect("full grid runs");
         // Deliberately out of dispatch order: merge is keyed by index.
         let shards = vec![
             run_shard(11, vec![0.5], vec![1]),

@@ -6,6 +6,8 @@
 //! the server and the blocking [`client`](crate::client) are built on
 //! the readers/writers here, so the two ends cannot drift apart.
 
+use crate::protocol::ApiError;
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -84,6 +86,42 @@ impl Response {
         self.headers.push((name.to_string(), value));
         self
     }
+}
+
+/// `value` rendered as a JSON body (`{}` should it fail to serialise).
+pub fn json_body<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string())
+}
+
+/// A JSON [`ApiError`] response.
+pub fn error_response(status: u16, code: &str, message: impl Into<String>) -> Response {
+    Response::json(status, json_body(&ApiError::new(code, message)))
+}
+
+/// Hands the numeric job id in path segment `raw` to `f`, or answers
+/// `400 bad_request` when the segment is not a number.
+pub fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
+    match raw.parse::<u64>() {
+        Ok(id) => f(id),
+        Err(_) => error_response(
+            400,
+            "bad_request",
+            format!("job id must be numeric: {raw:?}"),
+        ),
+    }
+}
+
+/// Parses a UTF-8 JSON request body, or returns the `400 bad_request`
+/// response to send instead; a parse failure reads `invalid {what}: …`.
+///
+/// # Errors
+///
+/// The error response when the body is not UTF-8 or not a `T`.
+pub fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Response> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| error_response(400, "bad_request", "body is not utf-8"))?;
+    serde_json::from_str(text)
+        .map_err(|e| error_response(400, "bad_request", format!("invalid {what}: {e}")))
 }
 
 /// Why reading a message failed.

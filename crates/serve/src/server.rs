@@ -51,7 +51,7 @@
 //! [`JobState::Persisted`]) via the existing core checkpoint machinery,
 //! cancels still-queued estimates, and joins every thread.
 
-use crate::http::{self, Request, Response};
+use crate::http::{self, error_response, json_body, parse_body, with_job_id, Request, Response};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
 use crate::protocol::{
     ApiError, EstimateOutcome, Health, JobKind, JobProgress, JobReport, JobSpec, JobState,
@@ -60,20 +60,19 @@ use crate::protocol::{
 };
 use crate::shared::{load_snapshot, save_snapshot};
 use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
-use ecripse_core::ecripse::{Ecripse, EcripseConfig, EstimateError};
+use ecripse_core::ecripse::{Ecripse, EcripseConfig, EstimateError, RunOptions};
 use ecripse_core::observe::{
     ChunkStats, MultiObserver, Observer, RunRecorder, RunSummary, SimBatchStats, Stage,
 };
 use ecripse_core::oracle::OracleStats;
 use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::{registry_digest, Scenario, SramScenarioBench};
-use ecripse_core::sweep::{DutySweep, SweepBench, SweepError, SweepOptions};
+use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepBench, SweepError, SweepOptions};
 use ecripse_core::telemetry::{
     escape_label_value, fmt_hex_id, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanStore,
     TelemetryObserver, TraceContext,
 };
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -970,14 +969,6 @@ fn handle_connection<B: SweepBench>(mut stream: TcpStream, shared: &Shared<B>) {
         .record(started.elapsed().as_secs_f64());
 }
 
-fn json_body<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string())
-}
-
-fn error_response(status: u16, code: &str, message: impl Into<String>) -> Response {
-    Response::json(status, json_body(&ApiError::new(code, message)))
-}
-
 fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
     let path = request.path.trim_end_matches('/');
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -997,24 +988,10 @@ fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
     }
 }
 
-fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
-    match raw.parse::<u64>() {
-        Ok(id) => f(id),
-        Err(_) => error_response(
-            400,
-            "bad_request",
-            format!("job id must be numeric: {raw:?}"),
-        ),
-    }
-}
-
 fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response {
-    let Ok(text) = std::str::from_utf8(&http_request.body) else {
-        return error_response(400, "bad_request", "body is not utf-8");
-    };
-    let mut request: SubmitRequest = match serde_json::from_str(text) {
+    let mut request: SubmitRequest = match parse_body(&http_request.body, "submission") {
         Ok(request) => request,
-        Err(e) => return error_response(400, "bad_request", format!("invalid submission: {e}")),
+        Err(response) => return response,
     };
     // Trace-context precedence: a `traceparent` header wins over the
     // wire `trace` field; with neither, a deterministic context is
@@ -1822,17 +1799,19 @@ fn execute_inner<B: SweepBench + 'static>(
                 EstimateError::Interrupted => JobFailure::Interrupted,
                 other => JobFailure::Error(other.to_string()),
             };
+            let options = RunOptions {
+                observer: &fanout,
+                stop: Some(stop),
+                ..RunOptions::default()
+            };
             let result = match spec.alpha {
-                None => Ecripse::new(config, bench)
-                    .estimate_interruptible_observed(stop, &fanout)
-                    .map_err(map_estimate)?,
+                None => Ecripse::new(config, bench).estimate_with(&options),
                 Some(alpha) => {
                     let rtn = SramRtn::paper_model(alpha, bench.sigmas());
-                    Ecripse::with_rtn(config, bench, rtn)
-                        .estimate_interruptible_observed(stop, &fanout)
-                        .map_err(map_estimate)?
+                    Ecripse::with_rtn(config, bench, rtn).estimate_with(&options)
                 }
-            };
+            }
+            .map_err(map_estimate)?;
             let oracle = result.oracle_stats;
             Ok((
                 JobOutput::Estimate(EstimateOutcome {
@@ -1857,6 +1836,8 @@ fn execute_inner<B: SweepBench + 'static>(
                 checkpoint: spool_path(shared, id),
                 resume: true,
                 keep_going: false,
+                observer: &side,
+                stop: Some(stop),
             };
             // An interrupted sweep keeps its spool checkpoint: a later
             // durable boot re-enqueues the job (if it was a deadline,
@@ -1866,12 +1847,10 @@ fn execute_inner<B: SweepBench + 'static>(
                 SweepError::Interrupted { .. } => JobFailure::Interrupted,
                 other => JobFailure::Error(other.to_string()),
             };
-            let run = sweep
-                .run_resumable_interruptible_observed(&options, stop, &side)
+            let (result, reports) = sweep
+                .run_with(&options)
+                .and_then(ResumableSweep::into_parts)
                 .map_err(map_sweep)?;
-            let (result, reports) = run
-                .into_parts()
-                .map_err(|e| JobFailure::Error(e.to_string()))?;
             // The job is done; its spool checkpoint has served its
             // purpose.
             if let Some(path) = spool_path(shared, id) {

@@ -8,6 +8,7 @@ use ecripse_core::bench::{LinearBench, Testbench};
 use ecripse_core::ecripse::{Ecripse, EcripseConfig};
 use ecripse_core::importance::ImportanceConfig;
 use ecripse_core::initial::InitialSearchConfig;
+use ecripse_core::observe::RunRecorder;
 use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::Scenario;
 use ecripse_core::sweep::{DutySweep, SweepBench, SweepOptions};
@@ -110,9 +111,11 @@ fn served_jobs_are_bit_identical_to_direct_runs() {
     // RDF-only estimate, served twice: the second run hits the warm
     // process-wide cache yet must return the exact same report.
     let request = SubmitRequest::new(tiny_config(42), JobSpec::rdf_only(1.0));
-    let (direct_result, mut direct_report) = Ecripse::new(tiny_config(42), linear_bench())
-        .estimate_report()
+    let recorder = RunRecorder::new();
+    let direct_result = Ecripse::new(tiny_config(42), linear_bench())
+        .estimate_observed(&recorder)
         .expect("direct estimate");
+    let mut direct_report = recorder.into_report();
     direct_report.strip_timings();
     for round in 0..2 {
         let submitted = client.submit(&request).expect("submit");
@@ -276,10 +279,10 @@ fn graceful_shutdown_drains_in_flight_and_persists_queued_sweeps() {
     let checkpoint = spool.join(format!("job-{}.json", queued_sweep.id));
     assert!(checkpoint.exists(), "persisted sweep checkpoint missing");
     let resumed = DutySweep::new(tiny_config(6), linear_bench(), alphas.clone())
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(checkpoint),
             resume: true,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect("resume persisted sweep");
     let (resumed_result, _) = resumed.into_parts().expect("resumed parts");

@@ -208,7 +208,7 @@ proptest! {
     }
 
     #[test]
-    fn prop_estimate_report_roundtrips(
+    fn prop_estimate_job_report_roundtrips(
         id in 0u64..(1 << 53),
         seed in 0u64..(1 << 53),
         p_fail in 1e-12f64..1.0,

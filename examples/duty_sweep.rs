@@ -8,7 +8,7 @@
 
 use ecripse::prelude::*;
 
-fn main() -> Result<(), EstimateError> {
+fn main() -> Result<(), SweepError> {
     let mut config = EcripseConfig::default();
     config.importance.n_samples = 2_000;
     config.importance.m_rtn = 20;
@@ -22,10 +22,12 @@ fn main() -> Result<(), EstimateError> {
         "running {}-point duty sweep (shared initialisation)…",
         sweep.alphas().len()
     );
-    // `run_with_reports` returns the same SweepResult as `run`, plus one
-    // structured RunReport per α point (and one for the RTN-free
+    // `into_parts` splits the outcome into the same SweepResult as `run`
+    // and one structured RunReport per α point (and one for the RTN-free
     // reference run) — here used for the per-point cost column.
-    let (result, reports) = sweep.run_with_reports()?;
+    let (result, reports) = sweep
+        .run_with(&SweepOptions::default())
+        .and_then(ResumableSweep::into_parts)?;
 
     println!(
         "\n{:<8} {:>12} {:>12} {:>10}",

@@ -36,7 +36,10 @@ fn main() -> Result<(), EstimateError> {
     // The write boundary sits much farther out than the read boundary.
     config.initial.r_max = 14.0;
     let bench = SramScenarioBench::paper_cell(Scenario::WriteMargin);
-    let result = Ecripse::new(config, bench).estimate_to_tolerance(0.15)?;
+    let result = Ecripse::new(config, bench).estimate_with(&RunOptions {
+        target_relative_error: Some(0.15),
+        ..RunOptions::default()
+    })?;
     println!(
         "  P(write failure) = {:.3e} ± {:.2e}  ({} simulations, {} IS samples)",
         result.p_fail, result.ci95_half_width, result.simulations, result.is_samples

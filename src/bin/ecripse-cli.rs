@@ -365,14 +365,25 @@ fn run() -> Result<(), String> {
     if !(0.2..=1.2).contains(&vdd) {
         return Err(format!("--vdd {vdd} outside the sane range [0.2, 1.2]"));
     }
+    // Numbers the library asserts on are rejected here, before any work.
+    let alpha: Option<f64> = args.opt("alpha")?;
+    if let Some(a) = alpha.filter(|a| !(0.0..=1.0).contains(a)) {
+        return Err(format!("--alpha {a} outside the duty-ratio range [0, 1]"));
+    }
+    if args.opt::<usize>("samples")? == Some(0) {
+        return Err("--samples must be at least 1".into());
+    }
+    let tolerance: Option<f64> = args.opt("tolerance")?;
+    if let Some(t) = tolerance.filter(|t| !(t.is_finite() && *t > 0.0)) {
+        return Err(format!("--tolerance {t} must be a finite positive number"));
+    }
 
     match cmd.as_str() {
         "estimate" => {
             let scenario: Scenario = args.get("scenario", Scenario::default())?;
             let bench = SramScenarioBench::at_vdd(scenario, vdd);
-            let alpha: f64 = args.get("alpha", 0.5)?;
+            let alpha = alpha.unwrap_or(0.5);
             let samples: usize = args.get("samples", 4000)?;
-            let tolerance: Option<f64> = args.opt("tolerance")?;
             let seed: u64 = args.get("seed", 0xec4155e)?;
             let report_path: Option<String> = args.opt("report")?;
             let mut cfg = EcripseConfig {
@@ -399,21 +410,18 @@ fn run() -> Result<(), String> {
             if let Some((_, bridge)) = &telemetry {
                 observers.push(bridge);
             }
+            let options = RunOptions {
+                observer: &observers,
+                target_relative_error: tolerance,
+                ..RunOptions::default()
+            };
             let result = if args.flag("no-rtn") {
                 cfg.importance.m_rtn = 1;
                 cfg.m_rtn_stage1 = 1;
-                let run = Ecripse::new(cfg, bench);
-                match tolerance {
-                    Some(t) => run.estimate_to_tolerance_observed(t, &observers),
-                    None => run.estimate_observed(&observers),
-                }
+                Ecripse::new(cfg, bench).estimate_with(&options)
             } else {
                 let rtn = SramRtn::paper_model(alpha, bench.sigmas());
-                let run = Ecripse::with_rtn(cfg, bench, rtn);
-                match tolerance {
-                    Some(t) => run.estimate_to_tolerance_observed(t, &observers),
-                    None => run.estimate_observed(&observers),
-                }
+                Ecripse::with_rtn(cfg, bench, rtn).estimate_with(&options)
             }
             .map_err(|e| e.to_string())?;
             if let Some(path) = report_path {
@@ -463,32 +471,30 @@ fn run() -> Result<(), String> {
                 .map(|i| i as f64 / (points - 1) as f64)
                 .collect();
             let report_path: Option<String> = args.opt("report")?;
-            let options = SweepOptions {
-                checkpoint: args.opt::<String>("checkpoint")?.map(Into::into),
-                resume: args.flag("resume"),
-                keep_going: args.flag("keep-going"),
-            };
+            let checkpoint = args
+                .opt::<String>("checkpoint")?
+                .map(std::path::PathBuf::from);
             let trace_path: Option<String> = args.opt("trace-log")?;
             let telemetry = trace_path.as_deref().map(trace_telemetry).transpose()?;
             let mut observers = MultiObserver::new();
             if let Some((_, bridge)) = &telemetry {
                 observers.push(bridge);
             }
-            let sweep = DutySweep::new(cfg, SramScenarioBench::at_vdd(scenario, vdd), alphas);
             // With a checkpoint configured, Ctrl-C drains in-flight
             // points, flushes the checkpoint and exits non-zero.
-            let run = if options.checkpoint.is_some() {
+            let stop = checkpoint.is_some().then(|| {
                 interrupt::install();
-                sweep.run_resumable_interruptible_observed(&options, interrupt::flag(), &observers)
-            } else {
-                sweep.run_resumable_observed(&options, &observers)
+                interrupt::flag()
+            });
+            let options = SweepOptions {
+                checkpoint,
+                resume: args.flag("resume"),
+                keep_going: args.flag("keep-going"),
+                observer: &observers,
+                stop,
             };
-            let run = match run {
-                Err(e @ SweepError::Interrupted { .. }) => {
-                    return Err(e.to_string());
-                }
-                other => other.map_err(|e| e.to_string())?,
-            };
+            let sweep = DutySweep::new(cfg, SramScenarioBench::at_vdd(scenario, vdd), alphas);
+            let run = sweep.run_with(&options).map_err(|e| e.to_string())?;
             if run.points_from_checkpoint > 0 {
                 eprintln!(
                     "resumed {} of {} points from checkpoint",
@@ -589,7 +595,7 @@ fn run() -> Result<(), String> {
             let result = if args.flag("no-rtn") {
                 naive_monte_carlo(&bench, &NoRtn::new(6), &cfg)
             } else {
-                let alpha: f64 = args.get("alpha", 0.5)?;
+                let alpha = alpha.unwrap_or(0.5);
                 let rtn = SramRtn::paper_model(alpha, bench.sigmas());
                 naive_monte_carlo(&bench, &rtn, &cfg)
             };
@@ -712,7 +718,7 @@ fn run() -> Result<(), String> {
                 cfg.m_rtn_stage1 = 1;
                 JobSpec::rdf_only(vdd)
             } else {
-                JobSpec::estimate(vdd, args.get("alpha", 0.5)?)
+                JobSpec::estimate(vdd, alpha.unwrap_or(0.5))
             };
             let timeout = std::time::Duration::from_secs(args.get("timeout", 600)?);
             let mut client = Client::new(addr.clone())

@@ -73,7 +73,9 @@ pub mod prelude {
     };
     pub use ecripse_core::bench::{SimCounter, Testbench};
     pub use ecripse_core::cache::{MemoBench, MemoCacheConfig, VerdictStore};
-    pub use ecripse_core::ecripse::{Ecripse, EcripseConfig, EcripseResult, EstimateError};
+    pub use ecripse_core::ecripse::{
+        Ecripse, EcripseConfig, EcripseResult, EstimateError, RunOptions,
+    };
     pub use ecripse_core::observe::{
         MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,
     };

@@ -51,10 +51,10 @@ fn interrupted_sweep_resumes_bit_identically() {
     let options = SweepOptions {
         checkpoint: Some(path.clone()),
         resume: false,
-        keep_going: false,
+        ..SweepOptions::default()
     };
     let first = test_sweep(42)
-        .run_resumable(&options)
+        .run_with(&options)
         .expect("checkpointed sweep");
     assert_eq!(first.points_from_checkpoint, 0);
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
@@ -69,10 +69,10 @@ fn interrupted_sweep_resumes_bit_identically() {
     // Resume: one point comes from the checkpoint, two are recomputed,
     // and the merged result matches the uninterrupted run exactly.
     let resumed = test_sweep(42)
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(path.clone()),
             resume: true,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect("resumed sweep");
     assert_eq!(resumed.points_from_checkpoint, 1);
@@ -90,10 +90,10 @@ fn fully_checkpointed_sweep_recomputes_nothing() {
     let options = SweepOptions {
         checkpoint: Some(path.clone()),
         resume: true,
-        keep_going: false,
+        ..SweepOptions::default()
     };
-    let first = test_sweep(7).run_resumable(&options).expect("first run");
-    let second = test_sweep(7).run_resumable(&options).expect("second run");
+    let first = test_sweep(7).run_with(&options).expect("first run");
+    let second = test_sweep(7).run_with(&options).expect("second run");
     assert_eq!(second.points_from_checkpoint, second.outcomes.len());
     let (a, _) = first.into_parts().expect("first parts");
     let (b, _) = second.into_parts().expect("second parts");
@@ -105,19 +105,19 @@ fn fully_checkpointed_sweep_recomputes_nothing() {
 fn foreign_checkpoints_are_rejected_on_resume() {
     let path = scratch_file("foreign.json");
     test_sweep(1)
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(path.clone()),
             resume: false,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect("seed-1 sweep");
 
     // Same file, different sweep identity (the seed differs).
     let err = test_sweep(2)
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(path.clone()),
             resume: true,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect_err("mismatched checkpoint must be rejected");
     assert!(matches!(
@@ -133,18 +133,16 @@ fn stale_schema_versions_are_rejected_on_resume() {
     let options = SweepOptions {
         checkpoint: Some(path.clone()),
         resume: true,
-        keep_going: false,
+        ..SweepOptions::default()
     };
-    test_sweep(3)
-        .run_resumable(&options)
-        .expect("write checkpoint");
+    test_sweep(3).run_with(&options).expect("write checkpoint");
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
     let mut ckpt: SweepCheckpoint = serde_json::from_str(&text).expect("valid checkpoint");
     ckpt.schema_version += 1;
     std::fs::write(&path, serde_json::to_string(&ckpt).expect("serialise")).expect("rewrite");
 
     let err = test_sweep(3)
-        .run_resumable(&options)
+        .run_with(&options)
         .expect_err("future schema must be rejected");
     assert!(matches!(
         err,
@@ -159,10 +157,10 @@ fn corrupt_checkpoints_are_rejected_not_misread() {
     let path = scratch_file("corrupt.json");
     std::fs::write(&path, "{ definitely not a checkpoint").expect("write garbage");
     let err = test_sweep(4)
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(path.clone()),
             resume: true,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect_err("garbage must be rejected");
     assert!(matches!(
@@ -184,11 +182,14 @@ fn stop_flag_interrupt_flushes_checkpoint_and_resumes_bit_identically() {
     let options = SweepOptions {
         checkpoint: Some(path.clone()),
         resume: false,
-        keep_going: false,
+        ..SweepOptions::default()
     };
     let stop = std::sync::atomic::AtomicBool::new(true);
     let err = test_sweep(77)
-        .run_resumable_interruptible(&options, &stop)
+        .run_with(&SweepOptions {
+            stop: Some(&stop),
+            ..options
+        })
         .expect_err("a raised stop flag must interrupt the sweep");
     match err {
         SweepError::Interrupted {
@@ -213,10 +214,10 @@ fn stop_flag_interrupt_flushes_checkpoint_and_resumes_bit_identically() {
 
     // ...and resuming from it completes bit-identically.
     let resumed = test_sweep(77)
-        .run_resumable(&SweepOptions {
+        .run_with(&SweepOptions {
             checkpoint: Some(path.clone()),
             resume: true,
-            keep_going: false,
+            ..SweepOptions::default()
         })
         .expect("resume after interrupt");
     assert_eq!(resumed.points_from_checkpoint, 0);
@@ -230,14 +231,11 @@ fn unraised_stop_flag_leaves_the_sweep_untouched() {
     let stop = std::sync::atomic::AtomicBool::new(false);
     let path = scratch_file("interrupt-noop.json");
     let run = test_sweep(8)
-        .run_resumable_interruptible(
-            &SweepOptions {
-                checkpoint: Some(path.clone()),
-                resume: false,
-                keep_going: false,
-            },
-            &stop,
-        )
+        .run_with(&SweepOptions {
+            checkpoint: Some(path.clone()),
+            stop: Some(&stop),
+            ..SweepOptions::default()
+        })
         .expect("unraised flag must not interrupt");
     let baseline = test_sweep(8).run().expect("baseline");
     let (result, _) = run.into_parts().expect("sweep result");

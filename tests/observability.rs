@@ -29,6 +29,15 @@ fn config(seed: u64, threads: usize) -> EcripseConfig {
     }
 }
 
+/// Runs an estimate with a [`RunRecorder`] attached.
+fn observed_run(cfg: EcripseConfig) -> (EcripseResult, RunReport) {
+    let recorder = RunRecorder::new();
+    let result = Ecripse::new(cfg, bench())
+        .estimate_observed(&recorder)
+        .expect("observed run");
+    (result, recorder.into_report())
+}
+
 fn bench() -> TwoLobeBench {
     TwoLobeBench::new(vec![1.0, -0.5, 0.25], 3.0)
 }
@@ -36,9 +45,7 @@ fn bench() -> TwoLobeBench {
 #[test]
 fn report_matches_result_accounting() {
     let cfg = config(7, 0);
-    let (result, report) = Ecripse::new(cfg, bench())
-        .estimate_report()
-        .expect("observed run");
+    let (result, report) = observed_run(cfg);
 
     assert_eq!(report.schema_version, REPORT_SCHEMA_VERSION);
     assert_eq!(report.seed, 7);
@@ -123,9 +130,7 @@ fn report_matches_result_accounting() {
 
 #[test]
 fn real_report_round_trips_through_json() {
-    let (_, report) = Ecripse::new(config(11, 0), bench())
-        .estimate_report()
-        .expect("observed run");
+    let (_, report) = observed_run(config(11, 0));
     let json = serde_json::to_string_pretty(&report).expect("serialise");
     let back: RunReport = serde_json::from_str(&json).expect("deserialise");
     assert_eq!(back, report);
@@ -145,12 +150,8 @@ fn trace_points_round_trip_through_json() {
 
 #[test]
 fn stripped_reports_are_bit_identical_across_thread_counts() {
-    let (_, mut serial) = Ecripse::new(config(7, 1), bench())
-        .estimate_report()
-        .expect("serial run");
-    let (_, mut parallel) = Ecripse::new(config(7, 4), bench())
-        .estimate_report()
-        .expect("parallel run");
+    let (_, mut serial) = observed_run(config(7, 1));
+    let (_, mut parallel) = observed_run(config(7, 4));
     serial.strip_timings();
     parallel.strip_timings();
     // The configured worker count is the one intended difference.
@@ -265,9 +266,7 @@ fn non_finite_report_values_survive_json() {
     // A report carrying an infinite half-width (a run whose estimate
     // never left zero) survives `write_json` with the string sentinels
     // instead of producing invalid JSON.
-    let (_, mut report) = Ecripse::new(config(11, 0), bench())
-        .estimate_report()
-        .expect("observed run");
+    let (_, mut report) = observed_run(config(11, 0));
     report.ci95_half_width = f64::INFINITY;
     if let Some(chunk) = report.stage2_chunks.first_mut() {
         chunk.estimate = 0.0;
@@ -307,7 +306,10 @@ fn sweep_reports_cover_every_point() {
         SramScenarioBench::paper_cell(Scenario::ReadSnm),
         vec![0.2, 0.8],
     );
-    let (result, reports) = sweep.run_with_reports().expect("sweep");
+    let (result, reports) = sweep
+        .run_with(&SweepOptions::default())
+        .and_then(ResumableSweep::into_parts)
+        .expect("sweep");
 
     assert_eq!(reports.points.len(), result.points.len());
     for (point, report) in result.points.iter().zip(&reports.points) {

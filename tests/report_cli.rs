@@ -2,7 +2,8 @@
 //! `RunReport` whose simulation accounting matches both its own oracle
 //! counters and the numbers printed on stdout — and the observability
 //! flags (`--progress`, `--trace-log`) must route diagnostics to stderr
-//! and a JSONL trace file without disturbing the stdout contract.
+//! and a JSONL trace file without disturbing the stdout contract. Bad
+//! numeric flags must fail fast with an error, not a panic.
 
 use ecripse::prelude::*;
 use std::process::Command;
@@ -87,6 +88,26 @@ fn cli_estimate_writes_a_consistent_report() {
         "stdout '{cost}' disagrees with report classified {}",
         report.oracle.classified
     );
+
+    // Out-of-range numbers are rejected before any work: an `error:`
+    // line and exit status 1, never a library panic.
+    for bad in [
+        &["estimate", "--tolerance", "0"][..],
+        &["estimate", "--tolerance", "nan"],
+        &["estimate", "--alpha", "1.5"],
+        &["estimate", "--alpha", "-1"],
+        &["estimate", "--samples", "0"],
+        &["sweep", "--samples", "0", "--points", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ecripse-cli"))
+            .args(bad)
+            .output()
+            .expect("ecripse-cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -50,13 +50,17 @@ fn rtn_worsens_the_worst_case_duty() {
     cfg.m_rtn_stage1 = 1;
     let run = Ecripse::new(cfg, bench.clone());
     let init = run.find_initial_particles().expect("boundary");
-    let rdf_only = run.estimate_with_initial(&init).expect("rdf run");
+    let shared = RunOptions {
+        initial: Some(&init),
+        ..RunOptions::default()
+    };
+    let rdf_only = run.estimate_with(&shared).expect("rdf run");
 
     // α = 0: the mostly-OFF devices (left load, right driver) suffer
     // maximal RTN.
     let rtn = SramRtn::paper_model(0.0, bench.sigmas());
     let res = Ecripse::with_rtn(tiny_config(), bench, rtn)
-        .estimate_with_initial(&init)
+        .estimate_with(&shared)
         .expect("rtn run");
     assert!(
         res.p_fail > 1.5 * rdf_only.p_fail,

@@ -49,8 +49,12 @@ fn shared_initial_particles_reproduce_across_calls() {
     let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let run = Ecripse::new(tiny_config(9), bench);
     let init = run.find_initial_particles().expect("boundary");
-    let a = run.estimate_with_initial(&init).expect("first");
-    let b = run.estimate_with_initial(&init).expect("second");
+    let shared = RunOptions {
+        initial: Some(&init),
+        ..RunOptions::default()
+    };
+    let a = run.estimate_with(&shared).expect("first");
+    let b = run.estimate_with(&shared).expect("second");
     assert_eq!(a.p_fail, b.p_fail);
     assert_eq!(a.simulations, b.simulations);
 }
@@ -69,7 +73,10 @@ fn foreign_initial_particles_still_work_if_in_failure_region() {
         simulations: 0,
     };
     let res = Ecripse::new(tiny_config(5), bench)
-        .estimate_with_initial(&init)
+        .estimate_with(&RunOptions {
+            initial: Some(&init),
+            ..RunOptions::default()
+        })
         .expect("runs from a foreign seed");
     assert!(res.p_fail > 0.0);
 }
