@@ -44,17 +44,19 @@ use crate::protocol::{
 use crate::registry::WorkerRegistry;
 use crate::ring::HashRing;
 use ecripse_core::sweep::{merge_sweep_shards, SweepShard};
-use ecripse_core::telemetry::{escape_label_value, fmt_hex_id, SpanRecord, TraceContext};
+use ecripse_core::telemetry::{
+    escape_label_value, fmt_hex_id, prom_scalar, MetricsRegistry, SpanRecord, TraceContext,
+};
 use ecripse_serve::http::{
-    self, error_response, json_body, parse_body, with_job_id, Request, Response,
+    self, error_response, json_body, parse_body, with_job_id, Limits, Request, Response,
 };
 use ecripse_serve::protocol::{
-    ApiError, Health, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics,
-    Readiness, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,
+    ApiError, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics, SubmitRequest,
+    SweepOutcome, PROTOCOL_VERSION,
 };
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,6 +161,8 @@ struct Shared {
     /// shares one monotonic clock and cannot jump with wall-clock
     /// adjustments mid-run.
     anchor_unix_s: f64,
+    /// Holds the HTTP latency histogram the exposition renders.
+    telemetry: MetricsRegistry,
 }
 
 /// The coordinator service handle.
@@ -198,11 +202,17 @@ impl Coordinator {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or_default(),
+            telemetry: MetricsRegistry::new(),
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
+        let acceptor = http::serve(
+            listener,
+            Limits::default(),
+            &shared.telemetry,
+            "cluster",
+            Arc::clone(&shared),
+            |shared| shared.stop_accepting.load(Ordering::SeqCst),
+            route,
+        );
         let reaper = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || reaper_loop(&shared))
@@ -277,37 +287,6 @@ fn reaper_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let response = match http::read_request(&mut stream) {
-        Ok(request) => route(shared, &request),
-        Err(e) => error_response(400, "bad_request", e.to_string()),
-    };
-    let _ = http::write_response(&mut stream, &response);
-}
-
 fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     let path = request.path.trim_end_matches('/');
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -320,18 +299,12 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
         ("POST", ["v1", "cluster", "register"]) => register(shared, &request.body),
         ("POST", ["v1", "cluster", "heartbeat"]) => heartbeat(shared, &request.body),
         ("GET", ["v1", "cluster", "workers"]) => workers(shared),
-        ("GET", ["healthz"]) => healthz(shared),
+        ("GET", ["healthz"]) => http::health_response(shared.stop_accepting.load(Ordering::SeqCst)),
         ("GET", ["readyz"]) => readyz(shared),
         ("GET", ["metrics"]) => metrics_response(shared, request),
-        (
-            _,
-            ["v1", "jobs"]
-            | ["v1", "jobs", ..]
-            | ["v1", "cluster", ..]
-            | ["healthz"]
-            | ["readyz"]
-            | ["metrics"],
-        ) => error_response(405, "method_not_allowed", "method not allowed on this path"),
+        (_, ["v1", "jobs" | "cluster", ..] | ["healthz" | "readyz" | "metrics"]) => {
+            error_response(405, "method_not_allowed", "method not allowed on this path")
+        }
         _ => error_response(404, "not_found", format!("no such path: {}", request.path)),
     }
 }
@@ -410,41 +383,17 @@ fn workers(shared: &Arc<Shared>) -> Response {
     Response::json(200, json_body(&listing))
 }
 
-fn healthz(shared: &Arc<Shared>) -> Response {
-    let draining = shared.stop_accepting.load(Ordering::SeqCst);
-    Response::json(
-        200,
-        json_body(&Health {
-            status: if draining { "draining" } else { "ok" }.to_string(),
-            protocol: PROTOCOL_VERSION,
-        }),
-    )
-}
-
 /// `GET /readyz`: the coordinator can route jobs only when at least one
 /// live worker is registered.
 fn readyz(shared: &Arc<Shared>) -> Response {
-    let (status, ready) = if shared.stop_accepting.load(Ordering::SeqCst) {
-        ("draining", false)
+    let status = if shared.stop_accepting.load(Ordering::SeqCst) {
+        "draining"
     } else if shared.registry.alive().is_empty() {
-        ("no-workers", false)
+        "no-workers"
     } else {
-        ("ready", true)
+        "ready"
     };
-    let retry_after_seconds = (!ready).then_some(1u64);
-    let response = Response::json(
-        if ready { 200 } else { 503 },
-        json_body(&Readiness {
-            ready,
-            status: status.to_string(),
-            protocol: PROTOCOL_VERSION,
-            retry_after_seconds,
-        }),
-    );
-    match retry_after_seconds {
-        Some(hint) => response.with_header("Retry-After", hint.to_string()),
-        None => response,
-    }
+    http::readiness_response(status)
 }
 
 fn collect_metrics(shared: &Arc<Shared>) -> ClusterMetrics {
@@ -579,10 +528,12 @@ fn relabel_exposition(text: &str, worker: &str, seen: &mut HashSet<String>) -> S
     out
 }
 
-/// The cluster's own exposition followed by every live worker's,
-/// re-labelled per worker (`ecripse_serve_*{worker="..."}`).
+/// The cluster's own exposition (scalars, then the registry's HTTP
+/// latency histogram) followed by every live worker's, re-labelled per
+/// worker (`ecripse_serve_*{worker="..."}`).
 fn render_federated_prometheus(shared: &Arc<Shared>, metrics: &ClusterMetrics) -> String {
     let mut out = render_prometheus(metrics);
+    out.push_str(&shared.telemetry.render_prometheus());
     let mut seen = HashSet::new();
     for (name, addr) in shared.registry.alive() {
         if let Ok(text) = scrape_client(&addr).metrics_prometheus() {
@@ -638,14 +589,6 @@ fn trace_document(shared: &Arc<Shared>, id: u64) -> Response {
     )
 }
 
-/// One `# HELP`/`# TYPE`/sample triple of Prometheus exposition.
-fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
-}
-
 fn render_prometheus(m: &ClusterMetrics) -> String {
     let mut out = String::new();
     let gauges: [(&str, &str, f64); 2] = [
@@ -661,13 +604,8 @@ fn render_prometheus(m: &ClusterMetrics) -> String {
         ),
     ];
     for (name, help, value) in gauges {
-        prom_scalar(
-            &mut out,
-            &format!("ecripse_cluster_{name}"),
-            "gauge",
-            help,
-            value,
-        );
+        let name = format!("ecripse_cluster_{name}");
+        prom_scalar(&mut out, &name, "gauge", help, value);
     }
     let counters: [(&str, &str, u64); 11] = [
         (
@@ -723,13 +661,8 @@ fn render_prometheus(m: &ClusterMetrics) -> String {
         ),
     ];
     for (name, help, value) in counters {
-        prom_scalar(
-            &mut out,
-            &format!("ecripse_cluster_{name}"),
-            "counter",
-            help,
-            value as f64,
-        );
+        let name = format!("ecripse_cluster_{name}");
+        prom_scalar(&mut out, &name, "counter", help, value as f64);
     }
     out
 }
@@ -812,31 +745,10 @@ fn cancel(shared: &Arc<Shared>, id: u64) -> Response {
 }
 
 fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
-    let mut request: SubmitRequest = match parse_body(&http_request.body, "body") {
+    let mut request = match http::parse_submission(http_request, "coordinator") {
         Ok(request) => request,
         Err(response) => return response,
     };
-    // A `traceparent` header outranks the body's `trace` field, exactly
-    // as on a single server: the outermost caller owns the trace.
-    if let Some(header) = http_request
-        .header("traceparent")
-        .and_then(TraceContext::parse_traceparent)
-    {
-        request.trace = Some(header);
-    }
-    if request.protocol != PROTOCOL_VERSION {
-        return error_response(
-            400,
-            "protocol_mismatch",
-            format!(
-                "client speaks protocol {}, coordinator speaks {PROTOCOL_VERSION}",
-                request.protocol
-            ),
-        );
-    }
-    if let Err(reason) = request.job.validate() {
-        return error_response(400, "invalid_job", reason);
-    }
     if request.job.alpha_indices.is_some() {
         // Shards are the coordinator's *output*, addressed to workers;
         // accepting one as input would double-offset the merge.
@@ -844,20 +756,6 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
             400,
             "invalid_job",
             "pre-sharded sweeps (`alpha_indices`) go to workers, not the coordinator",
-        );
-    }
-    if request.deadline_ms == Some(0) {
-        return error_response(
-            400,
-            "invalid_deadline",
-            "deadline_ms must be positive (omit it for no deadline)",
-        );
-    }
-    if request.idempotency_key.as_deref() == Some("") {
-        return error_response(
-            400,
-            "invalid_idempotency_key",
-            "idempotency_key must be non-empty (omit it to disable deduplication)",
         );
     }
     let mut state = shared.state.lock();

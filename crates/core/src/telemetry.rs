@@ -372,6 +372,15 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
+/// Appends one `# HELP`/`# TYPE`/sample triple of Prometheus text
+/// exposition for an unlabelled scalar of type `kind` (`gauge` or
+/// `counter`). Non-finite values render as `+Inf`/`-Inf`/`NaN`.
+pub fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    let _ = writeln!(out, "{name} {}", fmt_prom_f64(value));
+}
+
 /// Prometheus-style float rendering (`+Inf`/`-Inf`/`NaN` for the
 /// non-finite values the text format defines).
 fn fmt_prom_f64(v: f64) -> String {
@@ -518,18 +527,11 @@ impl MetricsRegistry {
         let mut out = String::new();
         for (name, reg) in self.metrics.read().iter() {
             let help = reg.help.replace('\\', "\\\\").replace('\n', "\\n");
-            let _ = writeln!(out, "# HELP {name} {help}");
             match &reg.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", fmt_prom_f64(g.get()));
-                }
+                Metric::Counter(c) => prom_scalar(&mut out, name, "counter", &help, c.get() as f64),
+                Metric::Gauge(g) => prom_scalar(&mut out, name, "gauge", &help, g.get()),
                 Metric::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {name} histogram");
+                    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} histogram");
                     h.render_prometheus_into(name, &mut out);
                 }
             }

@@ -5,11 +5,20 @@
 //! `Content-Length`, no chunked encoding, no keep-alive, no TLS. Both
 //! the server and the blocking [`client`](crate::client) are built on
 //! the readers/writers here, so the two ends cannot drift apart.
+//!
+//! [`serve`] is the one front door every network-facing process uses
+//! (the job server and the cluster coordinator): one accept loop, one
+//! connection handler, one set of [`Limits`] and one in-flight cap
+//! ([`MAX_CONNECTIONS`]). A process supplies only its route table.
 
-use crate::protocol::ApiError;
+use crate::protocol::{ApiError, Health, Readiness, SubmitRequest, PROTOCOL_VERSION};
+use ecripse_core::telemetry::{Histogram, MetricsRegistry, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A raw client-side response: status code, headers (names
 /// lower-cased) and body text.
@@ -124,6 +133,73 @@ pub fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Response
         .map_err(|e| error_response(400, "bad_request", format!("invalid {what}: {e}")))
 }
 
+/// Parses and checks a `POST /v1/jobs` body, or returns the `400` to
+/// send instead. The checks run in one order: body, protocol version,
+/// [`JobSpec::validate`](crate::protocol::JobSpec::validate), zero
+/// deadline, empty idempotency key. A `traceparent` header outranks
+/// the body's `trace` field. `who` names the answering process.
+///
+/// # Errors
+///
+/// The `400` response naming the first fault.
+pub fn parse_submission(request: &Request, who: &str) -> Result<SubmitRequest, Response> {
+    let mut submission: SubmitRequest = parse_body(&request.body, "submission")?;
+    if let Some(header) = request
+        .header("traceparent")
+        .and_then(TraceContext::parse_traceparent)
+    {
+        submission.trace = Some(header);
+    }
+    if submission.protocol != PROTOCOL_VERSION {
+        let theirs = submission.protocol;
+        let message = format!("client speaks protocol {theirs}, {who} speaks {PROTOCOL_VERSION}");
+        return Err(error_response(400, "protocol_mismatch", message));
+    }
+    if let Err(reason) = submission.job.validate() {
+        return Err(error_response(400, "invalid_job", reason));
+    }
+    if submission.deadline_ms == Some(0) {
+        let message = "deadline_ms must be positive (omit it for no deadline)";
+        return Err(error_response(400, "invalid_deadline", message));
+    }
+    if submission.idempotency_key.as_deref() == Some("") {
+        let message = "idempotency_key must be non-empty (omit it to disable deduplication)";
+        return Err(error_response(400, "invalid_idempotency_key", message));
+    }
+    Ok(submission)
+}
+
+/// The `GET /healthz` response: always `200` while the process can
+/// answer at all, reading `draining` once it has stopped accepting.
+pub fn health_response(draining: bool) -> Response {
+    Response::json(
+        200,
+        json_body(&Health {
+            status: if draining { "draining" } else { "ok" }.to_string(),
+            protocol: PROTOCOL_VERSION,
+        }),
+    )
+}
+
+/// The `GET /readyz` response for a process whose readiness reads
+/// `status`: `200` when it is `"ready"`, otherwise `503` with the
+/// blocking condition and `Retry-After: 1` (load balancers can route
+/// on the status code alone).
+pub fn readiness_response(status: &str) -> Response {
+    let ready = status == "ready";
+    let body = json_body(&Readiness {
+        ready,
+        status: status.to_string(),
+        protocol: PROTOCOL_VERSION,
+        retry_after_seconds: (!ready).then_some(1),
+    });
+    if ready {
+        Response::json(200, body)
+    } else {
+        Response::json(503, body).with_header("Retry-After", "1".into())
+    }
+}
+
 /// Why reading a message failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
@@ -171,7 +247,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Reads bytes until the `\r\n\r\n` head terminator, returning
 /// `(head, leftover-body-bytes)`.
-fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), HttpError> {
+fn read_head(stream: &mut impl Read) -> Result<(String, Vec<u8>), HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {
@@ -220,16 +296,19 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     Ok(n)
 }
 
+/// Completes a body of `expected` bytes after the `leftover` the head
+/// read already pulled in. The buffer grows only as bytes arrive, so a
+/// claimed `Content-Length` costs nothing until the client sends it.
 fn read_body(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     mut body: Vec<u8>,
     expected: usize,
 ) -> Result<Vec<u8>, HttpError> {
-    body.truncate(body.len().min(expected));
-    let already = body.len();
-    body.resize(expected, 0);
-    if expected > already {
-        stream.read_exact(&mut body[already..])?;
+    body.truncate(expected);
+    let remaining = (expected - body.len()) as u64;
+    stream.take(remaining).read_to_end(&mut body)?;
+    if body.len() < expected {
+        return Err(HttpError::Io("failed to fill whole buffer".into()));
     }
     Ok(body)
 }
@@ -240,7 +319,7 @@ fn read_body(
 ///
 /// [`HttpError`] on socket failure, malformed framing or a message that
 /// exceeds [`MAX_HEAD_BYTES`]/[`MAX_BODY_BYTES`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let (head, leftover) = read_head(stream)?;
     let mut lines = head.lines();
     let request_line = lines
@@ -278,7 +357,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 /// # Errors
 ///
 /// Propagates socket write errors.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         response.status,
@@ -296,6 +375,169 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::R
     stream.write_all(head.as_bytes())?;
     stream.write_all(response.body.as_bytes())?;
     stream.flush()
+}
+
+/// Most connections [`serve`] handles at once; past it the accept
+/// thread answers `503` itself. Twice the coordinator's default
+/// in-flight job bound (32), the most connections its dispatchers
+/// (which poll their shards one at a time) hold open to one worker.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long one connection may hold its handler thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limits {
+    /// Cap on each socket read.
+    pub read_timeout: Duration,
+    /// Cap on each socket write.
+    pub write_timeout: Duration,
+    /// Bound on request read, handling and response write together:
+    /// every read and write timeout is capped by what is left of it,
+    /// and a connection that spends it is closed without a response.
+    pub connection_lifetime: Duration,
+}
+
+impl Default for Limits {
+    fn default() -> Self {
+        Self {
+            read_timeout: Duration::from_secs(30),
+            write_timeout: Duration::from_secs(30),
+            connection_lifetime: Duration::from_secs(60),
+        }
+    }
+}
+
+/// A socket whose every read and write times out after its own limit
+/// or at `until`, whichever is sooner, so a client that trickles bytes
+/// cannot outlive the connection lifetime.
+struct Bounded<'a> {
+    stream: &'a TcpStream,
+    read: Duration,
+    write: Duration,
+    until: Instant,
+}
+
+impl Bounded<'_> {
+    /// `timeout`, capped by the lifetime left; `TimedOut` once none is.
+    fn cap(&self, timeout: Duration) -> std::io::Result<Option<Duration>> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        Ok(Some(timeout.min(left)))
+    }
+}
+
+impl Read for Bounded<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(self.cap(self.read)?)?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Bounded<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(self.cap(self.write)?)?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Runs a process's HTTP front door on its own thread. It polls the
+/// nonblocking `listener` every 5 ms until `stopped(&state)`, gives each
+/// connection a thread bounded by `limits` and answers with `route`.
+/// Every handled request lands in the `ecripse_{process}_http_request_seconds`
+/// histogram of `registry`. Past [`MAX_CONNECTIONS`] live handlers, the
+/// accept thread answers `503` itself.
+pub fn serve<S: Send + Sync + 'static>(
+    listener: TcpListener,
+    limits: Limits,
+    registry: &MetricsRegistry,
+    process: &str,
+    state: Arc<S>,
+    stopped: fn(&S) -> bool,
+    route: fn(&Arc<S>, &Request) -> Response,
+) -> JoinHandle<()> {
+    let latency = registry.histogram(
+        &format!("ecripse_{process}_http_request_seconds"),
+        "Wall-clock latency of handling one HTTP request",
+    );
+    std::thread::spawn(move || {
+        // Each live handler holds a clone of `live`, so its (atomic)
+        // strong count is the in-flight count plus one, and a handler's
+        // slot frees when its clone drops, panics included.
+        let live = Arc::new(());
+        while !stopped(&state) {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(5));
+                    continue;
+                }
+            };
+            // Only this thread adds slots, so the check cannot race.
+            if Arc::strong_count(&live) > MAX_CONNECTIONS {
+                refuse(stream);
+                continue;
+            }
+            let slot = Arc::clone(&live);
+            let (state, latency) = (Arc::clone(&state), latency.clone());
+            // A failed spawn drops the closure, and the slot with it.
+            let _ = std::thread::Builder::new().spawn(move || {
+                let _slot = slot;
+                handle_connection(&stream, limits, &latency, &state, route);
+            });
+        }
+    })
+}
+
+/// Answers one connection (accepted sockets must block regardless of
+/// the listener's mode).
+fn handle_connection<S>(
+    stream: &TcpStream,
+    limits: Limits,
+    latency: &Histogram,
+    state: &Arc<S>,
+    route: fn(&Arc<S>, &Request) -> Response,
+) {
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
+    let started = Instant::now();
+    let mut bounded = Bounded {
+        stream,
+        read: limits.read_timeout,
+        write: limits.write_timeout,
+        until: started + limits.connection_lifetime,
+    };
+    let response = match read_request(&mut bounded) {
+        Ok(request) => route(state, &request),
+        Err(e) => error_response(400, "bad_request", e.to_string()),
+    };
+    // Lifetime spent before a byte of response: drop the connection
+    // rather than start a write we won't finish.
+    if bounded.until <= Instant::now() {
+        return;
+    }
+    let _ = write_response(&mut bounded, &response);
+    latency.record(started.elapsed().as_secs_f64());
+}
+
+/// The over-cap answer, written from the accept thread under a short
+/// write timeout. What of the request has arrived is read and dropped
+/// first, so closing does not reset the connection under the response.
+fn refuse(mut stream: TcpStream) {
+    let _ = stream
+        .set_nonblocking(true)
+        .and_then(|()| stream.read(&mut [0; 4096]));
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let mut body = ApiError::new("overloaded", "too many open connections; retry later");
+    body.retry_after_seconds = Some(1);
+    let response = Response::json(503, json_body(&body)).with_header("Retry-After", "1".into());
+    let _ = write_response(&mut stream, &response);
 }
 
 /// Writes a client request (JSON body optional) and flushes.

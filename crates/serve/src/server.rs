@@ -51,12 +51,11 @@
 //! [`JobState::Persisted`]) via the existing core checkpoint machinery,
 //! cancels still-queued estimates, and joins every thread.
 
-use crate::http::{self, error_response, json_body, parse_body, with_job_id, Request, Response};
+use crate::http::{self, error_response, json_body, with_job_id, Limits, Request, Response};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
 use crate::protocol::{
-    ApiError, EstimateOutcome, Health, JobKind, JobProgress, JobReport, JobSpec, JobState,
-    JobStatus, JobTrace, Metrics, Readiness, ScenarioJobCount, SubmitRequest, SweepOutcome,
-    PROTOCOL_VERSION,
+    ApiError, EstimateOutcome, JobKind, JobProgress, JobReport, JobSpec, JobState, JobStatus,
+    JobTrace, Metrics, ScenarioJobCount, SubmitRequest, SweepOutcome,
 };
 use crate::shared::{load_snapshot, save_snapshot};
 use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
@@ -69,12 +68,12 @@ use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::{registry_digest, Scenario, SramScenarioBench};
 use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepBench, SweepError, SweepOptions};
 use ecripse_core::telemetry::{
-    escape_label_value, fmt_hex_id, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanStore,
-    TelemetryObserver, TraceContext,
+    escape_label_value, fmt_hex_id, prom_scalar, Gauge, Histogram, MetricsRegistry, SpanCollector,
+    SpanStore, TelemetryObserver, TraceContext,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -104,17 +103,11 @@ pub struct ServeConfig {
     /// original ids. `None` keeps jobs process-lifetime (a crash loses
     /// them, as before PR 8).
     pub journal: Option<PathBuf>,
-    /// Socket read timeout on accepted connections — a client that
-    /// stops sending mid-request is dropped after this long.
+    /// [`Limits::read_timeout`] of accepted connections.
     pub read_timeout: Duration,
-    /// Socket write timeout on accepted connections — a client that
-    /// stops *reading* its response can stall a handler thread at most
-    /// this long per write (slow-loris hygiene).
+    /// [`Limits::write_timeout`] of accepted connections.
     pub write_timeout: Duration,
-    /// Bound on one connection's total lifetime — request read, handle
-    /// and response write together. Whatever remains of it after
-    /// handling caps the write timeout, and a connection that exhausts
-    /// it is closed without a response.
+    /// [`Limits::connection_lifetime`] of accepted connections.
     pub connection_lifetime: Duration,
     /// Node name stamped into every span this server records (the
     /// `node` field of [`SpanRecord`](ecripse_core::telemetry::SpanRecord))
@@ -125,6 +118,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
+        let limits = Limits::default();
         Self {
             workers: 2,
             queue_capacity: 16,
@@ -132,9 +126,9 @@ impl Default for ServeConfig {
             cache: MemoCacheConfig::default(),
             cache_store: None,
             journal: None,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            connection_lifetime: Duration::from_secs(60),
+            read_timeout: limits.read_timeout,
+            write_timeout: limits.write_timeout,
+            connection_lifetime: limits.connection_lifetime,
             node: None,
         }
     }
@@ -266,12 +260,11 @@ impl Observer for ProgressTracker {
 
 /// The server's telemetry handles: a per-server [`MetricsRegistry`]
 /// (kept off the process-global one so concurrently bound servers —
-/// e.g. in tests — stay hermetic), the three service histograms, and
+/// e.g. in tests — stay hermetic), the service histograms, and
 /// the core observer bridge that folds every worker's pipeline events
 /// into the same registry.
 struct ServeTelemetry {
     registry: MetricsRegistry,
-    http_seconds: Histogram,
     queue_wait_seconds: Histogram,
     job_seconds: Histogram,
     /// Boot-time journal replay duration. A histogram (not a gauge)
@@ -286,10 +279,6 @@ struct ServeTelemetry {
 impl ServeTelemetry {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let http_seconds = registry.histogram(
-            "ecripse_serve_http_request_seconds",
-            "Wall-clock latency of handling one HTTP request",
-        );
         let queue_wait_seconds = registry.histogram(
             "ecripse_serve_queue_wait_seconds",
             "Time a job spent queued before a worker picked it up",
@@ -306,7 +295,6 @@ impl ServeTelemetry {
         let bridge = TelemetryObserver::new(&registry);
         Self {
             registry,
-            http_seconds,
             queue_wait_seconds,
             job_seconds,
             journal_replay_seconds,
@@ -606,10 +594,20 @@ impl<B: SweepBench + 'static> Server<B> {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || deadline_monitor(&shared))
         };
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+        let limits = Limits {
+            read_timeout: shared.config.read_timeout,
+            write_timeout: shared.config.write_timeout,
+            connection_lifetime: shared.config.connection_lifetime,
         };
+        let acceptor = http::serve(
+            listener,
+            limits,
+            &shared.telemetry.registry,
+            "serve",
+            Arc::clone(&shared),
+            |shared| shared.stop_accepting.load(Ordering::SeqCst),
+            route::<B>,
+        );
         // Replay is done and the table is populated: open for traffic.
         shared.ready.store(true, Ordering::SeqCst);
         Ok(Self {
@@ -915,61 +913,7 @@ fn job_bench<B: SweepBench>(
     )
 }
 
-fn accept_loop<B: SweepBench + 'static>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
-    loop {
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn handle_connection<B: SweepBench>(mut stream: TcpStream, shared: &Shared<B>) {
-    // Accepted sockets must block regardless of the listener's mode.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    // Slow-loris hygiene: a client that trickles its request, or stops
-    // reading its response, can hold this thread at most
-    // `connection_lifetime` in total — reads and writes each get their
-    // own timeout, and whatever lifetime remains after the read+handle
-    // caps the write.
-    let lifetime = shared.config.connection_lifetime;
-    let read_timeout = shared.config.read_timeout.min(lifetime);
-    let _ = stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))));
-    let started = Instant::now();
-    let response = match http::read_request(&mut stream) {
-        Ok(request) => route(shared, &request),
-        Err(e) => error_response(400, "bad_request", e.to_string()),
-    };
-    let Some(remaining) = lifetime.checked_sub(started.elapsed()) else {
-        // Lifetime exhausted before a byte of response: drop the
-        // connection rather than start a write we won't finish.
-        return;
-    };
-    let write_timeout = shared
-        .config
-        .write_timeout
-        .min(remaining)
-        .max(Duration::from_millis(1));
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let _ = http::write_response(&mut stream, &response);
-    shared
-        .telemetry
-        .http_seconds
-        .record(started.elapsed().as_secs_f64());
-}
-
-fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
+fn route<B: SweepBench>(shared: &Arc<Shared<B>>, request: &Request) -> Response {
     let path = request.path.trim_end_matches('/');
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -978,10 +922,10 @@ fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
         ("GET", ["v1", "jobs", id, "report"]) => with_job_id(id, |id| report(shared, id)),
         ("GET", ["v1", "jobs", id, "trace"]) => with_job_id(id, |id| trace_document(shared, id)),
         ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel(shared, id)),
-        ("GET", ["healthz"]) => healthz(shared),
+        ("GET", ["healthz"]) => http::health_response(shared.stop_accepting.load(Ordering::SeqCst)),
         ("GET", ["readyz"]) => readyz(shared),
         ("GET", ["metrics"]) => metrics_response(shared, request),
-        (_, ["v1", "jobs"] | ["v1", "jobs", ..] | ["healthz"] | ["readyz"] | ["metrics"]) => {
+        (_, ["v1", "jobs", ..] | ["healthz" | "readyz" | "metrics"]) => {
             error_response(405, "method_not_allowed", "method not allowed on this path")
         }
         _ => error_response(404, "not_found", format!("no such path: {}", request.path)),
@@ -989,46 +933,10 @@ fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
 }
 
 fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response {
-    let mut request: SubmitRequest = match parse_body(&http_request.body, "submission") {
+    let mut request = match http::parse_submission(http_request, "server") {
         Ok(request) => request,
         Err(response) => return response,
     };
-    // Trace-context precedence: a `traceparent` header wins over the
-    // wire `trace` field; with neither, a deterministic context is
-    // derived from the job id + RNG seed once the id is assigned.
-    if let Some(header) = http_request
-        .header("traceparent")
-        .and_then(TraceContext::parse_traceparent)
-    {
-        request.trace = Some(header);
-    }
-    if request.protocol != PROTOCOL_VERSION {
-        return error_response(
-            400,
-            "protocol_mismatch",
-            format!(
-                "client speaks protocol {}, server speaks {PROTOCOL_VERSION}",
-                request.protocol
-            ),
-        );
-    }
-    if let Err(reason) = request.job.validate() {
-        return error_response(400, "invalid_job", reason);
-    }
-    if request.deadline_ms == Some(0) {
-        return error_response(
-            400,
-            "invalid_deadline",
-            "deadline_ms must be positive (omit it for no deadline)",
-        );
-    }
-    if request.idempotency_key.as_deref() == Some("") {
-        return error_response(
-            400,
-            "invalid_idempotency_key",
-            "idempotency_key must be non-empty (omit it to disable deduplication)",
-        );
-    }
 
     let mut state = lock_state(shared);
     // Idempotency first: a retry of an already-accepted submission must
@@ -1198,12 +1106,8 @@ fn report<B>(shared: &Shared<B>, id: u64) -> Response {
 /// one job. Empty until the worker finishes (the collector folds stage
 /// events into spans only at job end); `404` for unknown ids.
 fn trace_document<B>(shared: &Shared<B>, id: u64) -> Response {
-    let trace_id = {
-        let state = lock_state(shared);
-        match state.jobs.get(&id) {
-            Some(record) => record.trace.trace_id,
-            None => return error_response(404, "unknown_job", format!("no job {id}")),
-        }
+    let Some(trace_id) = lock_state(shared).jobs.get(&id).map(|r| r.trace.trace_id) else {
+        return error_response(404, "unknown_job", format!("no job {id}"));
     };
     let spans = shared.spans.get(id).unwrap_or_default();
     Response::json(
@@ -1256,53 +1160,23 @@ fn cancel<B>(shared: &Shared<B>, id: u64) -> Response {
     }
 }
 
-fn healthz<B>(shared: &Shared<B>) -> Response {
-    let draining = shared.stop_accepting.load(Ordering::SeqCst) || lock_state(shared).draining;
-    Response::json(
-        200,
-        json_body(&Health {
-            status: if draining { "draining" } else { "ok" }.to_string(),
-            protocol: PROTOCOL_VERSION,
-        }),
-    )
-}
-
-/// `GET /readyz`: should this node receive traffic right now?
-/// `200 ready` only when boot replay is done, the server is accepting,
-/// and the queue has room; `503` with the blocking condition otherwise
-/// — load balancers can route on the status code alone.
+/// `GET /readyz`: `ready` only when boot replay is done, the server is
+/// accepting and the queue has room. A one-second `Retry-After` suits
+/// every other state: replay is quick (the journal is compacted at
+/// boot), a draining process is soon replaced, and saturation clears
+/// at job-completion cadence. (Both shutdown paths raise
+/// `stop_accepting` before `draining`, so the first test covers both.)
 fn readyz<B>(shared: &Shared<B>) -> Response {
-    let (status, ready) = if !shared.ready.load(Ordering::SeqCst) {
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            ("draining", false)
-        } else {
-            ("replaying", false)
-        }
-    } else if shared.stop_accepting.load(Ordering::SeqCst) || lock_state(shared).draining {
-        ("draining", false)
+    let status = if shared.stop_accepting.load(Ordering::SeqCst) {
+        "draining"
+    } else if !shared.ready.load(Ordering::SeqCst) {
+        "replaying"
     } else if lock_state(shared).queue.len() >= shared.config.queue_capacity {
-        ("saturated", false)
+        "saturated"
     } else {
-        ("ready", true)
+        "ready"
     };
-    // How soon a probe is worth repeating: replay finishes quickly
-    // (the journal is compacted at boot), a drain never un-drains but
-    // the process is usually replaced within moments, saturation clears
-    // at job-completion cadence.
-    let retry_after_seconds = (!ready).then_some(1u64);
-    let response = Response::json(
-        if ready { 200 } else { 503 },
-        json_body(&Readiness {
-            ready,
-            status: status.to_string(),
-            protocol: PROTOCOL_VERSION,
-            retry_after_seconds,
-        }),
-    );
-    match retry_after_seconds {
-        Some(hint) => response.with_header("Retry-After", hint.to_string()),
-        None => response,
-    }
+    http::readiness_response(status)
 }
 
 fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
@@ -1373,23 +1247,6 @@ fn metrics_response<B>(shared: &Shared<B>, request: &Request) -> Response {
     }
 }
 
-/// One `# HELP`/`# TYPE`/sample triple of Prometheus exposition.
-fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
-    use std::fmt::Write as _;
-    let rendered = if value.is_nan() {
-        "NaN".to_string()
-    } else if value == f64::INFINITY {
-        "+Inf".to_string()
-    } else if value == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{value}")
-    };
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {rendered}");
-}
-
 /// Builds the full Prometheus document: scalar series synthesised from
 /// the *same* [`Metrics`] snapshot the JSON endpoint serves (so the two
 /// representations always agree), followed by the registry's rendered
@@ -1440,13 +1297,8 @@ fn render_prometheus_document<B>(shared: &Shared<B>, m: &Metrics) -> String {
         ),
     ];
     for (name, help, value) in gauges {
-        prom_scalar(
-            &mut out,
-            &format!("ecripse_serve_{name}"),
-            "gauge",
-            help,
-            value,
-        );
+        let name = format!("ecripse_serve_{name}");
+        prom_scalar(&mut out, &name, "gauge", help, value);
     }
     let counters: [(&str, &str, u64); 24] = [
         ("submitted_total", "Jobs ever accepted", m.submitted),
@@ -1551,13 +1403,8 @@ fn render_prometheus_document<B>(shared: &Shared<B>, m: &Metrics) -> String {
         ),
     ];
     for (name, help, value) in counters {
-        prom_scalar(
-            &mut out,
-            &format!("ecripse_serve_{name}"),
-            "counter",
-            help,
-            value as f64,
-        );
+        let name = format!("ecripse_serve_{name}");
+        prom_scalar(&mut out, &name, "counter", help, value as f64);
     }
     {
         use std::fmt::Write as _;
