@@ -199,6 +199,17 @@ impl<B: SweepBench> SweepBench for FaultyBench<B> {
             injected: Arc::clone(&self.injected),
         }
     }
+
+    fn with_private_ledger<T>(&self, point: impl FnOnce(&Self) -> T) -> T {
+        self.inner.with_private_ledger(|inner| {
+            point(&Self {
+                inner: inner.clone(),
+                config: self.config,
+                poisoned_alphas: self.poisoned_alphas.clone(),
+                injected: Arc::clone(&self.injected),
+            })
+        })
+    }
 }
 
 #[cfg(test)]

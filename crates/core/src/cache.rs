@@ -435,6 +435,17 @@ impl<B: SweepBench> SweepBench for MemoBench<B> {
             enabled: self.enabled,
         }
     }
+
+    fn with_private_ledger<T>(&self, point: impl FnOnce(&Self) -> T) -> T {
+        self.inner.with_private_ledger(|inner| {
+            point(&Self {
+                inner: inner.clone(),
+                tag: self.tag,
+                store: Arc::clone(&self.store),
+                enabled: self.enabled,
+            })
+        })
+    }
 }
 
 #[cfg(test)]

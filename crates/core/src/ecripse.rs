@@ -507,6 +507,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         oracle_stats.newton_iters = effort.newton_iters;
         oracle_stats.factorisations = effort.factorisations;
 
+        let (bank_labels, bank_rows) = oracle.bank_size();
         observer.run_finished(&RunSummary {
             p_fail: is.p_fail,
             ci95_half_width: is.ci95_half_width,
@@ -515,6 +516,8 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             effective_sample_size: is.effective_sample_size,
             oracle: oracle_stats,
             margins: *oracle.margin_stats(),
+            bank_labels: bank_labels as u64,
+            bank_rows: bank_rows as u64,
         });
 
         Ok(EcripseResult {
@@ -675,6 +678,66 @@ where
 mod tests {
     use super::*;
     use crate::bench::{LinearBench, TwoLobeBench};
+
+    /// Keeps the summary an estimate delivers when it finishes.
+    #[derive(Default)]
+    struct LastSummary(std::sync::Mutex<Option<RunSummary>>);
+
+    impl Observer for LastSummary {
+        fn run_finished(&self, summary: &RunSummary) {
+            *self.0.lock().expect("summary lock") = Some(*summary);
+        }
+    }
+
+    #[test]
+    fn rtn_estimate_stores_fewer_rows_than_labels_at_any_thread_count() {
+        use crate::observe::{MultiObserver, RunRecorder};
+        use crate::rtn_source::SramRtn;
+        use crate::scenario::SramScenarioBench;
+        let run = |threads| {
+            let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
+            let rtn = SramRtn::paper_model(0.5, bench.sigmas());
+            let config = EcripseConfig {
+                initial: InitialSearchConfig {
+                    count: 12,
+                    max_attempts: 2000,
+                    ..InitialSearchConfig::default()
+                },
+                iterations: 3,
+                importance: ImportanceConfig {
+                    n_samples: 400,
+                    m_rtn: 4,
+                    trace_every: 0,
+                },
+                m_rtn_stage1: 2,
+                seed: 11,
+                threads,
+                ..EcripseConfig::default()
+            };
+            let (recorder, last) = (RunRecorder::new(), LastSummary::default());
+            let mut fanout = MultiObserver::new();
+            fanout.push(&recorder);
+            fanout.push(&last);
+            Ecripse::with_rtn(config, bench, rtn)
+                .estimate_observed(&fanout)
+                .expect("estimate");
+            let summary = last.0.into_inner().expect("summary lock");
+            let mut report = recorder.into_report();
+            report.strip_timings();
+            report.threads = 0;
+            (summary.expect("run finished"), report)
+        };
+        let (serial_summary, serial) = run(1);
+        let (parallel_summary, parallel) = run(2);
+        let bank = |s: &RunSummary| (s.bank_labels, s.bank_rows);
+        let (labels, rows) = bank(&serial_summary);
+        assert!(
+            0 < rows && rows < labels,
+            "{labels} labels stored as {rows} rows"
+        );
+        assert_eq!(bank(&parallel_summary), (labels, rows));
+        assert_eq!(serial, parallel);
+    }
 
     fn fast_config() -> EcripseConfig {
         EcripseConfig {

@@ -303,6 +303,14 @@ pub struct RunSummary {
     pub oracle: OracleStats,
     /// Near-hyperplane margin statistics of classifier-answered queries.
     pub margins: MarginStats,
+    /// Labels in the classifier's training bank at the end of the run
+    /// (0 when no classifier was trained).
+    #[serde(default)]
+    pub bank_labels: u64,
+    /// Feature rows stored for those labels: copies of one sample
+    /// labelled in the same retrain share one row.
+    #[serde(default)]
+    pub bank_rows: u64,
 }
 
 /// A sink for pipeline events.
@@ -835,6 +843,8 @@ mod tests {
             effective_sample_size: 33.0,
             oracle: OracleStats::default(),
             margins: MarginStats::default(),
+            bank_labels: 0,
+            bank_rows: 0,
         });
         let report = rec.into_report();
         assert_eq!(report.seed, 7);

@@ -226,6 +226,14 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         self.classifier.is_some()
     }
 
+    /// Labels in the classifier's training bank and the feature rows
+    /// stored for them (`(0, 0)` before the first training).
+    pub fn bank_size(&self) -> (usize, usize) {
+        self.classifier.as_ref().map_or((0, 0), |clf| {
+            (clf.n_training_samples(), clf.n_stored_rows())
+        })
+    }
+
     /// The current classifier's decision function, if one is trained;
     /// clone it for a snapshot that survives the next retrain.
     pub fn decision(&self) -> Option<&Decision> {

@@ -163,6 +163,16 @@ impl SweepBench for SramScenarioBench {
     fn sigmas(&self) -> [f64; 6] {
         SramScenarioBench::sigmas(self)
     }
+
+    fn with_private_ledger<T>(&self, point: impl FnOnce(&Self) -> T) -> T {
+        let private = Self {
+            inner: self.inner.on_fresh_ledger(),
+            scenario: self.scenario,
+        };
+        let out = point(&private);
+        self.inner.book(&private.inner.effort());
+        out
+    }
 }
 
 #[cfg(test)]

@@ -133,6 +133,18 @@ pub trait SweepBench: Testbench + Clone + Send + Sync {
         let _ = alpha;
         self.clone()
     }
+
+    /// Runs `point` on a copy of this bench that counts its solver
+    /// effort on a private ledger, then books that ledger's total into
+    /// this bench's own. The sweep runs each point this way, so a
+    /// point's `newton_iters` and `factorisations` are its own however
+    /// many points run at once, and the shared ledger ends with the same
+    /// total. The default runs `point` on this bench itself, which is
+    /// right for a bench without an inner solver; wrappers forward to
+    /// the bench they wrap.
+    fn with_private_ledger<T>(&self, point: impl FnOnce(&Self) -> T) -> T {
+        point(self)
+    }
 }
 
 /// Synthetic 6-D sweep vehicle for tests: the RTN model still comes from
@@ -636,18 +648,18 @@ impl<B: SweepBench> DutySweep<B> {
                     let global = self.indices.as_ref().map_or(k as u64, |ix| ix[k]);
                     config.seed = self.config.seed.wrapping_add(1 + global);
                     let rtn = SramRtn::paper_model(alpha, sigmas);
-                    let bench = self.bench.at_alpha(alpha);
-                    let run = Ecripse::with_rtn(config, bench, rtn);
                     let recorder = RunRecorder::new();
                     let mut fanout = MultiObserver::new();
                     fanout.push(&recorder);
                     fanout.push(observer);
-                    // No stop flag: a point that started drains to
-                    // completion.
-                    let result = run.estimate_with(&RunOptions {
-                        observer: &fanout,
-                        initial: Some(amortised),
-                        ..RunOptions::default()
+                    let result = self.bench.at_alpha(alpha).with_private_ledger(|bench| {
+                        // No stop flag: a point that started drains to
+                        // completion.
+                        Ecripse::with_rtn(config, bench.clone(), rtn).estimate_with(&RunOptions {
+                            observer: &fanout,
+                            initial: Some(amortised),
+                            ..RunOptions::default()
+                        })
                     });
                     match result {
                         Ok(res) => {

@@ -294,10 +294,13 @@ impl Histogram {
     }
 
     /// Estimates the `q`-quantile (`q` clamps to `[0, 1]`) from the
-    /// bucket counts: the upper bound of the bucket holding the rank-`q`
-    /// observation, clamped into `[min, max]`. The estimate is monotone
-    /// in `q` and always bounded by the recorded extremes — the
-    /// invariants `tests/telemetry_props.rs` property-tests.
+    /// bucket counts: it finds the bucket holding the rank-`q`
+    /// observation and interpolates linearly by rank between the
+    /// bucket's lower and upper bound, each clamped into `[min, max]`
+    /// (so one bucket holding every observation spreads them over the
+    /// recorded range). The estimate is monotone in `q` and always
+    /// bounded by the recorded extremes — the invariants
+    /// `tests/telemetry_props.rs` property-tests.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
@@ -312,11 +315,21 @@ impl Histogram {
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut cumulative = 0u64;
         for (i, bucket) in self.core.counts.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                let bound = self.core.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                return Some(bound.clamp(min, max));
+            let n = bucket.load(Ordering::Relaxed);
+            if cumulative + n >= target {
+                // Bucket `i` spans `(bounds[i − 1], bounds[i]]`, the first
+                // from 0 and the overflow bucket to +∞.
+                let bounds = &self.core.bounds;
+                let lower = i.checked_sub(1).map_or(0.0, |j| bounds[j]).clamp(min, max);
+                let upper = bounds
+                    .get(i)
+                    .copied()
+                    .unwrap_or(f64::INFINITY)
+                    .clamp(min, max);
+                let share = (target - cumulative) as f64 / n as f64;
+                return Some((lower + (upper - lower) * share).min(upper));
             }
+            cumulative += n;
         }
         Some(max)
     }
@@ -1450,6 +1463,23 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_interpolate_inside_a_bucket() {
+        // 1,000 observations spread evenly over (1.0, 1.25], one bucket
+        // of the default layout; the exact median is 1.125.
+        let h = Histogram::new();
+        for k in 0..1000 {
+            h.record(1.0 + 0.25 * (f64::from(k) + 0.5) / 1000.0);
+        }
+        let p50 = h.quantile(0.5).expect("recorded");
+        assert!(
+            (p50 - 1.125).abs() < 0.01 * 1.125,
+            "p50 = {p50}, exact median 1.125"
+        );
+        let p90 = h.quantile(0.9).expect("recorded");
+        assert!((p90 - 1.225).abs() < 0.01 * 1.225, "p90 = {p90}");
+    }
+
+    #[test]
     fn registry_get_or_create_returns_shared_handles() {
         let r = MetricsRegistry::new();
         let a = r.counter("x_total", "x");
@@ -1562,6 +1592,8 @@ mod tests {
             effective_sample_size: 10.0,
             oracle: crate::oracle::OracleStats::default(),
             margins: crate::oracle::MarginStats::default(),
+            bank_labels: 0,
+            bank_rows: 0,
         });
         let text = registry.render_prometheus();
         assert!(text.contains("ecripse_runs_started_total 1"));

@@ -15,8 +15,8 @@ use crate::protocol::{ApiError, Health, Readiness, SubmitRequest, PROTOCOL_VERSI
 use ecripse_core::telemetry::{Histogram, MetricsRegistry, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -449,8 +449,16 @@ impl Write for Bounded<'_> {
 /// nonblocking `listener` every 5 ms until `stopped(&state)`, gives each
 /// connection a thread bounded by `limits` and answers with `route`.
 /// Every handled request lands in the `ecripse_{process}_http_request_seconds`
-/// histogram of `registry`. Past [`MAX_CONNECTIONS`] live handlers, the
-/// accept thread answers `503` itself.
+/// histogram of `registry`, and every handler panic (caught, so the
+/// process keeps serving) in `ecripse_{process}_http_handler_panics_total`.
+/// Past [`MAX_CONNECTIONS`] live handlers, the accept thread answers
+/// `503` itself.
+///
+/// Once stopped, the accept thread shuts down the read half of every
+/// live connection, so a handler still waiting for its request gives up
+/// at once while one that has read its request still writes its
+/// response, and joins every handler before it returns: joining the
+/// returned handle waits for the last response.
 pub fn serve<S: Send + Sync + 'static>(
     listener: TcpListener,
     limits: Limits,
@@ -464,11 +472,16 @@ pub fn serve<S: Send + Sync + 'static>(
         &format!("ecripse_{process}_http_request_seconds"),
         "Wall-clock latency of handling one HTTP request",
     );
+    let panics = registry.counter(
+        &format!("ecripse_{process}_http_handler_panics_total"),
+        "HTTP connection handlers that panicked (the connection is dropped without a response)",
+    );
     std::thread::spawn(move || {
-        // Each live handler holds a clone of `live`, so its (atomic)
-        // strong count is the in-flight count plus one, and a handler's
-        // slot frees when its clone drops, panics included.
-        let live = Arc::new(());
+        // Live handlers, each with a weak handle on its socket (the
+        // handler owns the socket, so it still closes the moment the
+        // handler is done). Only this thread adds handlers, so the cap
+        // check cannot race.
+        let mut handlers: Vec<(JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
         while !stopped(&state) {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
@@ -477,18 +490,31 @@ pub fn serve<S: Send + Sync + 'static>(
                     continue;
                 }
             };
-            // Only this thread adds slots, so the check cannot race.
-            if Arc::strong_count(&live) > MAX_CONNECTIONS {
+            handlers.retain(|(handler, _)| !handler.is_finished());
+            if handlers.len() >= MAX_CONNECTIONS {
                 refuse(stream);
                 continue;
             }
-            let slot = Arc::clone(&live);
-            let (state, latency) = (Arc::clone(&state), latency.clone());
-            // A failed spawn drops the closure, and the slot with it.
-            let _ = std::thread::Builder::new().spawn(move || {
-                let _slot = slot;
-                handle_connection(&stream, limits, &latency, &state, route);
+            let stream = Arc::new(stream);
+            let socket = Arc::downgrade(&stream);
+            let (state, latency, panics) = (Arc::clone(&state), latency.clone(), panics.clone());
+            let spawned = std::thread::Builder::new().spawn(move || {
+                let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handle_connection(&stream, limits, &latency, &state, route);
+                }));
+                if handled.is_err() {
+                    panics.inc();
+                }
             });
+            if let Ok(handler) = spawned {
+                handlers.push((handler, socket));
+            }
+        }
+        for socket in handlers.iter().filter_map(|(_, socket)| socket.upgrade()) {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (handler, _) in handlers {
+            let _ = handler.join();
         }
     })
 }
@@ -643,6 +669,46 @@ mod tests {
             parse_headers("Content-Length: 12\r\nX-Thing: a:b".lines()).expect("valid headers");
         assert_eq!(content_length(&headers).expect("length"), 12);
         assert_eq!(headers[1], ("x-thing".into(), "a:b".into()));
+    }
+
+    /// A route that panics costs only its own connection: the panic is
+    /// counted and the next request is answered.
+    #[test]
+    fn a_panicking_handler_is_counted_and_the_next_request_served() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        fn route(_: &Arc<AtomicBool>, request: &Request) -> Response {
+            assert_ne!(request.path, "/panic", "the route panics on purpose");
+            Response::json(200, "{}".into())
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("address");
+        let registry = MetricsRegistry::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let door = serve(
+            listener,
+            Limits::default(),
+            &registry,
+            "test",
+            Arc::clone(&stop),
+            |stop| stop.load(Ordering::SeqCst),
+            route,
+        );
+        let get = |path: &str| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write_request(&mut stream, "GET", path, None).expect("request");
+            read_response(&mut stream).map(|(status, _, _)| status)
+        };
+        let panics = registry.counter("ecripse_test_http_handler_panics_total", "");
+        assert_eq!(panics.get(), 0);
+        assert!(
+            get("/panic").is_err(),
+            "a panicked handler sends no response"
+        );
+        assert_eq!(get("/fine").ok(), Some(200));
+        assert_eq!(panics.get(), 1);
+        stop.store(true, Ordering::SeqCst);
+        door.join().expect("the accept thread returns");
     }
 
     #[test]

@@ -599,6 +599,18 @@ impl ReadStabilityBench {
         self.counters.book(receipt);
     }
 
+    /// A clone of this bench on a fresh ledger of its own: its effort
+    /// (and its clones') is counted there, not on this bench's shared
+    /// ledger. [`Self::effort`] of the clone is the receipt to
+    /// [`Self::book`] here once its work should count.
+    pub fn on_fresh_ledger(&self) -> Self {
+        Self {
+            cell: self.cell.clone(),
+            config: self.config,
+            counters: Arc::new(SolveCounters::default()),
+        }
+    }
+
     fn fails_on(
         &self,
         ledger: &SolveCounters,

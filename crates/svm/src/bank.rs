@@ -1,21 +1,32 @@
 //! The append-only label bank the SVM trains on.
 //!
-//! Rows are stored contiguously in fixed blocks of `BLOCK_ROWS` rows.
+//! The bank holds *labels*, and each label points at a *stored row*.
+//! The RTN-aware estimate hands the classifier many exact copies of one
+//! sample (every zero-trap RTN draw reproduces its RDF sample bit for
+//! bit), so several labels may share one stored row: a repeat costs one
+//! index, one label and one Gram diagonal instead of a whole feature
+//! row. Training still visits every label with its own dual variable.
+//!
+//! Stored rows live contiguously in fixed blocks of `BLOCK_ROWS` rows.
 //! A block's buffer is allocated at full size when its first row
 //! arrives, so a push costs one row copy and never moves earlier rows:
 //! the bank never holds two copies of itself, as one growing `Vec<f64>`
-//! would at every doubling. Each row's label and its Gram diagonal
-//! `‖x‖² + 1` are recorded on push, so a retrain does not re-derive them
-//! over the whole bank.
+//! would at every doubling. Each label's Gram diagonal `‖x‖² + 1` is
+//! recorded on push, so a retrain does not re-derive it over the whole
+//! bank.
 
-/// Rows per block.
+/// Stored rows per block.
 const BLOCK_ROWS: usize = 256;
 
 /// Labelled feature rows of one dimension, in insertion order.
 #[derive(Debug, Clone)]
 pub struct RowBank {
     dim: usize,
+    /// The distinct stored rows.
     blocks: Vec<Vec<f64>>,
+    n_rows: usize,
+    /// Per label: its stored row, its class and its Gram diagonal.
+    rows: Vec<usize>,
     labels: Vec<bool>,
     qdiag: Vec<f64>,
 }
@@ -26,12 +37,15 @@ impl RowBank {
         Self {
             dim,
             blocks: Vec::new(),
+            n_rows: 0,
+            rows: Vec::new(),
             labels: Vec::new(),
             qdiag: Vec::new(),
         }
     }
 
-    /// A bank holding `xs` with labels `ys`, in order.
+    /// A bank holding `xs` with labels `ys`, in order, one stored row
+    /// per label.
     ///
     /// # Panics
     ///
@@ -47,30 +61,54 @@ impl RowBank {
         bank
     }
 
-    /// Appends one row with its label (`true` = positive class).
+    /// Stores a new row and appends a label for it (`true` = positive
+    /// class). Returns the stored row's index, for [`Self::push_repeat`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the bank's dimension.
-    pub fn push(&mut self, x: &[f64], y: bool) {
+    pub fn push(&mut self, x: &[f64], y: bool) -> usize {
         assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        if self.len().is_multiple_of(BLOCK_ROWS) {
+        if self.n_rows.is_multiple_of(BLOCK_ROWS) {
             self.blocks.push(Vec::with_capacity(BLOCK_ROWS * self.dim));
         }
         let block = self.blocks.last_mut().expect("a block with room");
         block.extend_from_slice(x);
+        let row = self.n_rows;
+        self.n_rows += 1;
+        self.rows.push(row);
         self.labels.push(y);
         self.qdiag.push(x.iter().map(|v| v * v).sum::<f64>() + 1.0);
+        row
     }
 
-    /// Number of rows.
+    /// Appends a label for the already stored row `row` (a repeat of an
+    /// earlier sample), without storing its features again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a stored row.
+    pub fn push_repeat(&mut self, row: usize, y: bool) {
+        assert!(row < self.n_rows, "no stored row {row}");
+        let q = self.row(row).iter().map(|v| v * v).sum::<f64>() + 1.0;
+        self.rows.push(row);
+        self.labels.push(y);
+        self.qdiag.push(q);
+    }
+
+    /// Number of labels.
     pub fn len(&self) -> usize {
         self.labels.len()
     }
 
-    /// Whether the bank holds no rows.
+    /// Whether the bank holds no labels.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
+    }
+
+    /// Number of distinct stored rows (at most [`Self::len`]).
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
     }
 
     /// Features per row.
@@ -78,20 +116,26 @@ impl RowBank {
         self.dim
     }
 
-    /// Row `i`'s features.
+    /// Stored row `row`'s features.
     #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[f64] {
-        let start = (i % BLOCK_ROWS) * self.dim;
-        &self.blocks[i / BLOCK_ROWS][start..start + self.dim]
+    pub(crate) fn row(&self, row: usize) -> &[f64] {
+        let start = (row % BLOCK_ROWS) * self.dim;
+        &self.blocks[row / BLOCK_ROWS][start..start + self.dim]
     }
 
-    /// Row `i`'s label.
+    /// The stored row of every label, in label order.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// Label `i`'s class.
     #[inline]
     pub(crate) fn label(&self, i: usize) -> bool {
         self.labels[i]
     }
 
-    /// Row `i`'s Gram diagonal `‖x‖² + 1` (the `+ 1` is the bias
+    /// Label `i`'s Gram diagonal `‖x‖² + 1` (the `+ 1` is the bias
     /// feature).
     #[inline]
     pub(crate) fn qdiag(&self, i: usize) -> f64 {
@@ -113,10 +157,30 @@ mod tests {
         let ys: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let bank = RowBank::from_rows(&xs, &ys);
         assert_eq!(bank.len(), n);
+        assert_eq!(bank.n_rows(), n);
         assert_eq!(bank.dim(), dim);
         for (i, x) in xs.iter().enumerate() {
-            assert_eq!(bank.row(i), &x[..]);
+            assert_eq!(bank.row(bank.rows()[i]), &x[..]);
             assert_eq!(bank.label(i), ys[i]);
+            let q = x.iter().map(|v| v * v).sum::<f64>() + 1.0;
+            assert_eq!(bank.qdiag(i).to_bits(), q.to_bits());
+        }
+    }
+
+    #[test]
+    fn repeats_share_a_stored_row_but_keep_their_own_label() {
+        let mut bank = RowBank::new(2);
+        let a = bank.push(&[1.5, -2.0], true);
+        let b = bank.push(&[0.25, 3.0], false);
+        bank.push_repeat(a, false);
+        bank.push_repeat(a, true);
+        bank.push_repeat(b, true);
+        assert_eq!((bank.len(), bank.n_rows()), (5, 2));
+        assert_eq!(bank.rows(), &[a, b, a, a, b]);
+        let labels: Vec<bool> = (0..5).map(|i| bank.label(i)).collect();
+        assert_eq!(labels, [true, false, false, true, true]);
+        for i in 0..5 {
+            let x = bank.row(bank.rows()[i]);
             let q = x.iter().map(|v| v * v).sum::<f64>() + 1.0;
             assert_eq!(bank.qdiag(i).to_bits(), q.to_bits());
         }
@@ -140,5 +204,13 @@ mod tests {
     fn rejects_rows_of_another_dimension() {
         let mut bank = RowBank::new(2);
         bank.push(&[1.0, 2.0, 3.0], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "no stored row")]
+    fn rejects_a_repeat_of_a_row_never_stored() {
+        let mut bank = RowBank::new(2);
+        bank.push(&[1.0, 2.0], true);
+        bank.push_repeat(1, false);
     }
 }

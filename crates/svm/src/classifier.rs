@@ -21,6 +21,7 @@ use crate::scale::StandardScaler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Configuration of the classifier pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,9 +159,26 @@ pub struct SvmClassifier {
     svm: LinearSvm,
     rng: StdRng,
     /// All labelled data seen so far (features pre-transformed and
-    /// scaled); dual coordinate descent warm-starts over this bank when
-    /// new labels arrive, so old knowledge is never lost.
+    /// scaled, one stored row per distinct sample of a call); dual
+    /// coordinate descent warm-starts over this bank when new labels
+    /// arrive, so old knowledge is never lost.
     bank: RowBank,
+}
+
+/// For each sample of `xs`, the index of its bit-identical class among
+/// the distinct samples, numbered in order of first occurrence: sample
+/// `j` is a first occurrence exactly when its index equals the number
+/// of distinct samples before it.
+fn distinct_index(xs: &[Vec<f64>]) -> Vec<usize> {
+    let mut seen: HashMap<Vec<u64>, usize> = HashMap::with_capacity(xs.len());
+    xs.iter()
+        .map(|x| {
+            let next = seen.len();
+            *seen
+                .entry(x.iter().map(|v| v.to_bits()).collect())
+                .or_insert(next)
+        })
+        .collect()
 }
 
 impl SvmClassifier {
@@ -183,12 +201,25 @@ impl SvmClassifier {
             return Err(TrainError::SingleClass);
         }
         let features = PolynomialFeatures::new(xs[0].len(), config.degree);
-        let mut raw: Vec<Vec<f64>> = xs.iter().map(|x| features.transform(x)).collect();
-        let scaler = StandardScaler::fit(&raw);
+        // Featurise each distinct sample once; the scaler still weighs
+        // every label, repeats included.
+        let index = distinct_index(xs);
+        let mut raw: Vec<Vec<f64>> = Vec::new();
+        for (x, &r) in xs.iter().zip(&index) {
+            if r == raw.len() {
+                raw.push(features.transform(x));
+            }
+        }
+        let per_label: Vec<&[f64]> = index.iter().map(|&r| raw[r].as_slice()).collect();
+        let scaler = StandardScaler::fit(&per_label);
         let mut bank = RowBank::new(features.n_features());
-        for (r, y) in raw.iter_mut().zip(ys) {
-            scaler.transform_in_place(r);
-            bank.push(r, *y);
+        for (&r, y) in index.iter().zip(ys) {
+            if r == bank.n_rows() {
+                scaler.transform_in_place(&mut raw[r]);
+                bank.push(&raw[r], *y);
+            } else {
+                bank.push_repeat(r, *y);
+            }
         }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let svm = LinearSvm::train(&mut rng, &bank, &config.svm);
@@ -209,6 +240,12 @@ impl SvmClassifier {
     /// Number of labelled samples the classifier has absorbed.
     pub fn n_training_samples(&self) -> usize {
         self.bank.len()
+    }
+
+    /// Number of feature rows stored for them: a sample repeated within
+    /// one [`Self::fit`] or [`Self::add_labelled`] call is stored once.
+    pub fn n_stored_rows(&self) -> usize {
+        self.bank.n_rows()
     }
 
     /// The current decision function; clone it for a snapshot that
@@ -268,9 +305,16 @@ impl SvmClassifier {
         }
         let room = self.config.max_bank - self.bank.len();
         let take = room.min(xs.len());
-        for (x, y) in xs[..take].iter().zip(ys) {
-            let f = self.featurise(x);
-            self.bank.push(&f, *y);
+        // Repeats within this call share the row of their first
+        // occurrence.
+        let base = self.bank.n_rows();
+        for ((x, y), r) in xs.iter().zip(ys).zip(distinct_index(&xs[..take])) {
+            if base + r == self.bank.n_rows() {
+                let f = self.featurise(x);
+                self.bank.push(&f, *y);
+            } else {
+                self.bank.push_repeat(base + r, *y);
+            }
         }
         // Warm-started dual coordinate descent over the enlarged bank:
         // existing dual variables are kept, new samples enter at α = 0,
@@ -391,6 +435,40 @@ mod tests {
             "incremental update should not collapse accuracy: {before} → {after}"
         );
         assert!(clf.n_training_samples() == 280);
+    }
+
+    #[test]
+    fn repeated_samples_are_stored_once_per_call_but_counted_per_label() {
+        let (xs, ys) = sphere_data(120, 3, 1.8, 40);
+        // Every sample twice, the copy right after its original, plus a
+        // third copy of the first ten at the end.
+        let mut rx: Vec<Vec<f64>> = Vec::new();
+        let mut ry: Vec<bool> = Vec::new();
+        for (x, y) in xs.iter().zip(&ys) {
+            rx.extend([x.clone(), x.clone()]);
+            ry.extend([*y, *y]);
+        }
+        rx.extend(xs[..10].iter().cloned());
+        ry.extend(&ys[..10]);
+        let cfg = SvmConfig {
+            degree: 3,
+            ..SvmConfig::default()
+        };
+        let mut clf = SvmClassifier::fit(&cfg, &rx, &ry).expect("two classes");
+        assert_eq!(clf.n_training_samples(), 250);
+        assert_eq!(clf.n_stored_rows(), 120);
+
+        // A later call stores its own distinct samples once, even those
+        // an earlier call already stored; a sign-flipped zero is another
+        // sample.
+        let (nx, ny) = sphere_data(30, 3, 1.8, 41);
+        let mut ax: Vec<Vec<f64>> = nx.iter().chain(&nx).chain(&xs[..5]).cloned().collect();
+        let mut ay: Vec<bool> = ny.iter().chain(&ny).chain(&ys[..5]).copied().collect();
+        ax.extend([vec![0.0, 0.5, 1.0], vec![-0.0, 0.5, 1.0]]);
+        ay.extend([false, false]);
+        clf.add_labelled(&ax, &ay);
+        assert_eq!(clf.n_training_samples(), 250 + 67);
+        assert_eq!(clf.n_stored_rows(), 120 + 37);
     }
 
     /// Every query path must equal the uncached decision value and

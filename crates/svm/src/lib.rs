@@ -12,8 +12,9 @@
 //!   which stochastic subgradient descent does not enjoy);
 //! * [`linear`] — a linear hinge-loss SVM trained by warm-started dual
 //!   coordinate descent;
-//! * [`bank`] — [`bank::RowBank`], the append-only, block-chunked store
-//!   of labelled feature rows the SVM trains on;
+//! * [`bank`] — [`bank::RowBank`], the append-only store of labels the
+//!   SVM trains on, over block-chunked feature rows that repeated
+//!   samples share;
 //! * [`classifier`] — [`classifier::SvmClassifier`], the assembled
 //!   pipeline with incremental retraining and the margin-based
 //!   uncertainty band that routes borderline samples back to the

@@ -106,20 +106,23 @@ impl LinearSvm {
     }
 
     /// Warm-started dual coordinate descent over the *full* current
-    /// training bank. `bank` must hold every row from previous calls, in
-    /// the same order, followed by any new ones (new rows start at
+    /// training bank. `bank` must hold every label from previous calls,
+    /// in the same order, followed by any new ones (new labels start at
     /// `α = 0`) — exactly how [`crate::classifier::SvmClassifier`]
-    /// maintains its label bank.
+    /// maintains its label bank. Every label has its own `α`, also when
+    /// it shares its stored row with another label.
     ///
-    /// Each visit of row `i` needs `w·xᵢ` against the current `w`, and
+    /// Each visit of label `i` needs `w·xᵢ` against the current `w`, and
     /// most visits (about 78 % on the estimator's banks) leave `w`
     /// unchanged. The kernel therefore computes the dot products of the
-    /// next four rows of the shuffled order together, as independent
-    /// accumulators, and consumes them in order until a row changes `w`;
-    /// the remaining lanes are stale and are recomputed from the next
-    /// row. Each lane adds its products in feature order from `-0.0`, as
-    /// `Iterator::sum` does, so every dot product, and so every model,
-    /// is bit-identical to the one-row-at-a-time loop.
+    /// next four labels of the shuffled order together, as independent
+    /// accumulators, and consumes them in order until a label changes
+    /// `w`; the remaining lanes are stale and are recomputed from the
+    /// next label. Each lane adds its products in feature order from
+    /// `-0.0`, as `Iterator::sum` does, so every dot product, and so
+    /// every model, is bit-identical to the one-row-at-a-time loop. The
+    /// shuffled order carries each label's stored row with it, so a
+    /// visit loads no extra index.
     ///
     /// # Panics
     ///
@@ -150,16 +153,20 @@ impl LinearSvm {
         let cap_pos = options.cost * options.positive_weight;
         let cap_neg = options.cost;
 
-        let mut order: Vec<usize> = (0..bank.len()).collect();
+        // Each label travels with its stored row. The shuffle's swaps
+        // do not depend on the element type, so the labels are visited
+        // in the same order as a shuffle of the bare label indices.
+        let mut order: Vec<(usize, usize)> = bank.rows().iter().copied().enumerate().collect();
         for _ in 0..epochs {
             order.shuffle(rng);
             let mut max_violation = 0.0_f64;
-            let mut next = 0;
-            while next < order.len() {
-                let lanes = &order[next..order.len().min(next + LANES)];
+            let mut start = 0;
+            while start < order.len() {
+                let end = order.len().min(start + LANES);
+                let lanes = &order[start..end];
                 let dots = dot_lanes(&self.weights, bank, lanes);
-                next += lanes.len();
-                for (k, &i) in lanes.iter().enumerate() {
+                let mut next = end;
+                for (k, &(i, row)) in lanes.iter().enumerate() {
                     let (y, cap) = if bank.label(i) {
                         (1.0, cap_pos)
                     } else {
@@ -182,16 +189,17 @@ impl LinearSvm {
                     let new_alpha = (alpha - grad / bank.qdiag(i)).clamp(0.0, cap);
                     let delta = (new_alpha - alpha) * y;
                     if delta != 0.0 {
-                        for (w, v) in self.weights.iter_mut().zip(bank.row(i)) {
+                        for (w, v) in self.weights.iter_mut().zip(bank.row(row)) {
                             *w += delta * v;
                         }
                         self.bias += delta;
                         self.alphas[i] = new_alpha;
                         // `w` moved: the later lanes are stale.
-                        next -= lanes.len() - k - 1;
+                        next = start + k + 1;
                         break;
                     }
                 }
+                start = next;
             }
             if max_violation < options.tolerance {
                 break;
@@ -258,13 +266,14 @@ pub(crate) fn decision_value(w: &[f64], b: f64, x: &[f64]) -> f64 {
     w.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>() + b
 }
 
-/// `w·x` for up to [`LANES`] rows of `bank`, one independent
-/// accumulator per row, each summing in feature order from `-0.0` (the
-/// additions of `Iterator::sum::<f64>`, so the bits match). Missing
-/// lanes repeat the first row and are ignored by the caller.
+/// `w·x` for the stored rows of up to [`LANES`] `(label, row)` pairs,
+/// one independent accumulator per row, each summing in feature order
+/// from `-0.0` (the additions of `Iterator::sum::<f64>`, so the bits
+/// match). Missing lanes repeat the first row and are ignored by the
+/// caller.
 #[inline]
-fn dot_lanes(w: &[f64], bank: &RowBank, rows: &[usize]) -> [f64; LANES] {
-    let lane = |k: usize| bank.row(rows.get(k).copied().unwrap_or(rows[0]));
+fn dot_lanes(w: &[f64], bank: &RowBank, lanes: &[(usize, usize)]) -> [f64; LANES] {
+    let lane = |k: usize| bank.row(lanes.get(k).unwrap_or(&lanes[0]).1);
     let (x0, x1, x2, x3) = (lane(0), lane(1), lane(2), lane(3));
     let mut acc = [-0.0_f64; LANES];
     for ((((wj, a), b), c), d) in w.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
@@ -633,6 +642,76 @@ mod proptests {
                 reference_continue_training(&mut svm_ref, &mut ref_rng, &xs[..len], &ys[..len], &opts);
                 assert_same_bits(&svm_new, &svm_ref)?;
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// A bank whose repeated samples share one stored row trains bit
+        /// for bit like a bank holding every repeat as a physical copy,
+        /// and like the scalar reference, through a cold fit and every
+        /// warm increment. A repeat may carry another label than the
+        /// sample it repeats.
+        #[test]
+        fn prop_shared_rows_train_like_physical_copies(
+            seed in 0u64..u64::MAX,
+            dim in 1usize..24,
+            cold in 1usize..300,
+            increments in proptest::collection::vec(1usize..200, 2..4),
+            repeat_share in 0.0f64..0.8,
+        ) {
+            let opts = SvmOptions::default();
+            let total = cold + increments.iter().sum::<usize>();
+            let mut data_rng = StdRng::seed_from_u64(seed);
+            let (mut xs, ys) = noisy_rows(&mut data_rng, total, dim);
+            // `source[j]` is the earlier label whose sample label `j` repeats.
+            let source: Vec<Option<usize>> = (0..total)
+                .map(|j| (j > 0 && data_rng.gen_bool(repeat_share)).then(|| data_rng.gen_range(0..j)))
+                .collect();
+            for (j, p) in source.iter().enumerate() {
+                if let Some(p) = *p {
+                    xs[j] = xs[p].clone();
+                }
+            }
+            let mut shared = RowBank::new(dim);
+            let mut copies = RowBank::new(dim);
+            let mut row_of = Vec::with_capacity(total);
+            let mut fill = |shared: &mut RowBank, copies: &mut RowBank, range: std::ops::Range<usize>| {
+                for j in range {
+                    let row = match source[j] {
+                        Some(p) => {
+                            shared.push_repeat(row_of[p], ys[j]);
+                            row_of[p]
+                        }
+                        None => shared.push(&xs[j], ys[j]),
+                    };
+                    row_of.push(row);
+                    copies.push(&xs[j], ys[j]);
+                }
+            };
+            fill(&mut shared, &mut copies, 0..cold);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed);
+            let mut copies_rng = rng.clone();
+            let mut ref_rng = rng.clone();
+            let mut svm = LinearSvm::train(&mut rng, &shared, &opts);
+            let mut svm_copies = LinearSvm::train(&mut copies_rng, &copies, &opts);
+            let mut svm_ref = LinearSvm { weights: vec![0.0; dim], bias: 0.0, alphas: Vec::new() };
+            reference_continue_training(&mut svm_ref, &mut ref_rng, &xs[..cold], &ys[..cold], &opts);
+            assert_same_bits(&svm, &svm_copies)?;
+            assert_same_bits(&svm, &svm_ref)?;
+            let mut len = cold;
+            for add in increments {
+                fill(&mut shared, &mut copies, len..len + add);
+                len += add;
+                svm.continue_training(&mut rng, &shared, &opts);
+                svm_copies.continue_training(&mut copies_rng, &copies, &opts);
+                reference_continue_training(&mut svm_ref, &mut ref_rng, &xs[..len], &ys[..len], &opts);
+                assert_same_bits(&svm, &svm_copies)?;
+                assert_same_bits(&svm, &svm_ref)?;
+            }
+            let distinct = source.iter().filter(|p| p.is_none()).count();
+            prop_assert_eq!((shared.len(), shared.n_rows()), (total, distinct));
+            prop_assert_eq!(copies.n_rows(), total);
         }
     }
 

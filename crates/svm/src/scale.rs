@@ -24,12 +24,13 @@ impl StandardScaler {
     /// # Panics
     ///
     /// Panics if `rows` is empty or rows have inconsistent lengths.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R]) -> Self {
         assert!(!rows.is_empty(), "cannot fit a scaler on no data");
-        let dim = rows[0].len();
+        let dim = rows[0].as_ref().len();
         let n = rows.len() as f64;
         let mut mean = vec![0.0; dim];
         for r in rows {
+            let r = r.as_ref();
             assert_eq!(r.len(), dim, "inconsistent feature dimensions");
             for (m, v) in mean.iter_mut().zip(r) {
                 *m += v;
@@ -40,7 +41,7 @@ impl StandardScaler {
         }
         let mut var = vec![0.0; dim];
         for r in rows {
-            for ((v, m), x) in var.iter_mut().zip(&mean).zip(r) {
+            for ((v, m), x) in var.iter_mut().zip(&mean).zip(r.as_ref()) {
                 let d = x - m;
                 *v += d * d;
             }
@@ -125,7 +126,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot fit a scaler on no data")]
     fn rejects_empty_fit() {
-        let _ = StandardScaler::fit(&[]);
+        let _ = StandardScaler::fit::<Vec<f64>>(&[]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! in-process job server and an in-process coordinator; the lifetime
 //! and body checks run against the server alone, since the code path is
 //! the same and the coordinator's 60 s default lifetime is too long to
-//! wait out.
+//! wait out. Every phase also checks that `shutdown()` returns only
+//! once each handler thread has been joined.
 //!
 //! One `#[test]` only: the thread and memory readings come from
 //! `/proc/self/status`, which must not see another test's threads. It
@@ -43,12 +44,33 @@ fn status_field(name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} in /proc/self/status"))
 }
 
-/// Waits (up to 2 s) for handler threads of an earlier phase to exit.
-fn settle_threads(at_most: u64) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while status_field("Threads") > at_most && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Shuts a process down while one client holds an idle connection, so
+/// a handler thread is waiting for a request that never comes.
+/// `shutdown` must not return before that handler and every other
+/// thread of the process have exited: `Threads:` is back to its value
+/// from before the bind.
+fn check_shutdown_joins_handlers(
+    failures: &mut Failures,
+    process: &str,
+    addr: SocketAddr,
+    threads_before_bind: u64,
+    shutdown: impl FnOnce(),
+) {
+    let idle = TcpStream::connect(addr).expect("connect idle client");
+    // Give the accept thread (5 ms poll) time to hand the connection
+    // to a handler.
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown();
+    let threads = status_field("Threads");
+    drop(idle);
+    eprintln!("{process}: threads {threads_before_bind} before bind, {threads} after shutdown");
+    check(
+        failures,
+        threads <= threads_before_bind,
+        format!(
+            "{process}: {threads} threads as shutdown returned, {threads_before_bind} before bind"
+        ),
+    );
 }
 
 /// `GET /healthz` on a fresh connection: status code and headers.
@@ -126,8 +148,10 @@ fn check_trickle_is_cut_at_lifetime(failures: &mut Failures) {
         connection_lifetime: lifetime,
         ..ServeConfig::default()
     };
+    let threads_before_bind = status_field("Threads");
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .expect("client read timeout");
@@ -160,13 +184,17 @@ fn check_trickle_is_cut_at_lifetime(failures: &mut Failures) {
             "serve: trickling client closed after {closed_after:?}, not within lifetime + 500 ms"
         ),
     );
-    server.shutdown();
+    check_shutdown_joins_handlers(failures, "serve", addr, threads_before_bind, || {
+        server.shutdown();
+    });
 }
 
 /// Four requests that each claim the largest allowed body and send
 /// three bytes of it must not make the server allocate the claims.
 fn check_claimed_bodies_cost_nothing_until_sent(failures: &mut Failures) {
+    let threads_before_bind = status_field("Threads");
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
     let rss_before = status_field("VmRSS");
     let claims: Vec<TcpStream> = (0..4)
         .map(|_| {
@@ -191,26 +219,39 @@ fn check_claimed_bodies_cost_nothing_until_sent(failures: &mut Failures) {
         grown_kib < 16 * 1024,
         format!("serve: claimed bodies grew VmRSS by {grown_kib} KiB"),
     );
-    server.shutdown();
+    check_shutdown_joins_handlers(failures, "serve", addr, threads_before_bind, || {
+        server.shutdown();
+    });
 }
 
 #[test]
 fn both_front_doors_bound_threads_lifetime_and_body_size() {
     let mut failures = Failures::new();
-    let idle_threads = status_field("Threads");
     check_claimed_bodies_cost_nothing_until_sent(&mut failures);
     check_trickle_is_cut_at_lifetime(&mut failures);
 
-    settle_threads(idle_threads);
+    let threads_before_bind = status_field("Threads");
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind serve");
-    check_connection_cap(&mut failures, "serve", server.local_addr());
-    server.shutdown();
+    let addr = server.local_addr();
+    check_connection_cap(&mut failures, "serve", addr);
+    check_shutdown_joins_handlers(&mut failures, "serve", addr, threads_before_bind, || {
+        server.shutdown();
+    });
 
-    settle_threads(idle_threads);
+    let threads_before_bind = status_field("Threads");
     let coordinator =
         Coordinator::bind("127.0.0.1:0", ClusterConfig::default()).expect("bind coordinator");
-    check_connection_cap(&mut failures, "coordinator", coordinator.local_addr());
-    coordinator.shutdown();
+    let addr = coordinator.local_addr();
+    check_connection_cap(&mut failures, "coordinator", addr);
+    check_shutdown_joins_handlers(
+        &mut failures,
+        "coordinator",
+        addr,
+        threads_before_bind,
+        || {
+            coordinator.shutdown();
+        },
+    );
 
     assert!(
         failures.is_empty(),

@@ -148,6 +148,47 @@ fn trace_points_round_trip_through_json() {
     assert_eq!(back, points);
 }
 
+/// The reports of a three-point duty sweep over the SRAM cell, whose
+/// solver effort counters are live, with timings stripped and the
+/// worker count (the one intended difference) cleared.
+fn stripped_sweep_reports(threads: usize) -> Vec<RunReport> {
+    let cfg = EcripseConfig {
+        initial: InitialSearchConfig {
+            count: 12,
+            max_attempts: 2000,
+            ..InitialSearchConfig::default()
+        },
+        iterations: 3,
+        importance: ImportanceConfig {
+            n_samples: 250,
+            m_rtn: 4,
+            trace_every: 0,
+        },
+        m_rtn_stage1: 2,
+        seed: 3,
+        threads,
+        ..EcripseConfig::default()
+    };
+    let sweep = DutySweep::new(
+        cfg,
+        SramScenarioBench::paper_cell(Scenario::ReadSnm),
+        vec![0.2, 0.5, 0.8],
+    );
+    let (_, reports) = sweep
+        .run_with(&SweepOptions::default())
+        .and_then(ResumableSweep::into_parts)
+        .expect("sweep");
+    let mut all: Vec<RunReport> = std::iter::once(reports.rdf_only)
+        .chain(reports.points)
+        .collect();
+    for report in &mut all {
+        assert_eq!(report.threads, threads);
+        report.strip_timings();
+        report.threads = 0;
+    }
+    all
+}
+
 #[test]
 fn stripped_reports_are_bit_identical_across_thread_counts() {
     let (_, mut serial) = observed_run(config(7, 1));
@@ -164,6 +205,21 @@ fn stripped_reports_are_bit_identical_across_thread_counts() {
         serde_json::to_string(&serial).expect("serialise"),
         serde_json::to_string(&parallel).expect("serialise")
     );
+
+    // A sweep's points run concurrently at 2 threads; each point's
+    // solver effort must still be its own.
+    let serial = stripped_sweep_reports(1);
+    let parallel = stripped_sweep_reports(2);
+    for (serial, parallel) in serial.iter().zip(&parallel) {
+        assert!(serial.oracle.newton_iters > 0 && serial.oracle.factorisations > 0);
+        assert_eq!(
+            (serial.oracle.newton_iters, serial.oracle.factorisations),
+            (parallel.oracle.newton_iters, parallel.oracle.factorisations),
+            "solver effort of the point at seed {}",
+            serial.seed
+        );
+    }
+    assert_eq!(serial, parallel);
 }
 
 /// Runs one estimate with the full telemetry stack attached — a
