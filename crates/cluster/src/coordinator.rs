@@ -886,10 +886,7 @@ impl JobTraceState {
     fn new(trace: TraceContext) -> Self {
         Self {
             trace,
-            // Mirrors `SpanCollector`'s root-span derivation on the
-            // workers: node-qualified so coordinator and worker roots
-            // never collide.
-            root_span_id: trace.span_id("coordinator/job"),
+            root_span_id: trace.job_span_id("coordinator"),
             spans: Vec::new(),
             sources: Vec::new(),
         }

@@ -102,7 +102,7 @@ pub use sweep::{
     SweepPoint, SweepReports,
 };
 pub use telemetry::{
-    escape_label_value, Counter, Gauge, Histogram, MemorySink, MetricsRegistry, RotatingFileSink,
-    SpanCollector, SpanRecord, SpanStore, TelemetryObserver, TraceContext, TraceSink, Tracer,
+    escape_label_value, Counter, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanRecord,
+    SpanStore, TelemetryObserver, TraceContext,
 };
 pub use trace::{ConvergenceTrace, TracePoint};

@@ -1,5 +1,5 @@
-//! Process-wide telemetry: a metrics registry, latency histograms and a
-//! structured trace log.
+//! Process-wide telemetry: a metrics registry, latency histograms and
+//! distributed job spans.
 //!
 //! The per-run observability layer ([`crate::observe`]) answers "what did
 //! *this* estimation do"; this module answers the fleet-level questions —
@@ -12,17 +12,17 @@
 //!   renderer;
 //! * [`Histogram`] — lock-free log-linear-bucket latency histogram with
 //!   p50/p90/p99 [quantile estimates](Histogram::quantile);
-//! * [`Tracer`] / [`SpanGuard`] — a span API that times nested phases
-//!   and emits JSONL trace events through a pluggable [`TraceSink`]
-//!   ([`RotatingFileSink`] rotates by size; [`MemorySink`] backs tests);
 //! * [`TraceContext`] / [`SpanRecord`] / [`SpanStore`] — distributed
 //!   trace propagation: a deterministic (FNV-derived) trace id carried
 //!   across process boundaries, completed job spans buffered in a
 //!   bounded per-process ring for `GET /v1/jobs/{id}/trace`;
 //! * [`SpanCollector`] — an [`Observer`] that folds pipeline stage
-//!   events into [`SpanRecord`]s under one job root span;
+//!   events into [`SpanRecord`]s under one job root span. It is the one
+//!   span system: `serve` stores its spans per job, the coordinator
+//!   merges them into a cluster waterfall, and `ecripse-cli
+//!   --trace-log` writes them as JSONL, one record per line;
 //! * [`TelemetryObserver`] — the bridge from the [`Observer`] event
-//!   stream into registry metrics (and optionally a trace log).
+//!   stream into registry metrics.
 //!
 //! # Determinism contract
 //!
@@ -52,19 +52,17 @@
 //! ```
 
 use crate::observe::{
-    BoundaryStats, ChunkStats, IterationStats, Observer, PrefetchStats, RunSummary, SimBatchStats,
-    Stage, StageTiming,
+    ChunkStats, IterationStats, Observer, PrefetchStats, RunSummary, SimBatchStats, Stage,
+    StageTiming,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::{Instant, SystemTime};
 
 // ---------------------------------------------------------------------
@@ -445,12 +443,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The process-wide shared registry.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
     fn register<T: Clone>(
         &self,
         name: &str,
@@ -625,6 +617,13 @@ impl TraceContext {
         fnv1a_64(&bytes).max(1)
     }
 
+    /// The id of the `job` root span `node` records in this trace —
+    /// node-qualified, so the roots of a coordinator and its workers
+    /// never collide.
+    pub fn job_span_id(&self, node: &str) -> u64 {
+        self.span_id(&format!("{node}/job"))
+    }
+
     /// The context a downstream process should continue under: same
     /// trace, parented to the span named `label` here.
     #[must_use]
@@ -775,8 +774,10 @@ impl SpanStore {
 
 struct CollectorState {
     /// Stage-start offsets (seconds since the collector's epoch), one
-    /// slot per open stage, keyed by stage name.
-    open: Vec<(&'static str, f64)>,
+    /// slot per open stage, keyed by the thread that opened it and the
+    /// stage name: a stage opens and closes on the thread that runs it,
+    /// so concurrent sweep points never pair with each other's starts.
+    open: Vec<(ThreadId, &'static str, f64)>,
     spans: Vec<SpanRecord>,
     /// Disambiguates repeated stage names (a sweep re-runs the pipeline
     /// per point) in the deterministic span-id derivation.
@@ -809,10 +810,10 @@ impl std::fmt::Debug for SpanCollector {
 impl SpanCollector {
     /// A collector for one job on `node`. The root span (named `job`)
     /// starts now and parents to `context.parent_span_id`; its id is
-    /// deterministic (`context.span_id("{node}/job")`).
+    /// deterministic ([`TraceContext::job_span_id`]).
     pub fn new(context: TraceContext, node: impl Into<String>) -> Self {
         let node = node.into();
-        let root_span_id = context.span_id(&format!("{node}/job"));
+        let root_span_id = context.job_span_id(&node);
         Self {
             context,
             node,
@@ -859,18 +860,20 @@ impl SpanCollector {
 impl Observer for SpanCollector {
     fn stage_started(&self, stage: Stage) {
         let offset = self.offset();
-        self.state.lock().open.push((stage.name(), offset));
+        let thread = std::thread::current().id();
+        self.state.lock().open.push((thread, stage.name(), offset));
     }
 
     fn stage_finished(&self, stage: Stage, _timing: &StageTiming) {
         let end = self.offset();
+        let thread = std::thread::current().id();
         let mut state = self.state.lock();
         let start = match state
             .open
             .iter()
-            .rposition(|(name, _)| *name == stage.name())
+            .rposition(|&(t, name, _)| t == thread && name == stage.name())
         {
-            Some(index) => state.open.remove(index).1,
+            Some(index) => state.open.remove(index).2,
             // Unmatched finish (no start observed): zero-length span.
             None => end,
         };
@@ -899,273 +902,12 @@ fn unix_now_seconds() -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Trace sinks
-// ---------------------------------------------------------------------
-
-/// Destination for JSONL trace events. Implementations must tolerate
-/// concurrent writers and must never panic — telemetry cannot be allowed
-/// to take down an estimation.
-pub trait TraceSink: Send + Sync {
-    /// Appends one line (no trailing newline) to the log.
-    fn write_line(&self, line: &str);
-}
-
-/// An in-memory sink for tests and programmatic inspection.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of the captured lines, in write order.
-    pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().clone()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn write_line(&self, line: &str) {
-        self.lines.lock().push(line.to_string());
-    }
-}
-
-#[derive(Debug)]
-struct FileSinkState {
-    file: Option<File>,
-    written: u64,
-}
-
-/// A file sink with size-based rotation: when the active file would
-/// exceed `max_bytes` it is renamed to `<path>.1` (replacing any
-/// previous rotation) and a fresh file is started. Write errors are
-/// swallowed — losing trace lines is preferable to failing the run.
-#[derive(Debug)]
-pub struct RotatingFileSink {
-    path: PathBuf,
-    max_bytes: u64,
-    state: Mutex<FileSinkState>,
-}
-
-impl RotatingFileSink {
-    /// Creates (truncating) the log file at `path`. `max_bytes` caps the
-    /// active file's size before rotation; it must be positive.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error when the file cannot be created.
-    pub fn create(path: impl Into<PathBuf>, max_bytes: u64) -> std::io::Result<Self> {
-        let path = path.into();
-        let file = File::create(&path)?;
-        Ok(Self {
-            path,
-            max_bytes: max_bytes.max(1),
-            state: Mutex::new(FileSinkState {
-                file: Some(file),
-                written: 0,
-            }),
-        })
-    }
-
-    /// The path of the active log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn rotated_path(&self) -> PathBuf {
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(".1");
-        self.path.with_file_name(name)
-    }
-}
-
-impl TraceSink for RotatingFileSink {
-    fn write_line(&self, line: &str) {
-        let mut state = self.state.lock();
-        let incoming = line.len() as u64 + 1;
-        if state.written > 0 && state.written + incoming > self.max_bytes {
-            state.file = None; // close before renaming
-            let _ = std::fs::rename(&self.path, self.rotated_path());
-            state.file = File::create(&self.path).ok();
-            state.written = 0;
-        }
-        if let Some(file) = state.file.as_mut() {
-            if writeln!(file, "{line}").is_ok() {
-                state.written += incoming;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tracer & spans
-// ---------------------------------------------------------------------
-
-struct TracerInner {
-    sink: Arc<dyn TraceSink>,
-    epoch: Instant,
-    /// Wall clock captured **once** at construction; every emitted `ts`
-    /// is this anchor plus a monotonic offset from `epoch`, so trace
-    /// lines never go backwards across NTP steps.
-    anchor_unix_s: f64,
-    context: Option<TraceContext>,
-    depth: AtomicU64,
-}
-
-/// Emits structured JSONL trace events through a [`TraceSink`].
-///
-/// Each line is one JSON object with at least `type`, `name`, `t_s`
-/// (seconds since the tracer was created) and `ts` (unix seconds from a
-/// single per-tracer wall-clock anchor plus monotonic offsets — `ts` is
-/// non-decreasing per sink even if the system clock steps).
-/// [`span`](Self::span) times a phase: the event is emitted when the
-/// returned [`SpanGuard`] drops, carrying `duration_s` and the nesting
-/// `depth` at entry. A [`TraceContext`] attached via
-/// [`with_context`](Self::with_context) stamps `trace_id` (and
-/// `parent_span_id`) onto every line. Cloning shares the sink and the
-/// time base.
-#[derive(Clone)]
-pub struct Tracer {
-    inner: Arc<TracerInner>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("depth", &self.inner.depth.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl Tracer {
-    /// A tracer writing to `sink`; the time base starts now.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        Self {
-            inner: Arc::new(TracerInner {
-                sink,
-                epoch: Instant::now(),
-                anchor_unix_s: unix_now_seconds(),
-                context: None,
-                depth: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// A tracer sharing this one's sink and time base, with `context`
-    /// attached: every line it emits carries the trace identity.
-    #[must_use]
-    pub fn with_context(&self, context: TraceContext) -> Self {
-        Self {
-            inner: Arc::new(TracerInner {
-                sink: Arc::clone(&self.inner.sink),
-                epoch: self.inner.epoch,
-                anchor_unix_s: self.inner.anchor_unix_s,
-                context: Some(context),
-                depth: AtomicU64::new(self.inner.depth.load(Ordering::Relaxed)),
-            }),
-        }
-    }
-
-    /// The attached trace context, if any.
-    pub fn context(&self) -> Option<TraceContext> {
-        self.inner.context
-    }
-
-    fn emit(&self, kind: &str, name: &str, extra: Vec<(String, Value)>) {
-        let offset = self.inner.epoch.elapsed().as_secs_f64();
-        let mut fields = vec![
-            ("type".to_string(), Value::String(kind.to_string())),
-            ("name".to_string(), Value::String(name.to_string())),
-            ("t_s".to_string(), Value::Number(offset)),
-            (
-                "ts".to_string(),
-                Value::Number(self.inner.anchor_unix_s + offset),
-            ),
-        ];
-        if let Some(context) = self.inner.context {
-            fields.push((
-                "trace_id".to_string(),
-                Value::String(fmt_hex_id(context.trace_id)),
-            ));
-            fields.push((
-                "parent_span_id".to_string(),
-                Value::String(fmt_hex_id(context.parent_span_id)),
-            ));
-        }
-        fields.extend(extra);
-        let line = serde_json::to_string(&Value::Object(fields)).unwrap_or_default();
-        self.inner.sink.write_line(&line);
-    }
-
-    /// Emits a point-in-time event with arbitrary extra fields.
-    pub fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        let extra = fields
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect();
-        self.emit("event", name, extra);
-    }
-
-    /// Starts a timed span; the event is emitted when the guard drops.
-    /// Spans opened while another span is live record a deeper `depth`,
-    /// reconstructing the phase nesting offline.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        let depth = self.inner.depth.fetch_add(1, Ordering::Relaxed);
-        SpanGuard {
-            tracer: self.clone(),
-            name: name.to_string(),
-            start: Instant::now(),
-            depth,
-        }
-    }
-}
-
-/// Guard of a live [`Tracer::span`]; emits the span event on drop.
-pub struct SpanGuard {
-    tracer: Tracer,
-    name: String,
-    start: Instant,
-    depth: u64,
-}
-
-impl std::fmt::Debug for SpanGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard")
-            .field("name", &self.name)
-            .field("depth", &self.depth)
-            .finish()
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.tracer.inner.depth.fetch_sub(1, Ordering::Relaxed);
-        self.tracer.emit(
-            "span",
-            &self.name,
-            vec![
-                (
-                    "duration_s".to_string(),
-                    Value::Number(self.start.elapsed().as_secs_f64()),
-                ),
-                ("depth".to_string(), Value::Number(self.depth as f64)),
-            ],
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // Observer → registry bridge
 // ---------------------------------------------------------------------
 
-/// Bridges the [`Observer`] event stream into a [`MetricsRegistry`] —
-/// and, when a [`Tracer`] is attached, into a JSONL trace log.
+/// Bridges the [`Observer`] event stream into a [`MetricsRegistry`].
 ///
-/// Registered metrics (with the default `ecripse` prefix):
+/// Registered metrics:
 ///
 /// | metric | kind | source |
 /// |---|---|---|
@@ -1187,6 +929,7 @@ impl Drop for SpanGuard {
 /// sweep points. Everything recorded is wall-clock or derived from the
 /// deterministic counters — attaching the bridge never changes a result
 /// or a report (see the module-level determinism notes).
+#[derive(Debug)]
 pub struct TelemetryObserver {
     runs_started: Counter,
     runs_finished: Counter,
@@ -1201,140 +944,71 @@ pub struct TelemetryObserver {
     sim_batch_seconds: Histogram,
     stage_seconds: Histogram,
     last_estimate: Gauge,
-    tracer: Option<Tracer>,
-}
-
-impl std::fmt::Debug for TelemetryObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryObserver")
-            .field("runs_started", &self.runs_started.get())
-            .field("runs_finished", &self.runs_finished.get())
-            .field("traced", &self.tracer.is_some())
-            .finish()
-    }
 }
 
 impl TelemetryObserver {
-    /// A bridge registering its metrics under the `ecripse` prefix.
+    /// A bridge registering its metrics in `registry`.
     pub fn new(registry: &MetricsRegistry) -> Self {
-        Self::with_prefix(registry, "ecripse")
-    }
-
-    /// A bridge registering its metrics under a custom prefix.
-    pub fn with_prefix(registry: &MetricsRegistry, prefix: &str) -> Self {
         Self {
-            runs_started: registry.counter(
-                &format!("{prefix}_runs_started_total"),
-                "Estimation runs started.",
-            ),
-            runs_finished: registry.counter(
-                &format!("{prefix}_runs_finished_total"),
-                "Estimation runs completed.",
-            ),
+            runs_started: registry
+                .counter("ecripse_runs_started_total", "Estimation runs started."),
+            runs_finished: registry
+                .counter("ecripse_runs_finished_total", "Estimation runs completed."),
             iterations: registry.counter(
-                &format!("{prefix}_filter_iterations_total"),
+                "ecripse_filter_iterations_total",
                 "Particle-filter iterations completed.",
             ),
             chunks: registry.counter(
-                &format!("{prefix}_stage2_chunks_total"),
+                "ecripse_stage2_chunks_total",
                 "Stage-2 importance-sampling chunks completed.",
             ),
             simulations: registry.counter(
-                &format!("{prefix}_simulations_total"),
+                "ecripse_simulations_total",
                 "Transistor-level simulations evaluated.",
             ),
             prefetch_evaluated: registry.counter(
-                &format!("{prefix}_prefetch_evaluated_total"),
+                "ecripse_prefetch_evaluated_total",
                 "Stage-2 simulations run ahead of need while the classifier retrained.",
             ),
             prefetch_consumed: registry.counter(
-                &format!("{prefix}_prefetch_consumed_total"),
+                "ecripse_prefetch_consumed_total",
                 "Simulations run ahead of need that a routed chunk consumed.",
             ),
             cache_hits: registry.counter(
-                &format!("{prefix}_cache_hits_total"),
+                "ecripse_cache_hits_total",
                 "Simulator queries served from the memo-cache.",
             ),
             cache_misses: registry.counter(
-                &format!("{prefix}_cache_misses_total"),
+                "ecripse_cache_misses_total",
                 "Simulator queries that missed the memo-cache.",
             ),
             classified: registry.counter(
-                &format!("{prefix}_classified_total"),
+                "ecripse_classified_total",
                 "Indicator queries answered by the classifier.",
             ),
             sim_batch_seconds: registry.histogram(
-                &format!("{prefix}_sim_batch_seconds"),
+                "ecripse_sim_batch_seconds",
                 "Wall-clock latency of raw simulator batches.",
             ),
             stage_seconds: registry.histogram(
-                &format!("{prefix}_stage_seconds"),
+                "ecripse_stage_seconds",
                 "Wall-clock latency of completed pipeline stages.",
             ),
             last_estimate: registry.gauge(
-                &format!("{prefix}_last_estimate"),
+                "ecripse_last_estimate",
                 "Most recent failure-probability estimate.",
             ),
-            tracer: None,
         }
-    }
-
-    /// Attaches a tracer: pipeline events additionally emit JSONL trace
-    /// lines.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 }
 
 impl Observer for TelemetryObserver {
-    fn run_started(&self, seed: u64, threads: usize) {
+    fn run_started(&self, _seed: u64, _threads: usize) {
         self.runs_started.inc();
-        if let Some(t) = &self.tracer {
-            t.event(
-                "run_started",
-                &[
-                    ("seed", Value::Number(seed as f64)),
-                    ("threads", Value::Number(threads as f64)),
-                ],
-            );
-        }
     }
 
-    fn stage_started(&self, stage: Stage) {
-        if let Some(t) = &self.tracer {
-            t.event(
-                "stage_started",
-                &[("stage", Value::String(stage.name().to_string()))],
-            );
-        }
-    }
-
-    fn stage_finished(&self, stage: Stage, timing: &StageTiming) {
+    fn stage_finished(&self, _stage: Stage, timing: &StageTiming) {
         self.stage_seconds.record(timing.wall_seconds);
-        if let Some(t) = &self.tracer {
-            t.event(
-                "stage_finished",
-                &[
-                    ("stage", Value::String(stage.name().to_string())),
-                    ("duration_s", Value::Number(timing.wall_seconds)),
-                    ("simulations", Value::Number(timing.simulations as f64)),
-                ],
-            );
-        }
-    }
-
-    fn boundary_found(&self, stats: &BoundaryStats) {
-        if let Some(t) = &self.tracer {
-            t.event(
-                "boundary_found",
-                &[
-                    ("particles", Value::Number(stats.particles as f64)),
-                    ("simulations", Value::Number(stats.simulations as f64)),
-                ],
-            );
-        }
     }
 
     fn iteration_finished(&self, stats: &IterationStats) {
@@ -1342,30 +1016,10 @@ impl Observer for TelemetryObserver {
         self.cache_hits.add(stats.oracle.cache_hits);
         self.cache_misses.add(stats.oracle.cache_misses);
         self.classified.add(stats.oracle.classified);
-        if let Some(t) = &self.tracer {
-            t.event(
-                "iteration_finished",
-                &[
-                    ("iteration", Value::Number(stats.iteration as f64)),
-                    ("spread", Value::Number(stats.spread)),
-                    ("resampled", Value::Number(stats.filters_resampled as f64)),
-                ],
-            );
-        }
     }
 
-    fn chunk_finished(&self, chunk: &ChunkStats) {
+    fn chunk_finished(&self, _chunk: &ChunkStats) {
         self.chunks.inc();
-        if let Some(t) = &self.tracer {
-            t.event(
-                "chunk_finished",
-                &[
-                    ("samples", Value::Number(chunk.samples as f64)),
-                    ("estimate", Value::Number(chunk.estimate)),
-                    ("ci95_half_width", Value::Number(chunk.ci95_half_width)),
-                ],
-            );
-        }
     }
 
     fn sim_batch_finished(&self, stats: &SimBatchStats) {
@@ -1384,16 +1038,6 @@ impl Observer for TelemetryObserver {
     fn run_finished(&self, summary: &RunSummary) {
         self.runs_finished.inc();
         self.last_estimate.set(summary.p_fail);
-        if let Some(t) = &self.tracer {
-            t.event(
-                "run_finished",
-                &[
-                    ("p_fail", Value::Number(summary.p_fail)),
-                    ("ci95_half_width", Value::Number(summary.ci95_half_width)),
-                    ("simulations", Value::Number(summary.simulations as f64)),
-                ],
-            );
-        }
     }
 }
 
@@ -1521,52 +1165,9 @@ mod tests {
     }
 
     #[test]
-    fn tracer_emits_jsonl_events_and_spans() {
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
-        tracer.event("hello", &[("k", Value::Number(1.0))]);
-        {
-            let _outer = tracer.span("outer");
-            let _inner = tracer.span("inner");
-        }
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let v: Value = serde_json::from_str(line).expect("valid JSON");
-            assert!(v.get("type").is_some());
-            assert!(v.get("name").is_some());
-            assert!(v.get("t_s").and_then(Value::as_f64).is_some());
-        }
-        // Inner drops first and carries the deeper depth.
-        let inner: Value = serde_json::from_str(&lines[1]).unwrap();
-        assert_eq!(inner.get("name").and_then(Value::as_str), Some("inner"));
-        assert_eq!(inner.get("depth").and_then(Value::as_f64), Some(1.0));
-        let outer: Value = serde_json::from_str(&lines[2]).unwrap();
-        assert_eq!(outer.get("depth").and_then(Value::as_f64), Some(0.0));
-        assert!(outer.get("duration_s").and_then(Value::as_f64).unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn rotating_sink_rotates_by_size() {
-        let dir = std::env::temp_dir().join(format!("ecripse-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let sink = RotatingFileSink::create(&path, 64).unwrap();
-        let line = "x".repeat(40);
-        sink.write_line(&line); // 41 bytes: stays
-        sink.write_line(&line); // would exceed 64: rotate first
-        let active = std::fs::read_to_string(&path).unwrap();
-        let rotated = std::fs::read_to_string(sink.rotated_path()).unwrap();
-        assert_eq!(active.lines().count(), 1);
-        assert_eq!(rotated.lines().count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn telemetry_observer_bridges_events_into_metrics() {
         let registry = MetricsRegistry::new();
-        let sink = Arc::new(MemorySink::new());
-        let bridge = TelemetryObserver::new(&registry).with_tracer(Tracer::new(sink.clone()));
+        let bridge = TelemetryObserver::new(&registry);
         bridge.run_started(7, 2);
         bridge.sim_batch_finished(&SimBatchStats {
             batch: 32,
@@ -1604,14 +1205,6 @@ mod tests {
         assert!(text.contains("ecripse_sim_batch_seconds_count 1"));
         assert!(text.contains("ecripse_stage_seconds_count 1"));
         assert!(text.contains("ecripse_last_estimate 0.000125"));
-        assert!(!sink.lines().is_empty());
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        assert!(std::ptr::eq(a, b));
     }
 
     #[test]
@@ -1738,41 +1331,52 @@ mod tests {
     }
 
     #[test]
-    fn tracer_timestamps_are_non_decreasing_and_carry_context() {
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
-        let ctx = TraceContext::for_job(1, 2);
-        let traced = tracer.with_context(ctx);
-        for i in 0..50 {
-            let t = if i % 2 == 0 { &tracer } else { &traced };
-            t.event("tick", &[("i", Value::Number(f64::from(i)))]);
-        }
-        {
-            let _span = traced.span("phase");
-        }
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 51);
-        let mut last = f64::NEG_INFINITY;
-        for line in &lines {
-            let v: Value = serde_json::from_str(line).expect("valid JSON");
-            let ts = v.get("ts").and_then(Value::as_f64).expect("ts field");
-            assert!(
-                ts >= last,
-                "ts must be non-decreasing per sink ({ts} < {last})"
-            );
-            last = ts;
-        }
-        // Context-attached lines carry the trace identity; plain ones
-        // do not.
-        let plain: Value = serde_json::from_str(&lines[0]).unwrap();
-        assert!(plain.get("trace_id").is_none());
-        let stamped: Value = serde_json::from_str(&lines[1]).unwrap();
-        assert_eq!(
-            stamped.get("trace_id").and_then(Value::as_str),
-            Some(fmt_hex_id(ctx.trace_id).as_str())
+    fn span_collector_pairs_stages_per_thread() {
+        // Two sweep points run the same stage on two threads at once:
+        // A starts, B starts, A finishes, B finishes. Each span must
+        // start where its own thread opened the stage.
+        use std::sync::Barrier;
+        use std::thread::sleep;
+        use std::time::Duration;
+
+        let collector = SpanCollector::new(TraceContext::for_job(1, 2), "cli");
+        let step = Barrier::new(2);
+        let pause = Duration::from_millis(50);
+        let timing = StageTiming {
+            wall_seconds: 0.0,
+            simulations: 0,
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                collector.stage_started(Stage::ParticleFilter);
+                step.wait();
+                step.wait();
+                sleep(pause);
+                collector.stage_finished(Stage::ParticleFilter, &timing);
+                step.wait();
+            });
+            scope.spawn(|| {
+                step.wait();
+                sleep(pause);
+                collector.stage_started(Stage::ParticleFilter);
+                step.wait();
+                step.wait();
+                sleep(pause);
+                collector.stage_finished(Stage::ParticleFilter, &timing);
+            });
+        });
+        let spans = collector.finish();
+        assert_eq!(spans.len(), 3);
+        // Completion order: A's span first, then B's.
+        let (a, b) = (&spans[1], &spans[2]);
+        assert!(
+            a.start_ts + 0.04 < b.start_ts,
+            "A's span must start at A's start, before B's: {} vs {}",
+            a.start_ts,
+            b.start_ts
         );
-        let span_line: Value = serde_json::from_str(&lines[50]).unwrap();
-        assert_eq!(span_line.get("name").and_then(Value::as_str), Some("phase"));
-        assert!(span_line.get("trace_id").is_some());
+        for span in [a, b] {
+            assert!(span.duration_s >= 0.09, "span too short: {span:?}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for the telemetry histogram: quantiles are monotone
-//! in rank, bounded by the recorded min/max, and consistent with the
-//! Prometheus rendering of the same data.
+//! in rank, bounded by the recorded min/max, within a quarter of the
+//! exact order statistic, and consistent with the Prometheus rendering
+//! of the same data.
 
 use ecripse_core::telemetry::{Histogram, MetricsRegistry};
 use proptest::prelude::*;
@@ -111,6 +112,33 @@ proptest! {
         prop_assert!(
             (rendered_sum - expected).abs() <= 1e-9 * expected.abs() + 1e-12,
             "rendered sum {} != recorded sum {}", rendered_sum, expected
+        );
+    }
+
+    /// Above the first bucket every bucket is at most a quarter of its
+    /// lower bound wide, and the estimate lies in the bucket holding
+    /// the exact rank-`q` order statistic `sorted[ceil(q·n) − 1]`, so
+    /// it is within 25 % of that value.
+    #[test]
+    fn quantile_error_is_within_a_quarter_of_the_exact_value(
+        exponents in proptest::collection::vec(-19.0..=12.0_f64, 1..300),
+        q in 0.0..=1.0_f64,
+    ) {
+        let values: Vec<f64> = exponents
+            .iter()
+            .map(|&e| 2.0_f64.powf(e).clamp(2.0_f64.powi(-19), 4000.0))
+            .collect();
+        let h = recorded(&values);
+        let mut sorted = values;
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let n = sorted.len();
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        let exact = sorted[rank - 1];
+        let estimate = h.quantile(q).expect("non-empty histogram");
+        prop_assert!(
+            (estimate - exact).abs() <= 0.25 * exact * (1.0 + 1e-12),
+            "quantile({}) = {} vs exact {} over {} samples", q, estimate, exact, n
         );
     }
 }

@@ -35,9 +35,11 @@
 //! layer"); for `sweep` the file holds the RDF-only reference report
 //! plus one report per duty point. `--progress` prints one
 //! human-readable line per pipeline event to stderr as the run advances.
-//! `--trace-log PATH` appends one JSON object per pipeline event to a
-//! size-rotated JSONL file and prints simulator-batch latency
-//! percentiles (p50/p90/p99) once the run finishes.
+//! `--trace-log PATH` writes the run's spans — the root `job` span plus
+//! one span per pipeline stage, the same [`SpanRecord`] form `GET
+//! /v1/jobs/{id}/trace` serves — to PATH as JSONL, one record per line,
+//! when the run ends (also when it fails), and prints simulator-batch
+//! latency percentiles (p50/p90/p99) to stderr.
 //!
 //! Long sweeps are fault-tolerant: `--checkpoint PATH` saves a versioned
 //! JSON snapshot after the shared initialisation and after every
@@ -195,38 +197,65 @@ fn write_report_json<T: serde::Serialize>(path: &str, report: &T) -> Result<(), 
     Ok(())
 }
 
-/// Cap on one `--trace-log` file before it rotates to `<path>.1`.
-const TRACE_LOG_MAX_BYTES: u64 = 16 * 1024 * 1024;
-
-/// Builds the `--trace-log` bridge: a metrics registry fed by every
-/// pipeline event plus a JSONL tracer writing structured events to a
-/// size-rotated file at `path`.
-fn trace_telemetry(path: &str) -> Result<(MetricsRegistry, TelemetryObserver), String> {
-    let sink = RotatingFileSink::create(path, TRACE_LOG_MAX_BYTES)
-        .map_err(|e| format!("--trace-log {path}: {e}"))?;
-    let registry = MetricsRegistry::new();
-    let tracer = Tracer::new(std::sync::Arc::new(sink));
-    let observer = TelemetryObserver::new(&registry).with_tracer(tracer);
-    Ok((registry, observer))
+/// The `--trace-log` observers: a span collector for the log and a
+/// metrics bridge for the latency summary.
+struct TraceLog {
+    path: String,
+    file: std::fs::File,
+    registry: MetricsRegistry,
+    bridge: TelemetryObserver,
+    spans: SpanCollector,
 }
 
-/// Prints the simulator-batch latency percentiles the `--trace-log`
-/// registry accumulated (stderr, like the other progress output).
-fn print_latency_summary(registry: &MetricsRegistry, path: &str) {
-    let batches = registry.histogram(
-        "ecripse_sim_batch_seconds",
-        "Wall-clock latency of one raw simulator batch",
-    );
-    if let Some((p50, p90, p99)) = batches.percentiles() {
-        eprintln!(
-            "sim-batch latency over {} batches: p50 {:.3e} s, p90 {:.3e} s, p99 {:.3e} s",
-            batches.count(),
-            p50,
-            p90,
-            p99
-        );
+impl TraceLog {
+    /// Creates the log file up front, so a bad path fails before any
+    /// work; the spans share the deterministic trace id of job 0.
+    fn create(path: String, seed: u64) -> Result<Self, String> {
+        let file = std::fs::File::create(&path).map_err(|e| format!("--trace-log {path}: {e}"))?;
+        let registry = MetricsRegistry::new();
+        let bridge = TelemetryObserver::new(&registry);
+        Ok(Self {
+            path,
+            file,
+            registry,
+            bridge,
+            spans: SpanCollector::new(TraceContext::for_job(0, seed), "cli"),
+        })
     }
-    eprintln!("trace log written to {path}");
+
+    fn attach<'a>(&'a self, observers: &mut MultiObserver<'a>) {
+        observers.push(&self.bridge);
+        observers.push(&self.spans);
+    }
+
+    /// Writes every span as one JSON line and prints the simulator-batch
+    /// latency percentiles (stderr, like the other progress output).
+    fn finish(self) -> Result<(), String> {
+        use std::io::Write as _;
+        let path = self.path;
+        let io_error = |e: std::io::Error| format!("--trace-log {path}: {e}");
+        let mut out = std::io::BufWriter::new(self.file);
+        for span in self.spans.finish() {
+            let line = serde_json::to_string(&span).map_err(|e| format!("--trace-log: {e}"))?;
+            writeln!(out, "{line}").map_err(io_error)?;
+        }
+        out.flush().map_err(io_error)?;
+        let batches = self.registry.histogram(
+            "ecripse_sim_batch_seconds",
+            "Wall-clock latency of one raw simulator batch",
+        );
+        if let Some((p50, p90, p99)) = batches.percentiles() {
+            eprintln!(
+                "sim-batch latency over {} batches: p50 {:.3e} s, p90 {:.3e} s, p99 {:.3e} s",
+                batches.count(),
+                p50,
+                p90,
+                p99
+            );
+        }
+        eprintln!("trace log written to {path}");
+        Ok(())
+    }
 }
 
 /// Bar width of the `trace` waterfall timeline.
@@ -305,7 +334,7 @@ fn usage() {
          \x20          --vdd V (0.7)  --scenario NAME (read-snm)  --alpha A (0.5)  --no-rtn\n\
          \x20          --samples N (4000)  --tolerance R  --seed S  --threads T (0=all cores)\n\
          \x20          --report PATH (JSON run report)  --progress (live stderr lines)\n\
-         \x20          --trace-log PATH (JSONL trace events + latency percentiles)\n\
+         \x20          --trace-log PATH (JSONL stage spans + latency percentiles)\n\
          sweep     duty-ratio sweep with shared initialisation\n\
          \x20          --vdd V (0.7)  --scenario NAME  --points K (11)  --samples N (2000)\n\
          \x20          --m-rtn M (20)\n\
@@ -313,7 +342,7 @@ fn usage() {
          \x20          --checkpoint PATH (save progress per point; Ctrl-C flushes + exits)\n\
          \x20          --resume (reload checkpoint)\n\
          \x20          --keep-going (report failed points instead of aborting)\n\
-         \x20          --trace-log PATH (JSONL trace events + latency percentiles)\n\
+         \x20          --trace-log PATH (JSONL stage spans + latency percentiles)\n\
          margin    read/hold/write margins of one cell instance\n\
          \x20          --vdd V (0.7)  --dvth v0,v1,v2,v3,v4,v5 (volts)\n\
          naive     naive Monte Carlo reference\n\
@@ -398,8 +427,10 @@ fn run() -> Result<(), String> {
             cfg.threads = args.get("threads", 0)?;
             let recorder = RunRecorder::new();
             let progress = ProgressObserver::new();
-            let trace_path: Option<String> = args.opt("trace-log")?;
-            let telemetry = trace_path.as_deref().map(trace_telemetry).transpose()?;
+            let trace_log = args
+                .opt("trace-log")?
+                .map(|path| TraceLog::create(path, seed))
+                .transpose()?;
             let mut observers = MultiObserver::new();
             if report_path.is_some() {
                 observers.push(&recorder);
@@ -407,8 +438,8 @@ fn run() -> Result<(), String> {
             if args.flag("progress") {
                 observers.push(&progress);
             }
-            if let Some((_, bridge)) = &telemetry {
-                observers.push(bridge);
+            if let Some(log) = &trace_log {
+                log.attach(&mut observers);
             }
             let options = RunOptions {
                 observer: &observers,
@@ -422,13 +453,12 @@ fn run() -> Result<(), String> {
             } else {
                 let rtn = SramRtn::paper_model(alpha, bench.sigmas());
                 Ecripse::with_rtn(cfg, bench, rtn).estimate_with(&options)
-            }
-            .map_err(|e| e.to_string())?;
+            };
+            let logged = trace_log.map(TraceLog::finish).transpose();
+            let result = result.map_err(|e| e.to_string())?;
+            logged?;
             if let Some(path) = report_path {
                 write_report_json(&path, &recorder.report())?;
-            }
-            if let (Some((registry, _)), Some(path)) = (&telemetry, &trace_path) {
-                print_latency_summary(registry, path);
             }
             println!(
                 "P_fail = {:.4e} ± {:.2e} (rel. err. {:.3})",
@@ -474,11 +504,13 @@ fn run() -> Result<(), String> {
             let checkpoint = args
                 .opt::<String>("checkpoint")?
                 .map(std::path::PathBuf::from);
-            let trace_path: Option<String> = args.opt("trace-log")?;
-            let telemetry = trace_path.as_deref().map(trace_telemetry).transpose()?;
+            let trace_log = args
+                .opt("trace-log")?
+                .map(|path| TraceLog::create(path, seed))
+                .transpose()?;
             let mut observers = MultiObserver::new();
-            if let Some((_, bridge)) = &telemetry {
-                observers.push(bridge);
+            if let Some(log) = &trace_log {
+                log.attach(&mut observers);
             }
             // With a checkpoint configured, Ctrl-C drains in-flight
             // points, flushes the checkpoint and exits non-zero.
@@ -494,16 +526,16 @@ fn run() -> Result<(), String> {
                 stop,
             };
             let sweep = DutySweep::new(cfg, SramScenarioBench::at_vdd(scenario, vdd), alphas);
-            let run = sweep.run_with(&options).map_err(|e| e.to_string())?;
+            let run = sweep.run_with(&options);
+            let logged = trace_log.map(TraceLog::finish).transpose();
+            let run = run.map_err(|e| e.to_string())?;
+            logged?;
             if run.points_from_checkpoint > 0 {
                 eprintln!(
                     "resumed {} of {} points from checkpoint",
                     run.points_from_checkpoint,
                     run.outcomes.len()
                 );
-            }
-            if let (Some((registry, _)), Some(path)) = (&telemetry, &trace_path) {
-                print_latency_summary(registry, path);
             }
             let failed = run.failed_points();
             println!("{:<8} {:>12} {:>12}", "alpha", "P_fail", "ci95");

@@ -263,37 +263,32 @@ fn stripped_reports_stay_bit_identical_with_telemetry_enabled() {
     );
 }
 
-/// Runs one estimate with a [`Tracer`] (carrying an explicit
-/// [`TraceContext`]) wired into the telemetry bridge, and returns the
-/// recorded report plus the number of trace events the sink captured.
+/// Runs one estimate with a [`SpanCollector`] (carrying an explicit
+/// [`TraceContext`]) attached beside the telemetry bridge, and returns
+/// the recorded report plus the number of spans the collector returned.
 fn traced_report() -> (RunReport, usize) {
-    use ecripse_core::telemetry::MemorySink;
-    use std::sync::Arc;
-
     let registry = MetricsRegistry::new();
-    let sink = Arc::new(MemorySink::new());
-    let context = TraceContext::for_job(99, 7);
-    let tracer = Tracer::new(Arc::clone(&sink) as Arc<_>).with_context(context);
-    let bridge = TelemetryObserver::new(&registry).with_tracer(tracer);
+    let bridge = TelemetryObserver::new(&registry);
+    let collector = SpanCollector::new(TraceContext::for_job(99, 7), "test");
     let recorder = RunRecorder::new();
     let mut observers = MultiObserver::new();
     observers.push(&recorder);
     observers.push(&bridge);
+    observers.push(&collector);
     Ecripse::new(config(7, 1), bench())
         .estimate_observed(&observers)
         .expect("traced run");
-    let events = sink.lines().len();
-    (recorder.into_report(), events)
+    (recorder.into_report(), collector.finish().len())
 }
 
 #[test]
 fn stripped_reports_stay_bit_identical_with_a_tracer_attached() {
     // Distributed tracing is observation-only, like the rest of the
-    // telemetry stack: attaching a Tracer with a job TraceContext must
-    // not move a single bit of the stripped report relative to a run
-    // with no tracer at all.
-    let (mut traced, events) = traced_report();
-    assert!(events > 0, "the tracer sink captured no events");
+    // telemetry stack: attaching a SpanCollector with a job
+    // TraceContext must not move a single bit of the stripped report
+    // relative to a run with no collector at all.
+    let (mut traced, spans) = traced_report();
+    assert!(spans > 1, "the collector recorded no stage spans");
     let mut untraced = telemetry_observed_report(1);
     traced.strip_timings();
     untraced.strip_timings();

@@ -2,7 +2,7 @@
 //! `RunReport` whose simulation accounting matches both its own oracle
 //! counters and the numbers printed on stdout — and the observability
 //! flags (`--progress`, `--trace-log`) must route diagnostics to stderr
-//! and a JSONL trace file without disturbing the stdout contract. Bad
+//! and a JSONL span file without disturbing the stdout contract. Bad
 //! numeric flags must fail fast with an error, not a panic.
 
 use ecripse::prelude::*;
@@ -157,42 +157,61 @@ fn cli_progress_goes_to_stderr_and_trace_log_is_jsonl() {
         "trace-log pointer missing from stderr: {stderr}"
     );
 
-    // The trace log is non-empty JSONL: one JSON object per line, each
-    // naming its event, bracketed by run_started … run_finished.
+    // The trace log is JSONL, one span record per line, all under one
+    // trace: the root `job` span first, then every pipeline stage
+    // parented to it.
     let text = std::fs::read_to_string(&trace).expect("trace log exists");
     std::fs::remove_dir_all(&dir).ok();
-    let mut names = Vec::new();
-    for line in text.lines() {
-        let value: serde_json::Value = serde_json::from_str(line).expect("trace line parses");
-        assert!(
-            value.as_object().is_some(),
-            "trace line is not an object: {line}"
+    let spans: Vec<SpanRecord> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("trace line is a span record"))
+        .collect();
+    let root = spans.first().expect("trace log is non-empty");
+    assert_eq!(root.name, "job", "the root span comes first: {spans:?}");
+    assert!(
+        spans.iter().all(|span| span.trace_id == root.trace_id),
+        "every span shares one trace id: {spans:?}"
+    );
+    for stage in ["boundary_search", "particle_filter", "importance_sampling"] {
+        let span = spans
+            .iter()
+            .find(|span| span.name == stage)
+            .unwrap_or_else(|| panic!("trace log lacks a {stage} span: {spans:?}"));
+        assert_eq!(
+            span.parent_span_id, root.span_id,
+            "{stage} parents to the root"
         );
-        let name = value
-            .get("name")
-            .and_then(serde_json::Value::as_str)
-            .expect("trace line names its event")
-            .to_string();
-        let t_s = value
-            .get("t_s")
-            .and_then(serde_json::Value::as_f64)
-            .expect("trace line carries a timestamp");
-        assert!(t_s.is_finite() && t_s >= 0.0);
-        if name == "run_finished" {
-            let p_fail = value
-                .get("p_fail")
-                .and_then(serde_json::Value::as_f64)
-                .expect("run_finished carries p_fail");
-            assert!(p_fail.is_finite());
-        }
-        names.push(name);
+        assert!(span.duration_s >= 0.0, "{stage}: {span:?}");
     }
-    assert_eq!(names.first().map(String::as_str), Some("run_started"));
-    assert_eq!(names.last().map(String::as_str), Some("run_finished"));
-    for expected in ["stage_finished", "iteration_finished", "chunk_finished"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "trace log lacks {expected} events: {names:?}"
-        );
-    }
+}
+
+#[test]
+fn cli_trace_log_is_written_when_the_run_fails() {
+    // A sweep asked to resume from a corrupt checkpoint fails before
+    // any stage runs; its trace log still holds the job's root span.
+    let dir = std::env::temp_dir().join(format!("ecripse-trace-fail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let checkpoint = dir.join("checkpoint.json");
+    std::fs::write(&checkpoint, "{\"garbage\": 1}").expect("write checkpoint");
+    let trace = dir.join("trace.jsonl");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ecripse-cli"))
+        .args(["sweep", "--points", "2", "--samples", "200", "--resume"])
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .arg("--trace-log")
+        .arg(&trace)
+        .output()
+        .expect("ecripse-cli runs");
+    assert_eq!(out.status.code(), Some(1), "the sweep must fail");
+
+    let text = std::fs::read_to_string(&trace).expect("trace log exists");
+    std::fs::remove_dir_all(&dir).ok();
+    let spans: Vec<SpanRecord> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("trace line is a span record"))
+        .collect();
+    assert_eq!(spans.len(), 1, "{spans:?}");
+    assert_eq!(spans[0].name, "job");
+    assert_eq!(spans[0].node, "cli");
 }
