@@ -48,7 +48,7 @@ use ecripse_core::telemetry::{
     escape_label_value, fmt_hex_id, prom_scalar, MetricsRegistry, SpanRecord, TraceContext,
 };
 use ecripse_serve::http::{
-    self, error_response, json_body, parse_body, with_job_id, Limits, Request, Response,
+    self, error_response, json_body, parse_body, with_job_id, FrontDoor, Limits, Request, Response,
 };
 use ecripse_serve::protocol::{
     ApiError, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics, SubmitRequest,
@@ -169,7 +169,7 @@ struct Shared {
 pub struct Coordinator {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Option<FrontDoor>,
     reaper: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -181,7 +181,6 @@ impl Coordinator {
     /// Propagates socket bind errors.
     pub fn bind(addr: impl ToSocketAddrs, config: ClusterConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
@@ -212,7 +211,7 @@ impl Coordinator {
             Arc::clone(&shared),
             |shared| shared.stop_accepting.load(Ordering::SeqCst),
             route,
-        );
+        )?;
         let reaper = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || reaper_loop(&shared))
@@ -241,6 +240,9 @@ impl Coordinator {
     /// forever.
     pub fn shutdown(mut self) {
         self.shared.stop_accepting.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = &self.acceptor {
+            acceptor.wake();
+        }
         self.shared.draining.store(true, Ordering::SeqCst);
         let dispatchers = std::mem::take(&mut self.shared.state.lock().dispatchers);
         for dispatcher in dispatchers {
@@ -260,8 +262,13 @@ impl Drop for Coordinator {
     fn drop(&mut self) {
         // `shutdown` consumed the handles; a plain drop still signals
         // the threads so they exit instead of spinning (they detach).
+        // Without the wake the accept thread would block forever and
+        // keep the port bound.
         if self.acceptor.is_some() || self.reaper.is_some() {
             self.shared.stop_accepting.store(true, Ordering::SeqCst);
+            if let Some(acceptor) = &self.acceptor {
+                acceptor.wake();
+            }
             self.shared.draining.store(true, Ordering::SeqCst);
             self.shared.reaper_stop.store(true, Ordering::SeqCst);
         }

@@ -12,7 +12,8 @@ use ecripse_core::initial::InitialSearchConfig;
 use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
 use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, SweepOutcome};
 use ecripse_serve::{http, Client, ClientError, ServeConfig, Server};
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -514,4 +515,25 @@ fn federated_metrics_carry_per_worker_series_and_rollups() {
     wa.shutdown();
     wb.shutdown();
     coordinator.shutdown();
+}
+
+/// The coordinator's accept thread blocks in `accept`; dropping the
+/// coordinator without `shutdown` must still wake it, so the port is
+/// free again within a second.
+#[test]
+fn a_dropped_coordinator_releases_its_port() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let addr = coordinator.local_addr();
+    // One answered request: the accept thread is past start-up and
+    // back in `accept`.
+    Client::new(addr.to_string()).health().expect("health");
+    drop(coordinator);
+    let until = Instant::now() + Duration::from_secs(1);
+    while TcpListener::bind(addr).is_err() {
+        assert!(
+            Instant::now() < until,
+            "{addr} is still bound a second after the coordinator was dropped"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

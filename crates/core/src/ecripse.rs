@@ -272,10 +272,10 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
 
     /// Step (1) with raw simulator-batch latencies reported into
     /// `observer` (the boundary-search events themselves are emitted by
-    /// [`estimate_with`](Self::estimate_with), which knows the stage
+    /// [`boundary_stage`](Self::boundary_stage), which knows the stage
     /// framing). Runs in the configured thread pool, like every later
     /// stage.
-    pub(crate) fn find_initial_particles_observed(
+    fn find_initial_particles_observed(
         &self,
         observer: &dyn Observer,
     ) -> Result<InitialParticles, EstimateError> {
@@ -352,8 +352,13 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         run_in_pool(self.config.threads, || self.run_stages(init, options))
     }
 
-    /// Step (1) with boundary-search events reported into `observer`.
-    fn boundary_stage(&self, observer: &dyn Observer) -> Result<InitialParticles, EstimateError> {
+    /// Step (1) with boundary-search events reported into `observer`:
+    /// the start of an estimate without [`RunOptions::initial`], and a
+    /// fresh sweep's shared search.
+    pub(crate) fn boundary_stage(
+        &self,
+        observer: &dyn Observer,
+    ) -> Result<InitialParticles, EstimateError> {
         observer.stage_started(Stage::BoundarySearch);
         let start = Instant::now();
         let init = self.find_initial_particles_observed(observer)?;

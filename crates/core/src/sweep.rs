@@ -526,9 +526,11 @@ impl<B: SweepBench> DutySweep<B> {
     /// receives events from **several concurrent runs interleaved** (each
     /// point emits its own `run_started`…`run_finished` sequence).
     /// Observers that aggregate across runs — progress trackers,
-    /// telemetry bridges — must accumulate rather than overwrite. Points
-    /// loaded from a checkpoint emit no events (their work happened in an
-    /// earlier process).
+    /// telemetry bridges — must accumulate rather than overwrite. The
+    /// shared boundary search reports its own `stage_started`,
+    /// `boundary_found` and `stage_finished` once, before the first run.
+    /// Work loaded from a checkpoint — the boundary search or a point —
+    /// emits no events (it happened in an earlier process).
     ///
     /// # Errors
     ///
@@ -556,9 +558,7 @@ impl<B: SweepBench> DutySweep<B> {
         let (init, init_wall) = match checkpoint.init.take() {
             Some(init) => (init, 0.0),
             None => {
-                let init = rdf_run
-                    .find_initial_particles_observed(observer)
-                    .map_err(SweepError::Init)?;
+                let init = rdf_run.boundary_stage(observer).map_err(SweepError::Init)?;
                 (init, init_start.elapsed().as_secs_f64())
             }
         };
@@ -571,10 +571,10 @@ impl<B: SweepBench> DutySweep<B> {
             simulations: 0,
         };
 
-        // RDF-only reference, possibly resumed. On a fresh run the
-        // boundary search happened outside the estimator (it is shared
-        // by every point), so its events are emitted into the reference
-        // recorder by hand.
+        // RDF-only reference, possibly resumed. The boundary search
+        // happened outside the estimator (it is shared by every point)
+        // and reported only into `observer`, so its events are emitted
+        // into the reference recorder by hand.
         let rdf_only = match checkpoint.rdf_only.take() {
             Some(reference) => reference,
             None => {

@@ -9,13 +9,16 @@
 //! [`serve`] is the one front door every network-facing process uses
 //! (the job server and the cluster coordinator): one accept loop, one
 //! connection handler, one set of [`Limits`] and one in-flight cap
-//! ([`MAX_CONNECTIONS`]). A process supplies only its route table.
+//! ([`MAX_CONNECTIONS`]). A process supplies only its route table and
+//! its stop condition. The accept thread blocks in `accept`, so a
+//! process that raises the condition wakes it through the
+//! [`FrontDoor`] handle.
 
 use crate::protocol::{ApiError, Health, Readiness, SubmitRequest, PROTOCOL_VERSION};
 use ecripse_core::telemetry::{Histogram, MetricsRegistry, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -445,20 +448,66 @@ impl Write for Bounded<'_> {
     }
 }
 
-/// Runs a process's HTTP front door on its own thread. It polls the
-/// nonblocking `listener` every 5 ms until `stopped(&state)`, gives each
-/// connection a thread bounded by `limits` and answers with `route`.
-/// Every handled request lands in the `ecripse_{process}_http_request_seconds`
-/// histogram of `registry`, and every handler panic (caught, so the
-/// process keeps serving) in `ecripse_{process}_http_handler_panics_total`.
-/// Past [`MAX_CONNECTIONS`] live handlers, the accept thread answers
-/// `503` itself.
+/// A running front door: the accept thread [`serve`] started and the
+/// address its listener is bound to.
+#[derive(Debug)]
+pub struct FrontDoor {
+    thread: JoinHandle<()>,
+    addr: SocketAddr,
+}
+
+impl FrontDoor {
+    /// Unblocks the accept thread so it reads its stop condition again:
+    /// connects once to the listener's own address (loopback for an
+    /// unspecified bind address). Call it after raising the condition;
+    /// a front door already gone refuses the connection, which is fine.
+    pub fn wake(&self) {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+    }
+
+    /// Wakes the accept thread and waits for it to return, which is
+    /// after the last response is written. Raise the stop condition
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// The accept thread's panic payload, should it have panicked.
+    pub fn join(self) -> std::thread::Result<()> {
+        self.wake();
+        self.thread.join()
+    }
+}
+
+/// Runs a process's HTTP front door on its own thread. The thread
+/// blocks in `accept` on `listener` (switched to blocking mode), gives
+/// each connection a thread bounded by `limits` and answers with
+/// `route`; it reads `stopped(&state)` after every accept and returns
+/// once that holds, so whoever raises the condition must then call
+/// [`FrontDoor::wake`] (or [`FrontDoor::join`]). Every handled request
+/// lands in the `ecripse_{process}_http_request_seconds` histogram of
+/// `registry`, and every handler panic (caught, so the process keeps
+/// serving) in `ecripse_{process}_http_handler_panics_total`. Past
+/// [`MAX_CONNECTIONS`] live handlers, the accept thread answers `503`
+/// itself.
 ///
 /// Once stopped, the accept thread shuts down the read half of every
 /// live connection, so a handler still waiting for its request gives up
 /// at once while one that has read its request still writes its
-/// response, and joins every handler before it returns: joining the
-/// returned handle waits for the last response.
+/// response, and joins every handler before it returns (and the
+/// listener closes): joining the returned front door waits for the last
+/// response.
+///
+/// # Errors
+///
+/// Propagates the errors of switching the listener to blocking mode and
+/// of reading its address.
 pub fn serve<S: Send + Sync + 'static>(
     listener: TcpListener,
     limits: Limits,
@@ -467,7 +516,9 @@ pub fn serve<S: Send + Sync + 'static>(
     state: Arc<S>,
     stopped: fn(&S) -> bool,
     route: fn(&Arc<S>, &Request) -> Response,
-) -> JoinHandle<()> {
+) -> std::io::Result<FrontDoor> {
+    listener.set_nonblocking(false)?;
+    let addr = listener.local_addr()?;
     let latency = registry.histogram(
         &format!("ecripse_{process}_http_request_seconds"),
         "Wall-clock latency of handling one HTTP request",
@@ -476,7 +527,7 @@ pub fn serve<S: Send + Sync + 'static>(
         &format!("ecripse_{process}_http_handler_panics_total"),
         "HTTP connection handlers that panicked (the connection is dropped without a response)",
     );
-    std::thread::spawn(move || {
+    let thread = std::thread::spawn(move || {
         // Live handlers, each with a weak handle on its socket (the
         // handler owns the socket, so it still closes the moment the
         // handler is done). Only this thread adds handlers, so the cap
@@ -486,10 +537,15 @@ pub fn serve<S: Send + Sync + 'static>(
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(_) => {
+                    // Out of descriptors, say: back off rather than spin.
                     std::thread::sleep(Duration::from_millis(5));
                     continue;
                 }
             };
+            // The wake-up connection, or a client that raced it.
+            if stopped(&state) {
+                break;
+            }
             handlers.retain(|(handler, _)| !handler.is_finished());
             if handlers.len() >= MAX_CONNECTIONS {
                 refuse(stream);
@@ -516,11 +572,11 @@ pub fn serve<S: Send + Sync + 'static>(
         for (handler, _) in handlers {
             let _ = handler.join();
         }
-    })
+    });
+    Ok(FrontDoor { thread, addr })
 }
 
-/// Answers one connection (accepted sockets must block regardless of
-/// the listener's mode).
+/// Answers one connection.
 fn handle_connection<S>(
     stream: &TcpStream,
     limits: Limits,
@@ -528,9 +584,6 @@ fn handle_connection<S>(
     state: &Arc<S>,
     route: fn(&Arc<S>, &Request) -> Response,
 ) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let started = Instant::now();
     let mut bounded = Bounded {
         stream,
@@ -681,7 +734,6 @@ mod tests {
             Response::json(200, "{}".into())
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("address");
         let registry = MetricsRegistry::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -693,7 +745,8 @@ mod tests {
             Arc::clone(&stop),
             |stop| stop.load(Ordering::SeqCst),
             route,
-        );
+        )
+        .expect("front door");
         let get = |path: &str| {
             let mut stream = TcpStream::connect(addr).expect("connect");
             write_request(&mut stream, "GET", path, None).expect("request");

@@ -51,7 +51,9 @@
 //! [`JobState::Persisted`]) via the existing core checkpoint machinery,
 //! cancels still-queued estimates, and joins every thread.
 
-use crate::http::{self, error_response, json_body, with_job_id, Limits, Request, Response};
+use crate::http::{
+    self, error_response, json_body, with_job_id, FrontDoor, Limits, Request, Response,
+};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
 use crate::protocol::{
     ApiError, EstimateOutcome, JobKind, JobProgress, JobReport, JobSpec, JobState, JobStatus,
@@ -389,7 +391,7 @@ struct Shared<B> {
 pub struct Server<B: SweepBench + 'static = SramScenarioBench> {
     shared: Arc<Shared<B>>,
     addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Option<FrontDoor>,
     workers: Vec<std::thread::JoinHandle<()>>,
     monitor: Option<std::thread::JoinHandle<()>>,
 }
@@ -421,7 +423,6 @@ impl<B: SweepBench + 'static> Server<B> {
         factory: impl Fn(Scenario, f64) -> B + Send + Sync + 'static,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         // The snapshot fingerprint is scoped by the scenario-registry
@@ -599,24 +600,27 @@ impl<B: SweepBench + 'static> Server<B> {
             write_timeout: shared.config.write_timeout,
             connection_lifetime: shared.config.connection_lifetime,
         };
-        let acceptor = http::serve(
-            listener,
-            limits,
-            &shared.telemetry.registry,
-            "serve",
-            Arc::clone(&shared),
-            |shared| shared.stop_accepting.load(Ordering::SeqCst),
-            route::<B>,
-        );
-        // Replay is done and the table is populated: open for traffic.
-        shared.ready.store(true, Ordering::SeqCst);
-        Ok(Self {
+        let mut server = Self {
             shared,
             addr,
-            acceptor: Some(acceptor),
+            acceptor: None,
             workers: worker_handles,
             monitor: Some(monitor),
-        })
+        };
+        // Should the front door fail to open, dropping `server` stops
+        // the workers and the monitor.
+        server.acceptor = Some(http::serve(
+            listener,
+            limits,
+            &server.shared.telemetry.registry,
+            "serve",
+            Arc::clone(&server.shared),
+            |shared| shared.stop_accepting.load(Ordering::SeqCst),
+            route::<B>,
+        )?);
+        // Replay is done and the table is populated: open for traffic.
+        server.shared.ready.store(true, Ordering::SeqCst);
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
@@ -645,6 +649,9 @@ impl<B: SweepBench + 'static> Server<B> {
     /// configured), cancel queued estimates, join every thread.
     pub fn shutdown(mut self) -> ShutdownSummary {
         self.shared.stop_accepting.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = &self.acceptor {
+            acceptor.wake();
+        }
         self.shared.ready.store(false, Ordering::SeqCst);
         let mut transitions: Vec<(u64, JobState)> = Vec::new();
         let (drained, persisted, cancelled) = {
@@ -722,6 +729,11 @@ impl<B: SweepBench + 'static> Drop for Server<B> {
         // parking forever (they detach, nothing joins them).
         if self.acceptor.is_some() || !self.workers.is_empty() || self.monitor.is_some() {
             self.shared.stop_accepting.store(true, Ordering::SeqCst);
+            // Without the wake the accept thread would block forever
+            // and keep the port bound.
+            if let Some(acceptor) = &self.acceptor {
+                acceptor.wake();
+            }
             self.shared.ready.store(false, Ordering::SeqCst);
             self.shared.monitor_stop.store(true, Ordering::SeqCst);
             lock_state(&self.shared).draining = true;

@@ -14,11 +14,11 @@ use ecripse_core::scenario::Scenario;
 use ecripse_core::sweep::{DutySweep, SweepBench, SweepOptions};
 use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, PROTOCOL_VERSION};
 use ecripse_serve::{http, BackoffPolicy, Client, ClientError, ServeConfig, Server};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -929,4 +929,37 @@ fn retrying_client_rides_out_backpressure_and_reports_total_wait() {
         other => panic!("expected Io from a dead port, got {other:?}"),
     }
     server.shutdown();
+}
+
+/// The accept thread blocks in `accept`, so stopping it takes a wake-up:
+/// a server dropped without `shutdown` still frees its port, and an idle
+/// server's `shutdown` returns at once.
+#[test]
+fn dropped_and_shut_down_servers_release_the_front_door() {
+    let bind = || {
+        Server::bind_with("127.0.0.1:0", ServeConfig::default(), |_scenario, _vdd| {
+            linear_bench()
+        })
+        .expect("bind")
+    };
+    let server = bind();
+    let addr = server.local_addr();
+    // One answered request: the accept thread is past start-up and
+    // back in `accept`.
+    Client::new(addr.to_string()).health().expect("health");
+    drop(server);
+    let until = Instant::now() + Duration::from_secs(1);
+    while TcpListener::bind(addr).is_err() {
+        assert!(
+            Instant::now() < until,
+            "{addr} is still bound a second after the server was dropped"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let server = bind();
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "idle shutdown took {took:?}");
 }

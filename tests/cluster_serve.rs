@@ -6,8 +6,10 @@
 //! one. The workers run with write-ahead journals, so the suite also
 //! smoke-checks the journal metrics the `/metrics` document exposes.
 
+use ecripse::cluster::ClusterWorkers;
 use ecripse::core::telemetry::fmt_hex_id;
 use ecripse::prelude::*;
+use ecripse::serve::http;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -88,6 +90,34 @@ impl Proc {
         Client::new(self.addr.clone())
     }
 
+    /// Waits until every worker in `names` is registered and alive with
+    /// this coordinator. `/readyz` turns ready with the first worker, and
+    /// a shard dispatched before the second has joined goes to the first.
+    fn wait_for_workers(&self, names: &[&str]) {
+        let deadline = std::time::Instant::now() + WAIT;
+        loop {
+            let mut stream = std::net::TcpStream::connect(&self.addr).expect("connect");
+            http::write_request(&mut stream, "GET", "/v1/cluster/workers", None)
+                .expect("request workers");
+            let (_, _, body) = http::read_response(&mut stream).expect("workers response");
+            let listing: ClusterWorkers = serde_json::from_str(&body).expect("workers listing");
+            let alive = |name: &&str| {
+                listing
+                    .workers
+                    .iter()
+                    .any(|worker| worker.name == *name && worker.alive)
+            };
+            if names.iter().all(alive) {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers {names:?} did not all join: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
     /// SIGINT + zero-exit assertion.
     fn shutdown(mut self) {
         let status = Command::new("kill")
@@ -140,6 +170,7 @@ fn every_scenario_merges_bit_identically_and_journals_its_shards() {
     let client = coordinator.client();
     let ready = client.wait_ready(WAIT).expect("coordinator becomes ready");
     assert!(ready.ready, "coordinator not ready: {}", ready.status);
+    coordinator.wait_for_workers(&["ci-a", "ci-b"]);
 
     // Debug builds keep the suite affordable (`cargo test -q` runs this
     // unoptimised): one scenario proves the plumbing. The CI `cluster`
@@ -245,6 +276,7 @@ fn traced_sweep_federates_spans_and_metrics_across_processes() {
     );
     let client = coordinator.client();
     client.wait_ready(WAIT).expect("coordinator becomes ready");
+    coordinator.wait_for_workers(&["tr-a", "tr-b"]);
 
     let context = TraceContext::for_job(7, 300);
     let trace_id = fmt_hex_id(context.trace_id);
