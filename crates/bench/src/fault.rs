@@ -18,6 +18,7 @@ use ecripse_core::bench::Testbench;
 use ecripse_core::sweep::SweepBench;
 use ecripse_core::EvalError;
 use ecripse_spice::solver::SolveError;
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,12 +122,9 @@ impl<B> FaultyBench<B> {
         if total <= 0.0 {
             return None;
         }
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ self.config.salt;
+        let mut hash = FNV_OFFSET ^ self.config.salt;
         for v in z {
-            for b in v.to_bits().to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
         }
         // Map the top 53 bits onto [0, 1).
         let u = (hash >> 11) as f64 / (1u64 << 53) as f64;

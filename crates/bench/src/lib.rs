@@ -32,7 +32,7 @@ use ecripse_core::oracle::OracleConfig;
 use ecripse_core::particle::ParticleFilterConfig;
 use ecripse_svm::classifier::SvmConfig;
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The tuned ECRIPSE configuration used by all experiments (see
 /// `EXPERIMENTS.md` for how these values were selected).
@@ -126,31 +126,9 @@ pub fn write_csv(name: &str, content: &str) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Opens a CSV file in the results directory for streaming writes.
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn csv_writer(name: &str) -> std::io::BufWriter<std::fs::File> {
-    let path = results_dir().join(name);
-    let file = std::fs::File::create(&path).expect("create csv file");
-    eprintln!("writing {}", path.display());
-    std::io::BufWriter::new(file)
-}
-
 /// Pretty-prints a "paper vs measured" comparison row.
 pub fn report_row(metric: &str, paper: &str, measured: &str) {
     println!("{metric:<48} paper: {paper:<14} measured: {measured}");
-}
-
-/// Returns true if `path` exists inside the results dir.
-pub fn results_exist(name: &str) -> bool {
-    results_dir().join(name).exists()
-}
-
-/// Helper for binaries that post-process other binaries' outputs.
-pub fn results_path(name: &str) -> PathBuf {
-    results_dir().join(name)
 }
 
 /// Formats a simulation count compactly (`27.3k`, `1.2M`).
@@ -162,11 +140,6 @@ pub fn fmt_count(n: u64) -> String {
     } else {
         n.to_string()
     }
-}
-
-/// Checks that a path's parent directory exists (used in tests).
-pub fn parent_exists(path: &Path) -> bool {
-    path.parent().map(|p| p.exists()).unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -10,13 +10,15 @@
 //! key keeps its owner, which is what keeps shard reassignment after a
 //! worker death from reshuffling the shards of the survivors.
 //!
-//! The hash is FNV-1a 64-bit (the same dependency-free hash the rest
+//! The hash is FNV-1a 64-bit ([`ecripse_stats::fnv1a`], the hash the rest
 //! of the workspace uses for fingerprints) pushed through a 64-bit
 //! avalanche finaliser — raw FNV-1a has weak high-bit diffusion, and
 //! vnode labels differ in only a character or two, which clusters the
 //! ring badly without the mix. No RNG anywhere: the ring is a pure
 //! function of the member names, so two coordinators (or the same
 //! coordinator across restarts) agree on every assignment.
+
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 
 /// Virtual nodes per member. 128 keeps the worst member within ~2× of
 /// the ideal share for realistic cluster sizes (see the property
@@ -28,11 +30,7 @@ pub const DEFAULT_VNODES: usize = 128;
 /// `w|18`) must land far apart on the ring, and plain FNV-1a leaves
 /// them correlated.
 fn ring_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut hash = fnv1a(FNV_OFFSET, bytes);
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
     hash ^= hash >> 33;

@@ -262,11 +262,6 @@ impl<B: Testbench> SimCounter<B> {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Resets the counter.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
-
     /// The wrapped bench.
     pub fn inner(&self) -> &B {
         &self.inner
@@ -384,14 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_counter_counts_and_resets() {
+    fn sim_counter_counts() {
         let c = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
         assert_eq!(c.simulations(), 0);
         let _ = c.fails(&[1.0]);
         let _ = c.fails(&[-1.0]);
         assert_eq!(c.simulations(), 2);
-        c.reset();
-        assert_eq!(c.simulations(), 0);
     }
 
     #[test]
@@ -507,8 +500,7 @@ mod tests {
         let _ = c.try_fails_attempt(&[1.0], 1);
         let _ = c.try_fails_attempt(&[1.0], 2);
         assert_eq!(c.simulations(), 3);
-        c.reset();
         let _ = c.try_fails_batch(&[vec![1.0], vec![-1.0]]);
-        assert_eq!(c.simulations(), 2);
+        assert_eq!(c.simulations(), 5);
     }
 }

@@ -43,6 +43,7 @@
 
 use crate::bench::{EvalError, SolveEffort, Testbench};
 use crate::sweep::SweepBench;
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -85,21 +86,13 @@ impl Default for MemoCacheConfig {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// FNV-1a digest of a sequence of words. Services derive bench tags from
 /// the operating point with this, and [`SweepBench::at_alpha`] folds the
 /// duty ratio into a [`MemoBench`]'s tag with it.
 pub fn tag_for(parts: &[u64]) -> u64 {
-    parts.iter().fold(FNV_OFFSET, |h, p| fnv1a_u64(h, *p))
+    parts
+        .iter()
+        .fold(FNV_OFFSET, |h, p| fnv1a(h, &p.to_le_bytes()))
 }
 
 /// A sharded map of verdicts keyed by `(tag, mode, quantised query)`,
@@ -200,7 +193,7 @@ impl VerdictStore {
     fn shard_of(&self, key: &Key) -> usize {
         let words = [key.0, u64::from(key.1)];
         let words = words.into_iter().chain(key.2.iter().map(|v| *v as u64));
-        let h = words.fold(FNV_OFFSET, fnv1a_u64);
+        let h = words.fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
         (h % self.shards.len() as u64) as usize
     }
 

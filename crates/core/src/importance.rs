@@ -74,42 +74,6 @@ impl ImportanceResult {
     }
 }
 
-/// Inner RTN Monte Carlo (Eq. 17): estimates `P_fail^RTN(x)` with `m`
-/// draws through the *accurate* oracle policy.
-pub fn p_fail_rtn_inner<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
-    rtn: &S,
-    x_rdf: &[f64],
-    m: usize,
-    rng: &mut R,
-) -> f64
-where
-    B: Testbench,
-    S: RtnSource,
-    R: Rng + ?Sized,
-{
-    if rtn.is_null() {
-        return if oracle.evaluate_accurate(x_rdf) {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    assert!(m > 0, "need at least one RTN draw");
-    let mut fails = 0usize;
-    let mut z = vec![0.0; x_rdf.len()];
-    for _ in 0..m {
-        let shift = rtn.sample_whitened(rng);
-        for ((zi, xi), si) in z.iter_mut().zip(x_rdf).zip(&shift) {
-            *zi = xi + si;
-        }
-        if oracle.evaluate_accurate(&z) {
-            fails += 1;
-        }
-    }
-    fails as f64 / m as f64
-}
-
 /// One drawn chunk: each importance sample's likelihood ratio, and the
 /// points the oracle answers for it (`m` RTN-shifted copies per sample,
 /// or the sample itself without RTN).
@@ -488,27 +452,110 @@ mod tests {
         );
     }
 
+    /// An "RTN" source whose draws cycle through `m` shifts: the first
+    /// `k` of every `m` push a sample far past the boundary, the rest do
+    /// not move it. It consumes no randomness.
+    struct CyclingRtn {
+        k: usize,
+        m: usize,
+        draws: std::cell::Cell<usize>,
+    }
+
+    impl RtnSource for CyclingRtn {
+        fn dim(&self) -> usize {
+            1
+        }
+
+        fn sample_whitened<R: Rng + ?Sized>(&self, _rng: &mut R) -> Vec<f64> {
+            let i = self.draws.get();
+            self.draws.set(i + 1);
+            vec![if i % self.m < self.k { 100.0 } else { 0.0 }]
+        }
+    }
+
     #[test]
-    fn inner_rtn_loop_counts_fail_fraction() {
-        // A deterministic "RTN" source that shifts into the failure
-        // region with probability ~0.5 via its even/odd draws is hard to
-        // build without randomness; instead verify the null-RTN collapse
-        // and the m=... averaging bound.
-        let bench = LinearBench::new(vec![1.0], 1.0);
-        let counter = SimCounter::new(bench);
+    fn inner_rtn_average_is_the_fail_fraction_of_the_shifts() {
+        // The boundary at 50 is out of the RDF samples' reach, so each
+        // sample fails on exactly the k shifted copies of its m draws:
+        // every inner probability is k/m.
+        let (k, m, n) = (3, 8, 600);
+        let counter = SimCounter::new(LinearBench::new(vec![1.0], 50.0));
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
         let mut oracle = ClassifierOracle::new(&counter, cfg);
-        let mut rng = StdRng::seed_from_u64(4);
-        // Null RTN: exactly one simulation, 0/1 output.
-        let p = p_fail_rtn_inner(&mut oracle, &NoRtn::new(1), &[2.0], 50, &mut rng);
-        assert_eq!(p, 1.0);
-        assert_eq!(counter.simulations(), 1);
-        let p = p_fail_rtn_inner(&mut oracle, &NoRtn::new(1), &[0.0], 50, &mut rng);
-        assert_eq!(p, 0.0);
-        assert_eq!(counter.simulations(), 2);
+        let rtn = CyclingRtn {
+            k,
+            m,
+            draws: std::cell::Cell::new(0),
+        };
+        let alt = GaussianMixture::from_particles(&[vec![0.5], vec![-0.5]], 1.2);
+        let (res, _) = importance_stage(
+            &mut oracle,
+            &rtn,
+            &alt,
+            &ImportanceConfig {
+                n_samples: n,
+                m_rtn: m,
+                trace_every: 0,
+            },
+            &mut StdRng::seed_from_u64(6),
+            &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
+        );
+        assert_eq!(rtn.draws.get(), n * m);
+        assert_eq!(counter.simulations(), (n * m) as u64);
+
+        // Replay the sample stream (the source draws no randomness) for
+        // the importance weights.
+        let rdf = DiagGaussian::standard(1);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut normals = NormalSampler::new();
+        let weight_sum: f64 = (0..n)
+            .map(|_| {
+                let x = alt.sample(&mut rng, &mut normals);
+                (rdf.log_pdf(&x) - alt.log_pdf(&x)).exp()
+            })
+            .sum();
+        let expected = k as f64 / m as f64 * weight_sum / n as f64;
+        assert_eq!(res.samples, n as u64);
+        assert!(
+            ((res.p_fail - expected) / expected).abs() < 1e-12,
+            "estimate {:e} vs k/m × mean weight {:e}",
+            res.p_fail,
+            expected
+        );
+    }
+
+    #[test]
+    fn null_rtn_simulates_each_sample_once() {
+        // A null source collapses the inner loop to the sample's own
+        // 0/1 verdict, whatever `m_rtn` says.
+        let counter = SimCounter::new(LinearBench::new(vec![1.0], 50.0));
+        let cfg = OracleConfig {
+            svm: None,
+            ..OracleConfig::default()
+        };
+        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let alt = GaussianMixture::from_particles(&[vec![0.0]], 1.0);
+        let (res, _) = importance_stage(
+            &mut oracle,
+            &NoRtn::new(1),
+            &alt,
+            &ImportanceConfig {
+                n_samples: 300,
+                m_rtn: 8,
+                trace_every: 0,
+            },
+            &mut StdRng::seed_from_u64(7),
+            &|| counter.simulations(),
+            &RunOptions::default(),
+            None,
+        );
+        assert_eq!(counter.simulations(), 300);
+        assert_eq!(res.p_fail, 0.0);
     }
 
     #[test]

@@ -249,39 +249,18 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
             && self.pending_x.len() >= self.config.retrain_threshold
     }
 
-    /// Simulates a sample, recording it for (future) training.
-    fn simulate_and_record(&mut self, z: &[f64]) -> bool {
-        let y = self.bench.fails(z);
-        self.stats.simulated += 1;
+    /// Simulates a batch with one `fails_batch` call (parallel for
+    /// circuit benches) and records the labels, in input order, for
+    /// (future) training.
+    fn simulate_batch_and_record(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
+        let ys = self.bench.fails_batch(zs);
+        self.stats.simulated += zs.len() as u64;
         if self.config.svm.is_some() {
             match &self.classifier {
                 Some(clf) if clf.is_bank_full() => {
                     // The classifier has stopped learning; skip the
                     // bookkeeping.
                 }
-                Some(_) => {
-                    self.pending_x.push(z.to_vec());
-                    self.pending_y.push(y);
-                }
-                None => {
-                    self.pretrain_x.push(z.to_vec());
-                    self.pretrain_y.push(y);
-                }
-            }
-        }
-        y
-    }
-
-    /// Batch form of [`Self::simulate_and_record`]: one `fails_batch`
-    /// call (parallel for circuit benches), then serial bookkeeping in
-    /// input order — equivalent to the element-wise loop because the
-    /// classifier cannot change mid-batch.
-    fn simulate_batch_and_record(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
-        let ys = self.bench.fails_batch(zs);
-        self.stats.simulated += zs.len() as u64;
-        if self.config.svm.is_some() {
-            match &self.classifier {
-                Some(clf) if clf.is_bank_full() => {}
                 Some(_) => {
                     for (z, y) in zs.iter().zip(&ys) {
                         self.pending_x.push(z.clone());
@@ -384,59 +363,18 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         out
     }
 
-    /// Stage-2 policy: classify confidently-classified samples, simulate
-    /// uncertain ones and learn from them.
-    pub fn evaluate_accurate(&mut self, z: &[f64]) -> bool {
-        self.finish_accurate_batch();
-        let routed = self
-            .classifier
-            .as_ref()
-            .map(|clf| (clf.predict_with_margin(z), clf.config().uncertain_band));
-        match routed {
-            Some(((y, margin), band)) if margin.abs() >= band => {
-                self.stats.classified += 1;
-                self.margins.record(margin);
-                y
-            }
-            Some(_) => {
-                self.stats.uncertain_simulated += 1;
-                let y = self.simulate_and_record(z);
-                self.maybe_retrain(false);
-                y
-            }
-            None => {
-                let y = self.simulate_and_record(z);
-                self.try_initial_training();
-                y
-            }
-        }
-    }
-
-    /// Batch form of [`Self::evaluate_accurate`]: every sample is routed
-    /// by the classifier state *at batch entry* — confident samples are
-    /// classified, uncertain (or unclassifiable) ones are simulated in a
-    /// single `fails_batch` call — and the collected labels are folded
-    /// back once at the end.
+    /// Stage-2 policy: every sample is routed by the classifier state
+    /// *at batch entry*. Confident samples are classified; uncertain (or
+    /// unclassifiable) ones are simulated in a single `fails_batch` call
+    /// and their labels kept for training. Verdicts inside the
+    /// uncertainty band are therefore exact. Predictions run in parallel,
+    /// but the routing is a serial pass in input order, so results do not
+    /// depend on the thread count.
     ///
-    /// Compared to an element-wise loop this defers any mid-batch
-    /// retraining to the batch boundary; verdicts stay exact inside the
-    /// uncertainty band (those are all simulated). Predictions run in
-    /// parallel, but the routing is a serial pass in input order, so
-    /// results do not depend on the thread count.
-    ///
-    /// This is [`Self::evaluate_batch_accurate_deferred`] followed by
-    /// [`Self::finish_accurate_batch`].
-    pub fn evaluate_batch_accurate(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
-        let out = self.evaluate_batch_accurate_deferred(zs);
-        self.finish_accurate_batch();
-        out
-    }
-
-    /// [`Self::evaluate_batch_accurate`] up to, not including, the
-    /// retrain (or first training) its labels call for: the caller runs
-    /// that with [`Self::finish_accurate_batch`], and may do other work
-    /// in between — the stage-2 sampler draws and simulates the next
-    /// chunk ahead while the retrain runs. Every other entry point
+    /// The retrain (or first training) the labels call for is deferred:
+    /// the caller runs it with [`Self::finish_accurate_batch`], and may do
+    /// other work in between — the stage-2 sampler draws and simulates
+    /// the next chunk ahead while the retrain runs. Every entry point
     /// finishes an owed step first, so nothing is ever skipped.
     pub fn evaluate_batch_accurate_deferred(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
         self.finish_accurate_batch();
@@ -499,6 +437,14 @@ mod tests {
         (0..n)
             .map(|_| vec![rng.gen_range(1.0..5.0), rng.gen_range(-2.0..2.0)])
             .collect()
+    }
+
+    /// One stage-2 batch with the step it owes run straight after, as
+    /// the stage-2 sampler does for every chunk.
+    fn accurate<B: Testbench>(oracle: &mut ClassifierOracle<'_, B>, zs: &[Vec<f64>]) -> Vec<bool> {
+        let out = oracle.evaluate_batch_accurate_deferred(zs);
+        oracle.finish_accurate_batch();
+        out
     }
 
     #[test]
@@ -581,11 +527,11 @@ mod tests {
         assert!(oracle.has_classifier());
         let sims_before = counter.simulations();
         // Far from the boundary: classifier answers.
-        let y_far = oracle.evaluate_accurate(&[10.0, 0.0]);
-        assert!(y_far);
+        let y_far = accurate(&mut oracle, &[vec![10.0, 0.0]]);
+        assert!(y_far[0]);
         assert_eq!(counter.simulations(), sims_before);
         // On the boundary: must be simulated.
-        let _ = oracle.evaluate_accurate(&[3.0, 0.0]);
+        let _ = accurate(&mut oracle, &[vec![3.0, 0.0]]);
         assert_eq!(counter.simulations(), sims_before + 1);
         assert_eq!(oracle.stats().uncertain_simulated, 1);
     }
@@ -607,13 +553,14 @@ mod tests {
                 .expect("trained")
                 .is_uncertain(&z)
             {
-                assert_eq!(oracle.evaluate_accurate(&z), counter.inner().fails(&z));
+                let fails = counter.inner().fails(&z);
+                assert_eq!(accurate(&mut oracle, &[z]), [fails]);
             }
         }
     }
 
     #[test]
-    fn batch_accurate_routes_like_the_elementwise_policy() {
+    fn accurate_batches_classify_far_and_simulate_near_samples() {
         let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(9);
@@ -622,10 +569,10 @@ mod tests {
         assert!(oracle.has_classifier());
         let sims_before = counter.simulations();
         // Two far points (classified) and the exact boundary point
-        // (inside the uncertainty band, simulated); same classifier state
-        // as `accurate_policy_simulates_uncertain_samples`.
+        // (inside the uncertainty band, simulated) in one batch; same
+        // classifier state as `accurate_policy_simulates_uncertain_samples`.
         let batch = vec![vec![10.0, 0.0], vec![3.0, 0.0], vec![-5.0, 0.0]];
-        let out = oracle.evaluate_batch_accurate(&batch);
+        let out = accurate(&mut oracle, &batch);
         assert!(out[0]);
         assert!(!out[2]);
         assert_eq!(out[1], counter.inner().fails(&batch[1]));
@@ -666,8 +613,15 @@ mod tests {
         let _ = oracle.evaluate_batch_accurate_deferred(&[vec![10.0, 0.0]]);
         assert!(!oracle.owes_retrain());
         let _ = oracle.evaluate_batch_accurate_deferred(&[vec![3.0, 0.0]]);
-        let _ = oracle.evaluate_accurate(&[10.0, 0.0]);
+        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![10.0, 0.0]]);
         assert_eq!(oracle.stats().retrains, retrains + 2);
+        // A rough batch folds its own labels in with a forced retrain;
+        // the owed one runs before it, so that is two rounds, not one.
+        let _ = oracle.evaluate_batch_accurate_deferred(&batch_around_boundary(200, 12));
+        assert!(oracle.owes_retrain());
+        let _ = oracle.evaluate_batch_rough(&mut rng, &batch_around_boundary(300, 11));
+        assert!(!oracle.owes_retrain());
+        assert_eq!(oracle.stats().retrains, retrains + 4);
     }
 
     #[test]
@@ -689,8 +643,8 @@ mod tests {
                 for round in 0..3 {
                     let rough = batch_around_boundary(2000, 40 + round);
                     verdicts.push(oracle.evaluate_batch_rough(&mut rng, &rough));
-                    let accurate = batch_around_boundary(3000, 50 + round);
-                    verdicts.push(oracle.evaluate_batch_accurate(&accurate));
+                    let batch = batch_around_boundary(3000, 50 + round);
+                    verdicts.push(accurate(&mut oracle, &batch));
                 }
                 (verdicts, *oracle.stats(), *oracle.margin_stats())
             })
@@ -727,7 +681,7 @@ mod tests {
         let min = m.min_abs.expect("margins observed");
         assert!(min >= 0.0 && min <= m.mean_abs());
         // A far-away accurate query adds one more margin observation.
-        let _ = oracle.evaluate_accurate(&[10.0, 0.0]);
+        let _ = accurate(&mut oracle, &[vec![10.0, 0.0]]);
         assert_eq!(oracle.margin_stats().classified, m.classified + 1);
     }
 
@@ -763,7 +717,7 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(15);
         for _ in 0..40 {
             let z = vec![3.0 + rng2.gen_range(-0.05..0.05), rng2.gen_range(-1.0..1.0)];
-            let _ = oracle.evaluate_accurate(&z);
+            let _ = accurate(&mut oracle, &[z]);
         }
         assert!(
             oracle.stats().retrains > retrains_before,

@@ -15,7 +15,7 @@
 //! lobe — is the known failure mode; [`crate::ensemble`] counters it
 //! with several independent filters, following the paper.
 
-use ecripse_stats::mvn::{DiagGaussian, GaussianMixture};
+use ecripse_stats::mvn::GaussianMixture;
 use ecripse_stats::resample::systematic_resample;
 use ecripse_stats::sample::NormalSampler;
 use rand::Rng;
@@ -186,23 +186,6 @@ impl ParticleFilter {
             *ci /= self.particles.len() as f64;
         }
         c
-    }
-
-    /// Replaces the particle population (used by deterministic tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `particles` is empty.
-    pub fn set_particles(&mut self, particles: Vec<Vec<f64>>) {
-        assert!(!particles.is_empty(), "no particles");
-        self.particles = particles;
-    }
-
-    /// Builds a standard-normal log-weight helper: callers weighting
-    /// candidates per Eq. 16 multiply the indicator probability by
-    /// `P_RDF(x)`; this returns that density.
-    pub fn rdf_density(dim: usize) -> DiagGaussian {
-        DiagGaussian::standard(dim)
     }
 }
 

@@ -91,20 +91,9 @@ impl<B: Testbench> RetryBench<B> {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.retries.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
-    }
-
     /// The wrapped bench.
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     fn climb(&self, z: &[f64]) -> Result<bool, EvalError> {

@@ -25,6 +25,7 @@ use crate::observe::{
 };
 use crate::rtn_source::SramRtn;
 use crate::scenario::SramScenarioBench;
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -825,7 +826,7 @@ impl<B: SweepBench> DutySweep<B> {
             .map_err(|e| CheckpointError::Corrupt(format!("serialise config: {e}")))?;
         let alphas_json = serde_json::to_string(&self.alphas)
             .map_err(|e| CheckpointError::Corrupt(format!("serialise alphas: {e}")))?;
-        let mut hash = fnv1a(0xcbf2_9ce4_8422_2325, config_json.as_bytes());
+        let mut hash = fnv1a(FNV_OFFSET, config_json.as_bytes());
         hash = fnv1a(hash, alphas_json.as_bytes());
         for sigma in self.bench.sigmas() {
             hash = fnv1a(hash, &sigma.to_bits().to_le_bytes());
@@ -841,14 +842,6 @@ impl<B: SweepBench> DutySweep<B> {
         }
         Ok(format!("{hash:016x}"))
     }
-}
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn load_checkpoint(path: &Path) -> Result<SweepCheckpoint, CheckpointError> {

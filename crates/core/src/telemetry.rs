@@ -55,6 +55,7 @@ use crate::observe::{
     ChunkStats, IterationStats, Observer, PrefetchStats, RunSummary, SimBatchStats, Stage,
     StageTiming,
 };
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::{Mutex, RwLock};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
@@ -549,20 +550,6 @@ impl MetricsRegistry {
 // Distributed trace context & span records
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the same deterministic hash the cluster uses
-/// for idempotency keys, reused here so trace ids are replay-stable.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Renders a trace/span id as the 16-hex-digit form it crosses the wire
 /// in (JSON numbers are `f64`-backed, so raw `u64` ids would lose bits).
 pub fn fmt_hex_id(id: u64) -> String {
@@ -603,7 +590,7 @@ impl TraceContext {
         bytes.extend_from_slice(&job_id.to_le_bytes());
         bytes.extend_from_slice(&seed.to_le_bytes());
         Self {
-            trace_id: fnv1a_64(&bytes).max(1),
+            trace_id: fnv1a(FNV_OFFSET, &bytes).max(1),
             parent_span_id: 0,
         }
     }
@@ -614,7 +601,7 @@ impl TraceContext {
         let mut bytes = Vec::with_capacity(8 + label.len());
         bytes.extend_from_slice(&self.trace_id.to_le_bytes());
         bytes.extend_from_slice(label.as_bytes());
-        fnv1a_64(&bytes).max(1)
+        fnv1a(FNV_OFFSET, &bytes).max(1)
     }
 
     /// The id of the `job` root span `node` records in this trace —
@@ -918,12 +905,16 @@ fn unix_now_seconds() -> f64 {
 /// | `ecripse_simulations_total` | counter | `sim_batch_finished`, plus `prefetch_finished` consumed |
 /// | `ecripse_prefetch_evaluated_total` | counter | `prefetch_finished` |
 /// | `ecripse_prefetch_consumed_total` | counter | `prefetch_finished` |
-/// | `ecripse_cache_hits_total` | counter | `iteration_finished` |
-/// | `ecripse_cache_misses_total` | counter | `iteration_finished` |
-/// | `ecripse_classified_total` | counter | `iteration_finished` |
+/// | `ecripse_cache_hits_total` | counter | `run_finished` |
+/// | `ecripse_cache_misses_total` | counter | `run_finished` |
+/// | `ecripse_classified_total` | counter | `run_finished` |
 /// | `ecripse_sim_batch_seconds` | histogram | `sim_batch_finished` |
 /// | `ecripse_stage_seconds` | histogram | `stage_finished` |
 /// | `ecripse_last_estimate` | gauge | `run_finished` |
+///
+/// The three oracle counters take a whole run's totals from its
+/// [`RunSummary`], stage-2 answers included, so they agree with the
+/// run's report; a run that does not finish adds nothing to them.
 ///
 /// All state is atomic, so one bridge may observe concurrently running
 /// sweep points. Everything recorded is wall-clock or derived from the
@@ -1011,11 +1002,8 @@ impl Observer for TelemetryObserver {
         self.stage_seconds.record(timing.wall_seconds);
     }
 
-    fn iteration_finished(&self, stats: &IterationStats) {
+    fn iteration_finished(&self, _stats: &IterationStats) {
         self.iterations.inc();
-        self.cache_hits.add(stats.oracle.cache_hits);
-        self.cache_misses.add(stats.oracle.cache_misses);
-        self.classified.add(stats.oracle.classified);
     }
 
     fn chunk_finished(&self, _chunk: &ChunkStats) {
@@ -1037,6 +1025,9 @@ impl Observer for TelemetryObserver {
 
     fn run_finished(&self, summary: &RunSummary) {
         self.runs_finished.inc();
+        self.cache_hits.add(summary.oracle.cache_hits);
+        self.cache_misses.add(summary.oracle.cache_misses);
+        self.classified.add(summary.oracle.classified);
         self.last_estimate.set(summary.p_fail);
     }
 }
@@ -1185,13 +1176,36 @@ mod tests {
                 simulations: 32,
             },
         );
+        // An iteration's oracle delta is part of the run's totals; only
+        // `run_finished` adds them, or stage 1 would count twice.
+        bridge.iteration_finished(&IterationStats {
+            iteration: 0,
+            candidates: 64,
+            zero_weight_candidates: 0,
+            ess: vec![8.0],
+            filters_resampled: 1,
+            filters_reseeded: 0,
+            filters_total: 1,
+            spread: 1.0,
+            oracle: crate::observe::OracleDelta {
+                classified: 32,
+                cache_hits: 2,
+                cache_misses: 30,
+                ..Default::default()
+            },
+        });
         bridge.run_finished(&RunSummary {
             p_fail: 1.25e-4,
             ci95_half_width: 1e-5,
             simulations: 32,
             is_samples: 100,
             effective_sample_size: 10.0,
-            oracle: crate::oracle::OracleStats::default(),
+            oracle: crate::oracle::OracleStats {
+                classified: 90,
+                cache_hits: 4,
+                cache_misses: 31,
+                ..Default::default()
+            },
             margins: crate::oracle::MarginStats::default(),
             bank_labels: 0,
             bank_rows: 0,
@@ -1205,6 +1219,10 @@ mod tests {
         assert!(text.contains("ecripse_sim_batch_seconds_count 1"));
         assert!(text.contains("ecripse_stage_seconds_count 1"));
         assert!(text.contains("ecripse_last_estimate 0.000125"));
+        assert!(text.contains("ecripse_filter_iterations_total 1"));
+        assert!(text.contains("ecripse_classified_total 90\n"));
+        assert!(text.contains("ecripse_cache_hits_total 4\n"));
+        assert!(text.contains("ecripse_cache_misses_total 31\n"));
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl RtnCellModel {
         self
     }
 
-    /// Whether the access transistors carry RTN in this model.
-    pub fn includes_access_rtn(&self) -> bool {
-        self.include_access
-    }
-
     /// The occupancy convention in use.
     pub fn convention(&self) -> OccupancyConvention {
         self.convention

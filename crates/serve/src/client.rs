@@ -30,6 +30,7 @@ use crate::protocol::{
     ApiError, Health, JobReport, JobStatus, JobTrace, Metrics, Readiness, SubmitRequest,
     PROTOCOL_VERSION,
 };
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use serde::Deserialize;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -154,16 +155,6 @@ impl Default for BackoffPolicy {
     }
 }
 
-/// FNV-1a 64-bit over raw bytes (the jitter hash).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl BackoffPolicy {
     /// The sleep before retry number `attempt` (0-based) of `path`
     /// against `addr`. Pure — same inputs, same delay.
@@ -177,7 +168,7 @@ impl BackoffPolicy {
         seed.push(b'|');
         seed.extend_from_slice(path.as_bytes());
         seed.extend_from_slice(&attempt.to_le_bytes());
-        let jitter = 0.5 + 0.5 * ((fnv1a_bytes(&seed) % 1024) as f64 / 1023.0);
+        let jitter = 0.5 + 0.5 * ((fnv1a(FNV_OFFSET, &seed) % 1024) as f64 / 1023.0);
         raw.mul_f64(jitter)
     }
 

@@ -36,6 +36,7 @@
 //! [`COMPACT_EVERY`] terminal appends.
 
 use crate::protocol::{JobState, SubmitRequest};
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -217,16 +218,6 @@ pub fn live_records(jobs: &[RecoveredJob]) -> Vec<JournalRecord> {
     out
 }
 
-/// FNV-1a 64-bit over raw bytes (the frame checksum).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Encodes one record as a framed line (exposed for the corruption
 /// tests, which build journals byte-by-byte).
 ///
@@ -242,9 +233,8 @@ pub fn encode_frame(record: &JournalRecord) -> std::io::Result<Vec<u8>> {
     })?;
     let payload = payload.into_bytes();
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 1);
-    frame.extend_from_slice(
-        format!("EJ1 {:08x} {:016x} ", payload.len(), fnv1a_bytes(&payload)).as_bytes(),
-    );
+    let checksum = fnv1a(FNV_OFFSET, &payload);
+    frame.extend_from_slice(format!("EJ1 {:08x} {checksum:016x} ", payload.len()).as_bytes());
     frame.extend_from_slice(&payload);
     frame.push(b'\n');
     Ok(frame)
@@ -305,7 +295,7 @@ fn decode_frame(rest: &[u8], records: &mut Vec<JournalRecord>) -> Option<usize> 
         return None;
     }
     let payload = &rest[HEADER_LEN..end];
-    if fnv1a_bytes(payload) != checksum {
+    if fnv1a(FNV_OFFSET, payload) != checksum {
         return None;
     }
     let text = std::str::from_utf8(payload).ok()?;

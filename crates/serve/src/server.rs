@@ -638,12 +638,6 @@ impl<B: SweepBench + 'static> Server<B> {
         collect_metrics(&self.shared)
     }
 
-    /// The Prometheus text exposition `GET /metrics` serves when asked
-    /// for `Accept: text/plain`.
-    pub fn prometheus_metrics(&self) -> String {
-        render_prometheus_document(&self.shared, &collect_metrics(&self.shared))
-    }
-
     /// Graceful shutdown: stop accepting, drain in-flight jobs, persist
     /// queued sweeps as resumable checkpoints (when a spool directory is
     /// configured), cancel queued estimates, join every thread.

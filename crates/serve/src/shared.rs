@@ -15,6 +15,7 @@
 //! another. Stale verdicts are worse than a cold start.
 
 use ecripse_core::cache::{tag_for, VerdictStore};
+use ecripse_stats::fnv1a;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -25,9 +26,7 @@ use std::path::Path;
 /// not just stale).
 pub fn fingerprint(store: &VerdictStore, scope: &str) -> String {
     let hash = tag_for(&[u64::from(CACHE_SNAPSHOT_VERSION), store.quantum().to_bits()]);
-    let hash = scope.bytes().fold(hash, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let hash = fnv1a(hash, scope.as_bytes());
     format!("{hash:016x}")
 }
 

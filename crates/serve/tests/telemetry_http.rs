@@ -201,6 +201,16 @@ fn prometheus_exposition_parses_and_agrees_with_json() {
         scalars["ecripse_serve_oracle_simulated_total"],
         metrics.oracle.simulated as f64
     );
+    // The observer bridge's oracle counters count whole runs, stage 2
+    // included, so they agree with the document's oracle totals.
+    assert!(metrics.oracle.classified > 0);
+    for (name, total) in [
+        ("ecripse_classified_total", metrics.oracle.classified),
+        ("ecripse_cache_hits_total", metrics.oracle.cache_hits),
+        ("ecripse_cache_misses_total", metrics.oracle.cache_misses),
+    ] {
+        assert_eq!(scalars[name], total as f64, "{name}");
+    }
 
     // The job-duration histogram is present with the full triple, its
     // +Inf bucket equals its count, and one job was recorded.

@@ -23,6 +23,7 @@ use crate::error::EvalError;
 use crate::ptm::{paper_geometry, A_VTH_EFFECTIVE};
 use crate::snm::{try_read_noise_margin, SnmReport};
 use crate::sram::{BiasCondition, CellDevice, Sram6T};
+use ecripse_stats::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -284,17 +285,6 @@ impl Deserialize for Scenario {
     fn from_value(value: &serde::json::Value) -> Option<Self> {
         Scenario::from_id(value.as_str()?)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// A hex digest over every registered (id, version) pair — the

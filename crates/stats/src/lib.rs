@@ -22,6 +22,8 @@
 //!   quantity plotted in Fig. 6(b)).
 //! * [`resample`] — multinomial and systematic resampling plus effective
 //!   sample size, used by the particle filter's resampling step.
+//! * [`fnv1a`] — the FNV-1a 64-bit hash behind every checksum, cache
+//!   tag, digest and id the workspace derives from bytes.
 //!
 //! # Example
 //!
@@ -50,6 +52,26 @@ pub use sample::{sample_poisson, sample_standard_normal, NormalSampler};
 pub use special::{erf, erfc, log_normal_pdf, normal_cdf, normal_pdf, normal_quantile};
 pub use whiten::{cholesky, Whitener};
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit `hash`; start a hash from
+/// [`FNV_OFFSET`]. Folding two byte strings in turn hashes their
+/// concatenation.
+///
+/// ```
+/// use ecripse_stats::{fnv1a, FNV_OFFSET};
+///
+/// let h = fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar");
+/// assert_eq!(h, fnv1a(FNV_OFFSET, b"foobar"));
+/// ```
+#[inline]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Numerically stable `log(Σ exp(xᵢ))`.
 ///
 /// Returns negative infinity for an empty slice.
@@ -70,6 +92,13 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn log_sum_exp_matches_direct_sum() {

@@ -18,9 +18,7 @@
 //! * [`classifier`] — [`classifier::SvmClassifier`], the assembled
 //!   pipeline with incremental retraining and the margin-based
 //!   uncertainty band that routes borderline samples back to the
-//!   simulator in the second Monte Carlo stage;
-//! * [`metrics`] — confusion-matrix based evaluation used by the tests
-//!   and the ablation benches.
+//!   simulator in the second Monte Carlo stage.
 //!
 //! # Example
 //!
@@ -49,12 +47,10 @@ pub mod bank;
 pub mod classifier;
 pub mod features;
 pub mod linear;
-pub mod metrics;
 pub mod scale;
 
 pub use bank::RowBank;
 pub use classifier::{SvmClassifier, SvmConfig};
 pub use features::PolynomialFeatures;
 pub use linear::LinearSvm;
-pub use metrics::ConfusionMatrix;
 pub use scale::StandardScaler;

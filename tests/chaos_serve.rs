@@ -118,6 +118,15 @@ impl ServerProc {
     }
 }
 
+/// Kills and reaps a child the test did not shut down itself (a failed
+/// assertion unwinds through here), so no server outlives its test.
+impl Drop for ServerProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// A sweep sized like the CLI's own interruption tests: slow enough to
 /// catch mid-run through checkpoint polling, fast enough to finish.
 fn sweep_request(seed: u64) -> SubmitRequest {

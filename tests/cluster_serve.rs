@@ -132,6 +132,15 @@ impl Proc {
     }
 }
 
+/// Kills and reaps a child the test did not shut down itself (a failed
+/// assertion unwinds through here), so no server outlives its test.
+impl Drop for Proc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// A small sweep for `scenario`, sized for CI wall-clock.
 fn sweep_request(scenario: Scenario, seed: u64) -> SubmitRequest {
     let mut cfg = EcripseConfig::default();

@@ -57,8 +57,10 @@ fn check_shutdown_joins_handlers(
     shutdown: impl FnOnce(),
 ) {
     let idle = TcpStream::connect(addr).expect("connect idle client");
-    // Give the accept thread (5 ms poll) time to hand the connection
-    // to a handler.
+    // `connect` returns once the kernel has queued the connection; the
+    // accept thread, blocked in `accept`, still has to be scheduled and
+    // spawn a handler. Give it time, so the shutdown below has a live
+    // handler to join.
     std::thread::sleep(Duration::from_millis(100));
     shutdown();
     let threads = status_field("Threads");
