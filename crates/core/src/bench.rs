@@ -23,7 +23,9 @@ pub use ecripse_spice::EvalError;
 /// safeguarded Newton iteration and factorises no matrix, so two field
 /// names overstate what they count there: `newton_iters` counts Newton
 /// evaluations (node-current evaluations) and `factorisations` counts
-/// transfer-curve point solves. Synthetic benches report zeros. Totals
+/// transfer-curve point solves. Both count the effort behind the
+/// verdicts: a curve the SRAM bench reuses from its curve store counts
+/// as the solve that produced it. Synthetic benches report zeros. Totals
 /// are monotone — consumers read before/after deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveEffort {

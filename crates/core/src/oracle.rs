@@ -90,12 +90,16 @@ pub struct OracleStats {
     /// Newton evaluations behind this run's simulations — on the SRAM
     /// path, node-current evaluations of the transfer-curve solves, not
     /// matrix iterations (driver-filled from the bench's
-    /// [`SolveEffort`](crate::bench::SolveEffort) delta).
+    /// [`SolveEffort`](crate::bench::SolveEffort) delta). It counts the
+    /// effort behind the verdicts: a half-cell curve the SRAM bench takes
+    /// from its curve store counts its original solve's evaluations, so
+    /// the total is the same whether a curve was solved or reused.
     #[serde(default)]
     pub newton_iters: u64,
     /// Solver invocations — on the SRAM path, transfer-curve point
-    /// solves; no matrix is factorised despite the name (driver-filled,
-    /// like `newton_iters`).
+    /// solves, counted whether a curve was solved or reused, like
+    /// `newton_iters`; no matrix is factorised despite the name
+    /// (driver-filled, like `newton_iters`).
     #[serde(default)]
     pub factorisations: u64,
     /// Always 0: no evaluation path seeds its curve solves any more. Kept

@@ -10,6 +10,7 @@
 //! static noise margin is the side of the largest square embedded in the
 //! smaller lobe (see [`crate::snm`]).
 
+use crate::curve_store::CurveStore;
 use crate::error::EvalError;
 use crate::sram::{BiasCondition, Sram6T};
 use serde::{Deserialize, Serialize};
@@ -82,9 +83,10 @@ impl Butterfly {
     /// The counted sampler behind [`Self::try_sample`]: an explicit
     /// solver `resolution` and the effort the solves cost.
     ///
-    /// Each point's solve starts from the previous point's root, which
-    /// bounds the next root from above. With `resolution = 1e-7` this is
-    /// bit-identical to [`Self::try_sample`].
+    /// Each curve is solved as its own pass; each point's solve starts
+    /// from the previous root of the same curve, which bounds the next
+    /// root from above. With `resolution = 1e-7` this is bit-identical to
+    /// [`Self::try_sample`].
     ///
     /// # Panics
     ///
@@ -100,6 +102,20 @@ impl Butterfly {
         points: usize,
         resolution: f64,
     ) -> Result<(Self, SampleEffort), EvalError> {
+        Self::try_sample_stored(cell, bias, points, resolution, None)
+    }
+
+    /// [`Self::try_sample_counted`], taking each curve that `store` holds
+    /// instead of solving it. A taken curve counts its original solve's
+    /// effort, so the butterfly and the effort are the same bits with or
+    /// without a store (see [`crate::curve_store`]).
+    pub(crate) fn try_sample_stored(
+        cell: &Sram6T,
+        bias: &BiasCondition,
+        points: usize,
+        resolution: f64,
+        store: Option<&CurveStore>,
+    ) -> Result<(Self, SampleEffort), EvalError> {
         assert!(points >= 2, "need at least two grid points, got {points}");
         let vdd = cell.vdd();
         if !vdd.is_finite() {
@@ -107,36 +123,33 @@ impl Butterfly {
                 context: "supply voltage",
             });
         }
-        let mut effort = SampleEffort::default();
-        let mut grid = Vec::with_capacity(points);
-        let mut curve_a = Vec::with_capacity(points);
-        let mut curve_b = Vec::with_capacity(points);
-        for i in 0..points {
-            let vin = vdd * i as f64 / (points - 1) as f64;
-            grid.push(vin);
-            let mut solve = |right: bool, hint: Option<f64>| {
-                let v = cell.solve_vtc(right, bias, vin, hint, resolution);
-                effort.solves += 1;
-                effort.newton_iters += u64::from(v.iters);
-                v.v
+        let grid: Vec<f64> = (0..points)
+            .map(|i| vdd * i as f64 / (points - 1) as f64)
+            .collect();
+        let curve = |right: bool| {
+            let solve = || solve_curve(cell, bias, right, &grid, resolution);
+            match store {
+                Some(store) => store.curve(cell, bias, right, points, resolution, solve),
+                None => solve(),
+            }
+        };
+        let (curve_a, iters_a) = curve(true);
+        let (curve_b, iters_b) = curve(false);
+        // A curve stops short at its first non-finite point; the earlier
+        // stop (curve A at a tie) is the one a point-by-point sweep of
+        // both curves meets first.
+        if curve_a.len() < points || curve_b.len() < points {
+            let context = if curve_a.len() <= curve_b.len() {
+                "butterfly curve A"
+            } else {
+                "butterfly curve B"
             };
-            // The VTCs are monotone decreasing, so each curve's previous
-            // root bounds its next one from above.
-            let a = solve(true, curve_a.last().copied());
-            let b = solve(false, curve_b.last().copied());
-            if !a.is_finite() {
-                return Err(EvalError::NonFinite {
-                    context: "butterfly curve A",
-                });
-            }
-            if !b.is_finite() {
-                return Err(EvalError::NonFinite {
-                    context: "butterfly curve B",
-                });
-            }
-            curve_a.push(a);
-            curve_b.push(b);
+            return Err(EvalError::NonFinite { context });
         }
+        let effort = SampleEffort {
+            solves: 2 * points as u64,
+            newton_iters: iters_a + iters_b,
+        };
         Ok((
             Self {
                 grid,
@@ -168,6 +181,31 @@ impl Butterfly {
     pub fn points_b(&self) -> impl DoubleEndedIterator<Item = (f64, f64)> + '_ {
         self.curve_b.iter().copied().zip(self.grid.iter().copied())
     }
+}
+
+/// One half-cell transfer curve on `grid` (the right half when `right`)
+/// and the Newton evaluations it cost. The curve stops before its first
+/// non-finite point.
+fn solve_curve(
+    cell: &Sram6T,
+    bias: &BiasCondition,
+    right: bool,
+    grid: &[f64],
+    resolution: f64,
+) -> (Vec<f64>, u64) {
+    let mut outputs: Vec<f64> = Vec::with_capacity(grid.len());
+    let mut newton_iters = 0;
+    for &vin in grid {
+        // The VTCs are monotone decreasing, so the previous root bounds
+        // the next one from above.
+        let v = cell.solve_vtc(right, bias, vin, outputs.last().copied(), resolution);
+        newton_iters += u64::from(v.iters);
+        if !v.v.is_finite() {
+            break;
+        }
+        outputs.push(v.v);
+    }
+    (outputs, newton_iters)
 }
 
 #[cfg(test)]

@@ -20,6 +20,9 @@
 //!   safeguarded-Newton solves for the read voltage-transfer curves
 //!   (exploiting that node current is monotone in node voltage for this
 //!   topology).
+//! * [`curve_store`] — a bounded store of solved half-cell transfer
+//!   curves, so shifted copies of a sample that leave one half's devices
+//!   as they were take that half's curve instead of solving it again.
 //! * [`butterfly`] / [`snm`] — butterfly curve construction and the
 //!   Seevinck maximum-embedded-square static noise margin, extended with a
 //!   signed (negative) margin for read-unstable cells so that bisection
@@ -55,6 +58,7 @@
 #![deny(unsafe_code)]
 
 pub mod butterfly;
+pub mod curve_store;
 pub mod error;
 pub mod lu;
 pub mod model;

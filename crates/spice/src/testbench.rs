@@ -19,6 +19,7 @@
 //! flow.
 
 use crate::butterfly::{Butterfly, SampleEffort};
+use crate::curve_store::{CurveReuse, CurveStore};
 use crate::error::EvalError;
 use crate::ptm::{paper_geometry, A_VTH_EFFECTIVE};
 use crate::snm::{try_read_noise_margin, SnmReport};
@@ -115,6 +116,13 @@ impl SolveCounters {
 }
 
 /// A point-in-time copy of [`SolveCounters`].
+///
+/// The counters hold the effort behind the verdicts, whether a
+/// half-cell curve was solved or taken from the bench's curve store
+/// ([`crate::curve_store`]): a reused curve books the curve points and Newton
+/// evaluations of the solve that produced it, so a snapshot never
+/// depends on what the store held. [`ReadStabilityBench::curve_reuse`]
+/// counts the reuse itself.
 ///
 /// Upstream, `ecripse_core`'s `SolveEffort` reports `newton_iters`
 /// under the same name and `curve_solves` as `factorisations`.
@@ -378,11 +386,13 @@ pub struct ReadStabilityBench {
     cell: Sram6T,
     config: BenchConfig,
     counters: Arc<SolveCounters>,
+    curves: Arc<CurveStore>,
 }
 
 impl PartialEq for ReadStabilityBench {
     fn eq(&self, other: &Self) -> bool {
-        // Effort counters are observability state, not identity.
+        // Effort counters and stored curves are observability and
+        // speed, not identity.
         self.cell == other.cell && self.config == other.config
     }
 }
@@ -418,6 +428,7 @@ impl ReadStabilityBench {
                 .with_temperature_delta(config.temperature_delta_c),
             config,
             counters: Arc::new(SolveCounters::default()),
+            curves: Arc::default(),
         }
     }
 
@@ -431,6 +442,14 @@ impl ReadStabilityBench {
     /// feed one ledger).
     pub fn effort(&self) -> EffortSnapshot {
         self.counters.snapshot()
+    }
+
+    /// Half-cell curves this bench and every clone of it took from their
+    /// shared curve store ([`crate::curve_store`]) instead of solving
+    /// them. Reuse never shows in
+    /// [`Self::effort`]: a reused curve books its original solve's effort.
+    pub fn curve_reuse(&self) -> CurveReuse {
+        self.curves.reuse()
     }
 
     /// The underlying nominal cell.
@@ -487,7 +506,8 @@ impl ReadStabilityBench {
         grid_points: usize,
         kind: MarginKind,
     ) -> Result<f64, EvalError> {
-        let (butterfly, effort) = Butterfly::try_sample_counted(cell, bias, grid_points, 1e-7)?;
+        let (butterfly, effort) =
+            Butterfly::try_sample_stored(cell, bias, grid_points, 1e-7, Some(&self.curves))?;
         ledger.record(&effort);
         let margin = kind.extract(&try_read_noise_margin(&butterfly)?);
         if !margin.is_finite() {
@@ -592,12 +612,12 @@ impl ReadStabilityBench {
     /// A clone of this bench on a fresh ledger of its own: its effort
     /// (and its clones') is counted there, not on this bench's shared
     /// ledger. [`Self::effort`] of the clone is the receipt to
-    /// [`Self::book`] here once its work should count.
+    /// [`Self::book`] here once its work should count. The clone shares
+    /// this bench's curve store.
     pub fn on_fresh_ledger(&self) -> Self {
         Self {
-            cell: self.cell.clone(),
-            config: self.config,
             counters: Arc::new(SolveCounters::default()),
+            ..self.clone()
         }
     }
 
@@ -615,7 +635,13 @@ impl ReadStabilityBench {
             let grid = self.config.grid_points << attempt.min(MAX_GRID_ESCALATION);
             return Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin)? < 0.0);
         }
-        let coarse = Butterfly::try_sample_counted(&cell, &bias, COARSE_POINTS, COARSE_RESOLUTION);
+        let coarse = Butterfly::try_sample_stored(
+            &cell,
+            &bias,
+            COARSE_POINTS,
+            COARSE_RESOLUTION,
+            Some(&self.curves),
+        );
         if let Ok((coarse_bfly, effort)) = coarse {
             ledger.record(&effort);
             if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
@@ -1140,5 +1166,79 @@ mod tests {
             bench.margin(WriteMargin, &read_dir) > 0.0,
             "read-failing skew should still write"
         );
+    }
+}
+
+#[cfg(test)]
+mod curve_store_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `after − before`, counter by counter.
+    fn spent(after: EffortSnapshot, before: EffortSnapshot) -> EffortSnapshot {
+        EffortSnapshot {
+            newton_iters: after.newton_iters - before.newton_iters,
+            curve_solves: after.curve_solves - before.curve_solves,
+            coarse_accepts: after.coarse_accepts - before.coarse_accepts,
+            escalations: after.escalations - before.escalations,
+        }
+    }
+
+    /// Whitened RTN quantum of one trap, as a shift of a load or driver.
+    const TRAP: f64 = 0.4;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One RDF sample and RTN-style copies of it, each shifting the
+        /// loads and drivers of the left half, the right half or both by
+        /// whole trap counts (zero counts repeat a half exactly). A bench
+        /// that keeps its curve store across every scenario and copy
+        /// gives the verdicts, margin bits and effort of a fresh bench
+        /// that solves every curve: on the shared ledger and in detached
+        /// receipts.
+        #[test]
+        fn stored_curves_change_no_verdict_margin_or_effort(
+            x in proptest::collection::vec(-4.0f64..4.0, 6),
+            copies in proptest::collection::vec((0usize..3, 0u32..3, 0u32..3), 1..5),
+            attempt in 0usize..3,
+        ) {
+            let stored = ReadStabilityBench::paper_cell();
+            let sigmas = stored.pelgrom_sigmas();
+            for scenario in Scenario::ALL {
+                for &(halves, load_traps, driver_traps) in &copies {
+                    let mut z = x.clone();
+                    for (right, load, driver) in [(false, 0, 1), (true, 2, 3)] {
+                        if halves == 2 || (halves == 1) == right {
+                            z[load] += f64::from(load_traps) * TRAP;
+                            z[driver] += f64::from(driver_traps) * TRAP;
+                        }
+                    }
+                    let fresh = ReadStabilityBench::paper_cell();
+                    let want = fresh.try_fails_whitened(scenario, &z, attempt);
+                    let before = stored.effort();
+                    let got = stored.try_fails_whitened(scenario, &z, attempt);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(spent(stored.effort(), before), fresh.effort());
+
+                    let before = stored.effort();
+                    let (detached, receipt) =
+                        stored.try_fails_whitened_detached(scenario, &z, attempt);
+                    prop_assert_eq!(&detached, &want);
+                    prop_assert_eq!(receipt, fresh.effort());
+                    prop_assert_eq!(stored.effort(), before);
+
+                    let dv: Vec<f64> = z.iter().zip(&sigmas).map(|(z, s)| z * s).collect();
+                    let fresh = ReadStabilityBench::paper_cell();
+                    let want = fresh.try_margin(scenario, &dv).map(f64::to_bits);
+                    let before = stored.effort();
+                    let got = stored.try_margin(scenario, &dv).map(f64::to_bits);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(spent(stored.effort(), before), fresh.effort());
+                }
+            }
+            // Every detached evaluation repeats the shared one before it.
+            prop_assert!(stored.curve_reuse().hits > 0);
+        }
     }
 }

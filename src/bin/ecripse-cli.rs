@@ -21,6 +21,9 @@
 //! ecripse-cli trace    JOB_ID --addr HOST:PORT [--json]
 //! ```
 //!
+//! Each subcommand accepts only the flags listed for it: any other
+//! `--key` is an error that names it, and `--help` prints the usage.
+//!
 //! `--scenario NAME` picks the indicator function the run estimates —
 //! any id from the scenario registry (`read-snm` by default, plus
 //! `hold-snm`, `write-margin` and `powerup-puf`). See `SCENARIOS.md`
@@ -189,6 +192,30 @@ impl Args {
     }
 }
 
+/// The `--key`s each subcommand reads, values and switches alike,
+/// separated by spaces; `None` for a name that is not a subcommand.
+fn known_keys(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "estimate" => {
+            "vdd scenario alpha no-rtn samples tolerance seed threads report progress trace-log"
+        }
+        "sweep" => {
+            "vdd scenario points samples m-rtn seed threads report checkpoint resume keep-going \
+             trace-log"
+        }
+        "margin" => "vdd dvth",
+        "naive" => "vdd alpha no-rtn samples seed",
+        "serve" => "addr workers queue spool cache-store journal join worker-name",
+        "cluster" => "addr heartbeat-ms timeout-ms shard-points max-jobs",
+        "submit" => {
+            "addr vdd scenario alpha no-rtn samples seed threads timeout deadline \
+             idempotency-key retry points m-rtn"
+        }
+        "trace" => "addr job timeout json",
+        _ => return None,
+    })
+}
+
 /// Writes any serialisable report as pretty-printed JSON at `path`.
 fn write_report_json<T: serde::Serialize>(path: &str, report: &T) -> Result<(), String> {
     let json = serde_json::to_string_pretty(report).map_err(|e| format!("--report {path}: {e}"))?;
@@ -323,10 +350,10 @@ fn render_waterfall(trace: &JobTrace) -> String {
     out
 }
 
-fn usage() {
+fn usage() -> String {
     let scenario_ids: Vec<&str> = registry().iter().map(|info| info.id).collect();
-    eprintln!(
-        "usage: ecripse-cli <estimate|sweep|margin|naive|serve|cluster|submit> [options]\n\
+    format!(
+        "usage: ecripse-cli <estimate|sweep|margin|naive|serve|cluster|submit|trace> [options]\n\
          \n\
          scenarios: {} (default read-snm; see SCENARIOS.md)\n\
          \n\
@@ -368,15 +395,34 @@ fn usage() {
          trace     fetch a job's distributed trace and render a waterfall\n\
          \x20          trace JOB_ID --addr HOST:PORT (required)  --json (raw span document)",
         scenario_ids.join(", ")
-    );
+    )
 }
 
 fn run() -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
-        usage();
+        eprintln!("{}", usage());
         return Err("missing subcommand".into());
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") || rest.iter().any(|a| a == "--help") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let Some(known) = known_keys(cmd) else {
+        eprintln!("{}", usage());
+        return Err(format!("unknown subcommand '{cmd}'"));
+    };
+    // Each subcommand reads only its own keys, so any other one would be
+    // silently ignored: refuse it before doing any work.
+    if let Some(key) = rest
+        .iter()
+        .filter_map(|a| a.strip_prefix("--"))
+        .find(|key| !known.split_whitespace().any(|k| k == *key))
+    {
+        return Err(format!(
+            "{cmd}: unknown flag --{key} (ecripse-cli {cmd} --help lists the flags)"
+        ));
+    }
     // `trace` takes its job id as a leading positional (`trace 3 --addr
     // …`); peel it off before the `--key value` parser, which rejects
     // bare arguments everywhere else.
@@ -844,11 +890,7 @@ fn run() -> Result<(), String> {
                 print!("{}", render_waterfall(&trace));
             }
         }
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            usage();
-            return Err(format!("unknown subcommand '{other}'"));
-        }
+        other => unreachable!("subcommand '{other}' has keys but no arm"),
     }
     Ok(())
 }

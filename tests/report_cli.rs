@@ -111,6 +111,42 @@ fn cli_estimate_writes_a_consistent_report() {
 }
 
 #[test]
+fn cli_rejects_unknown_flags_and_prints_usage_for_help() {
+    let cli = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ecripse-cli"))
+            .args(args)
+            .output()
+            .expect("ecripse-cli runs")
+    };
+    // `--help` prints the usage and runs nothing.
+    for cmd in ["estimate", "sweep", "margin"] {
+        let out = cli(&[cmd, "--help"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{cmd} --help failed");
+        assert!(stdout.starts_with("usage: ecripse-cli"), "{cmd}: {stdout}");
+        assert!(!stdout.contains("P_fail ="), "{cmd} --help ran: {stdout}");
+    }
+    // A flag the subcommand does not read is an error that names it,
+    // before any work: nothing on stdout.
+    for (bad, flag) in [
+        (&["estimate", "--smaples", "10"][..], "--smaples"),
+        (&["estimate", "--no-rtn", "--points", "3"], "--points"),
+        (&["sweep", "--point", "3"], "--point"),
+        (&["margin", "--seed", "1"], "--seed"),
+    ] {
+        let out = cli(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "{bad:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bad:?} ran anyway");
+    }
+}
+
+#[test]
 fn cli_progress_goes_to_stderr_and_trace_log_is_jsonl() {
     let dir = std::env::temp_dir().join(format!("ecripse-trace-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");

@@ -106,3 +106,33 @@ fn low_supply_raises_failure_probability() {
         hi.p_fail
     );
 }
+
+#[test]
+fn rtn_copies_reuse_half_cell_curves_and_rdf_only_runs_do_not() {
+    // RTN copies of one sample shift only loads and drivers, by whole
+    // trap counts, so some leave a half-cell's devices as they were and
+    // its curve is taken from the bench's store. A one-thread run is
+    // schedule-free, so the count is pinned. RDF-only samples never
+    // repeat a half.
+    let mut cfg = tiny_config();
+    cfg.seed = 1;
+    cfg.threads = 1;
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
+    let rtn = SramRtn::paper_model(0.5, bench.sigmas());
+    Ecripse::with_rtn(cfg, bench.clone(), rtn)
+        .estimate()
+        .expect("rtn run");
+    let reuse = bench.circuit().curve_reuse();
+    assert_eq!(reuse.hits, 134, "{reuse:?}");
+    assert!(reuse.misses > 10 * reuse.hits, "{reuse:?}");
+
+    let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
+    cfg.importance.m_rtn = 1;
+    cfg.m_rtn_stage1 = 1;
+    Ecripse::new(cfg, bench.clone())
+        .estimate()
+        .expect("rdf run");
+    let reuse = bench.circuit().curve_reuse();
+    assert_eq!(reuse.hits, 0, "{reuse:?}");
+    assert!(reuse.misses > 0);
+}
