@@ -28,14 +28,20 @@
 //! # Failover
 //!
 //! Workers heartbeat (see [`mod@crate::join`]); the reaper marks a silent
-//! worker dead after [`ClusterConfig::heartbeat_timeout`]. A dead
-//! worker's unfinished shards are re-dispatched to survivors under
-//! their *original* idempotency keys (`cluster/job-{id}/shard-{s}`),
-//! so a worker that merely restarted answers the re-dispatch with its
-//! journaled job instead of recomputing, and no shard can ever be
-//! counted twice. The merge is keyed by global point index, not
-//! arrival order — reassignment cannot change the result, only the
-//! wall-clock.
+//! worker dead after [`ClusterConfig::heartbeat_timeout`]. Every remote
+//! job — each sweep shard, and a forwarded estimate as a one-slot
+//! dispatch — runs through one supervisor loop with one policy. A job
+//! whose worker was reaped, answers `404`, or reports it `cancelled` or
+//! `persisted` is lost and re-dispatched to a survivor under its
+//! *original* idempotency key (`cluster/job-{id}/shard-{s}` or
+//! `cluster/job-{id}/estimate`), so a worker that merely restarted
+//! answers the re-dispatch with its journaled job instead of
+//! recomputing, and no shard can ever be counted twice. A transport
+//! error is never a loss on its own. A worker-side failure or deadline,
+//! an unreadable report, or a completed report without the outcome its
+//! kind needs ends the job, and the still-running remote jobs are
+//! cancelled. The merge is keyed by global point index, not arrival
+//! order — reassignment cannot change the result, only the wall-clock.
 
 use crate::protocol::{
     ClusterMetrics, ClusterWorkers, HeartbeatRequest, MetricRollup, RegisterRequest,
@@ -43,7 +49,7 @@ use crate::protocol::{
 };
 use crate::registry::WorkerRegistry;
 use crate::ring::HashRing;
-use ecripse_core::sweep::{merge_sweep_shards, SweepShard};
+use ecripse_core::sweep::{merge_sweep_shards, SweepResult, SweepShard};
 use ecripse_core::telemetry::{
     escape_label_value, fmt_hex_id, prom_scalar, MetricsRegistry, SpanRecord, TraceContext,
 };
@@ -113,20 +119,21 @@ struct ClusterJob {
     /// The job's trace context: `traceparent` header, then the body's
     /// `trace` field, then derived from `(id, seed)` — in that order.
     trace: TraceContext,
-    /// Coordinator-side spans (job root + one per shard), recorded when
-    /// the dispatch ends.
+    /// Coordinator-side spans (job root + one per dispatched slot),
+    /// recorded when the dispatch ends.
     spans: Vec<SpanRecord>,
-    /// `(worker addr, remote job id)` for every shard dispatch, kept so
+    /// `(worker addr, remote job id)` for every slot dispatch, kept so
     /// `GET /v1/jobs/{id}/trace` can fan out to the workers that held
-    /// the shards.
-    shard_sources: Vec<(String, u64)>,
+    /// the slots.
+    sources: Vec<(String, u64)>,
 }
 
 struct State {
     jobs: HashMap<u64, ClusterJob>,
     next_id: u64,
     idempotency: HashMap<String, u64>,
-    /// Dispatcher threads, one per accepted job; joined at shutdown.
+    /// Dispatcher threads, one per accepted job: each submission joins
+    /// those that have finished, and shutdown joins the rest.
     dispatchers: Vec<std::thread::JoinHandle<()>>,
     /// Non-terminal jobs (bounds dispatcher concurrency).
     active: usize,
@@ -552,8 +559,8 @@ fn render_federated_prometheus(shared: &Arc<Shared>, metrics: &ClusterMetrics) -
 
 /// `GET /v1/jobs/{id}/trace`: the coordinator's own spans merged with a
 /// best-effort fan-out to every worker that held one of the job's
-/// shards, sorted into one waterfall. Workers that no longer remember
-/// the shard (ring eviction, restart without the span buffer) are
+/// slots, sorted into one waterfall. Workers that no longer remember
+/// the job (ring eviction, restart without the span buffer) are
 /// simply absent — the coordinator spans still frame the job.
 fn trace_document(shared: &Arc<Shared>, id: u64) -> Response {
     let (trace, mut spans, sources) = {
@@ -561,7 +568,7 @@ fn trace_document(shared: &Arc<Shared>, id: u64) -> Response {
         let Some(job) = state.jobs.get(&id) else {
             return error_response(404, "unknown_job", format!("no job {id}"));
         };
-        (job.trace, job.spans.clone(), job.shard_sources.clone())
+        (job.trace, job.spans.clone(), job.sources.clone())
     };
     let trace_id = fmt_hex_id(trace.trace_id);
     for (addr, remote_id) in sources {
@@ -812,7 +819,7 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
             stop,
             trace,
             spans: Vec::new(),
-            shard_sources: Vec::new(),
+            sources: Vec::new(),
         },
     );
     if let Some(key) = &request.idempotency_key {
@@ -823,6 +830,15 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
         let shared = Arc::clone(shared);
         std::thread::spawn(move || dispatch_job(&shared, id))
     };
+    // Join the dispatchers that have already finished, so a
+    // long-running coordinator holds one handle per live job rather
+    // than one per job it ever accepted.
+    for finished in state
+        .dispatchers
+        .extract_if(.., |handle| handle.is_finished())
+    {
+        let _ = finished.join();
+    }
     state.dispatchers.push(dispatcher);
     drop(state);
     shared
@@ -854,29 +870,83 @@ enum DispatchEnd {
     Failed(String),
 }
 
-/// One sweep shard's lifecycle inside the dispatcher.
-struct ShardSlot {
-    /// Global grid indices (strictly increasing).
-    indices: Vec<u64>,
-    /// The duty ratios at those indices.
-    alphas: Vec<f64>,
-    /// Idempotency key, stable across re-dispatches.
-    key: String,
-    /// The worker currently assigned, `(name, addr)`.
-    worker: Option<(String, String)>,
-    /// The shard's job id on that worker.
-    remote_id: Option<u64>,
-    /// The completed shard, once merged-ready.
-    done: Option<SweepShard>,
-    /// The shard span's deterministic id (child of the job root span).
+/// One remote job inside the dispatcher — a sweep shard or a whole
+/// forwarded estimate. Both kinds run through the same supervisor.
+struct Slot {
+    /// The worker submission, built at plan time. Its idempotency key
+    /// is stable across re-dispatches, and its trace parents the
+    /// worker's job span to this slot's span.
+    request: SubmitRequest,
+    /// The coordinator span this slot records: `shard-{first}` or
+    /// `estimate`.
+    span_name: String,
+    /// The span's deterministic id (child of the job root span).
     span_id: u64,
-    /// First successful dispatch; the shard span opens here.
+    /// The current assignment, `(worker name, addr, remote job id)`.
+    assigned: Option<(String, String, u64)>,
+    /// The worker's completed report, carrying the slot kind's outcome.
+    done: Option<JobReport>,
+    /// First successful dispatch; the slot span opens here.
     started_at: Option<Instant>,
-    /// Completion observed by the poller; the shard span closes here.
+    /// Completion observed by the poller; the slot span closes here.
     finished_at: Option<Instant>,
-    /// Every `(worker addr, remote id)` the shard was dispatched to —
+    /// Every `(worker addr, remote id)` the slot was dispatched to —
     /// kept across reassignment so the trace fan-out can query each.
     sources: Vec<(String, u64)>,
+}
+
+impl Slot {
+    /// A slot of job `id` shipping `request`, traced as the span
+    /// `span_name` below the job root. Its idempotency key is
+    /// `cluster/job-{id}/{span_name}`, so a re-dispatch reuses it and a
+    /// restarted worker answers with its journaled job.
+    fn new(
+        mut request: SubmitRequest,
+        id: u64,
+        span_name: String,
+        tracing: &JobTraceState,
+    ) -> Self {
+        let span_id = tracing.root_context().span_id(&span_name);
+        request.idempotency_key = Some(format!("cluster/job-{id}/{span_name}"));
+        // The worker's job span parents to the slot span, chaining
+        // client → coordinator → worker in one trace.
+        request.trace = Some(TraceContext {
+            trace_id: tracing.trace.trace_id,
+            parent_span_id: span_id,
+        });
+        Self {
+            request,
+            span_name,
+            span_id,
+            assigned: None,
+            done: None,
+            started_at: None,
+            finished_at: None,
+            sources: Vec::new(),
+        }
+    }
+
+    fn key(&self) -> &str {
+        self.request.idempotency_key.as_deref().unwrap_or_default()
+    }
+
+    /// `shard {key}` or `estimate {key}`, for logs and error messages.
+    fn label(&self) -> String {
+        let kind = match self.request.job.kind {
+            JobKind::Sweep => "shard",
+            JobKind::Estimate => "estimate",
+        };
+        format!("{kind} {}", self.key())
+    }
+
+    /// Drops the assignment so the next round re-dispatches the slot.
+    fn unassign(&mut self, shared: &Shared) {
+        self.assigned = None;
+        shared
+            .counters
+            .shards_reassigned
+            .fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The coordinator-side tracing state one dispatch accumulates: the
@@ -917,9 +987,9 @@ fn wall_ts(shared: &Shared, at: Instant) -> f64 {
             .unwrap_or_default()
 }
 
-/// Folds every dispatched shard's timing into coordinator-side spans
+/// Folds every dispatched slot's timing into coordinator-side spans
 /// and collects the `(addr, remote id)` pairs the trace fan-out needs.
-fn record_shard_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[ShardSlot]) {
+fn record_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[Slot]) {
     for slot in slots {
         for source in &slot.sources {
             if !tracing.sources.contains(source) {
@@ -934,10 +1004,7 @@ fn record_shard_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[Sha
             trace_id: fmt_hex_id(tracing.trace.trace_id),
             span_id: fmt_hex_id(slot.span_id),
             parent_span_id: fmt_hex_id(tracing.root_span_id),
-            name: format!(
-                "shard-{}",
-                slot.indices.first().copied().unwrap_or_default()
-            ),
+            name: slot.span_name.clone(),
             node: "coordinator".to_string(),
             start_ts: wall_ts(shared, started),
             duration_s: finished
@@ -967,11 +1034,8 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
         .map(|ms| accepted_at + Duration::from_millis(ms));
     let mut tracing = JobTraceState::new(trace);
     let dispatch_started = Instant::now();
-    let outcome = match request.job.kind {
-        JobKind::Sweep => run_sweep(shared, id, &request, &stop, deadline, &mut tracing),
-        JobKind::Estimate => forward_estimate(shared, id, &request, &stop, deadline, &mut tracing),
-    };
-    // The job root span covers the whole dispatch — shard spans nest
+    let outcome = run_job(shared, id, &request, &stop, deadline, &mut tracing);
+    // The job root span covers the whole dispatch — slot spans nest
     // inside it, and the workers' own job spans nest inside those.
     tracing.spans.insert(
         0,
@@ -1018,7 +1082,7 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
         job.error = error;
         job.report = report;
         job.spans = tracing.spans;
-        job.shard_sources = tracing.sources;
+        job.sources = tracing.sources;
     }
 }
 
@@ -1073,19 +1137,19 @@ fn check_interrupts(
     Ok(())
 }
 
-/// Best-effort cancel of every still-assigned worker-side shard.
-fn cancel_remotes(shared: &Shared, slots: &[ShardSlot]) {
-    for slot in slots {
-        if slot.done.is_some() {
-            continue;
-        }
-        if let (Some((_, addr)), Some(remote_id)) = (&slot.worker, slot.remote_id) {
-            let _ = poll_client(shared, addr).cancel(remote_id);
+/// Best-effort cancel of every unfinished slot's remote job.
+fn cancel_remotes(shared: &Shared, slots: &[Slot]) {
+    for slot in slots.iter().filter(|slot| slot.done.is_none()) {
+        if let Some((_, addr, remote_id)) = &slot.assigned {
+            let _ = poll_client(shared, addr).cancel(*remote_id);
         }
     }
 }
 
-fn run_sweep(
+/// Plans the job's slots — a sweep's shards, or one slot for an
+/// estimate — runs them through [`supervise`], records their spans
+/// whatever the outcome, and assembles the report.
+fn run_job(
     shared: &Arc<Shared>,
     id: u64,
     request: &SubmitRequest,
@@ -1093,146 +1157,229 @@ fn run_sweep(
     deadline: Option<Instant>,
     tracing: &mut JobTraceState,
 ) -> Result<JobReport, DispatchEnd> {
-    let alphas = request.job.alphas.clone().unwrap_or_default();
-    let total = alphas.len();
-    let mut slots = plan_shards(shared, id, &alphas, stop, deadline)?;
-    let child_context = tracing.root_context();
-    for slot in &mut slots {
-        let first = slot.indices.first().copied().unwrap_or_default();
-        slot.span_id = child_context.span_id(&format!("shard-{first}"));
-    }
-    let looped = sweep_loop(shared, id, request, stop, deadline, tracing, &mut slots);
-    // Win or lose, the dispatched shards become coordinator spans and
+    let mut slots = match request.job.kind {
+        JobKind::Sweep => plan_shards(shared, id, request, stop, deadline, tracing)?,
+        // An estimate has nothing to split: it ships whole.
+        JobKind::Estimate => vec![Slot::new(
+            request.clone(),
+            id,
+            "estimate".to_string(),
+            tracing,
+        )],
+    };
+    let supervised = supervise(shared, id, stop, deadline, &mut slots);
+    // Win or lose, the dispatched slots become coordinator spans and
     // trace fan-out sources.
-    record_shard_slots(shared, tracing, &slots);
-    looped?;
-    let shards: Vec<SweepShard> = slots.into_iter().filter_map(|slot| slot.done).collect();
-    let (result, reports) = merge_sweep_shards(total, &shards)
-        .map_err(|e| DispatchEnd::Failed(format!("shard merge failed: {e}")))?;
-    Ok(JobReport {
+    record_slots(shared, tracing, &slots);
+    supervised?;
+    let mut report = JobReport {
         id,
         scenario: request.scenario,
         state: JobState::Completed,
         error: None,
         estimate: None,
-        sweep: Some(SweepOutcome {
-            p_fail_rdf_only: result.p_fail_rdf_only,
-            rdf_only_ci95: result.rdf_only_ci95,
-            init_simulations: result.init_simulations,
-            total_simulations: result.total_simulations,
-            points: result.points,
-            reports,
-        }),
+        sweep: None,
         trace_id: Some(fmt_hex_id(tracing.trace.trace_id)),
+    };
+    match request.job.kind {
+        JobKind::Sweep => {
+            let total = request.job.alphas.as_ref().map_or(0, Vec::len);
+            report.sweep = Some(merge_shards(total, slots)?);
+        }
+        JobKind::Estimate => report.estimate = slots.pop().and_then(|slot| slot.done?.estimate),
+    }
+    Ok(report)
+}
+
+/// Merges the completed shard slots by global point index.
+fn merge_shards(total: usize, slots: Vec<Slot>) -> Result<SweepOutcome, DispatchEnd> {
+    let shards: Vec<SweepShard> = slots
+        .into_iter()
+        .filter_map(|slot| {
+            let outcome = slot.done?.sweep?;
+            Some(SweepShard {
+                indices: slot.request.job.alpha_indices.unwrap_or_default(),
+                result: SweepResult {
+                    points: outcome.points,
+                    p_fail_rdf_only: outcome.p_fail_rdf_only,
+                    rdf_only_ci95: outcome.rdf_only_ci95,
+                    init_simulations: outcome.init_simulations,
+                    total_simulations: outcome.total_simulations,
+                },
+                reports: outcome.reports,
+            })
+        })
+        .collect();
+    let (result, reports) = merge_sweep_shards(total, &shards)
+        .map_err(|e| DispatchEnd::Failed(format!("shard merge failed: {e}")))?;
+    Ok(SweepOutcome {
+        p_fail_rdf_only: result.p_fail_rdf_only,
+        rdf_only_ci95: result.rdf_only_ci95,
+        init_simulations: result.init_simulations,
+        total_simulations: result.total_simulations,
+        points: result.points,
+        reports,
     })
 }
 
-/// The shard dispatch/poll loop, extracted from [`run_sweep`] so the
-/// caller can flush shard spans on *every* exit path.
-fn sweep_loop(
-    shared: &Arc<Shared>,
+/// The one loop every remote job runs through. Each round honours
+/// cancel, deadline and drain, re-dispatches the slots whose worker was
+/// reaped or lost them, and polls the rest, until every slot holds its
+/// report. However the loop ends short, the still-running remote jobs
+/// are cancelled.
+fn supervise(
+    shared: &Shared,
     id: u64,
-    request: &SubmitRequest,
     stop: &AtomicBool,
     deadline: Option<Instant>,
-    tracing: &JobTraceState,
-    slots: &mut [ShardSlot],
+    slots: &mut [Slot],
 ) -> Result<(), DispatchEnd> {
     loop {
-        if let Err(end) = check_interrupts(shared, stop, deadline) {
-            cancel_remotes(shared, slots);
-            return Err(end);
-        }
-        let ring = live_ring(shared);
-        let mut all_done = true;
-        for slot in slots.iter_mut() {
-            if slot.done.is_some() {
-                continue;
-            }
-            all_done = false;
-            // A reaped owner invalidates the assignment even when the
-            // socket still answers (a hung process can hold its port).
-            if let Some((name, _)) = &slot.worker {
-                if !shared.registry.is_alive(name) {
-                    slot.worker = None;
-                    slot.remote_id = None;
-                    shared
-                        .counters
-                        .shards_reassigned
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            match (slot.worker.clone(), slot.remote_id) {
-                (None, _) => {
-                    let Some((ring, addrs)) = &ring else {
-                        continue; // no live workers; wait for one
-                    };
-                    let Some(owner) = ring.owner(&slot.key) else {
-                        continue;
-                    };
-                    let Some(addr) = addrs.get(owner) else {
-                        continue;
-                    };
-                    let mut shard_request = shard_submit_request(request, slot);
-                    // The shard runs under the coordinator's shard span:
-                    // the worker's job span parents to it, chaining
-                    // client → coordinator → worker in one trace.
-                    shard_request.trace = Some(TraceContext {
-                        trace_id: tracing.trace.trace_id,
-                        parent_span_id: slot.span_id,
-                    });
-                    match submit_client(shared, addr).submit(&shard_request) {
-                        Ok(status) => {
-                            slot.worker = Some((owner.to_string(), addr.clone()));
-                            slot.remote_id = Some(status.id);
-                            if slot.started_at.is_none() {
-                                slot.started_at = Some(Instant::now());
-                            }
-                            let source = (addr.clone(), status.id);
-                            if !slot.sources.contains(&source) {
-                                slot.sources.push(source);
-                            }
-                            shared
-                                .counters
-                                .shards_dispatched
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        // The worker may have just died or be saturated;
-                        // the next round re-picks an owner.
-                        Err(_) => continue,
+        let round = check_interrupts(shared, stop, deadline).and_then(|()| {
+            let ring = live_ring(shared);
+            let mut all_done = true;
+            for slot in slots.iter_mut().filter(|slot| slot.done.is_none()) {
+                all_done = false;
+                // A reaped owner invalidates the assignment even when
+                // the socket still answers (a hung process can hold its
+                // port).
+                if let Some((name, _, _)) = &slot.assigned {
+                    if !shared.registry.is_alive(name) {
+                        slot.unassign(shared);
                     }
                 }
-                (Some((name, addr)), Some(remote_id)) => {
-                    match poll_shard(shared, &addr, remote_id, slot)? {
-                        ShardPoll::Pending => {}
-                        ShardPoll::Done => {
-                            if slot.finished_at.is_none() {
-                                slot.finished_at = Some(Instant::now());
-                            }
-                        }
-                        ShardPoll::Lost => {
-                            let lost_name = name.clone();
-                            slot.worker = None;
-                            slot.remote_id = None;
-                            shared
-                                .counters
-                                .shards_reassigned
-                                .fetch_add(1, Ordering::Relaxed);
-                            eprintln!(
-                                "ecripse-cluster: job {id}: shard {} lost on worker {lost_name}; reassigning",
-                                slot.key
-                            );
-                        }
-                    }
+                if slot.assigned.is_some() {
+                    poll_slot(shared, id, slot)?;
+                } else if let Some((ring, addrs)) = &ring {
+                    submit_slot(shared, ring, addrs, slot);
                 }
-                (Some(_), None) => unreachable!("assigned shard without a remote id"),
+            }
+            Ok(all_done)
+        });
+        match round {
+            Ok(true) => return Ok(()),
+            Ok(false) => std::thread::sleep(shared.config.poll_interval),
+            Err(end) => {
+                cancel_remotes(shared, slots);
+                return Err(end);
             }
         }
-        if all_done {
-            return Ok(());
-        }
-        std::thread::sleep(shared.config.poll_interval);
     }
+}
+
+/// Submits an unassigned slot to its ring owner. A failed submission
+/// (the worker may have just died or be saturated) leaves the slot
+/// unassigned, and the next round re-picks an owner.
+fn submit_slot(shared: &Shared, ring: &HashRing, addrs: &HashMap<String, String>, slot: &mut Slot) {
+    let Some(owner) = ring.owner(slot.key()) else {
+        return;
+    };
+    let Some(addr) = addrs.get(owner) else {
+        return;
+    };
+    let Ok(status) = submit_client(shared, addr).submit(&slot.request) else {
+        return;
+    };
+    slot.assigned = Some((owner.to_string(), addr.clone(), status.id));
+    slot.started_at.get_or_insert_with(Instant::now);
+    let source = (addr.clone(), status.id);
+    if !slot.sources.contains(&source) {
+        slot.sources.push(source);
+    }
+    let dispatched = match slot.request.job.kind {
+        JobKind::Sweep => &shared.counters.shards_dispatched,
+        JobKind::Estimate => &shared.counters.estimates_forwarded,
+    };
+    dispatched.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Polls an assigned slot once. A queued or running job, or a transport
+/// error, leaves the slot pending. A job its worker no longer holds is
+/// lost, and the slot is re-dispatched. A completed job whose report
+/// carries the outcome the slot's kind needs finishes the slot; any
+/// other end fails the whole job.
+fn poll_slot(shared: &Shared, id: u64, slot: &mut Slot) -> Result<(), DispatchEnd> {
+    let Some((name, addr, remote_id)) = slot.assigned.clone() else {
+        return Ok(());
+    };
+    let client = poll_client(shared, &addr);
+    let lost = match client.status(remote_id) {
+        Ok(status) => match status.state {
+            JobState::Queued | JobState::Running => false,
+            JobState::Completed => return finish_slot(shared, &client, remote_id, slot),
+            JobState::Failed => {
+                return Err(DispatchEnd::Failed(format!(
+                    "{} failed on its worker: {}",
+                    slot.label(),
+                    status.error.unwrap_or_else(|| "no error recorded".into())
+                )))
+            }
+            JobState::DeadlineExceeded => return Err(DispatchEnd::DeadlineExceeded(status.error)),
+            // Cancelled directly on the worker, behind the
+            // coordinator's back (an operator DELETE, or a spool-less
+            // worker draining its queue at shutdown), or persisted as a
+            // checkpoint by a graceful drain. The coordinator itself
+            // only cancels remotes after the loop has ended, so the work
+            // is still wanted: a restart resumes it under the same
+            // idempotency key, or a survivor recomputes it.
+            JobState::Cancelled | JobState::Persisted => true,
+        },
+        // The worker answers but no longer knows the job: it restarted
+        // without a journal (or with an empty one).
+        Err(ClientError::Api { status: 404, .. }) => true,
+        // A dead worker shows up as refused connections *and* a reaped
+        // registry entry; the aliveness check at the top of the round
+        // owns that transition. A transient error alone is not a loss.
+        Err(_) => false,
+    };
+    if lost {
+        eprintln!(
+            "ecripse-cluster: job {id}: {} lost on worker {name}; reassigning",
+            slot.label()
+        );
+        slot.unassign(shared);
+    }
+    Ok(())
+}
+
+/// Fetches a completed slot's report. A transport error leaves the slot
+/// pending; an unreadable report, or one without the outcome the
+/// slot's kind needs, fails the job.
+fn finish_slot(
+    shared: &Shared,
+    client: &Client,
+    remote_id: u64,
+    slot: &mut Slot,
+) -> Result<(), DispatchEnd> {
+    let report = match client.report(remote_id) {
+        Ok(report) => report,
+        Err(ClientError::Io(_)) => return Ok(()),
+        Err(e) => {
+            return Err(DispatchEnd::Failed(format!(
+                "{} completed but its report is unreadable: {e}",
+                slot.label()
+            )))
+        }
+    };
+    let (has_outcome, outcome) = match slot.request.job.kind {
+        JobKind::Sweep => (report.sweep.is_some(), "a sweep"),
+        JobKind::Estimate => (report.estimate.is_some(), "an estimate"),
+    };
+    if !has_outcome {
+        return Err(DispatchEnd::Failed(format!(
+            "{} completed without {outcome} outcome",
+            slot.label()
+        )));
+    }
+    if slot.request.job.kind == JobKind::Sweep {
+        shared
+            .counters
+            .shards_completed
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    slot.done = Some(report);
+    slot.finished_at = Some(Instant::now());
+    Ok(())
 }
 
 /// Builds the shard plan: every point's key hashes to an owner on the
@@ -1242,10 +1389,11 @@ fn sweep_loop(
 fn plan_shards(
     shared: &Arc<Shared>,
     id: u64,
-    alphas: &[f64],
+    request: &SubmitRequest,
     stop: &AtomicBool,
     deadline: Option<Instant>,
-) -> Result<Vec<ShardSlot>, DispatchEnd> {
+    tracing: &JobTraceState,
+) -> Result<Vec<Slot>, DispatchEnd> {
     let (ring, _) = loop {
         check_interrupts(shared, stop, deadline)?;
         if let Some(live) = live_ring(shared) {
@@ -1253,6 +1401,7 @@ fn plan_shards(
         }
         std::thread::sleep(shared.config.poll_interval);
     };
+    let alphas = request.job.alphas.as_deref().unwrap_or_default();
     let mut by_owner: HashMap<String, Vec<usize>> = HashMap::new();
     for k in 0..alphas.len() {
         let owner = ring
@@ -1268,25 +1417,19 @@ fn plan_shards(
     let chunk = shared.config.shard_points.max(1);
     let mut slots = Vec::new();
     for owner in owners {
-        let points = &by_owner[&owner];
-        for run in points.chunks(chunk) {
+        for run in by_owner[&owner].chunks(chunk) {
             let indices: Vec<u64> = run.iter().map(|&k| k as u64).collect();
             let shard_alphas: Vec<f64> = run.iter().map(|&k| alphas[k]).collect();
-            // The key is derived from the shard's first global index —
-            // stable across re-dispatches, unique within the job.
-            let key = format!("cluster/job-{id}/shard-{}", indices[0]);
-            slots.push(ShardSlot {
-                indices,
-                alphas: shard_alphas,
-                key,
-                worker: None,
-                remote_id: None,
-                done: None,
-                span_id: 0,
-                started_at: None,
-                finished_at: None,
-                sources: Vec::new(),
-            });
+            // The span name (and so the key) derives from the shard's
+            // first global index — stable across re-dispatches, unique
+            // within the job.
+            let span_name = format!("shard-{}", indices[0]);
+            slots.push(Slot::new(
+                shard_submit_request(request, shard_alphas, indices),
+                id,
+                span_name,
+                tracing,
+            ));
         }
     }
     Ok(slots)
@@ -1294,229 +1437,20 @@ fn plan_shards(
 
 /// The serve submission one shard ships as: the job's config and
 /// scenario verbatim (bit-identity), the shard's alphas and global
-/// indices, the deadline passed through, the stable idempotency key.
-fn shard_submit_request(request: &SubmitRequest, slot: &ShardSlot) -> SubmitRequest {
+/// indices, and the deadline passed through. [`Slot::new`] adds the
+/// idempotency key and the trace.
+fn shard_submit_request(
+    request: &SubmitRequest,
+    alphas: Vec<f64>,
+    indices: Vec<u64>,
+) -> SubmitRequest {
     let mut shard = SubmitRequest::with_scenario(
         request.scenario,
         request.config,
-        JobSpec::sweep_shard(request.job.vdd, slot.alphas.clone(), slot.indices.clone()),
+        JobSpec::sweep_shard(request.job.vdd, alphas, indices),
     );
     shard.deadline_ms = request.deadline_ms;
-    shard.idempotency_key = Some(slot.key.clone());
     shard
-}
-
-/// What one status poll of a dispatched shard concluded.
-enum ShardPoll {
-    /// Still queued or running.
-    Pending,
-    /// Completed; `slot.done` is populated.
-    Done,
-    /// The worker lost it (crash without journal, restart, drain):
-    /// re-dispatch.
-    Lost,
-}
-
-fn poll_shard(
-    shared: &Shared,
-    addr: &str,
-    remote_id: u64,
-    slot: &mut ShardSlot,
-) -> Result<ShardPoll, DispatchEnd> {
-    let client = poll_client(shared, addr);
-    let status = match client.status(remote_id) {
-        Ok(status) => status,
-        // A dead worker shows up as refused connections *and* a reaped
-        // registry entry; the aliveness check at the top of the round
-        // owns that transition. A transient error alone is not a loss.
-        Err(ClientError::Io(_)) => return Ok(ShardPoll::Pending),
-        // The worker answers but no longer knows the job: it restarted
-        // without a journal (or with an empty one). Re-dispatch.
-        Err(ClientError::Api { status: 404, .. }) => return Ok(ShardPoll::Lost),
-        Err(_) => return Ok(ShardPoll::Pending),
-    };
-    match status.state {
-        JobState::Completed => {
-            let report = match client.report(remote_id) {
-                Ok(report) => report,
-                Err(ClientError::Io(_)) => return Ok(ShardPoll::Pending),
-                Err(e) => {
-                    return Err(DispatchEnd::Failed(format!(
-                        "shard {} completed but its report is unreadable: {e}",
-                        slot.key
-                    )))
-                }
-            };
-            let Some(outcome) = report.sweep else {
-                return Err(DispatchEnd::Failed(format!(
-                    "shard {} completed without a sweep outcome",
-                    slot.key
-                )));
-            };
-            slot.done = Some(SweepShard {
-                indices: slot.indices.clone(),
-                result: ecripse_core::sweep::SweepResult {
-                    points: outcome.points,
-                    p_fail_rdf_only: outcome.p_fail_rdf_only,
-                    rdf_only_ci95: outcome.rdf_only_ci95,
-                    init_simulations: outcome.init_simulations,
-                    total_simulations: outcome.total_simulations,
-                },
-                reports: outcome.reports,
-            });
-            shared
-                .counters
-                .shards_completed
-                .fetch_add(1, Ordering::Relaxed);
-            Ok(ShardPoll::Done)
-        }
-        JobState::Failed => Err(DispatchEnd::Failed(format!(
-            "shard {} failed on its worker: {}",
-            slot.key,
-            status.error.unwrap_or_else(|| "no error recorded".into())
-        ))),
-        JobState::DeadlineExceeded => Err(DispatchEnd::DeadlineExceeded(status.error)),
-        // Cancelled directly on the worker, behind the coordinator's
-        // back: an operator DELETE, or a spool-less worker draining its
-        // queue at shutdown. The coordinator itself only cancels remotes
-        // after `check_interrupts` has already ended the dispatch loop,
-        // so from here a cancellation just means the shard will never
-        // finish *there* — the work itself is still wanted. Re-dispatch,
-        // exactly like `persisted`.
-        JobState::Cancelled => Ok(ShardPoll::Lost),
-        // The worker drained gracefully and persisted the shard as a
-        // checkpoint; a restart resumes it under the same idempotency
-        // key, or a survivor recomputes it. Either way: re-dispatch.
-        JobState::Persisted => Ok(ShardPoll::Lost),
-        JobState::Queued | JobState::Running => Ok(ShardPoll::Pending),
-    }
-}
-
-fn forward_estimate(
-    shared: &Arc<Shared>,
-    id: u64,
-    request: &SubmitRequest,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-    tracing: &mut JobTraceState,
-) -> Result<JobReport, DispatchEnd> {
-    let key = format!("cluster/job-{id}/estimate");
-    let estimate_span_id = tracing.root_context().span_id("estimate");
-    let mut estimate_started: Option<Instant> = None;
-    let mut assignment: Option<(String, String, u64)> = None;
-    loop {
-        if let Err(end) = check_interrupts(shared, stop, deadline) {
-            if let Some((_, addr, remote_id)) = &assignment {
-                let _ = poll_client(shared, addr).cancel(*remote_id);
-            }
-            return Err(end);
-        }
-        if let Some((name, _, _)) = &assignment {
-            if !shared.registry.is_alive(name) {
-                assignment = None;
-                shared
-                    .counters
-                    .shards_reassigned
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        match &assignment {
-            None => {
-                let Some((ring, addrs)) = live_ring(shared) else {
-                    std::thread::sleep(shared.config.poll_interval);
-                    continue;
-                };
-                let Some(owner) = ring.owner(&key) else {
-                    continue;
-                };
-                let Some(addr) = addrs.get(owner) else {
-                    continue;
-                };
-                let mut forwarded = request.clone();
-                forwarded.idempotency_key = Some(key.clone());
-                forwarded.trace = Some(TraceContext {
-                    trace_id: tracing.trace.trace_id,
-                    parent_span_id: estimate_span_id,
-                });
-                if let Ok(status) = submit_client(shared, addr).submit(&forwarded) {
-                    assignment = Some((owner.to_string(), addr.clone(), status.id));
-                    if estimate_started.is_none() {
-                        estimate_started = Some(Instant::now());
-                    }
-                    let source = (addr.clone(), status.id);
-                    if !tracing.sources.contains(&source) {
-                        tracing.sources.push(source);
-                    }
-                    shared
-                        .counters
-                        .estimates_forwarded
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Some((_, addr, remote_id)) => {
-                let client = poll_client(shared, addr);
-                match client.status(*remote_id) {
-                    Ok(status) if status.state == JobState::Completed => {
-                        let report = match client.report(*remote_id) {
-                            Ok(report) => report,
-                            Err(_) => {
-                                std::thread::sleep(shared.config.poll_interval);
-                                continue;
-                            }
-                        };
-                        if let Some(started) = estimate_started {
-                            tracing.spans.push(SpanRecord {
-                                trace_id: fmt_hex_id(tracing.trace.trace_id),
-                                span_id: fmt_hex_id(estimate_span_id),
-                                parent_span_id: fmt_hex_id(tracing.root_span_id),
-                                name: "estimate".to_string(),
-                                node: "coordinator".to_string(),
-                                start_ts: wall_ts(shared, started),
-                                duration_s: started.elapsed().as_secs_f64(),
-                            });
-                        }
-                        return Ok(JobReport {
-                            id,
-                            scenario: request.scenario,
-                            state: JobState::Completed,
-                            error: None,
-                            estimate: report.estimate,
-                            sweep: None,
-                            trace_id: Some(fmt_hex_id(tracing.trace.trace_id)),
-                        });
-                    }
-                    Ok(status) if status.state == JobState::Failed => {
-                        return Err(DispatchEnd::Failed(
-                            status
-                                .error
-                                .unwrap_or_else(|| "estimate failed on its worker".into()),
-                        ));
-                    }
-                    Ok(status) if status.state == JobState::DeadlineExceeded => {
-                        return Err(DispatchEnd::DeadlineExceeded(status.error));
-                    }
-                    Ok(status) if status.state.is_terminal() => {
-                        // Cancelled or persisted behind our back.
-                        assignment = None;
-                        shared
-                            .counters
-                            .shards_reassigned
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(_) => {}
-                    Err(ClientError::Api { status: 404, .. }) => {
-                        assignment = None;
-                        shared
-                            .counters
-                            .shards_reassigned
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-        std::thread::sleep(shared.config.poll_interval);
-    }
 }
 
 #[cfg(test)]
@@ -1569,6 +1503,84 @@ mod tests {
         assert_eq!(r.max, 3.0);
         assert_eq!(r.sum, 6.0);
         assert!(rollup("queue_depth", &[]).is_none());
+    }
+
+    /// A long-running coordinator must not keep every finished
+    /// dispatcher joinable: after K sequential jobs one handle is left.
+    #[test]
+    fn finished_dispatchers_are_joined_as_new_jobs_arrive() {
+        use ecripse_core::bench::LinearBench;
+        use ecripse_core::ecripse::EcripseConfig;
+        use ecripse_core::importance::ImportanceConfig;
+        use ecripse_core::initial::InitialSearchConfig;
+        use ecripse_serve::{ServeConfig, Server};
+
+        const WAIT: Duration = Duration::from_secs(120);
+        const JOBS: u64 = 4;
+        let config = ClusterConfig {
+            heartbeat_interval: Duration::from_millis(50),
+            poll_interval: Duration::from_millis(10),
+            ..ClusterConfig::default()
+        };
+        let coordinator = Coordinator::bind("127.0.0.1:0", config).expect("bind coordinator");
+        let worker = Server::bind_with("127.0.0.1:0", ServeConfig::default(), |_, _| {
+            LinearBench::new(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3.5)
+        })
+        .expect("bind worker");
+        let membership = crate::join(crate::JoinConfig::new(
+            coordinator.local_addr().to_string(),
+            "w",
+            worker.local_addr().to_string(),
+        ));
+        let client = Client::new(coordinator.local_addr().to_string());
+        client.wait_ready(WAIT).expect("ready");
+        let dispatchers = || coordinator.shared.state.lock().dispatchers.len();
+        for seed in 0..JOBS {
+            let config = EcripseConfig {
+                initial: InitialSearchConfig {
+                    count: 12,
+                    max_attempts: 2000,
+                    ..InitialSearchConfig::default()
+                },
+                iterations: 3,
+                importance: ImportanceConfig {
+                    n_samples: 250,
+                    m_rtn: 1,
+                    trace_every: 0,
+                },
+                m_rtn_stage1: 1,
+                seed,
+                ..EcripseConfig::default()
+            };
+            let request = SubmitRequest::new(config, JobSpec::rdf_only(0.7));
+            let submitted = client.submit(&request).expect("submit");
+            client
+                .wait_for_report(submitted.id, WAIT)
+                .expect("job completes");
+            // The dispatcher publishes the job's end just before its
+            // thread exits; the next submission must find it exited.
+            let until = Instant::now() + WAIT;
+            while !coordinator
+                .shared
+                .state
+                .lock()
+                .dispatchers
+                .iter()
+                .all(std::thread::JoinHandle::is_finished)
+            {
+                assert!(Instant::now() < until, "a dispatcher never exited");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(
+            dispatchers() <= 1,
+            "{} dispatcher handles kept after {JOBS} sequential jobs",
+            dispatchers()
+        );
+
+        membership.leave();
+        worker.shutdown();
+        coordinator.shutdown();
     }
 
     #[test]

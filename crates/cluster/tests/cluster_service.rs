@@ -5,14 +5,17 @@
 //! computes on its own.
 
 use ecripse_cluster::{ClusterConfig, ClusterMetrics, Coordinator, JoinConfig};
-use ecripse_core::bench::LinearBench;
+use ecripse_core::bench::{LinearBench, Testbench};
 use ecripse_core::ecripse::EcripseConfig;
 use ecripse_core::importance::ImportanceConfig;
 use ecripse_core::initial::InitialSearchConfig;
+use ecripse_core::sweep::SweepBench;
 use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
 use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, SweepOutcome};
 use ecripse_serve::{http, Client, ClientError, ServeConfig, Server};
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -70,10 +73,58 @@ fn fast_cluster() -> ClusterConfig {
     }
 }
 
-fn join_worker(
+/// A bench whose evaluations block until its gate opens: it holds a
+/// job running on one worker while a test reaps or cancels it there.
+#[derive(Clone)]
+struct GateBench {
+    inner: LinearBench,
+    gate: Arc<AtomicBool>,
+}
+
+impl Testbench for GateBench {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn fails(&self, z: &[f64]) -> bool {
+        while !self.gate.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.inner.fails(z)
+    }
+}
+
+impl SweepBench for GateBench {
+    fn sigmas(&self) -> [f64; 6] {
+        SweepBench::sigmas(&self.inner)
+    }
+}
+
+/// A named worker whose benches wait on `gate`.
+fn bind_gated_worker(name: &str, gate: &Arc<AtomicBool>) -> Server<GateBench> {
+    let config = ServeConfig {
+        node: Some(name.to_string()),
+        ..ServeConfig::default()
+    };
+    let gate = Arc::clone(gate);
+    Server::bind_with("127.0.0.1:0", config, move |_scenario, _vdd| GateBench {
+        inner: linear_bench(),
+        gate: Arc::clone(&gate),
+    })
+    .expect("bind gated worker")
+}
+
+/// Whether the worker at `addr` is running a job right now.
+fn runs_a_job(addr: std::net::SocketAddr) -> bool {
+    Client::new(addr.to_string())
+        .metrics()
+        .is_ok_and(|metrics| metrics.in_flight > 0)
+}
+
+fn join_worker<B: SweepBench + 'static>(
     coordinator: &Coordinator,
     name: &str,
-    worker: &Server<LinearBench>,
+    worker: &Server<B>,
 ) -> ecripse_cluster::JoinHandle {
     ecripse_cluster::join(JoinConfig::new(
         coordinator.local_addr().to_string(),
@@ -188,6 +239,151 @@ fn estimates_forward_whole_and_match_a_direct_run() {
         "forwarded estimate must match a direct run"
     );
     assert!(coordinator.metrics().estimates_forwarded_total >= 1);
+
+    membership.leave();
+    worker.shutdown();
+    coordinator.shutdown();
+}
+
+/// A forwarded estimate is a one-slot dispatch: when its worker is
+/// reaped mid-job, the slot moves to the survivor under the same
+/// idempotency key, and the result still equals a direct run.
+#[test]
+fn a_reaped_workers_estimate_finishes_on_the_survivor() {
+    let request = SubmitRequest::new(tiny_config(37), JobSpec::estimate(0.7, 0.5));
+    let single = bind_worker();
+    let single_client = Client::new(single.local_addr().to_string());
+    let submitted = single_client.submit(&request).expect("submit baseline");
+    let mut baseline = single_client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("baseline completes")
+        .estimate
+        .expect("baseline estimate outcome");
+    single.shutdown();
+
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let mut workers: Vec<_> = ["est-a", "est-b"]
+        .into_iter()
+        .map(|name| {
+            let gate = Arc::new(AtomicBool::new(false));
+            let worker = bind_gated_worker(name, &gate);
+            let membership = join_worker(&coordinator, name, &worker);
+            (gate, worker, membership)
+        })
+        .collect();
+    let until = Instant::now() + WAIT;
+    while coordinator.metrics().workers_alive < 2 {
+        assert!(Instant::now() < until, "both workers never joined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let client = Client::new(coordinator.local_addr().to_string());
+    let submitted = client.submit(&request).expect("submit estimate");
+
+    // The estimate's worker holds it at its closed gate; the other
+    // worker's gate opens, and the first stops heartbeating.
+    let victim = loop {
+        assert!(Instant::now() < until, "the estimate never started");
+        if let Some(k) = workers
+            .iter()
+            .position(|(_, w, _)| runs_a_job(w.local_addr()))
+        {
+            break k;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let (victim_gate, victim, victim_membership) = workers.remove(victim);
+    let (survivor_gate, survivor, survivor_membership) = workers.remove(0);
+    survivor_gate.store(true, Ordering::SeqCst);
+    victim_membership.leave();
+
+    let report = client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("the estimate survives its worker's death");
+    assert_eq!(report.state, JobState::Completed);
+    let mut forwarded = report.estimate.expect("forwarded estimate outcome");
+    baseline.report.strip_timings();
+    forwarded.report.strip_timings();
+    assert_eq!(
+        forwarded, baseline,
+        "a reassigned estimate must match a direct run"
+    );
+    let metrics = coordinator.metrics();
+    assert!(
+        metrics.shards_reassigned_total >= 1,
+        "the reaped worker's estimate was never reassigned"
+    );
+    assert!(
+        metrics.estimates_forwarded_total >= 2,
+        "expected the first dispatch and a re-dispatch, saw {}",
+        metrics.estimates_forwarded_total
+    );
+
+    victim_gate.store(true, Ordering::SeqCst);
+    victim.shutdown();
+    survivor_membership.leave();
+    survivor.shutdown();
+    coordinator.shutdown();
+}
+
+/// A forwarded estimate cancelled while its worker runs it still
+/// leaves its coordinator `estimate` span under the job root, and the
+/// worker's job span parents to that span.
+#[test]
+fn a_cancelled_estimate_keeps_its_coordinator_span() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let gate = Arc::new(AtomicBool::new(false));
+    let worker = bind_gated_worker("cancel-w", &gate);
+    let membership = join_worker(&coordinator, "cancel-w", &worker);
+    let client = Client::new(coordinator.local_addr().to_string());
+    client.wait_ready(WAIT).expect("ready");
+
+    let context = TraceContext::for_job(5151, 29);
+    let request =
+        SubmitRequest::new(tiny_config(29), JobSpec::estimate(0.7, 0.5)).with_trace(context);
+    let submitted = client.submit(&request).expect("submit traced estimate");
+    let until = Instant::now() + WAIT;
+    while !runs_a_job(worker.local_addr()) {
+        assert!(Instant::now() < until, "the estimate never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.cancel(submitted.id).expect("cancel accepted");
+    match client.wait(submitted.id, WAIT) {
+        Err(ClientError::Cancelled { id }) => assert_eq!(id, submitted.id),
+        other => panic!("expected the estimate to drain to cancelled, got {other:?}"),
+    }
+    // With the gate open the worker reaches a boundary, sees the
+    // coordinator's cancel and stores its job span.
+    gate.store(true, Ordering::SeqCst);
+    let trace = loop {
+        let trace = client.trace(submitted.id).expect("merged trace document");
+        if trace.spans.iter().any(|span| span.node == "cancel-w") {
+            break trace;
+        }
+        assert!(Instant::now() < until, "no span from the worker");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let coordinator_span = |name: &str| {
+        trace
+            .spans
+            .iter()
+            .find(|span| span.node == "coordinator" && span.name == name)
+            .unwrap_or_else(|| panic!("no coordinator {name} span"))
+    };
+    let root = coordinator_span("job");
+    let estimate = coordinator_span("estimate");
+    assert_eq!(
+        estimate.parent_span_id, root.span_id,
+        "the estimate span parents to the job root"
+    );
+    let worker_job = trace
+        .spans
+        .iter()
+        .find(|span| span.node == "cancel-w" && span.name == "job")
+        .expect("the worker's job span");
+    assert_eq!(
+        worker_job.parent_span_id, estimate.span_id,
+        "the worker's job span parents to the coordinator estimate span"
+    );
 
     membership.leave();
     worker.shutdown();

@@ -224,98 +224,47 @@ impl Client {
         self
     }
 
-    fn request(
+    /// One request on a fresh connection: connect, bound both socket
+    /// directions by the timeout, write the request, read the response.
+    fn send(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> Result<http::RawResponse, ClientError> {
-        self.request_with_headers(method, path, body, &[])
-    }
-
-    fn request_with_headers(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
+        accept: &str,
         extra_headers: &[(&str, &str)],
     ) -> Result<http::RawResponse, ClientError> {
         let mut stream = TcpStream::connect(&self.addr)?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
-        http::write_request_with_headers(
-            &mut stream,
-            method,
-            path,
-            body,
-            "application/json",
-            extra_headers,
-        )?;
+        http::write_request_with_headers(&mut stream, method, path, body, accept, extra_headers)?;
         Ok(http::read_response(&mut stream)?)
     }
 
-    fn expect_json_once_with_headers<T: Deserialize>(
+    /// A JSON call: a `2xx` body decoded as `T`, anything else decoded
+    /// by [`api_error`]. Retried under the configured policy, if any.
+    fn call<T: Deserialize>(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> Result<T, ClientError> {
-        let (status, headers, text) =
-            self.request_with_headers(method, path, body, extra_headers)?;
-        if (200..300).contains(&status) {
-            return serde_json::from_str(&text)
-                .map_err(|e| ClientError::Protocol(format!("bad {path} response body: {e}")));
-        }
-        let error: Option<ApiError> = serde_json::from_str(&text).ok();
-        if status == 429 {
-            let retry_after_seconds = error
-                .as_ref()
-                .and_then(|e| e.retry_after_seconds)
-                .or_else(|| {
-                    headers
-                        .iter()
-                        .find(|(n, _)| n == "retry-after")
-                        .and_then(|(_, v)| v.parse().ok())
-                })
-                .unwrap_or(1);
-            return Err(ClientError::Busy {
-                retry_after_seconds,
-            });
-        }
-        let (code, message) = error
-            .map(|e| (e.error, e.message))
-            .unwrap_or_else(|| ("unknown".to_string(), text));
-        Err(ClientError::Api {
-            status,
-            code,
-            message,
-        })
-    }
-
-    fn expect_json<T: Deserialize>(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<T, ClientError> {
-        self.expect_json_with_headers(method, path, body, &[])
-    }
-
-    fn expect_json_with_headers<T: Deserialize>(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        extra_headers: &[(&str, &str)],
-    ) -> Result<T, ClientError> {
+        let once = || {
+            let (status, headers, text) =
+                self.send(method, path, body, "application/json", extra_headers)?;
+            if !(200..300).contains(&status) {
+                return Err(api_error(status, &headers, text));
+            }
+            serde_json::from_str(&text)
+                .map_err(|e| ClientError::Protocol(format!("bad {path} response body: {e}")))
+        };
         let Some(policy) = &self.retry else {
-            return self.expect_json_once_with_headers(method, path, body, extra_headers);
+            return once();
         };
         let mut attempt = 0u32;
         loop {
-            match self.expect_json_once_with_headers(method, path, body, extra_headers) {
-                Ok(value) => return Ok(value),
+            match once() {
                 Err(error)
                     if attempt + 1 < policy.max_attempts && BackoffPolicy::retryable(&error) =>
                 {
@@ -333,7 +282,7 @@ impl Client {
                     std::thread::sleep(delay);
                     attempt += 1;
                 }
-                Err(error) => return Err(error),
+                result => return result,
             }
         }
     }
@@ -350,18 +299,12 @@ impl Client {
         // A trace-carrying submission also sends the `traceparent`
         // header — the wire field and the header agree, and servers
         // (or proxies) that only look at headers still see the trace.
-        match &request.trace {
-            Some(trace) => {
-                let traceparent = trace.traceparent();
-                self.expect_json_with_headers(
-                    "POST",
-                    "/v1/jobs",
-                    Some(&body),
-                    &[("traceparent", &traceparent)],
-                )
-            }
-            None => self.expect_json("POST", "/v1/jobs", Some(&body)),
-        }
+        let traceparent = request.trace.map(|trace| trace.traceparent());
+        let headers: Vec<(&str, &str)> = traceparent
+            .iter()
+            .map(|value| ("traceparent", value.as_str()))
+            .collect();
+        self.call("POST", "/v1/jobs", Some(&body), &headers)
     }
 
     /// Fetches a job's lifecycle snapshot (`GET /v1/jobs/{id}`).
@@ -370,7 +313,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn status(&self, id: u64) -> Result<JobStatus, ClientError> {
-        self.expect_json("GET", &format!("/v1/jobs/{id}"), None)
+        self.call("GET", &format!("/v1/jobs/{id}"), None, &[])
     }
 
     /// Fetches a terminal job's full report (`GET /v1/jobs/{id}/report`).
@@ -380,7 +323,7 @@ impl Client {
     /// [`ClientError::Api`] with code `not_ready` while the job is
     /// still queued or running.
     pub fn report(&self, id: u64) -> Result<JobReport, ClientError> {
-        self.expect_json("GET", &format!("/v1/jobs/{id}/report"), None)
+        self.call("GET", &format!("/v1/jobs/{id}/report"), None, &[])
     }
 
     /// Fetches a job's span timeline (`GET /v1/jobs/{id}/trace`). The
@@ -392,7 +335,7 @@ impl Client {
     ///
     /// [`ClientError::Api`] with code `unknown_job` for unknown ids.
     pub fn trace(&self, id: u64) -> Result<JobTrace, ClientError> {
-        self.expect_json("GET", &format!("/v1/jobs/{id}/trace"), None)
+        self.call("GET", &format!("/v1/jobs/{id}/trace"), None, &[])
     }
 
     /// Cancels a job (`DELETE /v1/jobs/{id}`). A queued job lands in
@@ -405,7 +348,7 @@ impl Client {
     /// [`ClientError::Api`] with code `conflict` when the job already
     /// finished.
     pub fn cancel(&self, id: u64) -> Result<JobStatus, ClientError> {
-        self.expect_json("DELETE", &format!("/v1/jobs/{id}"), None)
+        self.call("DELETE", &format!("/v1/jobs/{id}"), None, &[])
     }
 
     /// Fetches `GET /healthz`.
@@ -414,7 +357,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn health(&self) -> Result<Health, ClientError> {
-        self.expect_json("GET", "/healthz", None)
+        self.call("GET", "/healthz", None, &[])
     }
 
     /// Fetches `GET /readyz`. The [`Readiness`] body parses from both
@@ -428,20 +371,12 @@ impl Client {
     pub fn readiness(&self) -> Result<Readiness, ClientError> {
         // Deliberately single-attempt even with retries configured: a
         // readiness probe's job is to report the node's state *now*.
-        let (status, _, text) = self.request("GET", "/readyz", None)?;
-        if status == 200 || status == 503 {
-            return serde_json::from_str(&text)
-                .map_err(|e| ClientError::Protocol(format!("bad /readyz response body: {e}")));
+        let (status, headers, text) = self.send("GET", "/readyz", None, "application/json", &[])?;
+        if status != 200 && status != 503 {
+            return Err(api_error(status, &headers, text));
         }
-        let error: Option<ApiError> = serde_json::from_str(&text).ok();
-        let (code, message) = error
-            .map(|e| (e.error, e.message))
-            .unwrap_or_else(|| ("unknown".to_string(), text));
-        Err(ClientError::Api {
-            status,
-            code,
-            message,
-        })
+        serde_json::from_str(&text)
+            .map_err(|e| ClientError::Protocol(format!("bad /readyz response body: {e}")))
     }
 
     /// Checks the server speaks this client's protocol version.
@@ -466,7 +401,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn metrics(&self) -> Result<Metrics, ClientError> {
-        self.expect_json("GET", "/metrics", None)
+        self.call("GET", "/metrics", None, &[])
     }
 
     /// Fetches `GET /metrics` as Prometheus text exposition (the
@@ -476,19 +411,11 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn metrics_prometheus(&self) -> Result<String, ClientError> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        http::write_request_accepting(&mut stream, "GET", "/metrics", None, "text/plain")?;
-        let (status, _, body) = http::read_response(&mut stream)?;
-        if (200..300).contains(&status) {
-            return Ok(body);
+        let (status, headers, text) = self.send("GET", "/metrics", None, "text/plain", &[])?;
+        if !(200..300).contains(&status) {
+            return Err(api_error(status, &headers, text));
         }
-        Err(ClientError::Api {
-            status,
-            code: "unknown".to_string(),
-            message: body,
-        })
+        Ok(text)
     }
 
     /// Polls a job's status until it reaches a terminal state, with
@@ -584,6 +511,38 @@ impl Client {
     pub fn wait_for_report(&self, id: u64, timeout: Duration) -> Result<JobReport, ClientError> {
         self.wait(id, timeout)?;
         self.report(id)
+    }
+}
+
+/// Decodes a non-`2xx` response. A `429` is [`ClientError::Busy`],
+/// with the body's `Retry-After` hint, else the header's, else 1 s.
+/// Anything else is [`ClientError::Api`] with the body's error code and
+/// message, or `unknown` and the raw body when the body is not an API
+/// error document.
+fn api_error(status: u16, headers: &[(String, String)], text: String) -> ClientError {
+    let error: Option<ApiError> = serde_json::from_str(&text).ok();
+    if status == 429 {
+        let retry_after_seconds = error
+            .as_ref()
+            .and_then(|e| e.retry_after_seconds)
+            .or_else(|| {
+                headers
+                    .iter()
+                    .find(|(n, _)| n == "retry-after")
+                    .and_then(|(_, v)| v.parse().ok())
+            })
+            .unwrap_or(1);
+        return ClientError::Busy {
+            retry_after_seconds,
+        };
+    }
+    let (code, message) = error
+        .map(|e| (e.error, e.message))
+        .unwrap_or_else(|| ("unknown".to_string(), text));
+    ClientError::Api {
+        status,
+        code,
+        message,
     }
 }
 

@@ -839,6 +839,23 @@ fn journal_terminal<B>(shared: &Shared<B>, id: u64, state: JobState, error: Opti
     }
 }
 
+/// Ends a queued job whose deadline passed before a worker took it:
+/// the terminal state, its message and the counter. The caller
+/// journals the returned error with [`journal_terminal`] once the state
+/// lock is released.
+fn expire_queued<B>(shared: &Shared<B>, record: &mut JobRecord) -> Option<String> {
+    record.state = JobState::DeadlineExceeded;
+    record.error = Some(format!(
+        "deadline of {}ms exceeded while queued",
+        record.deadline_ms.unwrap_or(0)
+    ));
+    shared
+        .counters
+        .deadline_exceeded
+        .fetch_add(1, Ordering::Relaxed);
+    record.error.clone()
+}
+
 /// The deadline watchdog: every 20ms it expires queued jobs whose
 /// budget ran out (straight to [`JobState::DeadlineExceeded`]) and
 /// raises the stop flag of running jobs past theirs — the worker then
@@ -866,16 +883,7 @@ fn deadline_monitor<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
             for id in due {
                 state.queue.retain(|&queued| queued != id);
                 if let Some(record) = state.jobs.get_mut(&id) {
-                    record.state = JobState::DeadlineExceeded;
-                    record.error = Some(format!(
-                        "deadline of {}ms exceeded while queued",
-                        record.deadline_ms.unwrap_or(0)
-                    ));
-                    shared
-                        .counters
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    expired.push((id, record.error.clone()));
+                    expired.push((id, expire_queued(shared, record)));
                 }
             }
             for record in state.jobs.values_mut() {
@@ -1459,16 +1467,7 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                         .deadline
                         .is_some_and(|deadline| deadline <= Instant::now())
                     {
-                        record.state = JobState::DeadlineExceeded;
-                        record.error = Some(format!(
-                            "deadline of {}ms exceeded while queued",
-                            record.deadline_ms.unwrap_or(0)
-                        ));
-                        let error = record.error.clone();
-                        shared
-                            .counters
-                            .deadline_exceeded
-                            .fetch_add(1, Ordering::Relaxed);
+                        let error = expire_queued(shared, record);
                         drop(state);
                         journal_terminal(shared, id, JobState::DeadlineExceeded, error);
                         state = lock_state(shared);
