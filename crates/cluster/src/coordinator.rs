@@ -11,6 +11,16 @@
 //! apart; pointing an existing deployment at a coordinator is a config
 //! change, not a code change.
 //!
+//! # Job state
+//!
+//! Jobs live in serve's [`JobTable`], the one a single server keeps:
+//! admission, idempotency keys, status, report and cancel answers are
+//! the same code in both processes. Each job's local part holds only
+//! what the coordinator adds — its own spans and the worker jobs the
+//! trace fan-out queries. The coordinator's own policy stays here: it
+//! refuses pre-sharded sweeps, bounds the jobs in flight, and runs one
+//! dispatcher thread per job.
+//!
 //! # Sharding
 //!
 //! A sweep's duty grid is partitioned over the live workers by a
@@ -56,9 +66,10 @@ use ecripse_core::telemetry::{
 use ecripse_serve::http::{
     self, error_response, json_body, parse_body, with_job_id, FrontDoor, Limits, Request, Response,
 };
+use ecripse_serve::jobs::{JobLocal, JobOutput, JobTable};
 use ecripse_serve::protocol::{
-    ApiError, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics, SubmitRequest,
-    SweepOutcome, PROTOCOL_VERSION,
+    ApiError, JobKind, JobSpec, JobState, JobTrace, Metrics, SubmitRequest, SweepOutcome,
+    PROTOCOL_VERSION,
 };
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
 use std::collections::{HashMap, HashSet};
@@ -107,20 +118,11 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Everything the coordinator remembers about one job.
-struct ClusterJob {
-    request: SubmitRequest,
-    state: JobState,
-    error: Option<String>,
-    report: Option<JobReport>,
-    accepted_at: Instant,
-    /// Cooperative cancel flag, raised by `DELETE /v1/jobs/{id}`.
-    stop: Arc<AtomicBool>,
-    /// The job's trace context: `traceparent` header, then the body's
-    /// `trace` field, then derived from `(id, seed)` — in that order.
-    trace: TraceContext,
-    /// Coordinator-side spans (job root + one per dispatched slot),
-    /// recorded when the dispatch ends.
+/// What the coordinator keeps per job beside the shared record,
+/// published when the dispatch ends.
+#[derive(Default)]
+struct TraceSources {
+    /// Coordinator-side spans (job root + one per dispatched slot).
     spans: Vec<SpanRecord>,
     /// `(worker addr, remote job id)` for every slot dispatch, kept so
     /// `GET /v1/jobs/{id}/trace` can fan out to the workers that held
@@ -128,10 +130,10 @@ struct ClusterJob {
     sources: Vec<(String, u64)>,
 }
 
+impl JobLocal for TraceSources {}
+
 struct State {
-    jobs: HashMap<u64, ClusterJob>,
-    next_id: u64,
-    idempotency: HashMap<String, u64>,
+    jobs: JobTable<TraceSources>,
     /// Dispatcher threads, one per accepted job: each submission joins
     /// those that have finished, and shutdown joins the rest.
     dispatchers: Vec<std::thread::JoinHandle<()>>,
@@ -193,9 +195,7 @@ impl Coordinator {
             config,
             registry: WorkerRegistry::new(),
             state: parking_lot::Mutex::new(State {
-                jobs: HashMap::new(),
-                next_id: 1,
-                idempotency: HashMap::new(),
+                jobs: JobTable::default(),
                 dispatchers: Vec::new(),
                 active: 0,
             }),
@@ -306,10 +306,20 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(shared, request),
-        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| status(shared, id)),
-        ("GET", ["v1", "jobs", id, "report"]) => with_job_id(id, |id| report(shared, id)),
+        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| {
+            let status = shared.state.lock().jobs.get(id)?.status(None);
+            Ok(Response::json(200, json_body(&status)))
+        }),
+        ("GET", ["v1", "jobs", id, "report"]) => {
+            with_job_id(id, |id| shared.state.lock().jobs.report_response(id))
+        }
         ("GET", ["v1", "jobs", id, "trace"]) => with_job_id(id, |id| trace_document(shared, id)),
-        ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel(shared, id)),
+        // Cooperative, like a running job on a single server: the
+        // dispatcher observes the stop flag, cancels the worker-side
+        // jobs and drains the job to `cancelled`.
+        ("DELETE", ["v1", "jobs", id]) => {
+            with_job_id(id, |id| shared.state.lock().jobs.cancel_response(id))
+        }
         ("POST", ["v1", "cluster", "register"]) => register(shared, &request.body),
         ("POST", ["v1", "cluster", "heartbeat"]) => heartbeat(shared, &request.body),
         ("GET", ["v1", "cluster", "workers"]) => workers(shared),
@@ -562,13 +572,15 @@ fn render_federated_prometheus(shared: &Arc<Shared>, metrics: &ClusterMetrics) -
 /// slots, sorted into one waterfall. Workers that no longer remember
 /// the job (ring eviction, restart without the span buffer) are
 /// simply absent — the coordinator spans still frame the job.
-fn trace_document(shared: &Arc<Shared>, id: u64) -> Response {
+fn trace_document(shared: &Arc<Shared>, id: u64) -> Result<Response, Response> {
     let (trace, mut spans, sources) = {
         let state = shared.state.lock();
-        let Some(job) = state.jobs.get(&id) else {
-            return error_response(404, "unknown_job", format!("no job {id}"));
-        };
-        (job.trace, job.spans.clone(), job.sources.clone())
+        let job = state.jobs.get(id)?;
+        (
+            job.trace(),
+            job.local.spans.clone(),
+            job.local.sources.clone(),
+        )
     };
     let trace_id = fmt_hex_id(trace.trace_id);
     for (addr, remote_id) in sources {
@@ -593,14 +605,14 @@ fn trace_document(shared: &Arc<Shared>, id: u64) -> Response {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.span_id.cmp(&b.span_id))
     });
-    Response::json(
+    Ok(Response::json(
         200,
         json_body(&JobTrace {
             job_id: id,
             trace_id,
             spans,
         }),
-    )
+    ))
 }
 
 fn render_prometheus(m: &ClusterMetrics) -> String {
@@ -685,10 +697,7 @@ fn render_prometheus(m: &ClusterMetrics) -> String {
 /// request, so the in-process [`Coordinator::metrics`] snapshot stays
 /// cheap and lock-free of worker sockets.
 fn metrics_response(shared: &Arc<Shared>, request: &Request) -> Response {
-    let wants_prometheus = request
-        .header("accept")
-        .is_some_and(|accept| accept.contains("text/plain"));
-    if wants_prometheus {
+    if http::wants_prometheus(request) {
         let metrics = collect_metrics(shared);
         Response::text(200, render_federated_prometheus(shared, &metrics))
     } else {
@@ -696,70 +705,8 @@ fn metrics_response(shared: &Arc<Shared>, request: &Request) -> Response {
     }
 }
 
-fn job_status(state: &State, id: u64) -> Option<JobStatus> {
-    let job = state.jobs.get(&id)?;
-    Some(JobStatus {
-        id,
-        scenario: job.request.scenario,
-        state: job.state,
-        queue_position: None,
-        error: job.error.clone(),
-        progress: None,
-        trace_id: Some(fmt_hex_id(job.trace.trace_id)),
-    })
-}
-
-fn status(shared: &Arc<Shared>, id: u64) -> Response {
-    match job_status(&shared.state.lock(), id) {
-        Some(status) => Response::json(200, json_body(&status)),
-        None => error_response(404, "unknown_job", format!("no job {id}")),
-    }
-}
-
-fn report(shared: &Arc<Shared>, id: u64) -> Response {
-    let state = shared.state.lock();
-    let Some(job) = state.jobs.get(&id) else {
-        return error_response(404, "unknown_job", format!("no job {id}"));
-    };
-    if !job.state.is_terminal() {
-        let current = job.state;
-        return error_response(
-            409,
-            "not_ready",
-            format!("job {id} is {current}; no report yet"),
-        );
-    }
-    let report = job.report.clone().unwrap_or_else(|| JobReport {
-        id,
-        scenario: job.request.scenario,
-        state: job.state,
-        error: job.error.clone(),
-        estimate: None,
-        sweep: None,
-        trace_id: Some(fmt_hex_id(job.trace.trace_id)),
-    });
-    Response::json(200, json_body(&report))
-}
-
-fn cancel(shared: &Arc<Shared>, id: u64) -> Response {
-    let state = shared.state.lock();
-    let Some(job) = state.jobs.get(&id) else {
-        return error_response(404, "unknown_job", format!("no job {id}"));
-    };
-    if job.state.is_terminal() {
-        let current = job.state;
-        return error_response(409, "conflict", format!("job {id} is already {current}"));
-    }
-    // Cooperative, like a running job on a single server: the
-    // dispatcher observes the flag, cancels the worker-side shards and
-    // drains the job to `cancelled`.
-    job.stop.store(true, Ordering::SeqCst);
-    let status = job_status(&state, id);
-    Response::json(202, json_body(&status))
-}
-
 fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
-    let mut request = match http::parse_submission(http_request, "coordinator") {
+    let request = match http::parse_submission(http_request, "coordinator") {
         Ok(request) => request,
         Err(response) => return response,
     };
@@ -773,15 +720,12 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
         );
     }
     let mut state = shared.state.lock();
-    if let Some(key) = &request.idempotency_key {
-        if let Some(&existing) = state.idempotency.get(key) {
-            shared
-                .counters
-                .idempotent_hits
-                .fetch_add(1, Ordering::Relaxed);
-            let status = job_status(&state, existing);
-            return Response::json(200, json_body(&status));
-        }
+    if let Some(existing) = state.jobs.duplicate(&request) {
+        shared
+            .counters
+            .idempotent_hits
+            .fetch_add(1, Ordering::Relaxed);
+        return Response::json(200, json_body(&existing.status(None)));
     }
     if shared.stop_accepting.load(Ordering::SeqCst) {
         return error_response(
@@ -798,33 +742,12 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
         body.retry_after_seconds = Some(1);
         return Response::json(429, json_body(&body)).with_header("retry-after", "1".to_string());
     }
-    let id = state.next_id;
-    state.next_id += 1;
-    // The wire scenario is authoritative, exactly as on a single
-    // server: stamp it into the config the workers will run.
-    request.config.scenario = request.scenario;
-    let trace = request
-        .trace
-        .unwrap_or_else(|| TraceContext::for_job(id, request.config.seed));
-    request.trace = Some(trace);
-    let stop = Arc::new(AtomicBool::new(false));
-    state.jobs.insert(
-        id,
-        ClusterJob {
-            request: request.clone(),
-            state: JobState::Queued,
-            error: None,
-            report: None,
-            accepted_at: Instant::now(),
-            stop,
-            trace,
-            spans: Vec::new(),
-            sources: Vec::new(),
-        },
-    );
-    if let Some(key) = &request.idempotency_key {
-        state.idempotency.insert(key.clone(), id);
-    }
+    let Ok(job) = state
+        .jobs
+        .admit(None, request, TraceSources::default(), |_, _| {
+            Ok::<(), std::convert::Infallible>(())
+        });
+    let (id, status) = (job.id, job.status(None));
     state.active += 1;
     let dispatcher = {
         let shared = Arc::clone(shared);
@@ -845,18 +768,7 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
         .counters
         .jobs_submitted
         .fetch_add(1, Ordering::Relaxed);
-    Response::json(
-        202,
-        json_body(&JobStatus {
-            id,
-            scenario: request.scenario,
-            state: JobState::Queued,
-            queue_position: None,
-            error: None,
-            progress: None,
-            trace_id: Some(fmt_hex_id(trace.trace_id)),
-        }),
-    )
+    Response::json(202, json_body(&status))
 }
 
 /// How a dispatched job ended without a merged result.
@@ -884,8 +796,8 @@ struct Slot {
     span_id: u64,
     /// The current assignment, `(worker name, addr, remote job id)`.
     assigned: Option<(String, String, u64)>,
-    /// The worker's completed report, carrying the slot kind's outcome.
-    done: Option<JobReport>,
+    /// The outcome the worker's completed report carried.
+    done: Option<JobOutput>,
     /// First successful dispatch; the slot span opens here.
     started_at: Option<Instant>,
     /// Completion observed by the poller; the slot span closes here.
@@ -950,13 +862,12 @@ impl Slot {
 }
 
 /// The coordinator-side tracing state one dispatch accumulates: the
-/// job's context, its root span id, and the spans/sources to publish
-/// into the [`ClusterJob`] when the dispatch ends.
+/// job's context, its root span id, and the spans and sources it
+/// publishes as the job's local part when the dispatch ends.
 struct JobTraceState {
     trace: TraceContext,
     root_span_id: u64,
-    spans: Vec<SpanRecord>,
-    sources: Vec<(String, u64)>,
+    recorded: TraceSources,
 }
 
 impl JobTraceState {
@@ -964,8 +875,7 @@ impl JobTraceState {
         Self {
             trace,
             root_span_id: trace.job_span_id("coordinator"),
-            spans: Vec::new(),
-            sources: Vec::new(),
+            recorded: TraceSources::default(),
         }
     }
 
@@ -992,15 +902,15 @@ fn wall_ts(shared: &Shared, at: Instant) -> f64 {
 fn record_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[Slot]) {
     for slot in slots {
         for source in &slot.sources {
-            if !tracing.sources.contains(source) {
-                tracing.sources.push(source.clone());
+            if !tracing.recorded.sources.contains(source) {
+                tracing.recorded.sources.push(source.clone());
             }
         }
         let Some(started) = slot.started_at else {
             continue;
         };
         let finished = slot.finished_at.unwrap_or_else(Instant::now);
-        tracing.spans.push(SpanRecord {
+        tracing.recorded.spans.push(SpanRecord {
             trace_id: fmt_hex_id(tracing.trace.trace_id),
             span_id: fmt_hex_id(slot.span_id),
             parent_span_id: fmt_hex_id(tracing.root_span_id),
@@ -1016,28 +926,25 @@ fn record_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[Slot]) {
 }
 
 fn dispatch_job(shared: &Arc<Shared>, id: u64) {
-    let (request, stop, accepted_at, trace) = {
+    let (request, stop, deadline, trace) = {
         let mut state = shared.state.lock();
-        let Some(job) = state.jobs.get_mut(&id) else {
+        let Ok(job) = state.jobs.get_mut(id) else {
             return;
         };
         job.state = JobState::Running;
         (
             job.request.clone(),
             Arc::clone(&job.stop),
-            job.accepted_at,
-            job.trace,
+            job.deadline,
+            job.trace(),
         )
     };
-    let deadline = request
-        .deadline_ms
-        .map(|ms| accepted_at + Duration::from_millis(ms));
     let mut tracing = JobTraceState::new(trace);
     let dispatch_started = Instant::now();
     let outcome = run_job(shared, id, &request, &stop, deadline, &mut tracing);
     // The job root span covers the whole dispatch — slot spans nest
     // inside it, and the workers' own job spans nest inside those.
-    tracing.spans.insert(
+    tracing.recorded.spans.insert(
         0,
         SpanRecord {
             trace_id: fmt_hex_id(trace.trace_id),
@@ -1049,8 +956,8 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
             duration_s: dispatch_started.elapsed().as_secs_f64(),
         },
     );
-    let (state_out, error, report) = match outcome {
-        Ok(report) => (JobState::Completed, None, Some(report)),
+    let (state_out, error, output) = match outcome {
+        Ok(output) => (JobState::Completed, None, Some(output)),
         Err(DispatchEnd::Cancelled) => (
             JobState::Cancelled,
             Some("cancelled while running".to_string()),
@@ -1077,12 +984,11 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
     counter.fetch_add(1, Ordering::Relaxed);
     let mut state = shared.state.lock();
     state.active = state.active.saturating_sub(1);
-    if let Some(job) = state.jobs.get_mut(&id) {
+    if let Ok(job) = state.jobs.get_mut(id) {
         job.state = state_out;
         job.error = error;
-        job.report = report;
-        job.spans = tracing.spans;
-        job.sources = tracing.sources;
+        job.output = output;
+        job.local = tracing.recorded;
     }
 }
 
@@ -1148,7 +1054,7 @@ fn cancel_remotes(shared: &Shared, slots: &[Slot]) {
 
 /// Plans the job's slots — a sweep's shards, or one slot for an
 /// estimate — runs them through [`supervise`], records their spans
-/// whatever the outcome, and assembles the report.
+/// whatever the outcome, and returns the merged sweep or the estimate.
 fn run_job(
     shared: &Arc<Shared>,
     id: u64,
@@ -1156,7 +1062,7 @@ fn run_job(
     stop: &AtomicBool,
     deadline: Option<Instant>,
     tracing: &mut JobTraceState,
-) -> Result<JobReport, DispatchEnd> {
+) -> Result<JobOutput, DispatchEnd> {
     let mut slots = match request.job.kind {
         JobKind::Sweep => plan_shards(shared, id, request, stop, deadline, tracing)?,
         // An estimate has nothing to split: it ships whole.
@@ -1172,23 +1078,17 @@ fn run_job(
     // trace fan-out sources.
     record_slots(shared, tracing, &slots);
     supervised?;
-    let mut report = JobReport {
-        id,
-        scenario: request.scenario,
-        state: JobState::Completed,
-        error: None,
-        estimate: None,
-        sweep: None,
-        trace_id: Some(fmt_hex_id(tracing.trace.trace_id)),
-    };
     match request.job.kind {
         JobKind::Sweep => {
             let total = request.job.alphas.as_ref().map_or(0, Vec::len);
-            report.sweep = Some(merge_shards(total, slots)?);
+            merge_shards(total, slots).map(JobOutput::Sweep)
         }
-        JobKind::Estimate => report.estimate = slots.pop().and_then(|slot| slot.done?.estimate),
+        // `supervise` returned only once the one slot held its outcome.
+        JobKind::Estimate => slots
+            .pop()
+            .and_then(|slot| slot.done)
+            .ok_or_else(|| DispatchEnd::Failed("estimate slot ended without an outcome".into())),
     }
-    Ok(report)
 }
 
 /// Merges the completed shard slots by global point index.
@@ -1196,7 +1096,9 @@ fn merge_shards(total: usize, slots: Vec<Slot>) -> Result<SweepOutcome, Dispatch
     let shards: Vec<SweepShard> = slots
         .into_iter()
         .filter_map(|slot| {
-            let outcome = slot.done?.sweep?;
+            let Some(JobOutput::Sweep(outcome)) = slot.done else {
+                return None;
+            };
             Some(SweepShard {
                 indices: slot.request.job.alpha_indices.unwrap_or_default(),
                 result: SweepResult {
@@ -1361,23 +1263,23 @@ fn finish_slot(
             )))
         }
     };
-    let (has_outcome, outcome) = match slot.request.job.kind {
-        JobKind::Sweep => (report.sweep.is_some(), "a sweep"),
-        JobKind::Estimate => (report.estimate.is_some(), "an estimate"),
+    let (output, outcome) = match slot.request.job.kind {
+        JobKind::Sweep => (report.sweep.map(JobOutput::Sweep), "a sweep"),
+        JobKind::Estimate => (report.estimate.map(JobOutput::Estimate), "an estimate"),
     };
-    if !has_outcome {
+    let Some(output) = output else {
         return Err(DispatchEnd::Failed(format!(
             "{} completed without {outcome} outcome",
             slot.label()
         )));
-    }
+    };
     if slot.request.job.kind == JobKind::Sweep {
         shared
             .counters
             .shards_completed
             .fetch_add(1, Ordering::Relaxed);
     }
-    slot.done = Some(report);
+    slot.done = Some(output);
     slot.finished_at = Some(Instant::now());
     Ok(())
 }

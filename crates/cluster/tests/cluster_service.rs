@@ -390,6 +390,80 @@ fn a_cancelled_estimate_keeps_its_coordinator_span() {
     coordinator.shutdown();
 }
 
+/// The `(status, code, message)` of an API error answer.
+fn api_error<T: std::fmt::Debug>(result: Result<T, ClientError>) -> (u16, String, String) {
+    match result {
+        Err(ClientError::Api {
+            status,
+            code,
+            message,
+        }) => (status, code, message),
+        other => panic!("expected an API error, got {other:?}"),
+    }
+}
+
+/// The coordinator's job endpoints answer every error case with the
+/// status, code and message a single server gives for the same case:
+/// unknown ids, the report of a running job, and a cancel of a finished
+/// one. The worker's first job carries the same id as the coordinator's
+/// first job, so the two messages can be compared verbatim.
+#[test]
+fn job_endpoint_errors_match_a_single_server() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let gate = Arc::new(AtomicBool::new(false));
+    let worker = bind_gated_worker("errors-w", &gate);
+    let membership = join_worker(&coordinator, "errors-w", &worker);
+    let cluster = Client::new(coordinator.local_addr().to_string());
+    let serve = Client::new(worker.local_addr().to_string());
+    cluster.wait_ready(WAIT).expect("ready");
+
+    let unknown = 999;
+    for client in [&cluster, &serve] {
+        let answers = [
+            api_error(client.status(unknown)),
+            api_error(client.report(unknown)),
+            api_error(client.trace(unknown)),
+            api_error(client.cancel(unknown)),
+        ];
+        for answer in answers {
+            assert_eq!(
+                answer,
+                (404, "unknown_job".to_string(), format!("no job {unknown}"))
+            );
+        }
+    }
+
+    let request = SubmitRequest::new(tiny_config(31), JobSpec::estimate(0.7, 0.5));
+    let submitted = cluster.submit(&request).expect("submit estimate");
+    let until = Instant::now() + WAIT;
+    while !runs_a_job(worker.local_addr()) {
+        assert!(Instant::now() < until, "the estimate never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let served = serve
+        .status(submitted.id)
+        .expect("the worker holds the same id");
+    assert_eq!(served.state, JobState::Running);
+    let not_ready = api_error(cluster.report(submitted.id));
+    assert_eq!(not_ready.0, 409);
+    assert_eq!(not_ready.1, "not_ready");
+    assert_eq!(not_ready, api_error(serve.report(submitted.id)));
+
+    gate.store(true, Ordering::SeqCst);
+    let done = cluster
+        .wait(submitted.id, WAIT)
+        .expect("estimate completes");
+    assert_eq!(done.state, JobState::Completed);
+    let conflict = api_error(cluster.cancel(submitted.id));
+    assert_eq!(conflict.0, 409);
+    assert_eq!(conflict.1, "conflict");
+    assert_eq!(conflict, api_error(serve.cancel(submitted.id)));
+
+    membership.leave();
+    worker.shutdown();
+    coordinator.shutdown();
+}
+
 /// The coordinator speaks the serve protocol end to end: readiness
 /// gates on live workers, idempotency keys dedup, cancel works, and a
 /// worker that stops heartbeating shows up dead in the listing.

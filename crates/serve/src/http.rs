@@ -110,11 +110,12 @@ pub fn error_response(status: u16, code: &str, message: impl Into<String>) -> Re
     Response::json(status, json_body(&ApiError::new(code, message)))
 }
 
-/// Hands the numeric job id in path segment `raw` to `f`, or answers
-/// `400 bad_request` when the segment is not a number.
-pub fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
+/// Hands the numeric job id in path segment `raw` to `f` and answers
+/// with what `f` returns, either way; `400 bad_request` when the
+/// segment is not a number.
+pub fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Result<Response, Response>) -> Response {
     match raw.parse::<u64>() {
-        Ok(id) => f(id),
+        Ok(id) => f(id).unwrap_or_else(|response| response),
         Err(_) => error_response(
             400,
             "bad_request",
@@ -170,6 +171,15 @@ pub fn parse_submission(request: &Request, who: &str) -> Result<SubmitRequest, R
         return Err(error_response(400, "invalid_idempotency_key", message));
     }
     Ok(submission)
+}
+
+/// Whether a `GET /metrics` request asks for the Prometheus text
+/// exposition (its `Accept` header names `text/plain`) rather than the
+/// JSON document.
+pub fn wants_prometheus(request: &Request) -> bool {
+    request
+        .header("accept")
+        .is_some_and(|accept| accept.contains("text/plain"))
 }
 
 /// The `GET /healthz` response: always `200` while the process can

@@ -18,6 +18,8 @@
 //!   [`VerdictStore`](ecripse_core::cache::VerdictStore), layered
 //!   *under* the per-run pipeline so served runs stay bit-identical to
 //!   direct library calls), so a restarted process starts warm;
+//! * [`jobs`] — the job table this server and the cluster coordinator
+//!   share: one admission, one status/report/cancel read;
 //! * [`journal`] — the checksummed, fsync'd write-ahead job journal
 //!   that makes accepted jobs survive a `kill -9`;
 //! * [`server`] — the bounded job queue, fixed worker pool,
@@ -58,6 +60,7 @@
 
 pub mod client;
 pub mod http;
+pub mod jobs;
 pub mod journal;
 pub mod protocol;
 pub mod server;

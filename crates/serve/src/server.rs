@@ -13,6 +13,14 @@
 //! | `GET /readyz`              | Readiness (`503` while replaying/saturated)  |
 //! | `GET /metrics`             | Queue/worker/job/cache counters              |
 //!
+//! # Job table
+//!
+//! Jobs live in the [`JobTable`] the cluster coordinator uses too: one
+//! admission (submission and journal replay alike) and one status,
+//! report and cancel read. What this module adds is the server's own
+//! policy: the bounded queue and its `429` hint, the worker pool, the
+//! journal, the cancel of a still-queued job and the deadline watchdog.
+//!
 //! # Backpressure
 //!
 //! The queue is bounded ([`ServeConfig::queue_capacity`]). A submission
@@ -50,18 +58,22 @@
 //! jobs as resumable checkpoints in the spool directory (state
 //! [`JobState::Persisted`]) via the existing core checkpoint machinery,
 //! cancels still-queued estimates, and joins every thread.
+//!
+//! [`JobStatus`]: crate::protocol::JobStatus
+//! [`JobReport`]: crate::protocol::JobReport
 
 use crate::http::{
     self, error_response, json_body, with_job_id, FrontDoor, Limits, Request, Response,
 };
+use crate::jobs::{Job, JobLocal, JobOutput, JobTable};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
 use crate::protocol::{
-    ApiError, EstimateOutcome, JobKind, JobProgress, JobReport, JobSpec, JobState, JobStatus,
-    JobTrace, Metrics, ScenarioJobCount, SubmitRequest, SweepOutcome,
+    ApiError, EstimateOutcome, JobKind, JobProgress, JobSpec, JobState, JobTrace, Metrics,
+    ScenarioJobCount, SubmitRequest, SweepOutcome,
 };
 use crate::shared::{load_snapshot, save_snapshot};
 use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
-use ecripse_core::ecripse::{Ecripse, EcripseConfig, EstimateError, RunOptions};
+use ecripse_core::ecripse::{Ecripse, EstimateError, RunOptions};
 use ecripse_core::observe::{
     ChunkStats, MultiObserver, Observer, RunRecorder, RunSummary, SimBatchStats, Stage,
 };
@@ -71,10 +83,10 @@ use ecripse_core::scenario::{registry_digest, Scenario, SramScenarioBench};
 use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepBench, SweepError, SweepOptions};
 use ecripse_core::telemetry::{
     escape_label_value, fmt_hex_id, prom_scalar, Gauge, Histogram, MetricsRegistry, SpanCollector,
-    SpanStore, TelemetryObserver, TraceContext,
+    SpanStore, TelemetryObserver,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -148,42 +160,9 @@ pub struct ShutdownSummary {
     pub cancelled: u64,
 }
 
-/// A finished job's payload.
-enum JobOutput {
-    Estimate(EstimateOutcome),
-    Sweep(SweepOutcome),
-}
-
-/// Everything the server remembers about one job.
-struct JobRecord {
-    spec: JobSpec,
-    scenario: Scenario,
-    config: EcripseConfig,
-    state: JobState,
-    error: Option<String>,
-    output: Option<JobOutput>,
-    /// When the job entered the queue (feeds the queue-wait histogram).
-    queued_at: Instant,
-    /// Live progress, fed by the worker's observer while the job runs.
-    progress: Arc<ProgressTracker>,
-    /// Wall-clock budget as submitted (journaled verbatim; the budget
-    /// restarts from acceptance — or re-acceptance after recovery).
-    deadline_ms: Option<u64>,
-    /// The absolute instant the budget runs out, `None` for unbounded.
-    deadline: Option<Instant>,
-    /// Client-supplied retry-dedup key, if any.
-    idempotency_key: Option<String>,
-    /// The distributed trace context the job runs under: the resolved
-    /// precedence of `traceparent` header → wire `trace` field →
-    /// deterministic derivation from job id + RNG seed. Journaled with
-    /// the submission, so recovery resumes the same trace.
-    trace: TraceContext,
-    /// Cooperative stop flag: raised by `DELETE` (cancel) or the
-    /// deadline watchdog; the estimation pipeline polls it at
-    /// iteration/batch boundaries without ever consuming RNG, so
-    /// uninterrupted runs stay bit-identical.
-    stop: Arc<AtomicBool>,
-}
+/// A job on this server; its local part is the live progress the
+/// worker's observer feeds while the job runs.
+type ServeJob = Job<Arc<ProgressTracker>>;
 
 /// Lock-free live-progress accumulator: the worker registers it as an
 /// [`Observer`] alongside the deterministic recorder, and the status
@@ -228,6 +207,12 @@ impl ProgressTracker {
     fn set_estimate(&self, value: f64) {
         self.estimate_bits.store(value.to_bits(), Ordering::Relaxed);
         self.has_estimate.store(true, Ordering::Relaxed);
+    }
+}
+
+impl JobLocal for Arc<ProgressTracker> {
+    fn progress(&self) -> Option<JobProgress> {
+        Some(self.snapshot())
     }
 }
 
@@ -309,14 +294,11 @@ impl ServeTelemetry {
 /// Queue and job-table state behind one lock.
 struct QueueState {
     queue: VecDeque<u64>,
-    jobs: HashMap<u64, JobRecord>,
-    next_id: u64,
+    /// Every job, rebuilt from the journal at boot (so retries dedup
+    /// across restarts too).
+    jobs: JobTable<Arc<ProgressTracker>>,
     in_flight: u64,
     draining: bool,
-    /// Idempotency key → job id for every job that carried one
-    /// (rebuilt from the journal at boot, so retries dedup across
-    /// restarts too).
-    idempotency: HashMap<String, u64>,
 }
 
 #[derive(Default)]
@@ -477,68 +459,30 @@ impl<B: SweepBench + 'static> Server<B> {
             None => (None, Vec::new(), 0),
         };
         let mut queue = VecDeque::new();
-        let mut jobs = HashMap::new();
-        let mut idempotency = HashMap::new();
-        let mut next_id = 1u64;
-        let mut recovered = 0u64;
-        let boot = Instant::now();
-        for job in &recovered_jobs {
-            next_id = next_id.max(job.id + 1);
-            if let Some(key) = &job.request.idempotency_key {
-                idempotency.insert(key.clone(), job.id);
-            }
-            let mut job_config = job.request.config;
-            job_config.scenario = job.request.scenario;
-            let unfinished = job.state.is_none();
-            let (state, error) = match &job.state {
-                None => (JobState::Queued, None),
-                Some((state, error)) => (*state, error.clone()),
-            };
-            jobs.insert(
-                job.id,
-                JobRecord {
-                    spec: job.request.job.clone(),
-                    scenario: job.request.scenario,
-                    config: job_config,
-                    state,
-                    error,
-                    output: None,
-                    queued_at: boot,
-                    progress: Arc::new(ProgressTracker::default()),
-                    // Submissions journal their resolved context, so a
-                    // recovered job resumes the same trace; the derive
-                    // below only covers pre-PR-10 journal files.
-                    trace: job
-                        .request
-                        .trace
-                        .unwrap_or_else(|| TraceContext::for_job(job.id, job.request.config.seed)),
-                    deadline_ms: job.request.deadline_ms,
-                    // The journal has no wall-clock anchor: a recovered
-                    // job's budget restarts from re-acceptance.
-                    deadline: unfinished
-                        .then(|| {
-                            job.request
-                                .deadline_ms
-                                .map(|ms| boot + Duration::from_millis(ms))
-                        })
-                        .flatten(),
-                    idempotency_key: job.request.idempotency_key.clone(),
-                    stop: Arc::new(AtomicBool::new(false)),
-                },
+        let mut jobs = JobTable::default();
+        for recovered in &recovered_jobs {
+            let Ok(job) = jobs.admit(
+                Some(recovered.id),
+                recovered.request.clone(),
+                Arc::default(),
+                |_, _| Ok::<(), std::convert::Infallible>(()),
             );
-            if unfinished {
-                queue.push_back(job.id);
-                recovered += 1;
+            match &recovered.state {
+                // The journal has no wall-clock anchor: an unfinished
+                // job's budget restarts from re-acceptance.
+                None => queue.push_back(recovered.id),
+                Some((state, error)) => {
+                    job.state = *state;
+                    job.error = error.clone();
+                    job.deadline = None;
+                }
             }
         }
+        let recovered = queue.len() as u64;
         // Boot compaction: drop the terminal noise a long-lived journal
         // accumulates (best-effort; the old file stays valid on failure).
         if let Some(journal) = &journal {
-            if let Err(error) = journal.compact(&journal::live_records(&recovered_jobs)) {
-                eprintln!(
-                    "ecripse-serve: journal boot compaction failed: {error} (keeping old file)"
-                );
-            }
+            compact(journal, &jobs);
         }
         let journal_replay_seconds = if config.journal.is_some() {
             replay_started.elapsed().as_secs_f64()
@@ -567,10 +511,8 @@ impl<B: SweepBench + 'static> Server<B> {
             state: std::sync::Mutex::new(QueueState {
                 queue,
                 jobs,
-                next_id,
                 in_flight: 0,
                 draining: false,
-                idempotency,
             }),
             work_ready: std::sync::Condvar::new(),
             counters: Counters::default(),
@@ -655,11 +597,11 @@ impl<B: SweepBench + 'static> Server<B> {
             let mut persisted = 0u64;
             let mut cancelled = 0u64;
             while let Some(id) = state.queue.pop_front() {
-                let Some(record) = state.jobs.get_mut(&id) else {
+                let Ok(job) = state.jobs.get_mut(id) else {
                     continue;
                 };
-                if persist_queued_sweep(&self.shared, id, record) {
-                    record.state = JobState::Persisted;
+                if persist_queued_sweep(&self.shared, job) {
+                    job.state = JobState::Persisted;
                     self.shared
                         .counters
                         .persisted
@@ -667,7 +609,7 @@ impl<B: SweepBench + 'static> Server<B> {
                     persisted += 1;
                     transitions.push((id, JobState::Persisted));
                 } else {
-                    record.state = JobState::Cancelled;
+                    job.state = JobState::Cancelled;
                     self.shared
                         .counters
                         .cancelled
@@ -748,76 +690,59 @@ fn spool_path<B>(shared: &Shared<B>, id: u64) -> Option<PathBuf> {
 /// Writes (or preserves) a resumable checkpoint for a queued sweep job
 /// during shutdown. Returns `false` when the job is not a sweep, no
 /// spool is configured, or the checkpoint could not be written.
-fn persist_queued_sweep<B: SweepBench>(shared: &Shared<B>, id: u64, record: &JobRecord) -> bool {
-    if record.spec.kind != JobKind::Sweep {
+fn persist_queued_sweep<B: SweepBench>(shared: &Shared<B>, job: &ServeJob) -> bool {
+    let request = &job.request;
+    if request.job.kind != JobKind::Sweep {
         return false;
     }
-    let Some(path) = spool_path(shared, id) else {
+    let Some(path) = spool_path(shared, job.id) else {
         return false;
     };
-    let Some(alphas) = record.spec.alphas.clone() else {
+    let Some(alphas) = request.job.alphas.clone() else {
         return false;
     };
-    let bench = job_bench(shared, record.scenario, &record.spec);
-    let mut sweep = DutySweep::new(record.config, bench, alphas);
-    if let Some(indices) = record.spec.alpha_indices.clone() {
+    let bench = job_bench(shared, request.scenario, &request.job);
+    let mut sweep = DutySweep::new(request.config, bench, alphas);
+    if let Some(indices) = request.job.alpha_indices.clone() {
         sweep = sweep.with_point_indices(indices);
     }
     sweep.ensure_checkpoint(&path).is_ok()
 }
 
-/// Rebuilds the wire-shape submission a job record was accepted from
-/// (compaction rewrites the journal from live server state, so the
-/// round trip must be lossless for everything replay consumes).
-fn record_request(record: &JobRecord) -> SubmitRequest {
-    let mut request = SubmitRequest::new(record.config, record.spec.clone());
-    request.scenario = record.scenario;
-    request.deadline_ms = record.deadline_ms;
-    request.idempotency_key = record.idempotency_key.clone();
-    request.trace = Some(record.trace);
-    request
-}
-
-/// Projects the in-memory job table into the journal's recovered-job
-/// shape (id order), feeding [`journal::live_records`] for compaction.
-/// Queued/running/persisted jobs count as unfinished.
-fn live_from_state(state: &QueueState) -> Vec<RecoveredJob> {
-    let mut ids: Vec<u64> = state.jobs.keys().copied().collect();
-    ids.sort_unstable();
-    ids.into_iter()
-        .filter_map(|id| {
-            let record = state.jobs.get(&id)?;
-            let terminal = match record.state {
+/// Rewrites `journal` to the live set of `jobs`, in id order:
+/// queued, running and persisted jobs as unfinished submissions,
+/// finished keyed jobs with their terminal state (see
+/// [`journal::live_records`]). Best-effort: a failed compaction leaves
+/// the (valid, just larger) old journal in place.
+fn compact<T>(journal: &Journal, jobs: &JobTable<T>) {
+    let mut live: Vec<RecoveredJob> = jobs
+        .iter()
+        .map(|job| RecoveredJob {
+            id: job.id,
+            request: job.request.clone(),
+            state: match job.state {
                 // Persisted means "resumable checkpoint on disk" — the
                 // journal must re-enqueue it next boot.
                 JobState::Queued | JobState::Running | JobState::Persisted => None,
-                state => Some((state, record.error.clone())),
-            };
-            Some(RecoveredJob {
-                id,
-                request: record_request(record),
-                state: terminal,
-            })
+                state => Some((state, job.error.clone())),
+            },
         })
-        .collect()
+        .collect();
+    live.sort_unstable_by_key(|job| job.id);
+    if let Err(error) = journal.compact(&journal::live_records(&live)) {
+        eprintln!("ecripse-serve: journal compaction failed: {error} (keeping old file)");
+    }
 }
 
-/// Rewrites the journal to the live set derived from current state.
-/// Best-effort: a failed compaction leaves the (valid, just larger)
-/// old journal in place.
+/// Compacts the journal from the current job table.
 ///
 /// The state lock is held across the rewrite: submissions append their
 /// journal frame under the same lock, so a compaction can never
 /// snapshot the table *before* a submission and rename *after* its
 /// append — which would silently discard an acknowledged job.
 fn compact_journal<B>(shared: &Shared<B>) {
-    let Some(journal) = &shared.journal else {
-        return;
-    };
-    let state = lock_state(shared);
-    let live = journal::live_records(&live_from_state(&state));
-    if let Err(error) = journal.compact(&live) {
-        eprintln!("ecripse-serve: journal compaction failed: {error} (keeping old file)");
+    if let Some(journal) = &shared.journal {
+        compact(journal, &lock_state(shared).jobs);
     }
 }
 
@@ -843,17 +768,17 @@ fn journal_terminal<B>(shared: &Shared<B>, id: u64, state: JobState, error: Opti
 /// the terminal state, its message and the counter. The caller
 /// journals the returned error with [`journal_terminal`] once the state
 /// lock is released.
-fn expire_queued<B>(shared: &Shared<B>, record: &mut JobRecord) -> Option<String> {
-    record.state = JobState::DeadlineExceeded;
-    record.error = Some(format!(
+fn expire_queued<B>(shared: &Shared<B>, job: &mut ServeJob) -> Option<String> {
+    job.state = JobState::DeadlineExceeded;
+    job.error = Some(format!(
         "deadline of {}ms exceeded while queued",
-        record.deadline_ms.unwrap_or(0)
+        job.request.deadline_ms.unwrap_or(0)
     ));
     shared
         .counters
         .deadline_exceeded
         .fetch_add(1, Ordering::Relaxed);
-    record.error.clone()
+    job.error.clone()
 }
 
 /// The deadline watchdog: every 20ms it expires queued jobs whose
@@ -872,25 +797,24 @@ fn deadline_monitor<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                 .queue
                 .iter()
                 .copied()
-                .filter(|id| {
+                .filter(|&id| {
                     state
                         .jobs
                         .get(id)
-                        .and_then(|record| record.deadline)
-                        .is_some_and(|deadline| deadline <= now)
+                        .is_ok_and(|job| job.deadline.is_some_and(|deadline| deadline <= now))
                 })
                 .collect();
             for id in due {
                 state.queue.retain(|&queued| queued != id);
-                if let Some(record) = state.jobs.get_mut(&id) {
-                    expired.push((id, expire_queued(shared, record)));
+                if let Ok(job) = state.jobs.get_mut(id) {
+                    expired.push((id, expire_queued(shared, job)));
                 }
             }
-            for record in state.jobs.values_mut() {
-                if record.state == JobState::Running
-                    && record.deadline.is_some_and(|deadline| deadline <= now)
+            for job in state.jobs.iter_mut() {
+                if job.state == JobState::Running
+                    && job.deadline.is_some_and(|deadline| deadline <= now)
                 {
-                    record.stop.store(true, Ordering::SeqCst);
+                    job.stop.store(true, Ordering::SeqCst);
                 }
             }
         }
@@ -932,8 +856,14 @@ fn route<B: SweepBench>(shared: &Arc<Shared<B>>, request: &Request) -> Response 
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(shared, request),
-        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| status(shared, id)),
-        ("GET", ["v1", "jobs", id, "report"]) => with_job_id(id, |id| report(shared, id)),
+        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| {
+            let state = lock_state(shared);
+            let status = state.jobs.get(id)?.status(queue_position(&state, id));
+            Ok(Response::json(200, json_body(&status)))
+        }),
+        ("GET", ["v1", "jobs", id, "report"]) => {
+            with_job_id(id, |id| lock_state(shared).jobs.report_response(id))
+        }
         ("GET", ["v1", "jobs", id, "trace"]) => with_job_id(id, |id| trace_document(shared, id)),
         ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel(shared, id)),
         ("GET", ["healthz"]) => http::health_response(shared.stop_accepting.load(Ordering::SeqCst)),
@@ -947,24 +877,23 @@ fn route<B: SweepBench>(shared: &Arc<Shared<B>>, request: &Request) -> Response 
 }
 
 fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response {
-    let mut request = match http::parse_submission(http_request, "server") {
+    let request = match http::parse_submission(http_request, "server") {
         Ok(request) => request,
         Err(response) => return response,
     };
 
-    let mut state = lock_state(shared);
+    let mut guard = lock_state(shared);
+    let state = &mut *guard;
     // Idempotency first: a retry of an already-accepted submission must
     // succeed even while draining or saturated — the work is already
     // accounted for. `200` (not `202`): nothing new was accepted.
-    if let Some(key) = &request.idempotency_key {
-        if let Some(&existing) = state.idempotency.get(key) {
-            shared
-                .counters
-                .idempotent_hits
-                .fetch_add(1, Ordering::Relaxed);
-            let status = job_status(&state, existing);
-            return Response::json(200, json_body(&status));
-        }
+    if let Some(existing) = state.jobs.duplicate(&request) {
+        shared
+            .counters
+            .idempotent_hits
+            .fetch_add(1, Ordering::Relaxed);
+        let status = existing.status(queue_position(state, existing.id));
+        return Response::json(200, json_body(&status));
     }
     if state.draining || shared.stop_accepting.load(Ordering::SeqCst) {
         return error_response(
@@ -975,79 +904,38 @@ fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response
     }
     if state.queue.len() >= shared.config.queue_capacity {
         shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let hint = retry_after_seconds(shared, &state);
+        let hint = retry_after_seconds(shared, state);
         let mut body = ApiError::new("queue_full", "job queue is full; retry later");
         body.retry_after_seconds = Some(hint);
         return Response::json(429, json_body(&body)).with_header("retry-after", hint.to_string());
     }
-    let id = state.next_id;
-    // Resolve the trace context now that the id exists, and stamp it
-    // back into the request so the journal frame carries it — recovery
-    // then resumes the identical trace.
-    let trace = request
-        .trace
-        .unwrap_or_else(|| TraceContext::for_job(id, request.config.seed));
-    request.trace = Some(trace);
-    // Durability point: the submission reaches the fsync'd journal
-    // *before* any acknowledgement leaves the server — and before the
-    // job is visible anywhere else. Held under the state lock so a
-    // concurrent compaction (which also takes it) can never discard
-    // this frame without having seen the job in the table.
-    if let Some(journal) = &shared.journal {
-        if let Err(e) = journal.append(&JournalRecord::submitted(id, request.clone())) {
-            return error_response(
-                500,
-                "journal_error",
-                format!("could not journal submission: {e}"),
-            );
+    // Durability point: the submission, with its resolved trace (so
+    // recovery resumes the identical trace), reaches the fsync'd
+    // journal *before* any acknowledgement leaves the server — and
+    // before the job is visible anywhere else. Held under the state
+    // lock so a concurrent compaction (which also takes it) can never
+    // discard this frame without having seen the job in the table.
+    let admitted = state
+        .jobs
+        .admit(None, request, Arc::default(), |id, request| {
+            match &shared.journal {
+                Some(journal) => journal.append(&JournalRecord::submitted(id, request.clone())),
+                None => Ok(()),
+            }
+        });
+    let job = match admitted {
+        Ok(job) => job,
+        Err(e) => {
+            let message = format!("could not journal submission: {e}");
+            return error_response(500, "journal_error", message);
         }
-    }
-    state.next_id += 1;
-    // The wire field is authoritative: stamp it into the run config so
-    // the recorded report and the served bench agree on the scenario.
-    let mut config = request.config;
-    config.scenario = request.scenario;
-    let now = Instant::now();
-    state.jobs.insert(
-        id,
-        JobRecord {
-            spec: request.job,
-            scenario: request.scenario,
-            config,
-            state: JobState::Queued,
-            error: None,
-            output: None,
-            queued_at: now,
-            progress: Arc::new(ProgressTracker::default()),
-            trace,
-            deadline_ms: request.deadline_ms,
-            deadline: request
-                .deadline_ms
-                .map(|ms| now + Duration::from_millis(ms)),
-            idempotency_key: request.idempotency_key.clone(),
-            stop: Arc::new(AtomicBool::new(false)),
-        },
-    );
-    if let Some(key) = request.idempotency_key {
-        state.idempotency.insert(key, id);
-    }
-    state.queue.push_back(id);
-    let position = (state.queue.len() - 1) as u64;
-    drop(state);
+    };
+    state.queue.push_back(job.id);
+    let status = job.status(Some(state.queue.len() as u64 - 1));
+    drop(guard);
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     shared.work_ready.notify_one();
-    Response::json(
-        202,
-        json_body(&JobStatus {
-            id,
-            scenario: request.scenario,
-            state: JobState::Queued,
-            queue_position: Some(position),
-            error: None,
-            progress: None,
-            trace_id: Some(fmt_hex_id(trace.trace_id)),
-        }),
-    )
+    Response::json(202, json_body(&status))
 }
 
 /// Backpressure hint: smoothed seconds-per-job × backlog ÷ workers,
@@ -1060,118 +948,50 @@ fn retry_after_seconds<B>(shared: &Shared<B>, state: &QueueState) -> u64 {
     (estimate as u64).clamp(1, 600)
 }
 
-fn job_status(state: &QueueState, id: u64) -> Option<JobStatus> {
-    let record = state.jobs.get(&id)?;
-    let queue_position = state
-        .queue
-        .iter()
-        .position(|&queued| queued == id)
-        .map(|p| p as u64);
-    Some(JobStatus {
-        id,
-        scenario: record.scenario,
-        state: record.state,
-        queue_position,
-        error: record.error.clone(),
-        progress: (record.state == JobState::Running).then(|| record.progress.snapshot()),
-        trace_id: Some(fmt_hex_id(record.trace.trace_id)),
-    })
-}
-
-fn status<B>(shared: &Shared<B>, id: u64) -> Response {
-    match job_status(&lock_state(shared), id) {
-        Some(status) => Response::json(200, json_body(&status)),
-        None => error_response(404, "unknown_job", format!("no job {id}")),
-    }
-}
-
-fn report<B>(shared: &Shared<B>, id: u64) -> Response {
-    let state = lock_state(shared);
-    let Some(record) = state.jobs.get(&id) else {
-        return error_response(404, "unknown_job", format!("no job {id}"));
-    };
-    if record.state.is_terminal() {
-        let mut report = JobReport {
-            id,
-            scenario: record.scenario,
-            state: record.state,
-            error: record.error.clone(),
-            estimate: None,
-            sweep: None,
-            trace_id: Some(fmt_hex_id(record.trace.trace_id)),
-        };
-        match &record.output {
-            Some(JobOutput::Estimate(outcome)) => report.estimate = Some(outcome.clone()),
-            Some(JobOutput::Sweep(outcome)) => report.sweep = Some(outcome.clone()),
-            None => {}
-        }
-        Response::json(200, json_body(&report))
-    } else {
-        let state = record.state;
-        error_response(
-            409,
-            "not_ready",
-            format!("job {id} is {state}; no report yet"),
-        )
-    }
+/// Where job `id` waits in the queue, if it does.
+fn queue_position(state: &QueueState, id: u64) -> Option<u64> {
+    let position = state.queue.iter().position(|&queued| queued == id)?;
+    Some(position as u64)
 }
 
 /// `GET /v1/jobs/{id}/trace`: the span timeline this node recorded for
 /// one job. Empty until the worker finishes (the collector folds stage
 /// events into spans only at job end); `404` for unknown ids.
-fn trace_document<B>(shared: &Shared<B>, id: u64) -> Response {
-    let Some(trace_id) = lock_state(shared).jobs.get(&id).map(|r| r.trace.trace_id) else {
-        return error_response(404, "unknown_job", format!("no job {id}"));
-    };
+fn trace_document<B>(shared: &Shared<B>, id: u64) -> Result<Response, Response> {
+    let trace = lock_state(shared).jobs.get(id)?.trace();
     let spans = shared.spans.get(id).unwrap_or_default();
-    Response::json(
+    Ok(Response::json(
         200,
         json_body(&JobTrace {
             job_id: id,
-            trace_id: fmt_hex_id(trace_id),
+            trace_id: fmt_hex_id(trace.trace_id),
             spans,
         }),
-    )
+    ))
 }
 
-fn cancel<B>(shared: &Shared<B>, id: u64) -> Response {
+/// `DELETE /v1/jobs/{id}`: a queued job leaves the queue at once
+/// (`200`, journaled); any other goes to [`JobTable::cancel_response`]
+/// (a running job is cancelled cooperatively with `202`).
+fn cancel<B>(shared: &Shared<B>, id: u64) -> Result<Response, Response> {
     let mut state = lock_state(shared);
-    let Some(record) = state.jobs.get(&id) else {
-        return error_response(404, "unknown_job", format!("no job {id}"));
-    };
-    match record.state {
-        JobState::Queued => {
-            state.queue.retain(|&queued| queued != id);
-            if let Some(record) = state.jobs.get_mut(&id) {
-                record.state = JobState::Cancelled;
-                record.error = Some("cancelled while queued".to_string());
-            }
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .cancelled_queued
-                .fetch_add(1, Ordering::Relaxed);
-            let status = job_status(&state, id);
-            drop(state);
-            journal_terminal(
-                shared,
-                id,
-                JobState::Cancelled,
-                Some("cancelled while queued".to_string()),
-            );
-            Response::json(200, json_body(&status))
-        }
-        JobState::Running => {
-            // Cooperative: raise the stop flag and acknowledge with
-            // `202`. The worker observes it at the next iteration/batch
-            // boundary and drains the job to `cancelled`; the caller
-            // polls the status to watch it land.
-            record.stop.store(true, Ordering::SeqCst);
-            let status = job_status(&state, id);
-            Response::json(202, json_body(&status))
-        }
-        state => error_response(409, "conflict", format!("job {id} is already {state}")),
+    let job = state.jobs.get_mut(id)?;
+    if job.state != JobState::Queued {
+        return state.jobs.cancel_response(id);
     }
+    let error = "cancelled while queued".to_string();
+    job.state = JobState::Cancelled;
+    job.error = Some(error.clone());
+    let status = job.status(None);
+    state.queue.retain(|&queued| queued != id);
+    drop(state);
+    shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .cancelled_queued
+        .fetch_add(1, Ordering::Relaxed);
+    journal_terminal(shared, id, JobState::Cancelled, Some(error));
+    Ok(Response::json(200, json_body(&status)))
 }
 
 /// `GET /readyz`: `ready` only when boot replay is done, the server is
@@ -1251,10 +1071,7 @@ fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
 /// `Accept` header asks for `text/plain`, the JSON document otherwise.
 fn metrics_response<B>(shared: &Shared<B>, request: &Request) -> Response {
     let metrics = collect_metrics(shared);
-    let wants_prometheus = request
-        .header("accept")
-        .is_some_and(|accept| accept.contains("text/plain"));
-    if wants_prometheus {
+    if http::wants_prometheus(request) {
         Response::text(200, render_prometheus_document(shared, &metrics))
     } else {
         Response::json(200, json_body(&metrics))
@@ -1453,43 +1270,41 @@ enum JobFailure {
 
 fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
     loop {
-        let (id, spec, scenario, config, progress, deadline, stop, trace) = {
+        let (id, request, progress, deadline, stop, trace) = {
             let mut state = lock_state(shared);
             loop {
                 if let Some(id) = state.queue.pop_front() {
-                    let Some(record) = state.jobs.get_mut(&id) else {
+                    let Ok(job) = state.jobs.get_mut(id) else {
                         continue;
                     };
                     // The watchdog polls every 20ms; a budget that ran
                     // out in between is caught here instead of wasting
                     // a worker on a job that's already dead.
-                    if record
+                    if job
                         .deadline
                         .is_some_and(|deadline| deadline <= Instant::now())
                     {
-                        let error = expire_queued(shared, record);
+                        let error = expire_queued(shared, job);
                         drop(state);
                         journal_terminal(shared, id, JobState::DeadlineExceeded, error);
                         state = lock_state(shared);
                         continue;
                     }
-                    record.state = JobState::Running;
+                    job.state = JobState::Running;
                     shared
                         .telemetry
                         .queue_wait_seconds
-                        .record(record.queued_at.elapsed().as_secs_f64());
-                    let job = (
+                        .record(job.accepted_at.elapsed().as_secs_f64());
+                    let taken = (
                         id,
-                        record.spec.clone(),
-                        record.scenario,
-                        record.config,
-                        Arc::clone(&record.progress),
-                        record.deadline,
-                        Arc::clone(&record.stop),
-                        record.trace,
+                        job.request.clone(),
+                        Arc::clone(&job.local),
+                        job.deadline,
+                        Arc::clone(&job.stop),
+                        job.trace(),
                     );
                     state.in_flight += 1;
-                    break job;
+                    break taken;
                 }
                 if state.draining {
                     return;
@@ -1506,9 +1321,7 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         // or without tracing; its spans are stored win or lose, so a
         // failed job still shows where its time went.
         let collector = SpanCollector::new(trace, shared.node.clone());
-        let outcome = execute(
-            shared, id, &spec, scenario, config, &progress, &stop, &collector,
-        );
+        let outcome = execute(shared, id, &request, &progress, &stop, &collector);
         shared.spans.insert(id, collector.finish());
         let elapsed = started.elapsed().as_secs_f64();
         shared.telemetry.job_seconds.record(elapsed);
@@ -1519,12 +1332,13 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         let mut terminal: Option<(JobState, Option<String>)> = None;
         let mut state = lock_state(shared);
         state.in_flight -= 1;
-        if let Some(record) = state.jobs.get_mut(&id) {
+        if let Ok(job) = state.jobs.get_mut(id) {
             match outcome {
                 Ok((output, oracle)) => {
-                    record.state = JobState::Completed;
-                    record.output = Some(output);
+                    job.state = JobState::Completed;
+                    job.output = Some(output);
                     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    let scenario = request.scenario;
                     if let Some(index) = Scenario::ALL.iter().position(|&s| s == scenario) {
                         shared.scenario_completed[index].fetch_add(1, Ordering::Relaxed);
                     }
@@ -1537,31 +1351,31 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                     // disambiguates.
                     let expired = deadline.is_some_and(|deadline| deadline <= Instant::now());
                     if expired {
-                        record.state = JobState::DeadlineExceeded;
-                        record.error = Some(format!(
+                        job.state = JobState::DeadlineExceeded;
+                        job.error = Some(format!(
                             "deadline of {}ms exceeded while running",
-                            record.deadline_ms.unwrap_or(0)
+                            request.deadline_ms.unwrap_or(0)
                         ));
                         shared
                             .counters
                             .deadline_exceeded
                             .fetch_add(1, Ordering::Relaxed);
                     } else {
-                        record.state = JobState::Cancelled;
-                        record.error = Some("cancelled while running".to_string());
+                        job.state = JobState::Cancelled;
+                        job.error = Some("cancelled while running".to_string());
                         shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                         shared
                             .counters
                             .cancelled_running
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    terminal = Some((record.state, record.error.clone()));
+                    terminal = Some((job.state, job.error.clone()));
                 }
                 Err(JobFailure::Error(message)) => {
-                    record.state = JobState::Failed;
-                    record.error = Some(message);
+                    job.state = JobState::Failed;
+                    job.error = Some(message);
                     shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    terminal = Some((JobState::Failed, record.error.clone()));
+                    terminal = Some((JobState::Failed, job.error.clone()));
                 }
             }
         }
@@ -1590,25 +1404,16 @@ fn add_oracle(total: &mut OracleStats, delta: &OracleStats) {
 /// Panics inside the estimation stack (dimension mismatches from exotic
 /// bench factories, …) are caught and reported as job failures so a bad
 /// job can never take a worker down.
-#[allow(clippy::too_many_arguments)]
 fn execute<B: SweepBench + 'static>(
-    shared: &Arc<Shared<B>>,
+    shared: &Shared<B>,
     id: u64,
-    spec: &JobSpec,
-    scenario: Scenario,
-    config: EcripseConfig,
-    progress: &Arc<ProgressTracker>,
-    stop: &Arc<AtomicBool>,
+    request: &SubmitRequest,
+    progress: &ProgressTracker,
+    stop: &AtomicBool,
     collector: &SpanCollector,
 ) -> Result<(JobOutput, OracleStats), JobFailure> {
-    let shared = Arc::clone(shared);
-    let spec = spec.clone();
-    let progress = Arc::clone(progress);
-    let stop = Arc::clone(stop);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        execute_inner(
-            &shared, id, &spec, scenario, config, &progress, &stop, collector,
-        )
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute_inner(shared, id, request, progress, stop, collector)
     }))
     .unwrap_or_else(|panic| {
         let message = panic
@@ -1620,18 +1425,16 @@ fn execute<B: SweepBench + 'static>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_inner<B: SweepBench + 'static>(
     shared: &Shared<B>,
     id: u64,
-    spec: &JobSpec,
-    scenario: Scenario,
-    config: EcripseConfig,
+    request: &SubmitRequest,
     progress: &ProgressTracker,
     stop: &AtomicBool,
     collector: &SpanCollector,
 ) -> Result<(JobOutput, OracleStats), JobFailure> {
-    let bench = job_bench(shared, scenario, spec);
+    let (spec, config) = (&request.job, request.config);
+    let bench = job_bench(shared, request.scenario, spec);
     // Everything beyond the deterministic recorder is observational:
     // the live-progress tracker, the registry bridge and the span
     // collector see the same event stream but never feed back into the

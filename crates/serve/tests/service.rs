@@ -12,7 +12,8 @@ use ecripse_core::observe::RunRecorder;
 use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::Scenario;
 use ecripse_core::sweep::{DutySweep, SweepBench, SweepOptions};
-use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, PROTOCOL_VERSION};
+use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
+use ecripse_serve::protocol::{JobSpec, JobState, JobStatus, SubmitRequest, PROTOCOL_VERSION};
 use ecripse_serve::{http, BackoffPolicy, Client, ClientError, ServeConfig, Server};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -783,6 +784,133 @@ fn idempotency_keys_dedup_within_and_across_restarts() {
     assert_eq!(metrics.submitted, 0);
     assert_eq!(metrics.idempotent_hits, 1);
     second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checks that the server at `addr` holds job `id` as it was admitted:
+/// its status shows the wire scenario and the submitted trace id, and
+/// a resubmission with the same idempotency key answers `200` with
+/// the same id.
+fn assert_admitted(addr: std::net::SocketAddr, id: u64, request: &SubmitRequest) -> JobState {
+    let trace_id = request.trace.map(|trace| fmt_hex_id(trace.trace_id));
+    let status = Client::new(addr.to_string()).status(id).expect("status");
+    assert_eq!(status.scenario, request.scenario, "the wire scenario wins");
+    assert_eq!(status.trace_id, trace_id);
+    let body = serde_json::to_string(request).expect("serialise");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    http::write_request(&mut stream, "POST", "/v1/jobs", Some(&body)).expect("write");
+    let (code, _, body) = http::read_response(&mut stream).expect("read");
+    assert_eq!(code, 200, "a keyed resubmission is a duplicate: {body}");
+    let duplicate: JobStatus = serde_json::from_str(&body).expect("status body");
+    assert_eq!(duplicate.id, id);
+    assert_eq!(duplicate.trace_id, trace_id);
+    status.state
+}
+
+/// A queued job keeps what it was admitted with through a crash, the
+/// boot compaction and a second restart, and through a compaction at
+/// shutdown: the wire scenario (not the one inside `config`), the
+/// trace, the idempotency key, and the report it runs to.
+#[test]
+fn replay_and_compaction_keep_a_jobs_admission() {
+    let dir = scratch_dir("replay-compaction");
+    let trace = TraceContext::for_job(4242, 8);
+    let mut request = SubmitRequest::new(tiny_config(8), JobSpec::rdf_only(1.0))
+        .with_deadline_ms(600_000)
+        .with_idempotency_key("replay-compaction/job")
+        .with_trace(trace);
+    request.scenario = Scenario::HoldSnm;
+    assert_ne!(request.config.scenario, request.scenario);
+    let blocker = SubmitRequest::new(tiny_config(2), JobSpec::rdf_only(1.0));
+    let mut stamped = tiny_config(8);
+    stamped.scenario = Scenario::HoldSnm;
+    let recorder = RunRecorder::new();
+    let direct = Ecripse::new(stamped, linear_bench())
+        .estimate_observed(&recorder)
+        .expect("direct estimate");
+    let mut direct_report = recorder.into_report();
+    direct_report.strip_timings();
+
+    // One worker, held by the blocker (the first job, so also the
+    // first replayed) until the gate opens: the job stays queued.
+    let bind = |journal: &PathBuf, gate: &Arc<AtomicBool>| {
+        let config = ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            journal: Some(journal.clone()),
+            ..ServeConfig::default()
+        };
+        let gate = Arc::clone(gate);
+        Server::bind_with("127.0.0.1:0", config, move |_scenario, _vdd| {
+            GateBench::new(Arc::clone(&gate))
+        })
+        .expect("bind")
+    };
+    // A crash leaves the journal as it is on disk: a copy taken while
+    // the server runs is what the next process boots from.
+    let crash_copy = |from: &PathBuf, name: &str| {
+        let to = dir.join(name);
+        std::fs::copy(from, &to).expect("copy journal");
+        to
+    };
+    let run_to_report = |server: &Server<GateBench>, gate: &AtomicBool, id: u64| {
+        gate.store(true, Ordering::SeqCst);
+        let client = Client::new(server.local_addr().to_string());
+        let report = client.wait_for_report(id, WAIT).expect("report");
+        assert_eq!(report.state, JobState::Completed);
+        assert_eq!(report.scenario, Scenario::HoldSnm);
+        assert_eq!(report.trace_id, Some(fmt_hex_id(trace.trace_id)));
+        let outcome = report.estimate.expect("estimate outcome");
+        assert_eq!(outcome.p_fail, direct.p_fail);
+        assert_eq!(outcome.simulations, direct.simulations);
+        let mut served_report = outcome.report;
+        served_report.strip_timings();
+        assert_eq!(served_report, direct_report);
+    };
+
+    let journal = dir.join("first.journal");
+    let gate = Arc::new(AtomicBool::new(false));
+    let first = bind(&journal, &gate);
+    let client = Client::new(first.local_addr().to_string());
+    let held = client.submit(&blocker).expect("blocker");
+    wait_until_running(&client, held.id);
+    let id = client.submit(&request).expect("queued job").id;
+    assert_eq!(
+        assert_admitted(first.local_addr(), id, &request),
+        JobState::Queued
+    );
+    let journal = crash_copy(&journal, "second.journal");
+    gate.store(true, Ordering::SeqCst);
+    first.shutdown();
+
+    // After the crash: replayed under the same id, then compacted at
+    // boot; a crash copy of the compacted journal feeds the third boot.
+    let gate = Arc::new(AtomicBool::new(false));
+    let second = bind(&journal, &gate);
+    assert_eq!(
+        assert_admitted(second.local_addr(), id, &request),
+        JobState::Queued
+    );
+    let journal = crash_copy(&journal, "third.journal");
+    run_to_report(&second, &gate, id);
+    second.shutdown();
+
+    let gate = Arc::new(AtomicBool::new(false));
+    let third = bind(&journal, &gate);
+    assert_eq!(
+        assert_admitted(third.local_addr(), id, &request),
+        JobState::Queued
+    );
+    run_to_report(&third, &gate, id);
+    // Graceful shutdown compacts from the job table: the finished,
+    // keyed job keeps its admission for the next boot.
+    third.shutdown();
+    let fourth = bind(&journal, &Arc::new(AtomicBool::new(true)));
+    assert_eq!(
+        assert_admitted(fourth.local_addr(), id, &request),
+        JobState::Completed
+    );
+    fourth.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
