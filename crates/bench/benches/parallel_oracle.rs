@@ -7,9 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecripse_core::bench::Testbench;
-use ecripse_core::cache::{MemoBench, MemoCacheConfig};
+use ecripse_core::cache::{MemoBench, MemoCacheConfig, VerdictStore};
 use ecripse_core::scenario::{Scenario, SramScenarioBench};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// A deterministic spread of whitened 6-D points near the ±3–4 σ shell,
 /// where stage-2 batches actually live.
@@ -55,6 +56,16 @@ fn bench_batch_eval(c: &mut Criterion) {
     group.finish();
 }
 
+/// A memo over a private, empty store.
+fn memo<B>(inner: B, config: MemoCacheConfig) -> MemoBench<B> {
+    MemoBench::shared(
+        inner,
+        0,
+        Arc::new(VerdictStore::new(config)),
+        config.enabled,
+    )
+}
+
 fn bench_memo_cache(c: &mut Criterion) {
     let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
     let zs = points(256);
@@ -64,21 +75,21 @@ fn bench_memo_cache(c: &mut Criterion) {
     // Every iteration pays full simulation cost plus cache bookkeeping.
     group.bench_function("cold_batch_256", |b| {
         b.iter(|| {
-            let cached = MemoBench::new(&bench, MemoCacheConfig::default());
+            let cached = memo(&bench, MemoCacheConfig::default());
             black_box(cached.fails_batch(&zs))
         })
     });
 
     // Pure hit path: the map already holds every key.
     group.bench_function("warm_batch_256", |b| {
-        let cached = MemoBench::new(&bench, MemoCacheConfig::default());
+        let cached = memo(&bench, MemoCacheConfig::default());
         let _ = cached.fails_batch(&zs);
         b.iter(|| black_box(cached.fails_batch(&zs)))
     });
 
     // Cache disabled: measures the pass-through overhead (should be nil).
     group.bench_function("disabled_batch_256", |b| {
-        let cached = MemoBench::new(
+        let cached = memo(
             &bench,
             MemoCacheConfig {
                 enabled: false,

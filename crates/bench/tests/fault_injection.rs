@@ -1,17 +1,36 @@
-//! Fault-injection suite: drives the retry ladder, quarantine and
-//! per-point failure isolation with [`FaultyBench`] faults that are
-//! deterministic by sample hash.
+//! Fault-injection suite: drives the per-run [`Simulator`]'s retry
+//! ladder and quarantine, and per-point failure isolation, with
+//! [`FaultyBench`] faults that are deterministic by sample hash.
 
 use ecripse_bench::fault::{FaultConfig, FaultyBench};
 use ecripse_core::bench::{LinearBench, Testbench};
+use ecripse_core::cache::MemoCacheConfig;
 use ecripse_core::ecripse::EcripseConfig;
 use ecripse_core::importance::ImportanceConfig;
 use ecripse_core::initial::InitialSearchConfig;
-use ecripse_core::retry::{RetryBench, RetryPolicy};
+use ecripse_core::observe::NullObserver;
+use ecripse_core::oracle::OracleStats;
+use ecripse_core::retry::RetryPolicy;
+use ecripse_core::simulate::Simulator;
 use ecripse_core::sweep::{DutySweep, SweepError, SweepOptions};
 
 fn bench6() -> LinearBench {
     LinearBench::new(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3.5)
+}
+
+fn simulator<B: Testbench>(bench: &B, max_attempts: usize) -> Simulator<'_, B> {
+    Simulator::new(
+        bench,
+        &NullObserver,
+        MemoCacheConfig::default(),
+        RetryPolicy { max_attempts },
+    )
+}
+
+/// `(retries, quarantined)` so far.
+fn ladder<B: Testbench>(sim: &Simulator<'_, B>) -> (u64, u64) {
+    let stats = sim.oracle_stats(&OracleStats::default());
+    (stats.retries, stats.quarantined)
 }
 
 fn samples(n: usize) -> Vec<Vec<f64>> {
@@ -35,20 +54,14 @@ fn retry_ladder_heals_transient_faults_to_ground_truth() {
             ..FaultConfig::default()
         },
     );
-    let retrying = RetryBench::new(&faulty, RetryPolicy { max_attempts: 3 });
+    let sim = simulator(&faulty, 3);
     let zs = samples(400);
-    let healed = retrying.fails_batch(&zs);
+    let healed = sim.fails_batch(&zs);
     let expected = truth.fails_batch(&zs);
     assert_eq!(healed, expected, "healed verdicts must equal ground truth");
-    assert!(
-        retrying.retries() > 0,
-        "some samples must have needed retries"
-    );
-    assert_eq!(
-        retrying.quarantined(),
-        0,
-        "transient faults never quarantine"
-    );
+    let (retries, quarantined) = ladder(&sim);
+    assert!(retries > 0, "some samples must have needed retries");
+    assert_eq!(quarantined, 0, "transient faults never quarantine");
     assert!(faulty.injected() > 0);
 }
 
@@ -62,14 +75,10 @@ fn permanent_faults_are_quarantined_not_guessed() {
             ..FaultConfig::default()
         },
     );
-    let policy = RetryPolicy { max_attempts: 3 };
-    let retrying = RetryBench::new(&faulty, policy);
+    let sim = simulator(&faulty, 3);
     let zs = samples(400);
-    let verdicts = retrying.fails_batch(&zs);
-    assert!(
-        retrying.quarantined() > 0,
-        "permanent faults must quarantine"
-    );
+    let verdicts = sim.fails_batch(&zs);
+    assert!(ladder(&sim).1 > 0, "permanent faults must quarantine");
     for (z, verdict) in zs.iter().zip(&verdicts) {
         if faulty.try_fails(z).is_err() {
             assert!(
@@ -94,13 +103,13 @@ fn recovery_counters_are_thread_count_independent() {
                 ..FaultConfig::default()
             },
         );
-        let retrying = RetryBench::new(faulty, RetryPolicy { max_attempts: 2 });
+        let sim = simulator(&faulty, 2);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("test pool");
-        let verdicts = pool.install(|| retrying.fails_batch(&samples(600)));
-        (verdicts, retrying.retries(), retrying.quarantined())
+        let verdicts = pool.install(|| sim.fails_batch(&samples(600)));
+        (verdicts, ladder(&sim), sim.simulations())
     };
     assert_eq!(
         run(1),

@@ -8,7 +8,9 @@
 //! `I(x_RDF, x_RTN)` of the paper depends only on the total shift.
 //!
 //! [`SimCounter`] wraps any bench and counts invocations — the
-//! "number of transistor-level simulations" axis of Figs. 6 and 7.
+//! "number of transistor-level simulations" axis of Figs. 6 and 7 — for
+//! the boundary search and the baselines; an estimate's later stages
+//! bill theirs through its [`Simulator`](crate::simulate::Simulator).
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -114,12 +116,13 @@ pub trait Testbench: Sync {
     /// input order (same determinism contract as
     /// [`fails_batch`](Testbench::fails_batch)).
     ///
-    /// The retry layer sends every first attempt through here. The
-    /// default is an order-preserving parallel map of
-    /// [`try_fails_attempt`](Testbench::try_fails_attempt) at attempt 0,
-    /// so a bench that implements only the ladder entry point batches the
-    /// same evaluation it climbs from, and one that implements only
-    /// [`fails`](Testbench::fails) still evaluates across the pool.
+    /// The [`Simulator`](crate::simulate::Simulator) sends every first
+    /// attempt through here. The default is an order-preserving parallel
+    /// map of [`try_fails_attempt`](Testbench::try_fails_attempt) at
+    /// attempt 0, so a bench that implements only the ladder entry point
+    /// batches the same evaluation it climbs from, and one that
+    /// implements only [`fails`](Testbench::fails) still evaluates across
+    /// the pool.
     fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
         zs.par_iter()
             .map(|z| self.try_fails_attempt(z, 0))
@@ -139,7 +142,7 @@ pub trait Testbench: Sync {
     /// until the receipt is passed to [`book`](Testbench::book).
     ///
     /// This is how work is done ahead of need without moving any counter
-    /// (see [`crate::prefetch`]). The default `None` means the bench
+    /// (see [`crate::simulate`]). The default `None` means the bench
     /// cannot evaluate detached, and nothing is done ahead for it.
     fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
         let _ = z;

@@ -7,15 +7,16 @@
 //! resubmitted. [`MemoBench`] intercepts those repeats before they reach
 //! the circuit solver, answering them from a [`VerdictStore`].
 //!
-//! The wrapper sits at two positions in a bench stack:
+//! The store serves two owners:
 //!
-//! - **per run** ([`MemoBench::new`]): a private store between the
-//!   oracle and the retry ladder, so a quarantined verdict is paid for
-//!   once per unique sample. Its hits and misses are the run's
+//! - **per run**: the [`Simulator`](crate::simulate::Simulator) of an
+//!   estimate keeps a private store (tag 0) in front of its retry
+//!   ladder, so a quarantined verdict is paid for once per unique
+//!   sample. Its hits and misses are the run's
 //!   `OracleStats::cache_hits`/`cache_misses`;
 //! - **per process** ([`MemoBench::shared`]): one store shared by every
-//!   job of a resident service, wrapping the *raw* bench below every
-//!   counting layer. Those layers then see exactly the query stream of a
+//!   job of a resident service, wrapping the *raw* bench below the
+//!   simulator. The simulator then sees exactly the query stream of a
 //!   direct run, so reports stay bit-identical and only wall-clock time
 //!   changes when the store is warm.
 //!
@@ -51,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Mode of [`Testbench::fails`] and [`Testbench::fails_batch`].
-const MODE_PLAIN: u16 = 0;
+pub(crate) const MODE_PLAIN: u16 = 0;
 /// Mode of [`Testbench::try_fails`].
 const MODE_TRY: u16 = 1;
 /// Mode of attempt 0 of [`Testbench::try_fails_attempt`]; attempt `k`
@@ -211,11 +212,70 @@ impl VerdictStore {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
+
+    /// Whether a query at `z` under `(tag, mode)` would be answered from
+    /// the store. Counts nothing: hits and misses stay what the served
+    /// queries made them.
+    pub(crate) fn holds(&self, tag: u64, mode: u16, z: &[f64]) -> bool {
+        self.get(&self.key(tag, mode, z)).is_some()
+    }
+
+    /// A batch under `(tag, mode)`: a serial routing pass resolves stored
+    /// verdicts and deduplicates the rest, so the (possibly parallel)
+    /// `eval` sees each unique point once and the counters are
+    /// schedule-independent. A batch whose every point hits never calls
+    /// `eval`.
+    pub(crate) fn memo_batch<T: Outcome>(
+        &self,
+        tag: u64,
+        mode: u16,
+        zs: &[Vec<f64>],
+        eval: impl FnOnce(&[Vec<f64>]) -> Vec<T>,
+    ) -> Vec<T> {
+        if zs.is_empty() {
+            return eval(zs);
+        }
+        let keys: Vec<Key> = zs.iter().map(|z| self.key(tag, mode, z)).collect();
+        let mut first_seen: HashMap<&Key, usize> = HashMap::new();
+        let mut eval_points: Vec<Vec<f64>> = Vec::new();
+        let mut routes: Vec<Result<bool, usize>> = Vec::with_capacity(zs.len());
+        for (z, key) in zs.iter().zip(&keys) {
+            if let Some(verdict) = self.get(key) {
+                routes.push(Ok(verdict));
+            } else if let Some(&slot) = first_seen.get(key) {
+                routes.push(Err(slot));
+            } else {
+                let slot = eval_points.len();
+                first_seen.insert(key, slot);
+                eval_points.push(z.clone());
+                routes.push(Err(slot));
+            }
+        }
+        let misses = eval_points.len() as u64;
+        self.count(zs.len() as u64 - misses, misses);
+        let fresh = if eval_points.is_empty() {
+            Vec::new()
+        } else {
+            eval(&eval_points)
+        };
+        for (key, slot) in first_seen {
+            if let Some(verdict) = fresh[slot].verdict() {
+                self.put(key.clone(), verdict);
+            }
+        }
+        routes
+            .into_iter()
+            .map(|route| match route {
+                Ok(verdict) => T::from_verdict(verdict),
+                Err(slot) => fresh[slot].clone(),
+            })
+            .collect()
+    }
 }
 
 /// What an evaluation path returns: a plain verdict, or a fallible one
 /// whose errors are passed on but never stored.
-trait Outcome: Clone {
+pub(crate) trait Outcome: Clone {
     fn verdict(&self) -> Option<bool>;
     fn from_verdict(verdict: bool) -> Self;
 }
@@ -240,13 +300,10 @@ impl Outcome for Result<bool, EvalError> {
     }
 }
 
-/// A bench wrapper answering repeated queries from a [`VerdictStore`].
-///
-/// Per run, layer it *outside* the
-/// [`SimCounter`](crate::bench::SimCounter), i.e.
-/// `oracle → MemoBench → retry → SimCounter → bench`, so that cache hits
-/// are not billed as transistor-level simulations. A shared store goes
-/// at the very bottom instead; see the module docs.
+/// A bench wrapper answering repeated queries from a shared
+/// [`VerdictStore`]. It goes below the per-run
+/// [`Simulator`](crate::simulate::Simulator), on the raw bench; see the
+/// module docs.
 ///
 /// It never evaluates detached (the [`Testbench::evaluate_detached`]
 /// default): a verdict prefetched past the store would bypass it, never
@@ -260,16 +317,6 @@ pub struct MemoBench<B> {
 }
 
 impl<B> MemoBench<B> {
-    /// Wraps a bench with a private, empty store (tag 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is not positive or `shards` is zero.
-    pub fn new(inner: B, config: MemoCacheConfig) -> Self {
-        let store = Arc::new(VerdictStore::new(config));
-        Self::shared(inner, 0, store, config.enabled)
-    }
-
     /// Wraps `inner`, keying its verdicts under `tag` in a store that
     /// other wrappers may share. With `enabled` off the wrapper is a
     /// transparent pass-through and counts nothing.
@@ -292,14 +339,6 @@ impl<B> MemoBench<B> {
         &self.store
     }
 
-    /// Whether a [`Testbench::fails`] query at `z` would be answered
-    /// from the store. Counts nothing: hits and misses stay what the
-    /// served queries made them.
-    pub fn contains(&self, z: &[f64]) -> bool {
-        let key = self.store.key(self.tag, MODE_PLAIN, z);
-        self.enabled && self.store.get(&key).is_some()
-    }
-
     /// One query: answered from the store, or evaluated and stored.
     fn memo_one<T: Outcome>(&self, mode: u16, z: &[f64], eval: impl FnOnce() -> T) -> T {
         if !self.enabled {
@@ -318,58 +357,17 @@ impl<B> MemoBench<B> {
         outcome
     }
 
-    /// A batch: a serial routing pass resolves stored verdicts and
-    /// deduplicates the rest, so the (possibly parallel) inner batch
-    /// sees each unique point once and the counters are
-    /// schedule-independent. A batch whose every point hits never calls
-    /// `eval`.
+    /// A batch through the store (see [`VerdictStore::memo_batch`]).
     fn memo_batch<T: Outcome>(
         &self,
         mode: u16,
         zs: &[Vec<f64>],
         eval: impl FnOnce(&[Vec<f64>]) -> Vec<T>,
     ) -> Vec<T> {
-        if !self.enabled || zs.is_empty() {
+        if !self.enabled {
             return eval(zs);
         }
-        let keys: Vec<Key> = zs
-            .iter()
-            .map(|z| self.store.key(self.tag, mode, z))
-            .collect();
-        let mut first_seen: HashMap<&Key, usize> = HashMap::new();
-        let mut eval_points: Vec<Vec<f64>> = Vec::new();
-        let mut routes: Vec<Result<bool, usize>> = Vec::with_capacity(zs.len());
-        for (z, key) in zs.iter().zip(&keys) {
-            if let Some(verdict) = self.store.get(key) {
-                routes.push(Ok(verdict));
-            } else if let Some(&slot) = first_seen.get(key) {
-                routes.push(Err(slot));
-            } else {
-                let slot = eval_points.len();
-                first_seen.insert(key, slot);
-                eval_points.push(z.clone());
-                routes.push(Err(slot));
-            }
-        }
-        let misses = eval_points.len() as u64;
-        self.store.count(zs.len() as u64 - misses, misses);
-        let fresh = if eval_points.is_empty() {
-            Vec::new()
-        } else {
-            eval(&eval_points)
-        };
-        for (key, slot) in first_seen {
-            if let Some(verdict) = fresh[slot].verdict() {
-                self.store.put(key.clone(), verdict);
-            }
-        }
-        routes
-            .into_iter()
-            .map(|route| match route {
-                Ok(verdict) => T::from_verdict(verdict),
-                Err(slot) => fresh[slot].clone(),
-            })
-            .collect()
+        self.store.memo_batch(self.tag, mode, zs, eval)
     }
 }
 
@@ -446,6 +444,12 @@ mod tests {
     use super::*;
     use crate::bench::{LinearBench, SimCounter};
 
+    /// A wrapper over a private, empty store (tag 0).
+    fn private<B>(inner: B, config: MemoCacheConfig) -> MemoBench<B> {
+        let store = Arc::new(VerdictStore::new(config));
+        MemoBench::shared(inner, 0, store, config.enabled)
+    }
+
     fn disabled() -> MemoCacheConfig {
         MemoCacheConfig {
             enabled: false,
@@ -456,7 +460,7 @@ mod tests {
     #[test]
     fn repeated_queries_hit() {
         let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 2.0));
-        let cache = MemoBench::new(&counter, MemoCacheConfig::default());
+        let cache = private(&counter, MemoCacheConfig::default());
         let first = cache.fails(&[3.0, 0.0]);
         assert!(first);
         assert_eq!(cache.fails(&[3.0, 0.0]), first);
@@ -470,7 +474,7 @@ mod tests {
     #[test]
     fn batch_dedup_evaluates_unique_points_once() {
         let counter = SimCounter::new(LinearBench::new(vec![1.0], 0.5));
-        let cache = MemoBench::new(&counter, MemoCacheConfig::default());
+        let cache = private(&counter, MemoCacheConfig::default());
         let zs = vec![vec![1.0], vec![-1.0], vec![1.0], vec![1.0], vec![0.0]];
         let out = cache.fails_batch(&zs);
         assert_eq!(out, vec![true, false, true, true, false]);
@@ -521,7 +525,7 @@ mod tests {
             quantum: 1e-6,
             ..MemoCacheConfig::default()
         };
-        let cache = MemoBench::new(&counter, cfg);
+        let cache = private(&counter, cfg);
         let _ = cache.fails(&[3.0]);
         let _ = cache.fails(&[3.0 + 1e-9]);
         assert_eq!(
@@ -533,28 +537,32 @@ mod tests {
     }
 
     #[test]
-    fn contains_sees_cached_keys_without_counting() {
+    fn holds_sees_cached_keys_without_counting() {
         let counter = SimCounter::new(LinearBench::new(vec![1.0], 2.0));
         let cfg = MemoCacheConfig {
             quantum: 1e-6,
             ..MemoCacheConfig::default()
         };
-        let cache = MemoBench::new(&counter, cfg);
-        assert!(!cache.contains(&[3.0]));
+        let cache = private(&counter, cfg);
+        let holds = |z: &[f64]| cache.store().holds(0, MODE_PLAIN, z);
+        assert!(!holds(&[3.0]));
         let _ = cache.fails(&[3.0]);
-        assert!(cache.contains(&[3.0]));
-        assert!(cache.contains(&[3.0 + 1e-9]), "same quantised key");
-        assert!(!cache.contains(&[4.0]));
+        assert!(holds(&[3.0]));
+        assert!(holds(&[3.0 + 1e-9]), "same quantised key");
+        assert!(!holds(&[4.0]));
         assert_eq!((cache.store().hits(), cache.store().misses()), (0, 1));
-        let off = MemoBench::new(&counter, disabled());
+        let off = private(&counter, disabled());
         let _ = off.fails(&[3.0]);
-        assert!(!off.contains(&[3.0]), "a disabled cache holds nothing");
+        assert!(
+            !off.store().holds(0, MODE_PLAIN, &[3.0]),
+            "a disabled cache holds nothing"
+        );
     }
 
     #[test]
     fn disabled_cache_is_transparent() {
         let counter = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
-        let cache = MemoBench::new(&counter, disabled());
+        let cache = private(&counter, disabled());
         let _ = cache.fails(&[1.0]);
         let _ = cache.fails(&[1.0]);
         let _ = cache.fails_batch(&[vec![1.0], vec![1.0]]);
@@ -569,7 +577,7 @@ mod tests {
     #[should_panic(expected = "cache quantum must be positive")]
     fn rejects_nonpositive_quantum() {
         let bench = LinearBench::new(vec![1.0], 0.0);
-        let _ = MemoBench::new(
+        let _ = private(
             bench,
             MemoCacheConfig {
                 quantum: 0.0,

@@ -10,26 +10,27 @@
 //!     with the accurate oracle policy.
 //! ```
 //!
-//! Every transistor-level simulation is accounted through a
-//! [`SimCounter`]; results carry the totals and optional convergence
-//! traces so the Fig. 6/7 regenerators can plot estimate-vs-cost curves.
+//! Every transistor-level simulation is accounted — step (1) through a
+//! [`SimCounter`], steps (2)–(5) through the run's [`Simulator`] —
+//! and results carry the totals and optional convergence traces so the
+//! Fig. 6/7 regenerators can plot estimate-vs-cost curves.
 
-use crate::bench::{EffortSnapshot, EvalError, SimCounter, Testbench};
-use crate::cache::{MemoBench, MemoCacheConfig};
+use crate::bench::{SimCounter, Testbench};
+use crate::cache::MemoCacheConfig;
 use crate::ensemble::{EnsembleConfig, FilterEnsemble};
 use crate::importance::{importance_stage, ImportanceConfig};
 use crate::initial::{
     find_boundary_particles, BoundaryNotFoundError, InitialParticles, InitialSearchConfig,
 };
 use crate::observe::{
-    BoundaryStats, IterationStats, NullObserver, Observer, OracleDelta, RunSummary, SimBatchStats,
-    Stage, StageTiming,
+    BoundaryStats, IterationStats, NullObserver, Observer, OracleDelta, RunSummary, Stage,
+    StageTiming,
 };
 use crate::oracle::{ClassifierOracle, OracleConfig, OracleStats};
-use crate::prefetch::PrefetchBench;
-use crate::retry::{RetryBench, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::rtn_source::{NoRtn, RtnSource};
 use crate::scenario::Scenario;
+use crate::simulate::{Simulator, TimingBench};
 use crate::trace::ConvergenceTrace;
 use ecripse_stats::mvn::DiagGaussian;
 use rand::rngs::StdRng;
@@ -385,25 +386,9 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         options: &RunOptions<'_>,
     ) -> Result<EcripseResult, EstimateError> {
         let observer = options.observer;
-        // Bench layering, innermost first: raw bench → batch timer
-        // (wall-clock only; feeds latency histograms, never reports) →
-        // prefetch table (stage-2 evaluations done ahead while the
-        // classifier retrains; see `crate::prefetch`) → simulation
-        // counter (every retry attempt is a real simulation and is
-        // counted) → retry ladder with quarantine → memo-cache (so a
-        // quarantined verdict is paid for once per unique sample) →
-        // oracle.
-        let timed = TimingBench {
-            inner: &self.bench,
-            observer,
-        };
-        let effort_start = self.bench.solve_effort();
-        let prefetch = PrefetchBench::new(&timed);
-        let counter = SimCounter::new(&prefetch);
-        let retrying = RetryBench::new(&counter, self.config.retry);
-        let cached = MemoBench::new(&retrying, self.config.cache);
+        let sim = Simulator::new(&self.bench, observer, self.config.cache, self.config.retry);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut oracle = ClassifierOracle::new(&cached, self.config.oracle);
+        let mut oracle = ClassifierOracle::new(&sim, self.config.oracle);
         let dim = self.bench.dim();
         let rdf = DiagGaussian::standard(dim);
 
@@ -417,7 +402,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         // Stage 1: particle-filter iterations.
         observer.stage_started(Stage::ParticleFilter);
         let pf_start = Instant::now();
-        let pf_start_sims = counter.simulations();
+        let pf_start_sims = sim.simulations();
         let m1 = self.config.m_rtn_stage1.max(1);
         for iteration in 0..self.config.iterations {
             // Cancellation is cooperative and checked only between
@@ -427,13 +412,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             if options.stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
                 return Err(EstimateError::Interrupted);
             }
-            let before = combined_stats(
-                oracle.stats(),
-                cached.store().hits(),
-                cached.store().misses(),
-                retrying.retries(),
-                retrying.quarantined(),
-            );
+            let before = sim.oracle_stats(oracle.stats());
             let rtn = &self.rtn;
             let oracle_ref = &mut oracle;
             let step = ensemble.step(&mut rng, |rng, candidates| {
@@ -443,13 +422,7 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
                 Ok(s) => s,
                 Err(_) => return Err(EstimateError::Degenerate { iteration }),
             };
-            let after = combined_stats(
-                oracle.stats(),
-                cached.store().hits(),
-                cached.store().misses(),
-                retrying.retries(),
-                retrying.quarantined(),
-            );
+            let after = sim.oracle_stats(oracle.stats());
             observer.iteration_finished(&IterationStats {
                 iteration,
                 candidates: step.candidates,
@@ -469,17 +442,17 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             Stage::ParticleFilter,
             &StageTiming {
                 wall_seconds: pf_start.elapsed().as_secs_f64(),
-                simulations: counter.simulations() - pf_start_sims,
+                simulations: sim.simulations() - pf_start_sims,
             },
         );
 
         // Stage 2: importance sampling from the pooled mixture.
         observer.stage_started(Stage::ImportanceSampling);
         let is_start = Instant::now();
-        let is_start_sims = counter.simulations();
+        let is_start_sims = sim.simulations();
         let alternative = ensemble.as_mixture(self.config.sigma_kernel);
         let init_sims = init.simulations;
-        let sim_count = || init_sims + counter.simulations();
+        let sim_count = || init_sims + sim.simulations();
         let (is, is_interrupted) = importance_stage(
             &mut oracle,
             &self.rtn,
@@ -488,13 +461,13 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             &mut rng,
             &sim_count,
             options,
-            Some(&(&prefetch, &cached)),
+            Some(&sim),
         );
         observer.stage_finished(
             Stage::ImportanceSampling,
             &StageTiming {
                 wall_seconds: is_start.elapsed().as_secs_f64(),
-                simulations: counter.simulations() - is_start_sims,
+                simulations: sim.simulations() - is_start_sims,
             },
         );
         if is_interrupted {
@@ -503,20 +476,13 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
             return Err(EstimateError::Interrupted);
         }
 
-        let mut oracle_stats = *oracle.stats();
-        oracle_stats.cache_hits = cached.store().hits();
-        oracle_stats.cache_misses = cached.store().misses();
-        oracle_stats.retries = retrying.retries();
-        oracle_stats.quarantined = retrying.quarantined();
-        let effort = self.bench.solve_effort().delta(&effort_start);
-        oracle_stats.newton_iters = effort.newton_iters;
-        oracle_stats.factorisations = effort.factorisations;
+        let oracle_stats = sim.oracle_stats(oracle.stats());
 
         let (bank_labels, bank_rows) = oracle.bank_size();
         observer.run_finished(&RunSummary {
             p_fail: is.p_fail,
             ci95_half_width: is.ci95_half_width,
-            simulations: init.simulations + counter.simulations(),
+            simulations: init.simulations + sim.simulations(),
             is_samples: is.samples,
             effective_sample_size: is.effective_sample_size,
             oracle: oracle_stats,
@@ -528,97 +494,13 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         Ok(EcripseResult {
             p_fail: is.p_fail,
             ci95_half_width: is.ci95_half_width,
-            simulations: init.simulations + counter.simulations(),
+            simulations: init.simulations + sim.simulations(),
             is_samples: is.samples,
             effective_sample_size: is.effective_sample_size,
             oracle_stats,
             trace: is.trace,
             particle_history: history,
         })
-    }
-}
-
-/// An [`OracleStats`] snapshot with the memo-cache and retry-ladder
-/// counters filled in — the oracle's own copy lags those layers, which
-/// own their accounting.
-fn combined_stats(
-    stats: &OracleStats,
-    cache_hits: u64,
-    cache_misses: u64,
-    retries: u64,
-    quarantined: u64,
-) -> OracleStats {
-    OracleStats {
-        cache_hits,
-        cache_misses,
-        retries,
-        quarantined,
-        ..*stats
-    }
-}
-
-/// Times every raw simulator batch and reports it to the observer as a
-/// [`SimBatchStats`] event. Sits directly on top of the raw bench —
-/// *below* the counting/retry/cache/prefetch layers — so it sees exactly
-/// the batches that reach the simulator on the critical path (cache
-/// hits and prefetch-table answers never arrive here, and detached
-/// evaluations pass through untimed).
-///
-/// Strictly observation-only: verdicts pass through untouched and the
-/// only payload is wall-clock time, so the determinism contract holds
-/// with or without an observer attached.
-struct TimingBench<'a, B> {
-    inner: &'a B,
-    observer: &'a dyn Observer,
-}
-
-impl<B: Testbench> TimingBench<'_, B> {
-    fn timed<T>(&self, batch: u64, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.observer.sim_batch_finished(&SimBatchStats {
-            batch,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        });
-        out
-    }
-}
-
-impl<B: Testbench> Testbench for TimingBench<'_, B> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn fails(&self, z: &[f64]) -> bool {
-        self.timed(1, || self.inner.fails(z))
-    }
-
-    fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        self.timed(zs.len() as u64, || self.inner.fails_batch(zs))
-    }
-
-    fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.timed(1, || self.inner.try_fails(z))
-    }
-
-    fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        self.timed(1, || self.inner.try_fails_attempt(z, attempt))
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        self.timed(zs.len() as u64, || self.inner.try_fails_batch(zs))
-    }
-
-    fn solve_effort(&self) -> crate::bench::SolveEffort {
-        self.inner.solve_effort()
-    }
-
-    fn evaluate_detached(&self, z: &[f64]) -> Option<(Result<bool, EvalError>, EffortSnapshot)> {
-        self.inner.evaluate_detached(z)
-    }
-
-    fn book(&self, receipt: &EffortSnapshot) {
-        self.inner.book(receipt);
     }
 }
 

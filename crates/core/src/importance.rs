@@ -14,8 +14,8 @@ use crate::bench::Testbench;
 use crate::ecripse::RunOptions;
 use crate::observe::{ChunkStats, PrefetchStats};
 use crate::oracle::ClassifierOracle;
-use crate::prefetch::Lookahead;
 use crate::rtn_source::RtnSource;
+use crate::simulate::Lookahead;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use ecripse_stats::estimate::WeightedIsEstimator;
 use ecripse_stats::mvn::{DiagGaussian, GaussianMixture};
@@ -122,9 +122,12 @@ where
 /// sample a fixed alternative.
 ///
 /// `sim_count` reports the current transistor-level simulation count (for
-/// trace points); pass the enclosing [`crate::bench::SimCounter`]'s
-/// getter. Of `options`, the stage reads the observer, the stop flag and
-/// the target ([`RunOptions::initial`] is step 1's business).
+/// trace points and chunk events); pass the getter of whatever bills the
+/// oracle's simulations: the run's
+/// [`Simulator::simulations`](crate::simulate::Simulator::simulations),
+/// or a baseline's [`crate::bench::SimCounter`]. Of `options`, the stage
+/// reads the observer, the stop flag and the target
+/// ([`RunOptions::initial`] is step 1's business).
 ///
 /// With [`RunOptions::target_relative_error`] set, sampling stops as soon
 /// as the estimator's relative error falls at or below the target
@@ -143,7 +146,7 @@ where
 /// chunk owes runs. With a `lookahead`, a pool of more than one thread
 /// and a retrain owed, the retrain runs on a scoped thread while this
 /// one draws the next chunk and simulates ahead the points the
-/// pre-retrain classifier finds uncertain ([`crate::prefetch`]); the
+/// pre-retrain classifier finds uncertain ([`crate::simulate`]); the
 /// results are the same bits either way.
 ///
 /// # Panics

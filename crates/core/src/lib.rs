@@ -30,17 +30,18 @@
 //!    health and structured [`observe::RunReport`]s ([`observe`]).
 //!
 //! Evaluation is batch-first and parallel: testbenches expose
-//! [`bench::Testbench::fails_batch`], a sharded memo-cache ([`cache`])
-//! deduplicates simulator queries, and the ensemble, stage-2 sampler and
-//! duty sweep fan work out across `EcripseConfig::threads` workers with
-//! bit-identical results for every thread count.
+//! [`bench::Testbench::fails_batch`], each run's [`simulate::Simulator`]
+//! deduplicates simulator queries in a sharded memo-cache ([`cache`]),
+//! and the ensemble, stage-2 sampler and duty sweep fan work out across
+//! `EcripseConfig::threads` workers with bit-identical results for every
+//! thread count.
 //!
 //! Estimation is fault-tolerant end to end: unevaluable samples climb a
-//! per-sample retry ladder and land in a quarantine bucket ([`retry`]),
-//! degenerate particle filters are re-seeded from surviving filters
-//! ([`ensemble`]), and duty sweeps checkpoint per-point progress to disk
-//! and resume bit-identically ([`sweep`]). Every recovery event is
-//! counted in the run report.
+//! per-sample retry ladder and land in a quarantine bucket ([`retry`],
+//! [`simulate`]), degenerate particle filters are re-seeded from
+//! surviving filters ([`ensemble`]), and duty sweeps checkpoint per-point
+//! progress to disk and resume bit-identically ([`sweep`]). Every
+//! recovery event is counted in the run report.
 //!
 //! Baselines from the paper's evaluation live in [`baseline`]: naive
 //! Monte Carlo, the sequential-importance-sampling method of Katayama et
@@ -80,10 +81,10 @@ pub mod initial;
 pub mod observe;
 pub mod oracle;
 pub mod particle;
-pub mod prefetch;
 pub mod retry;
 pub mod rtn_source;
 pub mod scenario;
+pub mod simulate;
 pub mod sweep;
 pub mod telemetry;
 pub mod trace;
@@ -94,9 +95,10 @@ pub use ecripse::{Ecripse, EcripseConfig, EcripseResult, RunOptions};
 pub use observe::{
     MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,
 };
-pub use retry::{RetryBench, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use rtn_source::{NoRtn, RtnSource, SramRtn};
 pub use scenario::{registry, registry_digest, Scenario, ScenarioInfo, SramScenarioBench};
+pub use simulate::Simulator;
 pub use sweep::{
     CheckpointError, DutySweep, PointOutcome, ResumableSweep, SweepBench, SweepError, SweepOptions,
     SweepPoint, SweepReports,

@@ -255,7 +255,7 @@ impl ChunkStats {
 /// latency histograms (see [`crate::telemetry::TelemetryObserver`]).
 ///
 /// Only batches on the critical path are timed: evaluations simulated
-/// ahead of need ([`crate::prefetch`]) run outside any batch and are
+/// ahead of need ([`crate::simulate`]) run outside any batch and are
 /// reported through [`PrefetchStats`] instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimBatchStats {
@@ -267,7 +267,7 @@ pub struct SimBatchStats {
 }
 
 /// Work done ahead of one stage-2 chunk while the classifier retrained
-/// (see [`crate::prefetch`]), delivered to
+/// (see [`crate::simulate`]), delivered to
 /// [`Observer::prefetch_finished`] once the chunk has been routed.
 ///
 /// Timing-class, like [`SimBatchStats`]: how far the walk got depends on

@@ -74,22 +74,23 @@ pub struct OracleStats {
     pub uncertain_simulated: u64,
     /// Retraining rounds performed.
     pub retrains: u64,
-    /// Simulator queries served by the memo-cache (filled in by the run
-    /// driver when a [`MemoBench`](crate::cache::MemoBench) is layered
-    /// under the oracle; the oracle itself cannot see the cache).
+    /// Simulator queries served by the memo-cache (filled in by the run's
+    /// [`Simulator`](crate::simulate::Simulator); the oracle itself
+    /// cannot see the cache).
     pub cache_hits: u64,
-    /// Simulator queries that missed the memo-cache.
+    /// Simulator queries that missed the memo-cache (simulator-filled,
+    /// like `cache_hits`).
     pub cache_misses: u64,
-    /// Extra evaluation attempts spent by the retry ladder (filled in by
-    /// the run driver from the [`RetryBench`](crate::retry::RetryBench)
-    /// layered under the cache).
+    /// Extra evaluation attempts spent by the retry ladder
+    /// (simulator-filled, like `cache_hits`).
     pub retries: u64,
     /// Samples that exhausted the retry ladder and received the
-    /// conservative non-failing verdict (driver-filled, like `retries`).
+    /// conservative non-failing verdict (simulator-filled, like
+    /// `cache_hits`).
     pub quarantined: u64,
     /// Newton evaluations behind this run's simulations — on the SRAM
     /// path, node-current evaluations of the transfer-curve solves, not
-    /// matrix iterations (driver-filled from the bench's
+    /// matrix iterations (simulator-filled from the bench's
     /// [`SolveEffort`](crate::bench::SolveEffort) delta). It counts the
     /// effort behind the verdicts: a half-cell curve the SRAM bench takes
     /// from its curve store counts its original solve's evaluations, so
@@ -99,7 +100,7 @@ pub struct OracleStats {
     /// Solver invocations — on the SRAM path, transfer-curve point
     /// solves, counted whether a curve was solved or reused, like
     /// `newton_iters`; no matrix is factorised despite the name
-    /// (driver-filled, like `newton_iters`).
+    /// (simulator-filled, like `newton_iters`).
     #[serde(default)]
     pub factorisations: u64,
     /// Always 0: no evaluation path seeds its curve solves any more. Kept

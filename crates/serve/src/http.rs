@@ -259,7 +259,9 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Reads bytes until the `\r\n\r\n` head terminator, returning
-/// `(head, leftover-body-bytes)`.
+/// `(head, leftover-body-bytes)`. A peer that closes before sending a
+/// byte is a transport failure ([`HttpError::Io`]), one that closes
+/// part-way through the head a malformed message.
 fn read_head(stream: &mut impl Read) -> Result<(String, Vec<u8>), HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
@@ -274,6 +276,9 @@ fn read_head(stream: &mut impl Read) -> Result<(String, Vec<u8>), HttpError> {
             return Err(HttpError::TooLarge);
         }
         let n = stream.read(&mut chunk)?;
+        if n == 0 && buf.is_empty() {
+            return Err(HttpError::Io("connection closed before any byte".into()));
+        }
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-head".into()));
         }
@@ -724,6 +729,32 @@ mod tests {
     fn head_end_detection() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(14));
         assert_eq!(find_head_end(b"partial\r\n"), None);
+    }
+
+    #[test]
+    fn a_peer_closing_before_any_byte_is_a_transport_error() {
+        // Accepts each connection, reads what the client sends, and
+        // closes without answering.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("address");
+        let closer = std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.expect("accept");
+                let _ = read_request(&mut stream);
+            }
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_request(&mut stream, "GET", "/v1/health", None).expect("write");
+        let err = read_response(&mut stream).expect_err("no response");
+        assert!(matches!(err, HttpError::Io(_)), "got {err:?}");
+        let err = crate::Client::new(addr.to_string())
+            .health()
+            .expect_err("no response");
+        assert!(matches!(err, crate::ClientError::Io(_)), "got {err:?}");
+        closer.join().expect("closer thread");
+        // A head cut off part-way is still malformed.
+        let err = read_head(&mut &b"HTTP/1.1 200 OK\r\n"[..]).expect_err("truncated");
+        assert!(matches!(err, HttpError::Malformed(_)), "got {err:?}");
     }
 
     #[test]

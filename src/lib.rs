@@ -79,7 +79,7 @@ pub mod prelude {
     pub use ecripse_core::observe::{
         MultiObserver, NullObserver, Observer, ProgressObserver, RunRecorder, RunReport,
     };
-    pub use ecripse_core::retry::{RetryBench, RetryPolicy};
+    pub use ecripse_core::retry::RetryPolicy;
     pub use ecripse_core::rtn_source::{NoRtn, RtnSource, SramRtn};
     pub use ecripse_core::scenario::{registry, Scenario, ScenarioInfo, SramScenarioBench};
     pub use ecripse_core::sweep::{
