@@ -52,6 +52,14 @@
 //! kind needs ends the job, and the still-running remote jobs are
 //! cancelled. The merge is keyed by global point index, not arrival
 //! order — reassignment cannot change the result, only the wall-clock.
+//!
+//! # Metrics
+//!
+//! The coordinator's counters and gauges are registered once in its
+//! [`MetricsRegistry`], beside the front door's latency histogram. The
+//! JSON [`ClusterMetrics`] document reads the same handles; the text
+//! exposition is the registry's rendering followed by every live
+//! worker's exposition, relabelled with `worker="<name>"`.
 
 use crate::protocol::{
     ClusterMetrics, ClusterWorkers, HeartbeatRequest, MetricRollup, RegisterRequest,
@@ -61,7 +69,7 @@ use crate::registry::WorkerRegistry;
 use crate::ring::HashRing;
 use ecripse_core::sweep::{merge_sweep_shards, SweepResult, SweepShard};
 use ecripse_core::telemetry::{
-    escape_label_value, fmt_hex_id, prom_scalar, MetricsRegistry, SpanRecord, TraceContext,
+    escape_label_value, fmt_hex_id, Counter, Gauge, MetricsRegistry, SpanRecord, TraceContext,
 };
 use ecripse_serve::http::{
     self, error_response, json_body, parse_body, with_job_id, FrontDoor, Limits, Request, Response,
@@ -74,7 +82,7 @@ use ecripse_serve::protocol::{
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -141,26 +149,78 @@ struct State {
     active: usize,
 }
 
-#[derive(Default)]
-struct Counters {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_deadline_exceeded: AtomicU64,
-    idempotent_hits: AtomicU64,
-    workers_dead: AtomicU64,
-    shards_dispatched: AtomicU64,
-    shards_reassigned: AtomicU64,
-    shards_completed: AtomicU64,
-    estimates_forwarded: AtomicU64,
+/// Every series the coordinator exports, each registered once in its
+/// [`MetricsRegistry`] (next to the HTTP front door's latency histogram
+/// and panic counter): counters, incremented where the event happens,
+/// and the two gauges [`collect_metrics`] sets from its snapshot.
+/// `GET /metrics` renders the registry, and the JSON document reads the
+/// same handles.
+struct ClusterTelemetry {
+    registry: MetricsRegistry,
+    workers_alive: Gauge,
+    uptime_seconds: Gauge,
+    workers_dead: Counter,
+    jobs_submitted: Counter,
+    jobs_completed: Counter,
+    jobs_failed: Counter,
+    jobs_cancelled: Counter,
+    jobs_deadline_exceeded: Counter,
+    idempotent_hits: Counter,
+    shards_dispatched: Counter,
+    shards_reassigned: Counter,
+    shards_completed: Counter,
+    estimates_forwarded: Counter,
+}
+
+impl ClusterTelemetry {
+    fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        let counter = |name: &str, help| registry.counter(&format!("ecripse_cluster_{name}"), help);
+        let gauge = |name: &str, help| registry.gauge(&format!("ecripse_cluster_{name}"), help);
+        Self {
+            workers_alive: gauge("workers_alive", "Workers currently alive"),
+            uptime_seconds: gauge(
+                "uptime_seconds",
+                "Seconds since the coordinator bound its socket",
+            ),
+            workers_dead: counter(
+                "workers_dead_total",
+                "Workers declared dead by the heartbeat reaper",
+            ),
+            jobs_submitted: counter("jobs_submitted_total", "Jobs ever accepted"),
+            jobs_completed: counter("jobs_completed_total", "Jobs whose merged result completed"),
+            jobs_failed: counter("jobs_failed_total", "Jobs that ended in failure"),
+            jobs_cancelled: counter("jobs_cancelled_total", "Jobs cancelled"),
+            jobs_deadline_exceeded: counter(
+                "jobs_deadline_exceeded_total",
+                "Jobs stopped by their wall-clock deadline",
+            ),
+            idempotent_hits: counter(
+                "idempotent_hits_total",
+                "Submissions deduplicated by idempotency key",
+            ),
+            shards_dispatched: counter(
+                "shards_dispatched_total",
+                "Sweep shards dispatched to workers (re-dispatches included)",
+            ),
+            shards_reassigned: counter(
+                "shards_reassigned_total",
+                "Shards reassigned off a dead worker",
+            ),
+            shards_completed: counter("shards_completed_total", "Shards whose results were merged"),
+            estimates_forwarded: counter(
+                "estimates_forwarded_total",
+                "Estimate dispatches to a worker (re-dispatches included)",
+            ),
+            registry,
+        }
+    }
 }
 
 struct Shared {
     config: ClusterConfig,
     registry: WorkerRegistry,
     state: parking_lot::Mutex<State>,
-    counters: Counters,
     stop_accepting: AtomicBool,
     draining: AtomicBool,
     reaper_stop: AtomicBool,
@@ -170,8 +230,7 @@ struct Shared {
     /// shares one monotonic clock and cannot jump with wall-clock
     /// adjustments mid-run.
     anchor_unix_s: f64,
-    /// Holds the HTTP latency histogram the exposition renders.
-    telemetry: MetricsRegistry,
+    telemetry: ClusterTelemetry,
 }
 
 /// The coordinator service handle.
@@ -199,7 +258,6 @@ impl Coordinator {
                 dispatchers: Vec::new(),
                 active: 0,
             }),
-            counters: Counters::default(),
             stop_accepting: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             reaper_stop: AtomicBool::new(false),
@@ -208,12 +266,12 @@ impl Coordinator {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or_default(),
-            telemetry: MetricsRegistry::new(),
+            telemetry: ClusterTelemetry::new(),
         });
         let acceptor = http::serve(
             listener,
             Limits::default(),
-            &shared.telemetry,
+            &shared.telemetry.registry,
             "cluster",
             Arc::clone(&shared),
             |shared| shared.stop_accepting.load(Ordering::SeqCst),
@@ -290,10 +348,7 @@ fn reaper_loop(shared: &Arc<Shared>) {
             .registry
             .reap(Instant::now(), shared.config.heartbeat_timeout);
         if !died.is_empty() {
-            shared
-                .counters
-                .workers_dead
-                .fetch_add(died.len() as u64, Ordering::Relaxed);
+            shared.telemetry.workers_dead.add(died.len() as u64);
             for name in died {
                 eprintln!("ecripse-cluster: worker {name} missed its heartbeat; marked dead");
             }
@@ -420,25 +475,31 @@ fn readyz(shared: &Arc<Shared>) -> Response {
     http::readiness_response(status)
 }
 
+/// One snapshot of the coordinator: the JSON document, read off the
+/// registry's handles, with the two scrape-time gauges set from the
+/// same values so the Prometheus exposition agrees with it.
 fn collect_metrics(shared: &Arc<Shared>) -> ClusterMetrics {
-    let c = &shared.counters;
-    ClusterMetrics {
+    let t = &shared.telemetry;
+    let metrics = ClusterMetrics {
         workers_alive: shared.registry.alive().len() as u64,
-        workers_dead_total: c.workers_dead.load(Ordering::Relaxed),
-        jobs_submitted: c.jobs_submitted.load(Ordering::Relaxed),
-        jobs_completed: c.jobs_completed.load(Ordering::Relaxed),
-        jobs_failed: c.jobs_failed.load(Ordering::Relaxed),
-        jobs_cancelled: c.jobs_cancelled.load(Ordering::Relaxed),
-        jobs_deadline_exceeded: c.jobs_deadline_exceeded.load(Ordering::Relaxed),
-        idempotent_hits: c.idempotent_hits.load(Ordering::Relaxed),
-        shards_dispatched_total: c.shards_dispatched.load(Ordering::Relaxed),
-        shards_reassigned_total: c.shards_reassigned.load(Ordering::Relaxed),
-        shards_completed_total: c.shards_completed.load(Ordering::Relaxed),
-        estimates_forwarded_total: c.estimates_forwarded.load(Ordering::Relaxed),
+        workers_dead_total: t.workers_dead.get(),
+        jobs_submitted: t.jobs_submitted.get(),
+        jobs_completed: t.jobs_completed.get(),
+        jobs_failed: t.jobs_failed.get(),
+        jobs_cancelled: t.jobs_cancelled.get(),
+        jobs_deadline_exceeded: t.jobs_deadline_exceeded.get(),
+        idempotent_hits: t.idempotent_hits.get(),
+        shards_dispatched_total: t.shards_dispatched.get(),
+        shards_reassigned_total: t.shards_reassigned.get(),
+        shards_completed_total: t.shards_completed.get(),
+        estimates_forwarded_total: t.estimates_forwarded.get(),
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         workers: Vec::new(),
         rollups: Vec::new(),
-    }
+    };
+    t.workers_alive.set(metrics.workers_alive as f64);
+    t.uptime_seconds.set(metrics.uptime_seconds);
+    metrics
 }
 
 /// A short-fused single-attempt client for the federation scrape and
@@ -552,12 +613,12 @@ fn relabel_exposition(text: &str, worker: &str, seen: &mut HashSet<String>) -> S
     out
 }
 
-/// The cluster's own exposition (scalars, then the registry's HTTP
-/// latency histogram) followed by every live worker's, re-labelled per
-/// worker (`ecripse_serve_*{worker="..."}`).
-fn render_federated_prometheus(shared: &Arc<Shared>, metrics: &ClusterMetrics) -> String {
-    let mut out = render_prometheus(metrics);
-    out.push_str(&shared.telemetry.render_prometheus());
+/// The cluster's own exposition (its registry, rendered after one
+/// [`collect_metrics`] snapshot) followed by every live worker's,
+/// re-labelled per worker (`ecripse_serve_*{worker="..."}`).
+fn render_federated_prometheus(shared: &Arc<Shared>) -> String {
+    collect_metrics(shared);
+    let mut out = shared.telemetry.registry.render_prometheus();
     let mut seen = HashSet::new();
     for (name, addr) in shared.registry.alive() {
         if let Ok(text) = scrape_client(&addr).metrics_prometheus() {
@@ -615,91 +676,12 @@ fn trace_document(shared: &Arc<Shared>, id: u64) -> Result<Response, Response> {
     ))
 }
 
-fn render_prometheus(m: &ClusterMetrics) -> String {
-    let mut out = String::new();
-    let gauges: [(&str, &str, f64); 2] = [
-        (
-            "workers_alive",
-            "Workers currently alive",
-            m.workers_alive as f64,
-        ),
-        (
-            "uptime_seconds",
-            "Seconds since the coordinator bound its socket",
-            m.uptime_seconds,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        let name = format!("ecripse_cluster_{name}");
-        prom_scalar(&mut out, &name, "gauge", help, value);
-    }
-    let counters: [(&str, &str, u64); 11] = [
-        (
-            "workers_dead_total",
-            "Workers declared dead by the heartbeat reaper",
-            m.workers_dead_total,
-        ),
-        (
-            "jobs_submitted_total",
-            "Jobs ever accepted",
-            m.jobs_submitted,
-        ),
-        (
-            "jobs_completed_total",
-            "Jobs whose merged result completed",
-            m.jobs_completed,
-        ),
-        (
-            "jobs_failed_total",
-            "Jobs that ended in failure",
-            m.jobs_failed,
-        ),
-        ("jobs_cancelled_total", "Jobs cancelled", m.jobs_cancelled),
-        (
-            "jobs_deadline_exceeded_total",
-            "Jobs stopped by their wall-clock deadline",
-            m.jobs_deadline_exceeded,
-        ),
-        (
-            "idempotent_hits_total",
-            "Submissions deduplicated by idempotency key",
-            m.idempotent_hits,
-        ),
-        (
-            "shards_dispatched_total",
-            "Sweep shards dispatched to workers (re-dispatches included)",
-            m.shards_dispatched_total,
-        ),
-        (
-            "shards_reassigned_total",
-            "Shards reassigned off a dead worker",
-            m.shards_reassigned_total,
-        ),
-        (
-            "shards_completed_total",
-            "Shards whose results were merged",
-            m.shards_completed_total,
-        ),
-        (
-            "estimates_forwarded_total",
-            "Estimate jobs forwarded whole to one worker",
-            m.estimates_forwarded_total,
-        ),
-    ];
-    for (name, help, value) in counters {
-        let name = format!("ecripse_cluster_{name}");
-        prom_scalar(&mut out, &name, "counter", help, value as f64);
-    }
-    out
-}
-
 /// `GET /metrics` federates on demand: the scrape happens per HTTP
 /// request, so the in-process [`Coordinator::metrics`] snapshot stays
 /// cheap and lock-free of worker sockets.
 fn metrics_response(shared: &Arc<Shared>, request: &Request) -> Response {
     if http::wants_prometheus(request) {
-        let metrics = collect_metrics(shared);
-        Response::text(200, render_federated_prometheus(shared, &metrics))
+        Response::text(200, render_federated_prometheus(shared))
     } else {
         Response::json(200, json_body(&federated_metrics(shared)))
     }
@@ -721,10 +703,7 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
     }
     let mut state = shared.state.lock();
     if let Some(existing) = state.jobs.duplicate(&request) {
-        shared
-            .counters
-            .idempotent_hits
-            .fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.idempotent_hits.inc();
         return Response::json(200, json_body(&existing.status(None)));
     }
     if shared.stop_accepting.load(Ordering::SeqCst) {
@@ -764,10 +743,7 @@ fn submit(shared: &Arc<Shared>, http_request: &Request) -> Response {
     }
     state.dispatchers.push(dispatcher);
     drop(state);
-    shared
-        .counters
-        .jobs_submitted
-        .fetch_add(1, Ordering::Relaxed);
+    shared.telemetry.jobs_submitted.inc();
     Response::json(202, json_body(&status))
 }
 
@@ -854,10 +830,7 @@ impl Slot {
     /// Drops the assignment so the next round re-dispatches the slot.
     fn unassign(&mut self, shared: &Shared) {
         self.assigned = None;
-        shared
-            .counters
-            .shards_reassigned
-            .fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.shards_reassigned.inc();
     }
 }
 
@@ -976,12 +949,12 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
         Err(DispatchEnd::Failed(message)) => (JobState::Failed, Some(message), None),
     };
     let counter = match state_out {
-        JobState::Completed => &shared.counters.jobs_completed,
-        JobState::Cancelled => &shared.counters.jobs_cancelled,
-        JobState::DeadlineExceeded => &shared.counters.jobs_deadline_exceeded,
-        _ => &shared.counters.jobs_failed,
+        JobState::Completed => &shared.telemetry.jobs_completed,
+        JobState::Cancelled => &shared.telemetry.jobs_cancelled,
+        JobState::DeadlineExceeded => &shared.telemetry.jobs_deadline_exceeded,
+        _ => &shared.telemetry.jobs_failed,
     };
-    counter.fetch_add(1, Ordering::Relaxed);
+    counter.inc();
     let mut state = shared.state.lock();
     state.active = state.active.saturating_sub(1);
     if let Ok(job) = state.jobs.get_mut(id) {
@@ -1189,10 +1162,10 @@ fn submit_slot(shared: &Shared, ring: &HashRing, addrs: &HashMap<String, String>
         slot.sources.push(source);
     }
     let dispatched = match slot.request.job.kind {
-        JobKind::Sweep => &shared.counters.shards_dispatched,
-        JobKind::Estimate => &shared.counters.estimates_forwarded,
+        JobKind::Sweep => &shared.telemetry.shards_dispatched,
+        JobKind::Estimate => &shared.telemetry.estimates_forwarded,
     };
-    dispatched.fetch_add(1, Ordering::Relaxed);
+    dispatched.inc();
 }
 
 /// Polls an assigned slot once. A queued or running job, or a transport
@@ -1274,10 +1247,7 @@ fn finish_slot(
         )));
     };
     if slot.request.job.kind == JobKind::Sweep {
-        shared
-            .counters
-            .shards_completed
-            .fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.shards_completed.inc();
     }
     slot.done = Some(output);
     slot.finished_at = Some(Instant::now());

@@ -11,10 +11,9 @@
 //! coordinator that is down just means retries, never a worker exit.
 
 use crate::protocol::{HeartbeatRequest, RegisterRequest, RegisterResponse};
-use ecripse_serve::http;
 use ecripse_serve::protocol::PROTOCOL_VERSION;
-use serde::Serialize;
-use std::net::TcpStream;
+use ecripse_serve::Client;
+use serde::json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,46 +65,6 @@ impl JoinHandle {
     }
 }
 
-/// One JSON POST against `addr`, returning the status and body.
-fn post_json(
-    addr: &str,
-    timeout: Duration,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), http::HttpError> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| http::HttpError::Io(e.to_string()))?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    http::write_request(&mut stream, "POST", path, Some(body))
-        .map_err(|e| http::HttpError::Io(e.to_string()))?;
-    let (status, _, text) = http::read_response(&mut stream)?;
-    Ok((status, text))
-}
-
-fn encode<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string())
-}
-
-/// One registration attempt; `Some(cadence)` on a 2xx answer.
-fn register_once(config: &JoinConfig) -> Option<RegisterResponse> {
-    let body = encode(&RegisterRequest {
-        protocol: PROTOCOL_VERSION,
-        name: config.name.clone(),
-        addr: config.addr.clone(),
-    });
-    let (status, text) = post_json(
-        &config.coordinator,
-        config.timeout,
-        "/v1/cluster/register",
-        &body,
-    )
-    .ok()?;
-    if !(200..300).contains(&status) {
-        return None;
-    }
-    serde_json::from_str::<RegisterResponse>(&text).ok()
-}
-
 /// Sleeps `total` in small slices, returning early (and `true`) when
 /// the stop flag rises.
 fn stoppable_sleep(stop: &AtomicBool, total: Duration) -> bool {
@@ -134,13 +93,23 @@ pub fn join(config: JoinConfig) -> JoinHandle {
 }
 
 fn run_loop(config: &JoinConfig, stop: &AtomicBool) {
+    let coordinator = Client::new(config.coordinator.clone()).with_timeout(config.timeout);
+    let registration = RegisterRequest {
+        protocol: PROTOCOL_VERSION,
+        name: config.name.clone(),
+        addr: config.addr.clone(),
+    };
+    let heartbeat = HeartbeatRequest {
+        name: config.name.clone(),
+    };
     let mut backoff = Duration::from_millis(50);
     let backoff_cap = Duration::from_secs(2);
     'register: loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let Some(cadence) = register_once(config) else {
+        let registered = coordinator.post("/v1/cluster/register", &registration);
+        let Ok(cadence): Result<RegisterResponse, _> = registered else {
             // Coordinator down or rejecting: retry with capped backoff.
             if stoppable_sleep(stop, backoff) {
                 return;
@@ -154,21 +123,13 @@ fn run_loop(config: &JoinConfig, stop: &AtomicBool) {
             if stoppable_sleep(stop, interval) {
                 return;
             }
-            let body = encode(&HeartbeatRequest {
-                name: config.name.clone(),
-            });
-            match post_json(
-                &config.coordinator,
-                config.timeout,
-                "/v1/cluster/heartbeat",
-                &body,
-            ) {
-                Ok((status, _)) if (200..300).contains(&status) => {}
-                // 404 = the coordinator no longer knows us (reaped or
-                // restarted): fall back to registration. Transport
-                // errors take the same path — registration retries
-                // absorb a bouncing coordinator.
-                _ => continue 'register,
+            // 404 = the coordinator no longer knows us (reaped or
+            // restarted): fall back to registration. Transport errors
+            // take the same path — registration retries absorb a
+            // bouncing coordinator.
+            let answer: Result<Value, _> = coordinator.post("/v1/cluster/heartbeat", &heartbeat);
+            if answer.is_err() {
+                continue 'register;
             }
         }
     }

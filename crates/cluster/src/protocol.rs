@@ -115,7 +115,7 @@ pub struct ClusterMetrics {
     pub shards_reassigned_total: u64,
     /// Shards whose results were merged.
     pub shards_completed_total: u64,
-    /// Estimate jobs forwarded whole to a single worker.
+    /// Estimate dispatches to a worker (re-dispatches included).
     pub estimates_forwarded_total: u64,
     /// Seconds since the coordinator bound its socket.
     pub uptime_seconds: f64,

@@ -18,6 +18,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "../../serve/tests/support/exposition.rs"]
+mod exposition;
+use exposition::{assert_metadata_matches, validate_exposition};
+
 const WAIT: Duration = Duration::from_secs(120);
 
 fn tiny_config(seed: u64) -> EcripseConfig {
@@ -512,10 +516,56 @@ fn cluster_management_surface_behaves() {
 
     // Prometheus exposition serves the cluster counters.
     let text = client.metrics_prometheus().expect("prometheus metrics");
+    validate_exposition(&text);
     assert!(text.contains("ecripse_cluster_workers_dead_total"));
     assert!(text.contains("ecripse_cluster_jobs_submitted_total"));
 
     worker.shutdown();
+    coordinator.shutdown();
+}
+
+/// The `# HELP`/`# TYPE` lines of a fresh coordinator with no workers:
+/// every family its own `/metrics` declares, with help text and kind.
+const COORDINATOR_METADATA: &str = "
+# HELP ecripse_cluster_estimates_forwarded_total Estimate dispatches to a worker (re-dispatches included)
+# TYPE ecripse_cluster_estimates_forwarded_total counter
+# HELP ecripse_cluster_http_handler_panics_total HTTP connection handlers that panicked (the connection is dropped without a response)
+# TYPE ecripse_cluster_http_handler_panics_total counter
+# HELP ecripse_cluster_http_request_seconds Wall-clock latency of handling one HTTP request
+# TYPE ecripse_cluster_http_request_seconds histogram
+# HELP ecripse_cluster_idempotent_hits_total Submissions deduplicated by idempotency key
+# TYPE ecripse_cluster_idempotent_hits_total counter
+# HELP ecripse_cluster_jobs_cancelled_total Jobs cancelled
+# TYPE ecripse_cluster_jobs_cancelled_total counter
+# HELP ecripse_cluster_jobs_completed_total Jobs whose merged result completed
+# TYPE ecripse_cluster_jobs_completed_total counter
+# HELP ecripse_cluster_jobs_deadline_exceeded_total Jobs stopped by their wall-clock deadline
+# TYPE ecripse_cluster_jobs_deadline_exceeded_total counter
+# HELP ecripse_cluster_jobs_failed_total Jobs that ended in failure
+# TYPE ecripse_cluster_jobs_failed_total counter
+# HELP ecripse_cluster_jobs_submitted_total Jobs ever accepted
+# TYPE ecripse_cluster_jobs_submitted_total counter
+# HELP ecripse_cluster_shards_completed_total Shards whose results were merged
+# TYPE ecripse_cluster_shards_completed_total counter
+# HELP ecripse_cluster_shards_dispatched_total Sweep shards dispatched to workers (re-dispatches included)
+# TYPE ecripse_cluster_shards_dispatched_total counter
+# HELP ecripse_cluster_shards_reassigned_total Shards reassigned off a dead worker
+# TYPE ecripse_cluster_shards_reassigned_total counter
+# HELP ecripse_cluster_uptime_seconds Seconds since the coordinator bound its socket
+# TYPE ecripse_cluster_uptime_seconds gauge
+# HELP ecripse_cluster_workers_alive Workers currently alive
+# TYPE ecripse_cluster_workers_alive gauge
+# HELP ecripse_cluster_workers_dead_total Workers declared dead by the heartbeat reaper
+# TYPE ecripse_cluster_workers_dead_total counter
+";
+
+#[test]
+fn fresh_coordinator_declares_the_golden_metric_families() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let client = Client::new(coordinator.local_addr().to_string());
+    let text = client.metrics_prometheus().expect("prometheus metrics");
+    validate_exposition(&text);
+    assert_metadata_matches(&text, COORDINATOR_METADATA);
     coordinator.shutdown();
 }
 

@@ -849,19 +849,34 @@ fn load_checkpoint(path: &Path) -> Result<SweepCheckpoint, CheckpointError> {
     serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))
 }
 
-/// Writes the checkpoint atomically (temp sibling + rename), so an
-/// interrupt mid-write can never corrupt an existing checkpoint. A
-/// `None` path disables checkpointing.
+/// Writes the checkpoint with [`write_atomically`], so neither an
+/// interrupt nor a crash mid-write can corrupt an existing checkpoint.
+/// A `None` path disables checkpointing.
 fn save_checkpoint(path: Option<&Path>, checkpoint: &SweepCheckpoint) -> Result<(), SweepError> {
     let Some(path) = path else { return Ok(()) };
     let json = serde_json::to_string_pretty(checkpoint)
         .map_err(|e| CheckpointError::Corrupt(format!("serialise checkpoint: {e}")))?;
+    write_atomically(path, json.as_bytes())
+        .map_err(|e| SweepError::Checkpoint(CheckpointError::Io(e.to_string())))
+}
+
+/// Replaces the file at `path` with `bytes`: writes a `.tmp` sibling,
+/// syncs its data to disk, then renames it over `path`. A crash at any
+/// point leaves the old file or the complete new one, never a torn or
+/// empty one, and a failed write leaves the old file untouched. Sweep
+/// checkpoints, verdict-store snapshots and journal compaction all
+/// write through it.
+///
+/// # Errors
+///
+/// Propagates file I/O errors.
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json.as_bytes())
-        .map_err(|e| SweepError::Checkpoint(CheckpointError::Io(e.to_string())))?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
     std::fs::rename(&tmp, path)
-        .map_err(|e| SweepError::Checkpoint(CheckpointError::Io(e.to_string())))?;
-    Ok(())
 }
 
 /// One worker's slice of a sharded sweep, ready for
@@ -1054,6 +1069,27 @@ pub fn merge_sweep_shards(
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+
+    #[test]
+    fn atomic_writes_replace_the_file_or_leave_it_intact() {
+        let dir = std::env::temp_dir().join(format!("ecripse-atomic-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("state.json");
+        write_atomically(&path, b"old").expect("first write");
+        write_atomically(&path, b"new").expect("second write");
+        assert_eq!(std::fs::read(&path).expect("read"), b"new");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "the .tmp sibling must be gone"
+        );
+        // A directory squatting on the .tmp path makes the write fail
+        // before anything touches the file.
+        std::fs::create_dir(path.with_extension("tmp")).expect("squat");
+        assert!(write_atomically(&path, b"lost").is_err());
+        assert_eq!(std::fs::read(&path).expect("read"), b"new");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn paper_grid_has_eleven_points() {

@@ -143,6 +143,12 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the value to `total` unless it is already higher: a
+    /// counter that mirrors a monotone count another component keeps.
+    pub fn advance_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -384,15 +390,6 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
-/// Appends one `# HELP`/`# TYPE`/sample triple of Prometheus text
-/// exposition for an unlabelled scalar of type `kind` (`gauge` or
-/// `counter`). Non-finite values render as `+Inf`/`-Inf`/`NaN`.
-pub fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {}", fmt_prom_f64(value));
-}
-
 /// Prometheus-style float rendering (`+Inf`/`-Inf`/`NaN` for the
 /// non-finite values the text format defines).
 fn fmt_prom_f64(v: f64) -> String {
@@ -430,7 +427,10 @@ struct Registered {
 /// [`gauge`](Self::gauge) / [`histogram`](Self::histogram) share state
 /// with the registry, so recording is lock-free; the registry lock is
 /// only taken at registration and render time. Names should follow
-/// Prometheus conventions (`[a-zA-Z_:][a-zA-Z0-9_:]*`). Re-registering
+/// Prometheus conventions (`[a-zA-Z_:][a-zA-Z0-9_:]*`); a counter or
+/// gauge name may end in a label set (`family{label="value"}`, the value
+/// escaped with [`escape_label_value`]), and the series of one family
+/// then share one `# HELP`/`# TYPE` header. Re-registering
 /// a name with a *different* metric kind returns a fresh detached
 /// instance instead of panicking — the original keeps the name.
 #[derive(Debug, Default)]
@@ -527,19 +527,33 @@ impl MetricsRegistry {
 
     /// Renders every registered metric in the
     /// [Prometheus text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/):
-    /// `# HELP`/`# TYPE` headers plus one sample line per series, in
-    /// stable (sorted-by-name) order.
+    /// `# HELP`/`# TYPE` headers, once per family, plus one sample line
+    /// per series, in stable (sorted-by-name) order. Non-finite values
+    /// render as `+Inf`/`-Inf`/`NaN`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, reg) in self.metrics.read().iter() {
-            let help = reg.help.replace('\\', "\\\\").replace('\n', "\\n");
+        let metrics = self.metrics.read();
+        let mut family = "";
+        for (name, reg) in metrics.iter() {
+            let base = name.split('{').next().unwrap_or(name);
+            if base != family {
+                family = base;
+                let help = reg.help.replace('\\', "\\\\").replace('\n', "\\n");
+                let kind = match reg.metric {
+                    Metric::Counter(_) => "counter",
+                    Metric::Gauge(_) => "gauge",
+                    Metric::Histogram(_) => "histogram",
+                };
+                let _ = writeln!(out, "# HELP {base} {help}\n# TYPE {base} {kind}");
+            }
             match &reg.metric {
-                Metric::Counter(c) => prom_scalar(&mut out, name, "counter", &help, c.get() as f64),
-                Metric::Gauge(g) => prom_scalar(&mut out, name, "gauge", &help, g.get()),
-                Metric::Histogram(h) => {
-                    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} histogram");
-                    h.render_prometheus_into(name, &mut out);
+                Metric::Counter(c) => {
+                    let _ = writeln!(out, "{name} {}", fmt_prom_f64(c.get() as f64));
                 }
+                Metric::Gauge(g) => {
+                    let _ = writeln!(out, "{name} {}", fmt_prom_f64(g.get()));
+                }
+                Metric::Histogram(h) => h.render_prometheus_into(name, &mut out),
             }
         }
         out
@@ -1153,6 +1167,25 @@ mod tests {
             assert!(n >= last, "cumulative counts must not decrease: {line}");
             last = n;
         }
+    }
+
+    #[test]
+    fn labelled_series_share_one_family_header() {
+        let r = MetricsRegistry::new();
+        r.counter("jobs_total{kind=\"b\"}", "Jobs, by kind.").add(2);
+        r.counter("jobs_total{kind=\"a\"}", "Jobs, by kind.").inc();
+        r.counter("mirror_total", "Mirrored.").advance_to(7);
+        let text = r.render_prometheus();
+        assert_eq!(
+            text,
+            "# HELP jobs_total Jobs, by kind.\n# TYPE jobs_total counter\n\
+             jobs_total{kind=\"a\"} 1\njobs_total{kind=\"b\"} 2\n\
+             # HELP mirror_total Mirrored.\n# TYPE mirror_total counter\nmirror_total 7\n"
+        );
+        // Mirroring never lowers a counter.
+        let mirror = r.counter("mirror_total", "Mirrored.");
+        mirror.advance_to(3);
+        assert_eq!(mirror.get(), 7);
     }
 
     #[test]

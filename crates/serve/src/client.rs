@@ -31,7 +31,7 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use ecripse_stats::{fnv1a, FNV_OFFSET};
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -305,6 +305,23 @@ impl Client {
             .map(|value| ("traceparent", value.as_str()))
             .collect();
         self.call("POST", "/v1/jobs", Some(&body), &headers)
+    }
+
+    /// Posts `body` as JSON to `path` and decodes a `2xx` answer as `T`:
+    /// a call outside the job protocol, such as a cluster worker's
+    /// registration and heartbeats.
+    ///
+    /// # Errors
+    ///
+    /// See [`ClientError`].
+    pub fn post<T: Deserialize>(
+        &self,
+        path: &str,
+        body: &impl Serialize,
+    ) -> Result<T, ClientError> {
+        let body = serde_json::to_string(body)
+            .map_err(|e| ClientError::Protocol(format!("serialise {path} body: {e}")))?;
+        self.call("POST", path, Some(&body), &[])
     }
 
     /// Fetches a job's lifecycle snapshot (`GET /v1/jobs/{id}`).

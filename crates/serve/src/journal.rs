@@ -36,6 +36,7 @@
 //! [`COMPACT_EVERY`] terminal appends.
 
 use crate::protocol::{JobState, SubmitRequest};
+use ecripse_core::sweep::write_atomically;
 use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -403,11 +404,11 @@ impl Journal {
         false
     }
 
-    /// Atomically rewrites the journal to exactly `records`: frames are
-    /// written to a sibling tmp file, fsync'd, and renamed over the
-    /// journal, then the append handle is reopened on the new file. A
-    /// crash at any point leaves either the old journal or the new one —
-    /// never a mix.
+    /// Atomically rewrites the journal to exactly `records` with
+    /// [`write_atomically`] (tmp sibling, fsync'd, renamed over the
+    /// journal), then reopens the append handle on the new file. A crash
+    /// at any point leaves either the old journal or the new one — never
+    /// a mix.
     ///
     /// # Errors
     ///
@@ -415,15 +416,11 @@ impl Journal {
     /// failure.
     pub fn compact(&self, records: &[JournalRecord]) -> std::io::Result<()> {
         let mut file = self.file.lock();
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut out = File::create(&tmp)?;
-            for record in records {
-                out.write_all(&encode_frame(record)?)?;
-            }
-            out.sync_data()?;
+        let mut frames = Vec::new();
+        for record in records {
+            frames.extend(encode_frame(record)?);
         }
-        std::fs::rename(&tmp, &self.path)?;
+        write_atomically(&self.path, &frames)?;
         let mut reopened = OpenOptions::new().read(true).write(true).open(&self.path)?;
         let end = reopened.seek(std::io::SeekFrom::End(0))?;
         *file = reopened;

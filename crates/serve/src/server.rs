@@ -59,6 +59,15 @@
 //! [`JobState::Persisted`]) via the existing core checkpoint machinery,
 //! cancels still-queued estimates, and joins every thread.
 //!
+//! # Metrics
+//!
+//! Every series `GET /metrics` exports is registered once in the
+//! server's own [`MetricsRegistry`]: job counters are incremented where
+//! a job changes state, scrape-time values are gauges set from one
+//! snapshot, and the text exposition is the registry's own rendering.
+//! The JSON [`Metrics`] document reads the same handles, so the two
+//! forms agree.
+//!
 //! [`JobStatus`]: crate::protocol::JobStatus
 //! [`JobReport`]: crate::protocol::JobReport
 
@@ -75,14 +84,14 @@ use crate::shared::{load_snapshot, save_snapshot};
 use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
 use ecripse_core::ecripse::{Ecripse, EstimateError, RunOptions};
 use ecripse_core::observe::{
-    ChunkStats, MultiObserver, Observer, RunRecorder, RunSummary, SimBatchStats, Stage,
+    ChunkStats, MultiObserver, Observer, RunRecorder, RunReport, RunSummary, SimBatchStats, Stage,
 };
 use ecripse_core::oracle::OracleStats;
 use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::{registry_digest, Scenario, SramScenarioBench};
 use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepBench, SweepError, SweepOptions};
 use ecripse_core::telemetry::{
-    escape_label_value, fmt_hex_id, prom_scalar, Gauge, Histogram, MetricsRegistry, SpanCollector,
+    escape_label_value, fmt_hex_id, Counter, Gauge, Histogram, MetricsRegistry, SpanCollector,
     SpanStore, TelemetryObserver,
 };
 use parking_lot::Mutex;
@@ -245,11 +254,71 @@ impl Observer for ProgressTracker {
     }
 }
 
-/// The server's telemetry handles: a per-server [`MetricsRegistry`]
-/// (kept off the process-global one so concurrently bound servers —
-/// e.g. in tests — stay hermetic), the service histograms, and
-/// the core observer bridge that folds every worker's pipeline events
-/// into the same registry.
+/// Reads or writes one [`OracleStats`] field.
+type OracleField = fn(&mut OracleStats) -> &mut u64;
+
+/// The oracle totals of `/metrics`, summed over completed jobs: one
+/// counter per [`OracleStats`] field, registered under its series name
+/// and help when it has them. The memo hits and misses and the
+/// warm-start seeds reach only the JSON document.
+const ORACLE_TOTALS: [(Option<(&str, &str)>, OracleField); 11] = [
+    (
+        Some((
+            "oracle_classified_total",
+            "Queries answered by the classifier",
+        )),
+        |o| &mut o.classified,
+    ),
+    (
+        Some(("oracle_simulated_total", "Queries answered by simulation")),
+        |o| &mut o.simulated,
+    ),
+    (
+        Some((
+            "oracle_uncertain_simulated_total",
+            "Stage-2 simulations triggered by the uncertainty band",
+        )),
+        |o| &mut o.uncertain_simulated,
+    ),
+    (
+        Some(("oracle_retrains_total", "Classifier retraining rounds")),
+        |o| &mut o.retrains,
+    ),
+    (None, |o| &mut o.cache_hits),
+    (None, |o| &mut o.cache_misses),
+    (
+        Some(("oracle_retries_total", "Retry-ladder attempts")),
+        |o| &mut o.retries,
+    ),
+    (
+        Some(("oracle_quarantined_total", "Samples quarantined")),
+        |o| &mut o.quarantined,
+    ),
+    (
+        Some((
+            "newton_iters_total",
+            "Newton iterations (node-current evaluations) spent in the circuit solver",
+        )),
+        |o| &mut o.newton_iters,
+    ),
+    (
+        Some((
+            "factorisations_total",
+            "Transfer-curve point solves in the circuit solver (no matrix is factorised)",
+        )),
+        |o| &mut o.factorisations,
+    ),
+    (None, |o| &mut o.warm_start_seeds),
+];
+
+/// Every series the server exports, each registered once in a
+/// per-server [`MetricsRegistry`] (kept off the process-global one so
+/// concurrently bound servers — e.g. in tests — stay hermetic): job
+/// counters, incremented where a job changes state; gauges, set at bind
+/// or by [`collect_metrics`] from its snapshot; histograms; and the core
+/// observer bridge that folds every worker's pipeline events into the
+/// same registry. `GET /metrics` renders the registry, and the JSON
+/// document reads the same handles.
 struct ServeTelemetry {
     registry: MetricsRegistry,
     queue_wait_seconds: Histogram,
@@ -257,36 +326,152 @@ struct ServeTelemetry {
     /// Boot-time journal replay duration. A histogram (not a gauge)
     /// so federated scrapes can sum replay cost across restarts.
     journal_replay_seconds: Histogram,
-    /// Live queue depth, refreshed on every metrics snapshot so the
-    /// registry's exposition agrees with the JSON document.
     queue_depth: Gauge,
+    queue_capacity: Gauge,
+    in_flight: Gauge,
+    workers: Gauge,
+    cache_entries: Gauge,
+    cache_hit_rate: Gauge,
+    cache_loaded_entries: Gauge,
+    uptime_seconds: Gauge,
+    jobs_in_terminal_state: Gauge,
+    journal_bytes: Gauge,
+    submitted: Counter,
+    completed: Counter,
+    failed: Counter,
+    cancelled: Counter,
+    cancelled_queued: Counter,
+    cancelled_running: Counter,
+    deadline_exceeded: Counter,
+    recovered: Counter,
+    journal_compactions: Counter,
+    journal_frames_replayed: Counter,
+    idempotent_hits: Counter,
+    persisted: Counter,
+    rejected: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    /// Completed jobs per scenario, in [`Scenario::ALL`] order.
+    scenario_jobs: Vec<Counter>,
+    /// One counter per [`ORACLE_TOTALS`] row.
+    oracle: Vec<Counter>,
     bridge: TelemetryObserver,
 }
 
 impl ServeTelemetry {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let queue_wait_seconds = registry.histogram(
-            "ecripse_serve_queue_wait_seconds",
-            "Time a job spent queued before a worker picked it up",
-        );
-        let job_seconds = registry.histogram(
-            "ecripse_serve_job_seconds",
-            "Wall-clock duration of one job's execution",
-        );
-        let journal_replay_seconds = registry.histogram(
-            "ecripse_serve_journal_replay_duration_seconds",
-            "Wall-clock duration of boot-time write-ahead journal replay",
-        );
-        let queue_depth = registry.gauge("ecripse_serve_queue_depth", "Jobs waiting in the queue");
-        let bridge = TelemetryObserver::new(&registry);
+        let counter = |name: &str, help| registry.counter(&format!("ecripse_serve_{name}"), help);
+        let gauge = |name: &str, help| registry.gauge(&format!("ecripse_serve_{name}"), help);
         Self {
+            queue_wait_seconds: registry.histogram(
+                "ecripse_serve_queue_wait_seconds",
+                "Time a job spent queued before a worker picked it up",
+            ),
+            job_seconds: registry.histogram(
+                "ecripse_serve_job_seconds",
+                "Wall-clock duration of one job's execution",
+            ),
+            journal_replay_seconds: registry.histogram(
+                "ecripse_serve_journal_replay_duration_seconds",
+                "Wall-clock duration of boot-time write-ahead journal replay",
+            ),
+            queue_depth: gauge("queue_depth", "Jobs waiting in the queue"),
+            queue_capacity: gauge("queue_capacity", "Bound of the job queue"),
+            in_flight: gauge("in_flight", "Jobs currently executing"),
+            workers: gauge("workers", "Size of the worker pool"),
+            cache_entries: gauge("cache_entries", "Entries in the process-wide verdict cache"),
+            cache_hit_rate: gauge(
+                "cache_hit_rate",
+                "Verdict-cache hit fraction (NaN before any traffic)",
+            ),
+            cache_loaded_entries: gauge(
+                "cache_loaded_entries",
+                "Verdicts restored from the persistent store at startup",
+            ),
+            uptime_seconds: gauge(
+                "uptime_seconds",
+                "Seconds since the server bound its socket",
+            ),
+            jobs_in_terminal_state: gauge(
+                "jobs_in_terminal_state",
+                "Jobs completed, failed, cancelled or persisted",
+            ),
+            journal_bytes: gauge(
+                "journal_bytes",
+                "Current on-disk size of the write-ahead job journal",
+            ),
+            submitted: counter("submitted_total", "Jobs ever accepted"),
+            completed: counter("completed_total", "Jobs finished successfully"),
+            failed: counter("failed_total", "Jobs finished with an estimation error"),
+            cancelled: counter("cancelled_total", "Jobs cancelled (queued or running)"),
+            cancelled_queued: counter(
+                "cancelled_queued_total",
+                "Cancellations that caught the job still queued",
+            ),
+            cancelled_running: counter(
+                "cancelled_running_total",
+                "Cancellations that interrupted a running job",
+            ),
+            deadline_exceeded: counter(
+                "deadline_exceeded_total",
+                "Jobs stopped by their wall-clock deadline",
+            ),
+            recovered: counter(
+                "recovered_total",
+                "Unfinished jobs re-enqueued from the journal at boot",
+            ),
+            journal_compactions: counter(
+                "journal_compactions_total",
+                "Write-ahead journal compactions since startup",
+            ),
+            journal_frames_replayed: counter(
+                "journal_frames_replayed_total",
+                "Journal frames decoded during boot replay",
+            ),
+            idempotent_hits: counter(
+                "idempotent_hits_total",
+                "Submissions deduplicated by idempotency key",
+            ),
+            persisted: counter("persisted_total", "Queued sweeps persisted during shutdown"),
+            rejected: counter("rejected_total", "Submissions bounced with 429"),
+            cache_hits: counter("cache_hits_total", "Verdict-cache hits"),
+            cache_misses: counter("cache_misses_total", "Verdict-cache misses"),
+            scenario_jobs: Scenario::ALL
+                .iter()
+                .map(|scenario| {
+                    let label = escape_label_value(scenario.id());
+                    counter(
+                        &format!("scenario_jobs_total{{scenario=\"{label}\"}}"),
+                        "Jobs completed successfully, by scenario",
+                    )
+                })
+                .collect(),
+            oracle: ORACLE_TOTALS
+                .iter()
+                .map(|(series, _)| {
+                    series.map_or_else(Counter::new, |(name, help)| counter(name, help))
+                })
+                .collect(),
+            bridge: TelemetryObserver::new(&registry),
             registry,
-            queue_wait_seconds,
-            job_seconds,
-            journal_replay_seconds,
-            queue_depth,
-            bridge,
+        }
+    }
+
+    /// Adds a completed job's oracle counters to the totals: an
+    /// estimate's run, or a sweep's reference run and every point.
+    fn count_oracle(&self, output: &JobOutput) {
+        let runs: Vec<&RunReport> = match output {
+            JobOutput::Estimate(estimate) => vec![&estimate.report],
+            JobOutput::Sweep(sweep) => std::iter::once(&sweep.reports.rdf_only)
+                .chain(&sweep.reports.points)
+                .collect(),
+        };
+        for run in runs {
+            let mut stats = run.oracle;
+            for ((_, field), counter) in ORACLE_TOTALS.iter().zip(&self.oracle) {
+                counter.add(*field(&mut stats));
+            }
         }
     }
 }
@@ -299,20 +484,6 @@ struct QueueState {
     jobs: JobTable<Arc<ProgressTracker>>,
     in_flight: u64,
     draining: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    cancelled_queued: AtomicU64,
-    cancelled_running: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    idempotent_hits: AtomicU64,
-    persisted: AtomicU64,
-    rejected: AtomicU64,
 }
 
 /// Locks the queue state, recovering from lock poisoning (a panicking
@@ -329,23 +500,10 @@ struct Shared<B> {
     config: ServeConfig,
     factory: Box<dyn Fn(Scenario, f64) -> B + Send + Sync>,
     cache: Arc<VerdictStore>,
-    /// Completed jobs per scenario, indexed by [`Scenario::ALL`]
-    /// position (feeds the `scenario_jobs` metric and its labelled
-    /// Prometheus series).
-    scenario_completed: [AtomicU64; Scenario::ALL.len()],
-    /// Verdicts restored from the persistent store at bind time.
-    cache_loaded: u64,
     /// The write-ahead job journal, when durability is configured.
     journal: Option<Journal>,
-    /// Unfinished jobs re-enqueued from the journal at boot.
-    recovered: u64,
-    /// Journal frames decoded during boot replay (submissions and
-    /// terminals combined).
-    frames_replayed: u64,
     state: std::sync::Mutex<QueueState>,
     work_ready: std::sync::Condvar,
-    counters: Counters,
-    oracle_totals: Mutex<OracleStats>,
     /// Smoothed seconds-per-job, feeding the `Retry-After` hint.
     ewma_job_seconds: Mutex<f64>,
     stop_accepting: AtomicBool,
@@ -362,9 +520,6 @@ struct Shared<B> {
     /// Bounded ring of finished jobs' span timelines, served by
     /// `GET /v1/jobs/{id}/trace`.
     spans: SpanStore,
-    /// Wall-clock seconds boot-time journal replay took (0 without a
-    /// journal); surfaced in the `/metrics` JSON document.
-    journal_replay_seconds: f64,
 }
 
 /// The estimation service. Generic over the bench the factory builds,
@@ -478,36 +633,30 @@ impl<B: SweepBench + 'static> Server<B> {
                 }
             }
         }
-        let recovered = queue.len() as u64;
         // Boot compaction: drop the terminal noise a long-lived journal
         // accumulates (best-effort; the old file stays valid on failure).
         if let Some(journal) = &journal {
             compact(journal, &jobs);
         }
-        let journal_replay_seconds = if config.journal.is_some() {
-            replay_started.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
+        let telemetry = ServeTelemetry::new();
+        if config.journal.is_some() {
+            let replay_seconds = replay_started.elapsed().as_secs_f64();
+            telemetry.journal_replay_seconds.record(replay_seconds);
+        }
+        telemetry.recovered.add(queue.len() as u64);
+        telemetry.journal_frames_replayed.add(frames_replayed);
+        telemetry.cache_loaded_entries.set(cache_loaded as f64);
+        telemetry.queue_capacity.set(config.queue_capacity as f64);
+        telemetry.workers.set(workers as f64);
         let node = config
             .node
             .clone()
             .unwrap_or_else(|| format!("serve-{}", addr.port()));
-        let telemetry = ServeTelemetry::new();
-        if config.journal.is_some() {
-            telemetry
-                .journal_replay_seconds
-                .record(journal_replay_seconds);
-        }
         let shared = Arc::new(Shared {
             cache,
-            cache_loaded,
             journal,
-            recovered,
-            frames_replayed,
             config,
             factory: Box::new(factory),
-            scenario_completed: Default::default(),
             state: std::sync::Mutex::new(QueueState {
                 queue,
                 jobs,
@@ -515,8 +664,6 @@ impl<B: SweepBench + 'static> Server<B> {
                 draining: false,
             }),
             work_ready: std::sync::Condvar::new(),
-            counters: Counters::default(),
-            oracle_totals: Mutex::new(OracleStats::default()),
             ewma_job_seconds: Mutex::new(1.0),
             stop_accepting: AtomicBool::new(false),
             ready: AtomicBool::new(false),
@@ -525,7 +672,6 @@ impl<B: SweepBench + 'static> Server<B> {
             telemetry,
             node,
             spans: SpanStore::new(256),
-            journal_replay_seconds,
         });
         let worker_handles = (0..workers)
             .map(|_| {
@@ -602,18 +748,12 @@ impl<B: SweepBench + 'static> Server<B> {
                 };
                 if persist_queued_sweep(&self.shared, job) {
                     job.state = JobState::Persisted;
-                    self.shared
-                        .counters
-                        .persisted
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.telemetry.persisted.inc();
                     persisted += 1;
                     transitions.push((id, JobState::Persisted));
                 } else {
                     job.state = JobState::Cancelled;
-                    self.shared
-                        .counters
-                        .cancelled
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.telemetry.cancelled.inc();
                     cancelled += 1;
                     transitions.push((id, JobState::Cancelled));
                 }
@@ -774,10 +914,7 @@ fn expire_queued<B>(shared: &Shared<B>, job: &mut ServeJob) -> Option<String> {
         "deadline of {}ms exceeded while queued",
         job.request.deadline_ms.unwrap_or(0)
     ));
-    shared
-        .counters
-        .deadline_exceeded
-        .fetch_add(1, Ordering::Relaxed);
+    shared.telemetry.deadline_exceeded.inc();
     job.error.clone()
 }
 
@@ -888,10 +1025,7 @@ fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response
     // succeed even while draining or saturated — the work is already
     // accounted for. `200` (not `202`): nothing new was accepted.
     if let Some(existing) = state.jobs.duplicate(&request) {
-        shared
-            .counters
-            .idempotent_hits
-            .fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.idempotent_hits.inc();
         let status = existing.status(queue_position(state, existing.id));
         return Response::json(200, json_body(&status));
     }
@@ -903,7 +1037,7 @@ fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response
         );
     }
     if state.queue.len() >= shared.config.queue_capacity {
-        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.rejected.inc();
         let hint = retry_after_seconds(shared, state);
         let mut body = ApiError::new("queue_full", "job queue is full; retry later");
         body.retry_after_seconds = Some(hint);
@@ -933,7 +1067,7 @@ fn submit<B: SweepBench>(shared: &Shared<B>, http_request: &Request) -> Response
     state.queue.push_back(job.id);
     let status = job.status(Some(state.queue.len() as u64 - 1));
     drop(guard);
-    shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+    shared.telemetry.submitted.inc();
     shared.work_ready.notify_one();
     Response::json(202, json_body(&status))
 }
@@ -985,11 +1119,8 @@ fn cancel<B>(shared: &Shared<B>, id: u64) -> Result<Response, Response> {
     let status = job.status(None);
     state.queue.retain(|&queued| queued != id);
     drop(state);
-    shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .cancelled_queued
-        .fetch_add(1, Ordering::Relaxed);
+    shared.telemetry.cancelled.inc();
+    shared.telemetry.cancelled_queued.inc();
     journal_terminal(shared, id, JobState::Cancelled, Some(error));
     Ok(Response::json(200, json_body(&status)))
 }
@@ -1013,249 +1144,89 @@ fn readyz<B>(shared: &Shared<B>) -> Response {
     http::readiness_response(status)
 }
 
+/// One snapshot of the server: the JSON document, read off the
+/// registry's handles and the live state, with the scrape-time gauges
+/// (and the counters mirrored from the verdict store and the journal)
+/// set from the same values, so the Prometheus exposition and the
+/// document agree.
 fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
+    let t = &shared.telemetry;
     let (queue_depth, in_flight) = {
         let state = lock_state(shared);
         (state.queue.len() as u64, state.in_flight)
     };
-    // Refresh the registry's gauge from the same snapshot, so the
-    // Prometheus exposition (rendered from the registry) and the JSON
-    // document always agree on the depth.
-    shared.telemetry.queue_depth.set(queue_depth as f64);
-    let c = &shared.counters;
-    let completed = c.completed.load(Ordering::Relaxed);
-    let failed = c.failed.load(Ordering::Relaxed);
-    let cancelled = c.cancelled.load(Ordering::Relaxed);
-    let deadline_exceeded = c.deadline_exceeded.load(Ordering::Relaxed);
-    let persisted = c.persisted.load(Ordering::Relaxed);
-    Metrics {
+    let completed = t.completed.get();
+    let failed = t.failed.get();
+    let cancelled = t.cancelled.get();
+    let deadline_exceeded = t.deadline_exceeded.get();
+    let persisted = t.persisted.get();
+    let mut oracle = OracleStats::default();
+    for ((_, field), counter) in ORACLE_TOTALS.iter().zip(&t.oracle) {
+        *field(&mut oracle) = counter.get();
+    }
+    let metrics = Metrics {
         queue_depth,
         queue_capacity: shared.config.queue_capacity as u64,
         in_flight,
         workers: shared.config.workers.max(1) as u64,
-        submitted: c.submitted.load(Ordering::Relaxed),
+        submitted: t.submitted.get(),
         completed,
         failed,
         cancelled,
-        cancelled_queued: c.cancelled_queued.load(Ordering::Relaxed),
-        cancelled_running: c.cancelled_running.load(Ordering::Relaxed),
+        cancelled_queued: t.cancelled_queued.get(),
+        cancelled_running: t.cancelled_running.get(),
         deadline_exceeded,
-        recovered: shared.recovered,
-        idempotent_hits: c.idempotent_hits.load(Ordering::Relaxed),
+        recovered: t.recovered.get(),
+        idempotent_hits: t.idempotent_hits.get(),
         persisted,
-        rejected: c.rejected.load(Ordering::Relaxed),
+        rejected: t.rejected.get(),
         cache_entries: shared.cache.len() as u64,
         cache_hits: shared.cache.hits(),
         cache_misses: shared.cache.misses(),
         cache_hit_rate: shared.cache.hit_rate(),
-        cache_loaded_entries: shared.cache_loaded,
-        journal_compactions_total: shared.journal.as_ref().map_or(0, |j| j.compactions()),
-        journal_frames_replayed_total: shared.frames_replayed,
-        journal_bytes: shared.journal.as_ref().map_or(0, |j| j.bytes()),
-        journal_replay_duration_seconds: shared.journal_replay_seconds,
+        cache_loaded_entries: t.cache_loaded_entries.get() as u64,
+        journal_compactions_total: shared.journal.as_ref().map_or(0, Journal::compactions),
+        journal_frames_replayed_total: t.journal_frames_replayed.get(),
+        journal_bytes: shared.journal.as_ref().map_or(0, Journal::bytes),
+        journal_replay_duration_seconds: t.journal_replay_seconds.sum(),
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         jobs_in_terminal_state: completed + failed + cancelled + deadline_exceeded + persisted,
         scenario_jobs: Scenario::ALL
             .iter()
-            .enumerate()
-            .map(|(index, scenario)| ScenarioJobCount {
+            .zip(&t.scenario_jobs)
+            .map(|(scenario, counter)| ScenarioJobCount {
                 scenario: scenario.id().to_string(),
-                completed: shared.scenario_completed[index].load(Ordering::Relaxed),
+                completed: counter.get(),
             })
             .collect(),
-        oracle: *shared.oracle_totals.lock(),
-    }
+        oracle,
+    };
+    t.queue_depth.set(queue_depth as f64);
+    t.in_flight.set(in_flight as f64);
+    t.cache_entries.set(metrics.cache_entries as f64);
+    t.cache_hit_rate
+        .set(metrics.cache_hit_rate.unwrap_or(f64::NAN));
+    t.uptime_seconds.set(metrics.uptime_seconds);
+    t.jobs_in_terminal_state
+        .set(metrics.jobs_in_terminal_state as f64);
+    t.journal_bytes.set(metrics.journal_bytes as f64);
+    t.cache_hits.advance_to(metrics.cache_hits);
+    t.cache_misses.advance_to(metrics.cache_misses);
+    t.journal_compactions
+        .advance_to(metrics.journal_compactions_total);
+    metrics
 }
 
-/// Serves `GET /metrics`: Prometheus text exposition when the client's
-/// `Accept` header asks for `text/plain`, the JSON document otherwise.
+/// Serves `GET /metrics`: the registry's Prometheus text exposition
+/// when the client's `Accept` header asks for `text/plain`, the JSON
+/// document otherwise. Both follow one [`collect_metrics`] snapshot.
 fn metrics_response<B>(shared: &Shared<B>, request: &Request) -> Response {
     let metrics = collect_metrics(shared);
     if http::wants_prometheus(request) {
-        Response::text(200, render_prometheus_document(shared, &metrics))
+        Response::text(200, shared.telemetry.registry.render_prometheus())
     } else {
         Response::json(200, json_body(&metrics))
     }
-}
-
-/// Builds the full Prometheus document: scalar series synthesised from
-/// the *same* [`Metrics`] snapshot the JSON endpoint serves (so the two
-/// representations always agree), followed by the registry's rendered
-/// histograms (HTTP latency, queue wait, job duration, and the core
-/// observer bridge's pipeline metrics).
-fn render_prometheus_document<B>(shared: &Shared<B>, m: &Metrics) -> String {
-    let mut out = String::new();
-    // `queue_depth` is absent here on purpose: it lives in the
-    // registry as a real gauge (refreshed by `collect_metrics`), so it
-    // renders with the registry histograms at the end of the document.
-    let gauges: [(&str, &str, f64); 9] = [
-        (
-            "queue_capacity",
-            "Bound of the job queue",
-            m.queue_capacity as f64,
-        ),
-        ("in_flight", "Jobs currently executing", m.in_flight as f64),
-        ("workers", "Size of the worker pool", m.workers as f64),
-        (
-            "cache_entries",
-            "Entries in the process-wide verdict cache",
-            m.cache_entries as f64,
-        ),
-        (
-            "cache_hit_rate",
-            "Verdict-cache hit fraction (NaN before any traffic)",
-            m.cache_hit_rate.unwrap_or(f64::NAN),
-        ),
-        (
-            "cache_loaded_entries",
-            "Verdicts restored from the persistent store at startup",
-            m.cache_loaded_entries as f64,
-        ),
-        (
-            "uptime_seconds",
-            "Seconds since the server bound its socket",
-            m.uptime_seconds,
-        ),
-        (
-            "jobs_in_terminal_state",
-            "Jobs completed, failed, cancelled or persisted",
-            m.jobs_in_terminal_state as f64,
-        ),
-        (
-            "journal_bytes",
-            "Current on-disk size of the write-ahead job journal",
-            m.journal_bytes as f64,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        let name = format!("ecripse_serve_{name}");
-        prom_scalar(&mut out, &name, "gauge", help, value);
-    }
-    let counters: [(&str, &str, u64); 24] = [
-        ("submitted_total", "Jobs ever accepted", m.submitted),
-        ("completed_total", "Jobs finished successfully", m.completed),
-        (
-            "failed_total",
-            "Jobs finished with an estimation error",
-            m.failed,
-        ),
-        (
-            "cancelled_total",
-            "Jobs cancelled (queued or running)",
-            m.cancelled,
-        ),
-        (
-            "cancelled_queued_total",
-            "Cancellations that caught the job still queued",
-            m.cancelled_queued,
-        ),
-        (
-            "cancelled_running_total",
-            "Cancellations that interrupted a running job",
-            m.cancelled_running,
-        ),
-        (
-            "deadline_exceeded_total",
-            "Jobs stopped by their wall-clock deadline",
-            m.deadline_exceeded,
-        ),
-        (
-            "recovered_total",
-            "Unfinished jobs re-enqueued from the journal at boot",
-            m.recovered,
-        ),
-        (
-            "journal_compactions_total",
-            "Write-ahead journal compactions since startup",
-            m.journal_compactions_total,
-        ),
-        (
-            "journal_frames_replayed_total",
-            "Journal frames decoded during boot replay",
-            m.journal_frames_replayed_total,
-        ),
-        (
-            "idempotent_hits_total",
-            "Submissions deduplicated by idempotency key",
-            m.idempotent_hits,
-        ),
-        (
-            "persisted_total",
-            "Queued sweeps persisted during shutdown",
-            m.persisted,
-        ),
-        ("rejected_total", "Submissions bounced with 429", m.rejected),
-        ("cache_hits_total", "Verdict-cache hits", m.cache_hits),
-        ("cache_misses_total", "Verdict-cache misses", m.cache_misses),
-        (
-            "oracle_classified_total",
-            "Queries answered by the classifier",
-            m.oracle.classified,
-        ),
-        (
-            "oracle_simulated_total",
-            "Queries answered by simulation",
-            m.oracle.simulated,
-        ),
-        (
-            "oracle_retrains_total",
-            "Classifier retraining rounds",
-            m.oracle.retrains,
-        ),
-        (
-            "oracle_retries_total",
-            "Retry-ladder attempts",
-            m.oracle.retries,
-        ),
-        (
-            "oracle_quarantined_total",
-            "Samples quarantined",
-            m.oracle.quarantined,
-        ),
-        (
-            "oracle_uncertain_simulated_total",
-            "Stage-2 simulations triggered by the uncertainty band",
-            m.oracle.uncertain_simulated,
-        ),
-        (
-            "newton_iters_total",
-            "Newton iterations (node-current evaluations) spent in the circuit solver",
-            m.oracle.newton_iters,
-        ),
-        (
-            "factorisations_total",
-            "Transfer-curve point solves in the circuit solver (no matrix is factorised)",
-            m.oracle.factorisations,
-        ),
-        (
-            "warm_start_seeds_total",
-            "Always 0: no evaluation seeds its curve solves; kept for compatibility",
-            m.oracle.warm_start_seeds,
-        ),
-    ];
-    for (name, help, value) in counters {
-        let name = format!("ecripse_serve_{name}");
-        prom_scalar(&mut out, &name, "counter", help, value as f64);
-    }
-    {
-        use std::fmt::Write as _;
-        let name = "ecripse_serve_scenario_jobs_total";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Jobs completed successfully, by scenario"
-        );
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for entry in &m.scenario_jobs {
-            let _ = writeln!(
-                out,
-                "{name}{{scenario=\"{}\"}} {}",
-                escape_label_value(&entry.scenario),
-                entry.completed
-            );
-        }
-    }
-    out.push_str(&shared.telemetry.registry.render_prometheus());
-    out
 }
 
 /// Why a job stopped short of a result.
@@ -1334,15 +1305,15 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         state.in_flight -= 1;
         if let Ok(job) = state.jobs.get_mut(id) {
             match outcome {
-                Ok((output, oracle)) => {
+                Ok(output) => {
+                    let t = &shared.telemetry;
+                    t.completed.inc();
+                    if let Some(index) = Scenario::ALL.iter().position(|&s| s == request.scenario) {
+                        t.scenario_jobs[index].inc();
+                    }
+                    t.count_oracle(&output);
                     job.state = JobState::Completed;
                     job.output = Some(output);
-                    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    let scenario = request.scenario;
-                    if let Some(index) = Scenario::ALL.iter().position(|&s| s == scenario) {
-                        shared.scenario_completed[index].fetch_add(1, Ordering::Relaxed);
-                    }
-                    add_oracle(&mut shared.oracle_totals.lock(), &oracle);
                     terminal = Some((JobState::Completed, None));
                 }
                 Err(JobFailure::Interrupted) => {
@@ -1356,25 +1327,19 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                             "deadline of {}ms exceeded while running",
                             request.deadline_ms.unwrap_or(0)
                         ));
-                        shared
-                            .counters
-                            .deadline_exceeded
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.telemetry.deadline_exceeded.inc();
                     } else {
                         job.state = JobState::Cancelled;
                         job.error = Some("cancelled while running".to_string());
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .cancelled_running
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.telemetry.cancelled.inc();
+                        shared.telemetry.cancelled_running.inc();
                     }
                     terminal = Some((job.state, job.error.clone()));
                 }
                 Err(JobFailure::Error(message)) => {
                     job.state = JobState::Failed;
                     job.error = Some(message);
-                    shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+                    shared.telemetry.failed.inc();
                     terminal = Some((JobState::Failed, job.error.clone()));
                 }
             }
@@ -1384,20 +1349,6 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
             journal_terminal(shared, id, state, error);
         }
     }
-}
-
-fn add_oracle(total: &mut OracleStats, delta: &OracleStats) {
-    total.classified += delta.classified;
-    total.simulated += delta.simulated;
-    total.uncertain_simulated += delta.uncertain_simulated;
-    total.retrains += delta.retrains;
-    total.cache_hits += delta.cache_hits;
-    total.cache_misses += delta.cache_misses;
-    total.retries += delta.retries;
-    total.quarantined += delta.quarantined;
-    total.newton_iters += delta.newton_iters;
-    total.factorisations += delta.factorisations;
-    total.warm_start_seeds += delta.warm_start_seeds;
 }
 
 /// Runs one job through the exact pipeline of a direct library call.
@@ -1411,7 +1362,7 @@ fn execute<B: SweepBench + 'static>(
     progress: &ProgressTracker,
     stop: &AtomicBool,
     collector: &SpanCollector,
-) -> Result<(JobOutput, OracleStats), JobFailure> {
+) -> Result<JobOutput, JobFailure> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         execute_inner(shared, id, request, progress, stop, collector)
     }))
@@ -1432,7 +1383,7 @@ fn execute_inner<B: SweepBench + 'static>(
     progress: &ProgressTracker,
     stop: &AtomicBool,
     collector: &SpanCollector,
-) -> Result<(JobOutput, OracleStats), JobFailure> {
+) -> Result<JobOutput, JobFailure> {
     let (spec, config) = (&request.job, request.config);
     let bench = job_bench(shared, request.scenario, spec);
     // Everything beyond the deterministic recorder is observational:
@@ -1467,17 +1418,13 @@ fn execute_inner<B: SweepBench + 'static>(
                 }
             }
             .map_err(map_estimate)?;
-            let oracle = result.oracle_stats;
-            Ok((
-                JobOutput::Estimate(EstimateOutcome {
-                    p_fail: result.p_fail,
-                    ci95_half_width: result.ci95_half_width,
-                    simulations: result.simulations,
-                    is_samples: result.is_samples,
-                    report: recorder.into_report(),
-                }),
-                oracle,
-            ))
+            Ok(JobOutput::Estimate(EstimateOutcome {
+                p_fail: result.p_fail,
+                ci95_half_width: result.ci95_half_width,
+                simulations: result.simulations,
+                is_samples: result.is_samples,
+                report: recorder.into_report(),
+            }))
         }
         JobKind::Sweep => {
             let alphas = spec.alphas.clone().unwrap_or_default();
@@ -1511,22 +1458,14 @@ fn execute_inner<B: SweepBench + 'static>(
             if let Some(path) = spool_path(shared, id) {
                 let _ = std::fs::remove_file(path);
             }
-            let mut oracle = OracleStats::default();
-            add_oracle(&mut oracle, &reports.rdf_only.oracle);
-            for point in &reports.points {
-                add_oracle(&mut oracle, &point.oracle);
-            }
-            Ok((
-                JobOutput::Sweep(SweepOutcome {
-                    p_fail_rdf_only: result.p_fail_rdf_only,
-                    rdf_only_ci95: result.rdf_only_ci95,
-                    init_simulations: result.init_simulations,
-                    total_simulations: result.total_simulations,
-                    points: result.points,
-                    reports,
-                }),
-                oracle,
-            ))
+            Ok(JobOutput::Sweep(SweepOutcome {
+                p_fail_rdf_only: result.p_fail_rdf_only,
+                rdf_only_ci95: result.rdf_only_ci95,
+                init_simulations: result.init_simulations,
+                total_simulations: result.total_simulations,
+                points: result.points,
+                reports,
+            }))
         }
     }
 }

@@ -15,6 +15,7 @@
 //! another. Stale verdicts are worse than a cold start.
 
 use ecripse_core::cache::{tag_for, VerdictStore};
+use ecripse_core::sweep::write_atomically;
 use ecripse_stats::fnv1a;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -64,9 +65,7 @@ pub fn save_snapshot(
     };
     let json = serde_json::to_string(&snapshot)
         .map_err(|e| SnapshotError::Malformed(format!("serialise snapshot: {e}")))?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json.as_bytes()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    write_atomically(path, json.as_bytes()).map_err(|e| SnapshotError::Io(e.to_string()))?;
     Ok(count)
 }
 

@@ -9,9 +9,12 @@ use ecripse_core::initial::InitialSearchConfig;
 use ecripse_core::sweep::SweepBench;
 use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest};
 use ecripse_serve::{http, Client, ServeConfig, Server};
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
+
+#[path = "support/exposition.rs"]
+mod exposition;
+use exposition::{assert_metadata_matches, validate_exposition};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -60,66 +63,6 @@ impl SweepBench for SlowBench {
     fn sigmas(&self) -> [f64; 6] {
         SweepBench::sigmas(&self.inner)
     }
-}
-
-/// Parses Prometheus text exposition, panicking on any malformed line.
-/// Returns the value of every *unlabelled* sample plus the set of
-/// sample names seen (labelled `_bucket` series included).
-fn validate_exposition(text: &str) -> (HashMap<String, f64>, Vec<String>) {
-    let mut types: HashMap<String, String> = HashMap::new();
-    let mut scalars = HashMap::new();
-    let mut names = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().expect("TYPE line has a metric name");
-            let kind = parts.next().expect("TYPE line has a kind");
-            assert!(
-                ["counter", "gauge", "histogram"].contains(&kind),
-                "unknown metric kind {kind:?} in {line:?}"
-            );
-            types.insert(name.to_string(), kind.to_string());
-            continue;
-        }
-        if line.starts_with("# HELP ") {
-            continue;
-        }
-        assert!(
-            !line.starts_with('#'),
-            "unexpected comment form in exposition: {line:?}"
-        );
-        // Sample line: `name[{labels}] value`.
-        let (series, value) = line
-            .rsplit_once(' ')
-            .unwrap_or_else(|| panic!("sample line without a value: {line:?}"));
-        let parsed: f64 = match value {
-            "+Inf" => f64::INFINITY,
-            "-Inf" => f64::NEG_INFINITY,
-            "NaN" => f64::NAN,
-            v => v
-                .parse()
-                .unwrap_or_else(|_| panic!("bad sample value in {line:?}")),
-        };
-        let name = series.split('{').next().expect("split never empty");
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .filter(|base| types.get(*base).map(String::as_str) == Some("histogram"))
-            .unwrap_or(name);
-        assert!(
-            types.contains_key(base),
-            "sample {name:?} has no preceding # TYPE header"
-        );
-        names.push(name.to_string());
-        if !series.contains('{') {
-            scalars.insert(name.to_string(), parsed);
-        }
-    }
-    (scalars, names)
 }
 
 #[test]
@@ -281,6 +224,129 @@ fn prometheus_exposition_parses_and_agrees_with_json() {
         scalars["ecripse_serve_journal_replay_duration_seconds_sum"],
         metrics.journal_replay_duration_seconds
     );
+    server.shutdown();
+}
+
+/// The `# HELP`/`# TYPE` lines of a fresh server after one completed
+/// job: every family `/metrics` declares, with its help text and kind.
+const SERVE_METADATA: &str = "
+# HELP ecripse_cache_hits_total Simulator queries served from the memo-cache.
+# TYPE ecripse_cache_hits_total counter
+# HELP ecripse_cache_misses_total Simulator queries that missed the memo-cache.
+# TYPE ecripse_cache_misses_total counter
+# HELP ecripse_classified_total Indicator queries answered by the classifier.
+# TYPE ecripse_classified_total counter
+# HELP ecripse_filter_iterations_total Particle-filter iterations completed.
+# TYPE ecripse_filter_iterations_total counter
+# HELP ecripse_last_estimate Most recent failure-probability estimate.
+# TYPE ecripse_last_estimate gauge
+# HELP ecripse_prefetch_consumed_total Simulations run ahead of need that a routed chunk consumed.
+# TYPE ecripse_prefetch_consumed_total counter
+# HELP ecripse_prefetch_evaluated_total Stage-2 simulations run ahead of need while the classifier retrained.
+# TYPE ecripse_prefetch_evaluated_total counter
+# HELP ecripse_runs_finished_total Estimation runs completed.
+# TYPE ecripse_runs_finished_total counter
+# HELP ecripse_runs_started_total Estimation runs started.
+# TYPE ecripse_runs_started_total counter
+# HELP ecripse_serve_cache_entries Entries in the process-wide verdict cache
+# TYPE ecripse_serve_cache_entries gauge
+# HELP ecripse_serve_cache_hit_rate Verdict-cache hit fraction (NaN before any traffic)
+# TYPE ecripse_serve_cache_hit_rate gauge
+# HELP ecripse_serve_cache_hits_total Verdict-cache hits
+# TYPE ecripse_serve_cache_hits_total counter
+# HELP ecripse_serve_cache_loaded_entries Verdicts restored from the persistent store at startup
+# TYPE ecripse_serve_cache_loaded_entries gauge
+# HELP ecripse_serve_cache_misses_total Verdict-cache misses
+# TYPE ecripse_serve_cache_misses_total counter
+# HELP ecripse_serve_cancelled_queued_total Cancellations that caught the job still queued
+# TYPE ecripse_serve_cancelled_queued_total counter
+# HELP ecripse_serve_cancelled_running_total Cancellations that interrupted a running job
+# TYPE ecripse_serve_cancelled_running_total counter
+# HELP ecripse_serve_cancelled_total Jobs cancelled (queued or running)
+# TYPE ecripse_serve_cancelled_total counter
+# HELP ecripse_serve_completed_total Jobs finished successfully
+# TYPE ecripse_serve_completed_total counter
+# HELP ecripse_serve_deadline_exceeded_total Jobs stopped by their wall-clock deadline
+# TYPE ecripse_serve_deadline_exceeded_total counter
+# HELP ecripse_serve_factorisations_total Transfer-curve point solves in the circuit solver (no matrix is factorised)
+# TYPE ecripse_serve_factorisations_total counter
+# HELP ecripse_serve_failed_total Jobs finished with an estimation error
+# TYPE ecripse_serve_failed_total counter
+# HELP ecripse_serve_http_handler_panics_total HTTP connection handlers that panicked (the connection is dropped without a response)
+# TYPE ecripse_serve_http_handler_panics_total counter
+# HELP ecripse_serve_http_request_seconds Wall-clock latency of handling one HTTP request
+# TYPE ecripse_serve_http_request_seconds histogram
+# HELP ecripse_serve_idempotent_hits_total Submissions deduplicated by idempotency key
+# TYPE ecripse_serve_idempotent_hits_total counter
+# HELP ecripse_serve_in_flight Jobs currently executing
+# TYPE ecripse_serve_in_flight gauge
+# HELP ecripse_serve_job_seconds Wall-clock duration of one job's execution
+# TYPE ecripse_serve_job_seconds histogram
+# HELP ecripse_serve_jobs_in_terminal_state Jobs completed, failed, cancelled or persisted
+# TYPE ecripse_serve_jobs_in_terminal_state gauge
+# HELP ecripse_serve_journal_bytes Current on-disk size of the write-ahead job journal
+# TYPE ecripse_serve_journal_bytes gauge
+# HELP ecripse_serve_journal_compactions_total Write-ahead journal compactions since startup
+# TYPE ecripse_serve_journal_compactions_total counter
+# HELP ecripse_serve_journal_frames_replayed_total Journal frames decoded during boot replay
+# TYPE ecripse_serve_journal_frames_replayed_total counter
+# HELP ecripse_serve_journal_replay_duration_seconds Wall-clock duration of boot-time write-ahead journal replay
+# TYPE ecripse_serve_journal_replay_duration_seconds histogram
+# HELP ecripse_serve_newton_iters_total Newton iterations (node-current evaluations) spent in the circuit solver
+# TYPE ecripse_serve_newton_iters_total counter
+# HELP ecripse_serve_oracle_classified_total Queries answered by the classifier
+# TYPE ecripse_serve_oracle_classified_total counter
+# HELP ecripse_serve_oracle_quarantined_total Samples quarantined
+# TYPE ecripse_serve_oracle_quarantined_total counter
+# HELP ecripse_serve_oracle_retrains_total Classifier retraining rounds
+# TYPE ecripse_serve_oracle_retrains_total counter
+# HELP ecripse_serve_oracle_retries_total Retry-ladder attempts
+# TYPE ecripse_serve_oracle_retries_total counter
+# HELP ecripse_serve_oracle_simulated_total Queries answered by simulation
+# TYPE ecripse_serve_oracle_simulated_total counter
+# HELP ecripse_serve_oracle_uncertain_simulated_total Stage-2 simulations triggered by the uncertainty band
+# TYPE ecripse_serve_oracle_uncertain_simulated_total counter
+# HELP ecripse_serve_persisted_total Queued sweeps persisted during shutdown
+# TYPE ecripse_serve_persisted_total counter
+# HELP ecripse_serve_queue_capacity Bound of the job queue
+# TYPE ecripse_serve_queue_capacity gauge
+# HELP ecripse_serve_queue_depth Jobs waiting in the queue
+# TYPE ecripse_serve_queue_depth gauge
+# HELP ecripse_serve_queue_wait_seconds Time a job spent queued before a worker picked it up
+# TYPE ecripse_serve_queue_wait_seconds histogram
+# HELP ecripse_serve_recovered_total Unfinished jobs re-enqueued from the journal at boot
+# TYPE ecripse_serve_recovered_total counter
+# HELP ecripse_serve_rejected_total Submissions bounced with 429
+# TYPE ecripse_serve_rejected_total counter
+# HELP ecripse_serve_scenario_jobs_total Jobs completed successfully, by scenario
+# TYPE ecripse_serve_scenario_jobs_total counter
+# HELP ecripse_serve_submitted_total Jobs ever accepted
+# TYPE ecripse_serve_submitted_total counter
+# HELP ecripse_serve_uptime_seconds Seconds since the server bound its socket
+# TYPE ecripse_serve_uptime_seconds gauge
+# HELP ecripse_serve_workers Size of the worker pool
+# TYPE ecripse_serve_workers gauge
+# HELP ecripse_sim_batch_seconds Wall-clock latency of raw simulator batches.
+# TYPE ecripse_sim_batch_seconds histogram
+# HELP ecripse_simulations_total Transistor-level simulations evaluated.
+# TYPE ecripse_simulations_total counter
+# HELP ecripse_stage2_chunks_total Stage-2 importance-sampling chunks completed.
+# TYPE ecripse_stage2_chunks_total counter
+# HELP ecripse_stage_seconds Wall-clock latency of completed pipeline stages.
+# TYPE ecripse_stage_seconds histogram
+";
+
+#[test]
+fn fresh_server_declares_the_golden_metric_families() {
+    let server = Server::bind_with("127.0.0.1:0", ServeConfig::default(), |_, _| linear_bench())
+        .expect("bind");
+    let client = Client::new(server.local_addr().to_string());
+    let request = SubmitRequest::new(tiny_config(42), JobSpec::rdf_only(1.0));
+    let submitted = client.submit(&request).expect("submit");
+    client.wait_for_report(submitted.id, WAIT).expect("report");
+    let exposition = client.metrics_prometheus().expect("prometheus metrics");
+    validate_exposition(&exposition);
+    assert_metadata_matches(&exposition, SERVE_METADATA);
     server.shutdown();
 }
 
