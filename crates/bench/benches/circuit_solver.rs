@@ -1,13 +1,10 @@
 //! Circuit-substrate micro-costs: single device evaluations, single VTC
-//! solves, full butterfly sampling, SNM extraction, and the general
-//! Newton/MNA solver.
+//! solves, full butterfly sampling and SNM extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecripse_spice::butterfly::Butterfly;
-use ecripse_spice::netlist::{Element, Netlist};
 use ecripse_spice::ptm::{paper_geometry, DeviceRole, VDD_NOMINAL};
 use ecripse_spice::snm::read_noise_margin;
-use ecripse_spice::solver::Solver;
 use ecripse_spice::sram::Sram6T;
 use std::hint::black_box;
 
@@ -52,38 +49,6 @@ fn bench_solver(c: &mut Criterion) {
     let butterfly_31 = coarse(&cell);
     group.bench_function("snm_extract_31", |b| {
         b.iter(|| black_box(read_noise_margin(black_box(&butterfly_31))))
-    });
-
-    group.bench_function("mna_latch_operating_point", |b| {
-        b.iter(|| {
-            let mut nl = Netlist::new(VDD_NOMINAL);
-            let vdd = nl.add_node();
-            let q = nl.add_node();
-            let qb = nl.add_node();
-            nl.add(Element::VSource {
-                plus: vdd,
-                minus: 0,
-                volts: VDD_NOMINAL,
-            });
-            for (out, input) in [(q, qb), (qb, q)] {
-                nl.add(Element::Mosfet {
-                    d: out,
-                    g: input,
-                    s: vdd,
-                    device: paper_geometry(DeviceRole::Load).build(),
-                });
-                nl.add(Element::Mosfet {
-                    d: out,
-                    g: input,
-                    s: 0,
-                    device: paper_geometry(DeviceRole::Driver).build(),
-                });
-            }
-            let mut init = vec![0.0; nl.node_count()];
-            init[vdd] = VDD_NOMINAL;
-            init[q] = VDD_NOMINAL;
-            black_box(Solver::new().solve_dc(&nl, Some(&init)).expect("latch"))
-        })
     });
 
     group.finish();

@@ -17,7 +17,6 @@
 use ecripse_core::bench::Testbench;
 use ecripse_core::sweep::SweepBench;
 use ecripse_core::EvalError;
-use ecripse_spice::solver::SolveError;
 use ecripse_stats::{fnv1a, FNV_OFFSET};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Fraction of samples (by hash) whose evaluation fails with a
-    /// solver-style [`EvalError::Solve`].
+    /// solver-style [`EvalError::NoConvergence`].
     pub solver_failure_rate: f64,
     /// Fraction of samples whose evaluation surfaces a non-finite
     /// result ([`EvalError::NonFinite`]). Stacked after
@@ -129,9 +128,7 @@ impl<B> FaultyBench<B> {
         // Map the top 53 bits onto [0, 1).
         let u = (hash >> 11) as f64 / (1u64 << 53) as f64;
         if u < self.config.solver_failure_rate {
-            Some(EvalError::Solve(SolveError::NoConvergence {
-                best_residual: 1.0,
-            }))
+            Some(EvalError::NoConvergence { best_residual: 1.0 })
         } else if u < total {
             Some(EvalError::NonFinite {
                 context: "injected fault",

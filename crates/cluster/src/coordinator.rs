@@ -58,8 +58,9 @@
 //! The coordinator's counters and gauges are registered once in its
 //! [`MetricsRegistry`], beside the front door's latency histogram. The
 //! JSON [`ClusterMetrics`] document reads the same handles; the text
-//! exposition is the registry's rendering followed by every live
-//! worker's exposition, relabelled with `worker="<name>"`.
+//! exposition is the registry's rendering followed by the live workers'
+//! expositions, merged family by family and relabelled with
+//! `worker="<name>"`.
 
 use crate::protocol::{
     ClusterMetrics, ClusterWorkers, HeartbeatRequest, MetricRollup, RegisterRequest,
@@ -80,7 +81,7 @@ use ecripse_serve::protocol::{
     PROTOCOL_VERSION,
 };
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -568,63 +569,71 @@ fn federated_metrics(shared: &Arc<Shared>) -> ClusterMetrics {
     metrics
 }
 
-/// Re-labels one worker's Prometheus exposition with
-/// `worker="<name>"` on every sample, deduplicating `# HELP`/`# TYPE`
-/// lines across workers (the first exposition to mention a metric
-/// wins). The label value goes through [`escape_label_value`], so a
-/// hostile worker name cannot break the exposition syntax.
-fn relabel_exposition(text: &str, worker: &str, seen: &mut HashSet<String>) -> String {
-    let label = format!("worker=\"{}\"", escape_label_value(worker));
-    let mut out = String::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
+/// Merges the live workers' Prometheus expositions family by family:
+/// each family's `# HELP`/`# TYPE` lines once (the first worker to
+/// declare the family wins), then every worker's samples of it, each
+/// labelled `worker="<name>"`. The text format requires all lines of a
+/// family to form one group, so the workers' expositions cannot just be
+/// appended. A sample belongs to the family declared above it, as in the
+/// registry's rendering. The label value goes through
+/// [`escape_label_value`], so a hostile worker name cannot break the
+/// exposition syntax.
+fn federate_expositions(expositions: &[(String, String)]) -> String {
+    // Family name → (the first worker to declare it, its lines so far).
+    let mut order = Vec::new();
+    let mut families: HashMap<&str, (usize, String)> = HashMap::new();
+    for (w, (worker, text)) in expositions.iter().enumerate() {
+        let label = format!("worker=\"{}\"", escape_label_value(worker));
+        let mut declared = "";
+        for line in text.lines().filter(|line| !line.is_empty()) {
             let meta = line
                 .strip_prefix("# HELP ")
-                .map(|rest| ("HELP", rest))
-                .or_else(|| line.strip_prefix("# TYPE ").map(|rest| ("TYPE", rest)));
-            if let Some((kind, rest)) = meta {
-                let name = rest.split_whitespace().next().unwrap_or_default();
-                if seen.insert(format!("{kind} {name}")) {
-                    out.push_str(line);
-                    out.push('\n');
-                }
+                .or_else(|| line.strip_prefix("# TYPE "));
+            if let Some(rest) = meta {
+                declared = rest.split_whitespace().next().unwrap_or_default();
+            } else if line.starts_with('#') {
+                continue;
             }
-            continue;
+            let (owner, lines) = families.entry(declared).or_insert_with(|| {
+                order.push(declared);
+                (w, String::new())
+            });
+            match meta {
+                None => lines.push_str(&relabel_sample(line, &label)),
+                Some(_) if *owner == w => lines.push_str(line),
+                Some(_) => continue,
+            }
+            lines.push('\n');
         }
-        if let Some(brace) = line.find('{') {
-            out.push_str(&line[..=brace]);
-            out.push_str(&label);
-            out.push(',');
-            out.push_str(&line[brace + 1..]);
-        } else if let Some(space) = line.find(' ') {
-            out.push_str(&line[..space]);
-            out.push('{');
-            out.push_str(&label);
-            out.push('}');
-            out.push_str(&line[space..]);
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
     }
-    out
+    order.iter().map(|name| families[name].1.as_str()).collect()
+}
+
+/// One sample line with `label` injected as its first label.
+fn relabel_sample(line: &str, label: &str) -> String {
+    if let Some(brace) = line.find('{') {
+        format!("{}{label},{}", &line[..=brace], &line[brace + 1..])
+    } else if let Some(space) = line.find(' ') {
+        format!("{}{{{label}}}{}", &line[..space], &line[space..])
+    } else {
+        line.to_string()
+    }
 }
 
 /// The cluster's own exposition (its registry, rendered after one
 /// [`collect_metrics`] snapshot) followed by every live worker's,
-/// re-labelled per worker (`ecripse_serve_*{worker="..."}`).
+/// merged per family and labelled per worker
+/// (`ecripse_serve_*{worker="..."}`).
 fn render_federated_prometheus(shared: &Arc<Shared>) -> String {
     collect_metrics(shared);
     let mut out = shared.telemetry.registry.render_prometheus();
-    let mut seen = HashSet::new();
-    for (name, addr) in shared.registry.alive() {
-        if let Ok(text) = scrape_client(&addr).metrics_prometheus() {
-            out.push_str(&relabel_exposition(&text, &name, &mut seen));
-        }
-    }
+    let scraped: Vec<(String, String)> = shared
+        .registry
+        .alive()
+        .into_iter()
+        .filter_map(|(name, addr)| Some((name, scrape_client(&addr).metrics_prometheus().ok()?)))
+        .collect();
+    out.push_str(&federate_expositions(&scraped));
     out
 }
 
@@ -1330,31 +1339,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn relabel_injects_worker_label_into_plain_and_labelled_samples() {
+    fn federation_groups_each_family_and_labels_every_sample() {
         let text = "# HELP ecripse_serve_queue_depth Jobs waiting\n\
                     # TYPE ecripse_serve_queue_depth gauge\n\
                     ecripse_serve_queue_depth 3\n\
-                    ecripse_serve_scenario_jobs_completed{scenario=\"sram-6t\"} 2\n";
-        let mut seen = HashSet::new();
-        let out = relabel_exposition(text, "w-a", &mut seen);
-        assert!(out.contains("ecripse_serve_queue_depth{worker=\"w-a\"} 3"));
-        assert!(out.contains(
-            "ecripse_serve_scenario_jobs_completed{worker=\"w-a\",scenario=\"sram-6t\"} 2"
-        ));
-        assert!(out.contains("# HELP ecripse_serve_queue_depth"));
-        // A second worker's exposition repeats the metadata; it must be
-        // deduplicated but the samples kept.
-        let out_b = relabel_exposition(text, "w-b", &mut seen);
-        assert!(!out_b.contains("# HELP"));
-        assert!(!out_b.contains("# TYPE"));
-        assert!(out_b.contains("ecripse_serve_queue_depth{worker=\"w-b\"} 3"));
+                    # HELP ecripse_serve_job_seconds Job latency\n\
+                    # TYPE ecripse_serve_job_seconds histogram\n\
+                    ecripse_serve_job_seconds_bucket{le=\"+Inf\"} 2\n\
+                    ecripse_serve_job_seconds_sum 0.5\n\
+                    ecripse_serve_job_seconds_count 2\n\
+                    # TYPE ecripse_serve_scenario_jobs_total counter\n\
+                    ecripse_serve_scenario_jobs_total{scenario=\"sram-6t\"} 2\n";
+        let out = federate_expositions(&[
+            ("w-a".to_string(), text.to_string()),
+            ("w-b".to_string(), text.to_string()),
+        ]);
+        // Metadata once per family, then both workers' samples of it,
+        // before the next family starts.
+        let expected = "# HELP ecripse_serve_queue_depth Jobs waiting\n\
+                        # TYPE ecripse_serve_queue_depth gauge\n\
+                        ecripse_serve_queue_depth{worker=\"w-a\"} 3\n\
+                        ecripse_serve_queue_depth{worker=\"w-b\"} 3\n\
+                        # HELP ecripse_serve_job_seconds Job latency\n\
+                        # TYPE ecripse_serve_job_seconds histogram\n\
+                        ecripse_serve_job_seconds_bucket{worker=\"w-a\",le=\"+Inf\"} 2\n\
+                        ecripse_serve_job_seconds_sum{worker=\"w-a\"} 0.5\n\
+                        ecripse_serve_job_seconds_count{worker=\"w-a\"} 2\n\
+                        ecripse_serve_job_seconds_bucket{worker=\"w-b\",le=\"+Inf\"} 2\n\
+                        ecripse_serve_job_seconds_sum{worker=\"w-b\"} 0.5\n\
+                        ecripse_serve_job_seconds_count{worker=\"w-b\"} 2\n\
+                        # TYPE ecripse_serve_scenario_jobs_total counter\n\
+                        ecripse_serve_scenario_jobs_total{worker=\"w-a\",scenario=\"sram-6t\"} 2\n\
+                        ecripse_serve_scenario_jobs_total{worker=\"w-b\",scenario=\"sram-6t\"} 2\n";
+        assert_eq!(out, expected);
     }
 
     #[test]
-    fn relabel_escapes_hostile_worker_names() {
+    fn federation_escapes_hostile_worker_names() {
         let text = "# TYPE m gauge\nm 1\n";
-        let mut seen = HashSet::new();
-        let out = relabel_exposition(text, "evil\"name\\with\nnewline", &mut seen);
+        let out =
+            federate_expositions(&[("evil\"name\\with\nnewline".to_string(), text.to_string())]);
         assert!(out.contains("m{worker=\"evil\\\"name\\\\with\\nnewline\"} 1"));
         // No raw quote, backslash or newline survives inside the value:
         // each sample line still matches the exposition grammar.

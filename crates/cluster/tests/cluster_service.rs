@@ -752,6 +752,9 @@ fn federated_metrics_carry_per_worker_series_and_rollups() {
     // Prometheus view: cluster counters plus every worker's serve
     // series, each carrying its registry name as a label.
     let text = client.metrics_prometheus().expect("federated exposition");
+    // Well formed, with each family's samples in one group across both
+    // workers.
+    validate_exposition(&text);
     assert!(text.contains("ecripse_cluster_jobs_submitted_total"));
     assert!(
         text.contains("ecripse_serve_submitted_total{worker=\"fed-a\"}"),

@@ -1,8 +1,9 @@
 //! The retry policy for unevaluable simulations.
 //!
 //! The circuit-level testbench can legitimately fail to evaluate a
-//! sample: the DC solve may not converge at a pathological corner, or a
-//! butterfly curve may come back non-finite. The per-run
+//! sample: its bracketed transfer-curve solve always returns, but a
+//! butterfly curve may come back non-finite or too degenerate for margin
+//! extraction. The per-run
 //! [`Simulator`](crate::simulate::Simulator) climbs the bench's retry
 //! ladder ([`Testbench::try_fails_attempt`] — for the SRAM bench that
 //! means progressively finer butterfly grids) for each failing sample,

@@ -1,14 +1,18 @@
 //! Prometheus text-exposition checks shared by the serve and cluster
 //! suites (the cluster suite includes this file by path).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// Parses Prometheus text exposition, panicking on any malformed line
-/// and on a `# TYPE` name declared twice. Returns the value of every
+/// Parses Prometheus text exposition, panicking on any malformed line,
+/// on a `# TYPE` name declared twice and on a family whose samples
+/// reappear after another family's have started (the format requires
+/// each family's lines to form one group). Returns the value of every
 /// *unlabelled* sample plus the set of sample names seen (labelled
 /// `_bucket` series included).
 pub fn validate_exposition(text: &str) -> (HashMap<String, f64>, Vec<String>) {
     let mut types: HashMap<String, String> = HashMap::new();
+    let mut grouped: HashSet<String> = HashSet::new();
+    let mut family = String::new();
     let mut scalars = HashMap::new();
     let mut names = Vec::new();
     for line in text.lines() {
@@ -57,6 +61,13 @@ pub fn validate_exposition(text: &str) -> (HashMap<String, f64>, Vec<String>) {
             types.contains_key(base),
             "sample {name:?} has no preceding # TYPE header"
         );
+        if base != family {
+            assert!(
+                grouped.insert(base.to_string()),
+                "samples of family {base:?} reappear after another family started"
+            );
+            family = base.to_string();
+        }
         names.push(name.to_string());
         if !series.contains('{') {
             scalars.insert(name.to_string(), parsed);

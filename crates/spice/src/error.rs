@@ -9,8 +9,6 @@
 //! `ecripse-core`) can distinguish a genuine failing sample from a
 //! sample that could not be evaluated at all.
 
-use crate::solver::SolveError;
-
 /// Why a testbench evaluation could not produce a trustworthy verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
@@ -33,8 +31,14 @@ pub enum EvalError {
         /// Usable points on the thinner curve.
         usable: usize,
     },
-    /// The underlying DC solve failed outright.
-    Solve(SolveError),
+    /// A DC solve's Newton iteration did not reach its tolerance. The
+    /// SRAM bench's bracketed transfer-curve solve always returns, so it
+    /// never emits this; it stands for a solver that gives up (fault
+    /// injection builds it).
+    NoConvergence {
+        /// Best residual infinity norm achieved.
+        best_residual: f64,
+    },
 }
 
 impl std::fmt::Display for EvalError {
@@ -50,25 +54,15 @@ impl std::fmt::Display for EvalError {
                 f,
                 "butterfly curves too degenerate for margin extraction ({usable} usable points)"
             ),
-            EvalError::Solve(e) => write!(f, "DC solve failed: {e}"),
+            EvalError::NoConvergence { best_residual } => write!(
+                f,
+                "DC solve failed: newton iteration did not converge (best residual {best_residual:e})"
+            ),
         }
     }
 }
 
-impl std::error::Error for EvalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EvalError::Solve(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SolveError> for EvalError {
-    fn from(e: SolveError) -> Self {
-        EvalError::Solve(e)
-    }
-}
+impl std::error::Error for EvalError {}
 
 #[cfg(test)]
 mod tests {
@@ -86,15 +80,10 @@ mod tests {
             context: "butterfly curve A",
         };
         assert!(e.to_string().contains("butterfly curve A"));
-        let e = EvalError::from(SolveError::SingularJacobian);
-        assert!(e.to_string().contains("DC solve failed"));
-    }
-
-    #[test]
-    fn solve_errors_keep_their_source() {
-        use std::error::Error;
-        let e = EvalError::from(SolveError::SingularJacobian);
-        assert!(e.source().is_some());
-        assert!(matches!(e, EvalError::Solve(SolveError::SingularJacobian)));
+        let e = EvalError::NoConvergence { best_residual: 1.0 };
+        assert_eq!(
+            e.to_string(),
+            "DC solve failed: newton iteration did not converge (best residual 1e0)"
+        );
     }
 }

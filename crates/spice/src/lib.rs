@@ -2,8 +2,12 @@
 //!
 //! The paper evaluates its indicator function `I(x)` with HSPICE and the
 //! PTM 16 nm high-performance model cards. This crate is the from-scratch
-//! replacement: a small but real DC circuit simulator specialised for the
-//! 6T SRAM read-stability testbench.
+//! replacement, specialised for the 6T SRAM read-stability testbench: its
+//! one DC solve is a safeguarded 1-D Newton solve per point of a
+//! half-cell voltage-transfer curve. A general modified-nodal-analysis
+//! engine (damped Newton, dense LU, g-min and source stepping) is kept
+//! under `#[cfg(test)]` as the oracle those fast solves are checked
+//! against; it is not part of the public API.
 //!
 //! Layers, bottom-up:
 //!
@@ -13,9 +17,6 @@
 //!   terminal-swapping logic).
 //! * [`ptm`] — a PTM-16nm-HP-like parameter set plus the paper's Table I
 //!   device geometry.
-//! * [`lu`] / [`netlist`] / [`solver`] — dense LU, modified nodal analysis
-//!   and a damped Newton solver with g-min stepping: a miniature SPICE DC
-//!   engine used for operating points and solver cross-checks.
 //! * [`sram`] — the 6T cell: device set, bias conditions, and fast 1-D
 //!   safeguarded-Newton solves for the read voltage-transfer curves
 //!   (exploiting that node current is monotone in node voltage for this
@@ -60,12 +61,9 @@
 pub mod butterfly;
 pub mod curve_store;
 pub mod error;
-pub mod lu;
 pub mod model;
-pub mod netlist;
 pub mod ptm;
 pub mod snm;
-pub mod solver;
 pub mod sram;
 pub mod testbench;
 
@@ -75,3 +73,13 @@ pub use ptm::{paper_geometry, ptm16_hp_nmos, ptm16_hp_pmos, DeviceGeometry, Devi
 pub use snm::{read_noise_margin, try_read_noise_margin, SnmReport};
 pub use sram::Sram6T;
 pub use testbench::{ReadStabilityBench, Scenario};
+
+/// The miniature SPICE DC engine: dense LU, modified nodal analysis and a
+/// damped Newton solver with g-min and source stepping. Test-only: it is
+/// the reference `sram`'s transfer-curve solves are checked against.
+#[cfg(test)]
+mod mna {
+    pub mod lu;
+    pub mod netlist;
+    pub mod solver;
+}

@@ -21,8 +21,8 @@
 //! root. Newton steps use the analytic conductances of the device model
 //! and converge in a few evaluations; any step that leaves the bracket or
 //! stalls is replaced by a bisection step, so the solve is
-//! unconditionally convergent. The general MNA solver in
-//! [`crate::solver`] is used in tests to cross-check these fast solves.
+//! unconditionally convergent. A general MNA solve of the same half-cell,
+//! test-only, is the reference these fast solves are checked against.
 
 use crate::model::Mosfet;
 use crate::ptm::{paper_geometry, DeviceRole, VDD_NOMINAL};
@@ -286,46 +286,24 @@ impl Sram6T {
     /// Solves the right half-cell transfer curve `V_QB = f_R(V_Q)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_right(&self, bias: &BiasCondition, v_q: f64) -> f64 {
-        self.vtc_right_effort(bias, v_q, None, 1e-7).v
+        self.solve_vtc(true, bias, v_q, None, 1e-7).v
     }
 
     /// Solves the left half-cell transfer curve `V_Q = f_L(V_QB)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_left(&self, bias: &BiasCondition, v_qb: f64) -> f64 {
-        self.vtc_left_effort(bias, v_qb, None, 1e-7).v
+        self.solve_vtc(false, bias, v_qb, None, 1e-7).v
     }
 
-    /// Effort-counting solve of the right transfer curve to an explicit
-    /// `resolution` \[V\].
+    /// The one VTC solve (right curve when `right`, else left) to
+    /// `resolution` \[V\]: a safeguarded Newton solve inside the
+    /// monotone-hint bracket, started from the hint, else the bracket
+    /// midpoint.
     ///
     /// The VTC is monotone decreasing in its input, so when sweeping the
     /// input upward the previous output `upper_hint` bounds the next root
     /// from above; it narrows the bracket and is the start point. It
     /// does not change which root is found — only how fast.
-    pub fn vtc_right_effort(
-        &self,
-        bias: &BiasCondition,
-        v_q: f64,
-        upper_hint: Option<f64>,
-        resolution: f64,
-    ) -> VtcSolve {
-        self.solve_vtc(true, bias, v_q, upper_hint, resolution)
-    }
-
-    /// Left-curve variant of [`Self::vtc_right_effort`].
-    pub fn vtc_left_effort(
-        &self,
-        bias: &BiasCondition,
-        v_qb: f64,
-        upper_hint: Option<f64>,
-        resolution: f64,
-    ) -> VtcSolve {
-        self.solve_vtc(false, bias, v_qb, upper_hint, resolution)
-    }
-
-    /// The one VTC solve behind every public entry point: a safeguarded
-    /// Newton solve inside the monotone-hint bracket, started from the
-    /// hint, else the bracket midpoint.
     pub(crate) fn solve_vtc(
         &self,
         right: bool,
@@ -406,8 +384,8 @@ fn safeguarded_newton(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{Element, Netlist};
-    use crate::solver::Solver;
+    use crate::mna::netlist::{Element, Netlist};
+    use crate::mna::solver::Solver;
 
     #[test]
     fn canonical_indices_are_stable() {
@@ -570,24 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn effort_solve_is_bit_identical_to_vtc_right() {
-        let cell = Sram6T::paper_cell().with_delta_vth(&[0.01, -0.02, 0.0, 0.03, -0.01, 0.02]);
-        let bias = cell.read_bias();
-        for i in 0..=10 {
-            let vin = cell.vdd() * i as f64 / 10.0;
-            let effort = cell.vtc_right_effort(&bias, vin, None, 1e-7);
-            assert_eq!(
-                cell.vtc_right(&bias, vin),
-                effort.v,
-                "divergence at vin={vin}"
-            );
-            assert!(effort.iters > 0);
-            let left = cell.vtc_left_effort(&bias, vin, None, 1e-7);
-            assert_eq!(cell.vtc_left(&bias, vin), left.v, "divergence at vin={vin}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "vdd must be positive")]
     fn rejects_bad_vdd() {
         let _ = Sram6T::paper_cell_at(0.0);
@@ -668,6 +628,7 @@ mod proptests {
                 "{} Newton evaluations vs {bisect_evals} bisection steps",
                 solve.iters
             );
+            prop_assert!(solve.iters > 0, "a solve costs at least one evaluation");
         }
     }
 }

@@ -6,8 +6,8 @@
 //! depends on:
 //!
 //! * [`spice`] — a miniature DC circuit simulator (EKV-style MOSFET
-//!   model, Newton/MNA solver) with a 6T SRAM cell, butterfly curves and
-//!   Seevinck noise-margin extraction;
+//!   model, safeguarded 1-D Newton transfer-curve solves) with a 6T SRAM
+//!   cell, butterfly curves and Seevinck noise-margin extraction;
 //! * [`rtn`] — the random-telegraph-noise model: trap time constants,
 //!   duty-ratio mixing, Poisson defect occupancy, telegraph traces;
 //! * [`svm`] — the simulation-skipping classifier: polynomial features +
