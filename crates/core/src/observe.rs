@@ -498,7 +498,13 @@ pub struct RunReport {
     pub simulations: u64,
     /// Importance samples drawn in stage 2.
     pub is_samples: u64,
-    /// Effective sample size of the importance weights.
+    /// Kish effective sample size of the raw importance weights,
+    /// `(Σw)²/Σw²` with `w = P/Q` over every stage-2 sample
+    /// ([`ecripse_stats::WeightedIsEstimator::effective_sample_size`]).
+    /// It is not a health signal for a rare-event integrand: the largest
+    /// raw weights fall on passing samples (`I = 0`), which do not move
+    /// the estimate, so a healthy run can read a handful of samples and
+    /// a biased one can read more.
     pub effective_sample_size: f64,
     /// Final oracle counters (cache hit/miss included).
     pub oracle: OracleStats,

@@ -239,134 +239,134 @@ mod tests {
     /// Per scenario (registry order), per point, per attempt 0..=3.
     /// Row `(scenario * 8 + point) * 4 + attempt`.
     const GOLDEN: [GoldenCase; 128] = [
-        (false, [168, 62, 1, 0]),
-        (false, [752, 244, 0, 0]),
-        (false, [1414, 488, 0, 0]),
-        (false, [1414, 488, 0, 0]),
-        (false, [173, 62, 1, 0]),
-        (false, [759, 244, 0, 0]),
-        (false, [1426, 488, 0, 0]),
-        (false, [1426, 488, 0, 0]),
-        (false, [587, 184, 0, 1]),
-        (false, [753, 244, 0, 0]),
-        (false, [1407, 488, 0, 0]),
-        (false, [1407, 488, 0, 0]),
-        (true, [587, 184, 0, 1]),
-        (true, [753, 244, 0, 0]),
-        (true, [1407, 488, 0, 0]),
-        (true, [1407, 488, 0, 0]),
-        (false, [159, 62, 1, 0]),
-        (false, [739, 244, 0, 0]),
-        (false, [1394, 488, 0, 0]),
-        (false, [1394, 488, 0, 0]),
-        (false, [169, 62, 1, 0]),
-        (false, [751, 244, 0, 0]),
-        (false, [1414, 488, 0, 0]),
-        (false, [1414, 488, 0, 0]),
-        (true, [151, 62, 1, 0]),
-        (true, [708, 244, 0, 0]),
-        (true, [1323, 488, 0, 0]),
-        (true, [1323, 488, 0, 0]),
-        (false, [165, 62, 1, 0]),
-        (false, [750, 244, 0, 0]),
-        (false, [1411, 488, 0, 0]),
-        (false, [1411, 488, 0, 0]),
-        (false, [138, 62, 1, 0]),
-        (false, [672, 244, 0, 0]),
-        (false, [1272, 488, 0, 0]),
-        (false, [1272, 488, 0, 0]),
-        (false, [140, 62, 1, 0]),
-        (false, [671, 244, 0, 0]),
-        (false, [1273, 488, 0, 0]),
-        (false, [1273, 488, 0, 0]),
-        (false, [140, 62, 1, 0]),
-        (false, [673, 244, 0, 0]),
-        (false, [1268, 488, 0, 0]),
-        (false, [1268, 488, 0, 0]),
-        (false, [140, 62, 1, 0]),
-        (false, [673, 244, 0, 0]),
-        (false, [1268, 488, 0, 0]),
-        (false, [1268, 488, 0, 0]),
-        (false, [140, 62, 1, 0]),
-        (false, [679, 244, 0, 0]),
-        (false, [1281, 488, 0, 0]),
-        (false, [1281, 488, 0, 0]),
-        (false, [139, 62, 1, 0]),
-        (false, [672, 244, 0, 0]),
-        (false, [1275, 488, 0, 0]),
-        (false, [1275, 488, 0, 0]),
-        (true, [449, 184, 0, 1]),
-        (true, [605, 244, 0, 0]),
-        (false, [1127, 488, 0, 0]),
-        (false, [1127, 488, 0, 0]),
-        (false, [137, 62, 1, 0]),
-        (false, [672, 244, 0, 0]),
-        (false, [1273, 488, 0, 0]),
-        (false, [1273, 488, 0, 0]),
-        (false, [152, 62, 1, 0]),
-        (false, [704, 244, 0, 0]),
-        (false, [1351, 488, 0, 0]),
-        (false, [1351, 488, 0, 0]),
-        (false, [150, 62, 1, 0]),
-        (false, [698, 244, 0, 0]),
-        (false, [1335, 488, 0, 0]),
-        (false, [1335, 488, 0, 0]),
-        (false, [142, 62, 1, 0]),
-        (false, [678, 244, 0, 0]),
-        (false, [1281, 488, 0, 0]),
-        (false, [1281, 488, 0, 0]),
-        (false, [142, 62, 1, 0]),
-        (false, [678, 244, 0, 0]),
-        (false, [1280, 488, 0, 0]),
-        (false, [1280, 488, 0, 0]),
-        (true, [571, 184, 0, 1]),
-        (true, [743, 244, 0, 0]),
-        (true, [1407, 488, 0, 0]),
-        (true, [1407, 488, 0, 0]),
-        (false, [153, 62, 1, 0]),
-        (false, [704, 244, 0, 0]),
-        (false, [1354, 488, 0, 0]),
-        (false, [1354, 488, 0, 0]),
+        (false, [124, 62, 1, 0]),
+        (false, [546, 244, 0, 0]),
+        (false, [926, 488, 0, 0]),
+        (false, [926, 488, 0, 0]),
+        (false, [126, 62, 1, 0]),
+        (false, [542, 244, 0, 0]),
+        (false, [941, 488, 0, 0]),
+        (false, [941, 488, 0, 0]),
+        (false, [339, 184, 0, 1]),
+        (false, [529, 244, 0, 0]),
+        (false, [922, 488, 0, 0]),
+        (false, [922, 488, 0, 0]),
+        (true, [339, 184, 0, 1]),
+        (true, [528, 244, 0, 0]),
+        (true, [921, 488, 0, 0]),
+        (true, [921, 488, 0, 0]),
+        (false, [125, 62, 1, 0]),
+        (false, [539, 244, 0, 0]),
+        (false, [921, 488, 0, 0]),
+        (false, [921, 488, 0, 0]),
+        (false, [125, 62, 1, 0]),
+        (false, [545, 244, 0, 0]),
+        (false, [927, 488, 0, 0]),
+        (false, [927, 488, 0, 0]),
+        (true, [112, 62, 1, 0]),
+        (true, [498, 244, 0, 0]),
+        (true, [852, 488, 0, 0]),
+        (true, [852, 488, 0, 0]),
+        (false, [122, 62, 1, 0]),
+        (false, [539, 244, 0, 0]),
+        (false, [919, 488, 0, 0]),
+        (false, [919, 488, 0, 0]),
+        (false, [118, 62, 1, 0]),
+        (false, [542, 244, 0, 0]),
+        (false, [878, 488, 0, 0]),
+        (false, [878, 488, 0, 0]),
+        (false, [118, 62, 1, 0]),
+        (false, [530, 244, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (false, [120, 62, 1, 0]),
+        (false, [514, 244, 0, 0]),
+        (false, [873, 488, 0, 0]),
+        (false, [873, 488, 0, 0]),
         (false, [119, 62, 1, 0]),
-        (false, [587, 244, 0, 0]),
-        (false, [1093, 488, 0, 0]),
-        (false, [1093, 488, 0, 0]),
-        (false, [163, 62, 1, 0]),
-        (false, [726, 244, 0, 0]),
-        (false, [1391, 488, 0, 0]),
-        (false, [1391, 488, 0, 0]),
-        (false, [139, 62, 1, 0]),
-        (false, [675, 244, 0, 0]),
-        (false, [1275, 488, 0, 0]),
-        (false, [1275, 488, 0, 0]),
-        (false, [140, 62, 1, 0]),
-        (false, [674, 244, 0, 0]),
-        (false, [1276, 488, 0, 0]),
-        (false, [1276, 488, 0, 0]),
-        (false, [139, 62, 1, 0]),
-        (false, [676, 244, 0, 0]),
-        (false, [1271, 488, 0, 0]),
-        (false, [1271, 488, 0, 0]),
-        (false, [139, 62, 1, 0]),
-        (false, [676, 244, 0, 0]),
-        (false, [1270, 488, 0, 0]),
-        (false, [1270, 488, 0, 0]),
-        (true, [142, 62, 1, 0]),
-        (true, [683, 244, 0, 0]),
-        (true, [1286, 488, 0, 0]),
-        (true, [1286, 488, 0, 0]),
-        (true, [496, 184, 0, 1]),
-        (true, [672, 244, 0, 0]),
-        (true, [1278, 488, 0, 0]),
-        (true, [1278, 488, 0, 0]),
-        (false, [123, 62, 1, 0]),
-        (false, [601, 244, 0, 0]),
-        (false, [1118, 488, 0, 0]),
-        (false, [1118, 488, 0, 0]),
-        (true, [139, 62, 1, 0]),
-        (true, [675, 244, 0, 0]),
-        (true, [1277, 488, 0, 0]),
-        (true, [1277, 488, 0, 0]),
+        (false, [514, 244, 0, 0]),
+        (false, [870, 488, 0, 0]),
+        (false, [870, 488, 0, 0]),
+        (false, [120, 62, 1, 0]),
+        (false, [538, 244, 0, 0]),
+        (false, [897, 488, 0, 0]),
+        (false, [897, 488, 0, 0]),
+        (false, [119, 62, 1, 0]),
+        (false, [539, 244, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (true, [411, 184, 0, 1]),
+        (true, [459, 244, 0, 0]),
+        (false, [771, 488, 0, 0]),
+        (false, [771, 488, 0, 0]),
+        (false, [118, 62, 1, 0]),
+        (false, [530, 244, 0, 0]),
+        (false, [877, 488, 0, 0]),
+        (false, [877, 488, 0, 0]),
+        (false, [109, 62, 1, 0]),
+        (false, [510, 244, 0, 0]),
+        (false, [908, 488, 0, 0]),
+        (false, [908, 488, 0, 0]),
+        (false, [110, 62, 1, 0]),
+        (false, [502, 244, 0, 0]),
+        (false, [892, 488, 0, 0]),
+        (false, [892, 488, 0, 0]),
+        (false, [107, 62, 1, 0]),
+        (false, [484, 244, 0, 0]),
+        (false, [858, 488, 0, 0]),
+        (false, [858, 488, 0, 0]),
+        (false, [107, 62, 1, 0]),
+        (false, [484, 244, 0, 0]),
+        (false, [857, 488, 0, 0]),
+        (false, [857, 488, 0, 0]),
+        (true, [331, 184, 0, 1]),
+        (true, [522, 244, 0, 0]),
+        (true, [952, 488, 0, 0]),
+        (true, [952, 488, 0, 0]),
+        (false, [110, 62, 1, 0]),
+        (false, [512, 244, 0, 0]),
+        (false, [913, 488, 0, 0]),
+        (false, [913, 488, 0, 0]),
+        (false, [100, 62, 1, 0]),
+        (false, [435, 244, 0, 0]),
+        (false, [770, 488, 0, 0]),
+        (false, [770, 488, 0, 0]),
+        (false, [124, 62, 1, 0]),
+        (false, [523, 244, 0, 0]),
+        (false, [940, 488, 0, 0]),
+        (false, [940, 488, 0, 0]),
+        (false, [120, 62, 1, 0]),
+        (false, [540, 244, 0, 0]),
+        (false, [887, 488, 0, 0]),
+        (false, [887, 488, 0, 0]),
+        (false, [120, 62, 1, 0]),
+        (false, [528, 244, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (false, [876, 488, 0, 0]),
+        (false, [121, 62, 1, 0]),
+        (false, [513, 244, 0, 0]),
+        (false, [870, 488, 0, 0]),
+        (false, [870, 488, 0, 0]),
+        (false, [121, 62, 1, 0]),
+        (false, [512, 244, 0, 0]),
+        (false, [867, 488, 0, 0]),
+        (false, [867, 488, 0, 0]),
+        (true, [122, 62, 1, 0]),
+        (true, [541, 244, 0, 0]),
+        (true, [909, 488, 0, 0]),
+        (true, [909, 488, 0, 0]),
+        (true, [324, 184, 0, 1]),
+        (true, [541, 244, 0, 0]),
+        (true, [887, 488, 0, 0]),
+        (true, [887, 488, 0, 0]),
+        (false, [106, 62, 1, 0]),
+        (false, [457, 244, 0, 0]),
+        (false, [769, 488, 0, 0]),
+        (false, [769, 488, 0, 0]),
+        (true, [120, 62, 1, 0]),
+        (true, [534, 244, 0, 0]),
+        (true, [886, 488, 0, 0]),
+        (true, [886, 488, 0, 0]),
     ];
 
     #[test]

@@ -83,10 +83,10 @@ impl Butterfly {
     /// The counted sampler behind [`Self::try_sample`]: an explicit
     /// solver `resolution` and the effort the solves cost.
     ///
-    /// Each curve is solved as its own pass; each point's solve starts
-    /// from the previous root of the same curve, which bounds the next
-    /// root from above. With `resolution = 1e-7` this is bit-identical to
-    /// [`Self::try_sample`].
+    /// Each curve is solved as its own pass. The previous root of the
+    /// same curve bounds each point's root from above, and the solve
+    /// starts from a root extrapolated from the curve's last roots. With
+    /// `resolution = 1e-7` this is bit-identical to [`Self::try_sample`].
     ///
     /// # Panics
     ///
@@ -102,21 +102,38 @@ impl Butterfly {
         points: usize,
         resolution: f64,
     ) -> Result<(Self, SampleEffort), EvalError> {
-        Self::try_sample_stored(cell, bias, points, resolution, None)
+        Self::try_sample_stored(cell, bias, points, resolution, None, None)
     }
 
     /// [`Self::try_sample_counted`], taking each curve that `store` holds
     /// instead of solving it. A taken curve counts its original solve's
     /// effort, so the butterfly and the effort are the same bits with or
     /// without a store (see [`crate::curve_store`]).
+    ///
+    /// `seeds`, a butterfly of the same cell on every other point of this
+    /// grid, starts each even point of a solved curve from the seed
+    /// curve's root at the same input instead of an extrapolated one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points < 2`, or if `seeds` is not on every other point
+    /// of the grid.
     pub(crate) fn try_sample_stored(
         cell: &Sram6T,
         bias: &BiasCondition,
         points: usize,
         resolution: f64,
         store: Option<&CurveStore>,
+        seeds: Option<&Butterfly>,
     ) -> Result<(Self, SampleEffort), EvalError> {
         assert!(points >= 2, "need at least two grid points, got {points}");
+        if let Some(seeds) = seeds {
+            assert_eq!(
+                2 * (seeds.len() - 1),
+                points - 1,
+                "seeds must sit on every other grid point"
+            );
+        }
         let vdd = cell.vdd();
         if !vdd.is_finite() {
             return Err(EvalError::NonFinite {
@@ -127,7 +144,8 @@ impl Butterfly {
             .map(|i| vdd * i as f64 / (points - 1) as f64)
             .collect();
         let curve = |right: bool| {
-            let solve = || solve_curve(cell, bias, right, &grid, resolution);
+            let seeds = seeds.map_or(&[][..], |s| if right { &s.curve_a } else { &s.curve_b });
+            let solve = || solve_curve(cell, bias, right, &grid, resolution, seeds);
             match store {
                 Some(store) => store.curve(cell, bias, right, points, resolution, solve),
                 None => solve(),
@@ -186,19 +204,27 @@ impl Butterfly {
 /// One half-cell transfer curve on `grid` (the right half when `right`)
 /// and the Newton evaluations it cost. The curve stops before its first
 /// non-finite point.
+///
+/// Point `i` starts from `seeds[i / 2]` when `i` is even and the seeds
+/// reach it, else from the root [`predict`] extrapolates. A start only
+/// changes how many evaluations a root costs: the bracket and stopping
+/// rules keep every root within `resolution` of the true one.
 fn solve_curve(
     cell: &Sram6T,
     bias: &BiasCondition,
     right: bool,
     grid: &[f64],
     resolution: f64,
+    seeds: &[f64],
 ) -> (Vec<f64>, u64) {
     let mut outputs: Vec<f64> = Vec::with_capacity(grid.len());
     let mut newton_iters = 0;
-    for &vin in grid {
+    for (i, &vin) in grid.iter().enumerate() {
+        let seed = if i % 2 == 0 { seeds.get(i / 2) } else { None };
+        let guess = seed.copied().or_else(|| predict(&outputs));
         // The VTCs are monotone decreasing, so the previous root bounds
         // the next one from above.
-        let v = cell.solve_vtc(right, bias, vin, outputs.last().copied(), resolution);
+        let v = cell.solve_vtc(right, bias, vin, outputs.last().copied(), guess, resolution);
         newton_iters += u64::from(v.iters);
         if !v.v.is_finite() {
             break;
@@ -206,6 +232,19 @@ fn solve_curve(
         outputs.push(v.v);
     }
     (outputs, newton_iters)
+}
+
+/// The next root of a curve on a uniform grid, extrapolated from its
+/// last roots `c`: quadratically (`3c[i−1] − 3c[i−2] + c[i−3]`) from
+/// three, linearly (`2c[i−1] − c[i−2]`) from two, the previous root from
+/// one.
+fn predict(c: &[f64]) -> Option<f64> {
+    match *c {
+        [] => None,
+        [c1] => Some(c1),
+        [c2, c1] => Some(2.0 * c1 - c2),
+        [.., c3, c2, c1] => Some(3.0 * c1 - 3.0 * c2 + c3),
+    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 //! threshold shifts of that half's load, driver and access devices, the
 //! word-line and bit-line voltages, the grid and the resolution (the
 //! supply, temperature and technology cards are fixed per bench). Each
-//! grid point's solve starts from the previous root of the same curve,
-//! never from the other half, so a stored curve is bit-identical to the
-//! one a fresh solve would produce. The key holds the exact bits of all
-//! of these; a hit must match the whole key, not only its hash.
+//! grid point's solve starts from roots of the same half only: earlier
+//! roots of the same curve and, on the bench's full-resolution 61-point
+//! grid, the same half's coarse curve, whose grid and resolution are
+//! fixed. So a stored curve is bit-identical to the one a fresh solve
+//! would produce. The key holds the exact bits of all of these; a hit
+//! must match the whole key, not only its hash.
 //!
 //! A stored curve keeps the Newton evaluations its solve cost, and a
 //! reuse books them again: effort ledgers count the work behind the

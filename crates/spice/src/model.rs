@@ -239,11 +239,24 @@ impl Mosfet {
     /// Voltages are absolute node voltages with the bulk of NMOS devices
     /// at 0 V and the bulk of PMOS devices at `vdd_bulk`.
     pub fn eval(&self, vg: f64, vd: f64, vs: f64, vdd_bulk: f64) -> DrainCurrent {
+        self.eval_with_beta(self.beta(), vg, vd, vs, vdd_bulk)
+    }
+
+    /// [`Self::eval`] with the gain factor computed once by the caller:
+    /// `beta` must be [`Self::beta`], so the result is the same bits.
+    pub(crate) fn eval_with_beta(
+        &self,
+        beta: f64,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        vdd_bulk: f64,
+    ) -> DrainCurrent {
         match self.params.kind {
-            MosfetKind::Nmos => self.eval_n(vg, vd, vs),
+            MosfetKind::Nmos => self.eval_n(beta, vg, vd, vs),
             MosfetKind::Pmos => {
                 // Mirror about the PMOS bulk: an NMOS with primed voltages.
-                let out = self.eval_n(vdd_bulk - vg, vdd_bulk - vd, vdd_bulk - vs);
+                let out = self.eval_n(beta, vdd_bulk - vg, vdd_bulk - vd, vdd_bulk - vs);
                 // I'_D (into the mirrored drain) corresponds to −I_D; each
                 // voltage mirror also flips the derivative sign, so the
                 // conductances come back positive-definite.
@@ -257,8 +270,9 @@ impl Mosfet {
         }
     }
 
-    /// NMOS evaluation in bulk-referenced coordinates.
-    fn eval_n(&self, vg: f64, vd: f64, vs: f64) -> DrainCurrent {
+    /// NMOS evaluation in bulk-referenced coordinates, with `beta` =
+    /// [`Self::beta`].
+    fn eval_n(&self, beta: f64, vg: f64, vd: f64, vs: f64) -> DrainCurrent {
         let p = &self.params;
         let vt = p.v_thermal;
         let n = p.slope_n;
@@ -267,7 +281,7 @@ impl Mosfet {
         // DIBL lowers the barrier with drain bias.
         let vth_eff = self.vth() - p.dibl * vds.abs();
         let vp = (vg - vth_eff) / n;
-        let is = 2.0 * n * self.beta() * vt * vt;
+        let is = 2.0 * n * beta * vt * vt;
 
         let uf = (vp - vs) / vt;
         let ur = (vp - vd) / vt;

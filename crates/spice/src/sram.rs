@@ -131,6 +131,10 @@ pub struct VtcSolve {
 pub struct Sram6T {
     vdd: f64,
     devices: [Mosfet; 6],
+    /// `devices[i].beta()`, computed once per device: every node-current
+    /// evaluation reads it, and no method of the cell changes a device's
+    /// `kp`, `W` or `L`.
+    betas: [f64; 6],
 }
 
 impl Sram6T {
@@ -146,12 +150,10 @@ impl Sram6T {
     ///
     /// Panics if `vdd` is not positive and finite.
     pub fn paper_cell_at(vdd: f64) -> Self {
-        assert!(
-            vdd.is_finite() && vdd > 0.0,
-            "vdd must be positive, got {vdd}"
-        );
-        let devices = CellDevice::ALL.map(|d| paper_geometry(d.role()).build());
-        Self { vdd, devices }
+        Self::from_devices(
+            vdd,
+            CellDevice::ALL.map(|d| paper_geometry(d.role()).build()),
+        )
     }
 
     /// Builds a cell from explicit devices in canonical order.
@@ -164,7 +166,12 @@ impl Sram6T {
             vdd.is_finite() && vdd > 0.0,
             "vdd must be positive, got {vdd}"
         );
-        Self { vdd, devices }
+        let betas = devices.map(|d| d.beta());
+        Self {
+            vdd,
+            devices,
+            betas,
+        }
     }
 
     /// Supply voltage \[V\].
@@ -246,11 +253,10 @@ impl Sram6T {
 
     /// Returns the mirrored cell (left and right halves swapped).
     pub fn mirrored(&self) -> Self {
-        let mut cell = self.clone();
-        for d in CellDevice::ALL {
-            cell.devices[d as usize] = self.devices[d.mirrored() as usize];
-        }
-        cell
+        Self::from_devices(
+            self.vdd,
+            CellDevice::ALL.map(|d| self.devices[d.mirrored() as usize]),
+        )
     }
 
     /// Net current into the output node of one half-cell, and its
@@ -265,18 +271,21 @@ impl Sram6T {
         v_gate: f64,
         v_out: f64,
     ) -> (f64, f64) {
-        let half = |left: CellDevice| self.device(if right { left.mirrored() } else { left });
+        let eval = |left: CellDevice, vg, vd, vs| {
+            let i = if right { left.mirrored() } else { left } as usize;
+            self.devices[i].eval_with_beta(self.betas[i], vg, vd, vs, self.vdd)
+        };
         let bit_line = if right { bias.blb } else { bias.bl };
         // PMOS load: drain = output, source = VDD. `id` is current into
         // the drain; a pull-up sources current into the node, so the node
         // receives −id.
-        let load = half(CellDevice::LoadL).eval(v_gate, v_out, self.vdd, self.vdd);
+        let load = eval(CellDevice::LoadL, v_gate, v_out, self.vdd);
         // NMOS driver: drain = output, source = GND. Current into the
         // drain leaves the node.
-        let driver = half(CellDevice::DriverL).eval(v_gate, v_out, 0.0, self.vdd);
+        let driver = eval(CellDevice::DriverL, v_gate, v_out, 0.0);
         // Access NMOS: drain at the bit line, source at the output; the
         // device forwards its drain current into the node.
-        let access = half(CellDevice::AccessL).eval(bias.wl, bit_line, v_out, self.vdd);
+        let access = eval(CellDevice::AccessL, bias.wl, bit_line, v_out);
         (
             -load.id + access.id - driver.id,
             -load.gds + access.gs - driver.gds,
@@ -286,35 +295,41 @@ impl Sram6T {
     /// Solves the right half-cell transfer curve `V_QB = f_R(V_Q)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_right(&self, bias: &BiasCondition, v_q: f64) -> f64 {
-        self.solve_vtc(true, bias, v_q, None, 1e-7).v
+        self.solve_vtc(true, bias, v_q, None, None, 1e-7).v
     }
 
     /// Solves the left half-cell transfer curve `V_Q = f_L(V_QB)` at one
     /// input point, to 0.1 µV.
     pub fn vtc_left(&self, bias: &BiasCondition, v_qb: f64) -> f64 {
-        self.solve_vtc(false, bias, v_qb, None, 1e-7).v
+        self.solve_vtc(false, bias, v_qb, None, None, 1e-7).v
     }
 
     /// The one VTC solve (right curve when `right`, else left) to
     /// `resolution` \[V\]: a safeguarded Newton solve inside the
-    /// monotone-hint bracket, started from the hint, else the bracket
-    /// midpoint.
+    /// monotone-hint bracket, started from `guess`, else the hint, else
+    /// the bracket midpoint — the first of these strictly inside the
+    /// bracket.
     ///
     /// The VTC is monotone decreasing in its input, so when sweeping the
     /// input upward the previous output `upper_hint` bounds the next root
-    /// from above; it narrows the bracket and is the start point. It
-    /// does not change which root is found — only how fast.
+    /// from above and narrows the bracket. `guess` is a predicted root
+    /// (see `butterfly::solve_curve`). Neither changes which root is
+    /// found, only how fast: the root stays within `resolution` of the
+    /// true one.
     pub(crate) fn solve_vtc(
         &self,
         right: bool,
         bias: &BiasCondition,
         vin: f64,
         upper_hint: Option<f64>,
+        guess: Option<f64>,
         resolution: f64,
     ) -> VtcSolve {
         let (lo, hi) = self.hint_bracket(upper_hint, resolution);
-        let start = upper_hint
-            .filter(|v| lo < *v && *v < hi)
+        let inside = |v: &f64| lo < *v && *v < hi;
+        let start = guess
+            .filter(inside)
+            .or(upper_hint.filter(inside))
             .unwrap_or(0.5 * (lo + hi));
         let (v, iters) = safeguarded_newton(
             |v| self.node_current(right, bias, vin, v),
@@ -586,10 +601,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// For any cell within ±6σ, any bias, input, start point and
-        /// either production resolution, the Newton root lies within
-        /// `resolution` of the true root and costs at most twice the
-        /// evaluations bisection needs on the same bracket.
+        /// For any cell within ±6σ, any bias, input, hint, start guess
+        /// (inside or outside the bracket) and either production
+        /// resolution, the Newton root lies within `resolution` of the
+        /// true root and costs at most twice the evaluations bisection
+        /// needs on the same bracket.
         #[test]
         fn newton_solve_matches_bisection_within_resolution_and_budget(
             z in collection::vec(-6.0f64..6.0, 6),
@@ -599,6 +615,8 @@ mod proptests {
             right in proptest::bool::ANY,
             hint_gap in 0.0f64..0.2,
             use_hint in proptest::bool::ANY,
+            guess in -0.5f64..1.5,
+            use_guess in proptest::bool::ANY,
         ) {
             let dv: Vec<f64> = CellDevice::ALL
                 .iter()
@@ -615,7 +633,10 @@ mod proptests {
             // A monotone hint is an upper bound on the root, as the
             // previous grid point's root is in a butterfly sweep.
             let hint = use_hint.then_some(root + hint_gap);
-            let solve = cell.solve_vtc(right, &bias, vin, hint, resolution);
+            // The bracket is about [-0.2, 0.9] V, so a guess may fall on
+            // either side of it.
+            let guess = use_guess.then_some(guess);
+            let solve = cell.solve_vtc(right, &bias, vin, hint, guess, resolution);
             prop_assert!(
                 (solve.v - root).abs() <= resolution,
                 "root {} vs reference {root} at resolution {resolution}",

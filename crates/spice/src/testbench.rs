@@ -48,8 +48,12 @@ pub struct BenchConfig {
     /// only the margin's sign matters, so a coarse butterfly (31 points
     /// solved to 0.3 mV) decides most samples; a coarse margin within
     /// 3 mV of zero escalates to the exact fixed-resolution evaluation,
-    /// so every verdict equals the non-adaptive one. Margin-returning
-    /// APIs never use this pass. Deliberately without
+    /// so every verdict equals the non-adaptive one. The escalation is
+    /// that evaluation bit for bit: on the default 61-point grid both
+    /// start the fine butterfly's even points from the same coarse
+    /// butterfly, which the escalation reuses and the non-adaptive
+    /// evaluation takes through the curve store. Margin-returning APIs
+    /// never decide on the coarse pass. Deliberately without
     /// `#[serde(default)]`: a missing field would parse as `false` and
     /// silently turn the pass off.
     pub adaptive: bool,
@@ -329,6 +333,11 @@ const COARSE_POINTS: usize = 31;
 /// Transfer-curve solver resolution of the adaptive coarse pass \[V\].
 const COARSE_RESOLUTION: f64 = 3e-4;
 
+/// Grid points of a full-resolution butterfly whose even inputs are
+/// exactly the coarse grid's (`vdd·2j/60` and `vdd·j/30` round alike): its
+/// even points start from the coarse butterfly's roots.
+const SEEDED_POINTS: usize = 2 * COARSE_POINTS - 1;
+
 /// Coarse margins closer to zero than this escalate to the exact
 /// full-resolution evaluation \[V\]. It must comfortably exceed the worst
 /// coarse-vs-fine margin drift (see the calibration tests).
@@ -495,9 +504,31 @@ impl ReadStabilityBench {
         (cell, bias)
     }
 
+    /// The coarse butterfly of a cell, through the curve store.
+    fn coarse_butterfly(
+        &self,
+        cell: &Sram6T,
+        bias: &BiasCondition,
+    ) -> Result<(Butterfly, SampleEffort), EvalError> {
+        Butterfly::try_sample_stored(
+            cell,
+            bias,
+            COARSE_POINTS,
+            COARSE_RESOLUTION,
+            Some(&self.curves),
+            None,
+        )
+    }
+
     /// Exact margin of a concrete skewed cell under a concrete bias at an
     /// explicit butterfly resolution, routed through the counted sampler
     /// so effort ledgers stay honest.
+    ///
+    /// A butterfly on [`SEEDED_POINTS`] starts its even points from the
+    /// coarse butterfly: `coarse` if the caller already solved and booked
+    /// it, else one taken through the store and booked on `ledger` here.
+    /// Either way each half's fine curve is a pure function of that half,
+    /// so the curve store's keys and bookings hold for it.
     fn margin_of(
         &self,
         ledger: &SolveCounters,
@@ -505,9 +536,25 @@ impl ReadStabilityBench {
         bias: &BiasCondition,
         grid_points: usize,
         kind: MarginKind,
+        coarse: Option<&Butterfly>,
     ) -> Result<f64, EvalError> {
+        let solved;
+        let seeds = match coarse {
+            _ if grid_points != SEEDED_POINTS => None,
+            Some(coarse) => Some(coarse),
+            None => {
+                solved = self
+                    .coarse_butterfly(cell, bias)
+                    .ok()
+                    .map(|(coarse, effort)| {
+                        ledger.record(&effort);
+                        coarse
+                    });
+                solved.as_ref()
+            }
+        };
         let (butterfly, effort) =
-            Butterfly::try_sample_stored(cell, bias, grid_points, 1e-7, Some(&self.curves))?;
+            Butterfly::try_sample_stored(cell, bias, grid_points, 1e-7, Some(&self.curves), seeds)?;
         ledger.record(&effort);
         let margin = kind.extract(&try_read_noise_margin(&butterfly)?);
         if !margin.is_finite() {
@@ -525,7 +572,8 @@ impl ReadStabilityBench {
     /// returns it negated (a surviving eye is a failed write), and
     /// power-up returns the lobe asymmetry `snm_low − snm_high` of the
     /// skewed PUF cell. Margins always use the full-resolution grid and
-    /// ignore the adaptive policy.
+    /// ignore the adaptive policy; on the default grid their effort
+    /// includes the coarse butterfly that seeds the fine one.
     ///
     /// # Errors
     ///
@@ -540,6 +588,7 @@ impl ReadStabilityBench {
             &bias,
             self.config.grid_points,
             row.margin,
+            None,
         )
     }
 
@@ -633,18 +682,12 @@ impl ReadStabilityBench {
         let (cell, bias) = self.cell_under(&row, &self.to_physical(x));
         if attempt > 0 || !self.config.adaptive {
             let grid = self.config.grid_points << attempt.min(MAX_GRID_ESCALATION);
-            return Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin)? < 0.0);
+            return Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin, None)? < 0.0);
         }
-        let coarse = Butterfly::try_sample_stored(
-            &cell,
-            &bias,
-            COARSE_POINTS,
-            COARSE_RESOLUTION,
-            Some(&self.curves),
-        );
-        if let Ok((coarse_bfly, effort)) = coarse {
-            ledger.record(&effort);
-            if let Ok(report) = try_read_noise_margin(&coarse_bfly) {
+        let coarse = self.coarse_butterfly(&cell, &bias).ok();
+        if let Some((coarse_bfly, effort)) = &coarse {
+            ledger.record(effort);
+            if let Ok(report) = try_read_noise_margin(coarse_bfly) {
                 let margin = row.margin.extract(&report);
                 if margin.is_finite()
                     && margin.abs() >= row.margin.decisive_threshold(MARGIN_THRESHOLD)
@@ -654,10 +697,12 @@ impl ReadStabilityBench {
                 }
             }
         }
-        // The coarse pass failed or was indecisive: decide exactly.
+        // The coarse pass failed or was indecisive: decide exactly,
+        // seeded by the coarse butterfly already booked.
         ledger.note_escalation();
         let grid = self.config.grid_points;
-        Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin)? < 0.0)
+        let coarse = coarse.as_ref().map(|(coarse_bfly, _)| coarse_bfly);
+        Ok(self.margin_of(ledger, &cell, &bias, grid, row.margin, coarse)? < 0.0)
     }
 
     /// Scales a whitened vector back to physical threshold shifts \[V\].
@@ -1004,6 +1049,45 @@ mod tests {
             }
         }
         assert!(on_demand.effort().coarse_accepts + on_demand.effort().escalations > 0);
+    }
+
+    #[test]
+    fn margins_after_an_escalation_take_the_seeded_curves_from_the_store() {
+        // A point near each scenario's failure shell, where attempt 0
+        // escalates. The escalation solves the fine butterfly from the
+        // coarse one it already holds; `try_margin` takes the coarse
+        // butterfly through the store, so it must find all four curves
+        // there and return a fresh bench's margin bits.
+        let near_shell = [
+            (ReadSnm, [2.70, -2.70, -2.70, 2.70, 0.0, 0.0]),
+            (HoldSnm, [7.39, -7.39, -7.39, 7.39, 0.0, 0.0]),
+            (WriteMargin, [-5.08, 0.0, 0.0, 0.0, 5.08, 0.0]),
+            (PowerupPuf, [0.0, 0.57, 0.0, -0.57, 0.0, 0.0]),
+        ];
+        for (scenario, x) in near_shell {
+            let bench = ReadStabilityBench::paper_cell();
+            fails(&bench, scenario, &x);
+            assert_eq!(bench.effort().escalations, 1, "{scenario} did not escalate");
+            let dv: Vec<f64> = x
+                .iter()
+                .zip(&bench.pelgrom_sigmas())
+                .map(|(x, s)| x * s)
+                .collect();
+            let before = bench.curve_reuse();
+            let margin = bench.try_margin(scenario, &dv).map(f64::to_bits);
+            let reuse = bench.curve_reuse();
+            assert_eq!(
+                (reuse.hits - before.hits, reuse.misses - before.misses),
+                (4, 0),
+                "{scenario}: the margin re-solved a curve"
+            );
+            let fresh = ReadStabilityBench::paper_cell();
+            assert_eq!(
+                margin,
+                fresh.try_margin(scenario, &dv).map(f64::to_bits),
+                "{scenario}"
+            );
+        }
     }
 
     #[test]

@@ -239,9 +239,13 @@ impl WeightedIsEstimator {
         }
     }
 
-    /// Effective sample size implied by the weight spread,
-    /// `(Σw)²/Σw²` — a degeneracy diagnostic for the alternative
-    /// distribution.
+    /// Kish effective sample size of the raw weights, `(Σw)²/Σw²`: how
+    /// evenly the alternative distribution's weights spread, over every
+    /// sample whatever its indicator value. It is not a health signal
+    /// for a rare-event integrand, whose estimate reads only the weights
+    /// of failing samples: the largest raw weights usually fall on
+    /// passing ones, so a healthy run can read a few samples and a
+    /// biased one can read more.
     pub fn effective_sample_size(&self) -> f64 {
         if self.weight_sq_sum == 0.0 {
             0.0
