@@ -1,13 +1,14 @@
-//! Fault-injection suite: drives the per-run [`Simulator`]'s retry
-//! ladder and quarantine, and per-point failure isolation, with
+//! Fault-injection suite: drives the [`Simulator`]'s retry ladder and
+//! quarantine (alone and under an estimate's boundary search and later
+//! stages), and per-point failure isolation, with
 //! [`FaultyBench`] faults that are deterministic by sample hash.
 
 use ecripse_bench::fault::{FaultConfig, FaultyBench};
 use ecripse_core::bench::{LinearBench, Testbench};
 use ecripse_core::cache::MemoCacheConfig;
-use ecripse_core::ecripse::EcripseConfig;
+use ecripse_core::ecripse::{Ecripse, EcripseConfig};
 use ecripse_core::importance::ImportanceConfig;
-use ecripse_core::initial::InitialSearchConfig;
+use ecripse_core::initial::{InitialParticles, InitialSearchConfig};
 use ecripse_core::observe::NullObserver;
 use ecripse_core::oracle::OracleStats;
 use ecripse_core::retry::RetryPolicy;
@@ -171,4 +172,48 @@ fn keep_going_sweep_isolates_a_poisoned_point() {
         );
     }
     assert_eq!(run.p_fail_rdf_only, clean.p_fail_rdf_only);
+}
+
+#[test]
+fn boundary_search_climbs_the_retry_ladder() {
+    // A third of the samples fault on attempt 0 and heal on attempt 1,
+    // so every injected fault costs exactly one retry rung.
+    let faulty = FaultyBench::new(
+        bench6(),
+        FaultConfig {
+            solver_failure_rate: 0.3,
+            transient_attempts: 1,
+            salt: 3,
+            ..FaultConfig::default()
+        },
+    );
+    let clean = Ecripse::new(tiny_config(5), bench6());
+    let healing = Ecripse::new(tiny_config(5), &faulty);
+    let bits = |init: &InitialParticles| -> Vec<Vec<u64>> {
+        init.particles
+            .iter()
+            .map(|p| p.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+
+    // Step 1 finds the fault-free particles and bills the retries.
+    let clean_init = clean.find_initial_particles().expect("clean boundary");
+    let healed_init = healing.find_initial_particles().expect("healed boundary");
+    let search_retries = faulty.injected();
+    assert!(search_retries > 0, "some boundary probes must fault");
+    assert_eq!(bits(&healed_init), bits(&clean_init));
+    assert_eq!(
+        healed_init.simulations,
+        clean_init.simulations + search_retries
+    );
+
+    // The whole estimate agrees bit for bit and bills every retry.
+    let clean_run = clean.estimate().expect("clean estimate");
+    let healed_run = healing.estimate().expect("healed estimate");
+    assert_eq!(healed_run.p_fail.to_bits(), clean_run.p_fail.to_bits());
+    assert_eq!(
+        healed_run.simulations,
+        clean_run.simulations + faulty.injected() - search_retries
+    );
+    assert_eq!(healed_run.oracle_stats.quarantined, 0);
 }

@@ -11,8 +11,9 @@
 //! Training uses a variance-inflated pilot distribution so the pilot set
 //! actually contains failures (the standard "tail sampling" trick).
 
-use crate::bench::{SimCounter, Testbench};
+use crate::bench::Testbench;
 use crate::rtn_source::RtnSource;
+use crate::simulate::Simulator;
 use ecripse_stats::estimate::WilsonInterval;
 use ecripse_stats::sample::NormalSampler;
 use ecripse_svm::classifier::{SvmClassifier, SvmConfig, TrainError};
@@ -105,10 +106,10 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
     assert!(config.pilot_sigma > 0.0, "pilot sigma must be positive");
     assert_eq!(bench.dim(), rtn.dim(), "bench/RTN dimension mismatch");
 
-    let counter = SimCounter::new(bench);
+    let sim = Simulator::unmemoised(bench);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut normals = NormalSampler::new();
-    let dim = counter.dim();
+    let dim = bench.dim();
 
     // Pilot phase: inflated sampling, all simulated.
     let mut pilot_x = Vec::with_capacity(config.n_pilot);
@@ -117,7 +118,7 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
         let z: Vec<f64> = (0..dim)
             .map(|_| config.pilot_sigma * normals.sample(&mut rng))
             .collect();
-        pilot_y.push(counter.fails(&z));
+        pilot_y.push(sim.fails(&z));
         pilot_x.push(z);
     }
     let classifier = match SvmClassifier::fit(&config.svm, &pilot_x, &pilot_y) {
@@ -147,7 +148,7 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
             continue;
         }
         unblocked += 1;
-        if counter.fails(&z) {
+        if sim.fails(&z) {
             failures += 1;
         }
     }
@@ -156,7 +157,7 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
     Ok(BlockadeResult {
         p_fail: interval.estimate,
         interval,
-        simulations: counter.simulations(),
+        simulations: sim.simulations(),
         samples: config.n_samples as u64,
         unblocked,
     })

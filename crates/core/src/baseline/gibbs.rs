@@ -14,12 +14,13 @@
 //! between disjoint failure lobes — the same weakness as mean-shift, so
 //! several independent chains are run from distinct boundary points.
 
-use crate::bench::{SimCounter, Testbench};
+use crate::bench::Testbench;
 use crate::ecripse::RunOptions;
 use crate::importance::{importance_stage, ImportanceConfig, ImportanceResult};
 use crate::initial::{find_boundary_particles, BoundaryNotFoundError, InitialSearchConfig};
 use crate::oracle::{ClassifierOracle, OracleConfig};
 use crate::rtn_source::RtnSource;
+use crate::simulate::Simulator;
 use ecripse_stats::mvn::GaussianMixture;
 use ecripse_stats::sample::NormalSampler;
 use rand::rngs::StdRng;
@@ -98,15 +99,15 @@ pub fn gibbs_is<B: Testbench, S: RtnSource>(
     assert!(config.sigma_kernel > 0.0, "kernel width must be positive");
     assert_eq!(bench.dim(), rtn.dim(), "bench/RTN dimension mismatch");
 
-    let counter = SimCounter::new(bench);
+    let sim = Simulator::unmemoised(bench);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let dim = counter.dim();
+    let dim = bench.dim();
 
     // Seed chains on the failure boundary (distinct directions find
     // distinct lobes when they exist).
     let mut search = config.search;
     search.count = search.count.max(config.n_chains);
-    let init = find_boundary_particles(&counter, &mut rng, &search)?;
+    let init = find_boundary_particles(&sim, &mut rng, &search)?;
 
     let mut normals = NormalSampler::new();
     let mut states = Vec::new();
@@ -115,7 +116,9 @@ pub fn gibbs_is<B: Testbench, S: RtnSource>(
     for c in 0..config.n_chains {
         // Spread chain seeds across the boundary set.
         let mut x = init.particles[(c * init.particles.len()) / config.n_chains].clone();
-        debug_assert!(counter.fails(&x), "chain seed must fail");
+        // Checked on the raw bench, so no build profile bills it. A seed
+        // that healed on a retry rung may not evaluate at attempt 0.
+        debug_assert!(bench.try_fails(&x) != Ok(false), "chain seed must fail");
         for sweep in 0..config.sweeps_per_chain {
             for d in 0..dim {
                 // Conditional of a standard normal given the others is a
@@ -124,7 +127,7 @@ pub fn gibbs_is<B: Testbench, S: RtnSource>(
                 let old = x[d];
                 x[d] = proposal;
                 proposed += 1;
-                if counter.fails(&x) {
+                if sim.fails(&x) {
                     accepted += 1;
                 } else {
                     x[d] = old;
@@ -141,23 +144,22 @@ pub fn gibbs_is<B: Testbench, S: RtnSource>(
         svm: None,
         ..OracleConfig::default()
     };
-    let mut oracle = ClassifierOracle::new(&counter, oracle_cfg);
+    let mut oracle = ClassifierOracle::new(&sim, oracle_cfg);
     let (importance, _) = importance_stage(
         &mut oracle,
         rtn,
         &mixture,
         &config.importance,
         &mut rng,
-        &|| counter.simulations(),
+        0,
         &RunOptions::default(),
-        None,
     );
 
     Ok(GibbsResult {
         importance,
         mixture_size: states.len(),
         acceptance_rate: accepted as f64 / proposed as f64,
-        simulations: counter.simulations(),
+        simulations: sim.simulations(),
     })
 }
 
@@ -230,6 +232,28 @@ mod tests {
         let b = gibbs_is(&bench, &NoRtn::new(1), &cfg).expect("b");
         assert_eq!(a.importance.p_fail, b.importance.p_fail);
         assert_eq!(a.simulations, b.simulations);
+    }
+
+    #[test]
+    fn simulations_are_the_search_the_proposals_and_the_importance_samples() {
+        let bench = LinearBench::new(vec![1.0, 0.5], 3.0);
+        let cfg = fast_config(1_000);
+        let res = gibbs_is(&bench, &NoRtn::new(2), &cfg).expect("runs");
+        // The chains' search, replayed: the same seed and search settings.
+        let mut search = cfg.search;
+        search.count = search.count.max(cfg.n_chains);
+        let searched = find_boundary_particles(
+            &Simulator::unmemoised(&bench),
+            &mut StdRng::seed_from_u64(cfg.seed),
+            &search,
+        )
+        .expect("boundary")
+        .simulations;
+        let proposals = (cfg.n_chains * cfg.sweeps_per_chain * bench.dim()) as u64;
+        assert_eq!(
+            res.simulations,
+            searched + proposals + res.importance.samples
+        );
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! and mismatches curved boundaries — which is exactly why the paper
 //! moves to particle-based alternative distributions.
 
-use crate::bench::{SimCounter, Testbench};
+use crate::bench::Testbench;
 use crate::ecripse::RunOptions;
 use crate::importance::{importance_stage, ImportanceConfig, ImportanceResult};
 use crate::initial::{find_boundary_particles, BoundaryNotFoundError, InitialSearchConfig};
 use crate::oracle::{ClassifierOracle, OracleConfig};
 use crate::rtn_source::RtnSource;
+use crate::simulate::Simulator;
 use ecripse_stats::mvn::GaussianMixture;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,11 +73,11 @@ pub fn mean_shift_is<B: Testbench, S: RtnSource>(
 ) -> Result<MeanShiftResult, BoundaryNotFoundError> {
     assert!(config.sigma > 0.0, "sigma must be positive");
     assert_eq!(bench.dim(), rtn.dim(), "bench/RTN dimension mismatch");
-    let counter = SimCounter::new(bench);
+    let sim = Simulator::unmemoised(bench);
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Most probable failure point = minimum-norm boundary particle.
-    let init = find_boundary_particles(&counter, &mut rng, &config.search)?;
+    let init = find_boundary_particles(&sim, &mut rng, &config.search)?;
     let shift_point = match init
         .particles
         .iter()
@@ -98,23 +99,22 @@ pub fn mean_shift_is<B: Testbench, S: RtnSource>(
         svm: None,
         ..OracleConfig::default()
     };
-    let mut oracle = ClassifierOracle::new(&counter, oracle_cfg);
+    let mut oracle = ClassifierOracle::new(&sim, oracle_cfg);
     let (importance, _) = importance_stage(
         &mut oracle,
         rtn,
         &alternative,
         &config.importance,
         &mut rng,
-        &|| counter.simulations(),
+        0,
         &RunOptions::default(),
-        None,
     );
 
     Ok(MeanShiftResult {
         shift_point,
         beta,
         importance,
-        simulations: counter.simulations(),
+        simulations: sim.simulations(),
     })
 }
 

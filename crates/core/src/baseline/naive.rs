@@ -5,8 +5,9 @@
 //! the paper lowers the supply to 0.5 V in Fig. 7 precisely so this
 //! reference can converge at all.
 
-use crate::bench::{SimCounter, Testbench};
+use crate::bench::Testbench;
 use crate::rtn_source::RtnSource;
+use crate::simulate::Simulator;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use ecripse_stats::estimate::WilsonInterval;
 use ecripse_stats::sample::NormalSampler;
@@ -70,10 +71,10 @@ pub fn naive_monte_carlo<B: Testbench, S: RtnSource>(
 ) -> NaiveResult {
     assert!(config.n_samples > 0, "need at least one trial");
     assert_eq!(bench.dim(), rtn.dim(), "bench/RTN dimension mismatch");
-    let counter = SimCounter::new(bench);
+    let sim = Simulator::unmemoised(bench);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut normals = NormalSampler::new();
-    let dim = counter.dim();
+    let dim = bench.dim();
     let mut failures = 0u64;
     let mut trace = ConvergenceTrace::new();
 
@@ -85,13 +86,13 @@ pub fn naive_monte_carlo<B: Testbench, S: RtnSource>(
                 *zi += si;
             }
         }
-        if counter.fails(&z) {
+        if sim.fails(&z) {
             failures += 1;
         }
         if config.trace_every > 0 && (k + 1) % config.trace_every == 0 {
             let w = WilsonInterval::from_counts(failures, (k + 1) as u64);
             trace.push(TracePoint {
-                simulations: counter.simulations(),
+                simulations: sim.simulations(),
                 samples: (k + 1) as u64,
                 estimate: w.estimate,
                 ci95_half_width: 0.5 * (w.hi - w.lo),
@@ -103,7 +104,7 @@ pub fn naive_monte_carlo<B: Testbench, S: RtnSource>(
     NaiveResult {
         p_fail: interval.estimate,
         interval,
-        simulations: counter.simulations(),
+        simulations: sim.simulations(),
         failures,
         trace,
     }

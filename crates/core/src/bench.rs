@@ -1,4 +1,4 @@
-//! The testbench abstraction and simulation accounting.
+//! The testbench abstraction.
 //!
 //! Every estimator in this crate consumes a [`Testbench`]: a deterministic
 //! indicator over the *whitened total-shift space* — the 6-D vector
@@ -7,14 +7,13 @@
 //! RDF-only and the RTN-aware flows, exactly as the indicator
 //! `I(x_RDF, x_RTN)` of the paper depends only on the total shift.
 //!
-//! [`SimCounter`] wraps any bench and counts invocations — the
-//! "number of transistor-level simulations" axis of Figs. 6 and 7 — for
-//! the boundary search and the baselines; an estimate's later stages
-//! bill theirs through its [`Simulator`](crate::simulate::Simulator).
+//! A bench only answers; billing is the
+//! [`Simulator`](crate::simulate::Simulator)'s job. Every estimator and
+//! baseline queries its bench through one, which counts the
+//! "number of transistor-level simulations" axis of Figs. 6 and 7.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use ecripse_spice::testbench::EffortSnapshot;
 pub use ecripse_spice::EvalError;
@@ -239,77 +238,6 @@ impl Testbench for TwoLobeBench {
     }
 }
 
-/// Wraps a bench and counts indicator evaluations — the cost metric of
-/// the whole study.
-///
-/// The counter is an [`AtomicU64`] with `Relaxed` ordering: increments
-/// from parallel `fails_batch` workers never need to synchronise with
-/// anything but each other, and the totals are only read between
-/// batches. A whole batch is counted with a single `fetch_add`, so the
-/// count is independent of how the batch was split across threads.
-#[derive(Debug)]
-pub struct SimCounter<B> {
-    inner: B,
-    count: AtomicU64,
-}
-
-impl<B: Testbench> SimCounter<B> {
-    /// Wraps a bench with a zeroed counter.
-    pub fn new(inner: B) -> Self {
-        Self {
-            inner,
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of (counted) indicator evaluations so far.
-    pub fn simulations(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped bench.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: Testbench> Testbench for SimCounter<B> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn fails(&self, z: &[f64]) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.fails(z)
-    }
-
-    fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        self.count.fetch_add(zs.len() as u64, Ordering::Relaxed);
-        self.inner.fails_batch(zs)
-    }
-
-    fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_fails(z)
-    }
-
-    fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        // Every ladder rung is a real simulation; count them all so the
-        // cost axis reflects the retries honestly.
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_fails_attempt(z, attempt)
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        self.count.fetch_add(zs.len() as u64, Ordering::Relaxed);
-        self.inner.try_fails_batch(zs)
-    }
-
-    fn solve_effort(&self) -> SolveEffort {
-        self.inner.solve_effort()
-    }
-}
-
 impl<T: Testbench + ?Sized> Testbench for &T {
     fn dim(&self) -> usize {
         (**self).dim()
@@ -384,24 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_counter_counts() {
-        let c = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
-        assert_eq!(c.simulations(), 0);
-        let _ = c.fails(&[1.0]);
-        let _ = c.fails(&[-1.0]);
-        assert_eq!(c.simulations(), 2);
-    }
-
-    #[test]
-    fn sim_counter_preserves_verdicts() {
-        let raw = LinearBench::new(vec![1.0, -1.0], 1.0);
-        let c = SimCounter::new(raw.clone());
-        for z in [[2.0, 0.0], [0.0, 0.0], [0.0, -2.0], [-3.0, 1.0]] {
-            assert_eq!(c.fails(&z), raw.fails(&z));
-        }
-    }
-
-    #[test]
     fn sram_bench_dim_and_nominal_pass() {
         let b = SramScenarioBench::paper_cell(Scenario::ReadSnm);
         assert_eq!(b.dim(), 6);
@@ -431,15 +341,6 @@ mod tests {
         let batch = b.fails_batch(&zs);
         let single: Vec<bool> = zs.iter().map(|z| b.fails(z)).collect();
         assert_eq!(batch, single);
-    }
-
-    #[test]
-    fn sim_counter_counts_batches_once() {
-        let c = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
-        let zs: Vec<Vec<f64>> = vec![vec![1.0], vec![-1.0], vec![0.5]];
-        let out = c.fails_batch(&zs);
-        assert_eq!(out, vec![true, false, true]);
-        assert_eq!(c.simulations(), 3);
     }
 
     #[test]
@@ -487,7 +388,8 @@ mod tests {
 
     #[test]
     fn sram_solve_effort_grows_and_forwards_through_wrappers() {
-        let c = SimCounter::new(SramScenarioBench::paper_cell(Scenario::ReadSnm));
+        let bench = SramScenarioBench::paper_cell(Scenario::ReadSnm);
+        let c = crate::simulate::Simulator::unmemoised(&bench);
         let before = c.solve_effort();
         let _ = c.fails(&[0.5, -0.5, 0.0, 0.0, 0.0, 0.0]);
         let delta = c.solve_effort().delta(&before);
@@ -496,16 +398,5 @@ mod tests {
             "curve solves uncounted: {delta:?}"
         );
         assert!(delta.newton_iters > delta.factorisations);
-    }
-
-    #[test]
-    fn sim_counter_counts_every_retry_attempt() {
-        let c = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
-        let _ = c.try_fails(&[1.0]);
-        let _ = c.try_fails_attempt(&[1.0], 1);
-        let _ = c.try_fails_attempt(&[1.0], 2);
-        assert_eq!(c.simulations(), 3);
-        let _ = c.try_fails_batch(&[vec![1.0], vec![-1.0]]);
-        assert_eq!(c.simulations(), 5);
     }
 }

@@ -442,7 +442,8 @@ impl<B: SweepBench> SweepBench for MemoBench<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{LinearBench, SimCounter};
+    use crate::bench::LinearBench;
+    use crate::simulate::Simulator;
 
     /// A wrapper over a private, empty store (tag 0).
     fn private<B>(inner: B, config: MemoCacheConfig) -> MemoBench<B> {
@@ -459,7 +460,8 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 2.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 2.0);
+        let counter = Simulator::unmemoised(&bench);
         let cache = private(&counter, MemoCacheConfig::default());
         let first = cache.fails(&[3.0, 0.0]);
         assert!(first);
@@ -473,12 +475,13 @@ mod tests {
 
     #[test]
     fn batch_dedup_evaluates_unique_points_once() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 0.5));
+        let bench = LinearBench::new(vec![1.0], 0.5);
+        let counter = Simulator::unmemoised(&bench);
         let cache = private(&counter, MemoCacheConfig::default());
         let zs = vec![vec![1.0], vec![-1.0], vec![1.0], vec![1.0], vec![0.0]];
         let out = cache.fails_batch(&zs);
         assert_eq!(out, vec![true, false, true, true, false]);
-        assert_eq!(out, counter.inner().fails_batch(&zs));
+        assert_eq!(out, bench.fails_batch(&zs));
         assert_eq!(counter.simulations(), 3, "three unique points");
         assert_eq!(cache.store().hits(), 2);
         assert_eq!(cache.store().misses(), 3);
@@ -520,7 +523,8 @@ mod tests {
 
     #[test]
     fn quantisation_merges_sub_grid_noise() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 2.0));
+        let bench = LinearBench::new(vec![1.0], 2.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = MemoCacheConfig {
             quantum: 1e-6,
             ..MemoCacheConfig::default()
@@ -538,7 +542,8 @@ mod tests {
 
     #[test]
     fn holds_sees_cached_keys_without_counting() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 2.0));
+        let bench = LinearBench::new(vec![1.0], 2.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = MemoCacheConfig {
             quantum: 1e-6,
             ..MemoCacheConfig::default()
@@ -561,7 +566,8 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_transparent() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 0.0));
+        let bench = LinearBench::new(vec![1.0], 0.0);
+        let counter = Simulator::unmemoised(&bench);
         let cache = private(&counter, disabled());
         let _ = cache.fails(&[1.0]);
         let _ = cache.fails(&[1.0]);

@@ -10,12 +10,13 @@
 //!     with the accurate oracle policy.
 //! ```
 //!
-//! Every transistor-level simulation is accounted — step (1) through a
-//! [`SimCounter`], steps (2)–(5) through the run's [`Simulator`] —
-//! and results carry the totals and optional convergence traces so the
-//! Fig. 6/7 regenerators can plot estimate-vs-cost curves.
+//! Every transistor-level simulation is billed through a [`Simulator`] —
+//! one for step (1), one for steps (2)–(5), so the run's memo counters
+//! cover the later stages only — and results carry the totals and
+//! optional convergence traces so the Fig. 6/7 regenerators can plot
+//! estimate-vs-cost curves.
 
-use crate::bench::{SimCounter, Testbench};
+use crate::bench::Testbench;
 use crate::cache::MemoCacheConfig;
 use crate::ensemble::{EnsembleConfig, FilterEnsemble};
 use crate::importance::{importance_stage, ImportanceConfig};
@@ -30,7 +31,7 @@ use crate::oracle::{ClassifierOracle, OracleConfig, OracleStats};
 use crate::retry::RetryPolicy;
 use crate::rtn_source::{NoRtn, RtnSource};
 use crate::scenario::Scenario;
-use crate::simulate::{Simulator, TimingBench};
+use crate::simulate::Simulator;
 use crate::trace::ConvergenceTrace;
 use ecripse_stats::mvn::DiagGaussian;
 use rand::rngs::StdRng;
@@ -271,23 +272,19 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         self.find_initial_particles_observed(&NullObserver)
     }
 
-    /// Step (1) with raw simulator-batch latencies reported into
-    /// `observer` (the boundary-search events themselves are emitted by
-    /// [`boundary_stage`](Self::boundary_stage), which knows the stage
-    /// framing). Runs in the configured thread pool, like every later
-    /// stage.
+    /// Step (1) on its own [`Simulator`], with raw simulator-batch
+    /// latencies reported into `observer` (the boundary-search events
+    /// themselves are emitted by [`boundary_stage`](Self::boundary_stage),
+    /// which knows the stage framing). Runs in the configured thread
+    /// pool, like every later stage.
     fn find_initial_particles_observed(
         &self,
         observer: &dyn Observer,
     ) -> Result<InitialParticles, EstimateError> {
-        let timed = TimingBench {
-            inner: &self.bench,
-            observer,
-        };
-        let counter = SimCounter::new(&timed);
+        let sim = Simulator::new(&self.bench, observer, self.config.cache, self.config.retry);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x1717);
         let init = run_in_pool(self.config.threads, || {
-            find_boundary_particles(&counter, &mut rng, &self.config.initial)
+            find_boundary_particles(&sim, &mut rng, &self.config.initial)
         })?;
         Ok(init)
     }
@@ -451,17 +448,14 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         let is_start = Instant::now();
         let is_start_sims = sim.simulations();
         let alternative = ensemble.as_mixture(self.config.sigma_kernel);
-        let init_sims = init.simulations;
-        let sim_count = || init_sims + sim.simulations();
         let (is, is_interrupted) = importance_stage(
             &mut oracle,
             &self.rtn,
             &alternative,
             &self.config.importance,
             &mut rng,
-            &sim_count,
+            init.simulations,
             options,
-            Some(&sim),
         );
         observer.stage_finished(
             Stage::ImportanceSampling,

@@ -15,7 +15,7 @@ use crate::ecripse::RunOptions;
 use crate::observe::{ChunkStats, PrefetchStats};
 use crate::oracle::ClassifierOracle;
 use crate::rtn_source::RtnSource;
-use crate::simulate::Lookahead;
+use crate::simulate::Simulator;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use ecripse_stats::estimate::WeightedIsEstimator;
 use ecripse_stats::mvn::{DiagGaussian, GaussianMixture};
@@ -121,13 +121,11 @@ where
 /// [`Ecripse`](crate::ecripse::Ecripse) estimate and the baselines that
 /// sample a fixed alternative.
 ///
-/// `sim_count` reports the current transistor-level simulation count (for
-/// trace points and chunk events); pass the getter of whatever bills the
-/// oracle's simulations: the run's
-/// [`Simulator::simulations`](crate::simulate::Simulator::simulations),
-/// or a baseline's [`crate::bench::SimCounter`]. Of `options`, the stage
-/// reads the observer, the stop flag and the target
-/// ([`RunOptions::initial`] is step 1's business).
+/// The oracle's [`Simulator`] bills every simulation of the stage. Trace
+/// points and chunk events report `billed_before` (simulations billed
+/// elsewhere: ECRIPSE's boundary search, or 0) plus the simulator's
+/// count. Of `options`, the stage reads the observer, the stop flag and
+/// the target ([`RunOptions::initial`] is step 1's business).
 ///
 /// With [`RunOptions::target_relative_error`] set, sampling stops as soon
 /// as the estimator's relative error falls at or below the target
@@ -143,9 +141,9 @@ where
 /// [`ClassifierOracle::evaluate_batch_accurate_deferred`]; the next
 /// chunk is drawn right after the early-stopping check (nothing in
 /// between consumes the master stream), and then the retrain the routed
-/// chunk owes runs. With a `lookahead`, a pool of more than one thread
-/// and a retrain owed, the retrain runs on a scoped thread while this
-/// one draws the next chunk and simulates ahead the points the
+/// chunk owes runs. With a pool of more than one thread and a retrain
+/// owed, the retrain runs on a scoped thread while this one draws the
+/// next chunk and has the simulator evaluate ahead the points the
 /// pre-retrain classifier finds uncertain ([`crate::simulate`]); the
 /// results are the same bits either way.
 ///
@@ -153,16 +151,14 @@ where
 ///
 /// Panics if `config.n_samples` is zero, the target is not positive, or
 /// dimensions disagree.
-#[allow(clippy::too_many_arguments)]
 pub fn importance_stage<B, S, R>(
-    oracle: &mut ClassifierOracle<'_, B>,
+    oracle: &mut ClassifierOracle<'_, Simulator<'_, B>>,
     rtn: &S,
     alternative: &GaussianMixture,
     config: &ImportanceConfig,
     rng: &mut R,
-    sim_count: &dyn Fn() -> u64,
+    billed_before: u64,
     options: &RunOptions<'_>,
-    lookahead: Option<&dyn Lookahead>,
 ) -> (ImportanceResult, bool)
 where
     B: Testbench,
@@ -194,7 +190,9 @@ where
     if !rtn.is_null() {
         assert!(m > 0, "need at least one RTN draw");
     }
-    let prefetching = lookahead.filter(|_| rayon::current_num_threads() > 1);
+    let sim = oracle.bench();
+    let sim_count = || billed_before + sim.simulations();
+    let prefetching = rayon::current_num_threads() > 1;
 
     let mut drawn = 0usize;
     let mut interrupted = false;
@@ -218,10 +216,10 @@ where
         // One accurate-policy batch answers the whole chunk (parallel
         // simulation for the uncertain subset).
         let verdicts = oracle.evaluate_batch_accurate_deferred(&points);
-        if let (Some((evaluated, wall_seconds)), Some(lookahead)) = (ahead.take(), prefetching) {
+        if let Some((evaluated, wall_seconds)) = ahead.take() {
             observer.prefetch_finished(&PrefetchStats {
                 evaluated,
-                consumed: lookahead.end_round(),
+                consumed: sim.end_round(),
                 wall_seconds,
             });
         }
@@ -278,11 +276,11 @@ where
             oracle.finish_accurate_batch();
             break;
         }
-        let snapshot = prefetching
-            .filter(|_| oracle.owes_retrain())
-            .and_then(|lookahead| Some((lookahead, oracle.decision()?.clone())));
+        let snapshot = (prefetching && oracle.owes_retrain())
+            .then(|| oracle.decision().cloned())
+            .flatten();
         match snapshot {
-            Some((lookahead, decision)) => {
+            Some(decision) => {
                 let done = AtomicBool::new(false);
                 std::thread::scope(|scope| {
                     let oracle = &mut *oracle;
@@ -294,7 +292,7 @@ where
                     chunk = next_chunk(drawn);
                     if let Some(next) = &chunk {
                         let start = Instant::now();
-                        let evaluated = lookahead.prefetch(&next.points, &decision, done);
+                        let evaluated = sim.prefetch(&next.points, &decision, done);
                         ahead = Some((evaluated, start.elapsed().as_secs_f64()));
                     }
                     if let Err(panic) = retrain.join() {
@@ -324,7 +322,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{LinearBench, SimCounter, TwoLobeBench};
+    use crate::bench::{LinearBench, TwoLobeBench};
     use crate::oracle::OracleConfig;
     use crate::rtn_source::NoRtn;
     use rand::rngs::StdRng;
@@ -337,12 +335,12 @@ mod tests {
         let beta = 3.5;
         let bench = LinearBench::new(vec![1.0, 0.0], beta);
         let exact = bench.exact_p_fail();
-        let counter = SimCounter::new(bench);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         // Kernels around the most probable failure point.
         let alt = GaussianMixture::from_particles(
             &[
@@ -363,9 +361,8 @@ mod tests {
                 trace_every: 0,
             },
             &mut rng,
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
         assert!(
             ((res.p_fail - exact) / exact).abs() < 0.1,
@@ -381,12 +378,12 @@ mod tests {
     fn recovers_two_lobe_ground_truth() {
         let bench = TwoLobeBench::new(vec![1.0, 0.0], 3.0);
         let exact = bench.exact_p_fail();
-        let counter = SimCounter::new(bench);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         let alt = GaussianMixture::from_particles(
             &[
                 vec![3.0, 0.0],
@@ -407,9 +404,8 @@ mod tests {
                 trace_every: 0,
             },
             &mut rng,
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
         assert!(
             ((res.p_fail - exact) / exact).abs() < 0.1,
@@ -425,12 +421,12 @@ mod tests {
         // mixture covering only one lobe converges to half the truth.
         let bench = TwoLobeBench::new(vec![1.0, 0.0], 3.0);
         let exact = bench.exact_p_fail();
-        let counter = SimCounter::new(bench);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         let alt = GaussianMixture::from_particles(&[vec![3.0, 0.0], vec![3.3, 0.3]], 0.6);
         let mut rng = StdRng::seed_from_u64(3);
         let (res, _) = importance_stage(
@@ -443,9 +439,8 @@ mod tests {
                 trace_every: 0,
             },
             &mut rng,
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
         assert!(
             ((res.p_fail - 0.5 * exact) / (0.5 * exact)).abs() < 0.15,
@@ -482,12 +477,13 @@ mod tests {
         // sample fails on exactly the k shifted copies of its m draws:
         // every inner probability is k/m.
         let (k, m, n) = (3, 8, 600);
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 50.0));
+        let bench = LinearBench::new(vec![1.0], 50.0);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         let rtn = CyclingRtn {
             k,
             m,
@@ -504,12 +500,11 @@ mod tests {
                 trace_every: 0,
             },
             &mut StdRng::seed_from_u64(6),
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
         assert_eq!(rtn.draws.get(), n * m);
-        assert_eq!(counter.simulations(), (n * m) as u64);
+        assert_eq!(sim.simulations(), (n * m) as u64);
 
         // Replay the sample stream (the source draws no randomness) for
         // the importance weights.
@@ -536,12 +531,13 @@ mod tests {
     fn null_rtn_simulates_each_sample_once() {
         // A null source collapses the inner loop to the sample's own
         // 0/1 verdict, whatever `m_rtn` says.
-        let counter = SimCounter::new(LinearBench::new(vec![1.0], 50.0));
+        let bench = LinearBench::new(vec![1.0], 50.0);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         let alt = GaussianMixture::from_particles(&[vec![0.0]], 1.0);
         let (res, _) = importance_stage(
             &mut oracle,
@@ -553,23 +549,22 @@ mod tests {
                 trace_every: 0,
             },
             &mut StdRng::seed_from_u64(7),
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
-        assert_eq!(counter.simulations(), 300);
+        assert_eq!(sim.simulations(), 300);
         assert_eq!(res.p_fail, 0.0);
     }
 
     #[test]
     fn trace_points_are_recorded_at_requested_cadence() {
         let bench = LinearBench::new(vec![1.0], 2.0);
-        let counter = SimCounter::new(bench);
+        let sim = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
         };
-        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let mut oracle = ClassifierOracle::new(&sim, cfg);
         let alt = GaussianMixture::from_particles(&[vec![2.0]], 0.5);
         let mut rng = StdRng::seed_from_u64(5);
         let (res, _) = importance_stage(
@@ -582,9 +577,8 @@ mod tests {
                 trace_every: 100,
             },
             &mut rng,
-            &|| counter.simulations(),
+            0,
             &RunOptions::default(),
-            None,
         );
         assert_eq!(res.trace.len(), 10);
         let pts = res.trace.points();

@@ -9,6 +9,7 @@
 //! (the boundary moves with bias, but not far).
 
 use crate::bench::Testbench;
+use crate::simulate::Simulator;
 use ecripse_stats::sample::NormalSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -43,7 +44,8 @@ impl Default for InitialSearchConfig {
 pub struct InitialParticles {
     /// Boundary points in whitened space.
     pub particles: Vec<Vec<f64>>,
-    /// Indicator evaluations spent building the set.
+    /// Simulations billed building the set: every probe that reached
+    /// the bench, retry rungs included.
     pub simulations: u64,
 }
 
@@ -79,6 +81,10 @@ impl std::error::Error for BoundaryNotFoundError {}
 /// Directions, evaluations, simulation count and particles (in direction
 /// order) are exactly those of the one-at-a-time search.
 ///
+/// Every probe goes through `sim`, which bills it (and any retry rung it
+/// climbs); the set's `simulations` is what `sim` billed during the
+/// search.
+///
 /// # Errors
 ///
 /// Returns [`BoundaryNotFoundError`] if fewer than `config.count`
@@ -89,15 +95,15 @@ impl std::error::Error for BoundaryNotFoundError {}
 /// Panics if `count` or `bisection_steps` is zero, or `r_max` is not
 /// positive.
 pub fn find_boundary_particles<B: Testbench, R: Rng + ?Sized>(
-    bench: &B,
+    sim: &Simulator<'_, B>,
     rng: &mut R,
     config: &InitialSearchConfig,
 ) -> Result<InitialParticles, BoundaryNotFoundError> {
     check(config);
-    let dim = bench.dim();
+    let dim = sim.dim();
+    let billed_before = sim.simulations();
     let mut normals = NormalSampler::new();
     let mut particles = Vec::with_capacity(config.count);
-    let mut simulations = 0u64;
     let mut attempted = 0usize;
     while particles.len() < config.count && attempted < config.max_attempts {
         let round = (config.count - particles.len()).min(config.max_attempts - attempted);
@@ -106,8 +112,7 @@ pub fn find_boundary_particles<B: Testbench, R: Rng + ?Sized>(
             .filter_map(|_| unit_direction(&mut normals, rng, dim))
             .collect();
         let probes: Vec<Vec<f64>> = dirs.iter().map(|d| at(d, config.r_max)).collect();
-        simulations += probes.len() as u64;
-        let verdicts = bench.fails_batch(&probes);
+        let verdicts = sim.fails_batch(&probes);
         // Directions that never fail within range are dropped.
         let failing: Vec<Vec<f64>> = dirs
             .into_iter()
@@ -121,8 +126,7 @@ pub fn find_boundary_particles<B: Testbench, R: Rng + ?Sized>(
                 let mids: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect();
                 let points: Vec<Vec<f64>> =
                     failing.iter().zip(&mids).map(|(d, &r)| at(d, r)).collect();
-                simulations += points.len() as u64;
-                let verdicts = bench.fails_batch(&points);
+                let verdicts = sim.fails_batch(&points);
                 for (i, fails) in verdicts.into_iter().enumerate() {
                     if fails {
                         hi[i] = mids[i];
@@ -135,7 +139,7 @@ pub fn find_boundary_particles<B: Testbench, R: Rng + ?Sized>(
         // Place each particle just inside the failure region.
         particles.extend(failing.iter().zip(&hi).map(|(d, &r)| at(d, r)));
     }
-    finish(particles, simulations, config)
+    finish(particles, sim.simulations() - billed_before, config)
 }
 
 fn check(config: &InitialSearchConfig) {
@@ -190,9 +194,22 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{LinearBench, SimCounter, TwoLobeBench};
+    use crate::bench::{LinearBench, TwoLobeBench};
+    use crate::cache::MemoCacheConfig;
+    use crate::observe::NullObserver;
+    use crate::retry::RetryPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Searches `bench` through a fresh simulator, seeded with `seed`.
+    fn search<B: Testbench>(
+        bench: &B,
+        seed: u64,
+        config: &InitialSearchConfig,
+    ) -> Result<InitialParticles, BoundaryNotFoundError> {
+        let sim = Simulator::unmemoised(bench);
+        find_boundary_particles(&sim, &mut StdRng::seed_from_u64(seed), config)
+    }
 
     /// The one-direction-at-a-time search the batched rounds replace: the
     /// reference they must reproduce exactly.
@@ -233,9 +250,10 @@ mod tests {
         finish(particles, simulations, config)
     }
 
-    /// Runs both searches on fresh counters at `threads` and asserts
-    /// identical particles (bit for bit), simulation counts, counted
-    /// evaluations, solver effort and RNG position afterwards.
+    /// Runs both searches through fresh simulators (memo on, as in an
+    /// estimate) at `threads` and asserts identical particles (bit for
+    /// bit), simulation counts, billed simulations, solver effort and RNG
+    /// position afterwards.
     fn assert_batched_matches_reference<B: Testbench>(
         bench: &B,
         config: &InitialSearchConfig,
@@ -248,13 +266,18 @@ mod tests {
                 .build()
                 .expect("pool");
             pool.install(|| {
-                let counter = SimCounter::new(bench);
-                let effort = counter.solve_effort();
+                let sim = Simulator::new(
+                    bench,
+                    &NullObserver,
+                    MemoCacheConfig::default(),
+                    RetryPolicy::default(),
+                );
+                let effort = sim.solve_effort();
                 let mut rng = StdRng::seed_from_u64(seed);
                 let found = if batched {
-                    find_boundary_particles(&counter, &mut rng, config)
+                    find_boundary_particles(&sim, &mut rng, config)
                 } else {
-                    reference_find_boundary_particles(&counter, &mut rng, config)
+                    reference_find_boundary_particles(&sim, &mut rng, config)
                 };
                 let bits = found.map(|init| {
                     let bits: Vec<Vec<u64>> = init
@@ -266,8 +289,8 @@ mod tests {
                 });
                 (
                     bits,
-                    counter.simulations(),
-                    counter.solve_effort().delta(&effort),
+                    sim.simulations(),
+                    sim.solve_effort().delta(&effort),
                     rng.gen::<u64>(),
                 )
             })
@@ -295,8 +318,7 @@ mod tests {
                 max_attempts: 40,
                 ..InitialSearchConfig::default()
             };
-            let mut rng = StdRng::seed_from_u64(13);
-            let err = find_boundary_particles(&linear, &mut rng, &far).expect_err("out of range");
+            let err = search(&linear, 13, &far).expect_err("out of range");
             assert!(err.found > 0 && err.found < 30, "{err:?}");
             assert_batched_matches_reference(&linear, &far, 13, threads);
         }
@@ -320,14 +342,13 @@ mod tests {
     #[test]
     fn particles_land_on_the_linear_boundary() {
         let bench = LinearBench::new(vec![1.0, 0.0, 0.0], 3.0);
-        let mut rng = StdRng::seed_from_u64(1);
         let cfg = InitialSearchConfig {
             count: 32,
             r_max: 10.0,
             bisection_steps: 20,
             max_attempts: 10_000,
         };
-        let init = find_boundary_particles(&bench, &mut rng, &cfg).expect("boundary exists");
+        let init = search(&bench, 1, &cfg).expect("boundary exists");
         assert_eq!(init.particles.len(), 32);
         for p in &init.particles {
             // On the failing side, close to the plane z₀ = 3.
@@ -343,13 +364,12 @@ mod tests {
     #[test]
     fn two_lobes_are_both_discovered() {
         let bench = TwoLobeBench::new(vec![1.0, 0.0], 2.5);
-        let mut rng = StdRng::seed_from_u64(2);
         let cfg = InitialSearchConfig {
             count: 40,
             r_max: 8.0,
             ..InitialSearchConfig::default()
         };
-        let init = find_boundary_particles(&bench, &mut rng, &cfg).expect("two lobes");
+        let init = search(&bench, 2, &cfg).expect("two lobes");
         let positive = init.particles.iter().filter(|p| p[0] > 0.0).count();
         let negative = init.particles.len() - positive;
         assert!(
@@ -359,28 +379,36 @@ mod tests {
     }
 
     #[test]
-    fn simulation_count_is_tracked_accurately() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 2.0));
-        let mut rng = StdRng::seed_from_u64(3);
+    fn simulations_are_what_the_search_billed() {
+        // The simulator billed two queries before the search; the set
+        // counts only the search's share, which is the one-at-a-time
+        // search's tally.
+        let bench = LinearBench::new(vec![1.0, 0.0], 2.0);
+        let sim = Simulator::unmemoised(&bench);
+        let _ = sim.fails_batch(&[vec![0.0, 0.0], vec![3.0, 0.0]]);
         let cfg = InitialSearchConfig {
             count: 10,
             ..InitialSearchConfig::default()
         };
-        let init = find_boundary_particles(&counter, &mut rng, &cfg).expect("boundary");
-        assert_eq!(init.simulations, counter.simulations());
+        let init =
+            find_boundary_particles(&sim, &mut StdRng::seed_from_u64(3), &cfg).expect("boundary");
+        assert_eq!(init.simulations, sim.simulations() - 2);
+        let reference =
+            reference_find_boundary_particles(&bench, &mut StdRng::seed_from_u64(3), &cfg)
+                .expect("boundary");
+        assert_eq!(init.simulations, reference.simulations);
     }
 
     #[test]
     fn unreachable_boundary_is_an_error() {
         // Boundary at 30σ but search radius 8σ.
         let bench = LinearBench::new(vec![1.0], 30.0);
-        let mut rng = StdRng::seed_from_u64(4);
         let cfg = InitialSearchConfig {
             count: 4,
             max_attempts: 200,
             ..InitialSearchConfig::default()
         };
-        let err = find_boundary_particles(&bench, &mut rng, &cfg).expect_err("unreachable");
+        let err = search(&bench, 4, &cfg).expect_err("unreachable");
         assert_eq!(err.found, 0);
         assert_eq!(err.requested, 4);
     }
@@ -390,13 +418,12 @@ mod tests {
         // The real cell: boundary at ~3.8σ, well inside r_max = 8.
         let bench =
             crate::scenario::SramScenarioBench::paper_cell(crate::scenario::Scenario::ReadSnm);
-        let mut rng = StdRng::seed_from_u64(5);
         let cfg = InitialSearchConfig {
             count: 8,
             max_attempts: 2000,
             ..InitialSearchConfig::default()
         };
-        let init = find_boundary_particles(&bench, &mut rng, &cfg).expect("SRAM boundary");
+        let init = search(&bench, 5, &cfg).expect("SRAM boundary");
         for p in &init.particles {
             assert!(bench.fails(p));
             let r: f64 = p.iter().map(|v| v * v).sum::<f64>().sqrt();

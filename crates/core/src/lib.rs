@@ -89,7 +89,7 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
-pub use bench::{EvalError, SimCounter, SolveEffort, Testbench};
+pub use bench::{EvalError, SolveEffort, Testbench};
 pub use cache::{MemoBench, MemoCacheConfig, VerdictStore};
 pub use ecripse::{Ecripse, EcripseConfig, EcripseResult, RunOptions};
 pub use observe::{

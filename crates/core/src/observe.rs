@@ -134,7 +134,7 @@ pub struct StageTiming {
 pub struct BoundaryStats {
     /// Boundary particles found.
     pub particles: usize,
-    /// Indicator evaluations spent finding them.
+    /// Simulations billed finding them, retry rungs included.
     pub simulations: u64,
 }
 

@@ -200,7 +200,8 @@ enum Owed {
 }
 
 impl<'a, B: Testbench> ClassifierOracle<'a, B> {
-    /// Creates an oracle over the given (counted) testbench.
+    /// Creates an oracle over the given testbench: in production, the
+    /// [`Simulator`](crate::simulate::Simulator) that bills its queries.
     pub fn new(bench: &'a B, config: OracleConfig) -> Self {
         Self {
             bench,
@@ -214,6 +215,11 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
             stats: OracleStats::default(),
             margins: MarginStats::default(),
         }
+    }
+
+    /// The testbench the oracle simulates on, for as long as it lives.
+    pub fn bench(&self) -> &'a B {
+        self.bench
     }
 
     /// Usage statistics.
@@ -433,7 +439,8 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{LinearBench, SimCounter};
+    use crate::bench::LinearBench;
+    use crate::simulate::Simulator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -454,7 +461,8 @@ mod tests {
 
     #[test]
     fn disabled_classifier_simulates_everything() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
@@ -467,13 +475,14 @@ mod tests {
         assert_eq!(oracle.stats().classified, 0);
         // Verdicts must be exact.
         for (z, y) in zs.iter().zip(&out) {
-            assert_eq!(*y, counter.inner().fails(z));
+            assert_eq!(*y, bench.fails(z));
         }
     }
 
     #[test]
     fn rough_batches_cap_simulations_at_k() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             k_train_per_batch: 64,
             ..OracleConfig::default()
@@ -491,7 +500,8 @@ mod tests {
 
     #[test]
     fn rough_verdicts_are_mostly_correct() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             k_train_per_batch: 200,
             ..OracleConfig::default()
@@ -503,7 +513,7 @@ mod tests {
         let correct = zs
             .iter()
             .zip(&out)
-            .filter(|(z, y)| counter.inner().fails(z) == **y)
+            .filter(|(z, y)| bench.fails(z) == **y)
             .count();
         assert!(correct as f64 > 0.95 * zs.len() as f64, "{correct}/1200");
     }
@@ -511,7 +521,8 @@ mod tests {
     #[test]
     fn single_class_batches_fall_back_to_simulation() {
         // Batch entirely on the passing side: classifier cannot train.
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 100.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 100.0);
+        let counter = Simulator::unmemoised(&bench);
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(7);
         let zs = batch_around_boundary(300, 8);
@@ -523,7 +534,8 @@ mod tests {
 
     #[test]
     fn accurate_policy_simulates_uncertain_samples() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(9);
         // Train the classifier first via one rough batch.
@@ -545,7 +557,8 @@ mod tests {
     fn accurate_verdicts_are_exact_near_boundary() {
         // Every sample inside the band is simulated, so verdicts there
         // carry no classifier error at all.
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(11);
         let zs = batch_around_boundary(800, 12);
@@ -558,7 +571,7 @@ mod tests {
                 .expect("trained")
                 .is_uncertain(&z)
             {
-                let fails = counter.inner().fails(&z);
+                let fails = bench.fails(&z);
                 assert_eq!(accurate(&mut oracle, &[z]), [fails]);
             }
         }
@@ -566,7 +579,8 @@ mod tests {
 
     #[test]
     fn accurate_batches_classify_far_and_simulate_near_samples() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(9);
         let zs = batch_around_boundary(800, 10);
@@ -580,7 +594,7 @@ mod tests {
         let out = accurate(&mut oracle, &batch);
         assert!(out[0]);
         assert!(!out[2]);
-        assert_eq!(out[1], counter.inner().fails(&batch[1]));
+        assert_eq!(out[1], bench.fails(&batch[1]));
         assert_eq!(counter.simulations(), sims_before + 1);
         assert_eq!(oracle.stats().uncertain_simulated, 1);
         assert_eq!(oracle.stats().classified, 800 - 256 + 2);
@@ -588,7 +602,8 @@ mod tests {
 
     #[test]
     fn deferred_batches_owe_their_retrain_until_finished() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             retrain_threshold: 1,
             ..OracleConfig::default()
@@ -637,7 +652,8 @@ mod tests {
                 .build()
                 .expect("thread pool");
             pool.install(|| {
-                let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.3], 3.0));
+                let bench = LinearBench::new(vec![1.0, 0.3], 3.0);
+                let counter = Simulator::unmemoised(&bench);
                 let cfg = OracleConfig {
                     retrain_threshold: 64,
                     ..OracleConfig::default()
@@ -670,7 +686,8 @@ mod tests {
 
     #[test]
     fn margin_stats_track_classified_queries() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let mut oracle = ClassifierOracle::new(&counter, OracleConfig::default());
         let mut rng = StdRng::seed_from_u64(21);
         let zs = batch_around_boundary(800, 22);
@@ -692,7 +709,8 @@ mod tests {
 
     #[test]
     fn margin_stats_are_empty_without_classifier() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             svm: None,
             ..OracleConfig::default()
@@ -708,7 +726,8 @@ mod tests {
 
     #[test]
     fn pending_labels_trigger_retraining() {
-        let counter = SimCounter::new(LinearBench::new(vec![1.0, 0.0], 3.0));
+        let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
+        let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
             retrain_threshold: 4,
             ..OracleConfig::default()

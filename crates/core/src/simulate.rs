@@ -1,8 +1,9 @@
-//! The per-run simulation pipeline.
+//! The simulation pipeline.
 //!
-//! Every transistor-level simulation an estimate pays for after the
-//! boundary search goes through one [`Simulator`]. Its batch path does,
-//! in order:
+//! Every transistor-level simulation that is billed goes through a
+//! [`Simulator`]: an estimate's boundary search and its later stages
+//! (one instance each), and each of the paper's baselines. Its batch
+//! path does, in order:
 //!
 //! 1. **memo routing** — a serial pass over the batch answers repeats
 //!    from a private [`VerdictStore`] and deduplicates the rest, counting
@@ -14,18 +15,20 @@
 //!    simulation, whether the table or the bench answered it;
 //! 4. **the retry ladder** — failed evaluations climb
 //!    [`Testbench::try_fails_attempt`] in parallel (for the SRAM bench,
-//!    progressively finer butterfly grids). Each rung is one retry, one
-//!    billed simulation and one timed call;
+//!    progressively finer butterfly grids). Each rung is one retry and
+//!    one billed simulation;
 //! 5. **quarantine** — a sample that exhausts the ladder gets the
 //!    conservative verdict `false` (not a failure, so it can never
 //!    inflate the estimate) and is counted;
 //! 6. **store** — the verdict goes into the memo, so a quarantined
 //!    sample is paid for once.
 //!
-//! Hits never reach the bench and are not billed. Every counter is an
-//! atomic with `Relaxed` ordering: the memo routing is serial and the
-//! ladder's increments commute, so verdicts and totals are identical at
-//! every thread count.
+//! Hits never reach the bench and are not billed. Every call that does
+//! reach it — an attempt-0 batch or a rung — is timed and reported to the
+//! observer as a [`SimBatchStats`]; the timing is observation only.
+//! Every counter is an atomic with `Relaxed` ordering: the memo routing
+//! is serial and the ladder's increments commute, so verdicts and totals
+//! are identical at every thread count.
 //!
 //! # Simulating ahead of need
 //!
@@ -52,7 +55,7 @@
 
 use crate::bench::{EffortSnapshot, EvalError, SolveEffort, Testbench};
 use crate::cache::{MemoCacheConfig, VerdictStore, MODE_PLAIN};
-use crate::observe::{Observer, SimBatchStats};
+use crate::observe::{NullObserver, Observer, SimBatchStats};
 use crate::oracle::OracleStats;
 use crate::retry::RetryPolicy;
 use ecripse_svm::classifier::Decision;
@@ -71,14 +74,15 @@ fn key(z: &[f64]) -> Vec<u64> {
     z.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The per-run simulation pipeline over a raw bench: memo, prefetch
-/// table, attempt-0 batch, retry ladder and quarantine, with their
-/// counters. See the module docs.
+/// The simulation pipeline over a raw bench: memo, prefetch table,
+/// attempt-0 batch, retry ladder and quarantine, with their counters.
+/// See the module docs.
 ///
 /// It never evaluates detached (the [`Testbench::evaluate_detached`]
 /// default), so nothing is prefetched past it.
 pub struct Simulator<'a, B> {
-    bench: TimingBench<'a, B>,
+    bench: &'a B,
+    observer: &'a dyn Observer,
     store: VerdictStore,
     memo: bool,
     retry: RetryPolicy,
@@ -108,10 +112,8 @@ impl<'a, B: Testbench> Simulator<'a, B> {
         retry: RetryPolicy,
     ) -> Self {
         Self {
-            bench: TimingBench {
-                inner: bench,
-                observer,
-            },
+            bench,
+            observer,
             store: VerdictStore::new(cache),
             memo: cache.enabled,
             retry,
@@ -124,10 +126,38 @@ impl<'a, B: Testbench> Simulator<'a, B> {
         }
     }
 
+    /// A pipeline that bills every query: the memo off, the default
+    /// retry ladder and no observer. Each of the paper's baselines bills
+    /// through one, so its count is the queries it makes.
+    pub(crate) fn unmemoised(bench: &'a B) -> Self {
+        let cache = MemoCacheConfig {
+            enabled: false,
+            ..MemoCacheConfig::default()
+        };
+        Self::new(bench, &NullObserver, cache, RetryPolicy::default())
+    }
+
     /// Simulations billed so far: attempt-0 evaluations of memo misses
     /// plus every retry rung.
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
+    }
+
+    /// `f`'s result, with its wall time reported to the observer as one
+    /// call of `batch` samples.
+    fn timed<T>(&self, batch: usize, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.observer.sim_batch_finished(&SimBatchStats {
+            batch: batch as u64,
+            wall_seconds: start.elapsed().as_secs_f64(),
+        });
+        out
+    }
+
+    /// Attempt 0 of `zs` as one timed batch to the bench.
+    fn batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
+        self.timed(zs.len(), || self.bench.try_fails_batch(zs))
     }
 
     /// `stats` with this pipeline's counters filled in: memo hits and
@@ -168,7 +198,7 @@ impl<'a, B: Testbench> Simulator<'a, B> {
             if fresh.contains_key(&k) {
                 continue;
             }
-            let Some(receipted) = self.bench.inner.evaluate_detached(z) else {
+            let Some(receipted) = self.bench.evaluate_detached(z) else {
                 break;
             };
             fresh.insert(k, receipted);
@@ -216,12 +246,12 @@ impl<'a, B: Testbench> Simulator<'a, B> {
             let mut table = self.table.lock();
             if table.is_empty() {
                 drop(table);
-                return self.bench.try_fails_batch(zs);
+                return self.batch(zs);
             }
             zs.iter()
                 .map(|z| {
                     let (outcome, receipt) = table.remove(&key(z))?;
-                    self.bench.inner.book(&receipt);
+                    self.bench.book(&receipt);
                     Some(outcome)
                 })
                 .collect()
@@ -237,7 +267,7 @@ impl<'a, B: Testbench> Simulator<'a, B> {
         let mut fresh = if misses.is_empty() {
             Vec::new()
         } else {
-            self.bench.try_fails_batch(&misses)
+            self.batch(&misses)
         }
         .into_iter();
         taken
@@ -258,7 +288,7 @@ impl<'a, B: Testbench> Simulator<'a, B> {
                 Err(_) => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     self.simulations.fetch_add(1, Ordering::Relaxed);
-                    outcome = self.bench.try_fails_attempt(z, attempt);
+                    outcome = self.timed(1, || self.bench.try_fails_attempt(z, attempt));
                 }
             }
         }
@@ -292,87 +322,9 @@ impl<B: Testbench> Testbench for Simulator<'_, B> {
     }
 }
 
-/// The stage-2 loop's handle on the prefetch table, implemented by
-/// [`Simulator`]. [`importance_stage`](crate::importance::importance_stage)
-/// takes it as an option, so the baselines that sample a fixed
-/// alternative pass `None`.
-pub trait Lookahead {
-    /// See [`Simulator::prefetch`].
-    fn prefetch(&self, points: &[Vec<f64>], decision: &Decision, done: &AtomicBool) -> u64;
-    /// See [`Simulator::end_round`].
-    fn end_round(&self) -> u64;
-}
-
-impl<B: Testbench> Lookahead for Simulator<'_, B> {
-    fn prefetch(&self, points: &[Vec<f64>], decision: &Decision, done: &AtomicBool) -> u64 {
-        Simulator::prefetch(self, points, decision, done)
-    }
-
-    fn end_round(&self) -> u64 {
-        Simulator::end_round(self)
-    }
-}
-
-/// Times every call that reaches the raw bench and reports it to the
-/// observer as a [`SimBatchStats`] event: the boundary search's batches
-/// and a [`Simulator`]'s attempt-0 batches and retry rungs. Memo hits
-/// and prefetch-table answers never arrive here, and detached
-/// evaluations bypass it.
-///
-/// Strictly observation-only: verdicts pass through untouched and the
-/// only payload is wall-clock time, so the determinism contract holds
-/// with or without an observer attached.
-pub(crate) struct TimingBench<'a, B> {
-    pub(crate) inner: &'a B,
-    pub(crate) observer: &'a dyn Observer,
-}
-
-impl<B: Testbench> TimingBench<'_, B> {
-    fn timed<T>(&self, batch: u64, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.observer.sim_batch_finished(&SimBatchStats {
-            batch,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        });
-        out
-    }
-}
-
-impl<B: Testbench> Testbench for TimingBench<'_, B> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn fails(&self, z: &[f64]) -> bool {
-        self.timed(1, || self.inner.fails(z))
-    }
-
-    fn fails_batch(&self, zs: &[Vec<f64>]) -> Vec<bool> {
-        self.timed(zs.len() as u64, || self.inner.fails_batch(zs))
-    }
-
-    fn try_fails(&self, z: &[f64]) -> Result<bool, EvalError> {
-        self.timed(1, || self.inner.try_fails(z))
-    }
-
-    fn try_fails_attempt(&self, z: &[f64], attempt: usize) -> Result<bool, EvalError> {
-        self.timed(1, || self.inner.try_fails_attempt(z, attempt))
-    }
-
-    fn try_fails_batch(&self, zs: &[Vec<f64>]) -> Vec<Result<bool, EvalError>> {
-        self.timed(zs.len() as u64, || self.inner.try_fails_batch(zs))
-    }
-
-    fn solve_effort(&self) -> SolveEffort {
-        self.inner.solve_effort()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::NullObserver;
     use ecripse_svm::classifier::{SvmClassifier, SvmConfig};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;

@@ -194,8 +194,9 @@ impl std::error::Error for SnapshotError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecripse_core::bench::{LinearBench, SimCounter, Testbench};
+    use ecripse_core::bench::{LinearBench, Testbench};
     use ecripse_core::cache::{MemoBench, MemoCacheConfig};
+    use ecripse_core::{NullObserver, RetryPolicy, Simulator};
     use std::sync::Arc;
 
     fn bench() -> LinearBench {
@@ -234,14 +235,20 @@ mod tests {
             0,
             "restoring counts nothing"
         );
-        let warm = MemoBench::shared(SimCounter::new(bench()), 7, Arc::clone(&restored), true);
+        let raw = bench();
+        let memo_off = MemoCacheConfig {
+            enabled: false,
+            ..MemoCacheConfig::default()
+        };
+        let billed = Simulator::new(&raw, &NullObserver, memo_off, RetryPolicy::default());
+        let warm = MemoBench::shared(&billed, 7, Arc::clone(&restored), true);
         assert_eq!(warm.fails(&hot), expected_hot);
         assert_eq!(
             warm.try_fails(&cold).expect("linear bench is total"),
             expected_cold
         );
         assert_eq!(
-            warm.inner().simulations(),
+            billed.simulations(),
             0,
             "restored verdicts must be served from the store"
         );

@@ -61,7 +61,7 @@ impl Butterfly {
     }
 
     /// Like [`Self::sample`], but surfaces a garbage operating point
-    /// (NaN supply, non-finite ΔVth propagating into the curves) as a
+    /// (a non-finite supply, bias voltage, device threshold or β) as a
     /// typed [`EvalError`] instead of handing back poisoned data.
     ///
     /// # Panics
@@ -70,8 +70,8 @@ impl Butterfly {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::NonFinite`] when the supply or either
-    /// transfer curve contains a NaN or infinity.
+    /// Returns [`EvalError::NonFinite`] when the supply, a bias voltage,
+    /// a device threshold or a device β is a NaN or infinity.
     pub fn try_sample(
         cell: &Sram6T,
         bias: &BiasCondition,
@@ -94,8 +94,8 @@ impl Butterfly {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::NonFinite`] when the supply or either
-    /// transfer curve contains a NaN or infinity.
+    /// Returns [`EvalError::NonFinite`] when the supply, a bias voltage,
+    /// a device threshold or a device β is a NaN or infinity.
     pub fn try_sample_counted(
         cell: &Sram6T,
         bias: &BiasCondition,
@@ -140,6 +140,16 @@ impl Butterfly {
                 context: "supply voltage",
             });
         }
+        if [bias.wl, bias.bl, bias.blb].iter().any(|v| !v.is_finite()) {
+            return Err(EvalError::NonFinite {
+                context: "bias voltage",
+            });
+        }
+        if !cell.has_finite_devices() {
+            return Err(EvalError::NonFinite {
+                context: "device threshold or beta",
+            });
+        }
         let grid: Vec<f64> = (0..points)
             .map(|i| vdd * i as f64 / (points - 1) as f64)
             .collect();
@@ -153,17 +163,6 @@ impl Butterfly {
         };
         let (curve_a, iters_a) = curve(true);
         let (curve_b, iters_b) = curve(false);
-        // A curve stops short at its first non-finite point; the earlier
-        // stop (curve A at a tie) is the one a point-by-point sweep of
-        // both curves meets first.
-        if curve_a.len() < points || curve_b.len() < points {
-            let context = if curve_a.len() <= curve_b.len() {
-                "butterfly curve A"
-            } else {
-                "butterfly curve B"
-            };
-            return Err(EvalError::NonFinite { context });
-        }
         let effort = SampleEffort {
             solves: 2 * points as u64,
             newton_iters: iters_a + iters_b,
@@ -202,8 +201,8 @@ impl Butterfly {
 }
 
 /// One half-cell transfer curve on `grid` (the right half when `right`)
-/// and the Newton evaluations it cost. The curve stops before its first
-/// non-finite point.
+/// and the Newton evaluations it cost. Every root comes from a bracketed
+/// solve, so every point is finite.
 ///
 /// Point `i` starts from `seeds[i / 2]` when `i` is even and the seeds
 /// reach it, else from the root [`predict`] extrapolates. A start only
@@ -226,9 +225,6 @@ fn solve_curve(
         // the next one from above.
         let v = cell.solve_vtc(right, bias, vin, outputs.last().copied(), guess, resolution);
         newton_iters += u64::from(v.iters);
-        if !v.v.is_finite() {
-            break;
-        }
         outputs.push(v.v);
     }
     (outputs, newton_iters)
@@ -287,6 +283,30 @@ mod tests {
     fn rejects_degenerate_grid() {
         let cell = Sram6T::paper_cell();
         let _ = Butterfly::sample(&cell, &cell.read_bias(), 1);
+    }
+
+    #[test]
+    fn non_finite_operating_points_are_typed_errors_not_curves() {
+        let cell = Sram6T::paper_cell();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let skewed = cell.with_delta_vth(&[bad, 0.0, 0.0, 0.0, 0.0, 0.0]);
+            assert_eq!(
+                Butterfly::try_sample(&skewed, &skewed.read_bias(), 21),
+                Err(EvalError::NonFinite {
+                    context: "device threshold or beta"
+                })
+            );
+            let bias = BiasCondition {
+                wl: bad,
+                ..cell.read_bias()
+            };
+            assert_eq!(
+                Butterfly::try_sample(&cell, &bias, 21),
+                Err(EvalError::NonFinite {
+                    context: "bias voltage"
+                })
+            );
+        }
     }
 
     #[test]

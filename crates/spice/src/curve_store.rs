@@ -151,9 +151,7 @@ impl CurveStore {
 
     /// The curve of one half of `cell` under `bias` on `points` grid
     /// points, with the Newton evaluations its solve cost: taken from the
-    /// store, else computed by `solve` and stored if it came out whole
-    /// (`points` outputs). A partial curve — the solve stopped at a
-    /// non-finite point — is returned but never stored.
+    /// store, else computed by `solve` and stored.
     pub(crate) fn curve(
         &self,
         cell: &Sram6T,
@@ -176,24 +174,22 @@ impl CurveStore {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let (outputs, newton_iters) = solve();
-        if outputs.len() == points {
-            let mut held = slot.lock().expect(UNPOISONED);
-            match held.as_mut() {
-                // Refill the evicted entry's buffer: no allocation once
-                // the slot has held a curve this long.
-                Some(entry) => {
-                    entry.key = key;
-                    entry.outputs.clear();
-                    entry.outputs.extend_from_slice(&outputs);
-                    entry.newton_iters = newton_iters;
-                }
-                None => {
-                    *held = Some(Entry {
-                        key,
-                        outputs: outputs.clone(),
-                        newton_iters,
-                    })
-                }
+        let mut held = slot.lock().expect(UNPOISONED);
+        match held.as_mut() {
+            // Refill the evicted entry's buffer: no allocation once the
+            // slot has held a curve this long.
+            Some(entry) => {
+                entry.key = key;
+                entry.outputs.clear();
+                entry.outputs.extend_from_slice(&outputs);
+                entry.newton_iters = newton_iters;
+            }
+            None => {
+                *held = Some(Entry {
+                    key,
+                    outputs: outputs.clone(),
+                    newton_iters,
+                })
             }
         }
         (outputs, newton_iters)

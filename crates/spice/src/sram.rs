@@ -179,6 +179,16 @@ impl Sram6T {
         self.vdd
     }
 
+    /// Whether every device's threshold and gain factor β is finite. A
+    /// non-finite one poisons the node currents, yet the bracketed VTC
+    /// solves still return finite roots, so it must be caught up front.
+    pub(crate) fn has_finite_devices(&self) -> bool {
+        self.devices
+            .iter()
+            .zip(&self.betas)
+            .all(|(device, beta)| device.vth().is_finite() && beta.is_finite())
+    }
+
     /// The device at a canonical position.
     pub fn device(&self, which: CellDevice) -> &Mosfet {
         &self.devices[which as usize]

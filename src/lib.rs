@@ -71,7 +71,7 @@ pub mod prelude {
         gibbs_is, mean_shift_is, naive_monte_carlo, statistical_blockade, BlockadeConfig,
         GibbsConfig, MeanShiftConfig, NaiveConfig, SequentialImportanceSampling,
     };
-    pub use ecripse_core::bench::{SimCounter, Testbench};
+    pub use ecripse_core::bench::Testbench;
     pub use ecripse_core::cache::{MemoBench, MemoCacheConfig, VerdictStore};
     pub use ecripse_core::ecripse::{
         Ecripse, EcripseConfig, EcripseResult, EstimateError, RunOptions,
