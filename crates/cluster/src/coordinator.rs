@@ -23,17 +23,24 @@
 //!
 //! # Sharding
 //!
-//! A sweep's duty grid is partitioned over the live workers by a
-//! [consistent-hash ring](crate::ring): each point's key hashes to an
-//! owner, each owner's points are chunked into shards of at most
-//! [`ClusterConfig::shard_points`], and each shard ships as a normal
-//! serve submission whose [`JobSpec::sweep_shard`] carries the points'
-//! *global grid indices*. The worker seeds every point by global index
-//! — exactly the seed a single-process full-grid run would use — so
-//! the merged report is bit-identical to the unsharded run (see
-//! [`merge_sweep_shards`]).
-//! Estimates have nothing to split and are forwarded whole to one
-//! ring-chosen worker.
+//! A sweep's duty grid is cut, in index order, into contiguous shards
+//! of at most [`ClusterConfig::shard_points`] points, and each shard
+//! ships as a normal serve submission whose [`JobSpec::sweep_shard`]
+//! carries the points' *global grid indices*. The worker seeds every
+//! point by global index — exactly the seed a single-process full-grid
+//! run would use — so the merged report is bit-identical to the
+//! unsharded run (see [`merge_sweep_shards`]). Estimates have nothing
+//! to split and are forwarded whole as a job's only slot.
+//!
+//! # Placement
+//!
+//! One rule places every slot: slot `j` of job `id` goes to
+//! `alive[(id + j) mod n]`, where `alive` is the registry's live
+//! workers sorted by name, read once per dispatch round. A job's shards
+//! are dealt round-robin over the workers, and consecutive jobs (and
+//! so forwarded estimates, each a slot 0) start one worker further on.
+//! A slot is placed when it is dispatched or re-dispatched; a running
+//! slot never moves while its worker lives.
 //!
 //! # Failover
 //!
@@ -67,7 +74,6 @@ use crate::protocol::{
     RegisterResponse, WorkerMetricsView, WorkerView,
 };
 use crate::registry::WorkerRegistry;
-use crate::ring::HashRing;
 use ecripse_core::sweep::{merge_sweep_shards, SweepResult, SweepShard};
 use ecripse_core::telemetry::{
     escape_label_value, fmt_hex_id, Counter, Gauge, MetricsRegistry, SpanRecord, TraceContext,
@@ -992,18 +998,6 @@ fn poll_client(shared: &Shared, addr: &str) -> Client {
     Client::new(addr.to_string()).with_timeout(shared.config.worker_timeout)
 }
 
-/// The ring over currently-live workers, or `None` when the cluster is
-/// empty.
-fn live_ring(shared: &Shared) -> Option<(HashRing, HashMap<String, String>)> {
-    let alive = shared.registry.alive();
-    if alive.is_empty() {
-        return None;
-    }
-    let names: Vec<String> = alive.iter().map(|(name, _)| name.clone()).collect();
-    let addrs: HashMap<String, String> = alive.into_iter().collect();
-    Some((HashRing::new(&names), addrs))
-}
-
 /// Common per-round bookkeeping: honours cancel, coordinator deadline
 /// and drain.
 fn check_interrupts(
@@ -1038,7 +1032,7 @@ fn cancel_remotes(shared: &Shared, slots: &[Slot]) {
 /// estimate — runs them through [`supervise`], records their spans
 /// whatever the outcome, and returns the merged sweep or the estimate.
 fn run_job(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
     request: &SubmitRequest,
     stop: &AtomicBool,
@@ -1046,7 +1040,7 @@ fn run_job(
     tracing: &mut JobTraceState,
 ) -> Result<JobOutput, DispatchEnd> {
     let mut slots = match request.job.kind {
-        JobKind::Sweep => plan_shards(shared, id, request, stop, deadline, tracing)?,
+        JobKind::Sweep => plan_shards(id, request, shared.config.shard_points, tracing),
         // An estimate has nothing to split: it ships whole.
         JobKind::Estimate => vec![Slot::new(
             request.clone(),
@@ -1107,10 +1101,11 @@ fn merge_shards(total: usize, slots: Vec<Slot>) -> Result<SweepOutcome, Dispatch
 }
 
 /// The one loop every remote job runs through. Each round honours
-/// cancel, deadline and drain, re-dispatches the slots whose worker was
-/// reaped or lost them, and polls the rest, until every slot holds its
-/// report. However the loop ends short, the still-running remote jobs
-/// are cancelled.
+/// cancel, deadline and drain, reads the live workers once, re-dispatches
+/// the slots whose worker was reaped or lost them (to their
+/// [`placement`] among the live workers; none while no worker lives),
+/// and polls the rest, until every slot holds its report. However the
+/// loop ends short, the still-running remote jobs are cancelled.
 fn supervise(
     shared: &Shared,
     id: u64,
@@ -1120,9 +1115,10 @@ fn supervise(
 ) -> Result<(), DispatchEnd> {
     loop {
         let round = check_interrupts(shared, stop, deadline).and_then(|()| {
-            let ring = live_ring(shared);
+            let alive = shared.registry.alive();
             let mut all_done = true;
-            for slot in slots.iter_mut().filter(|slot| slot.done.is_none()) {
+            let pending = slots.iter_mut().enumerate();
+            for (j, slot) in pending.filter(|(_, slot)| slot.done.is_none()) {
                 all_done = false;
                 // A reaped owner invalidates the assignment even when
                 // the socket still answers (a hung process can hold its
@@ -1134,8 +1130,8 @@ fn supervise(
                 }
                 if slot.assigned.is_some() {
                     poll_slot(shared, id, slot)?;
-                } else if let Some((ring, addrs)) = &ring {
-                    submit_slot(shared, ring, addrs, slot);
+                } else if let Some(worker) = placement(&alive, id, j) {
+                    submit_slot(shared, worker, slot);
                 }
             }
             Ok(all_done)
@@ -1151,20 +1147,23 @@ fn supervise(
     }
 }
 
-/// Submits an unassigned slot to its ring owner. A failed submission
-/// (the worker may have just died or be saturated) leaves the slot
-/// unassigned, and the next round re-picks an owner.
-fn submit_slot(shared: &Shared, ring: &HashRing, addrs: &HashMap<String, String>, slot: &mut Slot) {
-    let Some(owner) = ring.owner(slot.key()) else {
-        return;
-    };
-    let Some(addr) = addrs.get(owner) else {
-        return;
-    };
+/// The worker slot `j` of job `id` runs on: `alive[(id + j) mod n]`,
+/// over the live `(name, addr)` pairs sorted by name. `None` when no
+/// worker is alive.
+fn placement(alive: &[(String, String)], id: u64, j: usize) -> Option<&(String, String)> {
+    let n = alive.len() as u64;
+    let k = (id.checked_rem(n)? + j as u64 % n) % n;
+    alive.get(k as usize)
+}
+
+/// Submits an unassigned slot to `worker`, a live `(name, addr)`. A
+/// failed submission (the worker may have just died or be saturated)
+/// leaves the slot unassigned, and the next round places it again.
+fn submit_slot(shared: &Shared, (name, addr): &(String, String), slot: &mut Slot) {
     let Ok(status) = submit_client(shared, addr).submit(&slot.request) else {
         return;
     };
-    slot.assigned = Some((owner.to_string(), addr.clone(), status.id));
+    slot.assigned = Some((name.clone(), addr.clone(), status.id));
     slot.started_at.get_or_insert_with(Instant::now);
     let source = (addr.clone(), status.id);
     if !slot.sources.contains(&source) {
@@ -1263,57 +1262,32 @@ fn finish_slot(
     Ok(())
 }
 
-/// Builds the shard plan: every point's key hashes to an owner on the
-/// ring over the workers live *at plan time*, and each owner's points
-/// are chunked into runs of at most `shard_points`. Blocks (politely)
-/// until at least one worker is alive.
+/// Builds the shard plan: the job's duty grid cut, in index order, into
+/// contiguous runs of at most `shard_points` points, one slot each.
 fn plan_shards(
-    shared: &Arc<Shared>,
     id: u64,
     request: &SubmitRequest,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
+    shard_points: usize,
     tracing: &JobTraceState,
-) -> Result<Vec<Slot>, DispatchEnd> {
-    let (ring, _) = loop {
-        check_interrupts(shared, stop, deadline)?;
-        if let Some(live) = live_ring(shared) {
-            break live;
-        }
-        std::thread::sleep(shared.config.poll_interval);
-    };
+) -> Vec<Slot> {
     let alphas = request.job.alphas.as_deref().unwrap_or_default();
-    let mut by_owner: HashMap<String, Vec<usize>> = HashMap::new();
-    for k in 0..alphas.len() {
-        let owner = ring
-            .owner(&format!("job-{id}/point-{k}"))
-            .unwrap_or_default()
-            .to_string();
-        by_owner.entry(owner).or_default().push(k);
-    }
-    // Deterministic slot order: owners sorted by name, each owner's
-    // points already ascending.
-    let mut owners: Vec<String> = by_owner.keys().cloned().collect();
-    owners.sort_unstable();
-    let chunk = shared.config.shard_points.max(1);
-    let mut slots = Vec::new();
-    for owner in owners {
-        for run in by_owner[&owner].chunks(chunk) {
-            let indices: Vec<u64> = run.iter().map(|&k| k as u64).collect();
-            let shard_alphas: Vec<f64> = run.iter().map(|&k| alphas[k]).collect();
+    let chunk = shard_points.max(1);
+    (0..alphas.len())
+        .step_by(chunk)
+        .map(|first| {
+            let run = first..(first + chunk).min(alphas.len());
+            let indices = run.clone().map(|k| k as u64).collect();
             // The span name (and so the key) derives from the shard's
             // first global index — stable across re-dispatches, unique
             // within the job.
-            let span_name = format!("shard-{}", indices[0]);
-            slots.push(Slot::new(
-                shard_submit_request(request, shard_alphas, indices),
+            Slot::new(
+                shard_submit_request(request, alphas[run].to_vec(), indices),
                 id,
-                span_name,
+                format!("shard-{first}"),
                 tracing,
-            ));
-        }
-    }
-    Ok(slots)
+            )
+        })
+        .collect()
 }
 
 /// The serve submission one shard ships as: the job's config and
@@ -1477,6 +1451,53 @@ mod tests {
         membership.leave();
         worker.shutdown();
         coordinator.shutdown();
+    }
+
+    /// The plan cuts the grid into contiguous runs in index order, and
+    /// the placement deals them round-robin from the job id onwards.
+    #[test]
+    fn shards_are_contiguous_runs_dealt_round_robin() {
+        let alphas: Vec<f64> = (0..10).map(|k| f64::from(k) / 9.0).collect();
+        let request = SubmitRequest::new(Default::default(), JobSpec::sweep(0.7, alphas.clone()));
+        let tracing = JobTraceState::new(TraceContext::for_job(1, 0));
+        let slots = plan_shards(1, &request, 2, &tracing);
+        let runs: Vec<Vec<u64>> = slots
+            .iter()
+            .map(|slot| slot.request.job.alpha_indices.clone().unwrap_or_default())
+            .collect();
+        assert_eq!(runs, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]);
+        for slot in &slots {
+            let indices = slot
+                .request
+                .job
+                .alpha_indices
+                .as_deref()
+                .unwrap_or_default();
+            let shard_alphas: Vec<f64> = indices.iter().map(|&k| alphas[k as usize]).collect();
+            assert_eq!(slot.request.job.alphas.as_deref(), Some(&shard_alphas[..]));
+            assert_eq!(slot.span_name, format!("shard-{}", indices[0]));
+            assert_eq!(slot.key(), format!("cluster/job-1/shard-{}", indices[0]));
+        }
+        // A ragged tail is its own shorter shard.
+        let tail: Vec<usize> = plan_shards(1, &request, 4, &tracing)
+            .iter()
+            .map(|slot| slot.request.job.alphas.as_ref().map_or(0, Vec::len))
+            .collect();
+        assert_eq!(tail, [4, 4, 2]);
+
+        let worker = |name: &str| (name.to_string(), format!("{name}:1"));
+        let pair = [worker("a"), worker("b")];
+        let names: Vec<&str> = (0..slots.len())
+            .filter_map(|j| placement(&pair, 1, j))
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(names, ["b", "a", "b", "a", "b"]);
+        let single = [worker("a")];
+        assert!((0..5).all(|j| placement(&single, 1, j) == Some(&single[0])));
+        assert_eq!(placement(&[], 1, 0), None);
+        // A forwarded estimate is slot 0: estimates spread by job id.
+        assert_eq!(placement(&pair, 2, 0), Some(&pair[0]));
+        assert_eq!(placement(&pair, u64::MAX, usize::MAX), Some(&pair[0]));
     }
 
     #[test]

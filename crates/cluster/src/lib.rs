@@ -5,9 +5,6 @@
 //! wire protocol. A **coordinator** fronts a fleet of plain
 //! `ecripse-serve` **workers**:
 //!
-//! * [`ring`] — the consistent-hash ring that partitions a sweep's
-//!   duty points over the live workers (and keeps survivor shards in
-//!   place when a worker dies);
 //! * [`registry`] — the worker liveness registry fed by registrations
 //!   and heartbeats, reaped on silence;
 //! * [`protocol`] — the cluster-management wire types (register,
@@ -16,8 +13,9 @@
 //! * [`join`](mod@join) — the worker-side register-and-heartbeat loop behind
 //!   `ecripse-cli serve --join ADDR`;
 //! * [`coordinator`] — the front door: accepts ordinary
-//!   [`SubmitRequest`](ecripse_serve::protocol::SubmitRequest)s, shards
-//!   sweeps across workers, reassigns shards off dead workers under
+//!   [`SubmitRequest`](ecripse_serve::protocol::SubmitRequest)s, cuts
+//!   sweeps into contiguous shards dealt round-robin over the live
+//!   workers, reassigns shards off dead workers under
 //!   stable idempotency keys, and merges shard reports into a result
 //!   **bit-identical** to a single-process run (via
 //!   [`merge_sweep_shards`](ecripse_core::sweep::merge_sweep_shards)).
@@ -40,7 +38,6 @@ pub mod coordinator;
 pub mod join;
 pub mod protocol;
 pub mod registry;
-pub mod ring;
 
 pub use coordinator::{ClusterConfig, Coordinator};
 pub use join::{join, JoinConfig, JoinHandle};
@@ -49,4 +46,3 @@ pub use protocol::{
     RegisterResponse, WorkerMetricsView, WorkerView,
 };
 pub use registry::{WorkerEntry, WorkerRegistry};
-pub use ring::{HashRing, DEFAULT_VNODES};

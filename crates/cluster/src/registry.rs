@@ -84,8 +84,8 @@ impl WorkerRegistry {
         died
     }
 
-    /// `(name, addr)` of every live worker, sorted by name so ring
-    /// construction (and therefore shard placement) is deterministic.
+    /// `(name, addr)` of every live worker, sorted by name so shard
+    /// placement is deterministic.
     pub fn alive(&self) -> Vec<(String, String)> {
         let workers = self.workers.lock();
         let mut alive: Vec<(String, String)> = workers
@@ -100,11 +100,6 @@ impl WorkerRegistry {
     /// Whether `name` is currently registered and alive.
     pub fn is_alive(&self, name: &str) -> bool {
         self.workers.lock().get(name).is_some_and(|w| w.alive)
-    }
-
-    /// The dial address of `name`, dead or alive.
-    pub fn addr_of(&self, name: &str) -> Option<String> {
-        self.workers.lock().get(name).map(|w| w.addr.clone())
     }
 
     /// Snapshot of every worker (for `GET /v1/cluster/workers`), sorted
@@ -159,7 +154,10 @@ mod tests {
         // Re-register revives (the restarted-worker path).
         assert!(registry.register("w1", "127.0.0.1:2", t0 + Duration::from_secs(11)));
         assert!(registry.is_alive("w1"));
-        assert_eq!(registry.addr_of("w1").as_deref(), Some("127.0.0.1:2"));
+        assert_eq!(
+            registry.alive(),
+            [("w1".to_string(), "127.0.0.1:2".to_string())]
+        );
     }
 
     #[test]

@@ -193,7 +193,7 @@ fn sharded_sweep_is_bit_identical_to_a_single_process_run() {
     );
 
     // Both workers actually took part: 7 points in 2-point shards is 4
-    // shards, and the consistent-hash placement spreads job keys.
+    // shards, dealt round-robin over the two workers.
     let metrics = coordinator.metrics();
     assert!(
         metrics.shards_completed_total >= 4,
@@ -209,8 +209,8 @@ fn sharded_sweep_is_bit_identical_to_a_single_process_run() {
     coordinator.shutdown();
 }
 
-/// Estimates have nothing to shard: they forward whole to one
-/// ring-chosen worker and come back bit-identical too.
+/// Estimates have nothing to shard: they forward whole to one worker
+/// and come back bit-identical too.
 #[test]
 fn estimates_forward_whole_and_match_a_direct_run() {
     let single = bind_worker();
@@ -569,10 +569,10 @@ fn fresh_coordinator_declares_the_golden_metric_families() {
     coordinator.shutdown();
 }
 
-/// Kill a worker mid-sweep (in-process flavour: stop heartbeats *and*
-/// the server so its shards genuinely die) and the coordinator must
-/// reassign its unfinished shards to the survivor — with the merged
-/// result still bit-identical to a single-process run.
+/// Take a worker out mid-sweep while it holds its shards at a closed
+/// gate: its heartbeats stop, the reaper declares it dead, and the
+/// coordinator must reassign its unfinished shards to the survivor —
+/// with the merged result still bit-identical to a single-process run.
 #[test]
 fn dead_workers_shards_are_reassigned_to_survivors() {
     let single = bind_worker();
@@ -594,19 +594,26 @@ fn dead_workers_shards_are_reassigned_to_survivors() {
         },
     )
     .expect("bind coordinator");
-    let victim = bind_worker();
+    let victim_gate = Arc::new(AtomicBool::new(false));
+    let victim = bind_gated_worker("victim", &victim_gate);
     let survivor = bind_worker();
     let m_victim = join_worker(&coordinator, "victim", &victim);
     let m_survivor = join_worker(&coordinator, "survivor", &survivor);
+    let until = Instant::now() + WAIT;
+    while coordinator.metrics().workers_alive < 2 {
+        assert!(Instant::now() < until, "both workers never joined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let client = Client::new(coordinator.local_addr().to_string());
-    client.wait_ready(WAIT).expect("ready");
 
     let submitted = client.submit(&request).expect("submit to coordinator");
-    // Let dispatch begin, then take the victim down hard: heartbeats
-    // stop and its socket closes, so in-flight shards are lost.
-    std::thread::sleep(Duration::from_millis(100));
+    // The victim holds its shards at its closed gate, so none of them
+    // can finish before it stops heartbeating.
+    while !runs_a_job(victim.local_addr()) {
+        assert!(Instant::now() < until, "the victim never started a shard");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     m_victim.leave();
-    victim.shutdown();
 
     let report = client
         .wait_for_report(submitted.id, WAIT)
@@ -620,9 +627,122 @@ fn dead_workers_shards_are_reassigned_to_survivors() {
         merged, baseline,
         "reassigned shards must not change the merged result"
     );
+    let metrics = coordinator.metrics();
+    assert!(
+        metrics.shards_reassigned_total >= 1,
+        "the dead worker's shards were never reassigned"
+    );
 
+    victim_gate.store(true, Ordering::SeqCst);
+    victim.shutdown();
     m_survivor.leave();
     survivor.shutdown();
+    coordinator.shutdown();
+}
+
+/// The sweep each worker's jobs computed, as runs of global grid
+/// indices: worker job ids count up from 1, and each point's α is
+/// looked up in the full grid.
+fn shard_runs(worker: std::net::SocketAddr, alphas: &[f64]) -> Vec<Vec<usize>> {
+    let client = Client::new(worker.to_string());
+    let jobs = client.metrics().expect("worker metrics").submitted;
+    (1..=jobs)
+        .map(|id| {
+            let outcome = client
+                .report(id)
+                .expect("worker report")
+                .sweep
+                .expect("a shard's sweep outcome");
+            outcome
+                .points
+                .iter()
+                .map(|point| {
+                    alphas
+                        .iter()
+                        .position(|&alpha| alpha == point.alpha)
+                        .expect("a shard point lies on the grid")
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A 10-point sweep in 2-point shards is five contiguous shards in
+/// index order, dealt round-robin over the two live workers from the
+/// job id onwards: one search-and-reference per shard, and both workers
+/// busy.
+#[test]
+fn a_sweep_is_cut_into_contiguous_shards_dealt_round_robin() {
+    let request = sweep_request(53, 10);
+    let alphas = request.job.alphas.clone().expect("a sweep grid");
+    let single = bind_worker();
+    let single_client = Client::new(single.local_addr().to_string());
+    let submitted = single_client.submit(&request).expect("submit baseline");
+    let mut baseline = single_client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("baseline completes")
+        .sweep
+        .expect("baseline sweep outcome");
+    single.shutdown();
+
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let survivor = bind_worker();
+    let victim = bind_worker();
+    let m_survivor = join_worker(&coordinator, "survivor", &survivor);
+    let m_victim = join_worker(&coordinator, "victim", &victim);
+    let until = Instant::now() + WAIT;
+    while coordinator.metrics().workers_alive < 2 {
+        assert!(Instant::now() < until, "both workers never joined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let client = Client::new(coordinator.local_addr().to_string());
+    let submitted = client.submit(&request).expect("submit to coordinator");
+    assert_eq!(submitted.id, 1, "a fresh coordinator's first job");
+    let report = client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("cluster sweep completes");
+    assert_eq!(report.state, JobState::Completed);
+    let mut merged = report.sweep.expect("merged sweep outcome");
+    strip_outcome_timings(&mut baseline);
+    strip_outcome_timings(&mut merged);
+    assert_eq!(merged, baseline, "the merge must match a single process");
+
+    let mut shard_spans: Vec<String> = client
+        .trace(submitted.id)
+        .expect("merged trace document")
+        .spans
+        .into_iter()
+        .filter(|span| span.node == "coordinator" && span.name.starts_with("shard-"))
+        .map(|span| span.name)
+        .collect();
+    shard_spans.sort_unstable();
+    assert_eq!(
+        shard_spans,
+        ["shard-0", "shard-2", "shard-4", "shard-6", "shard-8"]
+    );
+    assert_eq!(coordinator.metrics().shards_dispatched_total, 5);
+
+    let mut runs = Vec::new();
+    for (name, worker) in [("survivor", &survivor), ("victim", &victim)] {
+        let worker_runs = shard_runs(worker.local_addr(), &alphas);
+        assert!(
+            worker_runs.len() >= 2,
+            "{name} completed {} shards: {worker_runs:?}",
+            worker_runs.len()
+        );
+        runs.extend(worker_runs);
+    }
+    runs.sort_unstable();
+    assert_eq!(
+        runs,
+        [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]],
+        "shards must be contiguous runs of the grid"
+    );
+
+    m_survivor.leave();
+    m_victim.leave();
+    survivor.shutdown();
+    victim.shutdown();
     coordinator.shutdown();
 }
 

@@ -11,6 +11,7 @@
 //! Training uses a variance-inflated pilot distribution so the pilot set
 //! actually contains failures (the standard "tail sampling" trick).
 
+use super::{nominal_trial, TRIAL_CHUNK};
 use crate::bench::Testbench;
 use crate::rtn_source::RtnSource;
 use crate::simulate::Simulator;
@@ -87,6 +88,11 @@ impl std::error::Error for BlockadeError {}
 
 /// Runs statistical blockade.
 ///
+/// The pilot set is simulated as one batch. Monte Carlo trials are drawn
+/// in chunks; the blockade predicts each chunk and its unblocked trials
+/// are simulated as one batch. Simulating draws no randomness, so
+/// trials and verdicts are those of a trial-by-trial run.
+///
 /// # Errors
 ///
 /// Returns [`BlockadeError::PilotSingleClass`] when the pilot
@@ -112,15 +118,14 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
     let dim = bench.dim();
 
     // Pilot phase: inflated sampling, all simulated.
-    let mut pilot_x = Vec::with_capacity(config.n_pilot);
-    let mut pilot_y = Vec::with_capacity(config.n_pilot);
-    for _ in 0..config.n_pilot {
-        let z: Vec<f64> = (0..dim)
-            .map(|_| config.pilot_sigma * normals.sample(&mut rng))
-            .collect();
-        pilot_y.push(sim.fails(&z));
-        pilot_x.push(z);
-    }
+    let pilot_x: Vec<Vec<f64>> = (0..config.n_pilot)
+        .map(|_| {
+            (0..dim)
+                .map(|_| config.pilot_sigma * normals.sample(&mut rng))
+                .collect()
+        })
+        .collect();
+    let pilot_y = sim.fails_batch(&pilot_x);
     let classifier = match SvmClassifier::fit(&config.svm, &pilot_x, &pilot_y) {
         Ok(c) => c,
         Err(TrainError::SingleClass) | Err(TrainError::EmptyTrainingSet) => {
@@ -131,26 +136,21 @@ pub fn statistical_blockade<B: Testbench, S: RtnSource>(
     // Monte Carlo phase: nominal sampling behind the blockade.
     let mut failures = 0u64;
     let mut unblocked = 0u64;
-    for _ in 0..config.n_samples {
-        let mut z = normals.sample_vec(&mut rng, dim);
-        if !rtn.is_null() {
-            let shift = rtn.sample_whitened(&mut rng);
-            for (zi, si) in z.iter_mut().zip(&shift) {
-                *zi += si;
-            }
-        }
+    let mut done = 0;
+    while done < config.n_samples {
+        let end = (done + TRIAL_CHUNK).min(config.n_samples);
         // Blockade: confident "pass" predictions are waved through;
         // everything else is simulated.
-        let (fails, margin) = classifier.predict_with_margin(&z);
-        let uncertain = margin.abs() < classifier.config().uncertain_band;
-        let blocked = !fails && !uncertain;
-        if blocked {
-            continue;
-        }
-        unblocked += 1;
-        if sim.fails(&z) {
-            failures += 1;
-        }
+        let through: Vec<Vec<f64>> = (done..end)
+            .map(|_| nominal_trial(&mut normals, &mut rng, rtn))
+            .filter(|z| {
+                let (fails, margin) = classifier.predict_with_margin(z);
+                fails || margin.abs() < classifier.config().uncertain_band
+            })
+            .collect();
+        unblocked += through.len() as u64;
+        failures += sim.fails_batch(&through).into_iter().filter(|&f| f).count() as u64;
+        done = end;
     }
 
     let interval = WilsonInterval::from_counts(failures, config.n_samples as u64);

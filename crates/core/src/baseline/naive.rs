@@ -5,6 +5,7 @@
 //! the paper lowers the supply to 0.5 V in Fig. 7 precisely so this
 //! reference can converge at all.
 
+use super::{nominal_trial, TRIAL_CHUNK};
 use crate::bench::Testbench;
 use crate::rtn_source::RtnSource;
 use crate::simulate::Simulator;
@@ -60,6 +61,11 @@ impl NaiveResult {
 
 /// Runs naive Monte Carlo.
 ///
+/// Trials are drawn in chunks and each chunk is simulated as one batch.
+/// A chunk ends at every trace point, and simulating draws no
+/// randomness, so trials, verdicts and trace are those of a
+/// trial-by-trial run.
+///
 /// # Panics
 ///
 /// Panics if `config.n_samples` is zero or bench and RTN dimensions
@@ -74,26 +80,25 @@ pub fn naive_monte_carlo<B: Testbench, S: RtnSource>(
     let sim = Simulator::unmemoised(bench);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut normals = NormalSampler::new();
-    let dim = bench.dim();
     let mut failures = 0u64;
     let mut trace = ConvergenceTrace::new();
 
-    for k in 0..config.n_samples {
-        let mut z = normals.sample_vec(&mut rng, dim);
-        if !rtn.is_null() {
-            let shift = rtn.sample_whitened(&mut rng);
-            for (zi, si) in z.iter_mut().zip(&shift) {
-                *zi += si;
-            }
+    let mut done = 0;
+    while done < config.n_samples {
+        let mut end = (done + TRIAL_CHUNK).min(config.n_samples);
+        if let Some(traced) = done.checked_div(config.trace_every) {
+            end = end.min((traced + 1) * config.trace_every);
         }
-        if sim.fails(&z) {
-            failures += 1;
-        }
-        if config.trace_every > 0 && (k + 1) % config.trace_every == 0 {
-            let w = WilsonInterval::from_counts(failures, (k + 1) as u64);
+        let trials: Vec<Vec<f64>> = (done..end)
+            .map(|_| nominal_trial(&mut normals, &mut rng, rtn))
+            .collect();
+        failures += sim.fails_batch(&trials).into_iter().filter(|&f| f).count() as u64;
+        done = end;
+        if config.trace_every > 0 && done % config.trace_every == 0 {
+            let w = WilsonInterval::from_counts(failures, done as u64);
             trace.push(TracePoint {
                 simulations: sim.simulations(),
-                samples: (k + 1) as u64,
+                samples: done as u64,
                 estimate: w.estimate,
                 ci95_half_width: 0.5 * (w.hi - w.lo),
             });

@@ -276,12 +276,18 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
     /// latencies reported into `observer` (the boundary-search events
     /// themselves are emitted by [`boundary_stage`](Self::boundary_stage),
     /// which knows the stage framing). Runs in the configured thread
-    /// pool, like every later stage.
+    /// pool, like every later stage. Its memo is off: the search never
+    /// repeats a probe, so a memo would store every probe and answer
+    /// none.
     fn find_initial_particles_observed(
         &self,
         observer: &dyn Observer,
     ) -> Result<InitialParticles, EstimateError> {
-        let sim = Simulator::new(&self.bench, observer, self.config.cache, self.config.retry);
+        let cache = MemoCacheConfig {
+            enabled: false,
+            ..self.config.cache
+        };
+        let sim = Simulator::new(&self.bench, observer, cache, self.config.retry);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x1717);
         let init = run_in_pool(self.config.threads, || {
             find_boundary_particles(&sim, &mut rng, &self.config.initial)

@@ -74,8 +74,8 @@
 //!
 //! `cluster` runs the [`ecripse::cluster`] coordinator until Ctrl-C: it
 //! speaks the *same* job protocol as `serve` (point `submit` at it and
-//! nothing changes), shards sweeps across the registered workers via a
-//! consistent-hash ring, reassigns shards off workers that miss their
+//! nothing changes), deals contiguous sweep shards round-robin over the
+//! registered workers, reassigns shards off workers that miss their
 //! heartbeats, and merges shard reports into a result bit-identical to
 //! a single-process run.
 //!

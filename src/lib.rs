@@ -26,8 +26,8 @@
 //!   verdict cache, a versioned JSON wire protocol and a blocking
 //!   client. Served runs are bit-identical to direct library calls;
 //! * [`cluster`] — scale-out on top of [`serve`]: a coordinator that
-//!   speaks the same job protocol, shards sweeps over registered
-//!   workers via a consistent-hash ring, reassigns shards off dead
+//!   speaks the same job protocol, deals contiguous sweep shards
+//!   round-robin over the registered workers, reassigns shards off dead
 //!   workers (heartbeats + idempotency keys) and merges shard reports
 //!   into a result bit-identical to a single-process run.
 //!
@@ -66,7 +66,7 @@ pub use ecripse_svm as svm;
 
 /// The items most users need, in one import.
 pub mod prelude {
-    pub use ecripse_cluster::{ClusterConfig, Coordinator, HashRing, JoinConfig, WorkerRegistry};
+    pub use ecripse_cluster::{ClusterConfig, Coordinator, JoinConfig, WorkerRegistry};
     pub use ecripse_core::baseline::{
         gibbs_is, mean_shift_is, naive_monte_carlo, statistical_blockade, BlockadeConfig,
         GibbsConfig, MeanShiftConfig, NaiveConfig, SequentialImportanceSampling,
