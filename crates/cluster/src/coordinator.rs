@@ -15,11 +15,20 @@
 //!
 //! Jobs live in serve's [`JobTable`], the one a single server keeps:
 //! admission, idempotency keys, status, report and cancel answers are
-//! the same code in both processes. Each job's local part holds only
-//! what the coordinator adds — its own spans and the worker jobs the
-//! trace fan-out queries. The coordinator's own policy stays here: it
-//! refuses pre-sharded sweeps, bounds the jobs in flight, and runs one
-//! dispatcher thread per job.
+//! the same code in both processes, and a job's spans sit on its record
+//! in both. Each job's local part holds only what the coordinator adds:
+//! the worker jobs the trace fan-out queries. The coordinator's own
+//! policy stays here: it refuses pre-sharded sweeps, bounds the jobs in
+//! flight, and runs one dispatcher thread per job.
+//!
+//! # Tracing
+//!
+//! Each dispatch runs one [`SpanCollector`] on node `coordinator`. Its
+//! root `job` span covers the dispatch, and each dispatched slot is a
+//! child span (`shard-{first}` or `estimate`) whose context the slot's
+//! worker submission carries, so the worker's `job` span parents to it.
+//! `GET /v1/jobs/{id}/trace` merges these spans with the ones fetched
+//! from every worker that held a slot.
 //!
 //! # Sharding
 //!
@@ -75,16 +84,13 @@ use crate::protocol::{
 };
 use crate::registry::WorkerRegistry;
 use ecripse_core::sweep::{merge_sweep_shards, SweepResult, SweepShard};
-use ecripse_core::telemetry::{
-    escape_label_value, fmt_hex_id, Counter, Gauge, MetricsRegistry, SpanRecord, TraceContext,
-};
+use ecripse_core::telemetry::{escape_label_value, Counter, Gauge, MetricsRegistry, SpanCollector};
 use ecripse_serve::http::{
     self, error_response, json_body, parse_body, with_job_id, FrontDoor, Limits, Request, Response,
 };
 use ecripse_serve::jobs::{JobLocal, JobOutput, JobTable};
 use ecripse_serve::protocol::{
-    ApiError, JobKind, JobSpec, JobState, JobTrace, Metrics, SubmitRequest, SweepOutcome,
-    PROTOCOL_VERSION,
+    ApiError, JobKind, JobSpec, JobState, Metrics, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,
 };
 use ecripse_serve::{BackoffPolicy, Client, ClientError};
 use std::collections::HashMap;
@@ -137,8 +143,6 @@ impl Default for ClusterConfig {
 /// published when the dispatch ends.
 #[derive(Default)]
 struct TraceSources {
-    /// Coordinator-side spans (job root + one per dispatched slot).
-    spans: Vec<SpanRecord>,
     /// `(worker addr, remote job id)` for every slot dispatch, kept so
     /// `GET /v1/jobs/{id}/trace` can fan out to the workers that held
     /// the slots.
@@ -232,11 +236,6 @@ struct Shared {
     draining: AtomicBool,
     reaper_stop: AtomicBool,
     started: Instant,
-    /// Wall-clock anchor taken once at bind: span `start_ts` values are
-    /// `anchor_unix_s + (instant - started)`, so every coordinator span
-    /// shares one monotonic clock and cannot jump with wall-clock
-    /// adjustments mid-run.
-    anchor_unix_s: f64,
     telemetry: ClusterTelemetry,
 }
 
@@ -269,10 +268,6 @@ impl Coordinator {
             draining: AtomicBool::new(false),
             reaper_stop: AtomicBool::new(false),
             started: Instant::now(),
-            anchor_unix_s: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or_default(),
             telemetry: ClusterTelemetry::new(),
         });
         let acceptor = http::serve(
@@ -643,52 +638,44 @@ fn render_federated_prometheus(shared: &Arc<Shared>) -> String {
     out
 }
 
-/// `GET /v1/jobs/{id}/trace`: the coordinator's own spans merged with a
-/// best-effort fan-out to every worker that held one of the job's
-/// slots, sorted into one waterfall. Workers that no longer remember
-/// the job (ring eviction, restart without the span buffer) are
-/// simply absent — the coordinator spans still frame the job.
+/// `GET /v1/jobs/{id}/trace`: the job record's trace document (the
+/// coordinator's own spans) extended by a best-effort fan-out to every
+/// worker that held one of the job's slots, sorted into one waterfall.
+/// Workers that no longer remember the job (a restart without a
+/// journal) are simply absent — the coordinator spans still frame the
+/// job.
 fn trace_document(shared: &Arc<Shared>, id: u64) -> Result<Response, Response> {
-    let (trace, mut spans, sources) = {
+    let (mut document, sources) = {
         let state = shared.state.lock();
         let job = state.jobs.get(id)?;
-        (
-            job.trace(),
-            job.local.spans.clone(),
-            job.local.sources.clone(),
-        )
+        (job.trace_document(), job.local.sources.clone())
     };
-    let trace_id = fmt_hex_id(trace.trace_id);
     for (addr, remote_id) in sources {
         let Ok(remote) = scrape_client(&addr).trace(remote_id) else {
             continue;
         };
-        if remote.trace_id != trace_id {
+        if remote.trace_id != document.trace_id {
             continue;
         }
+        // A slot that ran twice on one node (a restart without a
+        // journal) records its spans under the same ids twice.
         for span in remote.spans {
-            let duplicate = spans
+            let duplicate = document
+                .spans
                 .iter()
                 .any(|existing| existing.span_id == span.span_id && existing.node == span.node);
             if !duplicate {
-                spans.push(span);
+                document.spans.push(span);
             }
         }
     }
-    spans.sort_by(|a, b| {
+    document.spans.sort_by(|a, b| {
         a.start_ts
             .partial_cmp(&b.start_ts)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.span_id.cmp(&b.span_id))
     });
-    Ok(Response::json(
-        200,
-        json_body(&JobTrace {
-            job_id: id,
-            trace_id,
-            spans,
-        }),
-    ))
+    Ok(Response::json(200, json_body(&document)))
 }
 
 /// `GET /metrics` federates on demand: the scrape happens per HTTP
@@ -780,11 +767,9 @@ struct Slot {
     /// is stable across re-dispatches, and its trace parents the
     /// worker's job span to this slot's span.
     request: SubmitRequest,
-    /// The coordinator span this slot records: `shard-{first}` or
-    /// `estimate`.
+    /// The coordinator span this slot records, a child of the job root:
+    /// `shard-{first}` or `estimate`.
     span_name: String,
-    /// The span's deterministic id (child of the job root span).
-    span_id: u64,
     /// The current assignment, `(worker name, addr, remote job id)`.
     assigned: Option<(String, String, u64)>,
     /// The outcome the worker's completed report carried.
@@ -799,28 +784,23 @@ struct Slot {
 }
 
 impl Slot {
-    /// A slot of job `id` shipping `request`, traced as the span
-    /// `span_name` below the job root. Its idempotency key is
+    /// A slot of job `id` shipping `request`, traced as the child span
+    /// `span_name` of `tracing`'s root. Its idempotency key is
     /// `cluster/job-{id}/{span_name}`, so a re-dispatch reuses it and a
     /// restarted worker answers with its journaled job.
     fn new(
         mut request: SubmitRequest,
         id: u64,
         span_name: String,
-        tracing: &JobTraceState,
+        tracing: &SpanCollector,
     ) -> Self {
-        let span_id = tracing.root_context().span_id(&span_name);
         request.idempotency_key = Some(format!("cluster/job-{id}/{span_name}"));
         // The worker's job span parents to the slot span, chaining
         // client → coordinator → worker in one trace.
-        request.trace = Some(TraceContext {
-            trace_id: tracing.trace.trace_id,
-            parent_span_id: span_id,
-        });
+        request.trace = Some(tracing.child_context(&span_name));
         Self {
             request,
             span_name,
-            span_id,
             assigned: None,
             done: None,
             started_at: None,
@@ -849,68 +829,22 @@ impl Slot {
     }
 }
 
-/// The coordinator-side tracing state one dispatch accumulates: the
-/// job's context, its root span id, and the spans and sources it
-/// publishes as the job's local part when the dispatch ends.
-struct JobTraceState {
-    trace: TraceContext,
-    root_span_id: u64,
-    recorded: TraceSources,
-}
-
-impl JobTraceState {
-    fn new(trace: TraceContext) -> Self {
-        Self {
-            trace,
-            root_span_id: trace.job_span_id("coordinator"),
-            recorded: TraceSources::default(),
-        }
-    }
-
-    /// The context a child span of the job root would be created under.
-    fn root_context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace.trace_id,
-            parent_span_id: self.root_span_id,
-        }
-    }
-}
-
-/// Seconds-since-epoch for a coordinator instant, derived from the
-/// bind-time wall anchor (one monotonic clock per coordinator).
-fn wall_ts(shared: &Shared, at: Instant) -> f64 {
-    shared.anchor_unix_s
-        + at.checked_duration_since(shared.started)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or_default()
-}
-
-/// Folds every dispatched slot's timing into coordinator-side spans
-/// and collects the `(addr, remote id)` pairs the trace fan-out needs.
-fn record_slots(shared: &Shared, tracing: &mut JobTraceState, slots: &[Slot]) {
+/// Records every dispatched slot as a child span of the job root and
+/// collects the `(addr, remote id)` pairs the trace fan-out needs.
+fn record_slots(tracing: &SpanCollector, slots: &[Slot]) -> TraceSources {
+    let mut recorded = TraceSources::default();
     for slot in slots {
         for source in &slot.sources {
-            if !tracing.recorded.sources.contains(source) {
-                tracing.recorded.sources.push(source.clone());
+            if !recorded.sources.contains(source) {
+                recorded.sources.push(source.clone());
             }
         }
-        let Some(started) = slot.started_at else {
-            continue;
-        };
-        let finished = slot.finished_at.unwrap_or_else(Instant::now);
-        tracing.recorded.spans.push(SpanRecord {
-            trace_id: fmt_hex_id(tracing.trace.trace_id),
-            span_id: fmt_hex_id(slot.span_id),
-            parent_span_id: fmt_hex_id(tracing.root_span_id),
-            name: slot.span_name.clone(),
-            node: "coordinator".to_string(),
-            start_ts: wall_ts(shared, started),
-            duration_s: finished
-                .checked_duration_since(started)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or_default(),
-        });
+        if let Some(started) = slot.started_at {
+            let finished = slot.finished_at.unwrap_or_else(Instant::now);
+            tracing.record_child(&slot.span_name, started, finished);
+        }
     }
+    recorded
 }
 
 fn dispatch_job(shared: &Arc<Shared>, id: u64) {
@@ -927,23 +861,11 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
             job.trace(),
         )
     };
-    let mut tracing = JobTraceState::new(trace);
-    let dispatch_started = Instant::now();
-    let outcome = run_job(shared, id, &request, &stop, deadline, &mut tracing);
     // The job root span covers the whole dispatch — slot spans nest
     // inside it, and the workers' own job spans nest inside those.
-    tracing.recorded.spans.insert(
-        0,
-        SpanRecord {
-            trace_id: fmt_hex_id(trace.trace_id),
-            span_id: fmt_hex_id(tracing.root_span_id),
-            parent_span_id: fmt_hex_id(trace.parent_span_id),
-            name: "job".to_string(),
-            node: "coordinator".to_string(),
-            start_ts: wall_ts(shared, dispatch_started),
-            duration_s: dispatch_started.elapsed().as_secs_f64(),
-        },
-    );
+    let tracing = SpanCollector::new(trace, "coordinator");
+    let (recorded, outcome) = run_job(shared, id, &request, &stop, deadline, &tracing);
+    let spans = tracing.finish();
     let (state_out, error, output) = match outcome {
         Ok(output) => (JobState::Completed, None, Some(output)),
         Err(DispatchEnd::Cancelled) => (
@@ -976,7 +898,8 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
         job.state = state_out;
         job.error = error;
         job.output = output;
-        job.local = tracing.recorded;
+        job.spans = spans;
+        job.local = recorded;
     }
 }
 
@@ -1030,15 +953,16 @@ fn cancel_remotes(shared: &Shared, slots: &[Slot]) {
 
 /// Plans the job's slots — a sweep's shards, or one slot for an
 /// estimate — runs them through [`supervise`], records their spans
-/// whatever the outcome, and returns the merged sweep or the estimate.
+/// whatever the outcome, and returns their trace fan-out sources with
+/// the merged sweep or the estimate.
 fn run_job(
     shared: &Shared,
     id: u64,
     request: &SubmitRequest,
     stop: &AtomicBool,
     deadline: Option<Instant>,
-    tracing: &mut JobTraceState,
-) -> Result<JobOutput, DispatchEnd> {
+    tracing: &SpanCollector,
+) -> (TraceSources, Result<JobOutput, DispatchEnd>) {
     let mut slots = match request.job.kind {
         JobKind::Sweep => plan_shards(id, request, shared.config.shard_points, tracing),
         // An estimate has nothing to split: it ships whole.
@@ -1052,9 +976,8 @@ fn run_job(
     let supervised = supervise(shared, id, stop, deadline, &mut slots);
     // Win or lose, the dispatched slots become coordinator spans and
     // trace fan-out sources.
-    record_slots(shared, tracing, &slots);
-    supervised?;
-    match request.job.kind {
+    let sources = record_slots(tracing, &slots);
+    let outcome = supervised.and_then(|()| match request.job.kind {
         JobKind::Sweep => {
             let total = request.job.alphas.as_ref().map_or(0, Vec::len);
             merge_shards(total, slots).map(JobOutput::Sweep)
@@ -1064,7 +987,8 @@ fn run_job(
             .pop()
             .and_then(|slot| slot.done)
             .ok_or_else(|| DispatchEnd::Failed("estimate slot ended without an outcome".into())),
-    }
+    });
+    (sources, outcome)
 }
 
 /// Merges the completed shard slots by global point index.
@@ -1268,7 +1192,7 @@ fn plan_shards(
     id: u64,
     request: &SubmitRequest,
     shard_points: usize,
-    tracing: &JobTraceState,
+    tracing: &SpanCollector,
 ) -> Vec<Slot> {
     let alphas = request.job.alphas.as_deref().unwrap_or_default();
     let chunk = shard_points.max(1);
@@ -1311,6 +1235,7 @@ fn shard_submit_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
 
     #[test]
     fn federation_groups_each_family_and_labels_every_sample() {
@@ -1459,7 +1384,7 @@ mod tests {
     fn shards_are_contiguous_runs_dealt_round_robin() {
         let alphas: Vec<f64> = (0..10).map(|k| f64::from(k) / 9.0).collect();
         let request = SubmitRequest::new(Default::default(), JobSpec::sweep(0.7, alphas.clone()));
-        let tracing = JobTraceState::new(TraceContext::for_job(1, 0));
+        let tracing = SpanCollector::new(TraceContext::for_job(1, 0), "coordinator");
         let slots = plan_shards(1, &request, 2, &tracing);
         let runs: Vec<Vec<u64>> = slots
             .iter()
@@ -1503,13 +1428,21 @@ mod tests {
     #[test]
     fn shard_spans_derive_deterministically_from_the_job_trace() {
         let trace = TraceContext::for_job(7, 42);
-        let a = JobTraceState::new(trace);
-        let b = JobTraceState::new(trace);
-        assert_eq!(a.root_span_id, b.root_span_id);
-        assert_eq!(
-            a.root_context().span_id("shard-0"),
-            b.root_context().span_id("shard-0")
-        );
-        assert_ne!(a.root_context().span_id("shard-0"), a.root_span_id);
+        let a = SpanCollector::new(trace, "coordinator");
+        let b = SpanCollector::new(trace, "coordinator");
+        let shard = a.child_context("shard-0");
+        assert_eq!(shard, b.child_context("shard-0"));
+        assert_eq!(shard.trace_id, trace.trace_id);
+        let now = Instant::now();
+        a.record_child("shard-0", now, now);
+        let spans = a.finish();
+        assert_eq!(spans.len(), 2);
+        let (root, span) = (&spans[0], &spans[1]);
+        assert_eq!(root.span_id, b.finish()[0].span_id);
+        assert_eq!(span.name, "shard-0");
+        assert_eq!(span.parent_span_id, root.span_id);
+        // The worker's job span parents to the recorded shard span.
+        assert_eq!(span.span_id, fmt_hex_id(shard.parent_span_id));
+        assert_ne!(span.span_id, root.span_id);
     }
 }

@@ -847,6 +847,59 @@ fn merged_trace_is_one_waterfall_across_coordinator_and_workers() {
     coordinator.shutdown();
 }
 
+/// A traced sweep with more shards than workers: each worker runs
+/// several shards of one trace, yet every coordinator shard span holds
+/// exactly one worker `job` span, and no two spans share an id.
+#[test]
+fn every_shard_span_holds_exactly_one_worker_job_span() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_cluster()).expect("bind coordinator");
+    let wa = bind_named_worker("ids-a");
+    let wb = bind_named_worker("ids-b");
+    let ma = join_worker(&coordinator, "ids-a", &wa);
+    let mb = join_worker(&coordinator, "ids-b", &wb);
+    let until = Instant::now() + WAIT;
+    while coordinator.metrics().workers_alive < 2 {
+        assert!(Instant::now() < until, "both workers never joined");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let client = Client::new(coordinator.local_addr().to_string());
+    let request = sweep_request(67, 10).with_trace(TraceContext::for_job(6767, 67));
+    let submitted = client.submit(&request).expect("submit traced sweep");
+    let report = client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("traced sweep completes");
+    assert_eq!(report.state, JobState::Completed);
+
+    let spans = client.trace(submitted.id).expect("merged trace").spans;
+    let shards: Vec<_> = spans
+        .iter()
+        .filter(|span| span.node == "coordinator" && span.name.starts_with("shard-"))
+        .collect();
+    assert_eq!(shards.len(), 5, "10 points in 2-point shards");
+    for shard in shards {
+        let children: Vec<&str> = spans
+            .iter()
+            .filter(|span| span.name == "job" && span.parent_span_id == shard.span_id)
+            .map(|span| span.node.as_str())
+            .collect();
+        assert!(
+            matches!(children[..], ["ids-a" | "ids-b"]),
+            "{} has worker job spans {children:?}, not exactly one",
+            shard.name
+        );
+    }
+    let mut ids: Vec<&str> = spans.iter().map(|span| span.span_id.as_str()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), spans.len(), "two spans share a span id");
+
+    ma.leave();
+    mb.leave();
+    wa.shutdown();
+    wb.shutdown();
+    coordinator.shutdown();
+}
+
 /// Metrics federation: the coordinator's `/metrics` scrapes every live
 /// worker on demand — worker-labelled serve series in the Prometheus
 /// view (hostile names escaped), per-worker documents plus min/max/sum

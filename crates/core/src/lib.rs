@@ -105,6 +105,6 @@ pub use sweep::{
 };
 pub use telemetry::{
     escape_label_value, Counter, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanRecord,
-    SpanStore, TelemetryObserver, TraceContext,
+    TelemetryObserver, TraceContext,
 };
 pub use trace::{ConvergenceTrace, TracePoint};

@@ -12,15 +12,17 @@
 //!   renderer;
 //! * [`Histogram`] — lock-free log-linear-bucket latency histogram with
 //!   p50/p90/p99 [quantile estimates](Histogram::quantile);
-//! * [`TraceContext`] / [`SpanRecord`] / [`SpanStore`] — distributed
-//!   trace propagation: a deterministic (FNV-derived) trace id carried
-//!   across process boundaries, completed job spans buffered in a
-//!   bounded per-process ring for `GET /v1/jobs/{id}/trace`;
-//! * [`SpanCollector`] — an [`Observer`] that folds pipeline stage
-//!   events into [`SpanRecord`]s under one job root span. It is the one
-//!   span system: `serve` stores its spans per job, the coordinator
-//!   merges them into a cluster waterfall, and `ecripse-cli
-//!   --trace-log` writes them as JSONL, one record per line;
+//! * [`TraceContext`] / [`SpanRecord`] — distributed trace
+//!   propagation: a deterministic (FNV-derived) trace id carried across
+//!   process boundaries, and span ids derived from the parent span, so
+//!   the same label under two parents never shares an id;
+//! * [`SpanCollector`] — the one producer of [`SpanRecord`]s: an
+//!   [`Observer`] that folds pipeline stage events, plus any named child
+//!   spans its owner records, into spans under one job root span.
+//!   `serve` and the coordinator keep a job's spans on its job record
+//!   for `GET /v1/jobs/{id}/trace` (the coordinator records one child
+//!   span per dispatched slot), and `ecripse-cli --trace-log` writes
+//!   them as JSONL, one record per line;
 //! * [`TelemetryObserver`] — the bridge from the [`Observer`] event
 //!   stream into registry metrics.
 //!
@@ -59,7 +61,7 @@ use ecripse_stats::{fnv1a, FNV_OFFSET};
 use parking_lot::{Mutex, RwLock};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -609,24 +611,20 @@ impl TraceContext {
         }
     }
 
-    /// A deterministic span id scoped to this trace: the same label in
-    /// the same trace always maps to the same id.
+    /// The deterministic id of the span labelled `label` under this
+    /// context's parent: a hash of (trace id, parent span id, label), so
+    /// the same label under two parents (one worker's job spans for two
+    /// shards of one sweep) gets two ids.
     pub fn span_id(&self, label: &str) -> u64 {
-        let mut bytes = Vec::with_capacity(8 + label.len());
+        let mut bytes = Vec::with_capacity(16 + label.len());
         bytes.extend_from_slice(&self.trace_id.to_le_bytes());
+        bytes.extend_from_slice(&self.parent_span_id.to_le_bytes());
         bytes.extend_from_slice(label.as_bytes());
         fnv1a(FNV_OFFSET, &bytes).max(1)
     }
 
-    /// The id of the `job` root span `node` records in this trace —
-    /// node-qualified, so the roots of a coordinator and its workers
-    /// never collide.
-    pub fn job_span_id(&self, node: &str) -> u64 {
-        self.span_id(&format!("{node}/job"))
-    }
-
-    /// The context a downstream process should continue under: same
-    /// trace, parented to the span named `label` here.
+    /// The context a child of the span labelled `label` here continues
+    /// under: same trace, parented to that span.
     #[must_use]
     pub fn child(&self, label: &str) -> Self {
         Self {
@@ -720,59 +718,6 @@ impl SpanRecord {
     }
 }
 
-/// A bounded ring of per-job span lists: the per-process buffer behind
-/// `GET /v1/jobs/{id}/trace`. When the ring is full, inserting a new
-/// job evicts the oldest one; re-inserting an existing job replaces its
-/// spans in place.
-#[derive(Debug)]
-pub struct SpanStore {
-    capacity: usize,
-    jobs: Mutex<VecDeque<(u64, Vec<SpanRecord>)>>,
-}
-
-impl SpanStore {
-    /// A store retaining at most `capacity` jobs (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            jobs: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Stores (or replaces) the spans of `job_id`, evicting the oldest
-    /// job when the ring is full.
-    pub fn insert(&self, job_id: u64, spans: Vec<SpanRecord>) {
-        let mut jobs = self.jobs.lock();
-        if let Some(entry) = jobs.iter_mut().find(|(id, _)| *id == job_id) {
-            entry.1 = spans;
-            return;
-        }
-        while jobs.len() >= self.capacity {
-            jobs.pop_front();
-        }
-        jobs.push_back((job_id, spans));
-    }
-
-    /// The spans recorded for `job_id`, if the ring still holds them.
-    pub fn get(&self, job_id: u64) -> Option<Vec<SpanRecord>> {
-        self.jobs
-            .lock()
-            .iter()
-            .find(|(id, _)| *id == job_id)
-            .map(|(_, spans)| spans.clone())
-    }
-
-    /// Number of jobs currently buffered.
-    pub fn len(&self) -> usize {
-        self.jobs.lock().len()
-    }
-
-    /// Whether the ring holds no job.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.lock().is_empty()
-    }
-}
-
 struct CollectorState {
     /// Stage-start offsets (seconds since the collector's epoch), one
     /// slot per open stage, keyed by the thread that opened it and the
@@ -787,7 +732,8 @@ struct CollectorState {
 
 /// An [`Observer`] that folds pipeline stage events into
 /// [`SpanRecord`]s: one root span covering the collector's lifetime
-/// plus one child span per completed stage, all under the job's
+/// plus one child span per completed stage and per
+/// [`record_child`](Self::record_child) call, all under the job's
 /// [`TraceContext`]. Observation-only, like every other observer —
 /// attach/detach never changes a report.
 pub struct SpanCollector {
@@ -811,10 +757,11 @@ impl std::fmt::Debug for SpanCollector {
 impl SpanCollector {
     /// A collector for one job on `node`. The root span (named `job`)
     /// starts now and parents to `context.parent_span_id`; its id is
-    /// deterministic ([`TraceContext::job_span_id`]).
+    /// `context.span_id("{node}/job")`, node-qualified so the roots of a
+    /// coordinator and its workers never collide.
     pub fn new(context: TraceContext, node: impl Into<String>) -> Self {
         let node = node.into();
-        let root_span_id = context.job_span_id(&node);
+        let root_span_id = context.span_id(&format!("{node}/job"));
         Self {
             context,
             node,
@@ -829,28 +776,57 @@ impl SpanCollector {
         }
     }
 
-    /// The root span's id — what a downstream context should parent to.
-    pub fn root_span_id(&self) -> u64 {
-        self.root_span_id
+    /// The context a downstream process continues under for the child
+    /// span `label` of the root: its parent is the span
+    /// [`record_child`](Self::record_child) records under that label.
+    pub fn child_context(&self, label: &str) -> TraceContext {
+        self.under_root().child(label)
+    }
+
+    /// Records the child span `label` of the root, from `start` to
+    /// `end`.
+    pub fn record_child(&self, label: &str, start: Instant, end: Instant) {
+        let span = self.span(
+            self.under_root().span_id(label),
+            label,
+            start.saturating_duration_since(self.epoch).as_secs_f64(),
+            end.saturating_duration_since(start).as_secs_f64(),
+        );
+        self.state.lock().spans.push(span);
     }
 
     /// Closes the root span and returns every recorded span, root
-    /// first, stage spans in completion order.
+    /// first, child spans in completion order.
     pub fn finish(self) -> Vec<SpanRecord> {
-        let duration = self.epoch.elapsed().as_secs_f64();
-        let state = self.state.into_inner();
-        let trace_id = fmt_hex_id(self.context.trace_id);
-        let mut spans = vec![SpanRecord {
-            trace_id,
-            span_id: fmt_hex_id(self.root_span_id),
+        let root = SpanRecord {
             parent_span_id: fmt_hex_id(self.context.parent_span_id),
-            name: "job".to_string(),
-            node: self.node,
-            start_ts: self.anchor_unix_s,
-            duration_s: duration,
-        }];
-        spans.extend(state.spans);
+            ..self.span(self.root_span_id, "job", 0.0, self.offset())
+        };
+        let mut spans = vec![root];
+        spans.extend(self.state.into_inner().spans);
         spans
+    }
+
+    /// A child span of the root: `id`, named `name`, starting `start`
+    /// seconds after the collector's epoch.
+    fn span(&self, id: u64, name: &str, start: f64, duration_s: f64) -> SpanRecord {
+        SpanRecord {
+            trace_id: fmt_hex_id(self.context.trace_id),
+            span_id: fmt_hex_id(id),
+            parent_span_id: fmt_hex_id(self.root_span_id),
+            name: name.to_string(),
+            node: self.node.clone(),
+            start_ts: self.anchor_unix_s + start,
+            duration_s,
+        }
+    }
+
+    /// The context the root's children derive their ids from.
+    fn under_root(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.context.trace_id,
+            parent_span_id: self.root_span_id,
+        }
     }
 
     fn offset(&self) -> f64 {
@@ -880,16 +856,11 @@ impl Observer for SpanCollector {
         };
         let sequence = state.sequence;
         state.sequence += 1;
-        let label = format!("{}/{}/{sequence}", self.node, stage.name());
-        state.spans.push(SpanRecord {
-            trace_id: fmt_hex_id(self.context.trace_id),
-            span_id: fmt_hex_id(self.context.span_id(&label)),
-            parent_span_id: fmt_hex_id(self.root_span_id),
-            name: stage.name().to_string(),
-            node: self.node.clone(),
-            start_ts: self.anchor_unix_s + start,
-            duration_s: (end - start).max(0.0),
-        });
+        let id = self
+            .under_root()
+            .span_id(&format!("{}/{sequence}", stage.name()));
+        let span = self.span(id, stage.name(), start, (end - start).max(0.0));
+        state.spans.push(span);
     }
 }
 
@@ -1315,28 +1286,35 @@ mod tests {
     }
 
     #[test]
-    fn span_store_ring_evicts_oldest_and_replaces_in_place() {
-        let store = SpanStore::new(2);
-        let span = |id: u64| SpanRecord {
-            trace_id: fmt_hex_id(id),
-            span_id: fmt_hex_id(id + 1),
-            parent_span_id: fmt_hex_id(0),
-            name: "job".into(),
-            node: "test".into(),
-            start_ts: 1.0,
-            duration_s: 0.5,
+    fn the_same_label_under_two_parents_gets_two_ids() {
+        let trace = TraceContext::for_job(7, 42);
+        let (first, second) = (trace.child("shard-0"), trace.child("shard-4"));
+        assert_eq!(first.trace_id, second.trace_id);
+        assert_ne!(first.span_id("w/job"), second.span_id("w/job"));
+        // One worker running two shards of one sweep records two
+        // disjoint sets of span ids.
+        let ids = |context| {
+            let collector = SpanCollector::new(context, "w");
+            collector.stage_started(Stage::BoundarySearch);
+            collector.stage_finished(
+                Stage::BoundarySearch,
+                &StageTiming {
+                    wall_seconds: 0.0,
+                    simulations: 1,
+                },
+            );
+            let now = Instant::now();
+            collector.record_child("step", now, now);
+            let spans = collector.finish();
+            assert_eq!(spans.len(), 3);
+            spans
+                .into_iter()
+                .map(|span| span.span_id)
+                .collect::<Vec<_>>()
         };
-        store.insert(1, vec![span(1)]);
-        store.insert(2, vec![span(2)]);
-        store.insert(3, vec![span(3)]);
-        assert_eq!(store.len(), 2);
-        assert!(store.get(1).is_none(), "oldest job must be evicted");
-        assert!(store.get(2).is_some() && store.get(3).is_some());
-        // Re-inserting an existing job replaces without evicting.
-        store.insert(2, vec![span(2), span(20)]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(2).expect("kept").len(), 2);
-        assert!(store.get(3).is_some());
+        let (a, b) = (ids(first), ids(second));
+        assert_eq!(a, ids(first), "span ids are deterministic");
+        assert!(a.iter().all(|id| !b.contains(id)), "{a:?} vs {b:?}");
     }
 
     #[test]
@@ -1359,7 +1337,7 @@ mod tests {
                 simulations: 2,
             },
         );
-        let root_id = fmt_hex_id(collector.root_span_id());
+        let root_id = fmt_hex_id(ctx.span_id("w1/job"));
         let spans = collector.finish();
         assert_eq!(spans.len(), 3);
         let root = &spans[0];

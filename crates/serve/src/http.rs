@@ -645,28 +645,13 @@ pub fn write_request(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<()> {
-    write_request_accepting(stream, method, path, body, "application/json")
-}
-
-/// Writes a client request with an explicit `Accept` header and
-/// flushes. The server's `GET /metrics` route negotiates its body on
-/// this header: `text/plain` selects Prometheus exposition.
-///
-/// # Errors
-///
-/// Propagates socket write errors.
-pub fn write_request_accepting(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    accept: &str,
-) -> std::io::Result<()> {
-    write_request_with_headers(stream, method, path, body, accept, &[])
+    write_request_with_headers(stream, method, path, body, "application/json", &[])
 }
 
 /// Writes a client request with an explicit `Accept` header plus extra
-/// headers (e.g. `traceparent`) and flushes.
+/// headers (e.g. `traceparent`) and flushes. The server's `GET /metrics`
+/// route negotiates its body on the `Accept` header: `text/plain`
+/// selects Prometheus exposition.
 ///
 /// # Errors
 ///

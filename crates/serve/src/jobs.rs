@@ -3,13 +3,14 @@
 //! Both processes speak one job protocol, so both keep one record per
 //! job. A [`JobTable`] owns the jobs, the next id and the
 //! idempotency-key map. A [`Job`] holds the admitted [`SubmitRequest`],
-//! the lifecycle state, error and outcome, the acceptance instant, the
-//! deadline and the cooperative stop flag, plus [`Job::local`]: what one
-//! process alone keeps (`serve`'s live progress, the coordinator's
-//! spans and trace sources).
+//! the lifecycle state, error and outcome, the spans the process
+//! recorded for it, the acceptance instant, the deadline and the
+//! cooperative stop flag, plus [`Job::local`]: what one process alone
+//! keeps (`serve`'s live progress, the coordinator's trace sources).
 //!
 //! [`JobTable::admit`] is the only way in, for a submission and for
-//! journal replay alike. [`Job::status`] builds the status document;
+//! journal replay alike. [`Job::status`] builds the status document and
+//! [`Job::trace_document`] the trace document;
 //! [`JobTable::get`], [`JobTable::report_response`] and
 //! [`JobTable::cancel_response`] give the `404`/`409` answers and the
 //! report both processes share. The table never asks which process it
@@ -17,9 +18,10 @@
 
 use crate::http::{error_response, json_body, Response};
 use crate::protocol::{
-    EstimateOutcome, JobProgress, JobReport, JobState, JobStatus, SubmitRequest, SweepOutcome,
+    EstimateOutcome, JobProgress, JobReport, JobState, JobStatus, JobTrace, SubmitRequest,
+    SweepOutcome,
 };
-use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
+use ecripse_core::telemetry::{fmt_hex_id, SpanRecord, TraceContext};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,6 +60,9 @@ pub struct Job<T> {
     pub error: Option<String>,
     /// The result, once completed.
     pub output: Option<JobOutput>,
+    /// The spans this process recorded for the job, root first; set
+    /// when the job ends.
+    pub spans: Vec<SpanRecord>,
     /// When the job was admitted (or re-admitted by journal replay).
     pub accepted_at: Instant,
     /// When the job's wall-clock budget runs out; `None` for unbounded.
@@ -72,6 +77,16 @@ impl<T> Job<T> {
     /// The trace the job runs under.
     pub fn trace(&self) -> TraceContext {
         resolve_trace(self.id, &self.request)
+    }
+
+    /// The `GET /v1/jobs/{id}/trace` document of the spans this process
+    /// recorded (none until the job ends).
+    pub fn trace_document(&self) -> JobTrace {
+        JobTrace {
+            job_id: self.id,
+            trace_id: fmt_hex_id(self.trace().trace_id),
+            spans: self.spans.clone(),
+        }
     }
 }
 
@@ -168,6 +183,7 @@ impl<T> JobTable<T> {
             state: JobState::Queued,
             error: None,
             output: None,
+            spans: Vec::new(),
             accepted_at,
             stop: Arc::new(AtomicBool::new(false)),
             local,

@@ -8,6 +8,7 @@
 //! | `POST /v1/jobs`            | Submit a [`SubmitRequest`]; `202` + status   |
 //! | `GET /v1/jobs/{id}`        | Lifecycle snapshot ([`JobStatus`])           |
 //! | `GET /v1/jobs/{id}/report` | Full [`JobReport`] once terminal             |
+//! | `GET /v1/jobs/{id}/trace`  | The job's spans ([`JobTrace`])               |
 //! | `DELETE /v1/jobs/{id}`     | Cancel a queued *or running* job             |
 //! | `GET /healthz`             | Liveness + protocol version                  |
 //! | `GET /readyz`              | Readiness (`503` while replaying/saturated)  |
@@ -17,9 +18,12 @@
 //!
 //! Jobs live in the [`JobTable`] the cluster coordinator uses too: one
 //! admission (submission and journal replay alike) and one status,
-//! report and cancel read. What this module adds is the server's own
-//! policy: the bounded queue and its `429` hint, the worker pool, the
-//! journal, the cancel of a still-queued job and the deadline watchdog.
+//! report, trace and cancel read. A worker runs each job under a
+//! [`SpanCollector`] and keeps its spans on the job record when the job
+//! ends, so the trace lives exactly as long as the job's record. What
+//! this module adds is the server's own policy: the bounded queue and
+//! its `429` hint, the worker pool, the journal, the cancel of a
+//! still-queued job and the deadline watchdog.
 //!
 //! # Backpressure
 //!
@@ -70,6 +74,7 @@
 //!
 //! [`JobStatus`]: crate::protocol::JobStatus
 //! [`JobReport`]: crate::protocol::JobReport
+//! [`JobTrace`]: crate::protocol::JobTrace
 
 use crate::http::{
     self, error_response, json_body, with_job_id, FrontDoor, Limits, Request, Response,
@@ -77,8 +82,8 @@ use crate::http::{
 use crate::jobs::{Job, JobLocal, JobOutput, JobTable};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
 use crate::protocol::{
-    ApiError, EstimateOutcome, JobKind, JobProgress, JobSpec, JobState, JobTrace, Metrics,
-    ScenarioJobCount, SubmitRequest, SweepOutcome,
+    ApiError, EstimateOutcome, JobKind, JobProgress, JobSpec, JobState, Metrics, ScenarioJobCount,
+    SubmitRequest, SweepOutcome,
 };
 use crate::shared::{load_snapshot, save_snapshot};
 use ecripse_core::cache::{tag_for, MemoBench, MemoCacheConfig, VerdictStore};
@@ -91,8 +96,8 @@ use ecripse_core::rtn_source::SramRtn;
 use ecripse_core::scenario::{registry_digest, Scenario, SramScenarioBench};
 use ecripse_core::sweep::{DutySweep, ResumableSweep, SweepBench, SweepError, SweepOptions};
 use ecripse_core::telemetry::{
-    escape_label_value, fmt_hex_id, Counter, Gauge, Histogram, MetricsRegistry, SpanCollector,
-    SpanStore, TelemetryObserver,
+    escape_label_value, Counter, Gauge, Histogram, MetricsRegistry, SpanCollector,
+    TelemetryObserver,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -517,9 +522,6 @@ struct Shared<B> {
     telemetry: ServeTelemetry,
     /// Node name stamped into spans (config override or `serve-{port}`).
     node: String,
-    /// Bounded ring of finished jobs' span timelines, served by
-    /// `GET /v1/jobs/{id}/trace`.
-    spans: SpanStore,
 }
 
 /// The estimation service. Generic over the bench the factory builds,
@@ -671,7 +673,6 @@ impl<B: SweepBench + 'static> Server<B> {
             started: Instant::now(),
             telemetry,
             node,
-            spans: SpanStore::new(256),
         });
         let worker_handles = (0..workers)
             .map(|_| {
@@ -1092,16 +1093,8 @@ fn queue_position(state: &QueueState, id: u64) -> Option<u64> {
 /// one job. Empty until the worker finishes (the collector folds stage
 /// events into spans only at job end); `404` for unknown ids.
 fn trace_document<B>(shared: &Shared<B>, id: u64) -> Result<Response, Response> {
-    let trace = lock_state(shared).jobs.get(id)?.trace();
-    let spans = shared.spans.get(id).unwrap_or_default();
-    Ok(Response::json(
-        200,
-        json_body(&JobTrace {
-            job_id: id,
-            trace_id: fmt_hex_id(trace.trace_id),
-            spans,
-        }),
-    ))
+    let document = lock_state(shared).jobs.get(id)?.trace_document();
+    Ok(Response::json(200, json_body(&document)))
 }
 
 /// `DELETE /v1/jobs/{id}`: a queued job leaves the queue at once
@@ -1289,11 +1282,11 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         let started = Instant::now();
         // The collector is observational only (it never feeds back into
         // the pipeline), so the job's numbers stay bit-identical with
-        // or without tracing; its spans are stored win or lose, so a
-        // failed job still shows where its time went.
+        // or without tracing; its spans are kept on the job record win
+        // or lose, so a failed job still shows where its time went.
         let collector = SpanCollector::new(trace, shared.node.clone());
         let outcome = execute(shared, id, &request, &progress, &stop, &collector);
-        shared.spans.insert(id, collector.finish());
+        let spans = collector.finish();
         let elapsed = started.elapsed().as_secs_f64();
         shared.telemetry.job_seconds.record(elapsed);
         {
@@ -1304,6 +1297,7 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         let mut state = lock_state(shared);
         state.in_flight -= 1;
         if let Ok(job) = state.jobs.get_mut(id) {
+            job.spans = spans;
             match outcome {
                 Ok(output) => {
                     let t = &shared.telemetry;
@@ -1434,13 +1428,6 @@ fn execute_inner<B: SweepBench + 'static>(
             if let Some(indices) = spec.alpha_indices.clone() {
                 sweep = sweep.with_point_indices(indices);
             }
-            let options = SweepOptions {
-                checkpoint: spool_path(shared, id),
-                resume: true,
-                keep_going: false,
-                observer: &side,
-                stop: Some(stop),
-            };
             // An interrupted sweep keeps its spool checkpoint: a later
             // durable boot re-enqueues the job (if it was a deadline,
             // the budget restarts) and the finished points resume
@@ -1448,6 +1435,21 @@ fn execute_inner<B: SweepBench + 'static>(
             let map_sweep = |e: SweepError| match e {
                 SweepError::Interrupted { .. } => JobFailure::Interrupted,
                 other => JobFailure::Error(other.to_string()),
+            };
+            let checkpoint = spool_path(shared, id);
+            if let Some(path) = &checkpoint {
+                // The file under this id may be another sweep's: one a
+                // journal-less process persisted at shutdown, or one
+                // whose compacted-away record freed the id. Only a
+                // checkpoint of this sweep is resumed.
+                sweep.ensure_checkpoint(path).map_err(map_sweep)?;
+            }
+            let options = SweepOptions {
+                checkpoint,
+                resume: true,
+                keep_going: false,
+                observer: &side,
+                stop: Some(stop),
             };
             let (result, reports) = sweep
                 .run_with(&options)

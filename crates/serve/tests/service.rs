@@ -739,6 +739,73 @@ fn journal_recovery_resumes_persisted_sweeps_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spool-only server forgets its jobs across a restart, so the next
+/// process hands the id of a persisted sweep to a new job. A different
+/// sweep under that id replaces the stale checkpoint instead of failing
+/// on it.
+#[test]
+fn a_stale_spool_checkpoint_does_not_fail_a_new_sweep() {
+    let spool = scratch_dir("stale-spool");
+    let config = || ServeConfig {
+        workers: 1,
+        queue_capacity: 8,
+        spool: Some(spool.clone()),
+        ..ServeConfig::default()
+    };
+    let estimate = SubmitRequest::new(tiny_config(5), JobSpec::rdf_only(1.0));
+    let persisted = SubmitRequest::new(tiny_config(6), JobSpec::sweep(1.0, vec![0.0, 0.5, 1.0]));
+
+    // First process: job 1 drains, the queued sweep (job 2) is
+    // persisted to the spool.
+    let gate = Arc::new(AtomicBool::new(false));
+    let factory_gate = Arc::clone(&gate);
+    let first = Server::bind_with("127.0.0.1:0", config(), move |_scenario, _vdd| {
+        GateBench::new(Arc::clone(&factory_gate))
+    })
+    .expect("bind first");
+    let client = Client::new(first.local_addr().to_string());
+    let running = client.submit(&estimate).expect("running job");
+    wait_until_running(&client, running.id);
+    let queued = client.submit(&persisted).expect("queued sweep");
+    let opener = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            gate.store(true, Ordering::SeqCst);
+        })
+    };
+    let summary = first.shutdown();
+    opener.join().expect("gate opener");
+    assert_eq!(summary.persisted, 1, "the queued sweep must be persisted");
+    assert!(spool.join(format!("job-{}.json", queued.id)).exists());
+
+    // Second process, same spool, no journal: ids start over, and a
+    // different sweep lands on the persisted sweep's id.
+    let second = Server::bind_with("127.0.0.1:0", config(), |_scenario, _vdd| linear_bench())
+        .expect("bind second");
+    let client = Client::new(second.local_addr().to_string());
+    let first_job = client.submit(&estimate).expect("estimate");
+    client
+        .wait_for_report(first_job.id, WAIT)
+        .expect("estimate report");
+    let alphas = vec![0.25, 0.75];
+    let sweep = SubmitRequest::new(tiny_config(8), JobSpec::sweep(1.0, alphas.clone()));
+    let submitted = client.submit(&sweep).expect("new sweep");
+    assert_eq!(submitted.id, queued.id, "the new sweep reuses the id");
+    let report = client
+        .wait_for_report(submitted.id, WAIT)
+        .expect("new sweep report");
+    assert_eq!(report.state, JobState::Completed, "{:?}", report.error);
+    let outcome = report.sweep.expect("sweep outcome");
+    let direct = DutySweep::new(tiny_config(8), linear_bench(), alphas)
+        .run()
+        .expect("direct sweep");
+    assert_eq!(outcome.points, direct.points);
+    assert_eq!(outcome.total_simulations, direct.total_simulations);
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 #[test]
 fn idempotency_keys_dedup_within_and_across_restarts() {
     let dir = scratch_dir("idempotency");

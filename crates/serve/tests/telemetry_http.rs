@@ -94,8 +94,10 @@ fn prometheus_exposition_parses_and_agrees_with_json() {
     let raw = |accept: Option<&str>| -> (Vec<(String, String)>, String) {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         match accept {
-            Some(a) => http::write_request_accepting(&mut stream, "GET", "/metrics", None, a)
-                .expect("write"),
+            Some(a) => {
+                http::write_request_with_headers(&mut stream, "GET", "/metrics", None, a, &[])
+                    .expect("write")
+            }
             None => http::write_request(&mut stream, "GET", "/metrics", None).expect("write"),
         }
         let (status, headers, body) = http::read_response(&mut stream).expect("read");

@@ -87,8 +87,8 @@ pub mod prelude {
         SweepBench, SweepError, SweepOptions, SweepPoint, SweepReports, SweepResult, SweepShard,
     };
     pub use ecripse_core::telemetry::{
-        Counter, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanRecord, SpanStore,
-        TelemetryObserver, TraceContext,
+        Counter, Gauge, Histogram, MetricsRegistry, SpanCollector, SpanRecord, TelemetryObserver,
+        TraceContext,
     };
     pub use ecripse_rtn::model::RtnCellModel;
     pub use ecripse_serve::{
