@@ -171,6 +171,7 @@ struct ClusterTelemetry {
     workers_alive: Gauge,
     uptime_seconds: Gauge,
     workers_dead: Counter,
+    workers_joined: Counter,
     jobs_submitted: Counter,
     jobs_completed: Counter,
     jobs_failed: Counter,
@@ -197,6 +198,10 @@ impl ClusterTelemetry {
             workers_dead: counter(
                 "workers_dead_total",
                 "Workers declared dead by the heartbeat reaper",
+            ),
+            workers_joined: counter(
+                "workers_joined_total",
+                "Worker joins: registrations of a new name or of one marked dead",
             ),
             jobs_submitted: counter("jobs_submitted_total", "Jobs ever accepted"),
             jobs_completed: counter("jobs_completed_total", "Jobs whose merged result completed"),
@@ -412,6 +417,7 @@ fn register(shared: &Arc<Shared>, body: &[u8]) -> Response {
         .registry
         .register(&request.name, &request.addr, Instant::now());
     if gained {
+        shared.telemetry.workers_joined.inc();
         eprintln!(
             "ecripse-cluster: worker {} joined at {}",
             request.name, request.addr

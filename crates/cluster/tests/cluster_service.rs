@@ -4,14 +4,16 @@
 //! sharded across two workers merges to exactly the result one server
 //! computes on its own.
 
-use ecripse_cluster::{ClusterConfig, ClusterMetrics, Coordinator, JoinConfig};
+use ecripse_cluster::{
+    ClusterConfig, ClusterMetrics, Coordinator, JoinConfig, RegisterRequest, RegisterResponse,
+};
 use ecripse_core::bench::{LinearBench, Testbench};
 use ecripse_core::ecripse::EcripseConfig;
 use ecripse_core::importance::ImportanceConfig;
 use ecripse_core::initial::InitialSearchConfig;
 use ecripse_core::sweep::SweepBench;
 use ecripse_core::telemetry::{fmt_hex_id, TraceContext};
-use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, SweepOutcome};
+use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest, SweepOutcome, PROTOCOL_VERSION};
 use ecripse_serve::{http, Client, ClientError, ServeConfig, Server};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -557,6 +559,8 @@ const COORDINATOR_METADATA: &str = "
 # TYPE ecripse_cluster_workers_alive gauge
 # HELP ecripse_cluster_workers_dead_total Workers declared dead by the heartbeat reaper
 # TYPE ecripse_cluster_workers_dead_total counter
+# HELP ecripse_cluster_workers_joined_total Worker joins: registrations of a new name or of one marked dead
+# TYPE ecripse_cluster_workers_joined_total counter
 ";
 
 #[test]
@@ -566,6 +570,50 @@ fn fresh_coordinator_declares_the_golden_metric_families() {
     let text = client.metrics_prometheus().expect("prometheus metrics");
     validate_exposition(&text);
     assert_metadata_matches(&text, COORDINATOR_METADATA);
+    coordinator.shutdown();
+}
+
+/// A registration that gains the cluster a worker (a new name, or one
+/// the reaper marked dead) counts as a join; re-registering a live
+/// worker does not.
+#[test]
+fn worker_joins_are_counted() {
+    let config = ClusterConfig {
+        // Long enough that no worker is reaped between the registrations
+        // of the first part, even on a loaded machine.
+        heartbeat_timeout: Duration::from_millis(1500),
+        ..fast_cluster()
+    };
+    let coordinator = Coordinator::bind("127.0.0.1:0", config).expect("bind coordinator");
+    let client = Client::new(coordinator.local_addr().to_string());
+    let joins = || {
+        let text = client.metrics_prometheus().expect("prometheus metrics");
+        validate_exposition(&text).0["ecripse_cluster_workers_joined_total"]
+    };
+    let register = |name: &str| {
+        let request = RegisterRequest {
+            protocol: PROTOCOL_VERSION,
+            name: name.to_string(),
+            addr: "127.0.0.1:9".to_string(),
+        };
+        let _: RegisterResponse = client
+            .post("/v1/cluster/register", &request)
+            .expect("register");
+    };
+    assert_eq!(joins(), 0.0);
+    register("w-a");
+    register("w-b");
+    register("w-a");
+    assert_eq!(joins(), 2.0, "a live worker's re-registration is no join");
+
+    // Neither heartbeats: once both are reaped, a registration revives.
+    let deadline = Instant::now() + WAIT;
+    while coordinator.metrics().workers_alive > 0 {
+        assert!(Instant::now() < deadline, "workers never reaped");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    register("w-a");
+    assert_eq!(joins(), 3.0);
     coordinator.shutdown();
 }
 

@@ -35,18 +35,16 @@ use rand::Rng;
 const TRIAL_CHUNK: usize = 1024;
 
 /// One trial from the nominal distributions: `x_RDF` standard normal,
-/// plus an RTN shift unless `rtn` is null (Eq. 2's draw order).
+/// plus an RTN shift (zero from the null source; Eq. 2's draw order).
 fn nominal_trial<S: RtnSource, R: Rng + ?Sized>(
     normals: &mut NormalSampler,
     rng: &mut R,
     rtn: &S,
 ) -> Vec<f64> {
     let mut z = normals.sample_vec(rng, rtn.dim());
-    if !rtn.is_null() {
-        let shift = rtn.sample_whitened(rng);
-        for (zi, si) in z.iter_mut().zip(&shift) {
-            *zi += si;
-        }
+    let shift = rtn.sample_whitened(rng);
+    for (zi, si) in z.iter_mut().zip(&shift) {
+        *zi += si;
     }
     z
 }

@@ -406,7 +406,11 @@ impl<B: Testbench, S: RtnSource> Ecripse<B, S> {
         observer.stage_started(Stage::ParticleFilter);
         let pf_start = Instant::now();
         let pf_start_sims = sim.simulations();
-        let m1 = self.config.m_rtn_stage1.max(1);
+        let m1 = if self.rtn.is_null() {
+            1
+        } else {
+            self.config.m_rtn_stage1.max(1)
+        };
         for iteration in 0..self.config.iterations {
             // Cancellation is cooperative and checked only between
             // iterations: an in-flight predict/measure/resample step
@@ -517,13 +521,14 @@ pub(crate) fn run_in_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// Eq. 16 weights for a candidate batch: `P̂_fail^RTN(x)·P_RDF(x)`, with
-/// the inner probability estimated through the rough oracle policy.
+/// the inner probability estimated from `m` RTN-shifted copies of each
+/// candidate through the rough oracle policy.
 fn weigh_candidates<B, S, R>(
     oracle: &mut ClassifierOracle<'_, B>,
     rtn: &S,
     rdf: &DiagGaussian,
     candidates: &[Vec<f64>],
-    m_rtn: usize,
+    m: usize,
     rng: &mut R,
 ) -> Vec<f64>
 where
@@ -531,18 +536,9 @@ where
     S: RtnSource,
     R: Rng + ?Sized,
 {
-    if rtn.is_null() {
-        let verdicts = oracle.evaluate_batch_rough(rng, candidates);
-        return candidates
-            .iter()
-            .zip(verdicts)
-            .map(|(x, fail)| if fail { rdf.pdf(x) } else { 0.0 })
-            .collect();
-    }
     // Expand each candidate into M shifted copies, evaluate the whole
     // batch at once (so classifier training sees everything), then
     // average per candidate.
-    let m = m_rtn.max(1);
     let mut zs = Vec::with_capacity(candidates.len() * m);
     for x in candidates {
         for _ in 0..m {
@@ -553,9 +549,9 @@ where
     let verdicts = oracle.evaluate_batch_rough(rng, &zs);
     candidates
         .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            let fails = verdicts[i * m..(i + 1) * m].iter().filter(|v| **v).count();
+        .zip(verdicts.chunks(m))
+        .map(|(x, copies)| {
+            let fails = copies.iter().filter(|v| **v).count();
             (fails as f64 / m as f64) * rdf.pdf(x)
         })
         .collect()

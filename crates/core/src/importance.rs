@@ -3,8 +3,8 @@
 //!
 //! Samples `x_k ~ Q̂` are drawn from the Eq. 18 mixture; for each, the
 //! inner RTN Monte Carlo of Eq. 17 estimates `P_fail^RTN(x_k)` with `M`
-//! RTN draws (collapsing to a single deterministic indicator call when
-//! RTN is disabled), and the estimator accumulates
+//! RTN draws (`M = 1` when RTN is disabled: the null source's shift is
+//! zero), and the estimator accumulates
 //! `P_fail^RTN(x_k)·P(x_k)/Q̂(x_k)`.
 //!
 //! Likelihood ratios are computed in log space: at a 4 σ boundary the
@@ -22,7 +22,7 @@ use ecripse_stats::mvn::{DiagGaussian, GaussianMixture};
 use ecripse_stats::sample::NormalSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Stage-2 configuration.
@@ -30,8 +30,8 @@ use std::time::Instant;
 pub struct ImportanceConfig {
     /// Number of importance samples `N_IS`.
     pub n_samples: usize,
-    /// RTN draws per importance sample (the paper's `M`); ignored when
-    /// the RTN source is null.
+    /// RTN draws per importance sample (the paper's `M`); 1 whatever it
+    /// says when the RTN source is null.
     pub m_rtn: usize,
     /// Record a trace point every this many importance samples
     /// (0 disables tracing).
@@ -75,8 +75,7 @@ impl ImportanceResult {
 }
 
 /// One drawn chunk: each importance sample's likelihood ratio, and the
-/// points the oracle answers for it (`m` RTN-shifted copies per sample,
-/// or the sample itself without RTN).
+/// points the oracle answers for it (`m` RTN-shifted copies per sample).
 struct Chunk {
     weights: Vec<f64>,
     points: Vec<Vec<f64>>,
@@ -100,18 +99,14 @@ where
     R: Rng + ?Sized,
 {
     let mut weights = Vec::with_capacity(n);
-    let mut points = Vec::with_capacity(n * m.max(1));
+    let mut points = Vec::with_capacity(n * m);
     for _ in 0..n {
         let x = alternative.sample(rng, normals);
         let log_ratio = rdf.log_pdf(&x) - alternative.log_pdf(&x);
         weights.push(log_ratio.exp());
-        if rtn.is_null() {
-            points.push(x);
-        } else {
-            for _ in 0..m {
-                let shift = rtn.sample_whitened(rng);
-                points.push(x.iter().zip(&shift).map(|(xi, si)| xi + si).collect());
-            }
+        for _ in 0..m {
+            let shift = rtn.sample_whitened(rng);
+            points.push(x.iter().zip(&shift).map(|(xi, si)| xi + si).collect());
         }
     }
     Chunk { weights, points }
@@ -138,14 +133,13 @@ where
 /// consume randomness or change a number.
 ///
 /// Each chunk is routed with
-/// [`ClassifierOracle::evaluate_batch_accurate_deferred`]; the next
-/// chunk is drawn right after the early-stopping check (nothing in
-/// between consumes the master stream), and then the retrain the routed
-/// chunk owes runs. With a pool of more than one thread and a retrain
-/// owed, the retrain runs on a scoped thread while this one draws the
-/// next chunk and has the simulator evaluate ahead the points the
-/// pre-retrain classifier finds uncertain ([`crate::simulate`]); the
-/// results are the same bits either way.
+/// [`ClassifierOracle::evaluate_batch_accurate`]; after the
+/// early-stopping check (nothing in between consumes the master stream)
+/// the next chunk is drawn inside [`ClassifierOracle::learn_while`], the
+/// routed chunk's learning step. When that step retrains on a pool of
+/// more than one thread, the simulator also evaluates ahead the points
+/// of the next chunk the pre-retrain classifier finds uncertain
+/// ([`crate::simulate`]); the results are the same bits either way.
 ///
 /// # Panics
 ///
@@ -186,13 +180,10 @@ where
     let mut normals = NormalSampler::new();
     let mut estimator = WeightedIsEstimator::new();
     let mut trace = ConvergenceTrace::new();
-    let m = config.m_rtn;
-    if !rtn.is_null() {
-        assert!(m > 0, "need at least one RTN draw");
-    }
+    let m = if rtn.is_null() { 1 } else { config.m_rtn };
+    assert!(m > 0, "need at least one RTN draw");
     let sim = oracle.bench();
     let sim_count = || billed_before + sim.simulations();
-    let prefetching = rayon::current_num_threads() > 1;
 
     let mut drawn = 0usize;
     let mut interrupted = false;
@@ -208,14 +199,14 @@ where
         Some(draw_chunk(n, alternative, &rdf, rtn, m, rng, &mut normals))
     };
     let mut chunk = next_chunk(drawn);
-    // The work done ahead of `chunk`: points evaluated and walk time.
+    // The work done ahead of `chunk`: points evaluated and wall time.
     let mut ahead: Option<(u64, f64)> = None;
     while let Some(Chunk { weights, points }) = chunk.take() {
         let batch = weights.len();
         let sims_at_chunk_start = sim_count();
         // One accurate-policy batch answers the whole chunk (parallel
         // simulation for the uncertain subset).
-        let verdicts = oracle.evaluate_batch_accurate_deferred(&points);
+        let verdicts = oracle.evaluate_batch_accurate(&points);
         if let Some((evaluated, wall_seconds)) = ahead.take() {
             observer.prefetch_finished(&PrefetchStats {
                 evaluated,
@@ -224,18 +215,9 @@ where
             });
         }
 
-        for (j, &weight) in weights.iter().enumerate() {
-            let p_inner = if rtn.is_null() {
-                if verdicts[j] {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                let fails = verdicts[j * m..(j + 1) * m].iter().filter(|v| **v).count();
-                fails as f64 / m as f64
-            };
-            estimator.push(p_inner, weight);
+        for (&weight, copies) in weights.iter().zip(verdicts.chunks(m)) {
+            let fails = copies.iter().filter(|v| **v).count();
+            estimator.push(fails as f64 / m as f64, weight);
 
             let n = estimator.count();
             if config.trace_every > 0 && n.is_multiple_of(config.trace_every as u64) {
@@ -271,40 +253,20 @@ where
             }
         }
         if converged || drawn >= config.n_samples {
-            // No next chunk, but the owed step still runs, so the
+            // No next chunk, but the learning step still runs, so the
             // retrain count does not depend on where the stage ended.
-            oracle.finish_accurate_batch();
+            oracle.learn_while(|_| ());
             break;
         }
-        let snapshot = (prefetching && oracle.owes_retrain())
-            .then(|| oracle.decision().cloned())
-            .flatten();
-        match snapshot {
-            Some(decision) => {
-                let done = AtomicBool::new(false);
-                std::thread::scope(|scope| {
-                    let oracle = &mut *oracle;
-                    let done = &done;
-                    let retrain = scope.spawn(move || {
-                        oracle.finish_accurate_batch();
-                        done.store(true, Ordering::Release);
-                    });
-                    chunk = next_chunk(drawn);
-                    if let Some(next) = &chunk {
-                        let start = Instant::now();
-                        let evaluated = sim.prefetch(&next.points, &decision, done);
-                        ahead = Some((evaluated, start.elapsed().as_secs_f64()));
-                    }
-                    if let Err(panic) = retrain.join() {
-                        std::panic::resume_unwind(panic);
-                    }
-                });
+        chunk = oracle.learn_while(|retraining| {
+            let next = next_chunk(drawn);
+            if let (Some(next), Some((decision, done))) = (&next, retraining) {
+                let start = Instant::now();
+                let evaluated = sim.prefetch(&next.points, decision, done);
+                ahead = Some((evaluated, start.elapsed().as_secs_f64()));
             }
-            None => {
-                chunk = next_chunk(drawn);
-                oracle.finish_accurate_batch();
-            }
-        }
+            next
+        });
     }
 
     (

@@ -4,14 +4,22 @@
 //! transistor-level testbench. It implements the paper's two policies:
 //!
 //! * **Rough** (stage 1, particle weighting): label a random subset of
-//!   `K` samples per batch with real simulations, (re)train the
-//!   classifier, and let it answer for everything else. Misclassified
+//!   `K` samples per batch with real simulations, learn their labels at
+//!   once, and let the classifier answer for everything else. Misclassified
 //!   weights only distort the alternative distribution slightly — they
 //!   never bias the final estimate (Sec. III-B, step 3).
 //! * **Accurate** (stage 2, importance sampling): trust the classifier
 //!   only outside its margin-based uncertainty band; simulate uncertain
 //!   samples and feed the labels back as incremental training data
-//!   (Sec. III-B, step 5).
+//!   (Sec. III-B, step 5). The caller runs that learning step with
+//!   [`ClassifierOracle::learn_while`] after each batch, and may do other
+//!   work beside a retrain.
+//!
+//! Both policies queue the labels they simulate, and one learning step
+//! consumes the queue: without a classifier it fits the first one (the
+//! labels stay queued while they hold a single class), with one it folds
+//! them in incrementally — every batch in stage 1, once
+//! [`OracleConfig::retrain_threshold`] labels have accumulated in stage 2.
 //!
 //! With the classifier disabled, both policies simulate everything —
 //! which is exactly the "conventional" baseline of Fig. 6.
@@ -22,6 +30,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Fewest queries one rayon task predicts; a prediction is a few
 /// microseconds, so smaller tasks cost more to schedule than they save.
@@ -175,28 +184,13 @@ pub struct ClassifierOracle<'a, B: Testbench> {
     bench: &'a B,
     config: OracleConfig,
     classifier: Option<SvmClassifier>,
-    /// Labels accumulated before the classifier could be trained (e.g.
-    /// while only one class had been observed).
-    pretrain_x: Vec<Vec<f64>>,
-    pretrain_y: Vec<bool>,
-    /// Uncertain-sample labels awaiting the next retraining round.
-    pending_x: Vec<Vec<f64>>,
-    pending_y: Vec<bool>,
-    /// The step an accurate batch deferred (see
-    /// [`ClassifierOracle::evaluate_batch_accurate_deferred`]).
-    owed: Option<Owed>,
+    /// Simulated labels the classifier has not learned yet: the first
+    /// training set until a fit succeeds (e.g. while only one class has
+    /// been observed), the next incremental batch afterwards.
+    unlearned_x: Vec<Vec<f64>>,
+    unlearned_y: Vec<bool>,
     stats: OracleStats,
     margins: MarginStats,
-}
-
-/// What [`ClassifierOracle::finish_accurate_batch`] still has to run
-/// for the last accurate batch that simulated anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owed {
-    /// Fold the pending labels in once the threshold is reached.
-    Retrain,
-    /// Try to train the first classifier from the pre-training bank.
-    InitialTraining,
 }
 
 impl<'a, B: Testbench> ClassifierOracle<'a, B> {
@@ -207,11 +201,8 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
             bench,
             config,
             classifier: None,
-            pretrain_x: Vec::new(),
-            pretrain_y: Vec::new(),
-            pending_x: Vec::new(),
-            pending_y: Vec::new(),
-            owed: None,
+            unlearned_x: Vec::new(),
+            unlearned_y: Vec::new(),
             stats: OracleStats::default(),
             margins: MarginStats::default(),
         }
@@ -245,98 +236,102 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         })
     }
 
-    /// The current classifier's decision function, if one is trained;
-    /// clone it for a snapshot that survives the next retrain.
-    pub fn decision(&self) -> Option<&Decision> {
-        self.classifier.as_ref().map(SvmClassifier::decision)
-    }
-
-    /// Whether [`Self::finish_accurate_batch`] will retrain the
-    /// classifier (as opposed to doing nothing, or attempting the first
-    /// training).
-    pub fn owes_retrain(&self) -> bool {
-        self.owed == Some(Owed::Retrain)
-            && !self.pending_x.is_empty()
-            && self.pending_x.len() >= self.config.retrain_threshold
-    }
-
     /// Simulates a batch with one `fails_batch` call (parallel for
-    /// circuit benches) and records the labels, in input order, for
-    /// (future) training.
+    /// circuit benches) and queues the labels, in input order, for the
+    /// next learning step.
     fn simulate_batch_and_record(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
         let ys = self.bench.fails_batch(zs);
         self.stats.simulated += zs.len() as u64;
-        if self.config.svm.is_some() {
-            match &self.classifier {
-                Some(clf) if clf.is_bank_full() => {
-                    // The classifier has stopped learning; skip the
-                    // bookkeeping.
-                }
-                Some(_) => {
-                    for (z, y) in zs.iter().zip(&ys) {
-                        self.pending_x.push(z.clone());
-                        self.pending_y.push(*y);
-                    }
-                }
-                None => {
-                    for (z, y) in zs.iter().zip(&ys) {
-                        self.pretrain_x.push(z.clone());
-                        self.pretrain_y.push(*y);
-                    }
-                }
-            }
+        // A full bank has stopped learning; skip the bookkeeping.
+        let learning = self.config.svm.is_some()
+            && !self
+                .classifier
+                .as_ref()
+                .is_some_and(SvmClassifier::is_bank_full);
+        if learning {
+            self.unlearned_x.extend_from_slice(zs);
+            self.unlearned_y.extend_from_slice(&ys);
         }
         ys
     }
 
-    /// Attempts to train the classifier from the pre-training bank.
-    fn try_initial_training(&mut self) {
-        let Some(svm_config) = self.config.svm else {
-            return;
-        };
-        if self.classifier.is_some() || self.pretrain_x.is_empty() {
+    /// One learning step from the unlearned labels. Without a classifier
+    /// it fits the first one, keeping the labels queued if they hold a
+    /// single class; with one it folds them in once `retrain_threshold`
+    /// have accumulated, or at once when `force` is set.
+    fn learn(&mut self, force: bool) {
+        if self.unlearned_x.is_empty() {
             return;
         }
-        match SvmClassifier::fit(&svm_config, &self.pretrain_x, &self.pretrain_y) {
-            Ok(clf) => {
-                self.classifier = Some(clf);
-                self.stats.retrains += 1;
-                self.pretrain_x.clear();
-                self.pretrain_y.clear();
+        match (&mut self.classifier, self.config.svm) {
+            (Some(clf), _) => {
+                if !force && self.unlearned_x.len() < self.config.retrain_threshold {
+                    return;
+                }
+                clf.add_labelled(&self.unlearned_x, &self.unlearned_y);
             }
-            Err(TrainError::SingleClass) | Err(TrainError::EmptyTrainingSet) => {
-                // Keep accumulating; a later batch will contain both
-                // classes.
+            (None, Some(svm_config)) => {
+                match SvmClassifier::fit(&svm_config, &self.unlearned_x, &self.unlearned_y) {
+                    Ok(clf) => self.classifier = Some(clf),
+                    // Keep accumulating; a later batch will contain both
+                    // classes.
+                    Err(TrainError::SingleClass | TrainError::EmptyTrainingSet) => return,
+                }
             }
+            (None, None) => return,
         }
+        self.stats.retrains += 1;
+        self.unlearned_x.clear();
+        self.unlearned_y.clear();
     }
 
-    /// Folds pending uncertain-sample labels into the classifier if the
-    /// threshold is reached (or `force` is set).
-    fn maybe_retrain(&mut self, force: bool) {
-        if self.pending_x.is_empty() {
-            return;
-        }
-        let Some(clf) = self.classifier.as_mut() else {
-            return;
+    /// Runs the learning step the queued stage-2 labels call for while
+    /// `meanwhile` does the caller's other work, and returns what
+    /// `meanwhile` returns.
+    ///
+    /// When the step retrains an existing classifier and the rayon pool
+    /// has more than one thread, the retrain runs on a scoped thread and
+    /// `meanwhile` runs beside it with the pre-retrain decision function
+    /// and a flag raised once the retrain is done; the stage-2 sampler
+    /// uses them to have the simulator evaluate ahead the next chunk's
+    /// likely-uncertain points ([`crate::simulate`]). Otherwise
+    /// `meanwhile` gets `None` and runs before the step. The oracle ends
+    /// in the same state either way.
+    pub fn learn_while<T>(
+        &mut self,
+        meanwhile: impl FnOnce(Option<(&Decision, &AtomicBool)>) -> T,
+    ) -> T {
+        let due = self.unlearned_x.len() >= self.config.retrain_threshold.max(1);
+        let snapshot = match &self.classifier {
+            Some(clf) if due && rayon::current_num_threads() > 1 => clf.decision().clone(),
+            _ => {
+                let out = meanwhile(None);
+                self.learn(false);
+                return out;
+            }
         };
-        if force || self.pending_x.len() >= self.config.retrain_threshold {
-            clf.add_labelled(&self.pending_x, &self.pending_y);
-            self.stats.retrains += 1;
-            self.pending_x.clear();
-            self.pending_y.clear();
-        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let learner = scope.spawn(|| {
+                self.learn(false);
+                done.store(true, Ordering::Release);
+            });
+            let out = meanwhile(Some((&snapshot, &done)));
+            if let Err(panic) = learner.join() {
+                std::panic::resume_unwind(panic);
+            }
+            out
+        })
     }
 
     /// Stage-1 policy: evaluates a whole batch, spending at most
-    /// `k_train_per_batch` simulations on randomly chosen members and
-    /// classifying the rest.
+    /// `k_train_per_batch` simulations on randomly chosen members,
+    /// learning their labels at once, and classifying the rest.
     pub fn evaluate_batch_rough<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         zs: &[Vec<f64>],
     ) -> Vec<bool> {
-        self.finish_accurate_batch();
         if self.config.svm.is_none() {
             return self.simulate_batch_and_record(zs);
         }
@@ -350,8 +345,7 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         for (&i, y) in train_idx.iter().zip(&train_ys) {
             out[i] = *y;
         }
-        self.try_initial_training();
-        self.maybe_retrain(true);
+        self.learn(true);
         match &self.classifier {
             Some(clf) => {
                 let predicted = predict_all(clf, rest_idx.par_iter().map(|&i| &zs[i]));
@@ -374,26 +368,22 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         out
     }
 
-    /// Stage-2 policy: every sample is routed by the classifier state
-    /// *at batch entry*. Confident samples are classified; uncertain (or
+    /// Stage-2 policy: every sample is routed by the classifier as it
+    /// stands. Confident samples are classified; uncertain (or
     /// unclassifiable) ones are simulated in a single `fails_batch` call
-    /// and their labels kept for training. Verdicts inside the
+    /// and their labels queued for learning. Verdicts inside the
     /// uncertainty band are therefore exact. Predictions run in parallel,
     /// but the routing is a serial pass in input order, so results do not
     /// depend on the thread count.
     ///
-    /// The retrain (or first training) the labels call for is deferred:
-    /// the caller runs it with [`Self::finish_accurate_batch`], and may do
-    /// other work in between — the stage-2 sampler draws and simulates
-    /// the next chunk ahead while the retrain runs. Every entry point
-    /// finishes an owed step first, so nothing is ever skipped.
-    pub fn evaluate_batch_accurate_deferred(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
-        self.finish_accurate_batch();
+    /// Nothing is learned here: the caller runs the step with
+    /// [`Self::learn_while`] after each batch.
+    pub fn evaluate_batch_accurate(&mut self, zs: &[Vec<f64>]) -> Vec<bool> {
         let mut out = vec![false; zs.len()];
-        let mut sim_idx: Vec<usize> = Vec::new();
-        let owed = match &self.classifier {
+        let sim_idx: Vec<usize> = match &self.classifier {
             Some(clf) => {
                 let band = clf.config().uncertain_band;
+                let mut sim_idx = Vec::new();
                 let predicted = predict_all(clf, zs.par_iter());
                 for (i, (y, margin)) in predicted.into_iter().enumerate() {
                     if margin.abs() < band {
@@ -405,12 +395,9 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
                     }
                 }
                 self.stats.uncertain_simulated += sim_idx.len() as u64;
-                Owed::Retrain
+                sim_idx
             }
-            None => {
-                sim_idx.extend(0..zs.len());
-                Owed::InitialTraining
-            }
+            None => (0..zs.len()).collect(),
         };
         if sim_idx.is_empty() {
             return out;
@@ -420,19 +407,7 @@ impl<'a, B: Testbench> ClassifierOracle<'a, B> {
         for (&i, y) in sim_idx.iter().zip(&ys) {
             out[i] = *y;
         }
-        self.owed = Some(owed);
         out
-    }
-
-    /// Runs the step the last deferred accurate batch owes, if any: the
-    /// threshold-gated retrain, or the first training attempt when that
-    /// batch had no classifier to route with.
-    pub fn finish_accurate_batch(&mut self) {
-        match self.owed.take() {
-            Some(Owed::Retrain) => self.maybe_retrain(false),
-            Some(Owed::InitialTraining) => self.try_initial_training(),
-            None => {}
-        }
     }
 }
 
@@ -451,11 +426,11 @@ mod tests {
             .collect()
     }
 
-    /// One stage-2 batch with the step it owes run straight after, as
+    /// One stage-2 batch with its learning step run straight after, as
     /// the stage-2 sampler does for every chunk.
     fn accurate<B: Testbench>(oracle: &mut ClassifierOracle<'_, B>, zs: &[Vec<f64>]) -> Vec<bool> {
-        let out = oracle.evaluate_batch_accurate_deferred(zs);
-        oracle.finish_accurate_batch();
+        let out = oracle.evaluate_batch_accurate(zs);
+        oracle.learn_while(|_| ());
         out
     }
 
@@ -600,48 +575,80 @@ mod tests {
         assert_eq!(oracle.stats().classified, 800 - 256 + 2);
     }
 
+    /// Runs one learning step on a pool of `threads`. Returns the margin
+    /// bits the snapshot `meanwhile` got gives `probe` (`None` if it got
+    /// none) and how far `retrains` advanced.
+    fn learn_on<B: Testbench>(
+        oracle: &mut ClassifierOracle<'_, B>,
+        threads: usize,
+        probe: &[f64],
+    ) -> (Option<u64>, u64) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool");
+        let retrains = oracle.stats().retrains;
+        let snapshot = pool.install(|| {
+            oracle.learn_while(|retraining| {
+                retraining.map(|(decision, _)| decision.predict_with_margin(probe).1.to_bits())
+            })
+        });
+        (snapshot, oracle.stats().retrains - retrains)
+    }
+
     #[test]
-    fn deferred_batches_owe_their_retrain_until_finished() {
+    fn learn_while_overlaps_only_a_due_retrain_on_a_pool() {
         let bench = LinearBench::new(vec![1.0, 0.0], 3.0);
         let counter = Simulator::unmemoised(&bench);
         let cfg = OracleConfig {
-            retrain_threshold: 1,
+            retrain_threshold: 2,
             ..OracleConfig::default()
         };
+        let probe = [3.1, 0.2];
+
+        // The first training is a step, but not a retrain to overlap.
+        let mut oracle = ClassifierOracle::new(&counter, cfg);
+        let _ = oracle.evaluate_batch_accurate(&batch_around_boundary(200, 10));
+        assert!(!oracle.has_classifier());
+        assert_eq!(learn_on(&mut oracle, 2, &probe), (None, 1));
+        assert!(oracle.has_classifier());
+
         let mut oracle = ClassifierOracle::new(&counter, cfg);
         let mut rng = StdRng::seed_from_u64(9);
         let _ = oracle.evaluate_batch_rough(&mut rng, &batch_around_boundary(800, 10));
-        let retrains = oracle.stats().retrains;
-        let probe = vec![3.1, 0.2];
-        let before = oracle.decision().expect("trained").clone();
+        let margin_bits = |oracle: &ClassifierOracle<'_, _>| {
+            let clf = oracle.classifier.as_ref().expect("trained");
+            clf.predict_with_margin(&probe).1.to_bits()
+        };
+        // `n` points the current classifier finds uncertain.
+        let uncertain = |oracle: &ClassifierOracle<'_, _>, n: usize| {
+            let clf = oracle.classifier.as_ref().expect("trained");
+            let near = (0..400).map(|i| vec![2.8 + 0.001 * i as f64, 0.0]);
+            let zs: Vec<Vec<f64>> = near.filter(|z| clf.is_uncertain(z)).take(n).collect();
+            assert_eq!(zs.len(), n, "the band is too narrow");
+            zs
+        };
+        // Nothing queued, then one label below the threshold: no step.
+        let _ = oracle.evaluate_batch_accurate(&[vec![10.0, 0.0]]);
+        assert_eq!(learn_on(&mut oracle, 2, &probe), (None, 0));
+        let _ = oracle.evaluate_batch_accurate(&uncertain(&oracle, 1));
+        assert_eq!(learn_on(&mut oracle, 2, &probe), (None, 0));
 
-        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![3.0, 0.0], vec![10.0, 0.0]]);
-        assert!(oracle.owes_retrain());
-        assert_eq!(oracle.stats().retrains, retrains, "deferred, not run");
-        oracle.finish_accurate_batch();
-        assert!(!oracle.owes_retrain());
-        assert_eq!(oracle.stats().retrains, retrains + 1);
-        let after = oracle.decision().expect("trained");
-        assert_ne!(
-            before.predict_with_margin(&probe).1.to_bits(),
-            after.predict_with_margin(&probe).1.to_bits(),
-            "the snapshot keeps the pre-retrain model"
-        );
+        // The threshold is reached: on two threads the retrain overlaps
+        // `meanwhile`, which sees the pre-retrain decision.
+        let _ = oracle.evaluate_batch_accurate(&uncertain(&oracle, 1));
+        assert_eq!(oracle.stats().uncertain_simulated, 2);
+        let before = margin_bits(&oracle);
+        assert_eq!(learn_on(&mut oracle, 2, &probe), (Some(before), 1));
+        assert_ne!(margin_bits(&oracle), before, "the retrain ran");
 
-        // A batch that simulates nothing owes nothing, and any entry
-        // point runs an owed step before its own work.
-        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![10.0, 0.0]]);
-        assert!(!oracle.owes_retrain());
-        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![3.0, 0.0]]);
-        let _ = oracle.evaluate_batch_accurate_deferred(&[vec![10.0, 0.0]]);
-        assert_eq!(oracle.stats().retrains, retrains + 2);
-        // A rough batch folds its own labels in with a forced retrain;
-        // the owed one runs before it, so that is two rounds, not one.
-        let _ = oracle.evaluate_batch_accurate_deferred(&batch_around_boundary(200, 12));
-        assert!(oracle.owes_retrain());
-        let _ = oracle.evaluate_batch_rough(&mut rng, &batch_around_boundary(300, 11));
-        assert!(!oracle.owes_retrain());
-        assert_eq!(oracle.stats().retrains, retrains + 4);
+        // The same due retrain on one thread runs after `meanwhile`.
+        let _ = oracle.evaluate_batch_accurate(&uncertain(&oracle, 2));
+        assert_eq!(oracle.stats().uncertain_simulated, 4);
+        let before = margin_bits(&oracle);
+        assert_eq!(learn_on(&mut oracle, 1, &probe), (None, 1));
+        assert_ne!(margin_bits(&oracle), before, "the retrain ran");
+        assert_eq!(learn_on(&mut oracle, 2, &probe), (None, 0));
     }
 
     #[test]

@@ -16,8 +16,9 @@ pub trait RtnSource {
     /// Draws one whitened shift vector.
     fn sample_whitened<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64>;
 
-    /// Whether this source is the degenerate "no RTN" case; estimators
-    /// collapse the inner Monte Carlo (`M = 1`, deterministic) when so.
+    /// Whether this source is the degenerate "no RTN" case, whose every
+    /// shift is zero; estimators then take one copy per sample (`M = 1`),
+    /// since more copies of the same point add nothing.
     fn is_null(&self) -> bool {
         false
     }

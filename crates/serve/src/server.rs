@@ -350,7 +350,11 @@ struct ServeTelemetry {
     deadline_exceeded: Counter,
     recovered: Counter,
     journal_compactions: Counter,
+    journal_compaction_failures: Counter,
+    journal_append_failures: Counter,
     journal_frames_replayed: Counter,
+    journal_torn_bytes: Counter,
+    cache_store_ignored: Counter,
     idempotent_hits: Counter,
     persisted: Counter,
     rejected: Counter,
@@ -430,9 +434,25 @@ impl ServeTelemetry {
                 "journal_compactions_total",
                 "Write-ahead journal compactions since startup",
             ),
+            journal_compaction_failures: counter(
+                "journal_compaction_failures_total",
+                "Journal compactions that failed and kept the old file",
+            ),
+            journal_append_failures: counter(
+                "journal_append_failures_total",
+                "Terminal-state journal appends that failed (the state is kept in memory only)",
+            ),
             journal_frames_replayed: counter(
                 "journal_frames_replayed_total",
                 "Journal frames decoded during boot replay",
+            ),
+            journal_torn_bytes: counter(
+                "journal_torn_tail_bytes_total",
+                "Bytes of torn journal tail dropped during boot replay",
+            ),
+            cache_store_ignored: counter(
+                "cache_store_ignored_total",
+                "Verdict stores that failed to load at bind and were ignored",
             ),
             idempotent_hits: counter(
                 "idempotent_hits_total",
@@ -568,6 +588,7 @@ impl<B: SweepBench + 'static> Server<B> {
         // digest: a store written under a different registry (different
         // scenarios or versions) is rejected at load time instead of
         // silently misapplying verdicts across indicators.
+        let telemetry = ServeTelemetry::new();
         let cache = Arc::new(VerdictStore::new(config.cache));
         let cache_loaded = match &config.cache_store {
             // A missing store is the normal first boot; any other load
@@ -576,6 +597,7 @@ impl<B: SweepBench + 'static> Server<B> {
             Some(path) if path.exists() => match load_snapshot(&cache, &registry_digest(), path) {
                 Ok(count) => count as u64,
                 Err(error) => {
+                    telemetry.cache_store_ignored.inc();
                     eprintln!(
                         "ecripse-serve: ignoring verdict store {}: {error}",
                         path.display()
@@ -604,6 +626,7 @@ impl<B: SweepBench + 'static> Server<B> {
             Some(path) => {
                 let (journal, replay) = Journal::open(path)?;
                 if replay.dropped_bytes > 0 {
+                    telemetry.journal_torn_bytes.add(replay.dropped_bytes);
                     eprintln!(
                         "ecripse-serve: journal {} had a torn tail; dropped {} byte(s)",
                         path.display(),
@@ -638,9 +661,8 @@ impl<B: SweepBench + 'static> Server<B> {
         // Boot compaction: drop the terminal noise a long-lived journal
         // accumulates (best-effort; the old file stays valid on failure).
         if let Some(journal) = &journal {
-            compact(journal, &jobs);
+            compact(journal, &jobs, &telemetry.journal_compaction_failures);
         }
-        let telemetry = ServeTelemetry::new();
         if config.journal.is_some() {
             let replay_seconds = replay_started.elapsed().as_secs_f64();
             telemetry.journal_replay_seconds.record(replay_seconds);
@@ -854,8 +876,9 @@ fn persist_queued_sweep<B: SweepBench>(shared: &Shared<B>, job: &ServeJob) -> bo
 /// queued, running and persisted jobs as unfinished submissions,
 /// finished keyed jobs with their terminal state (see
 /// [`journal::live_records`]). Best-effort: a failed compaction leaves
-/// the (valid, just larger) old journal in place.
-fn compact<T>(journal: &Journal, jobs: &JobTable<T>) {
+/// the (valid, just larger) old journal in place and counts in
+/// `failures`.
+fn compact<T>(journal: &Journal, jobs: &JobTable<T>, failures: &Counter) {
     let mut live: Vec<RecoveredJob> = jobs
         .iter()
         .map(|job| RecoveredJob {
@@ -871,6 +894,7 @@ fn compact<T>(journal: &Journal, jobs: &JobTable<T>) {
         .collect();
     live.sort_unstable_by_key(|job| job.id);
     if let Err(error) = journal.compact(&journal::live_records(&live)) {
+        failures.inc();
         eprintln!("ecripse-serve: journal compaction failed: {error} (keeping old file)");
     }
 }
@@ -883,7 +907,8 @@ fn compact<T>(journal: &Journal, jobs: &JobTable<T>) {
 /// append — which would silently discard an acknowledged job.
 fn compact_journal<B>(shared: &Shared<B>) {
     if let Some(journal) = &shared.journal {
-        compact(journal, &lock_state(shared).jobs);
+        let failures = &shared.telemetry.journal_compaction_failures;
+        compact(journal, &lock_state(shared).jobs, failures);
     }
 }
 
@@ -897,6 +922,7 @@ fn journal_terminal<B>(shared: &Shared<B>, id: u64, state: JobState, error: Opti
         return;
     };
     if let Err(e) = journal.append(&JournalRecord::terminal(id, state, error)) {
+        shared.telemetry.journal_append_failures.inc();
         eprintln!("ecripse-serve: journal append failed for job {id}: {e}");
         return;
     }

@@ -9,6 +9,7 @@ use ecripse_core::initial::InitialSearchConfig;
 use ecripse_core::sweep::SweepBench;
 use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest};
 use ecripse_serve::{http, Client, ServeConfig, Server};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -260,6 +261,8 @@ const SERVE_METADATA: &str = "
 # TYPE ecripse_serve_cache_loaded_entries gauge
 # HELP ecripse_serve_cache_misses_total Verdict-cache misses
 # TYPE ecripse_serve_cache_misses_total counter
+# HELP ecripse_serve_cache_store_ignored_total Verdict stores that failed to load at bind and were ignored
+# TYPE ecripse_serve_cache_store_ignored_total counter
 # HELP ecripse_serve_cancelled_queued_total Cancellations that caught the job still queued
 # TYPE ecripse_serve_cancelled_queued_total counter
 # HELP ecripse_serve_cancelled_running_total Cancellations that interrupted a running job
@@ -286,12 +289,18 @@ const SERVE_METADATA: &str = "
 # TYPE ecripse_serve_job_seconds histogram
 # HELP ecripse_serve_jobs_in_terminal_state Jobs completed, failed, cancelled or persisted
 # TYPE ecripse_serve_jobs_in_terminal_state gauge
+# HELP ecripse_serve_journal_append_failures_total Terminal-state journal appends that failed (the state is kept in memory only)
+# TYPE ecripse_serve_journal_append_failures_total counter
 # HELP ecripse_serve_journal_bytes Current on-disk size of the write-ahead job journal
 # TYPE ecripse_serve_journal_bytes gauge
+# HELP ecripse_serve_journal_compaction_failures_total Journal compactions that failed and kept the old file
+# TYPE ecripse_serve_journal_compaction_failures_total counter
 # HELP ecripse_serve_journal_compactions_total Write-ahead journal compactions since startup
 # TYPE ecripse_serve_journal_compactions_total counter
 # HELP ecripse_serve_journal_frames_replayed_total Journal frames decoded during boot replay
 # TYPE ecripse_serve_journal_frames_replayed_total counter
+# HELP ecripse_serve_journal_torn_tail_bytes_total Bytes of torn journal tail dropped during boot replay
+# TYPE ecripse_serve_journal_torn_tail_bytes_total counter
 # HELP ecripse_serve_journal_replay_duration_seconds Wall-clock duration of boot-time write-ahead journal replay
 # TYPE ecripse_serve_journal_replay_duration_seconds histogram
 # HELP ecripse_serve_newton_iters_total Newton iterations (node-current evaluations) spent in the circuit solver
@@ -350,6 +359,56 @@ fn fresh_server_declares_the_golden_metric_families() {
     validate_exposition(&exposition);
     assert_metadata_matches(&exposition, SERVE_METADATA);
     server.shutdown();
+}
+
+/// Boot diagnostics are counted, not only printed: a torn journal tail
+/// by the bytes replay dropped, and a verdict store that fails to load
+/// as one ignored store.
+#[test]
+fn boot_counts_torn_journal_bytes_and_ignored_verdict_stores() {
+    let dir = std::env::temp_dir().join(format!("ecripse-serve-boot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let journal = dir.join("jobs.journal");
+    let store = dir.join("verdicts.json");
+    let config = ServeConfig {
+        journal: Some(journal.clone()),
+        cache_store: Some(store.clone()),
+        ..ServeConfig::default()
+    };
+    const TORN: &str = "ecripse_serve_journal_torn_tail_bytes_total";
+    const IGNORED: &str = "ecripse_serve_cache_store_ignored_total";
+    let scrape = |server: &Server<LinearBench>| {
+        let client = Client::new(server.local_addr().to_string());
+        let exposition = client.metrics_prometheus().expect("prometheus metrics");
+        validate_exposition(&exposition).0
+    };
+
+    // First life: one job journals its frames; shutdown saves the store.
+    let server =
+        Server::bind_with("127.0.0.1:0", config.clone(), |_, _| linear_bench()).expect("bind");
+    let client = Client::new(server.local_addr().to_string());
+    let request = SubmitRequest::new(tiny_config(5), JobSpec::rdf_only(1.0));
+    let submitted = client.submit(&request).expect("submit");
+    client.wait_for_report(submitted.id, WAIT).expect("report");
+    let counters = scrape(&server);
+    assert_eq!((counters[TORN], counters[IGNORED]), (0.0, 0.0));
+    server.shutdown();
+
+    // A torn frame after the valid prefix, and a store that cannot parse.
+    let torn = b"EJ1 0000";
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .and_then(|mut file| file.write_all(torn))
+        .expect("tear the journal tail");
+    std::fs::write(&store, "{\"schema_version\": ").expect("corrupt the store");
+    let server = Server::bind_with("127.0.0.1:0", config, |_, _| linear_bench()).expect("rebind");
+    let counters = scrape(&server);
+    assert_eq!(counters[TORN], torn.len() as f64);
+    assert_eq!(counters[IGNORED], 1.0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -13,9 +13,6 @@
 //!   These represent both the process-variability PDF `P(x)` (Eq. 14 of the
 //!   paper) and the particle-based alternative distribution `Q̂(x)`
 //!   (Eq. 18).
-//! * [`whiten`] — Cholesky factorisation and the whitening transform the
-//!   paper invokes to justify treating the variability space as an
-//!   independent standard normal.
 //! * [`estimate`] — streaming mean/variance accumulators, binomial and
 //!   CLT-based 95 % confidence intervals, and the weighted importance
 //!   sampling estimator of Eq. 19 together with its relative error (the
@@ -43,14 +40,12 @@ pub mod mvn;
 pub mod resample;
 pub mod sample;
 pub mod special;
-pub mod whiten;
 
 pub use estimate::{RunningStats, WeightedIsEstimator, WilsonInterval};
 pub use mvn::{DiagGaussian, GaussianMixture};
 pub use resample::{effective_sample_size, multinomial_resample, systematic_resample};
 pub use sample::{sample_poisson, sample_standard_normal, NormalSampler};
 pub use special::{erf, erfc, log_normal_pdf, normal_cdf, normal_pdf, normal_quantile};
-pub use whiten::{cholesky, Whitener};
 
 /// The FNV-1a 64-bit offset basis: the hash of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
